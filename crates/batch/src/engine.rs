@@ -147,9 +147,10 @@ impl<D: SpeculativeSource> SeqState<D> {
     }
 }
 
-/// A sequence evicted from its slot under KV page pressure: the model
-/// (with its committed KV intact) and the generation state are parked
-/// whole, so re-seating leases fresh pages and continues bit-identically.
+/// A sequence evicted from its slot under KV page pressure: its model
+/// handle (the committed KV; the weights stay shared with every other
+/// sequence) and the generation state are parked whole, so re-seating
+/// leases fresh pages and continues bit-identically.
 struct Parked<M, D> {
     model: M,
     seq: SeqState<D>,
@@ -222,8 +223,9 @@ pub struct BatchedEngine<M, D> {
     meter: Meter,
     steps: u64,
     controller: Option<ClassedController>,
-    /// Compute backend applied to every model at admission.
-    backend: specee_tensor::BackendKind,
+    /// Compute backend stamped onto every model at admission; `None`
+    /// keeps each model's own.
+    backend: Option<specee_tensor::BackendKind>,
     /// Optional trace recorder (None = tracing disabled, zero cost).
     /// The engine has no clock of its own — whoever owns the simulated
     /// clock (the live batcher, a cluster worker) sets it via
@@ -277,7 +279,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             meter: Meter::new(),
             steps: 0,
             controller: None,
-            backend: specee_tensor::BackendKind::default(),
+            backend: None,
             trace: None,
             parked: Vec::new(),
             preempt_enabled: false,
@@ -352,10 +354,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
 
     /// Selects the compute backend stamped onto every model at admission
     /// (already-seated sequences keep the backend they were admitted
-    /// with). The reference scalar backend is the default; the blocked
-    /// backend is bit-identical on dense weights.
+    /// with). Until this is called, admission leaves each model's own
+    /// backend in place. The blocked backend is bit-identical to the
+    /// reference scalar one on dense weights.
     pub fn set_backend(&mut self, backend: specee_tensor::BackendKind) {
-        self.backend = backend;
+        self.backend = Some(backend);
     }
 
     /// Attaches a traffic-class-keyed closed-loop threshold controller.
@@ -558,7 +561,9 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         assert_eq!(model.config().n_layers, self.n_layers, "model depth");
         self.ensure_class_bank(class);
         model.reset();
-        model.set_backend(self.backend);
+        if let Some(backend) = self.backend {
+            model.set_backend(backend);
+        }
         draft.reset();
         if let Some(spec) = draft.self_spec() {
             if let Err(e) = spec.validate_for_depth(self.n_layers) {
@@ -1842,6 +1847,65 @@ mod tests {
         let outs = eng.drain();
         assert_eq!(outs.len(), 1, "only the survivor finishes");
         assert_eq!(outs[0].id, 0);
+    }
+
+    /// An engine over an untrained bank that scans every layer: enough
+    /// for tests about what admission does to the model it is handed.
+    fn untrained_engine(max_batch: usize) -> BatchedEngine<SyntheticLm, OracleDraft> {
+        let pcfg = PredictorConfig {
+            hidden_dim: 32,
+            ..PredictorConfig::default()
+        };
+        let bank = PredictorBank::new(12, &pcfg, &mut Pcg::seed(2));
+        let config = SpecEeConfig {
+            predictor: pcfg,
+            ..SpecEeConfig::default()
+        };
+        BatchedEngine::new(
+            max_batch,
+            16,
+            12,
+            bank,
+            ScheduleEngine::all_layers(12),
+            config,
+        )
+    }
+
+    fn seat(eng: &mut BatchedEngine<SyntheticLm, OracleDraft>, id: u64, lm: &SyntheticLm) -> usize {
+        match eng.admit(id, lm.clone(), build_draft(lm, id), &[4, 2, 9], 6) {
+            Admission::Seated { slot } => slot,
+            Admission::Done(_) => panic!("should seat"),
+        }
+    }
+
+    #[test]
+    fn admission_keeps_the_models_backend_unless_the_engine_sets_one() {
+        use specee_tensor::BackendKind;
+        let mut lm = build_lm(83);
+        lm.set_backend(BackendKind::Blocked);
+        let mut eng = untrained_engine(2);
+        let slot = seat(&mut eng, 0, &lm);
+        assert_eq!(eng.stack.model(slot).backend(), BackendKind::Blocked);
+        eng.set_backend(BackendKind::Reference);
+        let slot = seat(&mut eng, 1, &lm);
+        assert_eq!(eng.stack.model(slot).backend(), BackendKind::Reference);
+    }
+
+    #[test]
+    fn eight_seated_clones_hold_one_weight_allocation() {
+        let lm = build_lm(84);
+        let mut eng = untrained_engine(8);
+        for id in 0..8 {
+            seat(&mut eng, id, &lm);
+        }
+        let step = eng.step();
+        assert_eq!(step.emitted, 8);
+        let slots = eng.stack.occupied_slots();
+        assert_eq!(slots.len(), 8);
+        for slot in slots {
+            let seated = eng.stack.model(slot).inner();
+            assert!(seated.shares_weights_with(lm.inner()), "slot {slot}");
+        }
     }
 
     #[test]

@@ -449,12 +449,23 @@ where
     /// (no new admissions are possible once called), reports, and its
     /// thread is joined. Returns the merged per-worker and aggregate
     /// report.
-    pub fn drain(self) -> ClusterReport {
+    ///
+    /// Every live worker is told to drain before any report is awaited,
+    /// so the workers run down their queues concurrently; nothing crosses
+    /// between workers after the last sync (no gossip, no routing), so
+    /// each report is what a one-at-a-time drain would produce, and they
+    /// are collected in worker-index order.
+    pub fn drain(mut self) -> ClusterReport {
         let router = self.router.name().to_string();
         let coordinator_events = self.trace.map(|r| r.into_events()).unwrap_or_default();
+        for handle in &mut self.workers {
+            if !handle.dead && handle.tx.send(WorkerMsg::Drain).is_err() {
+                handle.dead = true;
+            }
+        }
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(self.workers.len());
         for (w, handle) in self.workers.into_iter().enumerate() {
-            let report = if handle.dead || handle.tx.send(WorkerMsg::Drain).is_err() {
+            let report = if handle.dead {
                 None
             } else {
                 loop {

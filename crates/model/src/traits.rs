@@ -47,6 +47,36 @@ pub trait LayeredLm {
     fn forward_layer(&mut self, layer: usize, h: &[f32], pos: usize, meter: &mut Meter)
         -> Vec<f32>;
 
+    /// Runs `prompt` through every layer, committing K/V for each prompt
+    /// position after the [`LayeredLm::kv_len`] positions already cached,
+    /// and returns the final hidden state of the last prompt token.
+    ///
+    /// This default walks token-major — one position through all layers,
+    /// then the next — and so streams every layer's weights once per
+    /// prompt token. It is the reference: implementations override it to
+    /// walk layer-major (every position through layer *l* before layer
+    /// *l*+1, one weight stream per prompt) and must stay bit-identical
+    /// to it, which causal attention allows — a position reads only
+    /// earlier positions of the same layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prompt` is empty.
+    fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
+        assert!(!prompt.is_empty(), "prompt must be non-empty");
+        let n_layers = self.config().n_layers;
+        let base = self.kv_len();
+        let mut last_hidden = Vec::new();
+        for (i, &tok) in prompt.iter().enumerate() {
+            let mut h = self.begin_token(tok, meter);
+            for layer in 0..n_layers {
+                h = self.forward_layer(layer, &h, base + i, meter);
+            }
+            last_hidden = h;
+        }
+        last_hidden
+    }
+
     /// Embeds a batch of draft-tree tokens (`parents[i]` is the in-batch
     /// parent index, `None` for tree roots hanging off the committed
     /// context).

@@ -1,5 +1,7 @@
 //! The executable decoder-only transformer.
 
+use std::sync::Arc;
+
 use specee_metrics::Meter;
 use specee_tensor::{ops, rng::Pcg, BackendKind, QuantBits};
 
@@ -18,6 +20,13 @@ use crate::traits::LayeredLm;
 use crate::weights::ModelWeights;
 
 /// A from-scratch Llama-style decoder with per-layer stepping.
+///
+/// Everything immutable after construction (the weights and the sparse-FFN
+/// routers) sits behind one [`Arc`], so `clone()` copies only per-sequence
+/// state — KV caches, backend, calibration tap — and every clone streams
+/// the same weight bytes. The mutators ([`Transformer::quantize`],
+/// [`Transformer::enable_sparse_ffn`], AWQ) are copy-on-write: they detach
+/// the instance they are called on and leave its siblings alone.
 ///
 /// # Examples
 ///
@@ -40,15 +49,21 @@ use crate::weights::ModelWeights;
 #[derive(Debug, Clone)]
 pub struct Transformer {
     config: ModelConfig,
-    weights: ModelWeights,
+    shared: Arc<Shared>,
     caches: Vec<KvCache>,
     ffn_mode: FfnMode,
-    routers: Vec<FfnRouter>,
     scale: OpScale,
     /// Compute backend every projection mat-vec dispatches through.
     backend: BackendKind,
     /// Armed during AWQ calibration runs; `None` on the hot path.
     tap: Option<ActivationTap>,
+}
+
+/// What every clone of a [`Transformer`] shares.
+#[derive(Debug, Clone)]
+struct Shared {
+    weights: ModelWeights,
+    routers: Vec<FfnRouter>,
 }
 
 impl Transformer {
@@ -66,10 +81,12 @@ impl Transformer {
         let scale = OpScale::of(&config);
         Transformer {
             config,
-            weights,
+            shared: Arc::new(Shared {
+                weights,
+                routers: Vec::new(),
+            }),
             caches,
             ffn_mode: FfnMode::Dense,
-            routers: Vec::new(),
             scale,
             backend: BackendKind::default(),
             tap: None,
@@ -85,7 +102,7 @@ impl Transformer {
     /// Switches to sparse-activation FFNs (PowerInfer substitution),
     /// creating one router per layer.
     pub fn enable_sparse_ffn(&mut self, active_frac: f32, router_rank: usize, rng: &mut Pcg) {
-        self.routers = (0..self.config.n_layers)
+        Arc::make_mut(&mut self.shared).routers = (0..self.config.n_layers)
             .map(|_| {
                 FfnRouter::random(
                     self.config.hidden_dim,
@@ -106,7 +123,7 @@ impl Transformer {
     /// `weight_bits`. For activation-calibrated quantization see
     /// [`crate::calibration::quantize_awq`].
     pub fn quantize(&mut self, bits: QuantBits) {
-        self.weights.quantize(bits);
+        Arc::make_mut(&mut self.shared).weights.quantize(bits);
     }
 
     /// Arms the AWQ calibration tap: subsequent forwards record linear-op
@@ -125,7 +142,8 @@ impl Transformer {
     /// channel scales for the norm-fed projections (`wq`/`wk`/`wv`,
     /// `w_gate`/`w_up`, LM head), round-to-nearest for `wo`/`w_down`.
     pub(crate) fn apply_awq(&mut self, bits: QuantBits, tap: &ActivationTap) {
-        for (layer, w) in self.weights.layers.iter_mut().enumerate() {
+        let weights = &mut Arc::make_mut(&mut self.shared).weights;
+        for (layer, w) in weights.layers.iter_mut().enumerate() {
             for op in [&mut w.wq, &mut w.wk, &mut w.wv] {
                 if let LinearOp::Dense(m) = op {
                     *op = LinearOp::awq_quantized(m, bits, &tap.attn_in[layer]);
@@ -142,8 +160,8 @@ impl Transformer {
                 }
             }
         }
-        if let LinearOp::Dense(m) = &self.weights.lm_head {
-            self.weights.lm_head = LinearOp::awq_quantized(m, bits, &tap.head_in);
+        if let LinearOp::Dense(m) = &weights.lm_head {
+            weights.lm_head = LinearOp::awq_quantized(m, bits, &tap.head_in);
         }
     }
 
@@ -162,7 +180,13 @@ impl Transformer {
 
     /// Borrows the weights.
     pub fn weights(&self) -> &ModelWeights {
-        &self.weights
+        &self.shared.weights
+    }
+
+    /// Whether `self` and `other` read the same weight allocation (true
+    /// for clones until one of them is quantized or given sparse FFNs).
+    pub fn shares_weights_with(&self, other: &Transformer) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
     }
 
     /// The pricing scale in use.
@@ -181,10 +205,10 @@ impl Transformer {
     pub fn backend(&self) -> BackendKind {
         self.backend
     }
+}
 
-    fn normed(&self, h: &[f32], gain: &[f32]) -> Vec<f32> {
-        ops::rmsnorm(h, gain, 1e-5)
-    }
+fn normed(h: &[f32], gain: &[f32]) -> Vec<f32> {
+    ops::rmsnorm(h, gain, 1e-5)
 }
 
 impl LayeredLm for Transformer {
@@ -212,7 +236,7 @@ impl LayeredLm for Transformer {
             "token {token} out of vocabulary"
         );
         self.scale.record_embed(meter);
-        self.weights.embed.row(token as usize).to_vec()
+        self.shared.weights.embed.row(token as usize).to_vec()
     }
 
     fn forward_layer(
@@ -223,7 +247,7 @@ impl LayeredLm for Transformer {
         meter: &mut Meter,
     ) -> Vec<f32> {
         assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.weights.layers[layer];
+        let w = &self.shared.weights.layers[layer];
         let cache = &mut self.caches[layer];
         let normed = ops::rmsnorm(h, &w.attn_norm, 1e-5);
         let attn = attention_forward(
@@ -242,7 +266,7 @@ impl LayeredLm for Transformer {
             FfnMode::Dense => ffn_forward(w, &self.scale, self.backend, &normed2, meter),
             FfnMode::Sparse { active_frac, .. } => ffn_forward_sparse(
                 w,
-                &self.routers[layer],
+                &self.shared.routers[layer],
                 active_frac,
                 &self.scale,
                 &normed2,
@@ -260,6 +284,21 @@ impl LayeredLm for Transformer {
         mid
     }
 
+    fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
+        assert!(!prompt.is_empty(), "prompt must be non-empty");
+        let base = self.kv_len();
+        let mut hs: Vec<Vec<f32>> = prompt
+            .iter()
+            .map(|&tok| self.begin_token(tok, meter))
+            .collect();
+        for layer in 0..self.config.n_layers {
+            for (i, h) in hs.iter_mut().enumerate() {
+                *h = self.forward_layer(layer, h, base + i, meter);
+            }
+        }
+        hs.pop().expect("non-empty prompt")
+    }
+
     fn begin_tree(
         &mut self,
         tokens: &[TokenId],
@@ -271,7 +310,7 @@ impl LayeredLm for Transformer {
             .iter()
             .map(|&t| {
                 self.scale.record_embed(meter);
-                self.weights.embed.row(t as usize).to_vec()
+                self.shared.weights.embed.row(t as usize).to_vec()
             })
             .collect()
     }
@@ -284,7 +323,7 @@ impl LayeredLm for Transformer {
         meter: &mut Meter,
     ) -> (Vec<Vec<f32>>, TreeKv) {
         assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.weights.layers[layer];
+        let w = &self.shared.weights.layers[layer];
         let cache = &self.caches[layer];
         let normed: Vec<Vec<f32>> = hs
             .iter()
@@ -307,7 +346,7 @@ impl LayeredLm for Transformer {
             let ffn = match self.ffn_mode {
                 FfnMode::Dense => ffn_apply(w, self.backend, &normed2),
                 FfnMode::Sparse { active_frac, .. } => {
-                    ffn_apply_sparse(w, &self.routers[layer], active_frac, &normed2)
+                    ffn_apply_sparse(w, &self.shared.routers[layer], active_frac, &normed2)
                 }
             };
             for (m, f) in mid.iter_mut().zip(ffn.iter()) {
@@ -347,7 +386,7 @@ impl LayeredLm for Transformer {
             .iter()
             .map(|&t| {
                 self.scale.record_embed(meter);
-                self.weights.embed.row(t as usize).to_vec()
+                self.shared.weights.embed.row(t as usize).to_vec()
             })
             .collect()
     }
@@ -362,7 +401,7 @@ impl LayeredLm for Transformer {
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
         assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.weights.layers[layer];
+        let w = &self.shared.weights.layers[layer];
         let cache = &self.caches[layer];
         let normed: Vec<Vec<f32>> = new_hs
             .iter()
@@ -387,7 +426,7 @@ impl LayeredLm for Transformer {
             let ffn = match self.ffn_mode {
                 FfnMode::Dense => ffn_apply(w, self.backend, &normed2),
                 FfnMode::Sparse { active_frac, .. } => {
-                    ffn_apply_sparse(w, &self.routers[layer], active_frac, &normed2)
+                    ffn_apply_sparse(w, &self.shared.routers[layer], active_frac, &normed2)
                 }
             };
             for (m, f) in mid.iter_mut().zip(ffn.iter()) {
@@ -433,7 +472,7 @@ impl LayeredLm for Transformer {
     ) {
         let heads = self.config.n_heads;
         let head_dim = self.config.head_dim();
-        let w = &self.weights.layers[layer];
+        let w = &self.shared.weights.layers[layer];
         let cache = &mut self.caches[layer];
         debug_assert_eq!(cache.len(), pos, "skip-fill position");
         match policy {
@@ -457,29 +496,35 @@ impl LayeredLm for Transformer {
     }
 
     fn final_logits(&mut self, h: &[f32], meter: &mut Meter) -> Vec<f32> {
-        let normed = self.normed(h, &self.weights.final_norm.clone());
+        let normed = normed(h, &self.shared.weights.final_norm);
         if let Some(tap) = &mut self.tap {
             tap.record_head(&normed);
         }
         self.scale.record_lm_head_full(meter);
-        self.weights.lm_head.matvec_with(self.backend, &normed)
+        self.shared
+            .weights
+            .lm_head
+            .matvec_with(self.backend, &normed)
     }
 
     fn final_logits_batch(&mut self, hs: &[Vec<f32>], meter: &mut Meter) -> Vec<Vec<f32>> {
         self.scale.record_lm_head_full_batch(meter, hs.len());
         hs.iter()
             .map(|h| {
-                let normed = self.normed(h, &self.weights.final_norm.clone());
-                self.weights.lm_head.matvec_with(self.backend, &normed)
+                let normed = normed(h, &self.shared.weights.final_norm);
+                self.shared
+                    .weights
+                    .lm_head
+                    .matvec_with(self.backend, &normed)
             })
             .collect()
     }
 
     fn slice_logits(&mut self, h: &[f32], tokens: &[TokenId], meter: &mut Meter) -> Vec<f32> {
-        let normed = self.normed(h, &self.weights.final_norm.clone());
+        let normed = normed(h, &self.shared.weights.final_norm);
         self.scale.record_lm_head_slice(meter, tokens.len());
         let rows: Vec<usize> = tokens.iter().map(|&t| t as usize).collect();
-        self.weights.lm_head.matvec_rows(&rows, &normed)
+        self.shared.weights.lm_head.matvec_rows(&rows, &normed)
     }
 
     fn grouped_slice_logits(
@@ -494,9 +539,9 @@ impl LayeredLm for Transformer {
         hs.iter()
             .zip(candidate_sets.iter())
             .map(|(h, tokens)| {
-                let normed = self.normed(h, &self.weights.final_norm.clone());
+                let normed = normed(h, &self.shared.weights.final_norm);
                 let rows: Vec<usize> = tokens.iter().map(|&t| t as usize).collect();
-                self.weights.lm_head.matvec_rows(&rows, &normed)
+                self.shared.weights.lm_head.matvec_rows(&rows, &normed)
             })
             .collect()
     }
@@ -518,14 +563,14 @@ impl LayeredLm for Transformer {
     fn modelled_weight_bytes(&self) -> f64 {
         match &self.config.cost {
             Some(c) => c.weight_bytes_total(),
-            None => self.weights.bytes() as f64,
+            None => self.shared.weights.bytes() as f64,
         }
     }
 }
 
 /// Runs a full prompt prefill through all layers, committing KV for every
 /// prompt position, and returns the final hidden state of the last prompt
-/// token.
+/// token — [`LayeredLm::prefill`] as a free function.
 ///
 /// # Panics
 ///
@@ -535,19 +580,7 @@ pub fn prefill<M: LayeredLm + ?Sized>(
     prompt: &[TokenId],
     meter: &mut Meter,
 ) -> Vec<f32> {
-    assert!(!prompt.is_empty(), "prompt must be non-empty");
-    let n_layers = model.config().n_layers;
-    let mut last_hidden = Vec::new();
-    let base = model.kv_len();
-    for (i, &tok) in prompt.iter().enumerate() {
-        let pos = base + i;
-        let mut h = model.begin_token(tok, meter);
-        for layer in 0..n_layers {
-            h = model.forward_layer(layer, &h, pos, meter);
-        }
-        last_hidden = h;
-    }
-    last_hidden
+    model.prefill(prompt, meter)
 }
 
 #[cfg(test)]
@@ -776,6 +809,24 @@ mod tests {
         let mut meter = Meter::new();
         let h = prefill(&mut m, &[3, 2, 1], &mut meter);
         assert_eq!(m.final_logits(&h, &mut meter).len(), 128);
+    }
+
+    #[test]
+    fn clone_shares_weights_and_quantize_detaches_only_the_clone() {
+        let original = model();
+        let dense = original.weights().clone();
+        let mut clone = original.clone();
+        assert!(clone.shares_weights_with(&original));
+
+        clone.quantize(QuantBits::Int8);
+        assert!(!clone.shares_weights_with(&original));
+        assert!(clone.weights().layers[0].wq.is_quantized());
+        assert_eq!(original.weights(), &dense, "the original stays dense");
+
+        let mut sparse = original.clone();
+        sparse.enable_sparse_ffn(0.25, 4, &mut Pcg::seed(9));
+        assert!(!sparse.shares_weights_with(&original));
+        assert!(original.clone().shares_weights_with(&original));
     }
 
     #[test]

@@ -123,7 +123,21 @@ impl SyntheticLm {
         }
     }
 
-    fn blend(&mut self, h: &[f32], script: &TokenScript, layer: usize) -> Vec<f32> {
+    /// The next `hidden_dim` steering normals, one [`SyntheticLm::blend`]
+    /// call's worth.
+    fn draw_noise(&mut self) -> Vec<f32> {
+        let mut noise = vec![0.0; self.inner.config().hidden_dim];
+        self.fill_noise(&mut noise);
+        noise
+    }
+
+    fn fill_noise(&mut self, out: &mut [f32]) {
+        for n in out {
+            *n = self.noise.normal() as f32;
+        }
+    }
+
+    fn blend(&self, h: &[f32], script: &TokenScript, layer: usize, noise: &[f32]) -> Vec<f32> {
         let g = gamma(layer, script.sat);
         let embed = &self.inner.weights().embed;
         let mut out = h.to_vec();
@@ -157,8 +171,8 @@ impl SyntheticLm {
         for (o, &e) in out.iter_mut().zip(embed.row(script.target as usize).iter()) {
             *o += g * e;
         }
-        for o in &mut out {
-            *o = (*o + self.noise.normal() as f32 * NOISE) * LOGIT_SCALE;
+        for (o, &n) in out.iter_mut().zip(noise) {
+            *o = (*o + n * NOISE) * LOGIT_SCALE;
         }
         out
     }
@@ -220,8 +234,33 @@ impl LayeredLm for SyntheticLm {
         meter: &mut Meter,
     ) -> Vec<f32> {
         let out = self.inner.forward_layer(layer, h, pos, meter);
-        let script = self.scripts[pos].clone();
-        self.blend(&out, &script, layer)
+        let noise = self.draw_noise();
+        self.blend(&out, &self.scripts[pos], layer, &noise)
+    }
+
+    fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
+        assert!(!prompt.is_empty(), "prompt must be non-empty");
+        let base = self.kv_len();
+        let n_layers = self.config().n_layers;
+        let dim = self.config().hidden_dim;
+        let mut hs: Vec<Vec<f32>> = prompt
+            .iter()
+            .map(|&tok| self.begin_token(tok, meter))
+            .collect();
+        // The steering noise is one sequential stream that the token-major
+        // reference consumes position by position: draw it in that order
+        // (`[position][layer][dim]`) so the layer-major walk below blends
+        // every (position, layer) with the normals the reference would.
+        let mut noise = vec![0.0; prompt.len() * n_layers * dim];
+        self.fill_noise(&mut noise);
+        for layer in 0..n_layers {
+            for (i, h) in hs.iter_mut().enumerate() {
+                let out = self.inner.forward_layer(layer, h, base + i, meter);
+                let at = (i * n_layers + layer) * dim;
+                *h = self.blend(&out, &self.scripts[base + i], layer, &noise[at..at + dim]);
+            }
+        }
+        hs.pop().expect("non-empty prompt")
     }
 
     fn begin_tree(
@@ -259,8 +298,8 @@ impl LayeredLm for SyntheticLm {
             .iter()
             .enumerate()
             .map(|(i, o)| {
-                let script = self.tree_scripts[i].clone();
-                self.blend(o, &script, layer)
+                let noise = self.draw_noise();
+                self.blend(o, &self.tree_scripts[i], layer, &noise)
             })
             .collect();
         (blended, kv)
@@ -309,8 +348,8 @@ impl LayeredLm for SyntheticLm {
         outs.iter()
             .enumerate()
             .map(|(j, o)| {
-                let script = self.tree_scripts[first_new + j].clone();
-                self.blend(o, &script, layer)
+                let noise = self.draw_noise();
+                self.blend(o, &self.tree_scripts[first_new + j], layer, &noise)
             })
             .collect()
     }
@@ -614,6 +653,18 @@ mod tests {
         assert_eq!(m.scripts().len(), 4);
         assert_eq!(m.context(), &[1, 2, 5, 6]);
         assert_eq!(m.kv_len(), 4);
+    }
+
+    #[test]
+    fn clone_shares_weights_until_quantized() {
+        let original = lm();
+        let dense = original.inner().weights().clone();
+        let mut clone = original.clone();
+        assert!(clone.inner().shares_weights_with(original.inner()));
+
+        clone.inner_mut().quantize(specee_tensor::QuantBits::Int8);
+        assert!(!clone.inner().shares_weights_with(original.inner()));
+        assert_eq!(original.inner().weights(), &dense);
     }
 
     #[test]

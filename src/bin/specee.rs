@@ -253,11 +253,16 @@ fn parse_num<T: std::str::FromStr>(
     }
 }
 
+#[derive(Clone)]
 struct Pipeline {
     cfg: ModelConfig,
     profile: DatasetProfile,
     seed: u64,
     backend: BackendKind,
+    /// The model, built once per invocation and never stepped: every
+    /// [`Pipeline::lm`] is a clone of it (fresh KV, script and noise
+    /// stream; the one weight set shared).
+    template: SyntheticLm,
 }
 
 impl Pipeline {
@@ -269,20 +274,21 @@ impl Pipeline {
             None => BackendKind::default(),
             Some(v) => v.parse().map_err(|e| format!("--backend: {e}"))?,
         };
+        let mut template = SyntheticLmBuilder::new(cfg.clone(), profile.clone())
+            .seed(seed)
+            .build();
+        template.set_backend(backend);
         Ok(Pipeline {
             cfg,
             profile,
             seed,
             backend,
+            template,
         })
     }
 
     fn lm(&self) -> SyntheticLm {
-        let mut lm = SyntheticLmBuilder::new(self.cfg.clone(), self.profile.clone())
-            .seed(self.seed)
-            .build();
-        lm.set_backend(self.backend);
-        lm
+        self.template.clone()
     }
 
     fn draft(&self, lm: &SyntheticLm) -> OracleDraft {
@@ -1050,12 +1056,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             } else {
                 pipe.cfg.n_layers as f64
             };
-            let seq_pipe = Pipeline {
-                cfg: pipe.cfg.clone(),
-                profile: pipe.profile.clone(),
-                seed: pipe.seed,
-                backend: pipe.backend,
-            };
+            let seq_pipe = pipe.clone();
             let mut cluster: Cluster<SyntheticLm, OracleDraft> = Cluster::spawn(
                 &ClusterConfig {
                     workers,

@@ -88,3 +88,41 @@ fn quickstart_path_generates_with_bounded_exits() {
     }
     assert!(out.avg_layers() <= cfg.n_layers as f64);
 }
+
+/// The bench-binary and example counts README.md and ARCHITECTURE.md quote
+/// ("N benchmark binaries", "N bench targets", "N examples") are checked
+/// against `crates/bench/Cargo.toml` and `examples/`, not hand-maintained.
+#[test]
+fn documented_bench_and_example_counts_match_the_tree() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+    let benches = read("crates/bench/Cargo.toml")
+        .lines()
+        .filter(|l| l.trim() == "[[bench]]")
+        .count();
+    let examples = std::fs::read_dir(root.join("examples"))
+        .expect("examples/")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "rs"))
+        .count();
+
+    for doc in ["README.md", "ARCHITECTURE.md"] {
+        let text = read(doc);
+        let words: Vec<&str> = text.split_whitespace().collect();
+        let mut quoted = 0;
+        for w in words.windows(3) {
+            let Ok(n) = w[0].parse::<usize>() else {
+                continue;
+            };
+            let actual = match (w[1], w[2]) {
+                ("benchmark", noun) if noun.starts_with("binaries") => benches,
+                ("bench", noun) if noun.starts_with("targets") => benches,
+                (noun, _) if noun.starts_with("examples") => examples,
+                _ => continue,
+            };
+            assert_eq!(n, actual, "{doc} says `{} {} {}`", w[0], w[1], w[2]);
+            quoted += 1;
+        }
+        assert!(quoted > 0, "{doc} no longer quotes a count; drop it here");
+    }
+}
