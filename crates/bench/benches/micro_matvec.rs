@@ -1,6 +1,8 @@
 //! Criterion microbenchmark: the pluggable compute backends
 //! (reference scalar oracle, cache-blocked/SIMD, integer i8) swept over
-//! square mat-vec sizes.
+//! square mat-vec sizes, plus the multi-input mat-mul (`matmul/…x{4,8,22}`:
+//! one weight pass for a token tree's worth of inputs — divide by the
+//! input count to compare against the `matvec/…` row beside it).
 //!
 //! The 1024x1024 point is the headline: the blocked backend must beat the
 //! scalar oracle by >= 2x while staying bit-identical (the conformance
@@ -14,6 +16,8 @@ use specee_tensor::{BackendKind, Matrix, Pcg};
 use std::hint::black_box;
 
 const SIZES: &[usize] = &[128, 256, 512, 1024];
+/// Inputs per mat-mul: one register tile, two, and a full draft tree.
+const BATCHES: &[usize] = &[4, 8, 22];
 
 fn bench(c: &mut Criterion) {
     let mut rng = Pcg::seed(17);
@@ -46,6 +50,19 @@ fn bench(c: &mut Criterion) {
             c.bench_function(&format!("matvec/{kind}/{n}x{n}"), |b| {
                 b.iter(|| backend.matvec_into(black_box(&m), black_box(&x), black_box(&mut y)))
             });
+        }
+        for &n_in in BATCHES {
+            let mut xs = vec![0.0f32; n_in * n];
+            rng.fill_uniform(&mut xs, 1.0);
+            let mut ys = vec![0.0f32; n_in * n];
+            for kind in BackendKind::ALL {
+                let backend = kind.get();
+                c.bench_function(&format!("matmul/{kind}/{n}x{n}x{n_in}"), |b| {
+                    b.iter(|| {
+                        backend.matmul_into(black_box(&m), black_box(&xs), n_in, black_box(&mut ys))
+                    })
+                });
+            }
         }
         // The transpose kernel only differs on the blocked backend (fused
         // row-saxpy); sweep it at the same sizes for the two f32 backends.

@@ -2,12 +2,13 @@
 //! attention for speculative-decoding verification.
 
 use specee_metrics::Meter;
-use specee_tensor::BackendKind;
+use specee_tensor::matrix::dot;
+use specee_tensor::{ops, BackendKind};
 
 use crate::config::ModelConfig;
 use crate::kv::KvCache;
 use crate::metering::OpScale;
-use crate::rope::apply_rope;
+use crate::rope::apply_rope_qk;
 use crate::weights::LayerWeights;
 
 /// Per-node key/value rows produced by one tree-attention pass, kept aside
@@ -32,31 +33,59 @@ impl TreeKv {
     }
 }
 
-fn attend_one_head(
-    q_head: &[f32],
-    keys: &[&[f32]],
-    values: &[&[f32]],
-    head: usize,
+/// Number of `dim`-wide rows packed in `xs`.
+fn packed_rows(xs: &[f32], dim: usize) -> usize {
+    assert_eq!(xs.len() % dim, 0, "inputs must be whole hidden rows");
+    xs.len() / dim
+}
+
+/// The `(key, value)` rows one query sees, in attention order: the
+/// committed cache, then the `chain` (root → node) out of the tree scratch.
+fn visible_rows<'a>(
+    cache: &'a KvCache,
+    tree: &'a TreeKv,
+    chain: &'a [usize],
+) -> impl Iterator<Item = (&'a [f32], &'a [f32])> + Clone {
+    let committed = (0..cache.len()).map(move |p| (cache.key(p), cache.value(p)));
+    let drafted = chain
+        .iter()
+        .map(move |&n| (tree.k[n].as_slice(), tree.v[n].as_slice()));
+    committed.chain(drafted)
+}
+
+/// Softmax attention of one query over `rows`, head by head, accumulated
+/// into `merged` (zeroed by the caller); `scores` is reused scratch.
+fn attend<'a>(
+    q: &[f32],
+    rows: impl Iterator<Item = (&'a [f32], &'a [f32])> + Clone,
     head_dim: usize,
-    out: &mut [f32],
+    scores: &mut Vec<f32>,
+    merged: &mut [f32],
 ) {
     let hd_scale = 1.0 / (head_dim as f32).sqrt();
-    let offset = head * head_dim;
-    let mut scores: Vec<f32> = keys
-        .iter()
-        .map(|k| specee_tensor::matrix::dot(q_head, &k[offset..offset + head_dim]) * hd_scale)
-        .collect();
-    specee_tensor::ops::softmax_inplace(&mut scores);
-    for (s, v) in scores.iter().zip(values.iter()) {
-        for (o, &vv) in out.iter_mut().zip(v[offset..offset + head_dim].iter()) {
-            *o += s * vv;
+    let heads = q
+        .chunks_exact(head_dim)
+        .zip(merged.chunks_exact_mut(head_dim));
+    for (h, (q_head, out)) in heads.enumerate() {
+        let span = h * head_dim..(h + 1) * head_dim;
+        scores.clear();
+        scores.extend(
+            rows.clone()
+                .map(|(k, _)| dot(q_head, &k[span.clone()]) * hd_scale),
+        );
+        ops::softmax_inplace(scores);
+        for (s, (_, v)) in scores.iter().zip(rows.clone()) {
+            for (o, &vv) in out.iter_mut().zip(&v[span.clone()]) {
+                *o += s * vv;
+            }
         }
     }
 }
 
 /// Single-token attention forward: projects q/k/v from the normalized
 /// hidden state, applies RoPE at `pos`, appends to the cache, attends over
-/// the whole cache and projects the output.
+/// the whole cache and projects the output — [`attention_forward_span`]
+/// over one position.
 ///
 /// # Panics
 ///
@@ -73,42 +102,66 @@ pub fn attention_forward(
     cache: &mut KvCache,
     meter: &mut Meter,
 ) -> Vec<f32> {
-    assert_eq!(pos, cache.len(), "attention positions must be sequential");
-    let heads = cfg.n_heads;
-    let head_dim = cfg.head_dim();
-    let mut q = w.wq.matvec_with(backend, x);
-    let mut k = w.wk.matvec_with(backend, x);
-    let v = w.wv.matvec_with(backend, x);
-    apply_rope(&mut q, pos, heads, head_dim, cfg.rope_theta);
-    apply_rope(&mut k, pos, heads, head_dim, cfg.rope_theta);
-    cache.push(&k, &v);
-    let kv_len = cache.len();
-    let keys: Vec<&[f32]> = (0..kv_len).map(|p| cache.key(p)).collect();
-    let values: Vec<&[f32]> = (0..kv_len).map(|p| cache.value(p)).collect();
-    let mut merged = vec![0.0f32; cfg.hidden_dim];
-    for h in 0..heads {
-        let q_head = &q[h * head_dim..(h + 1) * head_dim];
-        attend_one_head(
-            q_head,
-            &keys,
-            &values,
-            h,
-            head_dim,
-            &mut merged[h * head_dim..(h + 1) * head_dim],
-        );
-    }
-    scale.record_attention(meter, kv_len);
-    w.wo.matvec_with(backend, &merged)
+    attention_forward_span(w, cfg, scale, backend, x, pos, cache, meter)
 }
 
-/// Tree-masked attention over a batch of draft nodes.
+/// Causal attention over a span of consecutive positions `base..`, whose
+/// normalized hidden states are packed row-major in `xs`: one weight pass
+/// each for the q/k/v and output projections of the whole span, while each
+/// position appends its K/V row and attends over the cache up to itself —
+/// so every output, cache row and [`Meter`] record equals feeding the
+/// positions through [`attention_forward`] one at a time. Returns the
+/// outputs packed like `xs`.
+///
+/// # Panics
+///
+/// Panics if `base` does not equal the cache length or `xs` is not a whole
+/// number of `hidden_dim` rows.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_forward_span(
+    w: &LayerWeights,
+    cfg: &ModelConfig,
+    scale: &OpScale,
+    backend: BackendKind,
+    xs: &[f32],
+    base: usize,
+    cache: &mut KvCache,
+    meter: &mut Meter,
+) -> Vec<f32> {
+    assert_eq!(base, cache.len(), "attention positions must be sequential");
+    let dim = cfg.hidden_dim;
+    let n = packed_rows(xs, dim);
+    let mut qs = w.wq.matmul_with(backend, xs, n);
+    let mut ks = w.wk.matmul_with(backend, xs, n);
+    let vs = w.wv.matmul_with(backend, xs, n);
+    let mut merged = vec![0.0f32; n * dim];
+    let (no_tree, mut scores) = (TreeKv::default(), Vec::new());
+    let rows = qs
+        .chunks_exact_mut(dim)
+        .zip(ks.chunks_exact_mut(dim))
+        .zip(vs.chunks_exact(dim))
+        .zip(merged.chunks_exact_mut(dim));
+    for (i, (((q, k), v), out)) in rows.enumerate() {
+        apply_rope_qk(q, k, base + i, cfg.n_heads, cfg.head_dim(), cfg.rope_theta);
+        cache.push(k, v);
+        let visible = visible_rows(cache, &no_tree, &[]);
+        attend(q, visible, cfg.head_dim(), &mut scores, out);
+        scale.record_attention(meter, cache.len());
+    }
+    w.wo.matmul_with(backend, &merged, n)
+}
+
+/// Tree-masked attention over a batch of draft nodes (normalized hidden
+/// states packed row-major in `xs`).
 ///
 /// Each node attends to the committed cache plus its own ancestor chain
 /// within the batch (never to siblings) — the tree attention mask of
 /// speculative decoding. Node positions are `cache.len() + depth`.
 ///
-/// Returns per-node outputs and the scratch K/V rows; the engine commits
-/// the accepted path's rows via [`KvCache::push`] afterwards.
+/// Returns the packed per-node outputs and the scratch K/V rows; the
+/// engine commits the accepted path's rows via [`KvCache::push`]
+/// afterwards. This is [`attention_forward_tree_partial`] with every node
+/// new.
 ///
 /// # Panics
 ///
@@ -120,172 +173,115 @@ pub fn attention_forward_tree(
     cfg: &ModelConfig,
     scale: &OpScale,
     backend: BackendKind,
-    xs: &[Vec<f32>],
+    xs: &[f32],
     parents: &[Option<usize>],
     cache: &KvCache,
     meter: &mut Meter,
-) -> (Vec<Vec<f32>>, TreeKv) {
-    assert_eq!(xs.len(), parents.len(), "nodes/parents length");
-    let heads = cfg.n_heads;
-    let head_dim = cfg.head_dim();
-    let base = cache.len();
-    let depths = depths_from_parents(parents);
-
-    // Project and rope every node first (this is the batched kernel).
-    let mut qs = Vec::with_capacity(xs.len());
+) -> (Vec<f32>, TreeKv) {
     let mut tree_kv = TreeKv::default();
-    for (i, x) in xs.iter().enumerate() {
-        let pos = base + depths[i];
-        let mut q = w.wq.matvec_with(backend, x);
-        let mut k = w.wk.matvec_with(backend, x);
-        let v = w.wv.matvec_with(backend, x);
-        apply_rope(&mut q, pos, heads, head_dim, cfg.rope_theta);
-        apply_rope(&mut k, pos, heads, head_dim, cfg.rope_theta);
-        qs.push(q);
-        tree_kv.k.push(k);
-        tree_kv.v.push(v);
-    }
-
-    let cache_keys: Vec<&[f32]> = (0..base).map(|p| cache.key(p)).collect();
-    let cache_values: Vec<&[f32]> = (0..base).map(|p| cache.value(p)).collect();
-
-    let mut outputs = Vec::with_capacity(xs.len());
-    let mut kv_lens = Vec::with_capacity(xs.len());
-    for (i, q) in qs.iter().enumerate() {
-        // Gather ancestor chain (committed context + path to this node).
-        let mut chain = Vec::new();
-        let mut cur = Some(i);
-        while let Some(n) = cur {
-            chain.push(n);
-            cur = parents[n];
-            if let Some(p) = cur {
-                assert!(p < n, "parents must precede children");
-            }
-        }
-        chain.reverse();
-        let mut keys = cache_keys.clone();
-        let mut values = cache_values.clone();
-        for &n in &chain {
-            keys.push(&tree_kv.k[n]);
-            values.push(&tree_kv.v[n]);
-        }
-        let mut merged = vec![0.0f32; cfg.hidden_dim];
-        for h in 0..heads {
-            let q_head = &q[h * head_dim..(h + 1) * head_dim];
-            attend_one_head(
-                q_head,
-                &keys,
-                &values,
-                h,
-                head_dim,
-                &mut merged[h * head_dim..(h + 1) * head_dim],
-            );
-        }
-        kv_lens.push(keys.len());
-        outputs.push(w.wo.matvec_with(backend, &merged));
-    }
-    scale.record_attention_tree(meter, &kv_lens);
-    (outputs, tree_kv)
+    let outs = attention_forward_tree_partial(
+        w,
+        cfg,
+        scale,
+        backend,
+        xs,
+        parents,
+        0,
+        cache,
+        &mut tree_kv,
+        meter,
+    );
+    (outs, tree_kv)
 }
 
 /// Incremental tree-masked attention: runs only the nodes at indices
-/// `first_new..` of a growing draft tree, reading ancestor K/V rows from
-/// `scratch` (which must already hold rows for nodes `0..first_new`) and
-/// appending the new nodes' rows to it.
+/// `first_new..` of a growing draft tree (normalized hidden states packed
+/// row-major in `new_xs`), reading ancestor K/V rows from `scratch` (which
+/// must already hold rows for nodes `0..first_new`) and appending the new
+/// nodes' rows to it.
 ///
 /// This is the kernel behind self-speculative drafting: the shallow draft
 /// pass grows the token tree level by level, and each level only pays for
-/// its frontier. Keys are gathered in exactly the same order as
-/// [`attention_forward_tree`] (committed cache first, then the ancestor
-/// chain root→node) at the same RoPE positions, so running a tree
-/// through repeated partial calls is bit-identical to one full sweep.
+/// its frontier. The q/k/v and output projections take one weight pass
+/// each for all new nodes; attention itself runs per node, keys gathered
+/// committed cache first, then the ancestor chain root→node, at RoPE
+/// position `cache.len() + depth` — which depends on the node alone, so
+/// running a tree through repeated partial calls is bit-identical to one
+/// full sweep.
 ///
 /// # Panics
 ///
 /// Panics if `scratch` does not hold exactly `first_new` rows, if
-/// `parents` does not cover all old and new nodes, or if a parent index
-/// does not precede its child.
+/// `parents` and `new_xs` do not cover the same new nodes, or if a parent
+/// index does not precede its child.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_forward_tree_partial(
     w: &LayerWeights,
     cfg: &ModelConfig,
     scale: &OpScale,
     backend: BackendKind,
-    new_xs: &[Vec<f32>],
+    new_xs: &[f32],
     parents: &[Option<usize>],
     first_new: usize,
     cache: &KvCache,
     scratch: &mut TreeKv,
     meter: &mut Meter,
-) -> Vec<Vec<f32>> {
+) -> Vec<f32> {
     assert_eq!(
         scratch.len(),
         first_new,
         "scratch must hold exactly the rows of the already-drafted nodes"
     );
+    let dim = cfg.hidden_dim;
+    let n = packed_rows(new_xs, dim);
     assert_eq!(
         parents.len(),
-        first_new + new_xs.len(),
+        first_new + n,
         "parents must cover old and new nodes"
     );
-    let heads = cfg.n_heads;
-    let head_dim = cfg.head_dim();
     let base = cache.len();
     let depths = depths_from_parents(parents);
 
-    let mut qs = Vec::with_capacity(new_xs.len());
-    for (j, x) in new_xs.iter().enumerate() {
-        let pos = base + depths[first_new + j];
-        let mut q = w.wq.matvec_with(backend, x);
-        let mut k = w.wk.matvec_with(backend, x);
-        let v = w.wv.matvec_with(backend, x);
-        apply_rope(&mut q, pos, heads, head_dim, cfg.rope_theta);
-        apply_rope(&mut k, pos, heads, head_dim, cfg.rope_theta);
-        qs.push(q);
-        scratch.k.push(k);
-        scratch.v.push(v);
+    let mut qs = w.wq.matmul_with(backend, new_xs, n);
+    let mut ks = w.wk.matmul_with(backend, new_xs, n);
+    let vs = w.wv.matmul_with(backend, new_xs, n);
+    let rows = qs
+        .chunks_exact_mut(dim)
+        .zip(ks.chunks_exact_mut(dim))
+        .zip(vs.chunks_exact(dim));
+    for (((q, k), v), depth) in rows.zip(&depths[first_new..]) {
+        apply_rope_qk(
+            q,
+            k,
+            base + depth,
+            cfg.n_heads,
+            cfg.head_dim(),
+            cfg.rope_theta,
+        );
+        scratch.k.push(k.to_vec());
+        scratch.v.push(v.to_vec());
     }
 
-    let cache_keys: Vec<&[f32]> = (0..base).map(|p| cache.key(p)).collect();
-    let cache_values: Vec<&[f32]> = (0..base).map(|p| cache.value(p)).collect();
-
-    let mut outputs = Vec::with_capacity(new_xs.len());
-    let mut kv_lens = Vec::with_capacity(new_xs.len());
-    for (j, q) in qs.iter().enumerate() {
-        let i = first_new + j;
-        let mut chain = Vec::new();
-        let mut cur = Some(i);
-        while let Some(n) = cur {
-            chain.push(n);
-            cur = parents[n];
-            if let Some(p) = cur {
-                assert!(p < n, "parents must precede children");
-            }
+    let mut merged = vec![0.0f32; n * dim];
+    let (mut chain, mut scores) = (Vec::new(), Vec::new());
+    let mut kv_lens = Vec::with_capacity(n);
+    let nodes = qs.chunks_exact(dim).zip(merged.chunks_exact_mut(dim));
+    for (j, (q, out)) in nodes.enumerate() {
+        // Ancestor chain root → node (`depths_from_parents` checked the
+        // topological order).
+        chain.clear();
+        let mut cur = Some(first_new + j);
+        while let Some(node) = cur {
+            chain.push(node);
+            cur = parents[node];
         }
         chain.reverse();
-        let mut keys = cache_keys.clone();
-        let mut values = cache_values.clone();
-        for &n in &chain {
-            keys.push(&scratch.k[n]);
-            values.push(&scratch.v[n]);
-        }
-        let mut merged = vec![0.0f32; cfg.hidden_dim];
-        for h in 0..heads {
-            let q_head = &q[h * head_dim..(h + 1) * head_dim];
-            attend_one_head(
-                q_head,
-                &keys,
-                &values,
-                h,
-                head_dim,
-                &mut merged[h * head_dim..(h + 1) * head_dim],
-            );
-        }
-        kv_lens.push(keys.len());
-        outputs.push(w.wo.matvec_with(backend, &merged));
+        let visible = visible_rows(cache, scratch, &chain);
+        attend(q, visible, cfg.head_dim(), &mut scores, out);
+        kv_lens.push(base + chain.len());
     }
     scale.record_attention_tree(meter, &kv_lens);
-    outputs
+    w.wo.matmul_with(backend, &merged, n)
 }
 
 /// Computes node depths from parent links (roots have depth 0).
@@ -405,7 +401,7 @@ mod tests {
             &cfg,
             &scale,
             BackendKind::Reference,
-            &[x.clone()],
+            &x,
             &[None],
             &cache,
             &mut meter,
@@ -420,13 +416,10 @@ mod tests {
             &mut cache,
             &mut meter,
         );
-        for (a, b) in tree_out[0].iter().zip(seq_out.iter()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
+        assert_eq!(tree_out, seq_out, "bit for bit");
         // The scratch K/V equals what the sequential pass committed.
-        for (a, b) in tree_kv.k[0].iter().zip(cache.key(2).iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        assert_eq!(tree_kv.k[0], cache.key(2));
+        assert_eq!(tree_kv.v[0], cache.value(2));
     }
 
     #[test]
@@ -459,7 +452,7 @@ mod tests {
             &cfg,
             &scale,
             BackendKind::Reference,
-            &[a.clone()],
+            &a,
             &[None],
             &cache,
             &mut meter,
@@ -469,14 +462,12 @@ mod tests {
             &cfg,
             &scale,
             BackendKind::Reference,
-            &[a.clone(), b],
+            &[a.clone(), b].concat(),
             &[None, None],
             &cache,
             &mut meter,
         );
-        for (x, y) in alone[0].iter().zip(paired[0].iter()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        assert_eq!(alone, paired[..cfg.hidden_dim], "bit for bit");
     }
 
     #[test]
@@ -515,7 +506,7 @@ mod tests {
             &cfg,
             &scale,
             BackendKind::Reference,
-            &xs,
+            &xs.concat(),
             &parents,
             &cache,
             &mut meter,
@@ -528,7 +519,7 @@ mod tests {
                 &cfg,
                 &scale,
                 BackendKind::Reference,
-                &xs[first_new..first_new + count],
+                &xs[first_new..first_new + count].concat(),
                 &parents[..first_new + count],
                 first_new,
                 &cache,
@@ -561,7 +552,7 @@ mod tests {
             &cfg,
             &scale,
             BackendKind::Reference,
-            &[root.clone(), child.clone()],
+            &[root.clone(), child.clone()].concat(),
             &[None, Some(0)],
             &cache,
             &mut meter,
@@ -571,14 +562,14 @@ mod tests {
             &cfg,
             &scale,
             BackendKind::Reference,
-            &[other_root, child.clone()],
+            &[other_root, child.clone()].concat(),
             &[None, Some(0)],
             &cache,
             &mut meter,
         );
-        let differs = with_parent[1]
+        let differs = with_parent[cfg.hidden_dim..]
             .iter()
-            .zip(with_other[1].iter())
+            .zip(with_other[cfg.hidden_dim..].iter())
             .any(|(x, y)| (x - y).abs() > 1e-6);
         assert!(differs, "child output must depend on its ancestor");
     }

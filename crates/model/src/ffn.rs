@@ -52,18 +52,19 @@ impl FfnRouter {
     }
 }
 
-/// Dense gated FFN without metering (shared by the single-token and
-/// tree-batched paths, which meter differently). The three mat-vecs run
-/// on `backend`; [`BackendKind::Reference`] reproduces the historical
-/// scalar path bit-for-bit.
-pub fn ffn_apply(w: &LayerWeights, backend: BackendKind, x: &[f32]) -> Vec<f32> {
-    let gate = w.w_gate.matvec_with(backend, x);
-    let up = w.w_up.matvec_with(backend, x);
-    let mut act = vec![0.0f32; gate.len()];
-    for ((a, &g), &u) in act.iter_mut().zip(gate.iter()).zip(up.iter()) {
-        *a = ops::silu(g) * u;
+/// Dense gated FFN without metering over `n` inputs packed row-major in
+/// `xs`, outputs packed likewise (shared by the single-token, prompt-span
+/// and tree-batched paths, which meter differently). Each of the three
+/// projections is one weight pass for the whole batch on `backend`;
+/// [`BackendKind::Reference`] reproduces the historical scalar path
+/// bit-for-bit.
+pub fn ffn_apply(w: &LayerWeights, backend: BackendKind, xs: &[f32], n: usize) -> Vec<f32> {
+    let mut act = w.w_gate.matmul_with(backend, xs, n);
+    let up = w.w_up.matmul_with(backend, xs, n);
+    for (a, &u) in act.iter_mut().zip(up.iter()) {
+        *a = ops::silu(*a) * u;
     }
-    w.w_down.matvec_with(backend, &act)
+    w.w_down.matmul_with(backend, &act, n)
 }
 
 /// Dense gated FFN: `w_down( silu(w_gate x) ⊙ w_up x )`.
@@ -75,33 +76,18 @@ pub fn ffn_forward(
     meter: &mut Meter,
 ) -> Vec<f32> {
     scale.record_ffn(meter);
-    ffn_apply(w, backend, x)
+    ffn_apply(w, backend, x, 1)
 }
 
-/// Sparse gated FFN: only the router-selected neurons are computed.
+/// Sparse gated FFN without metering (see [`ffn_apply`]; the caller
+/// records [`OpScale::record_ffn_sparse`] or its tree twin): only the
+/// router-selected neurons are computed.
 ///
 /// # Panics
 ///
 /// Panics if the layer weights are quantized (the PC sparse path runs on
 /// dense weights, matching PowerInfer's fp16 hot-neuron path) or if
 /// `active_frac` is not in `(0, 1]`.
-pub fn ffn_forward_sparse(
-    w: &LayerWeights,
-    router: &FfnRouter,
-    active_frac: f32,
-    scale: &OpScale,
-    x: &[f32],
-    meter: &mut Meter,
-) -> Vec<f32> {
-    scale.record_ffn_sparse(meter, active_frac as f64, router.rank());
-    ffn_apply_sparse(w, router, active_frac, x)
-}
-
-/// Sparse gated FFN without metering (see [`ffn_apply`]).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`ffn_forward_sparse`].
 pub fn ffn_apply_sparse(
     w: &LayerWeights,
     router: &FfnRouter,
@@ -169,7 +155,7 @@ mod tests {
         let x = vec![0.15; cfg.hidden_dim];
         let mut meter = Meter::new();
         let dense = ffn_forward(&w, &scale, BackendKind::Reference, &x, &mut meter);
-        let sparse = ffn_forward_sparse(&w, &router, 1.0, &scale, &x, &mut meter);
+        let sparse = ffn_apply_sparse(&w, &router, 1.0, &x);
         for (a, b) in dense.iter().zip(sparse.iter()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -183,7 +169,7 @@ mod tests {
         let x = vec![0.15; cfg.hidden_dim];
         let mut meter = Meter::new();
         let dense = ffn_forward(&w, &scale, BackendKind::Reference, &x, &mut meter);
-        let sparse = ffn_forward_sparse(&w, &router, 0.5, &scale, &x, &mut meter);
+        let sparse = ffn_apply_sparse(&w, &router, 0.5, &x);
         // Not exact, but same magnitude: sparse keeps half the mass.
         let dn = ops::l2_norm(&dense);
         let sn = ops::l2_norm(&sparse);
@@ -193,17 +179,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "active_frac")]
     fn rejects_zero_fraction() {
-        let (cfg, w, scale) = setup();
+        let (cfg, w, _) = setup();
         let mut rng = Pcg::seed(24);
         let router = FfnRouter::random(cfg.hidden_dim, cfg.ffn_dim, 4, &mut rng);
-        let mut meter = Meter::new();
-        ffn_forward_sparse(
-            &w,
-            &router,
-            0.0,
-            &scale,
-            &vec![0.0; cfg.hidden_dim],
-            &mut meter,
-        );
+        ffn_apply_sparse(&w, &router, 0.0, &vec![0.0; cfg.hidden_dim]);
     }
 }

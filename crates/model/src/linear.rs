@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use specee_tensor::awq::{AwqCalibration, AwqMatrix};
+use specee_tensor::matrix::dot;
 use specee_tensor::{BackendKind, Matrix, QuantBits, QuantizedMatrix};
 
 /// A weight matrix that is dense f32, plain group-quantized
@@ -83,6 +84,32 @@ impl LinearOp {
         }
     }
 
+    /// Products of `n_in` inputs packed row-major in `xs`
+    /// (`n_in × cols`), returned packed row-major (`n_in × rows`). Dense
+    /// weights take the backend's one-weight-pass
+    /// [`specee_tensor::Backend::matmul_into`]; the quantized variants run
+    /// their mat-vec per input. Either way every output is bit-identical
+    /// to [`LinearOp::matvec_with`] on that input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != n_in * cols`.
+    pub fn matmul_with(&self, backend: BackendKind, xs: &[f32], n_in: usize) -> Vec<f32> {
+        let (rows, cols) = (self.rows(), self.cols());
+        assert_eq!(xs.len(), n_in * cols, "matmul input length");
+        let mut ys = vec![0.0f32; n_in * rows];
+        match self {
+            LinearOp::Dense(m) => backend.get().matmul_into(m, xs, n_in, &mut ys),
+            _ => {
+                for n in 0..n_in {
+                    let y = self.matvec_with(backend, &xs[n * cols..(n + 1) * cols]);
+                    ys[n * rows..(n + 1) * rows].copy_from_slice(&y);
+                }
+            }
+        }
+        ys
+    }
+
     /// Product against a subset of rows (speculative LM-head slice).
     ///
     /// # Panics
@@ -92,9 +119,15 @@ impl LinearOp {
         match self {
             LinearOp::Dense(m) => m.matvec_rows(rows, x),
             LinearOp::Quant(q) => {
-                // Dequantized gather for the handful of candidate rows.
-                let dense = q.dequantize();
-                dense.matvec_rows(rows, x)
+                // Dequantized gather of the handful of candidate rows only.
+                assert_eq!(x.len(), q.cols(), "matvec_rows input length");
+                let mut row = vec![0.0f32; q.cols()];
+                rows.iter()
+                    .map(|&r| {
+                        q.dequantize_row_into(r, &mut row);
+                        dot(&row, x)
+                    })
+                    .collect()
             }
             LinearOp::Awq(a) => a.matvec_rows(rows, x),
         }
@@ -147,6 +180,61 @@ mod tests {
         assert!(q.bytes() < d.bytes() / 3);
         assert!(q.is_quantized());
         assert!(!d.is_quantized());
+    }
+
+    #[test]
+    fn quant_matvec_rows_equals_the_whole_matrix_dequantize() {
+        // An LM-head-sized operator: the row-at-a-time gather must give
+        // exactly what dequantizing all 2048 rows first gave.
+        let mut rng = Pcg::seed(4);
+        let m = Matrix::random(2048, 128, 0.5, &mut rng);
+        let mut x = vec![0.0f32; 128];
+        rng.fill_uniform(&mut x, 1.0);
+        let rows = [0usize, 2047, 17, 17, 1024];
+        for bits in [QuantBits::Int8, QuantBits::Int4] {
+            let op = LinearOp::quantized(&m, bits);
+            let LinearOp::Quant(q) = &op else {
+                unreachable!()
+            };
+            // The whole-matrix dequantize, spelled out as it was.
+            let groups_per_row = q.cols() / q.group_size();
+            let dense = Matrix::from_fn(q.rows(), q.cols(), |r, c| {
+                f32::from(q.codes()[r * q.cols() + c])
+                    * q.scales()[r * groups_per_row + c / q.group_size()]
+            });
+            assert_eq!(q.dequantize(), dense);
+            let want = dense.matvec_rows(&rows, &x);
+            assert_eq!(op.matvec_rows(&rows, &x), want, "{bits}");
+        }
+    }
+
+    #[test]
+    fn matmul_with_equals_per_input_matvec_with() {
+        let mut rng = Pcg::seed(5);
+        let m = Matrix::random(12, 64, 0.5, &mut rng);
+        let samples: Vec<Vec<f32>> = (0..4)
+            .map(|_| {
+                let mut x = vec![0.0f32; 64];
+                rng.fill_uniform(&mut x, 1.0);
+                x
+            })
+            .collect();
+        let ops = [
+            LinearOp::from(m.clone()),
+            LinearOp::quantized(&m, QuantBits::Int8),
+            LinearOp::awq_quantized(&m, QuantBits::Int8, &samples),
+        ];
+        let xs = samples.concat();
+        for op in &ops {
+            for backend in BackendKind::ALL {
+                let want: Vec<f32> = samples
+                    .iter()
+                    .flat_map(|x| op.matvec_with(backend, x))
+                    .collect();
+                assert_eq!(op.matmul_with(backend, &xs, samples.len()), want);
+            }
+            assert!(op.matmul_with(BackendKind::Blocked, &[], 0).is_empty());
+        }
     }
 
     #[test]

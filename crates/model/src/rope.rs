@@ -1,5 +1,28 @@
 //! Rotary position embeddings (RoPE), as used by Llama-family models.
 
+/// The `head_dim / 2` `(sin, cos)` pairs of position `pos` — the same for
+/// every head and for queries and keys, so computed once per position.
+fn sin_cos_table(pos: usize, head_dim: usize, theta: f32) -> Vec<(f32, f32)> {
+    assert!(head_dim % 2 == 0, "head_dim must be even");
+    (0..head_dim / 2)
+        .map(|i| {
+            let freq = theta.powf(-2.0 * i as f32 / head_dim as f32);
+            (pos as f32 * freq).sin_cos()
+        })
+        .collect()
+}
+
+fn rotate(x: &mut [f32], table: &[(f32, f32)], n_heads: usize) {
+    assert_eq!(x.len(), n_heads * table.len() * 2, "rope shape");
+    for head in x.chunks_exact_mut(table.len() * 2) {
+        for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(table) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a * cos - b * sin;
+            pair[1] = a * sin + b * cos;
+        }
+    }
+}
+
 /// Applies rotary position embedding in place to a per-head vector layout:
 /// `x` is `[n_heads × head_dim]`, rotated pairwise within each head.
 ///
@@ -7,19 +30,26 @@
 ///
 /// Panics if `x.len()` is not `n_heads * head_dim` or `head_dim` is odd.
 pub fn apply_rope(x: &mut [f32], pos: usize, n_heads: usize, head_dim: usize, theta: f32) {
-    assert_eq!(x.len(), n_heads * head_dim, "rope shape");
-    assert!(head_dim % 2 == 0, "head_dim must be even");
-    for h in 0..n_heads {
-        let head = &mut x[h * head_dim..(h + 1) * head_dim];
-        for i in 0..head_dim / 2 {
-            let freq = theta.powf(-2.0 * i as f32 / head_dim as f32);
-            let angle = pos as f32 * freq;
-            let (sin, cos) = angle.sin_cos();
-            let (a, b) = (head[2 * i], head[2 * i + 1]);
-            head[2 * i] = a * cos - b * sin;
-            head[2 * i + 1] = a * sin + b * cos;
-        }
-    }
+    rotate(x, &sin_cos_table(pos, head_dim, theta), n_heads);
+}
+
+/// [`apply_rope`] on a query and its key at the same position, sharing one
+/// `(sin, cos)` table between them.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`apply_rope`], for either vector.
+pub fn apply_rope_qk(
+    q: &mut [f32],
+    k: &mut [f32],
+    pos: usize,
+    n_heads: usize,
+    head_dim: usize,
+    theta: f32,
+) {
+    let table = sin_cos_table(pos, head_dim, theta);
+    rotate(q, &table, n_heads);
+    rotate(k, &table, n_heads);
 }
 
 #[cfg(test)]
@@ -59,6 +89,44 @@ mod tests {
         };
         assert!((dot_at(5, 3) - dot_at(9, 7)).abs() < 1e-5);
         assert!((dot_at(5, 3) - dot_at(5, 2)).abs() > 1e-6);
+    }
+
+    /// The formula as it was before the table: `powf` + `sin_cos` redone
+    /// for every head.
+    fn per_head_reference(x: &mut [f32], pos: usize, n_heads: usize, head_dim: usize, theta: f32) {
+        for h in 0..n_heads {
+            let head = &mut x[h * head_dim..(h + 1) * head_dim];
+            for i in 0..head_dim / 2 {
+                let freq = theta.powf(-2.0 * i as f32 / head_dim as f32);
+                let (sin, cos) = (pos as f32 * freq).sin_cos();
+                let (a, b) = (head[2 * i], head[2 * i + 1]);
+                head[2 * i] = a * cos - b * sin;
+                head[2 * i + 1] = a * sin + b * cos;
+            }
+        }
+    }
+
+    #[test]
+    fn shared_table_is_bit_identical_to_the_per_head_formula() {
+        let (n_heads, head_dim) = (4, 32);
+        let mut rng = specee_tensor::rng::Pcg::seed(5);
+        for pos in [0, 1, 17, 1023] {
+            let mut q = vec![0.0f32; n_heads * head_dim];
+            let mut k = q.clone();
+            rng.fill_uniform(&mut q, 1.0);
+            rng.fill_uniform(&mut k, 1.0);
+            let (mut want_q, mut want_k) = (q.clone(), k.clone());
+            per_head_reference(&mut want_q, pos, n_heads, head_dim, 10000.0);
+            per_head_reference(&mut want_k, pos, n_heads, head_dim, 10000.0);
+
+            let mut single = k.clone();
+            apply_rope(&mut single, pos, n_heads, head_dim, 10000.0);
+            apply_rope_qk(&mut q, &mut k, pos, n_heads, head_dim, 10000.0);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&q), bits(&want_q), "q at pos {pos}");
+            assert_eq!(bits(&k), bits(&want_k), "k at pos {pos}");
+            assert_eq!(bits(&single), bits(&want_k), "apply_rope at pos {pos}");
+        }
     }
 
     #[test]

@@ -5,14 +5,10 @@ use std::sync::Arc;
 use specee_metrics::Meter;
 use specee_tensor::{ops, rng::Pcg, BackendKind, QuantBits};
 
-use crate::attention::{
-    attention_forward, attention_forward_tree, attention_forward_tree_partial, TreeKv,
-};
+use crate::attention::{attention_forward_span, attention_forward_tree_partial, TreeKv};
 use crate::calibration::ActivationTap;
 use crate::config::{ModelConfig, TokenId};
-use crate::ffn::{
-    ffn_apply, ffn_apply_sparse, ffn_forward, ffn_forward_sparse, FfnMode, FfnRouter,
-};
+use crate::ffn::{ffn_apply, ffn_apply_sparse, FfnMode, FfnRouter};
 use crate::kv::{KvCache, KvLayout, SkipKvPolicy};
 use crate::linear::LinearOp;
 use crate::metering::OpScale;
@@ -205,10 +201,148 @@ impl Transformer {
     pub fn backend(&self) -> BackendKind {
         self.backend
     }
+
+    /// Runs decoder layer `layer` over the consecutive positions `base..`
+    /// (one hidden state each in `hs`), appending their K/V rows. The
+    /// projections and the dense FFN take one weight pass for the whole
+    /// span while attention stays causal, so outputs, cache rows and
+    /// [`Meter`] records are bit-identical to calling
+    /// [`LayeredLm::forward_layer`] position by position — which is this
+    /// with a span of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range or `base` is not the number of
+    /// positions this layer has cached.
+    pub fn forward_layer_span<H: AsRef<[f32]>>(
+        &mut self,
+        layer: usize,
+        hs: &[H],
+        base: usize,
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        assert!(layer < self.config.n_layers, "layer {layer} out of range");
+        let w = &self.shared.weights.layers[layer];
+        let normed = pack_normed(hs, &w.attn_norm);
+        let attn = attention_forward_span(
+            w,
+            &self.config,
+            &self.scale,
+            self.backend,
+            &normed,
+            base,
+            &mut self.caches[layer],
+            meter,
+        );
+        let (outs, normed2) = self.residual_ffn(layer, hs, &attn);
+        for _ in hs {
+            match self.ffn_mode {
+                FfnMode::Dense => self.scale.record_ffn(meter),
+                FfnMode::Sparse { active_frac, .. } => self.scale.record_ffn_sparse(
+                    meter,
+                    active_frac as f64,
+                    self.shared.routers[layer].rank(),
+                ),
+            }
+            self.scale.record_norms(meter);
+        }
+        if let Some(tap) = &mut self.tap {
+            let dim = self.config.hidden_dim;
+            for (a, f) in normed.chunks_exact(dim).zip(normed2.chunks_exact(dim)) {
+                tap.record_attn(layer, a);
+                tap.record_ffn(layer, f);
+            }
+        }
+        outs
+    }
+
+    /// Runs decoder layer `layer` over the nodes `first_new..` of a draft
+    /// tree (all of them when `first_new` is 0 and `scratch` empty).
+    fn tree_layer(
+        &self,
+        layer: usize,
+        new_hs: &[Vec<f32>],
+        parents: &[Option<usize>],
+        first_new: usize,
+        scratch: &mut TreeKv,
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        assert!(layer < self.config.n_layers, "layer {layer} out of range");
+        let w = &self.shared.weights.layers[layer];
+        let normed = pack_normed(new_hs, &w.attn_norm);
+        let attn = attention_forward_tree_partial(
+            w,
+            &self.config,
+            &self.scale,
+            self.backend,
+            &normed,
+            parents,
+            first_new,
+            &self.caches[layer],
+            scratch,
+            meter,
+        );
+        let (outs, _) = self.residual_ffn(layer, new_hs, &attn);
+        // Batched metering: the FFN/norm weights are read once per layer
+        // regardless of how many tree nodes flow through.
+        match self.ffn_mode {
+            FfnMode::Dense => self.scale.record_ffn_tree(meter, new_hs.len()),
+            FfnMode::Sparse {
+                active_frac,
+                router_rank,
+            } => self.scale.record_ffn_sparse_tree(
+                meter,
+                new_hs.len(),
+                active_frac as f64,
+                router_rank,
+            ),
+        }
+        self.scale.record_norms_tree(meter, new_hs.len());
+        outs
+    }
+
+    /// The back half of decoder layer `layer` for a batch of positions:
+    /// residual add of the packed attention outputs `attn`, FFN norm, FFN
+    /// (one weight pass for the batch when dense), residual add. Returns
+    /// the layer outputs and the packed FFN inputs; metering is the
+    /// caller's, since spans and trees price it differently.
+    fn residual_ffn<H: AsRef<[f32]>>(
+        &self,
+        layer: usize,
+        hs: &[H],
+        attn: &[f32],
+    ) -> (Vec<Vec<f32>>, Vec<f32>) {
+        let w = &self.shared.weights.layers[layer];
+        let dim = self.config.hidden_dim;
+        let mut outs: Vec<Vec<f32>> = hs
+            .iter()
+            .zip(attn.chunks_exact(dim))
+            .map(|(h, a)| h.as_ref().iter().zip(a).map(|(x, y)| x + y).collect())
+            .collect();
+        let normed = pack_normed(&outs, &w.ffn_norm);
+        let ffn: Vec<f32> = match self.ffn_mode {
+            FfnMode::Dense => ffn_apply(w, self.backend, &normed, outs.len()),
+            FfnMode::Sparse { active_frac, .. } => normed
+                .chunks_exact(dim)
+                .flat_map(|x| ffn_apply_sparse(w, &self.shared.routers[layer], active_frac, x))
+                .collect(),
+        };
+        for (out, f) in outs.iter_mut().zip(ffn.chunks_exact(dim)) {
+            for (m, f) in out.iter_mut().zip(f) {
+                *m += f;
+            }
+        }
+        (outs, normed)
+    }
 }
 
 fn normed(h: &[f32], gain: &[f32]) -> Vec<f32> {
     ops::rmsnorm(h, gain, 1e-5)
+}
+
+/// [`normed`] copies of `hs`, packed row-major for the batched kernels.
+fn pack_normed<H: AsRef<[f32]>>(hs: &[H], gain: &[f32]) -> Vec<f32> {
+    hs.iter().flat_map(|h| normed(h.as_ref(), gain)).collect()
 }
 
 impl LayeredLm for Transformer {
@@ -246,42 +380,9 @@ impl LayeredLm for Transformer {
         pos: usize,
         meter: &mut Meter,
     ) -> Vec<f32> {
-        assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.shared.weights.layers[layer];
-        let cache = &mut self.caches[layer];
-        let normed = ops::rmsnorm(h, &w.attn_norm, 1e-5);
-        let attn = attention_forward(
-            w,
-            &self.config,
-            &self.scale,
-            self.backend,
-            &normed,
-            pos,
-            cache,
-            meter,
-        );
-        let mut mid: Vec<f32> = h.iter().zip(attn.iter()).map(|(a, b)| a + b).collect();
-        let normed2 = ops::rmsnorm(&mid, &w.ffn_norm, 1e-5);
-        let ffn = match self.ffn_mode {
-            FfnMode::Dense => ffn_forward(w, &self.scale, self.backend, &normed2, meter),
-            FfnMode::Sparse { active_frac, .. } => ffn_forward_sparse(
-                w,
-                &self.shared.routers[layer],
-                active_frac,
-                &self.scale,
-                &normed2,
-                meter,
-            ),
-        };
-        self.scale.record_norms(meter);
-        for (m, f) in mid.iter_mut().zip(ffn.iter()) {
-            *m += f;
-        }
-        if let Some(tap) = &mut self.tap {
-            tap.record_attn(layer, &normed);
-            tap.record_ffn(layer, &normed2);
-        }
-        mid
+        self.forward_layer_span(layer, &[h], pos, meter)
+            .pop()
+            .expect("one position in, one out")
     }
 
     fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
@@ -292,9 +393,7 @@ impl LayeredLm for Transformer {
             .map(|&tok| self.begin_token(tok, meter))
             .collect();
         for layer in 0..self.config.n_layers {
-            for (i, h) in hs.iter_mut().enumerate() {
-                *h = self.forward_layer(layer, h, base + i, meter);
-            }
+            hs = self.forward_layer_span(layer, &hs, base, meter);
         }
         hs.pop().expect("non-empty prompt")
     }
@@ -306,13 +405,7 @@ impl LayeredLm for Transformer {
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
         assert_eq!(tokens.len(), parents.len(), "tokens/parents length");
-        tokens
-            .iter()
-            .map(|&t| {
-                self.scale.record_embed(meter);
-                self.shared.weights.embed.row(t as usize).to_vec()
-            })
-            .collect()
+        tokens.iter().map(|&t| self.begin_token(t, meter)).collect()
     }
 
     fn forward_layer_tree(
@@ -322,51 +415,8 @@ impl LayeredLm for Transformer {
         parents: &[Option<usize>],
         meter: &mut Meter,
     ) -> (Vec<Vec<f32>>, TreeKv) {
-        assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.shared.weights.layers[layer];
-        let cache = &self.caches[layer];
-        let normed: Vec<Vec<f32>> = hs
-            .iter()
-            .map(|h| ops::rmsnorm(h, &w.attn_norm, 1e-5))
-            .collect();
-        let (attn_outs, tree_kv) = attention_forward_tree(
-            w,
-            &self.config,
-            &self.scale,
-            self.backend,
-            &normed,
-            parents,
-            cache,
-            meter,
-        );
-        let mut outs = Vec::with_capacity(hs.len());
-        for (h, attn) in hs.iter().zip(attn_outs.iter()) {
-            let mut mid: Vec<f32> = h.iter().zip(attn.iter()).map(|(a, b)| a + b).collect();
-            let normed2 = ops::rmsnorm(&mid, &w.ffn_norm, 1e-5);
-            let ffn = match self.ffn_mode {
-                FfnMode::Dense => ffn_apply(w, self.backend, &normed2),
-                FfnMode::Sparse { active_frac, .. } => {
-                    ffn_apply_sparse(w, &self.shared.routers[layer], active_frac, &normed2)
-                }
-            };
-            for (m, f) in mid.iter_mut().zip(ffn.iter()) {
-                *m += f;
-            }
-            outs.push(mid);
-        }
-        // Batched metering: the FFN/norm weights are read once per layer
-        // regardless of how many tree nodes flow through.
-        match self.ffn_mode {
-            FfnMode::Dense => self.scale.record_ffn_tree(meter, hs.len()),
-            FfnMode::Sparse {
-                active_frac,
-                router_rank,
-            } => {
-                self.scale
-                    .record_ffn_sparse_tree(meter, hs.len(), active_frac as f64, router_rank)
-            }
-        }
-        self.scale.record_norms_tree(meter, hs.len());
+        let mut tree_kv = TreeKv::default();
+        let outs = self.tree_layer(layer, hs, parents, 0, &mut tree_kv, meter);
         (outs, tree_kv)
     }
 
@@ -382,13 +432,7 @@ impl LayeredLm for Transformer {
             first_new + tokens.len(),
             "parents must cover old and new nodes"
         );
-        tokens
-            .iter()
-            .map(|&t| {
-                self.scale.record_embed(meter);
-                self.shared.weights.embed.row(t as usize).to_vec()
-            })
-            .collect()
+        tokens.iter().map(|&t| self.begin_token(t, meter)).collect()
     }
 
     fn forward_layer_tree_partial(
@@ -400,54 +444,7 @@ impl LayeredLm for Transformer {
         scratch: &mut TreeKv,
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
-        assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.shared.weights.layers[layer];
-        let cache = &self.caches[layer];
-        let normed: Vec<Vec<f32>> = new_hs
-            .iter()
-            .map(|h| ops::rmsnorm(h, &w.attn_norm, 1e-5))
-            .collect();
-        let attn_outs = attention_forward_tree_partial(
-            w,
-            &self.config,
-            &self.scale,
-            self.backend,
-            &normed,
-            parents,
-            first_new,
-            cache,
-            scratch,
-            meter,
-        );
-        let mut outs = Vec::with_capacity(new_hs.len());
-        for (h, attn) in new_hs.iter().zip(attn_outs.iter()) {
-            let mut mid: Vec<f32> = h.iter().zip(attn.iter()).map(|(a, b)| a + b).collect();
-            let normed2 = ops::rmsnorm(&mid, &w.ffn_norm, 1e-5);
-            let ffn = match self.ffn_mode {
-                FfnMode::Dense => ffn_apply(w, self.backend, &normed2),
-                FfnMode::Sparse { active_frac, .. } => {
-                    ffn_apply_sparse(w, &self.shared.routers[layer], active_frac, &normed2)
-                }
-            };
-            for (m, f) in mid.iter_mut().zip(ffn.iter()) {
-                *m += f;
-            }
-            outs.push(mid);
-        }
-        match self.ffn_mode {
-            FfnMode::Dense => self.scale.record_ffn_tree(meter, new_hs.len()),
-            FfnMode::Sparse {
-                active_frac,
-                router_rank,
-            } => self.scale.record_ffn_sparse_tree(
-                meter,
-                new_hs.len(),
-                active_frac as f64,
-                router_rank,
-            ),
-        }
-        self.scale.record_norms_tree(meter, new_hs.len());
-        outs
+        self.tree_layer(layer, new_hs, parents, first_new, scratch, meter)
     }
 
     fn commit_tree_kv(&mut self, layer: usize, kv: &TreeKv, accepted: &[usize]) {
@@ -509,14 +506,12 @@ impl LayeredLm for Transformer {
 
     fn final_logits_batch(&mut self, hs: &[Vec<f32>], meter: &mut Meter) -> Vec<Vec<f32>> {
         self.scale.record_lm_head_full_batch(meter, hs.len());
-        hs.iter()
-            .map(|h| {
-                let normed = normed(h, &self.shared.weights.final_norm);
-                self.shared
-                    .weights
-                    .lm_head
-                    .matvec_with(self.backend, &normed)
-            })
+        let w = &self.shared.weights;
+        let normed = pack_normed(hs, &w.final_norm);
+        w.lm_head
+            .matmul_with(self.backend, &normed, hs.len())
+            .chunks_exact(w.lm_head.rows())
+            .map(<[f32]>::to_vec)
             .collect()
     }
 
@@ -694,15 +689,9 @@ mod tests {
         for layer in 0..reference.config().n_layers {
             h = reference.forward_layer(layer, &h, 2, &mut meter);
         }
-        for (a, b) in hs[0].iter().zip(h.iter()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        assert_eq!(hs[0], h, "bit for bit");
         for layer in 0..4 {
-            let ck = m.caches[layer].key(2);
-            let rk = reference.caches[layer].key(2);
-            for (a, b) in ck.iter().zip(rk.iter()) {
-                assert!((a - b).abs() < 1e-4);
-            }
+            assert_eq!(m.caches[layer], reference.caches[layer], "layer {layer}");
         }
     }
 
@@ -792,13 +781,7 @@ mod tests {
             }
         }
         for layer in 0..4 {
-            for pos in 2..4 {
-                let ck = m.caches[layer].key(pos);
-                let rk = reference.caches[layer].key(pos);
-                for (a, b) in ck.iter().zip(rk.iter()) {
-                    assert!((a - b).abs() < 1e-4, "layer {layer} pos {pos}");
-                }
-            }
+            assert_eq!(m.caches[layer], reference.caches[layer], "layer {layer}");
         }
     }
 

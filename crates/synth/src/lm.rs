@@ -254,10 +254,10 @@ impl LayeredLm for SyntheticLm {
         let mut noise = vec![0.0; prompt.len() * n_layers * dim];
         self.fill_noise(&mut noise);
         for layer in 0..n_layers {
-            for (i, h) in hs.iter_mut().enumerate() {
-                let out = self.inner.forward_layer(layer, h, base + i, meter);
+            let outs = self.inner.forward_layer_span(layer, &hs, base, meter);
+            for (i, (h, out)) in hs.iter_mut().zip(&outs).enumerate() {
                 let at = (i * n_layers + layer) * dim;
-                *h = self.blend(&out, &self.scripts[base + i], layer, &noise[at..at + dim]);
+                *h = self.blend(out, &self.scripts[base + i], layer, &noise[at..at + dim]);
             }
         }
         hs.pop().expect("non-empty prompt")

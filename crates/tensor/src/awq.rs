@@ -232,9 +232,12 @@ impl AwqMatrix {
     pub fn matvec_rows(&self, rows: &[usize], x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols(), "awq matvec input length");
         let scaled: Vec<f32> = x.iter().zip(&self.inv_scales).map(|(v, s)| v * s).collect();
-        let dense = self.q.dequantize();
+        let mut row = vec![0.0f32; self.cols()];
         rows.iter()
-            .map(|&r| dense.row(r).iter().zip(&scaled).map(|(w, v)| w * v).sum())
+            .map(|&r| {
+                self.q.dequantize_row_into(r, &mut row);
+                row.iter().zip(&scaled).map(|(w, v)| w * v).sum()
+            })
             .collect()
     }
 

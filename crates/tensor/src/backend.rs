@@ -13,11 +13,11 @@
 //!   within explicit error bounds where it is not.
 //! * [`Blocked`] — cache-blocked and unrolled with `chunks_exact` so the
 //!   autovectorizer can keep several independent accumulator chains in
-//!   flight. `matvec`/`matvec_into`/`gemm` reduce each row in *exactly*
-//!   the reference order (four lanes, `s0+s1+s2+s3`, sequential tail), so
-//!   they are bit-identical to [`Reference`]; `matvec_t` and the
-//!   quantized kernel re-associate across rows/lanes and are only
-//!   tolerance-equal.
+//!   flight. `matvec`/`matvec_into`/`matmul_into`/`gemm` reduce each
+//!   (row, input) dot in *exactly* the reference order (four lanes,
+//!   `s0+s1+s2+s3`, sequential tail), so they are bit-identical to
+//!   [`Reference`]; `matvec_t` and the quantized kernel re-associate
+//!   across rows/lanes and are only tolerance-equal.
 //! * [`QuantizedI8`] — i8 weights with per-group scales and an integer
 //!   (`i32`-accumulating) inner loop. On pre-quantized weights
 //!   ([`Backend::matvec_q_into`]) only the *activations* are quantized on
@@ -76,6 +76,29 @@ pub trait Backend: fmt::Debug + Send + Sync {
         let mut y = vec![0.0; m.rows()];
         self.matvec_into(m, x, &mut y);
         y
+    }
+
+    /// Computes `ys[n] = M xs[n]` for `n_in` inputs packed row-major in
+    /// `xs` (`n_in × m.cols()`), writing the outputs packed row-major into
+    /// `ys` (`n_in × m.rows()`) — one pass over the weights for the whole
+    /// batch. Every output equals [`Backend::matvec_into`] of the same
+    /// backend on that input bit for bit; the default body *is* that loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != n_in * m.cols()` or
+    /// `ys.len() != n_in * m.rows()`.
+    fn matmul_into(&self, m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+        let (rows, cols) = (m.rows(), m.cols());
+        assert_eq!(xs.len(), n_in * cols, "matmul input length");
+        assert_eq!(ys.len(), n_in * rows, "matmul output length");
+        for n in 0..n_in {
+            self.matvec_into(
+                m,
+                &xs[n * cols..(n + 1) * cols],
+                &mut ys[n * rows..(n + 1) * rows],
+            );
+        }
     }
 
     /// Computes `y = Mᵀ x` where `x.len() == m.rows()`.
@@ -228,93 +251,143 @@ impl Backend for Reference {
 
 /// Cache-blocked, `chunks_exact`-unrolled kernels.
 ///
-/// `matvec`/`gemm` walk four rows at a time, each row carrying the same
-/// four-lane accumulator pattern (and reduction order) as
-/// [`crate::matrix::dot`] — bounds checks vanish, the x-chunk load is
-/// shared across the row block, and the independent accumulator chains
-/// keep the multiply pipes busy, while every row's result stays
-/// bit-identical to [`Reference`]. On x86-64 the mat-vec additionally
-/// dispatches (at runtime, via `is_x86_feature_detected!`) to an AVX
-/// kernel that packs the four rows' four-lane accumulators into two
-/// 256-bit registers — the per-lane addition chains are untouched, so
-/// that path is *also* bit-identical to the scalar oracle, just ~2x
-/// faster. `matvec_t` re-associates across the row block (four
-/// saxpys fused per pass over `y`) and is only tolerance-equal.
+/// `matvec`/`matmul_into` walk four rows at a time, each (row, input)
+/// pair carrying the same four-lane accumulator pattern (and reduction
+/// order) as [`crate::matrix::dot`] — bounds checks vanish, each weight
+/// chunk is loaded once for the row block's whole batch of inputs, and the
+/// independent accumulator chains keep the multiply pipes busy, while
+/// every result stays bit-identical to [`Reference`]. The mat-vec *is* the
+/// mat-mul of one input. On x86-64 both dispatch (at runtime, via
+/// `is_x86_feature_detected!`) to an AVX kernel that packs the four rows'
+/// four-lane accumulators into two 256-bit registers per input, four
+/// inputs to a register tile — the per-lane addition chains are untouched,
+/// so that path is *also* bit-identical to the scalar oracle, just ~2x
+/// faster per mat-vec and ~2x again per input of a batch. `gemm` (row
+/// subsets) stays a per-row dot in the same order. `matvec_t`
+/// re-associates across the row block (four saxpys fused per pass over
+/// `y`) and is only tolerance-equal.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
-/// Wide-register x86-64 mat-vec kernel used by [`Blocked`].
+/// Wide-register x86-64 mat-mul kernel used by [`Blocked`].
 ///
-/// The kernel replicates the reference reduction exactly: each weight
-/// row keeps four f32 accumulator lanes updated in column order, lanes
-/// are combined `s0+s1+s2+s3`, and the ragged column tail is added
-/// sequentially — only the *packing* of independent lanes into 256-bit
-/// registers differs, which IEEE-754 addition cannot observe.
+/// The kernel replicates the reference reduction exactly: each
+/// (weight row, input) pair keeps four f32 accumulator lanes updated in
+/// column order, lanes are combined `s0+s1+s2+s3`, and the ragged column
+/// tail is added sequentially — only the *packing* of independent lanes
+/// into 256-bit registers differs, which IEEE-754 addition cannot observe.
 /// (An AVX-512 variant measured no faster — the kernel is memory-bound —
 /// and its intrinsics would raise the workspace MSRV, so AVX is the
-/// widest path shipped.)
+/// widest path shipped. FMA and 8-lane accumulators are faster but round
+/// differently from the oracle, so they are out.)
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
 
     use crate::matrix::{dot, Matrix};
 
+    /// Inputs per register tile: 4 rows × 4 inputs is eight independent
+    /// 256-bit accumulator chains, enough to cover the add latency.
+    const TILE_INPUTS: usize = 4;
+
     /// Ordered horizontal sum `v0 + v1 + v2 + v3` (the reference lane
     /// reduction; deliberately not a tree reduction).
-    #[inline]
+    ///
+    /// `inline(always)`: with plain `#[inline]` the inliner stops inlining
+    /// this into the `target_feature` kernels once more than one of them
+    /// calls it, and the out-of-line call (plus the spill around it) costs
+    /// the mat-vec about a third of its speed.
+    #[inline(always)]
     unsafe fn hsum_ordered(v: __m128) -> f32 {
         let mut lanes = [0.0f32; 4];
         _mm_storeu_ps(lanes.as_mut_ptr(), v);
         lanes[0] + lanes[1] + lanes[2] + lanes[3]
     }
 
-    /// AVX kernel: two 256-bit accumulators, two rows each.
+    /// One register tile: four weight rows (`w`) against the `N`
+    /// consecutive inputs at `xs`, each weight chunk loaded once and
+    /// reused across the inputs. Writes `ys[n * rows + 0..4]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX must be available; every `w[k]` and `xs + n * cols` must be
+    /// readable for `cols` floats and `ys + n * rows` writable for four.
+    #[target_feature(enable = "avx")]
+    unsafe fn tile_avx<const N: usize>(
+        w: [*const f32; 4],
+        cols: usize,
+        xs: *const f32,
+        ys: *mut f32,
+        rows: usize,
+    ) {
+        let chunks = cols / 4;
+        let mut acc01 = [_mm256_setzero_ps(); N];
+        let mut acc23 = [_mm256_setzero_ps(); N];
+        for c in 0..chunks {
+            let j = c * 4;
+            let w01 = _mm256_set_m128(_mm_loadu_ps(w[1].add(j)), _mm_loadu_ps(w[0].add(j)));
+            let w23 = _mm256_set_m128(_mm_loadu_ps(w[3].add(j)), _mm_loadu_ps(w[2].add(j)));
+            for n in 0..N {
+                let xv = _mm_loadu_ps(xs.add(n * cols + j));
+                let xx = _mm256_set_m128(xv, xv);
+                acc01[n] = _mm256_add_ps(acc01[n], _mm256_mul_ps(w01, xx));
+                acc23[n] = _mm256_add_ps(acc23[n], _mm256_mul_ps(w23, xx));
+            }
+        }
+        for n in 0..N {
+            let x = xs.add(n * cols);
+            let mut out = [
+                hsum_ordered(_mm256_castps256_ps128(acc01[n])),
+                hsum_ordered(_mm256_extractf128_ps(acc01[n], 1)),
+                hsum_ordered(_mm256_castps256_ps128(acc23[n])),
+                hsum_ordered(_mm256_extractf128_ps(acc23[n], 1)),
+            ];
+            for j in chunks * 4..cols {
+                let xv = *x.add(j);
+                out[0] += *w[0].add(j) * xv;
+                out[1] += *w[1].add(j) * xv;
+                out[2] += *w[2].add(j) * xv;
+                out[3] += *w[3].add(j) * xv;
+            }
+            core::ptr::copy_nonoverlapping(out.as_ptr(), ys.add(n * rows), 4);
+        }
+    }
+
+    /// AVX mat-mul: blocks of four rows, each walked over the inputs in
+    /// register tiles (a single input is the degenerate tile — the
+    /// mat-vec).
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX is available and shapes already validated
-    /// (`x.len() == m.cols()`, `y.len() == m.rows()`).
+    /// (`xs.len() == n_in * m.cols()`, `ys.len() == n_in * m.rows()`).
     #[target_feature(enable = "avx")]
-    pub unsafe fn matvec_avx(m: &Matrix, x: &[f32], y: &mut [f32]) {
-        let cols = m.cols();
+    pub unsafe fn matmul_avx(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+        let (rows, cols) = (m.rows(), m.cols());
         let data = m.as_slice();
-        let chunks = cols / 4;
-        let tail = chunks * 4;
-        let blocks = m.rows() / 4;
+        let blocks = rows / 4;
         for b in 0..blocks {
             let r = b * 4;
-            let p0 = data.as_ptr().add(r * cols);
-            let p1 = data.as_ptr().add((r + 1) * cols);
-            let p2 = data.as_ptr().add((r + 2) * cols);
-            let p3 = data.as_ptr().add((r + 3) * cols);
-            let mut acc01 = _mm256_setzero_ps();
-            let mut acc23 = _mm256_setzero_ps();
-            for c in 0..chunks {
-                let j = c * 4;
-                let xv = _mm_loadu_ps(x.as_ptr().add(j));
-                let xx = _mm256_set_m128(xv, xv);
-                let w01 = _mm256_set_m128(_mm_loadu_ps(p1.add(j)), _mm_loadu_ps(p0.add(j)));
-                let w23 = _mm256_set_m128(_mm_loadu_ps(p3.add(j)), _mm_loadu_ps(p2.add(j)));
-                acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(w01, xx));
-                acc23 = _mm256_add_ps(acc23, _mm256_mul_ps(w23, xx));
+            let p = data.as_ptr().add(r * cols);
+            let w = [p, p.add(cols), p.add(2 * cols), p.add(3 * cols)];
+            for n in (0..n_in).step_by(TILE_INPUTS) {
+                // `n < n_in` and `r + 4 <= rows`: both pointers are in
+                // bounds, and the tile chosen below covers exactly the
+                // `min(TILE_INPUTS, n_in - n)` inputs that remain.
+                let (x, y) = (xs.as_ptr().add(n * cols), ys.as_mut_ptr().add(n * rows + r));
+                match n_in - n {
+                    1 => tile_avx::<1>(w, cols, x, y, rows),
+                    2 => tile_avx::<2>(w, cols, x, y, rows),
+                    3 => tile_avx::<3>(w, cols, x, y, rows),
+                    _ => tile_avx::<TILE_INPUTS>(w, cols, x, y, rows),
+                }
             }
-            let mut out = [
-                hsum_ordered(_mm256_castps256_ps128(acc01)),
-                hsum_ordered(_mm256_extractf128_ps(acc01, 1)),
-                hsum_ordered(_mm256_castps256_ps128(acc23)),
-                hsum_ordered(_mm256_extractf128_ps(acc23, 1)),
-            ];
-            for (k, &xv) in x[tail..cols].iter().enumerate() {
-                let j = tail + k;
-                out[0] += *p0.add(j) * xv;
-                out[1] += *p1.add(j) * xv;
-                out[2] += *p2.add(j) * xv;
-                out[3] += *p3.add(j) * xv;
-            }
-            y[r..r + 4].copy_from_slice(&out);
         }
-        for r in blocks * 4..m.rows() {
-            y[r] = dot(&data[r * cols..(r + 1) * cols], x);
+        for r in blocks * 4..rows {
+            let row = &data[r * cols..(r + 1) * cols];
+            for n in 0..n_in {
+                ys[n * rows + r] = dot(row, &xs[n * cols..(n + 1) * cols]);
+            }
         }
     }
 }
@@ -378,28 +451,44 @@ fn dot4_rows(r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32], x: &[f32]) -> [f32;
     out
 }
 
-/// Portable blocked mat-vec (the non-x86 / pre-AVX path): four rows per
-/// block through [`dot4_rows`], remainder rows through [`dot_blocked`].
-/// Bit-identical to [`Reference`] by the same reduction-order argument as
-/// the wide kernels.
-fn matvec_blocked_portable(m: &Matrix, x: &[f32], y: &mut [f32]) {
-    let cols = m.cols();
+/// Portable blocked mat-mul (the non-x86 / pre-AVX path): four rows per
+/// block through [`dot4_rows`] against each input in turn (so a row block
+/// is fetched once for the whole batch), remainder rows through
+/// [`dot_blocked`]. Bit-identical to [`Reference`] by the same
+/// reduction-order argument as the wide kernels.
+fn matmul_blocked_portable(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+    let (rows, cols) = (m.rows(), m.cols());
     let data = m.as_slice();
-    let blocks = m.rows() / ROW_BLOCK;
+    let blocks = rows / ROW_BLOCK;
     for b in 0..blocks {
         let r = b * ROW_BLOCK;
-        let out = dot4_rows(
-            &data[r * cols..(r + 1) * cols],
-            &data[(r + 1) * cols..(r + 2) * cols],
-            &data[(r + 2) * cols..(r + 3) * cols],
-            &data[(r + 3) * cols..(r + 4) * cols],
-            x,
-        );
-        y[r..r + ROW_BLOCK].copy_from_slice(&out);
+        let row = |k: usize| &data[(r + k) * cols..(r + k + 1) * cols];
+        let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+        for n in 0..n_in {
+            let out = dot4_rows(r0, r1, r2, r3, &xs[n * cols..(n + 1) * cols]);
+            ys[n * rows + r..n * rows + r + ROW_BLOCK].copy_from_slice(&out);
+        }
     }
-    for r in blocks * ROW_BLOCK..m.rows() {
-        y[r] = dot_blocked(&data[r * cols..(r + 1) * cols], x);
+    for r in blocks * ROW_BLOCK..rows {
+        let row = &data[r * cols..(r + 1) * cols];
+        for n in 0..n_in {
+            ys[n * rows + r] = dot_blocked(row, &xs[n * cols..(n + 1) * cols]);
+        }
     }
+}
+
+/// Dispatches a shape-checked mat-mul to the widest kernel available.
+fn matmul_blocked(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: feature presence checked above; callers validated
+            // `xs.len() == n_in * cols` and `ys.len() == n_in * rows`.
+            unsafe { x86::matmul_avx(m, xs, n_in, ys) };
+            return;
+        }
+    }
+    matmul_blocked_portable(m, xs, n_in, ys);
 }
 
 impl Backend for Blocked {
@@ -410,15 +499,13 @@ impl Backend for Blocked {
     fn matvec_into(&self, m: &Matrix, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), m.cols(), "matvec input length");
         assert_eq!(y.len(), m.rows(), "matvec output length");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY: feature presence checked above; shapes validated.
-                unsafe { x86::matvec_avx(m, x, y) };
-                return;
-            }
-        }
-        matvec_blocked_portable(m, x, y);
+        matmul_blocked(m, x, 1, y);
+    }
+
+    fn matmul_into(&self, m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+        assert_eq!(xs.len(), n_in * m.cols(), "matmul input length");
+        assert_eq!(ys.len(), n_in * m.rows(), "matmul output length");
+        matmul_blocked(m, xs, n_in, ys);
     }
 
     fn matvec_t(&self, m: &Matrix, x: &[f32]) -> Vec<f32> {
@@ -713,32 +800,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_blocked_matvec_path_bit_identical_to_reference() {
-        // The public `Blocked` entry point dispatches to the widest
-        // available kernel; this pins *each* path (portable, AVX,
-        // AVX-512 where present) to the oracle independently.
-        let mut rng = Pcg::seed(11);
-        for (rows, cols) in [(1, 7), (4, 4), (5, 19), (32, 64), (33, 65)] {
-            let m = Matrix::random(rows, cols, 1.0, &mut rng);
-            let mut x = vec![0.0f32; cols];
-            rng.fill_uniform(&mut x, 1.0);
-            let reference = BackendKind::Reference.get().matvec(&m, &x);
+    /// Runs `kernel` (one of the `Blocked` mat-mul paths) on `n_in` packed
+    /// inputs and checks every output against the oracle's mat-vec.
+    fn assert_path_matches_reference(
+        what: &str,
+        kernel: impl Fn(&Matrix, &[f32], usize, &mut [f32]),
+        rng: &mut Pcg,
+        (rows, cols, n_in): (usize, usize, usize),
+    ) {
+        let m = Matrix::random(rows, cols, 1.0, rng);
+        let mut xs = vec![0.0f32; n_in * cols];
+        rng.fill_uniform(&mut xs, 1.0);
+        let mut ys = vec![f32::NAN; n_in * rows];
+        kernel(&m, &xs, n_in, &mut ys);
+        for n in 0..n_in {
+            let reference = BackendKind::Reference
+                .get()
+                .matvec(&m, &xs[n * cols..(n + 1) * cols]);
+            let got: Vec<u32> = ys[n * rows..(n + 1) * rows]
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{what} {rows}x{cols}, input {n} of {n_in}");
+        }
+    }
 
-            let mut y = vec![0.0f32; rows];
-            matvec_blocked_portable(&m, &x, &mut y);
-            assert_eq!(y, reference, "portable {rows}x{cols}");
-
+    /// The public `Blocked` entry points dispatch to the widest available
+    /// kernel; this pins *each* path (portable, AVX where present) to the
+    /// oracle independently, over `shapes` of (rows, cols, inputs).
+    fn pin_every_blocked_path(seed: u64, shapes: &[(usize, usize, usize)]) {
+        let mut rng = Pcg::seed(seed);
+        for &shape in shapes {
+            assert_path_matches_reference("portable", matmul_blocked_portable, &mut rng, shape);
             #[cfg(target_arch = "x86_64")]
             {
                 if std::arch::is_x86_feature_detected!("avx") {
-                    let mut y = vec![0.0f32; rows];
-                    // SAFETY: feature presence checked; shapes match.
-                    unsafe { x86::matvec_avx(&m, &x, &mut y) };
-                    assert_eq!(y, reference, "avx {rows}x{cols}");
+                    assert_path_matches_reference(
+                        "avx",
+                        // SAFETY: feature presence checked; the helper
+                        // sizes `xs`/`ys` to the shape.
+                        |m, xs, n_in, ys| unsafe { x86::matmul_avx(m, xs, n_in, ys) },
+                        &mut rng,
+                        shape,
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_blocked_matvec_path_bit_identical_to_reference() {
+        pin_every_blocked_path(
+            11,
+            &[(1, 7, 1), (4, 4, 1), (5, 19, 1), (32, 64, 1), (33, 65, 1)],
+        );
+    }
+
+    #[test]
+    fn every_blocked_matmul_path_bit_identical_to_reference() {
+        // Odd rows, `cols % 4 != 0`, and every input-tile remainder.
+        let mut shapes = Vec::new();
+        for n_in in [0, 1, 2, 3, 4, 5, 7, 8, 22] {
+            for (rows, cols) in [(1, 7), (4, 4), (5, 19), (32, 64), (33, 65), (6, 0)] {
+                shapes.push((rows, cols, n_in));
+            }
+        }
+        pin_every_blocked_path(12, &shapes);
     }
 
     #[test]

@@ -213,11 +213,27 @@ impl QuantizedMatrix {
 
     /// Reconstructs the dense approximation (testing / error analysis).
     pub fn dequantize(&self) -> Matrix {
+        let mut dense = Matrix::zeros(self.rows, self.cols);
+        for r in 0..self.rows {
+            self.dequantize_row_into(r, dense.row_mut(r));
+        }
+        dense
+    }
+
+    /// Reconstructs row `r` of the dense approximation into `out` — what a
+    /// row-subset product needs instead of the whole [`Self::dequantize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows` or `out.len() != cols`.
+    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
+        assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
+        assert_eq!(out.len(), self.cols, "dequantize_row output length");
         let groups_per_row = self.cols / self.group_size;
-        Matrix::from_fn(self.rows, self.cols, |r, c| {
-            let g = c / self.group_size;
-            f32::from(self.codes[r * self.cols + c]) * self.scales[r * groups_per_row + g]
-        })
+        let codes = &self.codes[r * self.cols..(r + 1) * self.cols];
+        for (c, (o, &code)) in out.iter_mut().zip(codes).enumerate() {
+            *o = f32::from(code) * self.scales[r * groups_per_row + c / self.group_size];
+        }
     }
 
     /// Packed payload size in bytes: codes at `bits()` bits each plus one

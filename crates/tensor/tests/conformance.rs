@@ -5,10 +5,15 @@
 //! envelope relative to the scalar oracle:
 //!
 //! * `Blocked` preserves the reference f32 summation order for `matvec`,
-//!   `matvec_into`, and `gemm`, so those are checked for **bit identity**
-//!   (`f32::to_bits`), not closeness. `matvec_t` and `matvec_q` fuse rows
-//!   / unroll lanes and therefore re-associate; those get explicit
-//!   tolerance bounds.
+//!   `matvec_into`, `matmul_into` and `gemm`, so those are checked for
+//!   **bit identity** (`f32::to_bits`), not closeness. `matvec_t` and
+//!   `matvec_q` fuse rows / unroll lanes and therefore re-associate; those
+//!   get explicit tolerance bounds.
+//! * `matmul_into` on *every* backend equals that backend's own
+//!   `matvec_into` input by input, bit for bit (the quantized backend
+//!   included: batching may not change what it rounds). The `Blocked`
+//!   kernel paths behind it (portable, AVX) are private, so each is pinned
+//!   to the oracle on its own in `backend.rs`'s unit tests.
 //! * `QuantizedI8` rounds to i8 codes; its error is bounded analytically
 //!   from the per-group half-step (`scale / 2`) and the bound is computed
 //!   per instance and asserted.
@@ -43,6 +48,10 @@ const SHAPES: &[(usize, usize)] = &[
     (17, 129),
     (33, 64),
 ];
+
+/// Input counts for `matmul_into`: empty, the degenerate tile, every
+/// remainder of the four-input register tile, and a full draft tree.
+const MATMUL_INPUTS: &[usize] = &[0, 1, 3, 4, 5, 22];
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::random(rows, cols, 1.0, &mut Pcg::seed(seed))
@@ -228,6 +237,45 @@ fn shape_contract_quantized() {
     check_shape_contract(BackendKind::QuantizedI8);
 }
 
+/// `matmul_into` against the same backend's `matvec_into`, input by input
+/// and bit for bit, over every shape × input count; stale output must be
+/// overwritten.
+fn check_matmul_contract(kind: BackendKind) {
+    let b = kind.get();
+    for (i, &(rows, cols)) in SHAPES.iter().enumerate() {
+        let m = mat(rows, cols, 1500 + i as u64);
+        for &n_in in MATMUL_INPUTS {
+            let xs = vec_in(n_in * cols, 1600 + (i * 31 + n_in) as u64);
+            let mut ys = vec![7.25f32; n_in * rows];
+            b.matmul_into(&m, &xs, n_in, &mut ys);
+            for n in 0..n_in {
+                let want = b.matvec(&m, &xs[n * cols..(n + 1) * cols]);
+                assert_eq!(
+                    bits(&ys[n * rows..(n + 1) * rows]),
+                    bits(&want),
+                    "{}: matmul {rows}x{cols}, input {n} of {n_in}",
+                    b.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn matmul_matches_per_input_matvec_reference() {
+    check_matmul_contract(BackendKind::Reference);
+}
+
+#[test]
+fn matmul_matches_per_input_matvec_blocked() {
+    check_matmul_contract(BackendKind::Blocked);
+}
+
+#[test]
+fn matmul_matches_per_input_matvec_quantized() {
+    check_matmul_contract(BackendKind::QuantizedI8);
+}
+
 /// Every backend panics with the same message on every shape violation.
 #[test]
 fn shape_violations_panic_identically_across_backends() {
@@ -242,6 +290,10 @@ fn shape_violations_panic_identically_across_backends() {
         assert!(msg.contains("matvec output length"), "{name}: {msg}");
         let msg = panic_msg(|| drop(b.matvec_t(&m, &[0.0; 3])));
         assert!(msg.contains("matvec_t input length"), "{name}: {msg}");
+        let msg = panic_msg(|| b.matmul_into(&m, &[0.0; 11], 2, &mut [0.0; 8]));
+        assert!(msg.contains("matmul input length"), "{name}: {msg}");
+        let msg = panic_msg(|| b.matmul_into(&m, &[0.0; 12], 2, &mut [0.0; 7]));
+        assert!(msg.contains("matmul output length"), "{name}: {msg}");
         let msg = panic_msg(|| drop(b.matvec_q(&q, &[0.0; 5])));
         assert!(
             msg.contains("quantized matvec input length"),
@@ -327,6 +379,21 @@ fn blocked_matvec_bit_identical_to_reference() {
             bits(&reference.matvec(&m, &x)),
             "matvec {rows}x{cols}"
         );
+    }
+}
+
+#[test]
+fn blocked_matmul_bit_identical_to_reference() {
+    let (reference, blocked) = (BackendKind::Reference.get(), BackendKind::Blocked.get());
+    for (i, &(rows, cols)) in SHAPES.iter().enumerate() {
+        let m = mat(rows, cols, 1700 + i as u64);
+        for &n_in in MATMUL_INPUTS {
+            let xs = vec_in(n_in * cols, 1800 + (i * 31 + n_in) as u64);
+            let (mut a, mut b) = (vec![0.0f32; n_in * rows], vec![f32::NAN; n_in * rows]);
+            reference.matmul_into(&m, &xs, n_in, &mut a);
+            blocked.matmul_into(&m, &xs, n_in, &mut b);
+            assert_eq!(bits(&b), bits(&a), "matmul {rows}x{cols}x{n_in}");
+        }
     }
 }
 
@@ -482,6 +549,18 @@ proptest! {
         let mut into = vec![f32::NAN; rows];
         BackendKind::Blocked.get().matvec_into(&m, &x, &mut into);
         prop_assert_eq!(bits(&a), bits(&into));
+    }
+
+    #[test]
+    fn prop_blocked_matmul_bit_identical(seed in 0u64..10_000, rows in 0usize..40, cols in 0usize..70, n_in in 0usize..24) {
+        let m = mat(rows, cols, seed);
+        let xs = vec_in(n_in * cols, seed.wrapping_add(8));
+        let mut ys = vec![f32::NAN; n_in * rows];
+        BackendKind::Blocked.get().matmul_into(&m, &xs, n_in, &mut ys);
+        for n in 0..n_in {
+            let want = BackendKind::Reference.get().matvec(&m, &xs[n * cols..(n + 1) * cols]);
+            prop_assert_eq!(bits(&ys[n * rows..(n + 1) * rows]), bits(&want), "input {} of {}", n, n_in);
+        }
     }
 
     #[test]
