@@ -94,6 +94,21 @@ pub struct BatchStep {
 }
 
 impl BatchStep {
+    /// A step that has executed nothing yet on an `n_layers`-deep stack.
+    fn empty(n_layers: usize) -> Self {
+        BatchStep {
+            layer_runners: vec![0; n_layers],
+            ctx_lens: Vec::new(),
+            lm_head_evals: 0,
+            draft_slots: 0,
+            self_draft_slots: 0,
+            predictor_calls: 0,
+            emitted: 0,
+            finished: Vec::new(),
+            feedback: Vec::new(),
+        }
+    }
+
     /// The rearmost layer any slot executed (the Cannikin position of the
     /// step): `0` when the step ran nothing.
     pub fn rearmost_layer(&self) -> usize {
@@ -635,19 +650,43 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             return self.can_seat(prompt);
         }
         while !self.can_seat(prompt) {
-            let victim = self
-                .seqs
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, s)| s.as_ref().map(|seq| (seq.lane, seq.id, slot)))
-                .filter(|&(l, _, _)| l > lane)
-                .max();
-            let Some((_, _, slot)) = victim else {
+            let Some(slot) = self.eviction_victim(Some(lane)) else {
                 return false;
             };
             self.preempt_slot(slot);
         }
         true
+    }
+
+    /// The slot to evict next: the lowest-priority resident — the max
+    /// `(lane, id)` — among those of strictly lower priority than
+    /// `above` (among all residents when `None`).
+    fn eviction_victim(&self, above: Option<Lane>) -> Option<usize> {
+        self.seqs
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, s)| s.as_ref().map(|seq| (seq.lane, seq.id, slot)))
+            .filter(|&(lane, _, _)| above.is_none_or(|a| lane > a))
+            .max()
+            .map(|(_, _, slot)| slot)
+    }
+
+    /// The step-boundary page-pressure gate: preempts the lowest-priority
+    /// residents until the step's worst-case page demand — `extras[slot]`
+    /// tokens of growth per resident (boundary crossings plus pending
+    /// copy-on-write copies) — fits the pool's free capacity. Never
+    /// preempts the last resident: a single sequence exceeding the cap is
+    /// a configuration error and panics in the pool.
+    fn relieve_page_pressure(&mut self, extras: &[usize]) {
+        if !(self.preempt_enabled && self.pool().capacity().is_some()) {
+            return;
+        }
+        while self.stack.next_step_page_demand_for(extras) > self.pool().available_pages()
+            && self.occupancy() > 1
+        {
+            let slot = self.eviction_victim(None).expect("occupancy > 1");
+            self.preempt_slot(slot);
+        }
     }
 
     /// Evicts the seated sequence in `slot`: its pages return to the
@@ -772,38 +811,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             return self.step_self_draft();
         }
         // Memory plane, at the boundary: re-seat parked sequences that
-        // fit, then preempt the lowest-priority residents until the
-        // step's worst-case page demand (boundary crossings plus pending
-        // copy-on-write copies) fits the pool's free capacity. Never
-        // preempts the last resident — a single sequence exceeding the
-        // cap is a configuration error and panics in the pool.
+        // fit, then gate on every resident growing by one token.
         self.resume_parked();
-        if self.preempt_enabled && self.pool().capacity().is_some() {
-            while self.stack.next_step_page_demand() > self.pool().available_pages()
-                && self.occupancy() > 1
-            {
-                let victim = self
-                    .seqs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(slot, s)| s.as_ref().map(|seq| (seq.lane, seq.id, slot)))
-                    .max()
-                    .expect("occupancy > 1");
-                self.preempt_slot(victim.2);
-            }
-        }
         let max_batch = self.stack.max_batch();
-        let mut report = BatchStep {
-            layer_runners: vec![0; self.n_layers],
-            ctx_lens: Vec::new(),
-            lm_head_evals: 0,
-            draft_slots: 0,
-            self_draft_slots: 0,
-            predictor_calls: 0,
-            emitted: 0,
-            finished: Vec::new(),
-            feedback: Vec::new(),
-        };
+        self.relieve_page_pressure(&vec![1; max_batch]);
+        let mut report = BatchStep::empty(self.n_layers);
         let spec_k = self.config.predictor.spec_k;
 
         // Token setup per seated sequence: context, draft proposal, embed.
@@ -959,28 +971,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 }
             }
         }
-        self.stack.sync_leases();
-        // Sample page pressure at the boundary, but only when the memory
-        // plane is actually configured (a capacity, prefix sharing, or a
-        // parked backlog) — plain runs keep their exact event streams.
-        if self.trace.enabled()
-            && (self.pool().capacity().is_some()
-                || self.stack.prefix_sharing()
-                || !self.parked.is_empty())
-        {
-            let stats = self.pool().stats();
-            let parked = self.parked.len() as u32;
-            if let Some(rec) = self.trace.as_mut() {
-                rec.set_seq(None);
-                rec.record(EventKind::KvPressure {
-                    pages: stats.pages_in_use as u32,
-                    shared: stats.shared_pages as u32,
-                    parked,
-                });
-            }
-        }
-        self.meter.mark_host_step();
-        self.steps += 1;
+        self.close_step();
         report
     }
 
@@ -1000,42 +991,16 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         self.resume_parked();
         // Preemption gate with the multi-token growth bound: a slot may
         // commit up to `1 + depth` tokens this step.
-        if self.preempt_enabled && self.pool().capacity().is_some() {
-            loop {
-                let extras: Vec<usize> = (0..max_batch)
-                    .map(|slot| {
-                        self.seqs[slot].as_ref().map_or(0, |s| {
-                            let spec = s.draft.self_spec().expect("self-draft batch");
-                            1 + spec.shape.branching().len()
-                        })
-                    })
-                    .collect();
-                if self.stack.next_step_page_demand_for(&extras) <= self.pool().available_pages()
-                    || self.occupancy() <= 1
-                {
-                    break;
-                }
-                let victim = self
-                    .seqs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(slot, s)| s.as_ref().map(|seq| (seq.lane, seq.id, slot)))
-                    .max()
-                    .expect("occupancy > 1");
-                self.preempt_slot(victim.2);
-            }
-        }
-        let mut report = BatchStep {
-            layer_runners: vec![0; self.n_layers],
-            ctx_lens: Vec::new(),
-            lm_head_evals: 0,
-            draft_slots: 0,
-            self_draft_slots: 0,
-            predictor_calls: 0,
-            emitted: 0,
-            finished: Vec::new(),
-            feedback: Vec::new(),
-        };
+        let extras: Vec<usize> = (0..max_batch)
+            .map(|slot| {
+                self.seqs[slot].as_ref().map_or(0, |s| {
+                    let spec = s.draft.self_spec().expect("self-draft batch");
+                    1 + spec.shape.branching().len()
+                })
+            })
+            .collect();
+        self.relieve_page_pressure(&extras);
+        let mut report = BatchStep::empty(self.n_layers);
 
         // Per-slot shallow draft pass. Drafting is sequence-local (each
         // tree attends its own context), but every shallow layer a pass
@@ -1157,7 +1122,17 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 report.finished.push(seq.into_output());
             }
         }
+        self.close_step();
+        report
+    }
+
+    /// Closes a decode step at its boundary: settles the page leases,
+    /// samples page pressure into the trace and counts the step.
+    fn close_step(&mut self) {
         self.stack.sync_leases();
+        // Sample page pressure at the boundary, but only when the memory
+        // plane is actually configured (a capacity, prefix sharing, or a
+        // parked backlog) — plain runs keep their exact event streams.
         if self.trace.enabled()
             && (self.pool().capacity().is_some()
                 || self.stack.prefix_sharing()
@@ -1176,7 +1151,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         }
         self.meter.mark_host_step();
         self.steps += 1;
-        report
     }
 
     /// Cancels the seated sequence with the given id, retiring its slot

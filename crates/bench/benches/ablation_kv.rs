@@ -232,9 +232,8 @@ fn main() {
         );
         engine.set_page_capacity(Some(4));
         engine.set_preemption_enabled(preempt);
-        let outcome = batcher.run_live_laned(&requests, &lanes, preempt, &mut engine, |r| {
-            seq_parts(seed, r.id)
-        });
+        let outcome =
+            batcher.run_live_laned(&requests, &lanes, &mut engine, |r| seq_parts(seed, r.id));
         (outcome, engine.preemptions(), engine.resumes())
     };
     let (stalled, p0, _) = run_starved(false);

@@ -24,9 +24,11 @@
 //! routed request only becomes admissible once the frontier passes its
 //! arrival. Routing decisions, admission boundaries and priced steps are
 //! therefore pure functions of the workload: OS scheduling affects
-//! wall-clock speed, never results. A one-worker round-robin cluster is
-//! completion-for-completion identical to
-//! `ContinuousBatcher::run_live` (asserted in `tests/parity.rs`).
+//! wall-clock speed, never results. Each worker serves through the same
+//! [`specee_serve::ServeLoop`] that `ContinuousBatcher::run_live` runs
+//! dry in one call, so a one-worker round-robin cluster is
+//! completion-for-completion identical to it (asserted in
+//! `tests/parity.rs`).
 //!
 //! Adaptation rides the same protocol: when [`ClusterConfig`] selects an
 //! adaptive [`specee_control::ControllerPolicy`], every worker's engine

@@ -32,6 +32,14 @@ pub struct ClusterRequest {
     pub lane: Lane,
 }
 
+/// The serving loop reads the wrapped request; the routing metadata rides
+/// along to the sequence factory.
+impl AsRef<ServeRequest> for ClusterRequest {
+    fn as_ref(&self) -> &ServeRequest {
+        &self.request
+    }
+}
+
 impl ClusterRequest {
     /// Wraps a serving request with no class, no hint and no deadline.
     pub fn new(request: ServeRequest) -> Self {

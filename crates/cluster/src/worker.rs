@@ -1,46 +1,38 @@
-//! The per-worker serving loop: one OS thread, one batched engine, one
-//! simulated clock.
+//! One cluster worker: an OS thread that owns a batched engine and feeds
+//! the shared serving loop from a message channel.
 //!
-//! Each worker replicates the admission/step loop of
-//! `ContinuousBatcher::run_live` *incrementally*: requests stream in over
-//! an mpsc channel instead of being known upfront, and the loop advances
-//! only to the coordinator's current **arrival frontier** (see
-//! [`crate::Cluster`]). Two rules keep a one-worker cluster
-//! boundary-for-boundary identical to `run_live`:
+//! Serving itself — admission, priced prefill, priced lock-step decode,
+//! completions, SLO ticks, the simulated clock — is
+//! [`specee_serve::ServeLoop`], the same loop `ContinuousBatcher::run_live`
+//! runs dry in one call. A worker hands it requests as the coordinator
+//! routes them and advances it only to the coordinator's current **arrival
+//! frontier** (see [`crate::Cluster`]); because every request arriving
+//! before a frontier is routed before the worker is synchronized to it,
+//! that incremental feeding is boundary-for-boundary identical to
+//! `run_live` over the worker's share of the traffic.
 //!
-//! 1. a routed request becomes admissible only once the frontier has
-//!    passed its arrival time (so same-instant arrivals are admitted in
-//!    one batched prefill, exactly as a loop that knows the full request
-//!    list would admit them), and
-//! 2. the worker pauses stepping at the first loop boundary at or beyond
-//!    the frontier (so an arrival routed next can never land *between*
-//!    boundaries the reference loop would have checked).
-//!
-//! Every decode step is genuinely executed by the worker's
-//! [`BatchedEngine`] and priced with the shared
-//! [`specee_serve::StepCostModel`]; prefill is priced as one batched
-//! forward per admission boundary. A panic anywhere in the worker's
-//! serving loop (a poisoned request's model, a factory bug) is caught at
-//! the message boundary: the worker marks itself failed, reports the
-//! requests it can no longer serve, and keeps answering the coordinator
-//! so the rest of the cluster drains normally.
+//! What lives here is what only a cluster needs: the message protocol,
+//! gossip hand-off, the routing snapshot, per-class report rows, and
+//! panic containment. A panic anywhere in the worker's serving (a
+//! poisoned request's model, a factory bug) is caught at the message
+//! boundary: the worker marks itself failed, reports the requests it can
+//! no longer serve, and keeps answering the coordinator so the rest of
+//! the cluster drains normally.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use specee_batch::{Admission, BatchedEngine, BatchedOutput};
+use specee_batch::{BatchedEngine, BatchedOutput};
 use specee_control::{ClassEvidence, ControllerSummary};
-use specee_core::traffic::ClassMap;
+use specee_core::traffic::{ClassMap, TrafficClass};
 use specee_draft::SpeculativeSource;
 use specee_metrics::Meter;
 use specee_model::LayeredLm;
-use specee_obs::{Event, EventKind, SloTracker};
+use specee_obs::{Event, SloTracker};
 use specee_serve::batcher::ServeReport;
-use specee_serve::cost::{StepCostModel, StepSpec};
-use specee_serve::request::Completion;
-use specee_serve::{AdmissionPolicy, ClassStats};
+use specee_serve::cost::StepCostModel;
+use specee_serve::{AdmissionPolicy, ClassStats, ServeLoop};
 
 use crate::request::ClusterRequest;
 use crate::router::WorkerSnapshot;
@@ -143,48 +135,17 @@ pub struct WorkerReport {
     pub kv: specee_model::KvStats,
 }
 
-struct ActiveSeq {
-    id: u64,
-    gen_len: usize,
-    tokens_done: usize,
-    depth_est: f64,
-}
-
 pub(crate) struct Worker<M: LayeredLm, D: SpeculativeSource> {
     id: usize,
     engine: BatchedEngine<M, D>,
-    cost: StepCostModel,
-    policy: AdmissionPolicy,
+    /// The serving loop proper: clock, queues, in-flight milestones,
+    /// completions and report sums.
+    serving: ServeLoop<ClusterRequest>,
     make_seq: SeqFactory<M, D>,
-    n_layers: usize,
-    sim_now: f64,
-    /// Routed requests not yet past the arrival frontier, arrival order.
-    inbox: VecDeque<ClusterRequest>,
-    /// Arrived requests waiting for a slot.
-    pending: Vec<ClusterRequest>,
-    /// Requests picked for the current admission boundary (a struct field
-    /// so a panic mid-admission cannot drop them unaccounted).
-    admitting: Vec<ClusterRequest>,
-    /// The id being admitted right now, for panic accounting.
-    current_admission: Option<u64>,
-    /// Seated sequences (routing metadata; the engine owns the state).
-    active: Vec<ActiveSeq>,
-    /// `(id, arrival_s, first_token_s)` recorded at admission.
-    admitted_meta: Vec<(u64, f64, f64)>,
-    completions: Vec<Completion>,
-    outputs: Vec<BatchedOutput>,
     assigned: usize,
-    steps: u64,
-    occupancy_sum: f64,
-    layer_sum: f64,
-    token_sum: u64,
-    timed_out: Vec<u64>,
-    cancelled: Vec<u64>,
+    /// Ids this worker could not serve because it failed.
     lost: Vec<u64>,
     panic: Option<String>,
-    /// Online SLO tracker, driven by this worker's simulated clock
-    /// (`None` unless the cluster was spawned with an SLO spec).
-    slo: Option<SloTracker>,
 }
 
 impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
@@ -196,33 +157,14 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
         slo: Option<SloTracker>,
         make_seq: SeqFactory<M, D>,
     ) -> Self {
-        let n_layers = engine.n_layers();
         Worker {
             id,
             engine,
-            cost,
-            policy,
+            serving: ServeLoop::new(cost, policy, slo),
             make_seq,
-            n_layers,
-            sim_now: 0.0,
-            inbox: VecDeque::new(),
-            pending: Vec::new(),
-            admitting: Vec::new(),
-            current_admission: None,
-            active: Vec::new(),
-            admitted_meta: Vec::new(),
-            completions: Vec::new(),
-            outputs: Vec::new(),
             assigned: 0,
-            steps: 0,
-            occupancy_sum: 0.0,
-            layer_sum: 0.0,
-            token_sum: 0,
-            timed_out: Vec::new(),
-            cancelled: Vec::new(),
             lost: Vec::new(),
             panic: None,
-            slo,
         }
     }
 
@@ -235,11 +177,16 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
                         self.lost.push(req.request.id);
                     } else {
                         self.assigned += 1;
-                        self.inbox.push_back(req);
+                        // The class is resolved once, here — explicit tag,
+                        // else exit-hint depth band — and keys the engine's
+                        // feedback plane for the sequence's whole lifetime.
+                        let class = req.traffic_class(self.engine.n_layers());
+                        let (lane, deadline_s, id) = (req.lane, req.deadline_s, req.request.id);
+                        self.serving.submit(req, lane, class, deadline_s, id);
                     }
                 }
                 WorkerMsg::SyncTo(frontier) => {
-                    self.advance_contained(frontier);
+                    self.contained(|w| w.advance(frontier));
                     // Drain the evidence window at the boundary the loop
                     // is paused on — a deterministic point — so the
                     // coordinator's merge is a pure function of the
@@ -257,24 +204,24 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
                     }
                 }
                 WorkerMsg::Gossip(evidence) => {
+                    // Gossip lands at the paused loop boundary: stamp the
+                    // recorder there so the engine's gossip event carries
+                    // this worker's current simulated clock.
+                    let now = self.serving.now();
+                    self.contained(|w| {
+                        if let Some(rec) = w.engine.recorder_mut() {
+                            rec.set_clock(now);
+                        }
+                        w.engine.absorb_gossip(&evidence);
+                    });
+                }
+                WorkerMsg::Cancel(id) => {
                     if self.panic.is_none() {
-                        // Gossip lands at the paused loop boundary: stamp
-                        // the recorder there so the engine's gossip event
-                        // carries this worker's current simulated clock.
-                        if let Some(rec) = self.engine.recorder_mut() {
-                            rec.set_clock(self.sim_now);
-                        }
-                        let caught =
-                            catch_unwind(AssertUnwindSafe(|| self.engine.absorb_gossip(&evidence)));
-                        if let Err(payload) = caught {
-                            self.panic = Some(panic_message(payload.as_ref()));
-                            self.fail_outstanding();
-                        }
+                        self.serving.cancel(&mut self.engine, id);
                     }
                 }
-                WorkerMsg::Cancel(id) => self.cancel(id),
                 WorkerMsg::Drain => {
-                    self.advance_contained(f64::INFINITY);
+                    self.contained(|w| w.advance(f64::INFINITY));
                     let _ = tx.send(WorkerReply::Done(Box::new(self.into_report())));
                     return;
                 }
@@ -282,414 +229,61 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
         }
     }
 
-    /// Runs the serving loop with panic containment: a panic fails this
-    /// worker's outstanding requests, never the cluster.
-    fn advance_contained(&mut self, frontier: f64) {
+    /// Runs `work` with panic containment: a panic fails this worker —
+    /// every request it can no longer serve is reported in
+    /// [`WorkerReport::failed`], exactly once — never the cluster. A
+    /// failed worker runs nothing further.
+    fn contained(&mut self, work: impl FnOnce(&mut Self)) {
         if self.panic.is_some() {
-            self.fail_outstanding();
             return;
         }
-        let caught = catch_unwind(AssertUnwindSafe(|| self.advance(frontier)));
-        if let Err(payload) = caught {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(self))) {
             self.panic = Some(panic_message(payload.as_ref()));
-            self.fail_outstanding();
+            self.lost.extend(self.serving.outstanding_ids());
         }
     }
 
-    /// The incremental `run_live` loop, advanced to `frontier`.
+    /// Advances the serving loop to the arrival frontier.
     fn advance(&mut self, frontier: f64) {
-        loop {
-            // A boundary at clock `s` may only be processed once the
-            // frontier has passed it: only then is the set of arrivals
-            // with `arrival ≤ s` final, so admission groups exactly the
-            // requests a loop that knew the full list would group.
-            if self.sim_now >= frontier {
-                return; // paused; the next sync resumes at this boundary
-            }
-
-            // Arrivals the clock has passed (all final, per the above).
-            while self
-                .inbox
-                .front()
-                .is_some_and(|r| r.request.arrival_s <= self.sim_now)
-            {
-                self.pending
-                    .push(self.inbox.pop_front().expect("front exists"));
-            }
-            self.drop_expired();
-
-            // Admission, one batched prefill per boundary. The picks land
-            // in `self.admitting` (not a local) so a panic mid-admission
-            // still accounts for every request. Lanes gate first (best
-            // lane present wins), the policy orders within the lane, and
-            // each pick reserves its admission pages out of a per-boundary
-            // budget so one boundary cannot overcommit the pool. When a
-            // pick does not fit, a preemption-enabled engine may evict a
-            // strictly lower-priority resident to make room.
-            let mut pages_left = self.engine.pool().available_pages();
-            while !self.pending.is_empty() {
-                let best_lane = self
-                    .pending
-                    .iter()
-                    .map(|r| r.lane)
-                    .min()
-                    .expect("pending non-empty");
-                let subset: Vec<usize> = (0..self.pending.len())
-                    .filter(|&i| self.pending[i].lane == best_lane)
-                    .collect();
-                let keys: Vec<(usize, u64)> = subset
-                    .iter()
-                    .map(|&i| (self.pending[i].request.gen_len, self.pending[i].request.id))
-                    .collect();
-                let pick = subset[self.policy.pick_by_key(&keys)];
-                let req = &self.pending[pick];
-                let need = if req.request.gen_len == 0 {
-                    0
-                } else {
-                    self.engine.pages_for_admit(&req.request.prompt)
-                };
-                let fits = self.engine.occupancy() + self.admitting.len() < self.engine.max_batch()
-                    && need <= pages_left;
-                if !fits {
-                    if !(self.admitting.is_empty()
-                        && self.engine.make_room(&req.request.prompt, req.lane))
-                    {
-                        assert!(
-                            self.engine.occupancy() > 0
-                                || self.engine.parked() > 0
-                                || !self.admitting.is_empty(),
-                            "page capacity too small to admit request {}",
-                            req.request.id
-                        );
-                        break;
-                    }
-                    pages_left = self.engine.pool().available_pages();
-                }
-                pages_left = pages_left.saturating_sub(need);
-                let req = self.pending.remove(pick);
-                self.admitting.push(req);
-            }
-            if !self.admitting.is_empty() {
-                let depth = self.pending.len() as u32;
-                if let Some(rec) = self.engine.recorder_mut() {
-                    for r in &self.admitting {
-                        rec.record_at(
-                            self.sim_now,
-                            Some(r.request.id),
-                            EventKind::Admission {
-                                request: r.request.id,
-                                queue_depth: depth,
-                            },
-                        );
-                    }
-                }
-                let lens: Vec<usize> = self
-                    .admitting
-                    .iter()
-                    .map(|r| r.request.prompt.len())
-                    .collect();
-                self.sim_now += self.cost.prefill_latency(&lens);
-                if let Some(rec) = self.engine.recorder_mut() {
-                    rec.set_clock(self.sim_now);
-                }
-                while !self.admitting.is_empty() {
-                    let req = self.admitting.remove(0);
-                    self.admit(req);
-                }
-                self.slo_tick();
-                continue;
-            }
-
-            if self.engine.occupancy() == 0 && self.engine.parked() == 0 {
-                // Idle: jump to the next arrival (the loop top defers the
-                // boundary if the frontier has not released it yet).
-                if let Some(front) = self.inbox.front() {
-                    self.sim_now = self.sim_now.max(front.request.arrival_s);
-                    // Idle time drains the rolling windows, so a burn
-                    // can clear between bursts.
-                    self.slo_tick();
-                    continue;
-                }
-                return;
-            }
-
-            self.step();
-        }
-    }
-
-    /// Drops queued requests whose deadline the clock has passed.
-    fn drop_expired(&mut self) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].deadline_s.is_some_and(|d| d < self.sim_now) {
-                let req = self.pending.remove(i);
-                self.timed_out.push(req.request.id);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Seats one admitted request (prefill already priced by the caller).
-    fn admit(&mut self, req: ClusterRequest) {
-        let id = req.request.id;
-        self.current_admission = Some(id);
-        self.admitted_meta
-            .push((id, req.request.arrival_s, self.sim_now));
-        if let Some(t) = self.slo.as_mut() {
-            t.observe_ttft(self.sim_now, self.sim_now - req.request.arrival_s);
-        }
-        // The class is resolved once, here at admission — explicit tag,
-        // else exit-hint depth band — and keys the engine's feedback
-        // plane for the sequence's whole lifetime.
-        let class = req.traffic_class(self.n_layers);
-        if req.request.gen_len == 0 {
-            self.completions.push(Completion {
-                id,
-                arrival_s: req.request.arrival_s,
-                first_token_s: self.sim_now,
-                finish_s: self.sim_now,
-                tokens: 0,
-            });
-            if let Some(rec) = self.engine.recorder_mut() {
-                rec.record_at(
-                    self.sim_now,
-                    Some(id),
-                    EventKind::Request {
-                        request: id,
-                        arrival_s: req.request.arrival_s,
-                        first_token_s: self.sim_now,
-                        finish_s: self.sim_now,
-                        tokens: 0,
-                    },
-                );
-            }
-            // Keep one output per request so callers can zip by id.
-            self.outputs.push(BatchedOutput {
-                id,
-                class,
-                tokens: Vec::new(),
-                exit_layers: Vec::new(),
-                ce_sum: 0.0,
-                predictor_calls: 0,
-                verify_calls: 0,
-                draft_calls: 0,
-                self_draft_calls: 0,
-            });
-            self.current_admission = None;
-            return;
-        }
-        let (model, draft) = (self.make_seq)(&req);
-        match self.engine.admit_laned(
-            id,
-            class,
-            req.lane,
-            model,
-            draft,
-            &req.request.prompt,
-            req.request.gen_len,
-        ) {
-            Admission::Done(out) => {
-                self.completions.push(Completion {
-                    id,
-                    arrival_s: req.request.arrival_s,
-                    first_token_s: self.sim_now,
-                    finish_s: self.sim_now,
-                    tokens: out.tokens.len(),
-                });
-                if let Some(rec) = self.engine.recorder_mut() {
-                    rec.record_at(
-                        self.sim_now,
-                        Some(id),
-                        EventKind::Request {
-                            request: id,
-                            arrival_s: req.request.arrival_s,
-                            first_token_s: self.sim_now,
-                            finish_s: self.sim_now,
-                            tokens: out.tokens.len() as u32,
-                        },
-                    );
-                }
-                self.outputs.push(out);
-            }
-            Admission::Seated { .. } => {
-                self.active.push(ActiveSeq {
-                    id,
-                    gen_len: req.request.gen_len,
-                    tokens_done: 1,
-                    depth_est: req.exit_hint.unwrap_or(self.n_layers as f64),
-                });
-            }
-        }
-        self.current_admission = None;
-    }
-
-    /// One genuinely executed, priced decode step.
-    fn step(&mut self) {
-        if let Some(rec) = self.engine.recorder_mut() {
-            rec.set_clock(self.sim_now);
-        }
-        let step = self.engine.step();
-        let dur = self.cost.decode_step_latency(&StepSpec {
-            layer_runners: step.layer_runners.clone(),
-            ctx_lens: step.ctx_lens.clone(),
-            lm_head_evals: step.lm_head_evals as f64,
-            draft_slots: step.draft_slots,
-            self_draft_slots: step.self_draft_slots,
-            predictor_calls: step.predictor_calls as f64,
-        });
-        if let Some(rec) = self.engine.recorder_mut() {
-            rec.record_at(
-                self.sim_now,
-                None,
-                EventKind::Step {
-                    step: self.steps,
-                    occupancy: step.ctx_lens.len() as u32,
-                    layers: step.rearmost_layer() as u32,
-                    dur_s: dur,
-                },
-            );
-        }
-        self.sim_now += dur;
-        self.steps += 1;
-        self.occupancy_sum += step.ctx_lens.len() as f64;
-        self.layer_sum += step.layer_runners.iter().sum::<usize>() as f64;
-        self.token_sum += step.emitted as u64;
-        if let Some(t) = self.slo.as_mut() {
-            for fb in &step.feedback {
-                t.observe_exit(self.sim_now, fb.accepted);
-            }
-        }
-        for seq in &mut self.active {
-            seq.tokens_done += 1;
-        }
-        for out in step.finished {
-            self.active.retain(|s| s.id != out.id);
-            let (arrival_s, first_token_s) = self.milestones(out.id);
-            self.completions.push(Completion {
-                id: out.id,
-                arrival_s,
-                first_token_s,
-                finish_s: self.sim_now,
-                tokens: out.tokens.len(),
-            });
-            if let Some(rec) = self.engine.recorder_mut() {
-                rec.record_at(
-                    self.sim_now,
-                    Some(out.id),
-                    EventKind::Request {
-                        request: out.id,
-                        arrival_s,
-                        first_token_s,
-                        finish_s: self.sim_now,
-                        tokens: out.tokens.len() as u32,
-                    },
-                );
-            }
-            self.outputs.push(out);
-        }
-        self.slo_tick();
-    }
-
-    /// Evaluates the burn-rate alerts at the clock the loop just reached,
-    /// records any fired/cleared transitions on this worker's trace lane,
-    /// and pushes the pressure signal into the engine's controller.
-    /// Measurement is recorder-independent — only the transition
-    /// *instants* touch the recorder — so traced and untraced runs see
-    /// identical pressure.
-    fn slo_tick(&mut self) {
-        let Some(tracker) = self.slo.as_mut() else {
-            return;
-        };
-        for kind in tracker.evaluate(self.sim_now) {
-            if let Some(rec) = self.engine.recorder_mut() {
-                rec.record_at(self.sim_now, None, kind);
-            }
-        }
-        self.engine.set_slo_pressure(tracker.pressure());
-    }
-
-    /// The `(arrival_s, first_token_s)` milestones recorded at admission.
-    fn milestones(&self, id: u64) -> (f64, f64) {
-        self.admitted_meta
-            .iter()
-            .find(|(i, _, _)| *i == id)
-            .map(|(_, a, f)| (*a, *f))
-            .expect("milestones recorded at admission")
-    }
-
-    /// Best-effort cancellation: queued requests vanish, a seated
-    /// sequence is retired with its partial output.
-    fn cancel(&mut self, id: u64) {
-        if let Some(pos) = self.inbox.iter().position(|r| r.request.id == id) {
-            self.inbox.remove(pos);
-            self.cancelled.push(id);
-            return;
-        }
-        if let Some(pos) = self.pending.iter().position(|r| r.request.id == id) {
-            self.pending.remove(pos);
-            self.cancelled.push(id);
-            return;
-        }
-        if let Some(out) = self.engine.cancel(id) {
-            self.active.retain(|s| s.id != id);
-            self.outputs.push(out);
-            self.cancelled.push(id);
-        }
-    }
-
-    /// Moves every outstanding request into the failed list (the worker
-    /// can no longer serve them).
-    fn fail_outstanding(&mut self) {
-        if let Some(id) = self.current_admission.take() {
-            self.lost.push(id);
-        }
-        self.lost
-            .extend(self.admitting.drain(..).map(|r| r.request.id));
-        self.lost.extend(self.inbox.drain(..).map(|r| r.request.id));
-        self.lost
-            .extend(self.pending.drain(..).map(|r| r.request.id));
-        self.lost.extend(self.active.drain(..).map(|s| s.id));
-    }
-
-    fn depth_of(&self, req: &ClusterRequest) -> f64 {
-        req.exit_hint.unwrap_or(self.n_layers as f64)
+        let make_seq = &self.make_seq;
+        self.serving
+            .advance(&mut self.engine, frontier, |req| make_seq(req));
     }
 
     pub(crate) fn snapshot(&self) -> WorkerSnapshot {
-        let queued_iter = self.pending.iter().chain(self.inbox.iter());
+        let n_layers = self.engine.n_layers();
+        let depth_of = |req: &ClusterRequest| req.exit_hint.unwrap_or(n_layers as f64);
+        let queued = self
+            .serving
+            .queued()
+            .map(|req| (req.request.gen_len, depth_of(req)));
+        let active = self.serving.in_flight().map(|(req, tokens_done)| {
+            let remaining = req.request.gen_len.saturating_sub(tokens_done);
+            (remaining, depth_of(req))
+        });
         let mut backlog_tokens = 0usize;
         let mut backlog_work = 0.0f64;
         let mut depth_sum = 0.0f64;
         let mut max_depth = f64::NEG_INFINITY;
         let mut residents = 0usize;
-        for req in queued_iter {
-            let depth = self.depth_of(req);
-            backlog_tokens += req.request.gen_len;
-            backlog_work += req.request.gen_len as f64 * depth;
+        for (tokens, depth) in queued.chain(active) {
+            backlog_tokens += tokens;
+            backlog_work += tokens as f64 * depth;
             depth_sum += depth;
             max_depth = max_depth.max(depth);
             residents += 1;
         }
-        for seq in &self.active {
-            let remaining = seq.gen_len.saturating_sub(seq.tokens_done);
-            backlog_tokens += remaining;
-            backlog_work += remaining as f64 * seq.depth_est;
-            depth_sum += seq.depth_est;
-            max_depth = max_depth.max(seq.depth_est);
-            residents += 1;
-        }
         WorkerSnapshot {
             worker: self.id,
-            sim_now: self.sim_now,
-            n_layers: self.n_layers,
+            sim_now: self.serving.now(),
+            n_layers,
             occupancy: self.engine.occupancy(),
-            queued: self.pending.len() + self.inbox.len(),
+            queued: self.serving.queued().count(),
             backlog_tokens,
             backlog_work,
             active_depth: (residents > 0).then(|| depth_sum / residents as f64),
             max_depth: (residents > 0).then_some(max_depth),
-            observed_depth: (self.token_sum > 0).then(|| self.layer_sum / self.token_sum as f64),
+            observed_depth: self.serving.observed_depth(),
             mean_threshold: self.engine.controller_summary().map(|s| s.mean_threshold),
             base_threshold: self.engine.controller_base_threshold().map(f64::from),
             class_thresholds: self
@@ -705,82 +299,61 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
             pages_in_use: self.engine.pool().pages_in_use(),
             page_capacity: self.engine.pool().capacity(),
             parked: self.engine.parked(),
-            completed: self.completions.len(),
+            completed: self.serving.completed(),
             failed: self.panic.is_some(),
         }
     }
 
-    /// Per-class rows of everything this worker decoded: one row per
-    /// class seen in outputs or controller state, counts and layer sums
-    /// exact, the operating point from the class's controller.
-    fn class_rows(&self) -> Vec<ClassStats> {
-        let mut rows: ClassMap<ClassStats> = ClassMap::new();
-        for out in &self.outputs {
-            let row = rows.get_or_insert_with(out.class, || ClassStats::empty(out.class));
-            row.requests += 1;
-            row.tokens += out.exit_layers.len().saturating_sub(1) as u64;
-            // The prefill token always runs full depth and is excluded
-            // from decode-token depth, matching `observed_depth`.
-            row.layer_sum += out.exit_layers.iter().skip(1).sum::<usize>() as f64;
-        }
-        if let Some(summaries) = self.engine.controller_class_summaries() {
-            for (class, summary) in summaries {
-                let row = rows.get_or_insert_with(class, || ClassStats::empty(class));
-                row.mean_threshold = Some(summary.mean_threshold);
-            }
-        }
-        rows.iter().map(|(_, row)| row.clone()).collect()
-    }
-
     fn into_report(mut self) -> WorkerReport {
-        self.completions.sort_by_key(|c| c.id);
-        self.outputs.sort_by_key(|o| o.id);
-        let controller = self.engine.controller_summary();
-        let classes = self.class_rows();
-        let meter = self.engine.meter().clone();
-        let preemptions = self.engine.preemptions();
-        let resumes = self.engine.resumes();
-        let kv = self.engine.kv_stats();
+        let observed_depth = self.serving.observed_depth();
+        let live = self.serving.into_report();
         let recorder = self.engine.take_recorder();
-        let dropped_events = recorder.as_ref().map_or(0, |r| r.dropped_events());
-        let events = recorder.map(|r| r.into_events()).unwrap_or_default();
         WorkerReport {
             worker: self.id,
-            report: ServeReport {
-                completions: self.completions,
-                makespan_s: self.sim_now,
-                steps: self.steps,
-                avg_occupancy: if self.steps > 0 {
-                    self.occupancy_sum / self.steps as f64
-                } else {
-                    0.0
-                },
-                avg_layers: if self.token_sum > 0 {
-                    self.layer_sum / self.token_sum as f64
-                } else {
-                    0.0
-                },
-            },
-            outputs: self.outputs,
+            report: live.report,
+            classes: class_rows(&live.outputs, self.engine.controller_class_summaries()),
+            outputs: live.outputs,
             assigned: self.assigned,
-            layer_sum: self.layer_sum,
-            decode_tokens: self.token_sum,
-            occupancy_sum: self.occupancy_sum,
-            observed_depth: (self.token_sum > 0).then(|| self.layer_sum / self.token_sum as f64),
-            timed_out: self.timed_out,
-            cancelled: self.cancelled,
+            layer_sum: live.layer_sum,
+            decode_tokens: live.decode_tokens,
+            occupancy_sum: live.occupancy_sum,
+            observed_depth,
+            timed_out: live.timed_out,
+            cancelled: live.cancelled,
             failed: self.lost,
             panic: self.panic,
-            controller,
-            classes,
-            events,
-            dropped_events,
-            meter,
-            preemptions,
-            resumes,
-            kv,
+            controller: self.engine.controller_summary(),
+            dropped_events: recorder.as_ref().map_or(0, |r| r.dropped_events()),
+            events: recorder.map(|r| r.into_events()).unwrap_or_default(),
+            meter: self.engine.meter().clone(),
+            preemptions: self.engine.preemptions(),
+            resumes: self.engine.resumes(),
+            kv: self.engine.kv_stats(),
         }
     }
+}
+
+/// Per-class rows of everything a worker decoded: one row per class seen
+/// in outputs or controller state, counts and layer sums exact, the
+/// operating point from the class's controller.
+fn class_rows(
+    outputs: &[BatchedOutput],
+    controllers: Option<Vec<(TrafficClass, ControllerSummary)>>,
+) -> Vec<ClassStats> {
+    let mut rows: ClassMap<ClassStats> = ClassMap::new();
+    for out in outputs {
+        let row = rows.get_or_insert_with(out.class, || ClassStats::empty(out.class));
+        row.requests += 1;
+        row.tokens += out.exit_layers.len().saturating_sub(1) as u64;
+        // The prefill token always runs full depth and is excluded
+        // from decode-token depth, matching `observed_depth`.
+        row.layer_sum += out.exit_layers.iter().skip(1).sum::<usize>() as f64;
+    }
+    for (class, summary) in controllers.into_iter().flatten() {
+        let row = rows.get_or_insert_with(class, || ClassStats::empty(class));
+        row.mean_threshold = Some(summary.mean_threshold);
+    }
+    rows.iter().map(|(_, row)| row.clone()).collect()
 }
 
 /// Extracts a printable message from a panic payload.

@@ -916,9 +916,7 @@ fn one_worker_parity_with_lanes_and_preemption() {
     );
     engine.set_page_capacity(Some(4));
     engine.set_preemption_enabled(true);
-    let live = batcher.run_live_laned(&requests, &lanes, true, &mut engine, |r| {
-        seq_parts(seed, r.id)
-    });
+    let live = batcher.run_live_laned(&requests, &lanes, &mut engine, |r| seq_parts(seed, r.id));
     assert!(engine.preemptions() > 0, "the capped run must preempt");
 
     let config = ClusterConfig {

@@ -39,9 +39,8 @@ impl AdmissionPolicy {
     ///
     /// `keys[i]` is `(gen_len, id)` for the `i`-th pending request, listed
     /// in arrival order; ties under shortest-job-first break toward the
-    /// lower id. Shared by the replay/live loops here and the per-worker
-    /// admission loop in `specee-cluster`, so every execution mode admits
-    /// identically.
+    /// lower id. Shared by the replay simulator and the live
+    /// [`crate::ServeLoop`], so every execution mode admits identically.
     ///
     /// # Panics
     ///
@@ -105,49 +104,13 @@ pub struct ContinuousBatcher {
 }
 
 /// Picks the index *within `pending`* of the next request to admit under
-/// `policy` (shared by the replay and live loops).
-pub(crate) fn pick_pending(
-    policy: AdmissionPolicy,
-    pending: &[usize],
-    requests: &[ServeRequest],
-) -> usize {
+/// `policy`.
+fn pick_pending(policy: AdmissionPolicy, pending: &[usize], requests: &[ServeRequest]) -> usize {
     let keys: Vec<(usize, u64)> = pending
         .iter()
         .map(|&r| (requests[r].gen_len, r as u64))
         .collect();
     policy.pick_by_key(&keys)
-}
-
-/// Lane-aware admission pick: the highest-priority (lowest) lane present
-/// in `pending` wins, and `policy` orders requests within that lane
-/// exactly as [`pick_pending`] does. With uniform lanes (including the
-/// empty slice, meaning all-default) the pick reduces to [`pick_pending`]
-/// bit for bit, so un-laned runs are untouched.
-pub(crate) fn pick_pending_laned(
-    policy: AdmissionPolicy,
-    pending: &[usize],
-    requests: &[ServeRequest],
-    lanes: &[specee_core::Lane],
-) -> usize {
-    let lane_of = |r: usize| lanes.get(r).copied().unwrap_or_default();
-    let best = pending
-        .iter()
-        .map(|&r| lane_of(r))
-        .min()
-        .expect("pending non-empty");
-    if pending.iter().all(|&r| lane_of(r) == best) {
-        return pick_pending(policy, pending, requests);
-    }
-    let subset: Vec<usize> = pending
-        .iter()
-        .copied()
-        .filter(|&r| lane_of(r) == best)
-        .collect();
-    let chosen = subset[pick_pending(policy, &subset, requests)];
-    pending
-        .iter()
-        .position(|&r| r == chosen)
-        .expect("subset member of pending")
 }
 
 impl ContinuousBatcher {

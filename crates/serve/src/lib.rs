@@ -43,9 +43,10 @@
 //! **Cluster** (the `specee-cluster` crate, `specee serve --mode
 //! cluster`): N live workers — one OS thread and one batched engine each
 //! — behind a shared admission queue and a routing policy. Each worker
-//! prices its measured steps with the same [`StepCostModel`] and reports
-//! the same [`ServeReport`] shape, merged across workers into one
-//! aggregate. Cluster numbers are trustworthy exactly where live numbers
+//! drives the very [`ServeLoop`] live mode runs, fed one arrival frontier
+//! at a time instead of all at once, so it prices its measured steps with
+//! the same [`StepCostModel`] and reports the same [`ServeReport`] shape,
+//! merged across workers into one aggregate. Cluster numbers are trustworthy exactly where live numbers
 //! are (every step is genuinely executed and priced), *plus* they are the
 //! only mode in which routing-policy effects — queue-wait tails, the
 //! many-small-batches counter to the Cannikin decay — are real rather
@@ -93,7 +94,7 @@ pub mod trace;
 
 pub use batcher::{AdmissionPolicy, BatcherConfig, ContinuousBatcher, ServeReport};
 pub use cost::StepCostModel;
-pub use live::LiveOutcome;
+pub use live::{LiveOutcome, ServeLoop};
 pub use request::{Completion, PoissonArrivals, ServeRequest};
 pub use stats::{ClassStats, ServeStats};
 pub use trace::RequestTrace;

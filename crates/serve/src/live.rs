@@ -1,25 +1,25 @@
-//! The live execution mode: genuine lock-step batched decoding behind the
-//! same admission loop, clock and reporting as the replay simulator.
+//! The live execution mode: genuine lock-step batched decoding behind one
+//! incremental serving loop, on the same clock and reporting as the replay
+//! simulator.
 //!
-//! Where [`crate::batcher::ContinuousBatcher::run`] replays recorded
-//! traces, [`ContinuousBatcher::run_live`] admits each request into a
-//! [`BatchedEngine`] slot and *generates* its tokens: every decode step
-//! sweeps the real layer stack once for the whole batch, every sequence
-//! runs its own scheduled predictors, and the step's
-//! [`specee_batch::BatchStep`]
-//! measurements — per-layer runner counts, context lengths, draft /
-//! predictor / LM-head calls — are priced with the same
-//! [`crate::cost::StepCostModel`] the replay path uses. Both modes
-//! produce a [`ServeReport`], so their speedup curves are directly
-//! comparable.
+//! [`ServeLoop`] is the only code in the workspace that admits into and
+//! steps a [`BatchedEngine`]. [`ContinuousBatcher::run_live`] submits a
+//! whole request list to it and advances to infinity; a `specee-cluster`
+//! worker feeds the same loop from its message channel, one arrival
+//! frontier at a time. Both price with the [`StepCostModel`] the replay
+//! path uses and produce a [`ServeReport`], so every mode's speedup
+//! curves are directly comparable.
+
+use std::collections::VecDeque;
 
 use specee_batch::{Admission, BatchedEngine, BatchedOutput};
+use specee_core::{Lane, TrafficClass};
 use specee_draft::SpeculativeSource;
 use specee_model::LayeredLm;
 use specee_obs::{EventKind, SloTracker};
 
-use crate::batcher::{pick_pending_laned, ContinuousBatcher, ServeReport};
-use crate::cost::StepSpec;
+use crate::batcher::{AdmissionPolicy, ContinuousBatcher, ServeReport};
+use crate::cost::{StepCostModel, StepSpec};
 use crate::request::{Completion, ServeRequest};
 
 /// Result of a live served run: the shared timing report plus the
@@ -29,40 +29,518 @@ pub struct LiveOutcome {
     /// Timing/occupancy report, same shape as the replay simulator's.
     pub report: ServeReport,
     /// Decoded token streams, exit layers and call counts, one entry per
-    /// request in request order (empty streams for `gen_len == 0`
-    /// requests, which complete at admission without decoding).
+    /// admitted request in engine-id order (empty streams for
+    /// `gen_len == 0` requests, which complete at admission without
+    /// decoding; the partial stream of a sequence cancelled mid-decode).
     pub outputs: Vec<BatchedOutput>,
+    /// Sum of executed layers over decode steps (the numerator of
+    /// `report.avg_layers`, for exact averaging across runs).
+    pub layer_sum: f64,
+    /// Decode tokens emitted in steps (excludes prefill tokens).
+    pub decode_tokens: u64,
+    /// Sum of batch occupancy over decode steps.
+    pub occupancy_sum: f64,
+    /// Ids dropped because their deadline passed while queued.
+    pub timed_out: Vec<u64>,
+    /// Ids cancelled while queued or mid-decode.
+    pub cancelled: Vec<u64>,
+}
+
+/// A submitted request that has not been admitted yet.
+struct Queued<R> {
+    request: R,
+    lane: Lane,
+    class: TrafficClass,
+    deadline_s: Option<f64>,
+    engine_id: u64,
+}
+
+/// A request the engine holds, seated or parked.
+struct InFlight<R> {
+    request: R,
+    engine_id: u64,
+    first_token_s: f64,
+    /// The loop's step count at admission.
+    admitted_step: u64,
+}
+
+/// The serving loop: lane-first admission under a page budget, one priced
+/// batched prefill per admission boundary, genuinely executed decode
+/// steps priced from their measured [`specee_batch::BatchStep`], and
+/// completion — over one [`BatchedEngine`], advanced incrementally.
+///
+/// The loop owns every piece of serving state (simulated clock, queues,
+/// in-flight milestones, report sums, SLO tracker) and is lent the engine
+/// on each call: pass the same, initially empty, engine every time. `R` is
+/// the request payload handed back to `make_seq` at admission; the loop
+/// itself reads only its [`ServeRequest`].
+///
+/// When a [`specee_obs::Recorder`] is attached to the engine, the loop
+/// keeps its simulated clock stamped on it and records admissions, priced
+/// decode steps and request-completion spans next to the engine's own
+/// exit-decision events. Recording never feeds back into the simulation,
+/// so a traced run is bit-identical to an untraced one.
+///
+/// With an [`SloTracker`], admission TTFTs and verifier accept/reject
+/// outcomes feed its rolling windows, burn-rate alerts are evaluated at
+/// every clock advance, fired/cleared transitions are recorded as
+/// [`EventKind::SloFired`]/[`EventKind::SloCleared`] instants, and the
+/// tracker's pressure is pushed into the engine's controller. The tracker
+/// runs *independently* of the recorder, so attaching or detaching
+/// tracing never changes the pressure the controller sees.
+pub struct ServeLoop<R> {
+    cost: StepCostModel,
+    policy: AdmissionPolicy,
+    slo: Option<SloTracker>,
+    now: f64,
+    /// Submitted requests the clock has not reached yet, arrival order.
+    inbox: VecDeque<Queued<R>>,
+    /// Arrived requests waiting for a slot, arrival order.
+    pending: Vec<Queued<R>>,
+    /// Requests picked for the current admission boundary (loop state,
+    /// not a local, so a panic mid-admission cannot drop them
+    /// unaccounted).
+    admitting: VecDeque<Queued<R>>,
+    /// The request id being admitted right now, for panic accounting.
+    current_admission: Option<u64>,
+    in_flight: Vec<InFlight<R>>,
+    completions: Vec<Completion>,
+    outputs: Vec<BatchedOutput>,
+    steps: u64,
+    occupancy_sum: f64,
+    layer_sum: f64,
+    token_sum: u64,
+    timed_out: Vec<u64>,
+    cancelled: Vec<u64>,
+}
+
+impl<R: AsRef<ServeRequest>> ServeLoop<R> {
+    /// An idle loop at clock zero.
+    pub fn new(cost: StepCostModel, policy: AdmissionPolicy, slo: Option<SloTracker>) -> Self {
+        ServeLoop {
+            cost,
+            policy,
+            slo,
+            now: 0.0,
+            inbox: VecDeque::new(),
+            pending: Vec::new(),
+            admitting: VecDeque::new(),
+            current_admission: None,
+            in_flight: Vec::new(),
+            completions: Vec::new(),
+            outputs: Vec::new(),
+            steps: 0,
+            occupancy_sum: 0.0,
+            layer_sum: 0.0,
+            token_sum: 0,
+            timed_out: Vec::new(),
+            cancelled: Vec::new(),
+        }
+    }
+
+    /// Hands the loop a request (in nondecreasing arrival order). It
+    /// becomes admissible once the clock reaches its arrival; if it is
+    /// still queued when the clock passes `deadline_s` it is dropped and
+    /// reported timed out. `engine_id` is the id the engine decodes it
+    /// under ([`BatchedOutput::id`]) and the shortest-job-first
+    /// tie-break; completions and trace events carry the request's own
+    /// id.
+    pub fn submit(
+        &mut self,
+        request: R,
+        lane: Lane,
+        class: TrafficClass,
+        deadline_s: Option<f64>,
+        engine_id: u64,
+    ) {
+        self.inbox.push_back(Queued {
+            request,
+            lane,
+            class,
+            deadline_s,
+            engine_id,
+        });
+    }
+
+    /// Runs the loop until its clock reaches `frontier` or it runs out of
+    /// work, building each admitted request's model and draft with
+    /// `make_seq`.
+    ///
+    /// A loop boundary at clock `s` is processed only while
+    /// `s < frontier`: a caller that has submitted every request arriving
+    /// before `frontier` thereby guarantees the set of arrivals `≤ s` is
+    /// final, so same-instant arrivals share one batched prefill and no
+    /// later submission can land between two boundaries already passed —
+    /// feeding the loop incrementally is boundary-for-boundary identical
+    /// to submitting everything and advancing to infinity.
+    ///
+    /// Each boundary admits lane-first (the best lane present wins, the
+    /// policy orders within it), every pick reserving its admission pages
+    /// out of a per-boundary budget so one boundary cannot overcommit the
+    /// pool; a pick that does not fit may evict strictly lower-priority
+    /// residents ([`BatchedEngine::make_room`], a no-op with preemption
+    /// off) before the boundary has reserved anything of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request's prompt can never fit the engine's page
+    /// capacity, and propagates panics from `make_seq` and the engine;
+    /// [`outstanding_ids`](Self::outstanding_ids) still accounts for
+    /// every unfinished request afterwards.
+    pub fn advance<M: LayeredLm, D: SpeculativeSource>(
+        &mut self,
+        engine: &mut BatchedEngine<M, D>,
+        frontier: f64,
+        mut make_seq: impl FnMut(&R) -> (M, D),
+    ) {
+        while self.now < frontier {
+            let now = self.now;
+            let arrived = self
+                .inbox
+                .partition_point(|q| q.request.as_ref().arrival_s <= now);
+            self.pending.extend(self.inbox.drain(..arrived));
+            let timed_out = &mut self.timed_out;
+            self.pending.retain(|q| {
+                let expired = q.deadline_s.is_some_and(|d| d < now);
+                if expired {
+                    timed_out.push(q.request.as_ref().id);
+                }
+                !expired
+            });
+
+            let mut pages_left = engine.pool().available_pages();
+            while !self.pending.is_empty() {
+                let best = self.pending.iter().map(|q| q.lane).min();
+                let (subset, keys): (Vec<usize>, Vec<(usize, u64)>) = self
+                    .pending
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, q)| Some(q.lane) == best)
+                    .map(|(i, q)| (i, (q.request.as_ref().gen_len, q.engine_id)))
+                    .unzip();
+                let pick = subset[self.policy.pick_by_key(&keys)];
+                let (req, lane) = (self.pending[pick].request.as_ref(), self.pending[pick].lane);
+                let need = if req.gen_len == 0 {
+                    0
+                } else {
+                    engine.pages_for_admit(&req.prompt)
+                };
+                let fits = engine.occupancy() + self.admitting.len() < engine.max_batch()
+                    && need <= pages_left;
+                if !fits {
+                    if !(self.admitting.is_empty() && engine.make_room(&req.prompt, lane)) {
+                        assert!(
+                            engine.occupancy() > 0
+                                || engine.parked() > 0
+                                || !self.admitting.is_empty(),
+                            "page capacity too small to admit request {}",
+                            req.id
+                        );
+                        break;
+                    }
+                    pages_left = engine.pool().available_pages();
+                }
+                pages_left = pages_left.saturating_sub(need);
+                self.admitting.push_back(self.pending.remove(pick));
+            }
+            if !self.admitting.is_empty() {
+                if let Some(rec) = engine.recorder_mut() {
+                    let depth = self.pending.len() as u32;
+                    for q in &self.admitting {
+                        let request = q.request.as_ref().id;
+                        rec.record_at(
+                            self.now,
+                            Some(request),
+                            EventKind::Admission {
+                                request,
+                                queue_depth: depth,
+                            },
+                        );
+                    }
+                }
+                let lens: Vec<usize> = self
+                    .admitting
+                    .iter()
+                    .map(|q| q.request.as_ref().prompt.len())
+                    .collect();
+                self.now += self.cost.prefill_latency(&lens);
+                // Keep the engine's recorder on the simulated clock so the
+                // exit decisions its admissions/steps emit are stamped in
+                // simulated seconds.
+                if let Some(rec) = engine.recorder_mut() {
+                    rec.set_clock(self.now);
+                }
+                while let Some(q) = self.admitting.pop_front() {
+                    self.admit(engine, q, &mut make_seq);
+                }
+                self.slo_tick(engine);
+            } else if engine.occupancy() > 0 || engine.parked() > 0 {
+                self.step(engine);
+            } else if let Some(next) = self.inbox.front() {
+                // Idle: jump to the next arrival (deferred by the loop
+                // condition until the frontier releases it). Idle time
+                // drains the rolling windows, so a burn can clear
+                // between bursts.
+                self.now = self.now.max(next.request.as_ref().arrival_s);
+                self.slo_tick(engine);
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Seats one admitted request (its prefill is already priced).
+    fn admit<M: LayeredLm, D: SpeculativeSource>(
+        &mut self,
+        engine: &mut BatchedEngine<M, D>,
+        q: Queued<R>,
+        make_seq: &mut impl FnMut(&R) -> (M, D),
+    ) {
+        let req = q.request.as_ref();
+        self.current_admission = Some(req.id);
+        if let Some(t) = self.slo.as_mut() {
+            t.observe_ttft(self.now, self.now - req.arrival_s);
+        }
+        if req.gen_len == 0 {
+            // Keep one output per request so callers can zip by id.
+            let out = BatchedOutput {
+                id: q.engine_id,
+                class: q.class,
+                tokens: Vec::new(),
+                exit_layers: Vec::new(),
+                ce_sum: 0.0,
+                predictor_calls: 0,
+                verify_calls: 0,
+                draft_calls: 0,
+                self_draft_calls: 0,
+            };
+            self.complete(engine, req, self.now, out);
+        } else {
+            let (model, draft) = make_seq(&q.request);
+            match engine.admit_laned(
+                q.engine_id,
+                q.class,
+                q.lane,
+                model,
+                draft,
+                &req.prompt,
+                req.gen_len,
+            ) {
+                Admission::Done(out) => self.complete(engine, req, self.now, out),
+                Admission::Seated { .. } => self.in_flight.push(InFlight {
+                    request: q.request,
+                    engine_id: q.engine_id,
+                    first_token_s: self.now,
+                    admitted_step: self.steps,
+                }),
+            }
+        }
+        self.current_admission = None;
+    }
+
+    /// One genuinely executed, priced decode step.
+    fn step<M: LayeredLm, D: SpeculativeSource>(&mut self, engine: &mut BatchedEngine<M, D>) {
+        if let Some(rec) = engine.recorder_mut() {
+            rec.set_clock(self.now);
+        }
+        let step = engine.step();
+        let dur = self.cost.decode_step_latency(&StepSpec {
+            layer_runners: step.layer_runners.clone(),
+            ctx_lens: step.ctx_lens.clone(),
+            lm_head_evals: step.lm_head_evals as f64,
+            draft_slots: step.draft_slots,
+            self_draft_slots: step.self_draft_slots,
+            predictor_calls: step.predictor_calls as f64,
+        });
+        if let Some(rec) = engine.recorder_mut() {
+            rec.record_at(
+                self.now,
+                None,
+                EventKind::Step {
+                    step: self.steps,
+                    occupancy: step.ctx_lens.len() as u32,
+                    layers: step.rearmost_layer() as u32,
+                    dur_s: dur,
+                },
+            );
+        }
+        self.now += dur;
+        self.steps += 1;
+        self.occupancy_sum += step.ctx_lens.len() as f64;
+        self.layer_sum += step.layer_runners.iter().sum::<usize>() as f64;
+        self.token_sum += step.emitted as u64;
+        if let Some(t) = self.slo.as_mut() {
+            for fb in &step.feedback {
+                t.observe_exit(self.now, fb.accepted);
+            }
+        }
+        for out in step.finished {
+            let pos = self
+                .in_flight
+                .iter()
+                .position(|s| s.engine_id == out.id)
+                .expect("a finished sequence was admitted by this loop");
+            let seq = self.in_flight.remove(pos);
+            self.complete(engine, seq.request.as_ref(), seq.first_token_s, out);
+        }
+        self.slo_tick(engine);
+    }
+
+    /// Books a request that finished at the current clock: its completion
+    /// row, its `Request` span on the trace, its decoded output.
+    fn complete<M: LayeredLm, D: SpeculativeSource>(
+        &mut self,
+        engine: &mut BatchedEngine<M, D>,
+        req: &ServeRequest,
+        first_token_s: f64,
+        out: BatchedOutput,
+    ) {
+        self.completions.push(Completion {
+            id: req.id,
+            arrival_s: req.arrival_s,
+            first_token_s,
+            finish_s: self.now,
+            tokens: out.tokens.len(),
+        });
+        if let Some(rec) = engine.recorder_mut() {
+            rec.record_at(
+                self.now,
+                Some(req.id),
+                EventKind::Request {
+                    request: req.id,
+                    arrival_s: req.arrival_s,
+                    first_token_s,
+                    finish_s: self.now,
+                    tokens: out.tokens.len() as u32,
+                },
+            );
+        }
+        self.outputs.push(out);
+    }
+
+    /// Evaluates the burn-rate alerts at the clock the loop just reached,
+    /// records any fired/cleared transitions, and pushes the pressure
+    /// signal into the engine's controller. Measurement is
+    /// recorder-independent: only the transition *instants* touch the
+    /// recorder.
+    fn slo_tick<M: LayeredLm, D: SpeculativeSource>(&mut self, engine: &mut BatchedEngine<M, D>) {
+        let Some(tracker) = self.slo.as_mut() else {
+            return;
+        };
+        for kind in tracker.evaluate(self.now) {
+            if let Some(rec) = engine.recorder_mut() {
+                rec.record_at(self.now, None, kind);
+            }
+        }
+        engine.set_slo_pressure(tracker.pressure());
+    }
+
+    /// Best-effort cancellation by request id: a queued request vanishes,
+    /// a seated or parked sequence is retired with its partial output; an
+    /// unknown or already finished id is ignored.
+    pub fn cancel<M: LayeredLm, D: SpeculativeSource>(
+        &mut self,
+        engine: &mut BatchedEngine<M, D>,
+        id: u64,
+    ) {
+        let is = |r: &R| r.as_ref().id == id;
+        if let Some(pos) = self.inbox.iter().position(|q| is(&q.request)) {
+            self.inbox.remove(pos);
+        } else if let Some(pos) = self.pending.iter().position(|q| is(&q.request)) {
+            self.pending.remove(pos);
+        } else if let Some(pos) = self.in_flight.iter().position(|s| is(&s.request)) {
+            let seq = self.in_flight.remove(pos);
+            self.outputs.extend(engine.cancel(seq.engine_id));
+        } else {
+            return;
+        }
+        self.cancelled.push(id);
+    }
+
+    /// Request ids handed to the loop that have neither completed, timed
+    /// out nor been cancelled — each exactly once, even after a panic
+    /// unwound through [`advance`](Self::advance).
+    pub fn outstanding_ids(&self) -> Vec<u64> {
+        let queued = self
+            .admitting
+            .iter()
+            .chain(&self.inbox)
+            .chain(&self.pending);
+        self.current_admission
+            .into_iter()
+            .chain(queued.map(|q| q.request.as_ref().id))
+            .chain(self.in_flight.iter().map(|s| s.request.as_ref().id))
+            .collect()
+    }
+
+    /// The simulated clock, seconds.
+    pub fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Requests completed so far.
+    pub fn completed(&self) -> usize {
+        self.completions.len()
+    }
+
+    /// Mean executed layers per decode token so far.
+    pub fn observed_depth(&self) -> Option<f64> {
+        (self.token_sum > 0).then(|| self.layer_sum / self.token_sum as f64)
+    }
+
+    /// Requests not admitted yet: the arrived first, then those the clock
+    /// has not reached, each in arrival order.
+    pub fn queued(&self) -> impl Iterator<Item = &R> {
+        self.pending.iter().chain(&self.inbox).map(|q| &q.request)
+    }
+
+    /// Requests the engine holds, in admission order, each with the
+    /// tokens it has had the chance to emit (the prefill token plus one
+    /// per step since).
+    pub fn in_flight(&self) -> impl Iterator<Item = (&R, usize)> {
+        self.in_flight
+            .iter()
+            .map(|s| (&s.request, 1 + (self.steps - s.admitted_step) as usize))
+    }
+
+    /// Ends the run: completions in request-id order, outputs in
+    /// engine-id order, the makespan at the current clock.
+    pub fn into_report(mut self) -> LiveOutcome {
+        self.completions.sort_by_key(|c| c.id);
+        self.outputs.sort_by_key(|o| o.id);
+        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
+        LiveOutcome {
+            report: ServeReport {
+                completions: self.completions,
+                makespan_s: self.now,
+                steps: self.steps,
+                avg_occupancy: mean(self.occupancy_sum, self.steps),
+                avg_layers: mean(self.layer_sum, self.token_sum),
+            },
+            outputs: self.outputs,
+            layer_sum: self.layer_sum,
+            decode_tokens: self.token_sum,
+            occupancy_sum: self.occupancy_sum,
+            timed_out: self.timed_out,
+            cancelled: self.cancelled,
+        }
+    }
 }
 
 impl ContinuousBatcher {
-    /// Serves `requests` by live batched decoding on `engine`.
+    /// Serves `requests` by live batched decoding on `engine`: submits
+    /// them all to a [`ServeLoop`] and runs it dry.
     ///
     /// `make_seq` builds the per-sequence model and draft for a request at
     /// admission time (each engine slot owns its sequence's KV state).
     /// Admission follows the batcher's policy exactly as in replay mode;
     /// prefill is priced as one batched forward at admission, decode steps
     /// are priced from the engine's measured [`specee_batch::BatchStep`].
-    ///
-    /// When a [`specee_obs::Recorder`] is attached to the engine
-    /// (`engine.set_recorder(..)`), the loop keeps its simulated clock
-    /// stamped on it and records admissions, priced decode steps and
-    /// request-completion spans next to the engine's own exit-decision
-    /// events; retrieve the stream afterwards with
-    /// `engine.take_recorder()`. Recording never feeds back into the
-    /// simulation, so a traced run is bit-identical to an untraced one.
-    ///
-    /// When the batcher carries an SLO specification
-    /// ([`with_slo`](ContinuousBatcher::with_slo)), the loop additionally
-    /// drives a [`SloTracker`] on the same simulated clock: admission
-    /// TTFTs and verifier accept/reject outcomes feed its rolling
-    /// windows, burn-rate alerts are evaluated at every clock advance,
-    /// fired/cleared transitions are recorded as
-    /// [`EventKind::SloFired`]/[`EventKind::SloCleared`] instants (when a
-    /// recorder is attached), and the tracker's pressure signal is pushed
-    /// into the engine's controller. The tracker runs *independently* of
-    /// the recorder, so attaching or detaching tracing never changes the
-    /// pressure the controller sees — traced and untraced runs stay
-    /// bit-identical even while an SLO burns.
+    /// A recorder attached to the engine (`engine.set_recorder(..)`) and
+    /// an SLO specification on the batcher
+    /// ([`with_slo`](ContinuousBatcher::with_slo)) are driven as
+    /// [`ServeLoop`] describes; retrieve the event stream afterwards with
+    /// `engine.take_recorder()`.
     ///
     /// # Panics
     ///
@@ -80,24 +558,20 @@ impl ContinuousBatcher {
         D: SpeculativeSource,
         F: FnMut(&ServeRequest) -> (M, D),
     {
-        self.run_live_laned(requests, &[], false, engine, make_seq)
+        self.run_live_laned(requests, &[], engine, make_seq)
     }
 
-    /// [`run_live`](Self::run_live) with the paged-KV memory plane
-    /// engaged: per-request priority lanes and optional preemption under
-    /// page pressure.
+    /// [`run_live`](Self::run_live) with per-request priority lanes.
     ///
     /// `lanes[i]` is request `i`'s priority lane (lower = higher
     /// priority); an empty slice means every request rides the default
     /// lane, which makes this method bit-identical to
-    /// [`run_live`](Self::run_live). Admission always drains the
-    /// highest-priority lane present first, with the batcher's policy
-    /// ordering requests within a lane; each admission is additionally
-    /// gated on the engine's page pool covering the prompt. With
-    /// `preempt` set (and preemption enabled on the engine), an
-    /// admission that does not fit evicts strictly lower-priority
-    /// residents via [`BatchedEngine::make_room`]; the engine re-seats
-    /// parked sequences, bit-identically, as pages free up.
+    /// [`run_live`](Self::run_live). Whether a page-gated admission may
+    /// evict lower-priority residents is the engine's own setting
+    /// ([`BatchedEngine::set_preemption_enabled`]); the engine re-seats
+    /// parked sequences, bit-identically, as pages free up. Sequences
+    /// decode under their request *index* as engine id and the default
+    /// traffic class.
     ///
     /// # Panics
     ///
@@ -107,8 +581,7 @@ impl ContinuousBatcher {
     pub fn run_live_laned<M, D, F>(
         &self,
         requests: &[ServeRequest],
-        lanes: &[specee_core::Lane],
-        preempt: bool,
+        lanes: &[Lane],
         engine: &mut BatchedEngine<M, D>,
         mut make_seq: F,
     ) -> LiveOutcome
@@ -138,275 +611,14 @@ impl ContinuousBatcher {
                 .all(|w| w[0].arrival_s <= w[1].arrival_s),
             "requests must be sorted by arrival"
         );
-
-        /// Evaluates the burn-rate alerts at a clock advance, records any
-        /// fired/cleared transitions, and pushes the pressure signal into
-        /// the engine's controller. Measurement is recorder-independent:
-        /// only the *transition instants* touch the recorder.
-        fn slo_tick<M, D>(slo: &mut Option<SloTracker>, engine: &mut BatchedEngine<M, D>, now: f64)
-        where
-            M: LayeredLm,
-            D: SpeculativeSource,
-        {
-            let Some(tracker) = slo.as_mut() else {
-                return;
-            };
-            for kind in tracker.evaluate(now) {
-                if let Some(rec) = engine.recorder_mut() {
-                    rec.record_at(now, None, kind);
-                }
-            }
-            engine.set_slo_pressure(tracker.pressure());
+        let slo = self.slo.clone().map(SloTracker::new);
+        let mut serving = ServeLoop::new(self.model.clone(), self.policy, slo);
+        for (i, req) in requests.iter().enumerate() {
+            let lane = lanes.get(i).copied().unwrap_or_default();
+            serving.submit(req, lane, TrafficClass::DEFAULT, None, i as u64);
         }
-
-        let mut slo = self.slo.clone().map(SloTracker::new);
-        let mut now = 0.0f64;
-        let mut next_arrival = 0usize;
-        let mut pending: Vec<usize> = Vec::new();
-        let mut completions: Vec<Completion> = Vec::with_capacity(requests.len());
-        let mut outputs: Vec<BatchedOutput> = Vec::with_capacity(requests.len());
-        let mut first_token_s = vec![0.0f64; requests.len()];
-        let mut steps = 0u64;
-        let mut occupancy_sum = 0.0f64;
-        let mut layer_sum = 0.0f64;
-        let mut token_sum = 0u64;
-
-        while completions.len() < requests.len() {
-            while next_arrival < requests.len() && requests[next_arrival].arrival_s <= now {
-                pending.push(next_arrival);
-                next_arrival += 1;
-            }
-            let mut admitted: Vec<usize> = Vec::new();
-            let mut pages_left = engine.pool().available_pages();
-            while !pending.is_empty() {
-                let pick = pick_pending_laned(self.policy, &pending, requests, lanes);
-                let i = pending[pick];
-                let lane = lanes.get(i).copied().unwrap_or_default();
-                let need = if requests[i].gen_len == 0 {
-                    0
-                } else {
-                    engine.pages_for_admit(&requests[i].prompt)
-                };
-                let fits = engine.occupancy() + admitted.len() < self.config.max_batch
-                    && need <= pages_left;
-                if !fits {
-                    // Slot- or page-gated: evict strictly lower-priority
-                    // residents (freeing both), but only before this
-                    // round reserved anything of its own.
-                    if !(preempt
-                        && admitted.is_empty()
-                        && engine.make_room(&requests[i].prompt, lane))
-                    {
-                        assert!(
-                            engine.occupancy() > 0 || engine.parked() > 0 || !admitted.is_empty(),
-                            "page capacity too small to admit request {}",
-                            requests[i].id
-                        );
-                        break;
-                    }
-                    pages_left = engine.pool().available_pages();
-                }
-                pages_left = pages_left.saturating_sub(need);
-                admitted.push(pending.remove(pick));
-            }
-            if !admitted.is_empty() {
-                if let Some(rec) = engine.recorder_mut() {
-                    let depth = pending.len() as u32;
-                    for &i in &admitted {
-                        rec.record_at(
-                            now,
-                            Some(requests[i].id),
-                            EventKind::Admission {
-                                request: requests[i].id,
-                                queue_depth: depth,
-                            },
-                        );
-                    }
-                }
-                let lens: Vec<usize> = admitted.iter().map(|&i| requests[i].prompt.len()).collect();
-                now += self.model.prefill_latency(&lens);
-                // Keep the engine's recorder on the simulated clock so the
-                // exit decisions its admissions/steps emit are stamped in
-                // simulated seconds.
-                if let Some(rec) = engine.recorder_mut() {
-                    rec.set_clock(now);
-                }
-                for &i in &admitted {
-                    let req = &requests[i];
-                    first_token_s[i] = now;
-                    if let Some(t) = slo.as_mut() {
-                        t.observe_ttft(now, now - req.arrival_s);
-                    }
-                    if req.gen_len == 0 {
-                        completions.push(Completion {
-                            id: req.id,
-                            arrival_s: req.arrival_s,
-                            first_token_s: now,
-                            finish_s: now,
-                            tokens: 0,
-                        });
-                        if let Some(rec) = engine.recorder_mut() {
-                            rec.record_at(
-                                now,
-                                Some(req.id),
-                                EventKind::Request {
-                                    request: req.id,
-                                    arrival_s: req.arrival_s,
-                                    first_token_s: now,
-                                    finish_s: now,
-                                    tokens: 0,
-                                },
-                            );
-                        }
-                        // Keep one output per request so callers can zip
-                        // outputs with requests positionally.
-                        outputs.push(BatchedOutput {
-                            id: i as u64,
-                            class: specee_core::TrafficClass::DEFAULT,
-                            tokens: Vec::new(),
-                            exit_layers: Vec::new(),
-                            ce_sum: 0.0,
-                            predictor_calls: 0,
-                            verify_calls: 0,
-                            draft_calls: 0,
-                            self_draft_calls: 0,
-                        });
-                        continue;
-                    }
-                    let (model, draft) = make_seq(req);
-                    let lane = lanes.get(i).copied().unwrap_or_default();
-                    match engine.admit_laned(
-                        i as u64,
-                        specee_core::TrafficClass::DEFAULT,
-                        lane,
-                        model,
-                        draft,
-                        &req.prompt,
-                        req.gen_len,
-                    ) {
-                        Admission::Done(out) => {
-                            completions.push(Completion {
-                                id: req.id,
-                                arrival_s: req.arrival_s,
-                                first_token_s: now,
-                                finish_s: now,
-                                tokens: out.tokens.len(),
-                            });
-                            if let Some(rec) = engine.recorder_mut() {
-                                rec.record_at(
-                                    now,
-                                    Some(req.id),
-                                    EventKind::Request {
-                                        request: req.id,
-                                        arrival_s: req.arrival_s,
-                                        first_token_s: now,
-                                        finish_s: now,
-                                        tokens: out.tokens.len() as u32,
-                                    },
-                                );
-                            }
-                            outputs.push(out);
-                        }
-                        Admission::Seated { .. } => {}
-                    }
-                }
-                slo_tick(&mut slo, engine, now);
-                continue;
-            }
-
-            if engine.occupancy() == 0 && engine.parked() == 0 {
-                if next_arrival < requests.len() {
-                    now = now.max(requests[next_arrival].arrival_s);
-                    // Idle time drains the rolling windows, so a burn
-                    // can clear between bursts.
-                    slo_tick(&mut slo, engine, now);
-                    continue;
-                }
-                break;
-            }
-
-            // One genuinely executed, synchronized decode step.
-            if let Some(rec) = engine.recorder_mut() {
-                rec.set_clock(now);
-            }
-            let step = engine.step();
-            let dur = self.model.decode_step_latency(&StepSpec {
-                layer_runners: step.layer_runners.clone(),
-                ctx_lens: step.ctx_lens.clone(),
-                lm_head_evals: step.lm_head_evals as f64,
-                draft_slots: step.draft_slots,
-                self_draft_slots: step.self_draft_slots,
-                predictor_calls: step.predictor_calls as f64,
-            });
-            if let Some(rec) = engine.recorder_mut() {
-                rec.record_at(
-                    now,
-                    None,
-                    EventKind::Step {
-                        step: steps,
-                        occupancy: step.ctx_lens.len() as u32,
-                        layers: step.rearmost_layer() as u32,
-                        dur_s: dur,
-                    },
-                );
-            }
-            now += dur;
-            steps += 1;
-            occupancy_sum += step.ctx_lens.len() as f64;
-            layer_sum += step.layer_runners.iter().sum::<usize>() as f64;
-            token_sum += step.emitted as u64;
-            if let Some(t) = slo.as_mut() {
-                for fb in &step.feedback {
-                    t.observe_exit(now, fb.accepted);
-                }
-            }
-            for out in step.finished {
-                let req = &requests[out.id as usize];
-                completions.push(Completion {
-                    id: req.id,
-                    arrival_s: req.arrival_s,
-                    first_token_s: first_token_s[out.id as usize],
-                    finish_s: now,
-                    tokens: out.tokens.len(),
-                });
-                if let Some(rec) = engine.recorder_mut() {
-                    rec.record_at(
-                        now,
-                        Some(req.id),
-                        EventKind::Request {
-                            request: req.id,
-                            arrival_s: req.arrival_s,
-                            first_token_s: first_token_s[out.id as usize],
-                            finish_s: now,
-                            tokens: out.tokens.len() as u32,
-                        },
-                    );
-                }
-                outputs.push(out);
-            }
-            slo_tick(&mut slo, engine, now);
-        }
-
-        completions.sort_by_key(|c| c.id);
-        outputs.sort_by_key(|o| o.id);
-        LiveOutcome {
-            report: ServeReport {
-                completions,
-                makespan_s: now,
-                steps,
-                avg_occupancy: if steps > 0 {
-                    occupancy_sum / steps as f64
-                } else {
-                    0.0
-                },
-                avg_layers: if token_sum > 0 {
-                    layer_sum / token_sum as f64
-                } else {
-                    0.0
-                },
-            },
-            outputs,
-        }
+        serving.advance(engine, f64::INFINITY, |req| make_seq(req));
+        serving.into_report()
     }
 }
 
@@ -805,7 +1017,7 @@ mod tests {
         let mut plain_engine = live_engine(3, &parts);
         let plain = b.run_live(&requests, &mut plain_engine, make);
         let mut laned_engine = live_engine(3, &parts);
-        let laned = b.run_live_laned(&requests, &lanes, false, &mut laned_engine, make);
+        let laned = b.run_live_laned(&requests, &lanes, &mut laned_engine, make);
         assert_eq!(plain.report, laned.report);
         for (a, l) in plain.outputs.iter().zip(&laned.outputs) {
             assert_eq!(a.tokens, l.tokens);
@@ -832,13 +1044,13 @@ mod tests {
             (lm, draft)
         };
         let mut free_engine = live_engine(3, &parts);
-        let free = b.run_live_laned(&requests, &lanes, false, &mut free_engine, make);
+        let free = b.run_live_laned(&requests, &lanes, &mut free_engine, make);
         let mut capped_engine = live_engine(3, &parts);
         // Final KV per sequence: 3 + 19 = 22 tokens → 2 pages of 16; a
         // cap of 4 cannot hold three such sequences.
         capped_engine.set_page_capacity(Some(4));
         capped_engine.set_preemption_enabled(true);
-        let capped = b.run_live_laned(&requests, &lanes, true, &mut capped_engine, make);
+        let capped = b.run_live_laned(&requests, &lanes, &mut capped_engine, make);
         assert!(
             capped_engine.preemptions() > 0,
             "the cap must force evictions"
@@ -897,7 +1109,7 @@ mod tests {
             let mut engine = live_engine(2, &parts);
             engine.set_page_capacity(Some(2));
             engine.set_preemption_enabled(preempt);
-            let outcome = b.run_live_laned(&requests, &lanes, preempt, &mut engine, make);
+            let outcome = b.run_live_laned(&requests, &lanes, &mut engine, make);
             let ttft = outcome
                 .report
                 .completions
@@ -934,5 +1146,189 @@ mod tests {
             let draft = OracleDraft::new(*lm.language(), 0.9, &cfg(), 49);
             (lm, draft)
         });
+    }
+
+    /// The per-sequence factory every loop-level test uses.
+    fn seq_for(seed: u64, id: u64) -> (SyntheticLm, OracleDraft) {
+        let lm = build_lm(seed);
+        let draft = OracleDraft::new(*lm.language(), 0.9, &cfg(), seed ^ id);
+        (lm, draft)
+    }
+
+    #[test]
+    fn incremental_feeding_matches_the_one_shot_run() {
+        // The cluster worker's protocol at the loop's own level: submit
+        // what has arrived, advance to finite frontiers, submit the rest,
+        // drain. Lanes, a page cap and preemption are all engaged, and
+        // the traced event streams must agree to the byte as well.
+        use specee_obs::Recorder;
+        let seed = 83;
+        let parts = trained(seed);
+        let specs: Vec<(Vec<TokenId>, usize)> = (0..8u32)
+            .map(|i| (vec![2 + i, 5 + i, 1 + i], 12 + 4 * (i as usize % 3)))
+            .collect();
+        let requests = PoissonArrivals::new(60.0, 31).requests(&specs);
+        let lanes: Vec<Lane> = (0..requests.len())
+            .map(|i| Lane::new((i % 3) as u8))
+            .collect();
+        let engine = || {
+            let mut engine = live_engine(3, &parts);
+            engine.set_page_capacity(Some(4));
+            engine.set_preemption_enabled(true);
+            engine.set_recorder(Some(Recorder::for_worker(0)));
+            engine
+        };
+        for policy in [AdmissionPolicy::Fcfs, AdmissionPolicy::ShortestJobFirst] {
+            let b = ContinuousBatcher::with_policy(
+                BatcherConfig {
+                    max_batch: 3,
+                    hardware: HardwareProfile::a100_80g(),
+                    framework: FrameworkProfile::vllm(),
+                    cost: cost_dims(),
+                },
+                policy,
+            );
+            let mut one_engine = engine();
+            let one = b.run_live_laned(&requests, &lanes, &mut one_engine, |r| seq_for(seed, r.id));
+            assert!(one_engine.preemptions() > 0, "the cap must force evictions");
+
+            let mut fed_engine = engine();
+            let mut serving: ServeLoop<&ServeRequest> =
+                ServeLoop::new(b.cost_model().clone(), policy, None);
+            let split = requests.len() / 2;
+            let frontier = requests[split].arrival_s;
+            for (i, req) in requests.iter().enumerate() {
+                if i == split {
+                    serving.advance(&mut fed_engine, frontier / 2.0, |r| seq_for(seed, r.id));
+                    assert!(serving.now() >= frontier / 2.0, "paused at the frontier");
+                    serving.advance(&mut fed_engine, frontier, |r| seq_for(seed, r.id));
+                }
+                serving.submit(req, lanes[i], TrafficClass::DEFAULT, None, i as u64);
+            }
+            serving.advance(&mut fed_engine, f64::INFINITY, |r| seq_for(seed, r.id));
+            assert!(serving.outstanding_ids().is_empty());
+            let fed = serving.into_report();
+
+            assert_eq!(one.report, fed.report, "{policy:?}");
+            assert_eq!(one.outputs, fed.outputs, "{policy:?}");
+            assert_eq!(one.report.completions.len(), requests.len());
+            let events = |e: &mut BatchedEngine<SyntheticLm, OracleDraft>| {
+                e.take_recorder().expect("recorder attached").into_events()
+            };
+            assert_eq!(
+                events(&mut one_engine),
+                events(&mut fed_engine),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn deadlines_expire_in_the_queue_and_cancel_reaches_every_stage() {
+        // Two low-priority hogs fill both slots and both pages; an urgent
+        // arrival parks one of them. Behind it wait a request whose
+        // deadline passes in the queue, one that stays pending, and one
+        // the clock never reaches.
+        let seed = 89;
+        let parts = trained(seed);
+        let req = |id: u64, gen_len: usize, arrival_s: f64| ServeRequest {
+            id,
+            prompt: vec![2 + id as u32, 5, 1],
+            gen_len,
+            arrival_s,
+        };
+        let low = Lane::new(2);
+        let class = TrafficClass::DEFAULT;
+        let mut engine = live_engine(2, &parts);
+        engine.set_page_capacity(Some(2));
+        engine.set_preemption_enabled(true);
+        let mut serving = ServeLoop::new(batcher(2).cost_model().clone(), Default::default(), None);
+        let make = |r: &ServeRequest| {
+            assert!(r.id <= 2, "request {} must never be admitted", r.id);
+            seq_for(seed, r.id)
+        };
+
+        serving.submit(req(0, 12, 0.0), low, class, None, 0);
+        serving.submit(req(1, 12, 0.0), low, class, None, 1);
+        serving.advance(&mut engine, 1e-9, make);
+        assert_eq!(engine.occupancy(), 2, "both hogs seated");
+        let t = serving.now();
+        serving.submit(req(2, 4, t), Lane::new(0), class, None, 2);
+        serving.submit(req(3, 4, t), low, class, Some(t + 1e-9), 3);
+        serving.submit(req(4, 4, t), low, class, None, 4);
+        serving.submit(req(5, 4, 1e6), low, class, None, 5);
+        // One boundary: the urgent request evicts hog 1 and is admitted.
+        serving.advance(&mut engine, t + 1e-9, make);
+        assert_eq!((engine.occupancy(), engine.parked()), (2, 1));
+        let queued = |s: &ServeLoop<ServeRequest>| s.queued().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(queued(&serving), [3, 4, 5]);
+        // The next boundary is past request 3's deadline: dropped, unseated.
+        let t = serving.now();
+        serving.advance(&mut engine, t + 1e-9, make);
+        assert_eq!(queued(&serving), [4, 5]);
+        let mut in_flight: Vec<u64> = serving.in_flight().map(|(r, _)| r.id).collect();
+        in_flight.sort_unstable();
+        assert_eq!(in_flight, [0, 1, 2]);
+
+        serving.cancel(&mut engine, 5); // inbox
+        serving.cancel(&mut engine, 4); // pending
+        serving.cancel(&mut engine, 1); // parked
+        assert_eq!((engine.occupancy(), engine.parked()), (2, 0));
+        serving.cancel(&mut engine, 0); // seated
+        assert_eq!(engine.occupancy(), 1);
+        serving.cancel(&mut engine, 77); // unknown: ignored
+        assert_eq!(serving.outstanding_ids(), [2]);
+
+        serving.advance(&mut engine, f64::INFINITY, make);
+        assert!(serving.outstanding_ids().is_empty());
+        let outcome = serving.into_report();
+        assert_eq!(outcome.timed_out, [3]);
+        assert_eq!(outcome.cancelled, [5, 4, 1, 0]);
+        let done: Vec<u64> = outcome.report.completions.iter().map(|c| c.id).collect();
+        assert_eq!(done, [2]);
+        // Cancelled mid-decode sequences hand back their partial streams.
+        let lens: Vec<(u64, usize)> = outcome
+            .outputs
+            .iter()
+            .map(|o| (o.id, o.tokens.len()))
+            .collect();
+        assert_eq!(lens.len(), 3);
+        assert!(lens[0].1 >= 1 && lens[0].1 < 12, "hog 0 partial: {lens:?}");
+        assert!(lens[1].1 >= 1 && lens[1].1 < 12, "hog 1 partial: {lens:?}");
+        assert_eq!(lens[2], (2, 4));
+        assert_eq!(engine.pool().pages_in_use(), 0);
+    }
+
+    #[test]
+    fn a_panicking_admission_leaves_every_request_accounted_for() {
+        // Three same-boundary admissions, the factory panics on the
+        // second: the first is seated, the second was mid-admission, the
+        // third was picked but not reached, a fourth is still in the
+        // inbox. None may be lost or counted twice.
+        let seed = 97;
+        let parts = trained(seed);
+        let mut engine = live_engine(3, &parts);
+        let mut serving = ServeLoop::new(batcher(3).cost_model().clone(), Default::default(), None);
+        for id in 0..4u64 {
+            let request = ServeRequest {
+                id,
+                prompt: vec![2 + id as u32, 5, 1],
+                gen_len: if id == 0 { 1 } else { 6 },
+                arrival_s: if id == 3 { 1.0 } else { 0.0 },
+            };
+            serving.submit(request, Lane::DEFAULT, TrafficClass::DEFAULT, None, id);
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serving.advance(&mut engine, f64::INFINITY, |r| {
+                assert!(r.id != 2, "poisoned request reached the factory");
+                seq_for(seed, r.id)
+            })
+        }));
+        assert!(unwound.is_err(), "the factory panic propagates");
+        // Request 0 finished at its prefill; 1 is seated; 2 and 3 are not.
+        assert_eq!(serving.completed(), 1);
+        let mut outstanding = serving.outstanding_ids();
+        outstanding.sort_unstable();
+        assert_eq!(outstanding, [1, 2, 3]);
     }
 }

@@ -17,6 +17,13 @@ pub struct ServeRequest {
     pub arrival_s: f64,
 }
 
+/// Lets [`crate::ServeLoop`] carry a bare request as its payload.
+impl AsRef<ServeRequest> for ServeRequest {
+    fn as_ref(&self) -> &ServeRequest {
+        self
+    }
+}
+
 /// A finished request with its timing milestones.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Completion {

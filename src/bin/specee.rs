@@ -1181,12 +1181,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 engine.set_recorder(Some(sampled(Recorder::for_worker(0), trace_sample)));
             }
             let lanes: Vec<specee::core::Lane> = requests.iter().map(|r| lane_of(r.id)).collect();
-            let outcome =
-                batcher.run_live_laned(&requests, &lanes, preemption, &mut engine, |_req| {
-                    let lm = pipe.lm();
-                    let draft = pipe.draft(&lm);
-                    (lm, draft)
-                });
+            let outcome = batcher.run_live_laned(&requests, &lanes, &mut engine, |_req| {
+                let lm = pipe.lm();
+                let draft = pipe.draft(&lm);
+                (lm, draft)
+            });
             if page_capacity.is_some() || prefix_share || lanes_n > 0 {
                 let kv = engine.kv_stats();
                 println!(

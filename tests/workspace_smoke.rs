@@ -126,3 +126,28 @@ fn documented_bench_and_example_counts_match_the_tree() {
         assert!(quoted > 0, "{doc} no longer quotes a count; drop it here");
     }
 }
+
+/// There is one serving loop (`specee_serve::ServeLoop`): across the
+/// non-test source of the serve and cluster crates, exactly one call
+/// admits into a `BatchedEngine` and exactly one makes room in it. A
+/// second call site means the admission round was copied again.
+#[test]
+fn the_admission_round_has_one_call_site() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut code = String::new();
+    for dir in ["crates/serve/src", "crates/cluster/src"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect(dir) {
+            let text = std::fs::read_to_string(entry.expect(dir).path()).expect(dir);
+            let non_test = text.split("#[cfg(test)]").next().expect("first piece");
+            code.extend(
+                non_test
+                    .lines()
+                    .filter(|l| !l.trim_start().starts_with("//"))
+                    .flat_map(|l| [l, "\n"]),
+            );
+        }
+    }
+    for call in ["admit_laned(", "make_room("] {
+        assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
+    }
+}
