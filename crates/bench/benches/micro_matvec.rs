@@ -10,10 +10,18 @@
 //! quantized backend additionally prints its measured error bound against
 //! the dense product so the speed/accuracy trade is visible next to the
 //! timings.
+//!
+//! `model_shapes` then prints the per-input cost of the decoder's real
+//! projection shapes (7B(sim): hidden 128, FFN 256) at 1/2/4/8 inputs, and
+//! of a layer's seven projections together. A 128x128 f32 matrix is 64 KB
+//! against a 48 KB L1D, so the one-input product re-streams it from L2 on
+//! every call; the 4-input tile reads each weight chunk once per four
+//! inputs — the reason `sweep_layer` batches its seats.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specee_tensor::{BackendKind, Matrix, Pcg};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 const SIZES: &[usize] = &[128, 256, 512, 1024];
 /// Inputs per mat-mul: one register tile, two, and a full draft tree.
@@ -75,5 +83,60 @@ fn bench(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench);
+/// `(rows, cols)` of the decoder's projections: q/k/v/`wo`, gate/up, down.
+const MODEL_SHAPES: &[(usize, usize)] = &[(128, 128), (256, 128), (128, 256)];
+/// How many of each a layer holds.
+const PER_LAYER: &[usize] = &[4, 2, 1];
+const MODEL_INPUTS: &[usize] = &[1, 2, 4, 8];
+
+/// Fastest observed call of `f`, in ns, over ~150 ms of batches of 64.
+fn min_ns(mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_millis(150) {
+        let t = Instant::now();
+        for _ in 0..64 {
+            f();
+        }
+        best = best.min(t.elapsed().as_nanos() as f64 / 64.0);
+    }
+    best
+}
+
+fn model_shapes(_c: &mut Criterion) {
+    let mut rng = Pcg::seed(23);
+    for kind in [BackendKind::Reference, BackendKind::Blocked] {
+        let backend = kind.get();
+        for &n_in in MODEL_INPUTS {
+            let mut layer_ns = 0.0;
+            for (&(rows, cols), &count) in MODEL_SHAPES.iter().zip(PER_LAYER) {
+                let m = Matrix::random(rows, cols, 0.5, &mut rng);
+                let mut xs = vec![0.0f32; n_in * cols];
+                rng.fill_uniform(&mut xs, 1.0);
+                let mut ys = vec![0.0f32; n_in * rows];
+                let ns = min_ns(|| {
+                    backend.matmul_into(black_box(&m), black_box(&xs), n_in, black_box(&mut ys))
+                });
+                layer_ns += ns * count as f64;
+                report(
+                    &format!("model_shape/{kind}/{rows}x{cols}x{n_in}"),
+                    ns,
+                    n_in,
+                );
+            }
+            report(
+                &format!("model_shape/{kind}/layer(4+2+1)x{n_in}"),
+                layer_ns,
+                n_in,
+            );
+        }
+    }
+}
+
+fn report(name: &str, ns: f64, n_in: usize) {
+    let per_input = ns / n_in as f64;
+    println!("{name:<40} {ns:>9.0} ns/call {per_input:>9.0} ns/input");
+}
+
+criterion_group!(benches, bench, model_shapes);
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use specee_tensor::{ops, BackendKind};
 use crate::config::ModelConfig;
 use crate::kv::KvCache;
 use crate::metering::OpScale;
-use crate::rope::apply_rope_qk;
+use crate::rope::RopeFreqs;
 use crate::weights::LayerWeights;
 
 /// Per-node key/value rows produced by one tree-attention pass, kept aside
@@ -82,10 +82,19 @@ fn attend<'a>(
     }
 }
 
+/// `rows` consecutive rows of a packed batch: positions `base..` of the
+/// sequence that owns `cache`. A prompt span is one seat of many rows; a
+/// decode group is one single-row seat per member.
+pub(crate) struct Seat<'a> {
+    pub(crate) cache: &'a mut KvCache,
+    pub(crate) base: usize,
+    pub(crate) rows: usize,
+}
+
 /// Single-token attention forward: projects q/k/v from the normalized
 /// hidden state, applies RoPE at `pos`, appends to the cache, attends over
-/// the whole cache and projects the output — [`attention_forward_span`]
-/// over one position.
+/// the whole cache and projects the output — the kernel of
+/// [`crate::Transformer::forward_layer_span`] over one seat of one row.
 ///
 /// # Panics
 ///
@@ -102,51 +111,63 @@ pub fn attention_forward(
     cache: &mut KvCache,
     meter: &mut Meter,
 ) -> Vec<f32> {
-    attention_forward_span(w, cfg, scale, backend, x, pos, cache, meter)
+    let rope = RopeFreqs::new(cfg.head_dim(), cfg.rope_theta);
+    let mut seat = [Seat {
+        cache,
+        base: pos,
+        rows: packed_rows(x, cfg.hidden_dim),
+    }];
+    attention_forward_rows(w, cfg, scale, backend, &rope, x, &mut seat, meter)
 }
 
-/// Causal attention over a span of consecutive positions `base..`, whose
-/// normalized hidden states are packed row-major in `xs`: one weight pass
-/// each for the q/k/v and output projections of the whole span, while each
-/// position appends its K/V row and attends over the cache up to itself —
-/// so every output, cache row and [`Meter`] record equals feeding the
-/// positions through [`attention_forward`] one at a time. Returns the
-/// outputs packed like `xs`.
+/// Causal attention over the rows of `xs` (normalized hidden states packed
+/// row-major), dealt to `seats` in order: one weight pass each for the
+/// q/k/v and output projections of the whole batch, while each row is
+/// rotated to its own position, appends its K/V to its own seat's cache and
+/// attends over that cache up to itself — no sum mixes two rows, so every
+/// output, cache row and [`Meter`] record equals feeding the rows through
+/// [`attention_forward`] one at a time. Returns the outputs packed like
+/// `xs`.
 ///
 /// # Panics
 ///
-/// Panics if `base` does not equal the cache length or `xs` is not a whole
-/// number of `hidden_dim` rows.
+/// Panics if a seat's `base` is not its cache length, or the seats do not
+/// cover exactly the `hidden_dim`-wide rows of `xs`.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_forward_span(
+pub(crate) fn attention_forward_rows(
     w: &LayerWeights,
     cfg: &ModelConfig,
     scale: &OpScale,
     backend: BackendKind,
+    rope: &RopeFreqs,
     xs: &[f32],
-    base: usize,
-    cache: &mut KvCache,
+    seats: &mut [Seat<'_>],
     meter: &mut Meter,
 ) -> Vec<f32> {
-    assert_eq!(base, cache.len(), "attention positions must be sequential");
     let dim = cfg.hidden_dim;
     let n = packed_rows(xs, dim);
+    let seated: usize = seats.iter().map(|s| s.rows).sum();
+    assert_eq!(seated, n, "seats must cover every row");
     let mut qs = w.wq.matmul_with(backend, xs, n);
     let mut ks = w.wk.matmul_with(backend, xs, n);
     let vs = w.wv.matmul_with(backend, xs, n);
     let mut merged = vec![0.0f32; n * dim];
     let (no_tree, mut scores) = (TreeKv::default(), Vec::new());
-    let rows = qs
+    let mut rows = qs
         .chunks_exact_mut(dim)
         .zip(ks.chunks_exact_mut(dim))
         .zip(vs.chunks_exact(dim))
         .zip(merged.chunks_exact_mut(dim));
-    for (i, (((q, k), v), out)) in rows.enumerate() {
-        apply_rope_qk(q, k, base + i, cfg.n_heads, cfg.head_dim(), cfg.rope_theta);
-        cache.push(k, v);
-        let visible = visible_rows(cache, &no_tree, &[]);
-        attend(q, visible, cfg.head_dim(), &mut scores, out);
-        scale.record_attention(meter, cache.len());
+    for seat in seats {
+        let cache = &mut *seat.cache;
+        assert_eq!(seat.base, cache.len(), "positions must be sequential");
+        for (((q, k), v), out) in rows.by_ref().take(seat.rows) {
+            rope.rotate_qk(q, k, cache.len(), cfg.n_heads);
+            cache.push(k, v);
+            let visible = visible_rows(cache, &no_tree, &[]);
+            attend(q, visible, cfg.head_dim(), &mut scores, out);
+            scale.record_attention(meter, cache.len());
+        }
     }
     w.wo.matmul_with(backend, &merged, n)
 }
@@ -184,6 +205,7 @@ pub fn attention_forward_tree(
         cfg,
         scale,
         backend,
+        &RopeFreqs::new(cfg.head_dim(), cfg.rope_theta),
         xs,
         parents,
         0,
@@ -220,6 +242,7 @@ pub fn attention_forward_tree_partial(
     cfg: &ModelConfig,
     scale: &OpScale,
     backend: BackendKind,
+    rope: &RopeFreqs,
     new_xs: &[f32],
     parents: &[Option<usize>],
     first_new: usize,
@@ -250,14 +273,7 @@ pub fn attention_forward_tree_partial(
         .zip(ks.chunks_exact_mut(dim))
         .zip(vs.chunks_exact(dim));
     for (((q, k), v), depth) in rows.zip(&depths[first_new..]) {
-        apply_rope_qk(
-            q,
-            k,
-            base + depth,
-            cfg.n_heads,
-            cfg.head_dim(),
-            cfg.rope_theta,
-        );
+        rope.rotate_qk(q, k, base + depth, cfg.n_heads);
         scratch.k.push(k.to_vec());
         scratch.v.push(v.to_vec());
     }
@@ -519,6 +535,7 @@ mod tests {
                 &cfg,
                 &scale,
                 BackendKind::Reference,
+                &RopeFreqs::new(cfg.head_dim(), cfg.rope_theta),
                 &xs[first_new..first_new + count].concat(),
                 &parents[..first_new + count],
                 first_new,

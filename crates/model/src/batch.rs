@@ -814,7 +814,9 @@ impl<M: LayeredLm> BatchedStack<M> {
     }
 
     /// The shared layer sweep: runs decoder layer `layer` on every slot
-    /// whose `active` bit is set, replacing `hidden[slot]` in place, and
+    /// whose `active` bit is set — as one
+    /// [`LayeredLm::forward_layer_group`] call, so seats sharing weights
+    /// take one pass over them — replacing `hidden[slot]` in place, and
     /// returns the number of runners. `positions[slot]` is the KV position
     /// the slot's pending token occupies.
     ///
@@ -833,15 +835,19 @@ impl<M: LayeredLm> BatchedStack<M> {
         assert_eq!(hidden.len(), self.slots.len(), "one hidden state per slot");
         assert_eq!(active.len(), self.slots.len(), "one mask bit per slot");
         assert_eq!(positions.len(), self.slots.len(), "one position per slot");
-        let mut runners = 0;
+        let (mut group, mut hs, mut at) = (Vec::new(), Vec::new(), Vec::new());
         for (slot, seat) in self.slots.iter_mut().enumerate() {
             if !active[slot] {
                 continue;
             }
-            let seat = seat.as_mut().expect("active slot is vacant");
-            let h = hidden[slot].as_ref().expect("active slot has no state");
-            hidden[slot] = Some(seat.model.forward_layer(layer, h, positions[slot], meter));
-            runners += 1;
+            group.push(&mut seat.as_mut().expect("active slot is vacant").model);
+            hs.push(hidden[slot].as_deref().expect("active slot has no state"));
+            at.push(positions[slot]);
+        }
+        let outs = M::forward_layer_group(&mut group, layer, &hs, &at, meter);
+        let runners = outs.len();
+        for (slot, out) in (0..active.len()).filter(|&s| active[s]).zip(outs) {
+            hidden[slot] = Some(out);
         }
         runners
     }
@@ -1182,6 +1188,57 @@ mod tests {
         }
         assert_eq!(hidden[sa].as_deref(), Some(ha.as_slice()));
         assert_eq!(hidden[sb].as_deref(), Some(hb.as_slice()));
+    }
+
+    #[test]
+    fn mixed_mask_over_mixed_seats_matches_single_streams() {
+        // Seats 0 and 2 share one weight set; seat 1 was quantized after
+        // cloning. Each seat leaves the token at its own layer, the way
+        // early exit shrinks a live batch: layer 0 runs all three (the
+        // per-seat fallback), layers 1–2 the sharing pair (one weight
+        // pass), layer 3 seat 0 alone.
+        let template = model(21);
+        let prompts: [&[u32]; 3] = [&[1, 2, 3], &[4], &[5, 6]];
+        let tokens = [7u32, 8, 9];
+        let last_layer = [4usize, 1, 3];
+        let seat = |i: usize, meter: &mut Meter| {
+            let mut m = template.clone();
+            if i == 1 {
+                m.quantize(specee_tensor::QuantBits::Int8);
+            }
+            prefill(&mut m, prompts[i], meter);
+            m
+        };
+        let (mut meter, mut ref_meter) = (Meter::new(), Meter::new());
+        let mut stack: BatchedStack<Transformer> = BatchedStack::new(3, 16);
+        let mut refs: Vec<Transformer> = Vec::new();
+        for i in 0..3 {
+            assert_eq!(stack.admit(seat(i, &mut meter)), i);
+            refs.push(seat(i, &mut ref_meter));
+        }
+        assert!(stack.model(0).shares_weights_with(stack.model(2)));
+        assert!(!stack.model(0).shares_weights_with(stack.model(1)));
+
+        let positions: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
+        let mut hidden: Vec<Option<Vec<f32>>> = Vec::new();
+        let mut want: Vec<Vec<f32>> = Vec::new();
+        for i in 0..3 {
+            hidden.push(Some(stack.model_mut(i).begin_token(tokens[i], &mut meter)));
+            want.push(refs[i].begin_token(tokens[i], &mut ref_meter));
+        }
+        for layer in 0..4 {
+            let active: Vec<bool> = last_layer.iter().map(|&l| layer < l).collect();
+            let runners = stack.sweep_layer(layer, &mut hidden, &active, &positions, &mut meter);
+            assert_eq!(runners, active.iter().filter(|&&a| a).count());
+            for i in (0..3).filter(|&i| active[i]) {
+                want[i] = refs[i].forward_layer(layer, &want[i], positions[i], &mut ref_meter);
+            }
+            for i in 0..3 {
+                assert_eq!(hidden[i].as_ref(), Some(&want[i]), "layer {layer} seat {i}");
+                assert_eq!(stack.model(i).cache(layer), refs[i].cache(layer));
+            }
+        }
+        assert_eq!(meter, ref_meter, "same records, in the same per-kind order");
     }
 
     #[test]

@@ -1,15 +1,51 @@
 //! Rotary position embeddings (RoPE), as used by Llama-family models.
 
-/// The `head_dim / 2` `(sin, cos)` pairs of position `pos` — the same for
-/// every head and for queries and keys, so computed once per position.
-fn sin_cos_table(pos: usize, head_dim: usize, theta: f32) -> Vec<(f32, f32)> {
-    assert!(head_dim % 2 == 0, "head_dim must be even");
-    (0..head_dim / 2)
-        .map(|i| {
-            let freq = theta.powf(-2.0 * i as f32 / head_dim as f32);
-            (pos as f32 * freq).sin_cos()
-        })
-        .collect()
+/// The `head_dim / 2` inverse frequencies `theta^(-2i / head_dim)`. They
+/// depend on `(head_dim, theta)` alone, so a model builds them once and
+/// every position of every layer reuses them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RopeFreqs(Vec<f32>);
+
+impl RopeFreqs {
+    /// The inverse frequencies of a `head_dim`-wide head at base `theta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head_dim` is odd.
+    pub fn new(head_dim: usize, theta: f32) -> Self {
+        assert!(head_dim % 2 == 0, "head_dim must be even");
+        let freq = |i| theta.powf(-2.0 * i as f32 / head_dim as f32);
+        RopeFreqs((0..head_dim / 2).map(freq).collect())
+    }
+
+    /// The `(sin, cos)` pairs of position `pos` — the same for every head
+    /// and for queries and keys, so computed once per position.
+    fn sin_cos_table(&self, pos: usize) -> Vec<(f32, f32)> {
+        let at = |&freq: &f32| (pos as f32 * freq).sin_cos();
+        self.0.iter().map(at).collect()
+    }
+
+    /// Rotates `x` (`[n_heads × head_dim]`, pairwise within each head) to
+    /// position `pos`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` is not `n_heads * head_dim`.
+    pub fn rotate(&self, x: &mut [f32], pos: usize, n_heads: usize) {
+        rotate(x, &self.sin_cos_table(pos), n_heads);
+    }
+
+    /// [`RopeFreqs::rotate`] on a query and its key at the same position,
+    /// sharing one `(sin, cos)` table between them.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions, for either vector.
+    pub fn rotate_qk(&self, q: &mut [f32], k: &mut [f32], pos: usize, n_heads: usize) {
+        let table = self.sin_cos_table(pos);
+        rotate(q, &table, n_heads);
+        rotate(k, &table, n_heads);
+    }
 }
 
 fn rotate(x: &mut [f32], table: &[(f32, f32)], n_heads: usize) {
@@ -30,7 +66,7 @@ fn rotate(x: &mut [f32], table: &[(f32, f32)], n_heads: usize) {
 ///
 /// Panics if `x.len()` is not `n_heads * head_dim` or `head_dim` is odd.
 pub fn apply_rope(x: &mut [f32], pos: usize, n_heads: usize, head_dim: usize, theta: f32) {
-    rotate(x, &sin_cos_table(pos, head_dim, theta), n_heads);
+    RopeFreqs::new(head_dim, theta).rotate(x, pos, n_heads);
 }
 
 /// [`apply_rope`] on a query and its key at the same position, sharing one
@@ -47,9 +83,7 @@ pub fn apply_rope_qk(
     head_dim: usize,
     theta: f32,
 ) {
-    let table = sin_cos_table(pos, head_dim, theta);
-    rotate(q, &table, n_heads);
-    rotate(k, &table, n_heads);
+    RopeFreqs::new(head_dim, theta).rotate_qk(q, k, pos, n_heads);
 }
 
 #[cfg(test)]
@@ -110,6 +144,8 @@ mod tests {
     fn shared_table_is_bit_identical_to_the_per_head_formula() {
         let (n_heads, head_dim) = (4, 32);
         let mut rng = specee_tensor::rng::Pcg::seed(5);
+        // Built once, reused across positions: what a `Transformer` does.
+        let freqs = RopeFreqs::new(head_dim, 10000.0);
         for pos in [0, 1, 17, 1023] {
             let mut q = vec![0.0f32; n_heads * head_dim];
             let mut k = q.clone();
@@ -121,11 +157,18 @@ mod tests {
 
             let mut single = k.clone();
             apply_rope(&mut single, pos, n_heads, head_dim, 10000.0);
+            let (mut hoisted_q, mut hoisted_k) = (q.clone(), k.clone());
+            freqs.rotate_qk(&mut hoisted_q, &mut hoisted_k, pos, n_heads);
+            let mut hoisted_single = k.clone();
+            freqs.rotate(&mut hoisted_single, pos, n_heads);
             apply_rope_qk(&mut q, &mut k, pos, n_heads, head_dim, 10000.0);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&q), bits(&want_q), "q at pos {pos}");
             assert_eq!(bits(&k), bits(&want_k), "k at pos {pos}");
             assert_eq!(bits(&single), bits(&want_k), "apply_rope at pos {pos}");
+            assert_eq!(bits(&hoisted_q), bits(&want_q), "hoisted q at pos {pos}");
+            assert_eq!(bits(&hoisted_k), bits(&want_k), "hoisted k at pos {pos}");
+            assert_eq!(bits(&hoisted_single), bits(&want_k), "hoisted at pos {pos}");
         }
     }
 

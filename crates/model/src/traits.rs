@@ -3,8 +3,9 @@
 //! SpecEE interleaves decoder layers with predictor calls (Fig. 3), so the
 //! engine cannot treat the model as a black-box `forward()`. `LayeredLm`
 //! exposes exactly the control points the engine needs: embed a token, run
-//! one layer, run one layer over a draft-token tree, read full or sliced
-//! logits, and fill the KV cache of skipped layers after an exit.
+//! one layer — for one sequence, a group of sequences at their own
+//! positions, or a draft-token tree — read full or sliced logits, and fill
+//! the KV cache of skipped layers after an exit.
 //!
 //! Both the real [`crate::Transformer`] and the calibrated synthetic model
 //! in `specee-synth` implement this trait, so every engine runs unchanged
@@ -46,6 +47,32 @@ pub trait LayeredLm {
     /// appending this layer's K/V for the position.
     fn forward_layer(&mut self, layer: usize, h: &[f32], pos: usize, meter: &mut Meter)
         -> Vec<f32>;
+
+    /// Runs decoder layer `layer` for a group of sequences in one call
+    /// (what [`crate::BatchedStack::sweep_layer`] makes with its active
+    /// seats): member `i` takes `hs[i]` at its own `positions[i]` and
+    /// appends to its own K/V; outputs come back in member order.
+    ///
+    /// This default — [`LayeredLm::forward_layer`] member by member, one
+    /// weight stream each — is the reference: implementations whose
+    /// members share weights override it to stream them once per group,
+    /// and must stay bit-identical to it (hidden states, K/V rows, every
+    /// [`Meter`] total), which holds while no sum mixes two members and
+    /// each [`specee_metrics::OpKind`] is recorded in member order.
+    fn forward_layer_group(
+        group: &mut [&mut Self],
+        layer: usize,
+        hs: &[&[f32]],
+        positions: &[usize],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>>
+    where
+        Self: Sized,
+    {
+        (0..group.len())
+            .map(|i| group[i].forward_layer(layer, hs[i], positions[i], meter))
+            .collect()
+    }
 
     /// Runs `prompt` through every layer, committing K/V for each prompt
     /// position after the [`LayeredLm::kv_len`] positions already cached,

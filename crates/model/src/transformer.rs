@@ -5,13 +5,14 @@ use std::sync::Arc;
 use specee_metrics::Meter;
 use specee_tensor::{ops, rng::Pcg, BackendKind, QuantBits};
 
-use crate::attention::{attention_forward_span, attention_forward_tree_partial, TreeKv};
+use crate::attention::{attention_forward_rows, attention_forward_tree_partial, Seat, TreeKv};
 use crate::calibration::ActivationTap;
 use crate::config::{ModelConfig, TokenId};
 use crate::ffn::{ffn_apply, ffn_apply_sparse, FfnMode, FfnRouter};
 use crate::kv::{KvCache, KvLayout, SkipKvPolicy};
 use crate::linear::LinearOp;
 use crate::metering::OpScale;
+use crate::rope::RopeFreqs;
 use crate::traits::LayeredLm;
 use crate::weights::ModelWeights;
 
@@ -60,6 +61,7 @@ pub struct Transformer {
 struct Shared {
     weights: ModelWeights,
     routers: Vec<FfnRouter>,
+    rope: RopeFreqs,
 }
 
 impl Transformer {
@@ -75,11 +77,13 @@ impl Transformer {
             .map(|_| KvCache::new(config.hidden_dim, layout))
             .collect();
         let scale = OpScale::of(&config);
+        let rope = RopeFreqs::new(config.head_dim(), config.rope_theta);
         Transformer {
             config,
             shared: Arc::new(Shared {
                 weights,
                 routers: Vec::new(),
+                rope,
             }),
             caches,
             ffn_mode: FfnMode::Dense,
@@ -221,33 +225,54 @@ impl Transformer {
         base: usize,
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
-        assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.shared.weights.layers[layer];
+        Self::layer_rows(&mut [self], layer, hs, [(base, hs.len())], meter)
+    }
+
+    /// The decoder layer — norm → q/k/v → RoPE → append → attend → `wo` →
+    /// residual → FFN — over the rows `hs`, dealt to `members` in order:
+    /// member `i` takes `spans[i] = (base, rows)`, that many rows at
+    /// positions `base..` of its own cache. All members must read the
+    /// first one's weights on its backend; only a lone member may be tapped.
+    fn layer_rows<H: AsRef<[f32]>>(
+        members: &mut [&mut Self],
+        layer: usize,
+        hs: &[H],
+        spans: impl IntoIterator<Item = (usize, usize)>,
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        let (lead, rest) = members.split_first_mut().expect("at least one member");
+        assert!(layer < lead.config.n_layers, "layer {layer} out of range");
+        let w = &lead.shared.weights.layers[layer];
         let normed = pack_normed(hs, &w.attn_norm);
-        let attn = attention_forward_span(
+        let mut seats: Vec<Seat<'_>> = std::iter::once(&mut lead.caches[layer])
+            .chain(rest.iter_mut().map(|m| &mut m.caches[layer]))
+            .zip(spans)
+            .map(|(cache, (base, rows))| Seat { cache, base, rows })
+            .collect();
+        let attn = attention_forward_rows(
             w,
-            &self.config,
-            &self.scale,
-            self.backend,
+            &lead.config,
+            &lead.scale,
+            lead.backend,
+            &lead.shared.rope,
             &normed,
-            base,
-            &mut self.caches[layer],
+            &mut seats,
             meter,
         );
-        let (outs, normed2) = self.residual_ffn(layer, hs, &attn);
+        let (outs, normed2) = lead.residual_ffn(layer, hs, &attn);
         for _ in hs {
-            match self.ffn_mode {
-                FfnMode::Dense => self.scale.record_ffn(meter),
-                FfnMode::Sparse { active_frac, .. } => self.scale.record_ffn_sparse(
+            match lead.ffn_mode {
+                FfnMode::Dense => lead.scale.record_ffn(meter),
+                FfnMode::Sparse { active_frac, .. } => lead.scale.record_ffn_sparse(
                     meter,
                     active_frac as f64,
-                    self.shared.routers[layer].rank(),
+                    lead.shared.routers[layer].rank(),
                 ),
             }
-            self.scale.record_norms(meter);
+            lead.scale.record_norms(meter);
         }
-        if let Some(tap) = &mut self.tap {
-            let dim = self.config.hidden_dim;
+        if let Some(tap) = &mut lead.tap {
+            let dim = lead.config.hidden_dim;
             for (a, f) in normed.chunks_exact(dim).zip(normed2.chunks_exact(dim)) {
                 tap.record_attn(layer, a);
                 tap.record_ffn(layer, f);
@@ -275,6 +300,7 @@ impl Transformer {
             &self.config,
             &self.scale,
             self.backend,
+            &self.shared.rope,
             &normed,
             parents,
             first_new,
@@ -385,6 +411,27 @@ impl LayeredLm for Transformer {
             .expect("one position in, one out")
     }
 
+    fn forward_layer_group(
+        group: &mut [&mut Self],
+        layer: usize,
+        hs: &[&[f32]],
+        positions: &[usize],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        // One weight pass needs one set of weights and one kernel to
+        // pass them through; a calibration tap records per sequence.
+        let one_pass = group.iter().all(|m| {
+            m.shares_weights_with(group[0]) && m.backend == group[0].backend && m.tap.is_none()
+        });
+        if one_pass && !group.is_empty() {
+            let spans = positions.iter().map(|&pos| (pos, 1));
+            return Self::layer_rows(group, layer, hs, spans, meter);
+        }
+        (0..group.len())
+            .map(|i| group[i].forward_layer(layer, hs[i], positions[i], meter))
+            .collect()
+    }
+
     fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
         assert!(!prompt.is_empty(), "prompt must be non-empty");
         let base = self.kv_len();
@@ -467,8 +514,6 @@ impl LayeredLm for Transformer {
         policy: SkipKvPolicy,
         meter: &mut Meter,
     ) {
-        let heads = self.config.n_heads;
-        let head_dim = self.config.head_dim();
         let w = &self.shared.weights.layers[layer];
         let cache = &mut self.caches[layer];
         debug_assert_eq!(cache.len(), pos, "skip-fill position");
@@ -476,7 +521,7 @@ impl LayeredLm for Transformer {
             SkipKvPolicy::ProjectExitHidden => {
                 let normed = ops::rmsnorm(h, &w.attn_norm, 1e-5);
                 let mut k = w.wk.matvec_with(self.backend, &normed);
-                crate::rope::apply_rope(&mut k, pos, heads, head_dim, self.config.rope_theta);
+                self.shared.rope.rotate(&mut k, pos, self.config.n_heads);
                 let v = w.wv.matvec_with(self.backend, &normed);
                 cache.push(&k, &v);
                 self.scale.record_skip_kv_fill(meter);

@@ -110,11 +110,17 @@ impl SyntheticLm {
         &self.inner
     }
 
-    fn make_script(&mut self, ctx_ends_with: &[TokenId], prev_sat: Option<f64>) -> TokenScript {
+    /// Takes the two fields it needs so callers can lend `&self.context`.
+    fn make_script(
+        language: &SyntheticLanguage,
+        driver: &mut SaturationDriver,
+        ctx_ends_with: &[TokenId],
+        prev_sat: Option<f64>,
+    ) -> TokenScript {
         let input = *ctx_ends_with.last().expect("non-empty context");
-        let target = self.language.next_token(ctx_ends_with);
-        let cands = self.language.candidates(ctx_ends_with, 4);
-        let sat = self.driver.sample(prev_sat);
+        let target = language.next_token(ctx_ends_with);
+        let cands = language.candidates(ctx_ends_with, 4);
+        let sat = driver.sample(prev_sat);
         TokenScript {
             input,
             target,
@@ -177,6 +183,12 @@ impl SyntheticLm {
         out
     }
 
+    /// Steers a layer output at position `pos` from this model's stream.
+    fn steer(&mut self, out: &[f32], pos: usize, layer: usize) -> Vec<f32> {
+        let noise = self.draw_noise();
+        self.blend(out, &self.scripts[pos], layer, &noise)
+    }
+
     fn node_context(
         &self,
         tokens: &[TokenId],
@@ -220,8 +232,7 @@ impl LayeredLm for SyntheticLm {
     fn begin_token(&mut self, token: TokenId, meter: &mut Meter) -> Vec<f32> {
         self.context.push(token);
         let prev = self.scripts.last().map(|s| s.sat);
-        let ctx = self.context.clone();
-        let script = self.make_script(&ctx, prev);
+        let script = Self::make_script(&self.language, &mut self.driver, &self.context, prev);
         self.scripts.push(script);
         self.inner.begin_token(token, meter)
     }
@@ -234,8 +245,23 @@ impl LayeredLm for SyntheticLm {
         meter: &mut Meter,
     ) -> Vec<f32> {
         let out = self.inner.forward_layer(layer, h, pos, meter);
-        let noise = self.draw_noise();
-        self.blend(&out, &self.scripts[pos], layer, &noise)
+        self.steer(&out, pos, layer)
+    }
+
+    fn forward_layer_group(
+        group: &mut [&mut Self],
+        layer: usize,
+        hs: &[&[f32]],
+        positions: &[usize],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        let mut inners: Vec<&mut Transformer> = group.iter_mut().map(|m| &mut m.inner).collect();
+        let outs = Transformer::forward_layer_group(&mut inners, layer, hs, positions, meter);
+        // Each member steers from its own stream, so drawing after the
+        // whole group ran takes the normals the per-member loop would.
+        (0..group.len())
+            .map(|i| group[i].steer(&outs[i], positions[i], layer))
+            .collect()
     }
 
     fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
@@ -279,7 +305,7 @@ impl LayeredLm for SyntheticLm {
                 Some(p) => Some(node_sats[p]),
                 None => last_sat,
             };
-            let script = self.make_script(&ctx, prev);
+            let script = Self::make_script(&self.language, &mut self.driver, &ctx, prev);
             node_sats.push(script.sat);
             self.tree_scripts.push(script);
         }
@@ -321,13 +347,12 @@ impl LayeredLm for SyntheticLm {
         for (j, &t) in tokens.iter().enumerate() {
             self.tree_tokens.push(t);
             let i = first_new + j;
-            let tree_tokens = self.tree_tokens.clone();
-            let ctx = self.node_context(&tree_tokens, parents, i);
+            let ctx = self.node_context(&self.tree_tokens, parents, i);
             let prev = match parents[i] {
                 Some(p) => Some(self.tree_scripts[p].sat),
                 None => last_sat,
             };
-            let script = self.make_script(&ctx, prev);
+            let script = Self::make_script(&self.language, &mut self.driver, &ctx, prev);
             self.tree_scripts.push(script);
         }
         self.inner.extend_tree(tokens, parents, first_new, meter)
