@@ -255,6 +255,9 @@ pub struct BatchedEngine<M, D> {
     preemptions: u64,
     /// Parked sequences re-seated so far.
     resumes: u64,
+    /// Prompt tokens admission adopted from a resident instead of
+    /// prefilling.
+    prefix_tokens_reused: u64,
 }
 
 impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
@@ -300,6 +303,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             preempt_enabled: false,
             preemptions: 0,
             resumes: 0,
+            prefix_tokens_reused: 0,
         }
     }
 
@@ -552,7 +556,9 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// first, and parked sequences re-seat in ascending lane order. With
     /// prefix sharing enabled the prompt is matched against resident
     /// prefixes and matching pages are co-leased copy-on-write instead
-    /// of allocated.
+    /// of allocated; their K/V is copied from a resident that holds it
+    /// when the model can show the copy equals its own prefill
+    /// ([`LayeredLm::adopt_prefix`]), and only the rest is prefilled.
     ///
     /// # Panics
     ///
@@ -586,8 +592,18 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             }
         }
         let draft_calls_base = draft.forward_calls();
+        // What a resident has already prefilled is copied, not recomputed —
+        // all but the last prompt token, whose hidden state feeds the head.
+        let mut reused = 0;
+        if let Some((slot, tokens)) = self.stack.prefix_donor(prompt) {
+            let shared = &prompt[..tokens.min(prompt.len() - 1)];
+            if model.adopt_prefix(self.stack.model(slot), shared) {
+                reused = shared.len();
+            }
+        }
+        self.prefix_tokens_reused += reused as u64;
         let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut model, prompt, &mut prefill_meter);
+        let h0 = prefill(&mut model, &prompt[reused..], &mut prefill_meter);
         let logits = model.final_logits(&h0, &mut self.meter);
         let t = ops::argmax(&logits).expect("logits") as TokenId;
         let ce = f64::from(-ops::log_softmax(&logits)[t as usize]);
@@ -751,6 +767,14 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// Parked sequences re-seated so far.
     pub fn resumes(&self) -> u64 {
         self.resumes
+    }
+
+    /// Prompt tokens whose K/V admission copied from a resident sequence
+    /// sharing the prefix ([`LayeredLm::adopt_prefix`]) instead of
+    /// prefilling — `0` without prefix sharing, or when the models handed
+    /// in share no weights (build one template and clone it).
+    pub fn prefix_tokens_reused(&self) -> u64 {
+        self.prefix_tokens_reused
     }
 
     /// Sequences currently parked awaiting re-admission.
@@ -1689,33 +1713,83 @@ mod tests {
     fn prefix_shared_admission_is_bit_identical_and_cuts_pages() {
         // Two sequences sharing a one-page system prompt: sharing must
         // co-lease the prompt page (lower peak occupancy) while decoding
-        // the exact same tokens as private leases.
+        // the exact same tokens as private leases. Clones of one template
+        // share its weights, so the second admission also copies the
+        // page's K/V from the first; separately built models share
+        // nothing and prefill it — the same tokens either way.
         let mut prompt: Vec<TokenId> = (0..20).map(|i| 3 + (i % 7) as TokenId).collect();
         prompt[18] = 11; // a non-degenerate tail
-        let run = |shared: bool| {
+        let run = |shared: bool, cloned: bool| {
             let mut eng = engine(2, 107);
             eng.enable_prefix_share(shared);
+            let template = build_lm(107);
             for i in 0..2u64 {
-                let lm = build_lm(107);
+                let lm = if cloned {
+                    template.clone()
+                } else {
+                    build_lm(107)
+                };
                 let draft = build_draft(&lm, 107 ^ i);
                 let _ = eng.admit(i, lm, draft, &prompt, 8);
             }
             let shared_now = eng.pool().shared_pages();
+            let reused = eng.prefix_tokens_reused();
             let outs = eng.drain();
-            (outs, eng.pool().pages_peak(), shared_now)
+            (outs, eng.pool().pages_peak(), shared_now, reused)
         };
-        let (private, peak_private, s0) = run(false);
-        let (shared, peak_shared, s1) = run(true);
+        let (private, peak_private, s0, r0) = run(false, true);
         assert_eq!(s0, 0);
-        assert!(s1 > 0, "the 16-token prompt page must be co-leased");
-        assert!(
-            peak_shared < peak_private,
-            "sharing must cut peak pages: {peak_shared} vs {peak_private}"
-        );
-        for (a, b) in private.iter().zip(&shared) {
-            assert_eq!(a.tokens, b.tokens, "id {}", a.id);
-            assert_eq!(a.exit_layers, b.exit_layers, "id {}", a.id);
+        assert_eq!(r0, 0, "nothing is reused without sharing");
+        for cloned in [true, false] {
+            let (shared, peak_shared, s1, reused) = run(true, cloned);
+            assert!(s1 > 0, "the 16-token prompt page must be co-leased");
+            assert!(
+                peak_shared < peak_private,
+                "sharing must cut peak pages: {peak_shared} vs {peak_private}"
+            );
+            assert_eq!(
+                reused,
+                if cloned { 16 } else { 0 },
+                "the page is copied exactly when the seats share weights"
+            );
+            assert_eq!(private.len(), shared.len());
+            for (a, b) in private.iter().zip(&shared) {
+                assert_eq!(a.tokens, b.tokens, "id {} cloned {cloned}", a.id);
+                assert_eq!(a.exit_layers, b.exit_layers, "id {} cloned {cloned}", a.id);
+            }
         }
+    }
+
+    #[test]
+    fn a_fully_matched_prompt_still_runs_its_last_token() {
+        // A prompt that is whole pages, all of them resident: everything
+        // but the last token is adopted, because the first LM head needs
+        // that token's hidden state. A sequence that has decoded since it
+        // was cloned refuses to adopt and prefills.
+        let prompt: Vec<TokenId> = (0..32).map(|i| 2 + (i * 5 % 11) as TokenId).collect();
+        let parts = trained_parts(109);
+        let template = build_lm(109);
+        let mut stepped = template.clone();
+        let _ = specee_model::prefill(&mut stepped, &[1, 2, 3], &mut Meter::new());
+        let run = |shared: bool, second: &SyntheticLm| {
+            let (bank, schedule, config) = parts.clone();
+            let mut eng = BatchedEngine::new(2, 16, 12, bank, schedule, config);
+            eng.enable_prefix_share(shared);
+            for (i, lm) in [template.clone(), second.clone()].into_iter().enumerate() {
+                let draft = build_draft(&lm, 109 ^ i as u64);
+                let _ = eng.admit(i as u64, lm, draft, &prompt, 6);
+            }
+            let reused = eng.prefix_tokens_reused();
+            (eng.drain(), reused)
+        };
+        let (private, r0) = run(false, &template);
+        let (shared, reused) = run(true, &template);
+        assert_eq!((r0, reused), (0, 31), "all but the last prompt token");
+        assert_eq!(private, shared);
+        let (private, _) = run(false, &stepped);
+        let (shared, reused) = run(true, &stepped);
+        assert_eq!(reused, 0, "streams that moved on since the clone refuse");
+        assert_eq!(private, shared);
     }
 
     #[test]

@@ -523,6 +523,7 @@ fn dead_worker_report(worker: usize, assigned: &[u64]) -> WorkerReport {
         meter: specee_metrics::Meter::new(),
         preemptions: 0,
         resumes: 0,
+        prefix_tokens_reused: 0,
         kv: specee_model::KvStats::default(),
     }
 }

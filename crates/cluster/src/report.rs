@@ -191,6 +191,12 @@ impl ClusterReport {
         self.workers.iter().map(|w| w.resumes).sum()
     }
 
+    /// Total prompt tokens admissions copied from a resident sharing the
+    /// prefix instead of prefilling, across workers.
+    pub fn prefix_tokens_reused(&self) -> u64 {
+        self.workers.iter().map(|w| w.prefix_tokens_reused).sum()
+    }
+
     /// Summed peak physical KV-page residency across worker pools — the
     /// cluster's memory high-water mark in pages.
     pub fn kv_pages_peak(&self) -> usize {

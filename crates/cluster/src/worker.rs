@@ -130,6 +130,10 @@ pub struct WorkerReport {
     pub preemptions: u64,
     /// Parked sequences re-seated after pages freed up.
     pub resumes: u64,
+    /// Prompt tokens this worker's admissions copied from a resident
+    /// sharing the prefix instead of prefilling
+    /// (`BatchedEngine::prefix_tokens_reused`).
+    pub prefix_tokens_reused: u64,
     /// Final snapshot of the worker's KV slot pool (peak residency,
     /// sharing, copy-on-write counts).
     pub kv: specee_model::KvStats,
@@ -328,6 +332,7 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
             meter: self.engine.meter().clone(),
             preemptions: self.engine.preemptions(),
             resumes: self.engine.resumes(),
+            prefix_tokens_reused: self.engine.prefix_tokens_reused(),
             kv: self.engine.kv_stats(),
         }
     }

@@ -18,7 +18,10 @@
 //! admission: a new sequence's prompt is matched against resident
 //! prefixes and the matching pages are leased read-only, with a private
 //! copy made only on the first divergent write
-//! (see [`BatchedStack::admit_shared`]).
+//! (see [`BatchedStack::admit_shared`]). The leases are a ledger — every
+//! sequence keeps private K/V — but the compute is saved:
+//! [`BatchedStack::prefix_donor`] names a resident that already holds the
+//! matched pages' rows, for the engine to copy instead of prefilling.
 //!
 //! [`BatchedStack`] is the substrate the `specee-batch` engine drives: it
 //! owns the slot models, leases KV pages on their behalf, and exposes the
@@ -735,6 +738,25 @@ impl<M: LayeredLm> BatchedStack<M> {
         slot
     }
 
+    /// A resident sequence whose prompt K/V a newcomer with this `prompt`
+    /// could adopt ([`LayeredLm::adopt_prefix`]) instead of recomputing:
+    /// `(slot, tokens)` — the longest chain of whole prompt pages the
+    /// index matches, and a slot registered under a prompt that begins
+    /// with those `tokens` (one exists while the chain does: a node lives
+    /// as long as a registrant). `None` without sharing or without a match.
+    pub fn prefix_donor(&self, prompt: &[u32]) -> Option<(usize, usize)> {
+        let pages = self.index.as_ref()?.matched(prompt).0.len();
+        let shared = &prompt[..pages * self.pool.page_size()];
+        if shared.is_empty() {
+            return None;
+        }
+        let slot = self.slots.iter().position(|s| {
+            let registered = s.as_ref().and_then(|s| s.registered.as_deref());
+            registered.is_some_and(|p| p.starts_with(shared))
+        })?;
+        Some((slot, shared.len()))
+    }
+
     /// Fresh physical pages admitting a sequence with this `prompt`
     /// would allocate, accounting for prefix-index matches. Compare with
     /// [`SlotPool::available_pages`] to gate admission under a capacity.
@@ -1119,6 +1141,43 @@ mod tests {
         // resident for the original owner.
         let _ = stack.retire(sb);
         assert_eq!(stack.pool().pages_in_use(), 3);
+    }
+
+    #[test]
+    fn prefix_donor_is_a_registered_holder_of_the_matched_whole_pages() {
+        let mut stack: BatchedStack<Transformer> = BatchedStack::new(4, 2);
+        let mut meter = Meter::new();
+        let seat = |prompt: &[u32], meter: &mut Meter| {
+            let mut m = model(1);
+            prefill(&mut m, prompt, meter);
+            m
+        };
+        let long = [1u32, 2, 3, 4, 5];
+        assert_eq!(stack.prefix_donor(&long), None, "sharing is off");
+        stack.enable_prefix_share(true);
+        assert_eq!(stack.prefix_donor(&long), None, "nobody is resident");
+        // A plain admission registers nothing, so it holds nothing; nor
+        // does the holder of some other prompt.
+        let plain = stack.admit(seat(&long, &mut meter));
+        let other = stack.admit_shared(seat(&[9, 2, 3, 4], &mut meter), &[9, 2, 3, 4]);
+        assert_eq!(stack.prefix_donor(&long), None);
+        let a = stack.admit_shared(seat(&long, &mut meter), &long);
+        assert!(plain < a && other < a, "the donor is not the first seat");
+        // Whole pages only: the odd fifth token and a tail match inside
+        // the second page are not on offer.
+        assert_eq!(stack.prefix_donor(&long), Some((a, 4)));
+        assert_eq!(stack.prefix_donor(&[1, 2, 3, 9]), Some((a, 2)));
+        assert_eq!(stack.prefix_donor(&[1, 2, 3]), Some((a, 2)));
+        assert_eq!(stack.prefix_donor(&[1]), None);
+        assert_eq!(stack.prefix_donor(&[9, 2, 3, 4]), Some((other, 4)));
+        assert_eq!(stack.prefix_donor(&[8, 2, 3, 4]), None);
+        // A second holder of the first page keeps it on offer once the
+        // first is gone — for as far as its own prompt goes.
+        let b = stack.admit_shared(seat(&[1, 2, 7, 8], &mut meter), &[1, 2, 7, 8]);
+        let _ = stack.retire(a);
+        assert_eq!(stack.prefix_donor(&long), Some((b, 2)));
+        let _ = stack.retire(b);
+        assert_eq!(stack.prefix_donor(&long), None);
     }
 
     #[test]

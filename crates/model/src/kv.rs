@@ -129,6 +129,20 @@ impl KvCache {
         self.len += 1;
     }
 
+    /// Appends the first `len` positions of `donor`, row for row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row widths differ or `donor` holds fewer than `len`
+    /// positions.
+    pub fn extend_from_prefix(&mut self, donor: &KvCache, len: usize) {
+        assert_eq!(donor.kv_dim, self.kv_dim, "row width");
+        assert!(len <= donor.len, "prefix {len} > donor's {}", donor.len);
+        self.k.extend_from_slice(&donor.k[..len * self.kv_dim]);
+        self.v.extend_from_slice(&donor.v[..len * self.kv_dim]);
+        self.len += len;
+    }
+
     /// Key row at `pos`.
     ///
     /// # Panics
@@ -168,6 +182,8 @@ impl KvCache {
     /// pages. This drives the memory-usage experiment (Fig. 17).
     pub fn allocated_tokens(&self) -> usize {
         match self.layout {
+            // `0usize.next_power_of_two()` is 1; an empty cache holds nothing.
+            KvLayout::Contiguous if self.len == 0 => 0,
             KvLayout::Contiguous => self.len.next_power_of_two().max(self.len),
             KvLayout::Paged { page_size } => self.len.div_ceil(page_size) * page_size,
         }
@@ -230,10 +246,41 @@ mod tests {
     #[test]
     fn contiguous_allocation_grows_geometrically() {
         let mut c = KvCache::new(1, KvLayout::Contiguous);
+        assert_eq!(c.allocated_tokens(), 0, "an empty cache holds no slot");
         for _ in 0..5 {
             c.push(&[0.0], &[0.0]);
         }
         assert_eq!(c.allocated_tokens(), 8);
+    }
+
+    #[test]
+    fn extend_from_prefix_copies_the_leading_rows_only() {
+        let mut donor = KvCache::new(2, KvLayout::Paged { page_size: 2 });
+        for i in 0..5 {
+            donor.push(&[i as f32, 0.5], &[-(i as f32), 1.5]);
+        }
+        let mut c = KvCache::new(2, KvLayout::Contiguous);
+        c.extend_from_prefix(&donor, 3);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.layout(), KvLayout::Contiguous, "the layout stays its own");
+        for pos in 0..3 {
+            assert_eq!(c.key(pos), donor.key(pos));
+            assert_eq!(c.value(pos), donor.value(pos));
+        }
+        let mut pushed = KvCache::new(2, KvLayout::Contiguous);
+        for pos in 0..3 {
+            pushed.push(donor.key(pos), donor.value(pos));
+        }
+        assert_eq!(c, pushed, "the same cache as pushing those rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix 3 > donor's 2")]
+    fn extend_from_prefix_checks_the_donor_length() {
+        let mut donor = KvCache::new(1, KvLayout::Contiguous);
+        donor.push(&[0.0], &[0.0]);
+        donor.push(&[0.0], &[0.0]);
+        KvCache::new(1, KvLayout::Contiguous).extend_from_prefix(&donor, 3);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! exposes exactly the control points the engine needs: embed a token, run
 //! one layer — for one sequence, a group of sequences at their own
 //! positions, or a draft-token tree — read full or sliced logits, and fill
-//! the KV cache of skipped layers after an exit.
+//! the KV cache of skipped layers after an exit. A prompt goes through
+//! [`LayeredLm::prefill`]; the part of it a resident sequence has already
+//! prefilled can be taken over with [`LayeredLm::adopt_prefix`] instead,
+//! which copies only where the copy provably equals the computation.
 //!
 //! Both the real [`crate::Transformer`] and the calibrated synthetic model
 //! in `specee-synth` implement this trait, so every engine runs unchanged
@@ -102,6 +105,25 @@ pub trait LayeredLm {
             last_hidden = h;
         }
         last_hidden
+    }
+
+    /// Leaves `self` exactly as [`LayeredLm::prefill`] of `tokens` would —
+    /// K/V rows, position and any per-sequence stream — by copying from
+    /// `donor`, which committed the same tokens at the same positions at
+    /// full depth (prompt positions always are). Returns `false`, having
+    /// touched nothing, whenever the copy could differ from the
+    /// computation; the caller then prefills as if it had not asked.
+    /// Nothing is metered: admission prices a prompt from its length.
+    ///
+    /// This default never adopts. An implementation overrides it only with
+    /// conditions it can observe on the two instances — one weight
+    /// allocation, one backend, no recording tap, an empty `self`, streams
+    /// standing where the donor's stood when it began.
+    fn adopt_prefix(&mut self, _donor: &Self, _tokens: &[TokenId]) -> bool
+    where
+        Self: Sized,
+    {
+        false
     }
 
     /// Embeds a batch of draft-tree tokens (`parents[i]` is the in-batch

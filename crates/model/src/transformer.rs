@@ -445,6 +445,25 @@ impl LayeredLm for Transformer {
         hs.pop().expect("non-empty prompt")
     }
 
+    fn adopt_prefix(&mut self, donor: &Self, tokens: &[TokenId]) -> bool {
+        // A prompt row is a function of the weights, the kernel and the
+        // tokens up to it — `matmul_into` is bit-identical per input
+        // whatever the span — so under one weight set and one backend the
+        // donor's rows are the rows a prefill here would write. An armed
+        // tap would have recorded that prefill's activations.
+        let same_rows = self.shares_weights_with(donor)
+            && self.backend == donor.backend
+            && self.tap.is_none()
+            && self.caches.iter().all(KvCache::is_empty)
+            && donor.caches.iter().all(|c| c.len() >= tokens.len());
+        if same_rows {
+            for (own, theirs) in self.caches.iter_mut().zip(&donor.caches) {
+                own.extend_from_prefix(theirs, tokens.len());
+            }
+        }
+        same_rows
+    }
+
     fn begin_tree(
         &mut self,
         tokens: &[TokenId],

@@ -1136,6 +1136,88 @@ mod tests {
     }
 
     #[test]
+    fn prefix_reuse_changes_no_token_no_clock_and_no_page() {
+        // Two 32-token system prompts under lanes and a tight page cap.
+        // A factory that clones one template seats sequences that share
+        // weights, so a newcomer copies the pages a resident holds; one
+        // that builds a model per request shares nothing and prefills
+        // them. Everything the run reports must agree, to the bit.
+        use specee_obs::{EventKind, Recorder};
+        let seed = 97;
+        let parts = trained(seed);
+        let prefix = |p: u32| (0..32u32).map(move |i| 1 + (7 * i + 90 * p) % 200);
+        let req = |id: u64, p: u32, gen_len: usize, arrival_s: f64| ServeRequest {
+            id,
+            prompt: prefix(p)
+                .chain([201 + id as u32, 210, 220 + id as u32])
+                .collect(),
+            gen_len,
+            arrival_s,
+        };
+        // `req(id, prefix, gen, arrival)`: two holders of prefix 0 fill
+        // both slots and the urgent arrivals park them one after the
+        // other, so a later request with prefix 0 meets no holder of it.
+        let requests = vec![
+            req(0, 0, 40, 0.0),
+            req(1, 0, 10, 0.0),
+            req(2, 0, 4, 0.002),
+            req(3, 1, 6, 0.004),
+            req(4, 0, 6, 0.03),
+            req(5, 1, 6, 0.03),
+        ];
+        let lanes: Vec<Lane> = [2, 1, 0, 1, 1, 0].map(Lane::new).to_vec();
+        let template = build_lm(seed);
+        let run = |cloned: bool, share: bool| {
+            let mut engine = live_engine(2, &parts);
+            engine.enable_prefix_share(share);
+            engine.set_page_capacity(Some(6));
+            engine.set_preemption_enabled(true);
+            engine.set_recorder(Some(Recorder::for_worker(0)));
+            let outcome = batcher(2).run_live_laned(&requests, &lanes, &mut engine, |r| {
+                let lm = if cloned {
+                    template.clone()
+                } else {
+                    build_lm(seed)
+                };
+                let draft = OracleDraft::new(*lm.language(), 0.9, &cfg(), seed ^ r.id);
+                (lm, draft)
+            });
+            let events = engine.take_recorder().expect("attached").into_events();
+            (outcome, events, engine)
+        };
+        let (fresh, fresh_events, fresh_engine) = run(false, true);
+        let (cloned, cloned_events, cloned_engine) = run(true, true);
+        assert_eq!(cloned.report, fresh.report);
+        assert_eq!(cloned.outputs, fresh.outputs);
+        assert_eq!(cloned_events, fresh_events, "the same priced timeline");
+        assert_eq!(cloned_engine.kv_stats(), fresh_engine.kv_stats());
+        assert_eq!(cloned_engine.meter(), fresh_engine.meter());
+        assert_eq!(cloned_engine.preemptions(), fresh_engine.preemptions());
+        assert_eq!(cloned_engine.resumes(), fresh_engine.resumes());
+        assert_eq!(cloned.report.completions.len(), requests.len());
+        let (unshared, _, _) = run(true, false);
+        assert_eq!(cloned.outputs, unshared.outputs, "and of private leases");
+
+        // Requests 0, 2 and 3 find a registered holder of their prefix.
+        // Request 5 is the first of its prefix; request 4 is admitted
+        // while both holders of its prefix are parked, so it prefills.
+        assert_eq!(fresh_engine.prefix_tokens_reused(), 0);
+        assert_eq!(cloned_engine.prefix_tokens_reused(), 3 * 32);
+        let at = |is: &dyn Fn(&EventKind) -> bool| {
+            let found = cloned_events.iter().position(|e| is(&e.kind));
+            found.expect("traced")
+        };
+        let newcomer = at(&|k| matches!(k, EventKind::Admission { request: 4, .. }));
+        for holder in [0, 1] {
+            let parked =
+                at(&|k| matches!(k, EventKind::Preempted { request, .. } if *request == holder));
+            let back =
+                at(&|k| matches!(k, EventKind::Resumed { request, .. } if *request == holder));
+            assert!(parked < newcomer && newcomer < back, "holder {holder}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "engine batch cap")]
     fn live_validates_batch_cap() {
         let parts = trained(49);

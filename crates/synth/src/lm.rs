@@ -70,6 +70,10 @@ pub struct SyntheticLm {
     /// kept so incremental extensions can derive node contexts.
     tree_tokens: Vec<TokenId>,
     noise: Pcg,
+    /// `noise` and `driver` as they stood when the committed context was
+    /// last empty: where a clone's streams must stand for this sequence's
+    /// prompt rows to be the rows it would compute itself.
+    origin: (Pcg, SaturationDriver),
     seed: u64,
 }
 
@@ -127,6 +131,18 @@ impl SyntheticLm {
             distractors: cands[1..].to_vec(),
             sat,
         }
+    }
+
+    /// Commits `token` to the context and scripts it from the driver,
+    /// noting where both streams stood if it is the context's first.
+    fn push_token(&mut self, token: TokenId) {
+        if self.context.is_empty() {
+            self.origin = (self.noise.clone(), self.driver.clone());
+        }
+        self.context.push(token);
+        let prev = self.scripts.last().map(|s| s.sat);
+        let script = Self::make_script(&self.language, &mut self.driver, &self.context, prev);
+        self.scripts.push(script);
     }
 
     /// The next `hidden_dim` steering normals, one [`SyntheticLm::blend`]
@@ -230,10 +246,7 @@ impl LayeredLm for SyntheticLm {
     }
 
     fn begin_token(&mut self, token: TokenId, meter: &mut Meter) -> Vec<f32> {
-        self.context.push(token);
-        let prev = self.scripts.last().map(|s| s.sat);
-        let script = Self::make_script(&self.language, &mut self.driver, &self.context, prev);
-        self.scripts.push(script);
+        self.push_token(token);
         self.inner.begin_token(token, meter)
     }
 
@@ -287,6 +300,31 @@ impl LayeredLm for SyntheticLm {
             }
         }
         hs.pop().expect("non-empty prompt")
+    }
+
+    fn adopt_prefix(&mut self, donor: &Self, tokens: &[TokenId]) -> bool {
+        // The steering noise and the saturation driver are sequential
+        // per-sequence streams: the donor's rows are this model's only if
+        // both stand where the donor's stood when it began these tokens.
+        let same_streams = self.context.is_empty()
+            && (&self.noise, &self.driver) == (&donor.origin.0, &donor.origin.1)
+            && self.language == donor.language
+            && donor.context.starts_with(tokens);
+        if !(same_streams && self.inner.adopt_prefix(&donor.inner, tokens)) {
+            return false;
+        }
+        // The driver draws a data-dependent number of values per token, so
+        // it is run, not jumped; the scripts it writes are the donor's.
+        for &token in tokens {
+            self.push_token(token);
+        }
+        debug_assert_eq!(self.scripts, donor.scripts[..tokens.len()]);
+        // `prefill` draws one normal — four `next_u32` — per (position,
+        // layer, component), token-major: a prefix is a prefix of the stream.
+        let cfg = self.inner.config();
+        let normals = tokens.len() * cfg.n_layers * cfg.hidden_dim;
+        self.noise.advance(4 * normals as u64);
+        true
     }
 
     fn begin_tree(
@@ -498,6 +536,7 @@ impl SyntheticLmBuilder {
             inner,
             language,
             profile: self.profile,
+            origin: (noise.clone(), driver.clone()),
             driver,
             context: Vec::new(),
             scripts: Vec::new(),

@@ -12,7 +12,7 @@ use specee_tensor::Pcg;
 use crate::profile::DatasetProfile;
 
 /// Per-token saturation-depth sampler.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaturationDriver {
     n_layers: usize,
     exit_mu: f64,

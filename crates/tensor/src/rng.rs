@@ -58,6 +58,24 @@ impl Pcg {
         xorshifted.rotate_right(rot)
     }
 
+    /// Moves the stream where `draws` calls of [`Pcg::next_u32`] would
+    /// leave it, in O(log `draws`) steps: the state is an affine map
+    /// applied once per draw, and affine maps compose by squaring.
+    pub fn advance(&mut self, mut draws: u64) {
+        let (mut mult, mut plus) = (PCG_MULT, self.inc);
+        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
+        while draws > 0 {
+            if draws & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(mult);
+                acc_plus = acc_plus.wrapping_mul(mult).wrapping_add(plus);
+            }
+            plus = mult.wrapping_add(1).wrapping_mul(plus);
+            mult = mult.wrapping_mul(mult);
+            draws >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
+
     /// Returns the next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         (u64::from(self.next_u32()) << 32) | u64::from(self.next_u32())
@@ -100,7 +118,9 @@ impl Pcg {
         lo + self.next_f64() * (hi - lo)
     }
 
-    /// Standard normal sample (Box–Muller).
+    /// Standard normal sample (Box–Muller): always two [`Pcg::next_f64`],
+    /// four [`Pcg::next_u32`], which callers that [`Pcg::advance`] past
+    /// normals they do not need count on.
     pub fn normal(&mut self) -> f64 {
         let u1 = self.next_f64().max(f64::MIN_POSITIVE);
         let u2 = self.next_f64();
@@ -255,6 +275,83 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    /// Two streams with different increments, each a few draws in.
+    fn advance_streams() -> [Pcg; 2] {
+        let mut a = Pcg::seed(41);
+        let mut b = Pcg::seed_stream(7, 0x5a7);
+        a.next_u64();
+        b.normal();
+        [a, b]
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        for start in advance_streams() {
+            let mut stepped = start.clone();
+            for n in 0..=4096u64 {
+                let mut jumped = start.clone();
+                jumped.advance(n);
+                assert_eq!(jumped, stepped, "advance({n})");
+                stepped.next_u32();
+            }
+        }
+    }
+
+    #[test]
+    fn advance_composes_and_does_not_truncate_near_two_to_the_32() {
+        for start in advance_streams() {
+            for (a, b) in [
+                (0u64, 5u64),
+                (1, 1),
+                (4096, 4097),
+                (65_535, 3),
+                (123_456, 654_321),
+            ] {
+                let (mut split, mut whole) = (start.clone(), start.clone());
+                split.advance(a);
+                split.advance(b);
+                whole.advance(a + b);
+                assert_eq!(split, whole, "advance({a}); advance({b})");
+            }
+            // Near 2³² the draws are counted in jumps of 2¹⁶ — a jump
+            // checked against 2¹⁶ single draws first — plus single draws.
+            let mut chunk = start.clone();
+            for _ in 0..1u32 << 16 {
+                chunk.next_u32();
+            }
+            let mut by_chunk = start.clone();
+            by_chunk.advance(1 << 16);
+            assert_eq!(by_chunk, chunk);
+            for n in [(1u64 << 32) - 1, 1 << 32, (1 << 32) + 5] {
+                let mut want = start.clone();
+                for _ in 0..n >> 16 {
+                    want.advance(1 << 16);
+                }
+                for _ in 0..n & 0xffff {
+                    want.next_u32();
+                }
+                let mut got = start.clone();
+                got.advance(n);
+                assert_eq!(got, want, "advance({n})");
+            }
+        }
+    }
+
+    #[test]
+    fn one_normal_is_four_draws() {
+        // `SyntheticLm::adopt_prefix` jumps its noise stream by four draws
+        // per normal it skips; a sampler that draws otherwise (a rejection
+        // loop, a cached second Box–Muller value) must fail here.
+        for start in advance_streams() {
+            let (mut drawn, mut jumped) = (start.clone(), start);
+            for n in 1..=64u64 {
+                drawn.normal();
+                jumped.advance(4);
+                assert_eq!(drawn, jumped, "after {n} normals");
+            }
+        }
     }
 
     #[test]

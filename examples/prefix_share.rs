@@ -7,7 +7,9 @@
 //! read-only and copies only on the first divergent write, so peak
 //! physical occupancy collapses while every decoded token stays
 //! bit-identical (the pool is pure accounting; each sequence's model
-//! still owns its real KV values).
+//! still owns its real KV values). The sequences are clones of one
+//! template, so they share its weights and a newcomer copies the K/V of
+//! the pages it co-leases from a resident instead of prefilling them.
 //!
 //! Part two starves a capacity-capped pool: a low-priority hog holds
 //! pages until a high-priority arrival evicts it mid-decode (pages
@@ -46,8 +48,10 @@ fn build_lm() -> SyntheticLm {
         .build()
 }
 
-fn seq_parts(id: u64) -> (SyntheticLm, OracleDraft) {
-    let lm = build_lm();
+/// One sequence: a clone of the never-stepped `template` — the model a
+/// fresh build is, sharing the template's weights — and its draft.
+fn seq_parts(template: &SyntheticLm, id: u64) -> (SyntheticLm, OracleDraft) {
+    let lm = template.clone();
     let draft = OracleDraft::new(*lm.language(), 0.9, &model_cfg(), SEED ^ id);
     (lm, draft)
 }
@@ -109,22 +113,25 @@ fn main() {
         })
         .collect();
     let gen = 8usize;
-    let run = |share: bool| -> (Vec<specee::batch::BatchedOutput>, KvStats, KvStats) {
+    // Not `lm` above: collecting training data stepped it.
+    let template = build_lm();
+    let run = |share: bool| -> (Vec<specee::batch::BatchedOutput>, KvStats, KvStats, u64) {
         let mut eng = engine(prompts.len(), &bank, &schedule, &config);
         eng.enable_prefix_share(share);
         for (i, prompt) in prompts.iter().enumerate() {
-            let (lm, draft) = seq_parts(i as u64);
+            let (lm, draft) = seq_parts(&template, i as u64);
             match eng.admit_classed(i as u64, TrafficClass::DEFAULT, lm, draft, prompt, gen) {
                 Admission::Seated { .. } => {}
                 Admission::Done(_) => unreachable!("gen > 0 stays seated"),
             }
         }
         let resident = eng.kv_stats();
+        let reused = eng.prefix_tokens_reused();
         let outputs = eng.drain();
-        (outputs, resident, eng.kv_stats())
+        (outputs, resident, eng.kv_stats(), reused)
     };
-    let (private_outs, _, private_kv) = run(false);
-    let (shared_outs, at_admit, shared_kv) = run(true);
+    let (private_outs, _, private_kv, _) = run(false);
+    let (shared_outs, at_admit, shared_kv, reused) = run(true);
     for (a, b) in private_outs.iter().zip(&shared_outs) {
         assert_eq!(a.tokens, b.tokens, "sharing must not change values");
         assert_eq!(a.exit_layers, b.exit_layers);
@@ -143,10 +150,15 @@ fn main() {
         shared_kv.pages_peak, shared_kv.pages_created, at_admit.shared_pages, shared_kv.cow_copies
     );
     println!(
+        "                  {reused} of {} prompt tokens copied from a resident, not prefilled",
+        prompts.iter().map(Vec::len).sum::<usize>()
+    );
+    println!(
         "  -> {:.0}% peak-occupancy cut, outputs bit-identical\n",
         100.0 * (1.0 - shared_kv.pages_peak as f64 / private_kv.pages_peak as f64)
     );
     assert!(at_admit.shared_pages > 0, "prefix pages co-leased");
+    assert!(reused > 0, "co-leased pages are copied, not recomputed");
     assert!(shared_kv.cow_copies > 0, "divergent writes copied");
     assert!(shared_kv.pages_peak < private_kv.pages_peak);
 
@@ -159,7 +171,7 @@ fn main() {
     // token for token.
     let admit_laned = |eng: &mut BatchedEngine<SyntheticLm, OracleDraft>| {
         for i in 0..2u64 {
-            let (lm, draft) = seq_parts(100 + i);
+            let (lm, draft) = seq_parts(&template, 100 + i);
             let _ = eng.admit_laned(
                 i,
                 TrafficClass::DEFAULT,
