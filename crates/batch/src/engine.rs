@@ -1,6 +1,7 @@
 //! The lock-step batched decoding engine.
 
 use specee_control::{ClassEvidence, ClassedController, ControllerSummary};
+use specee_core::engine::first_token;
 use specee_core::engine::scan::{ExitFeedback, ExitScan};
 use specee_core::engine::selfdraft::{self_draft_pass, verify_commit, DraftPass};
 use specee_core::predictor::PredictorBank;
@@ -9,7 +10,7 @@ use specee_core::traffic::{ClassMap, Lane, TrafficClass};
 use specee_core::SpecEeConfig;
 use specee_draft::SpeculativeSource;
 use specee_metrics::Meter;
-use specee_model::{prefill, BatchedStack, LayeredLm, SlotPool, TokenId, TreeKv};
+use specee_model::{BatchedStack, LayeredLm, SlotPool, TokenId, TreeKv};
 use specee_obs::{EventKind, Recorder, TraceSink};
 use specee_tensor::ops;
 
@@ -65,8 +66,8 @@ pub enum Admission {
 }
 
 /// What one lock-step decode step executed, measured — not assumed — from
-/// the live batch. Field meanings mirror the replay simulator's
-/// `StepSpec` so the same batched cost model can price both.
+/// the live batch. Field meanings mirror `specee-serve`'s `StepSpec`, which
+/// the serving loop fills from this report to price the step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchStep {
     /// `layer_runners[l]` = slots that executed layer `l` this step.
@@ -76,7 +77,8 @@ pub struct BatchStep {
     /// Full-LM-head evaluations this step (final logits + verifications,
     /// successful or not).
     pub lm_head_evals: u64,
-    /// Slots that ran the draft model this step (all active slots).
+    /// Slots whose draft source proposed candidates this step (every
+    /// active slot, unless the source is `specee_draft::NoDraft`).
     pub draft_slots: usize,
     /// Slots that drafted through their own shallow layers this step
     /// (self-draft mode; zero on separate-draft steps).
@@ -116,6 +118,15 @@ impl BatchStep {
             .iter()
             .rposition(|&r| r > 0)
             .map_or(0, |l| l + 1)
+    }
+}
+
+/// Records one engine event under `seq` when a recorder is attached;
+/// `kind` builds the payload only then.
+fn trace_event(trace: &mut Option<Recorder>, seq: Option<u64>, kind: impl FnOnce() -> EventKind) {
+    if let Some(rec) = trace.as_mut() {
+        rec.set_seq(seq);
+        rec.record(kind());
     }
 }
 
@@ -178,8 +189,7 @@ struct Parked<M, D> {
 /// as a whole executes every layer down to the rearmost one still needed.
 ///
 /// The per-step [`BatchStep`] report carries the measured layer-runner
-/// counts, so batched pricing reflects exits that actually happened
-/// rather than replayed traces.
+/// counts, so batched pricing reflects exits that actually happened.
 ///
 /// # Examples
 ///
@@ -447,14 +457,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         for (class, bank) in self.class_banks.iter_mut() {
             ctl.apply(class, bank);
         }
-        if self.trace.enabled() && !evidence.is_empty() {
-            if let Some(rec) = self.trace.as_mut() {
-                rec.set_seq(None);
-                rec.record(EventKind::Gossip {
-                    classes: evidence.len() as u32,
-                    tokens: evidence.iter().map(|e| e.tokens).sum(),
-                });
-            }
+        if !evidence.is_empty() {
+            trace_event(&mut self.trace, None, || EventKind::Gossip {
+                classes: evidence.len() as u32,
+                tokens: evidence.iter().map(|e| e.tokens).sum(),
+            });
         }
     }
 
@@ -602,12 +609,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             }
         }
         self.prefix_tokens_reused += reused as u64;
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut model, &prompt[reused..], &mut prefill_meter);
-        let logits = model.final_logits(&h0, &mut self.meter);
-        let t = ops::argmax(&logits).expect("logits") as TokenId;
-        let ce = f64::from(-ops::log_softmax(&logits)[t as usize]);
-        self.meter.mark_token();
+        let (t, ce) = first_token(&mut model, &prompt[reused..], &mut self.meter);
 
         let mut scan = ExitScan::new();
         scan.set_class(class);
@@ -714,16 +716,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         let model = self.stack.retire(slot);
         let freed = before - self.pool().pages_in_use();
         self.preemptions += 1;
-        if self.trace.enabled() {
-            if let Some(rec) = self.trace.as_mut() {
-                rec.set_seq(Some(seq.id));
-                rec.record(EventKind::Preempted {
-                    request: seq.id,
-                    lane: seq.lane.id(),
-                    pages: freed as u32,
-                });
-            }
-        }
+        trace_event(&mut self.trace, Some(seq.id), || EventKind::Preempted {
+            request: seq.id,
+            lane: seq.lane.id(),
+            pages: freed as u32,
+        });
         self.parked.push(Parked { model, seq });
     }
 
@@ -743,15 +740,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 let parked = self.parked.remove(i);
                 let slot = self.stack.admit(parked.model);
                 self.resumes += 1;
-                if self.trace.enabled() {
-                    if let Some(rec) = self.trace.as_mut() {
-                        rec.set_seq(Some(parked.seq.id));
-                        rec.record(EventKind::Resumed {
-                            request: parked.seq.id,
-                            lane: parked.seq.lane.id(),
-                        });
+                trace_event(&mut self.trace, Some(parked.seq.id), || {
+                    EventKind::Resumed {
+                        request: parked.seq.id,
+                        lane: parked.seq.lane.id(),
                     }
-                }
+                });
                 self.seqs[slot] = Some(parked.seq);
             } else {
                 i += 1;
@@ -862,9 +856,9 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             hidden[slot] = Some(model.begin_token(seq.last, &mut self.meter));
             needs[slot] = true;
             report.ctx_lens.push(positions[slot] + 1);
-            report.draft_slots += 1;
+            report.draft_slots += usize::from(!cands[slot].is_empty());
         }
-        if report.draft_slots == 0 {
+        if report.ctx_lens.is_empty() {
             return report;
         }
 
@@ -931,7 +925,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                     (self.n_layers, tok, full)
                 }
             };
-            seq.ce_sum += f64::from(-ops::log_softmax(&full)[next as usize]);
+            seq.ce_sum += f64::from(ops::nll(&full, next as usize));
             seq.schedule.note_exit(executed.saturating_sub(1));
             seq.tokens.push(next);
             seq.exit_layers.push(executed);
@@ -978,21 +972,15 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             // Trace the operating point each apply left in force: one
             // controller-apply event per class per step boundary, so a
             // trace shows the threshold trajectory the run decoded under.
-            if self.trace.enabled() {
-                let mean = |bank: &PredictorBank| {
-                    (0..bank.len())
+            let default_bank = (TrafficClass::DEFAULT, &self.bank);
+            for (class, bank) in std::iter::once(default_bank).chain(self.class_banks.iter()) {
+                trace_event(&mut self.trace, None, || EventKind::ControllerApply {
+                    class: class.id(),
+                    threshold: (0..bank.len())
                         .map(|l| f64::from(bank.layer(l).threshold()))
                         .sum::<f64>()
-                        / bank.len().max(1) as f64
-                };
-                let mut applies = vec![(TrafficClass::DEFAULT.id(), mean(&self.bank))];
-                applies.extend(self.class_banks.iter().map(|(c, b)| (c.id(), mean(b))));
-                if let Some(rec) = self.trace.as_mut() {
-                    rec.set_seq(None);
-                    for (class, threshold) in applies {
-                        rec.record(EventKind::ControllerApply { class, threshold });
-                    }
-                }
+                        / bank.len().max(1) as f64,
+                });
             }
         }
         self.close_step();
@@ -1045,15 +1033,10 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             for runner in report.layer_runners.iter_mut().take(spec.exit_layer) {
                 *runner += 1;
             }
-            if self.trace.enabled() {
-                if let Some(rec) = self.trace.as_mut() {
-                    rec.set_seq(Some(seq.id));
-                    rec.record(EventKind::DraftPass {
-                        nodes: pass.node_tokens.len() as u32,
-                        exit_layer: spec.exit_layer as u32,
-                    });
-                }
-            }
+            trace_event(&mut self.trace, Some(seq.id), || EventKind::DraftPass {
+                nodes: pass.node_tokens.len() as u32,
+                exit_layer: spec.exit_layer as u32,
+            });
             exits[slot] = spec.exit_layer;
             passes[slot] = Some(pass);
             report.self_draft_slots += 1;
@@ -1127,17 +1110,10 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                     .map(|&(t, _)| t),
             );
             seq.last = outcome.next_bonus;
-            if self.trace.enabled() {
-                let id = seq.id;
-                if let Some(rec) = self.trace.as_mut() {
-                    rec.set_seq(Some(id));
-                    rec.record(EventKind::TreeVerified {
-                        nodes: outcome.n_nodes as u32,
-                        accepted: outcome.accepted_len as u32,
-                    });
-                }
-            }
-            let seq = self.seqs[slot].as_mut().expect("seated sequence");
+            trace_event(&mut self.trace, Some(seq.id), || EventKind::TreeVerified {
+                nodes: outcome.n_nodes as u32,
+                accepted: outcome.accepted_len as u32,
+            });
             if seq.tokens.len() >= seq.gen_len {
                 let mut seq = self.seqs[slot].take().expect("seated sequence");
                 seq.tokens.truncate(seq.gen_len);
@@ -1157,21 +1133,19 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         // Sample page pressure at the boundary, but only when the memory
         // plane is actually configured (a capacity, prefix sharing, or a
         // parked backlog) — plain runs keep their exact event streams.
-        if self.trace.enabled()
-            && (self.pool().capacity().is_some()
-                || self.stack.prefix_sharing()
-                || !self.parked.is_empty())
+        if self.pool().capacity().is_some()
+            || self.stack.prefix_sharing()
+            || !self.parked.is_empty()
         {
-            let stats = self.pool().stats();
-            let parked = self.parked.len() as u32;
-            if let Some(rec) = self.trace.as_mut() {
-                rec.set_seq(None);
-                rec.record(EventKind::KvPressure {
+            let (pool, parked) = (self.stack.pool(), self.parked.len() as u32);
+            trace_event(&mut self.trace, None, || {
+                let stats = pool.stats();
+                EventKind::KvPressure {
                     pages: stats.pages_in_use as u32,
                     shared: stats.shared_pages as u32,
                     parked,
-                });
-            }
+                }
+            });
         }
         self.meter.mark_host_step();
         self.steps += 1;
@@ -1339,6 +1313,46 @@ mod tests {
         }
         assert_eq!(step.layer_runners[0], 3, "all slots run layer 0");
         assert!(step.rearmost_layer() >= 1);
+    }
+
+    #[test]
+    fn a_draftless_engine_is_dense() {
+        // On the trained schedule, whose predictors do fire for a real
+        // draft, a sequence that proposes nothing has no exit to take.
+        use specee_core::engine::DenseEngine;
+        use specee_draft::NoDraft;
+        let (bank, schedule, config) = trained_parts(67);
+        let mut eng: BatchedEngine<SyntheticLm, NoDraft> =
+            BatchedEngine::new(3, 16, 12, bank, schedule, config);
+        let prompts: [&[TokenId]; 3] = [&[4, 2, 9], &[1, 5, 3, 7], &[8, 8]];
+        let gens = [10, 6, 8];
+        for (i, p) in prompts.iter().enumerate() {
+            let _ = eng.admit(i as u64, build_lm(67), NoDraft, p, gens[i]);
+        }
+        let mut outputs = Vec::new();
+        while eng.occupancy() > 0 {
+            let occupancy = eng.occupancy();
+            let step = eng.step();
+            assert_eq!(step.draft_slots, 0);
+            assert_eq!(step.predictor_calls, 0);
+            assert_eq!(step.lm_head_evals, occupancy as u64);
+            assert_eq!(step.layer_runners, vec![occupancy; 12]);
+            assert_eq!(step.emitted, occupancy);
+            assert!(step.feedback.is_empty());
+            outputs.extend(step.finished);
+        }
+        outputs.sort_by_key(|o| o.id);
+        assert_eq!(outputs.len(), 3);
+        for (out, (p, g)) in outputs.iter().zip(prompts.iter().zip(gens)) {
+            let dense = DenseEngine::new(build_lm(67)).generate(p, g);
+            assert_eq!(out.tokens, dense.tokens, "id {}", out.id);
+            assert_eq!(out.ce_sum, dense.ce_sum, "id {}", out.id);
+            assert_eq!(out.exit_layers, vec![12; g], "id {}", out.id);
+            assert_eq!(
+                (out.predictor_calls, out.verify_calls, out.draft_calls),
+                (0, 0, 0)
+            );
+        }
     }
 
     #[test]

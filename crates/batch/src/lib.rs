@@ -1,9 +1,9 @@
 //! Live lock-step batched decoding with per-sequence speculative early
 //! exit.
 //!
-//! The serving simulation in `specee-serve` *replays* recorded
-//! single-stream traces through a clock model; this crate *executes* the
-//! batched regime. A [`BatchedEngine`] seats up to `max_batch` sequences
+//! The serving loop in `specee-serve` owns the clock, the queues and the
+//! prices; this crate *executes* the batched regime it serves with. A
+//! [`BatchedEngine`] seats up to `max_batch` sequences
 //! in the slots of a [`specee_model::BatchedStack`] and decodes them in
 //! lock-step: one shared sweep over the decoder layers per step, each
 //! sequence participating only while it still needs the layer. Per layer,
@@ -17,9 +17,10 @@
 //!
 //! Each decode step yields a [`BatchStep`] carrying the measured per-layer
 //! runner counts, context lengths, and draft/predictor/LM-head call
-//! counts; `specee-serve`'s live mode prices those with the same batched
-//! cost model the replay simulator uses, which is what makes the two
-//! modes' speedup curves directly comparable.
+//! counts; `specee-serve` prices those with its batched cost model. A
+//! sequence seated with `specee_draft::NoDraft` proposes nothing, so it
+//! decodes — and is priced — densely: the reference every served speedup
+//! is measured against runs through this same engine.
 //!
 //! The engine also closes the control loop: every step's verifier
 //! accept/reject events ride in [`BatchStep::feedback`], and an attached

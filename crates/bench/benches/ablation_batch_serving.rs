@@ -2,13 +2,16 @@
 //! continuous batching. The paper evaluates batch 1; in a served batch the
 //! weight read of a layer is amortized across every sequence that executes
 //! it, so an early exit saves weight bandwidth only when *all* co-batched
-//! sequences exit below the layer. This harness sweeps the batch cap and
-//! reports the dense-vs-SpecEE throughput ratio, TTFT and latency.
+//! sequences exit below the layer. This harness sweeps the batch cap,
+//! serves a Poisson stream live at each — once with the oracle draft, once
+//! with nothing to speculate on — and reports the dense-vs-SpecEE
+//! throughput ratio, TTFT and latency.
 
 use specee_bench::*;
-use specee_core::SchedulingMode;
+use specee_draft::NoDraft;
 use specee_metrics::{report::fmt_x, FrameworkProfile, HardwareProfile, Table};
 use specee_serve::{BatcherConfig, ContinuousBatcher};
+use specee_synth::OracleDraft;
 
 fn main() {
     banner(
@@ -24,26 +27,9 @@ fn main() {
     let n_requests = (request_count() * 6).max(12);
     let wl = workload(&cfg, &ds, n_requests, seed);
 
-    let dense_run = run_engine(
-        EngineKind::Dense,
-        &cfg,
-        &ds,
-        seed,
-        ModelVariant::Dense,
-        &trained,
-        &wl,
-    );
-    let spec_run = run_engine(
-        EngineKind::SpecEeAr(SchedulingMode::TwoLevel),
-        &cfg,
-        &ds,
-        seed,
-        ModelVariant::Dense,
-        &trained,
-        &wl,
-    );
-    let dense_traces = serving_traces(&dense_run, false);
-    let spec_traces = serving_traces(&spec_run, true);
+    // One never-stepped template; every sequence is a clone of it.
+    let template = build_lm(&cfg, &ds, seed, ModelVariant::Dense);
+    let draft = build_draft(&template, &cfg, seed);
     let requests = serve_requests(&wl, 8.0, seed ^ 0x5e);
     let cost = cfg.cost.expect("sim models carry a cost twin");
 
@@ -64,8 +50,20 @@ fn main() {
             framework: FrameworkProfile::vllm(),
             cost,
         });
-        let d = batcher.run(&requests, &dense_traces).stats();
-        let s = batcher.run(&requests, &spec_traces).stats();
+        let mut dense_engine = live_engine::<NoDraft>(&cfg, &trained, max_batch);
+        let d = batcher
+            .run_live(&requests, &mut dense_engine, |_| {
+                (template.clone(), NoDraft)
+            })
+            .report
+            .stats();
+        let mut engine = live_engine::<OracleDraft>(&cfg, &trained, max_batch);
+        let s = batcher
+            .run_live(&requests, &mut engine, |_| {
+                (template.clone(), draft.clone())
+            })
+            .report
+            .stats();
         let speedup = s.throughput_tok_s / d.throughput_tok_s;
         speedups.push(speedup);
         table.row(vec![

@@ -1,26 +1,25 @@
 //! Serving extension (ours): the Cannikin batch-size decay *measured* by
-//! the live lock-step engine, overlaid on the replay simulation.
+//! the live lock-step engine.
 //!
-//! `ablation_batch_serving` replays recorded single-stream traces through
-//! the batched clock model; this harness additionally serves the same
-//! request burst with `specee-batch`'s `BatchedEngine` — N sequences
-//! genuinely decoding in lock-step, scheduled predictors evaluated per
-//! sequence, each step priced from its measured per-layer runner counts.
-//! The replay and live speedup curves are reported side by side: live is
-//! the ground truth the replay simulator approximates, and both decay
-//! from the single-stream margin at batch 1 toward the compute-only
-//! residual at batch 16 (a layer's weight read is saved only when every
-//! co-batched sequence exits below it).
+//! `ablation_batch_serving` serves a Poisson stream and reports queueing;
+//! this harness serves one saturating burst with `specee-batch`'s
+//! `BatchedEngine` — N sequences genuinely decoding in lock-step,
+//! scheduled predictors evaluated per sequence, each step priced from its
+//! measured per-layer runner counts — beside the same burst served with
+//! nothing to speculate on. The speedup over that dense run decays from
+//! the single-stream margin at batch 1 toward the compute-only residual at
+//! batch 16 (a layer's weight read is saved only when every co-batched
+//! sequence exits below it).
 //!
 //! Beside the priced curve the table carries a *measured* one: wall-clock
-//! tokens/s (of the whole burst, and of its decode steps alone) and median
-//! step time of the same live engine on this machine (blocked backend),
-//! the burst served closed-loop. Sequences are clones of one template, so
-//! they share its weights and `sweep_layer` takes one pass over a layer
-//! for all of them: decode tokens/s should rise with the cap where the
-//! priced speedup over dense decays (admission is still one prompt at a
-//! time, which dilutes the burst figure). Reported, never asserted — it
-//! is a stopwatch on a shared box.
+//! tokens/s (of the whole burst — for the dense engine too — and of the
+//! SpecEE decode steps alone) and median step time on this machine
+//! (blocked backend), the burst served closed-loop. Sequences are clones
+//! of one template, so they share its weights and `sweep_layer` takes one
+//! pass over a layer for all of them: decode tokens/s should rise with the
+//! cap where the priced speedup over dense decays (admission is still one
+//! prompt at a time, which dilutes the burst figure). Reported, never
+//! asserted — it is a stopwatch on a shared box.
 
 use std::time::Instant;
 
@@ -28,20 +27,19 @@ use specee_batch::{Admission, BatchedEngine};
 use specee_bench::*;
 use specee_core::engine::SpecEeEngine;
 use specee_core::SpecEeConfig;
+use specee_draft::{NoDraft, SpeculativeSource};
 use specee_metrics::{report::fmt_x, FrameworkProfile, HardwareProfile, Table};
-use specee_serve::{BatcherConfig, ContinuousBatcher, RequestTrace};
-use specee_synth::{OracleDraft, Request, SyntheticLm};
+use specee_serve::{BatcherConfig, ContinuousBatcher};
+use specee_synth::{Request, SyntheticLm};
 use specee_tensor::BackendKind;
-
-type LiveEngine = BatchedEngine<SyntheticLm, OracleDraft>;
 
 /// Serves `wl` closed-loop on `engine` — fill the free slots, step, repeat
 /// — with a stopwatch around the whole burst and around each step.
 /// Returns wall tokens/s of the burst (admission and prompt processing
 /// included), tokens/s of the decode steps alone, and the median step in ms.
-fn measure_live(
-    engine: &mut LiveEngine,
-    template: &(SyntheticLm, OracleDraft),
+fn measure_live<D: SpeculativeSource + Clone>(
+    engine: &mut BatchedEngine<SyntheticLm, D>,
+    template: &(SyntheticLm, D),
     wl: &[Request],
 ) -> (f64, f64, f64) {
     let mut pending = wl.iter().enumerate();
@@ -68,10 +66,29 @@ fn measure_live(
     (burst_tok_s, decode_tok_s, step_ms[step_ms.len() / 2])
 }
 
+/// The stopwatch pass: the best of three bursts by burst tokens/s, each on
+/// a fresh engine with the blocked backend.
+fn best_of_three<D: SpeculativeSource + Clone>(
+    cfg: &specee_model::ModelConfig,
+    trained: &Trained,
+    max_batch: usize,
+    template: &(SyntheticLm, D),
+    wl: &[Request],
+) -> (f64, f64, f64) {
+    (0..3)
+        .map(|_| {
+            let mut engine = live_engine(cfg, trained, max_batch);
+            engine.set_backend(BackendKind::Blocked);
+            measure_live(&mut engine, template, wl)
+        })
+        .max_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("three passes")
+}
+
 fn main() {
     banner(
         "ablation_live_batch",
-        "live lock-step batching vs replay simulation across batch caps (extension)",
+        "live lock-step batching, SpecEE vs dense, across batch caps (extension)",
     );
     let cfg = model_7b();
     let seed = 29;
@@ -97,21 +114,10 @@ fn main() {
         ..SpecEeConfig::default()
     };
 
-    // Replay traces, recorded once with the real single-stream engines.
-    // SpecEE traces use a fresh engine per request — schedule and model
-    // state independent per sequence, exactly how the live engine seats
-    // them — so both modes decode the very same workload.
-    let dense_run = run_engine(
-        EngineKind::Dense,
-        &cfg,
-        &ds,
-        seed,
-        ModelVariant::Dense,
-        &trained,
-        &wl,
-    );
-    let dense_traces = serving_traces(&dense_run, false);
-    let mut spec_traces = Vec::new();
+    // The single-stream reference: a fresh engine per request — schedule
+    // and model state independent per sequence, exactly how the live
+    // engine seats them.
+    let mut solo = Vec::new();
     for r in &wl {
         let lm = build_lm(&cfg, &ds, seed, ModelVariant::Dense);
         let draft = build_draft(&lm, &cfg, seed);
@@ -119,20 +125,16 @@ fn main() {
             config.build_schedule(cfg.n_layers, Some(&trained.collection.exit_frequencies));
         let mut engine =
             SpecEeEngine::new(lm, draft, trained.bank.clone(), schedule, config.clone());
-        spec_traces.push(RequestTrace::from_output(
-            &engine.generate(&r.prompt, r.gen_len),
-            true,
-        ));
+        solo.push(engine.generate(&r.prompt, r.gen_len));
     }
 
     let mut table = Table::new(vec![
         "batch cap",
         "dense tok/s",
-        "replay tok/s",
-        "replay speedup",
         "live tok/s",
         "live speedup",
         "live avg layers",
+        "dense wall tok/s",
         "wall tok/s",
         "wall decode tok/s",
         "step ms p50",
@@ -141,9 +143,9 @@ fn main() {
     // (identical to a fresh `build_lm`, and sharing its weights).
     let template_lm = build_lm(&cfg, &ds, seed, ModelVariant::Dense);
     let template_draft = build_draft(&template_lm, &cfg, seed);
+    let dense_template = (template_lm.clone(), NoDraft);
     let template = (template_lm, template_draft);
     let mut live_speedups = Vec::new();
-    let mut replay_speedups = Vec::new();
     for &max_batch in &[1usize, 2, 4, 8, 16] {
         let batcher = ContinuousBatcher::new(BatcherConfig {
             max_batch,
@@ -151,59 +153,41 @@ fn main() {
             framework: FrameworkProfile::vllm(),
             cost,
         });
-        let d = batcher.run(&requests, &dense_traces).stats();
-        let replay = batcher.run(&requests, &spec_traces).stats();
+        let mut dense_engine = live_engine(&cfg, &trained, max_batch);
+        let d = batcher
+            .run_live(&requests, &mut dense_engine, |_req| dense_template.clone())
+            .report
+            .stats();
 
-        // Live: a fresh engine per batch cap, sequences seeded exactly as
-        // the workload models are.
-        let fresh_engine = || -> LiveEngine {
-            let schedule =
-                config.build_schedule(cfg.n_layers, Some(&trained.collection.exit_frequencies));
-            BatchedEngine::new(
-                max_batch,
-                16,
-                cfg.n_layers,
-                trained.bank.clone(),
-                schedule,
-                config.clone(),
-            )
-        };
-        let mut engine = fresh_engine();
+        // A fresh engine per batch cap, sequences seeded exactly as the
+        // workload models are.
+        let mut engine = live_engine(&cfg, &trained, max_batch);
         let outcome = batcher.run_live(&requests, &mut engine, |_req| template.clone());
         let live = outcome.report.stats();
-        // Same workload, two clocks: live decoding must reproduce the
-        // replayed token streams exactly (greedy decode is batch-invariant).
-        for (out, trace) in outcome.outputs.iter().zip(&spec_traces) {
+        // Greedy decode is batch-invariant: live decoding must reproduce
+        // the single-stream token streams exactly.
+        for (out, alone) in outcome.outputs.iter().zip(&solo) {
             assert_eq!(
-                out.tokens, trace.tokens,
-                "live/replay diverged at request {}",
+                out.tokens, alone.tokens,
+                "live/single-stream diverged at request {}",
                 out.id
             );
-            assert_eq!(out.exit_layers, trace.exit_layers, "request {}", out.id);
+            assert_eq!(out.exit_layers, alone.exit_layers, "request {}", out.id);
         }
 
-        // The stopwatch pass: best of three bursts, each on a fresh engine.
-        let (wall_tok_s, decode_tok_s, step_ms) = (0..3)
-            .map(|_| {
-                let mut engine = fresh_engine();
-                engine.set_backend(BackendKind::Blocked);
-                measure_live(&mut engine, &template, &wl)
-            })
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("three passes");
+        let (wall_tok_s, decode_tok_s, step_ms) =
+            best_of_three(&cfg, &trained, max_batch, &template, &wl);
+        let (dense_wall_tok_s, ..) = best_of_three(&cfg, &trained, max_batch, &dense_template, &wl);
 
-        let replay_speedup = replay.throughput_tok_s / d.throughput_tok_s;
         let live_speedup = live.throughput_tok_s / d.throughput_tok_s;
-        replay_speedups.push(replay_speedup);
         live_speedups.push(live_speedup);
         table.row(vec![
             max_batch.to_string(),
             format!("{:.2}", d.throughput_tok_s),
-            format!("{:.2}", replay.throughput_tok_s),
-            fmt_x(replay_speedup),
             format!("{:.2}", live.throughput_tok_s),
             fmt_x(live_speedup),
             format!("{:.1}", outcome.report.avg_layers),
+            format!("{dense_wall_tok_s:.0}"),
             format!("{wall_tok_s:.0}"),
             format!("{decode_tok_s:.0}"),
             format!("{step_ms:.2}"),
@@ -224,19 +208,12 @@ fn main() {
             .join(" -> "),
     );
     println!(
-        "replay tracks live within {:.1}% across the sweep",
-        live_speedups
-            .iter()
-            .zip(&replay_speedups)
-            .map(|(l, r)| ((l - r) / l).abs() * 100.0)
-            .fold(0.0f64, f64::max)
-    );
-    println!(
-        "Expected shape: both curves start at the single-stream margin and decay as\n\
-         weight reads amortize; the live curve is measured from lock-step execution\n\
-         (per-step rearmost layers), not reconstructed from traces. The wall columns\n\
-         are this machine's stopwatch (blocked backend, best of 3 bursts): one weight\n\
-         pass per layer serves the whole batch, so decode tok/s should rise with the cap."
+        "Expected shape: the speedup starts at the single-stream margin and decays as\n\
+         weight reads amortize; both columns are measured from lock-step execution\n\
+         (per-step rearmost layers). The wall columns are this machine's stopwatch\n\
+         (blocked backend, best of 3 bursts; dense = the same engine with no draft):\n\
+         one weight pass per layer serves the whole batch, so decode tok/s should rise\n\
+         with the cap."
     );
     assert!(
         monotone,

@@ -12,6 +12,7 @@
 
 #![deny(missing_docs)]
 
+use specee_batch::BatchedEngine;
 use specee_core::baselines::{collect_adainfer_data, AdaInferEngine, RaeeEngine};
 use specee_core::collect::{collect_training_data, train_bank, CollectionReport};
 use specee_core::engine::{DenseEngine, SpecEeEngine, SpeculativeEngine};
@@ -21,10 +22,11 @@ use specee_core::skip_layer::{
     calibrate_calm_threshold, collect_router_data, CalmEngine, DLlmEngine, MoDEngine,
 };
 use specee_core::{SchedulingMode, SpecEeConfig};
+use specee_draft::SpeculativeSource;
 use specee_metrics::{CostReport, FrameworkProfile, HardwareProfile, Meter, Roofline};
 use specee_model::{prefill, KvLayout, LayeredLm, ModelConfig, TokenId};
 use specee_nn::TrainConfig;
-use specee_serve::{PoissonArrivals, RequestTrace, ServeRequest};
+use specee_serve::{PoissonArrivals, ServeRequest};
 use specee_synth::{
     generate_workload, DatasetProfile, OracleDraft, Request, SyntheticLm, SyntheticLmBuilder,
 };
@@ -386,12 +388,22 @@ pub fn collect_raee_observations<M: LayeredLm>(
     observations
 }
 
-/// Converts an engine run's outputs to serving traces.
-pub fn serving_traces(run: &EngineRun, speculative: bool) -> Vec<RequestTrace> {
-    run.outputs
-        .iter()
-        .map(|o| RequestTrace::from_output(o, speculative))
-        .collect()
+/// An empty live engine of `max_batch` slots over the trained bank, every
+/// sequence starting from the two-level schedule the training pass's exit
+/// frequencies give. `D` is the draft its sequences carry:
+/// [`specee_draft::NoDraft`] makes it the dense reference.
+pub fn live_engine<D: SpeculativeSource>(
+    cfg: &ModelConfig,
+    trained: &Trained,
+    max_batch: usize,
+) -> BatchedEngine<SyntheticLm, D> {
+    let config = SpecEeConfig {
+        predictor: trained.predictor,
+        ..SpecEeConfig::default()
+    };
+    let schedule = config.build_schedule(cfg.n_layers, Some(&trained.collection.exit_frequencies));
+    let bank = trained.bank.clone();
+    BatchedEngine::new(max_batch, 16, cfg.n_layers, bank, schedule, config)
 }
 
 /// Stamps Poisson arrivals onto a workload for the serving simulator.

@@ -18,7 +18,7 @@ use crate::worker::WorkerReport;
 /// The aggregate [`ServeReport`] merges every worker's completions and
 /// takes the rearmost worker's makespan (all simulated clocks start at
 /// zero), so [`ClusterReport::stats`] yields the same [`ServeStats`]
-/// shape as single-engine replay/live runs — cluster curves overlay
+/// shape as single-engine live runs — cluster curves overlay
 /// directly on theirs.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {

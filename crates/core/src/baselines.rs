@@ -13,6 +13,7 @@ use specee_model::{prefill, LayeredLm, SkipKvPolicy, TokenId};
 use specee_nn::LinearSvm;
 use specee_tensor::ops;
 
+use crate::engine::first_token;
 use crate::output::GenOutput;
 
 /// AdaInfer's per-layer features from the full-vocabulary distribution:
@@ -141,14 +142,10 @@ impl<M: LayeredLm> AdaInferEngine<M> {
         let mut ce_sum = 0.0;
         let mut predictor_calls = 0u64;
 
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut self.model, prompt, &mut prefill_meter);
-        let logits = self.model.final_logits(&h0, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&logits)[t as usize]);
+        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
+        ce_sum += ce;
         tokens.push(t);
         exit_layers.push(n_layers);
-        meter.mark_token();
 
         while tokens.len() < gen_len {
             let pos = self.model.kv_len();
@@ -180,7 +177,7 @@ impl<M: LayeredLm> AdaInferEngine<M> {
                     (ops::argmax(&full).expect("logits") as TokenId, full)
                 }
             };
-            ce_sum += f64::from(-ops::log_softmax(&full)[next as usize]);
+            ce_sum += f64::from(ops::nll(&full, next as usize));
             tokens.push(next);
             exit_layers.push(executed);
             meter.mark_token();
@@ -270,14 +267,10 @@ impl<M: LayeredLm> RaeeEngine<M> {
         let mut exit_layers = Vec::new();
         let mut ce_sum = 0.0;
 
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut self.model, prompt, &mut prefill_meter);
-        let logits = self.model.final_logits(&h0, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&logits)[t as usize]);
+        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
+        ce_sum += ce;
         tokens.push(t);
         exit_layers.push(n_layers);
-        meter.mark_token();
 
         let mut ctx = prompt.to_vec();
         while tokens.len() < gen_len {
@@ -301,7 +294,7 @@ impl<M: LayeredLm> RaeeEngine<M> {
             }
             let full = self.model.final_logits(&h, &mut meter);
             let next = ops::argmax(&full).expect("logits") as TokenId;
-            ce_sum += f64::from(-ops::log_softmax(&full)[next as usize]);
+            ce_sum += f64::from(ops::nll(&full, next as usize));
             tokens.push(next);
             exit_layers.push(exit_at);
             meter.mark_token();

@@ -3,11 +3,12 @@
 
 use specee_draft::SpeculativeSource;
 use specee_metrics::Meter;
-use specee_model::{prefill, LayeredLm, TokenId};
+use specee_model::{LayeredLm, TokenId};
 use specee_obs::Recorder;
 use specee_tensor::ops;
 
 use crate::config::SpecEeConfig;
+use crate::engine::first_token;
 use crate::engine::scan::ExitScan;
 use crate::output::GenOutput;
 use crate::predictor::PredictorBank;
@@ -147,14 +148,10 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
         let mut ce_sum = 0.0f64;
 
         // First token comes out of the (full-depth) prefill.
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut self.model, prompt, &mut prefill_meter);
-        let logits = self.model.final_logits(&h0, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&logits)[t as usize]);
+        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
+        ce_sum += ce;
         tokens.push(t);
         exit_layers.push(n_layers);
-        meter.mark_token();
 
         let mut ctx = prompt.to_vec();
         let mut scan = ExitScan::new();
@@ -205,7 +202,7 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
                     (tok, full)
                 }
             };
-            ce_sum += f64::from(-ops::log_softmax(&full)[next as usize]);
+            ce_sum += f64::from(ops::nll(&full, next as usize));
             self.schedule.note_exit(executed.saturating_sub(1));
             tokens.push(next);
             exit_layers.push(executed);

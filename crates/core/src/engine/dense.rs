@@ -65,7 +65,7 @@ impl<M: LayeredLm> DenseEngine<M> {
         loop {
             let logits = self.model.final_logits(&h, &mut meter);
             let t = ops::argmax(&logits).expect("non-empty logits") as TokenId;
-            ce_sum += f64::from(-ops::log_softmax(&logits)[t as usize]);
+            ce_sum += f64::from(ops::nll(&logits, t as usize));
             tokens.push(t);
             exit_layers.push(n_layers);
             meter.mark_token();

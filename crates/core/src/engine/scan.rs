@@ -102,9 +102,9 @@ impl ExitScan {
     /// Returns `Some((token, full_logits))` when the predictor fired *and*
     /// the full-LM-head verification of §4.3.3 accepted the exit; `None`
     /// when decoding must continue to the next layer (inactive schedule
-    /// slot, negative prediction, or failed verification — the failed
-    /// verification's LM-head cost is recorded in `meter` and counted in
-    /// [`ExitScan::verify_calls`]).
+    /// slot, empty candidate set, negative prediction, or failed
+    /// verification — the failed verification's LM-head cost is recorded
+    /// in `meter` and counted in [`ExitScan::verify_calls`]).
     #[allow(clippy::too_many_arguments)]
     pub fn check<M: LayeredLm + ?Sized>(
         &mut self,
@@ -149,7 +149,12 @@ impl ExitScan {
         meter: &mut Meter,
         sink: &mut S,
     ) -> Option<(TokenId, Vec<f32>)> {
-        if layer + 1 >= model.config().n_layers || !schedule.is_active(layer) {
+        // With no candidates `verify_exit` can accept nothing, so scoring
+        // the layer would only burn a predictor call.
+        if layer + 1 >= model.config().n_layers
+            || !schedule.is_active(layer)
+            || candidates.is_empty()
+        {
             return None;
         }
         let feats = self.tracker.extract(model, h, candidates, meter);
@@ -278,6 +283,24 @@ mod tests {
             &mut meter,
         );
         assert_eq!(scan.predictor_calls(), 1);
+    }
+
+    #[test]
+    fn empty_candidates_skip_the_predictor() {
+        // A scheduled layer whose predictor would always fire: with no
+        // candidates the scan must not even score it.
+        let (mut model, mut bank, mut meter) = parts();
+        bank.layer_mut(0).set_threshold(0.0);
+        let schedule = ScheduleEngine::all_layers(4);
+        let h = prefill(&mut model, &[3], &mut meter);
+        let before = meter.clone();
+        let mut scan = ExitScan::new();
+        scan.begin_token();
+        let out = scan.check(&mut model, &bank, &schedule, &h, &[], 0, &mut meter);
+        assert!(out.is_none());
+        assert_eq!((scan.predictor_calls(), scan.verify_calls()), (0, 0));
+        assert!(scan.feedback().is_empty());
+        assert_eq!(meter, before, "nothing metered");
     }
 
     #[test]

@@ -172,7 +172,7 @@ pub fn verify_commit<M: LayeredLm + ?Sized>(
     loop {
         let full = &node_logits[cur];
         let pred = ops::argmax(full).expect("logits") as TokenId;
-        let ce = f64::from(-ops::log_softmax(full)[pred as usize]);
+        let ce = f64::from(ops::nll(full, pred as usize));
         emitted.push((pred, ce));
         match children[cur].iter().find(|&&j| pass.node_tokens[j] == pred) {
             Some(&j) => {

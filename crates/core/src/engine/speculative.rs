@@ -18,10 +18,11 @@
 
 use specee_draft::{SelfDraftSpec, SpeculativeSource};
 use specee_metrics::Meter;
-use specee_model::{prefill, LayeredLm, TokenId};
+use specee_model::{LayeredLm, TokenId};
 use specee_tensor::ops;
 
 use crate::config::SpecEeConfig;
+use crate::engine::first_token;
 use crate::engine::selfdraft::{deep_sweep, self_draft_pass, verify_commit};
 use crate::features::FeatureTracker;
 use crate::mapping::TreeExitState;
@@ -116,14 +117,10 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
         let mut ce_sum = 0.0f64;
         let (mut predictor_calls, mut verify_calls, mut rounds) = (0u64, 0u64, 0u64);
 
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut self.model, prompt, &mut prefill_meter);
-        let logits = self.model.final_logits(&h0, &mut meter);
-        let mut bonus = ops::argmax(&logits).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&logits)[bonus as usize]);
+        let (mut bonus, ce) = first_token(&mut self.model, prompt, &mut meter);
+        ce_sum += ce;
         tokens.push(bonus);
         exit_layers.push(n_layers);
-        meter.mark_token();
 
         let mut ctx = prompt.to_vec();
 
@@ -285,7 +282,7 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
             loop {
                 let full = &node_logits[cur];
                 let pred = ops::argmax(full).expect("logits") as TokenId;
-                let ce = f64::from(-ops::log_softmax(full)[pred as usize]);
+                let ce = f64::from(ops::nll(full, pred as usize));
                 emitted.push((pred, ce));
                 let next = children[cur]
                     .iter()
@@ -387,14 +384,10 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
         let (mut verify_calls, mut rounds) = (0u64, 0u64);
         let mut self_draft_calls = 0u64;
 
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut self.model, prompt, &mut prefill_meter);
-        let logits = self.model.final_logits(&h0, &mut meter);
-        let mut bonus = ops::argmax(&logits).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&logits)[bonus as usize]);
+        let (mut bonus, ce) = first_token(&mut self.model, prompt, &mut meter);
+        ce_sum += ce;
         tokens.push(bonus);
         exit_layers.push(n_layers);
-        meter.mark_token();
 
         while tokens.len() < gen_len {
             rounds += 1;

@@ -25,6 +25,7 @@ use specee_model::{prefill, LayeredLm, SkipKvPolicy, TokenId};
 use specee_nn::LogisticRegression;
 use specee_tensor::ops;
 
+use crate::engine::first_token;
 use crate::output::GenOutput;
 
 /// Dimension of the router feature vector ([`hidden_summary`]).
@@ -143,14 +144,10 @@ fn generate_with_skips<M: LayeredLm>(
     let mut ce_sum = 0.0f64;
     let mut predictor_calls = 0u64;
 
-    let mut prefill_meter = Meter::new();
-    let h0 = prefill(model, prompt, &mut prefill_meter);
-    let logits = model.final_logits(&h0, &mut meter);
-    let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-    ce_sum += f64::from(-ops::log_softmax(&logits)[t as usize]);
+    let (mut t, ce) = first_token(model, prompt, &mut meter);
+    ce_sum += ce;
     tokens.push(t);
     exit_layers.push(n_layers);
-    meter.mark_token();
 
     while tokens.len() < gen_len {
         let pos = model.kv_len();
@@ -170,7 +167,7 @@ fn generate_with_skips<M: LayeredLm>(
         }
         let full = model.final_logits(&h, &mut meter);
         let next = ops::argmax(&full).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&full)[next as usize]);
+        ce_sum += f64::from(ops::nll(&full, next as usize));
         tokens.push(next);
         exit_layers.push(executed);
         meter.mark_token();
@@ -454,14 +451,10 @@ impl<M: LayeredLm> CalmEngine<M> {
         let mut ce_sum = 0.0f64;
         let mut predictor_calls = 0u64;
 
-        let mut prefill_meter = Meter::new();
-        let h0 = prefill(&mut self.model, prompt, &mut prefill_meter);
-        let logits = self.model.final_logits(&h0, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        ce_sum += f64::from(-ops::log_softmax(&logits)[t as usize]);
+        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
+        ce_sum += ce;
         tokens.push(t);
         exit_layers.push(n_layers);
-        meter.mark_token();
 
         while tokens.len() < gen_len {
             let pos = self.model.kv_len();
@@ -494,7 +487,7 @@ impl<M: LayeredLm> CalmEngine<M> {
                     (ops::argmax(&full).expect("logits") as TokenId, full)
                 }
             };
-            ce_sum += f64::from(-ops::log_softmax(&full)[next as usize]);
+            ce_sum += f64::from(ops::nll(&full, next as usize));
             tokens.push(next);
             exit_layers.push(executed);
             meter.mark_token();

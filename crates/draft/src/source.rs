@@ -65,3 +65,31 @@ pub trait SpeculativeSource {
         0
     }
 }
+
+/// The source with nothing to speculate on: it proposes no candidates and
+/// no tree, runs no network and meters nothing. An engine decoding with it
+/// has no exit to verify, so every token runs the full stack — the dense
+/// reference, through the same engine and serving loop as SpecEE.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoDraft;
+
+impl SpeculativeSource for NoDraft {
+    fn propose(&mut self, _context: &[TokenId], _k: usize, _meter: &mut Meter) -> Vec<TokenId> {
+        Vec::new()
+    }
+
+    fn propose_tree(
+        &mut self,
+        _context: &[TokenId],
+        _shape: &TreeShape,
+        _meter: &mut Meter,
+    ) -> TokenTree {
+        TokenTree::new()
+    }
+
+    fn reset(&mut self) {}
+
+    fn modelled_bytes(&self) -> f64 {
+        0.0
+    }
+}

@@ -1,14 +1,15 @@
-//! The continuous batcher: admission, step loop and clock.
+//! The continuous batcher's configuration, admission policy and report.
+//! The loop that serves with them is [`crate::ServeLoop`], reached through
+//! [`ContinuousBatcher::run_live`].
 
 use serde::{Deserialize, Serialize};
 use specee_metrics::{FrameworkProfile, HardwareProfile};
 use specee_model::CostDims;
-use specee_obs::{EventKind, Recorder, SloSpec};
+use specee_obs::SloSpec;
 
-use crate::cost::{StepCostModel, StepSpec};
-use crate::request::{Completion, ServeRequest};
+use crate::cost::StepCostModel;
+use crate::request::Completion;
 use crate::stats::ServeStats;
-use crate::trace::RequestTrace;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -29,42 +30,10 @@ pub enum AdmissionPolicy {
     /// First come, first served (the default; no starvation).
     #[default]
     Fcfs,
-    /// Shortest job first by requested decode length: lowers mean latency
-    /// on mixed workloads, can starve long requests under sustained load.
+    /// Shortest job first by requested decode length (ties toward the
+    /// lower engine id): lowers mean latency on mixed workloads, can
+    /// starve long requests under sustained load.
     ShortestJobFirst,
-}
-
-impl AdmissionPolicy {
-    /// Picks the index of the next pending request to admit.
-    ///
-    /// `keys[i]` is `(gen_len, id)` for the `i`-th pending request, listed
-    /// in arrival order; ties under shortest-job-first break toward the
-    /// lower id. Shared by the replay simulator and the live
-    /// [`crate::ServeLoop`], so every execution mode admits identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` is empty.
-    pub fn pick_by_key(self, keys: &[(usize, u64)]) -> usize {
-        assert!(!keys.is_empty(), "pending non-empty");
-        match self {
-            AdmissionPolicy::Fcfs => 0,
-            AdmissionPolicy::ShortestJobFirst => keys
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &k)| k)
-                .map(|(i, _)| i)
-                .expect("pending non-empty"),
-        }
-    }
-}
-
-/// One in-flight sequence.
-#[derive(Debug, Clone)]
-struct Slot {
-    req: usize,
-    next_token: usize,
-    ctx_len: usize,
 }
 
 /// Outcome of a served run.
@@ -89,28 +58,20 @@ impl ServeReport {
     }
 }
 
-/// A continuous batcher over recorded request traces.
+/// A continuous batcher: the batch cap, the step cost model, the admission
+/// policy and an optional SLO specification of one served deployment.
 ///
-/// Requests are admitted in arrival order as soon as a slot frees
-/// (first-come-first-served; no preemption). Prefill is modelled as a
-/// dedicated batched forward at admission time, decode as synchronized
-/// steps in which every active slot emits one token.
+/// [`run_live`](Self::run_live) serves a request list with them on a
+/// `specee_batch::BatchedEngine`: requests are admitted by policy as soon
+/// as a slot frees, prefill is priced as one batched forward per admission
+/// boundary, decode as synchronized steps in which every seated sequence
+/// emits one token.
 #[derive(Debug, Clone)]
 pub struct ContinuousBatcher {
     pub(crate) config: BatcherConfig,
     pub(crate) model: StepCostModel,
     pub(crate) policy: AdmissionPolicy,
     pub(crate) slo: Option<SloSpec>,
-}
-
-/// Picks the index *within `pending`* of the next request to admit under
-/// `policy`.
-fn pick_pending(policy: AdmissionPolicy, pending: &[usize], requests: &[ServeRequest]) -> usize {
-    let keys: Vec<(usize, u64)> = pending
-        .iter()
-        .map(|&r| (requests[r].gen_len, r as u64))
-        .collect();
-    policy.pick_by_key(&keys)
 }
 
 impl ContinuousBatcher {
@@ -143,7 +104,7 @@ impl ContinuousBatcher {
         }
     }
 
-    /// Attaches an online SLO specification to the *live* serving loop.
+    /// Attaches an online SLO specification to the serving loop.
     ///
     /// [`run_live`](Self::run_live) then drives a
     /// [`specee_obs::SloTracker`] on the simulated clock: admission TTFTs
@@ -156,9 +117,6 @@ impl ContinuousBatcher {
     /// operating point while an objective burns. The tracker runs whether
     /// or not a recorder is attached, so traced and untraced runs stay
     /// bit-identical.
-    ///
-    /// Replay mode ([`run`](Self::run)) ignores the specification: its
-    /// traces were recorded elsewhere and cannot react to pressure.
     pub fn with_slo(mut self, slo: SloSpec) -> Self {
         self.slo = Some(slo);
         self
@@ -173,235 +131,20 @@ impl ContinuousBatcher {
     pub fn cost_model(&self) -> &StepCostModel {
         &self.model
     }
-
-    /// Replays `traces` under the arrival schedule in `requests`.
-    ///
-    /// `traces[i]` must be the recorded run of `requests[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length, a trace is shorter than
-    /// its request's `gen_len`, or arrivals are not sorted.
-    pub fn run(&self, requests: &[ServeRequest], traces: &[RequestTrace]) -> ServeReport {
-        self.run_recorded(requests, traces, None)
-    }
-
-    /// [`run`](Self::run) with an optional trace [`Recorder`]: when one is
-    /// supplied, every admission, decode step and request completion is
-    /// recorded as a typed event stamped with the simulated clock. The
-    /// event stream never feeds back into the simulation, so a recorded
-    /// run produces a bit-identical [`ServeReport`] to an unrecorded one.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run).
-    pub fn run_recorded(
-        &self,
-        requests: &[ServeRequest],
-        traces: &[RequestTrace],
-        mut rec: Option<&mut Recorder>,
-    ) -> ServeReport {
-        assert_eq!(requests.len(), traces.len(), "one trace per request");
-        assert!(
-            requests
-                .windows(2)
-                .all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "requests must be sorted by arrival"
-        );
-        for (r, t) in requests.iter().zip(traces) {
-            assert!(
-                t.len() >= r.gen_len,
-                "trace for request {} shorter than gen_len",
-                r.id
-            );
-        }
-
-        let n_layers = self.config.cost.n_layers;
-        let mut now = 0.0f64;
-        let mut next_arrival = 0usize;
-        let mut pending: Vec<usize> = Vec::new();
-        let mut active: Vec<Slot> = Vec::new();
-        let mut completions: Vec<Completion> = Vec::with_capacity(requests.len());
-        let mut first_token_s = vec![0.0f64; requests.len()];
-        let mut steps = 0u64;
-        let mut occupancy_sum = 0.0f64;
-        let mut layer_sum = 0.0f64;
-        let mut token_sum = 0u64;
-
-        while completions.len() < requests.len() {
-            // Move arrivals into the pending pool, then admit by policy —
-            // as one batched prefill.
-            while next_arrival < requests.len() && requests[next_arrival].arrival_s <= now {
-                pending.push(next_arrival);
-                next_arrival += 1;
-            }
-            let mut admitted: Vec<usize> = Vec::new();
-            while !pending.is_empty() && active.len() + admitted.len() < self.config.max_batch {
-                let pick = pick_pending(self.policy, &pending, requests);
-                admitted.push(pending.remove(pick));
-            }
-            if !admitted.is_empty() {
-                if let Some(r) = rec.as_deref_mut() {
-                    let depth = pending.len() as u32;
-                    for &i in &admitted {
-                        r.record_at(
-                            now,
-                            Some(requests[i].id),
-                            EventKind::Admission {
-                                request: requests[i].id,
-                                queue_depth: depth,
-                            },
-                        );
-                    }
-                }
-                let lens: Vec<usize> = admitted.iter().map(|&i| requests[i].prompt.len()).collect();
-                now += self.model.prefill_latency(&lens);
-                for &i in &admitted {
-                    // The prefill produces the first token (the engines
-                    // count it the same way).
-                    first_token_s[i] = now;
-                    if requests[i].gen_len <= 1 {
-                        completions.push(Completion {
-                            id: requests[i].id,
-                            arrival_s: requests[i].arrival_s,
-                            first_token_s: now,
-                            finish_s: now,
-                            tokens: requests[i].gen_len,
-                        });
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.record_at(
-                                now,
-                                Some(requests[i].id),
-                                EventKind::Request {
-                                    request: requests[i].id,
-                                    arrival_s: requests[i].arrival_s,
-                                    first_token_s: now,
-                                    finish_s: now,
-                                    tokens: requests[i].gen_len as u32,
-                                },
-                            );
-                        }
-                    } else {
-                        active.push(Slot {
-                            req: i,
-                            next_token: 1,
-                            ctx_len: requests[i].prompt.len() + 1,
-                        });
-                    }
-                }
-                continue;
-            }
-
-            if active.is_empty() {
-                // Idle: jump to the next arrival.
-                if next_arrival < requests.len() {
-                    now = now.max(requests[next_arrival].arrival_s);
-                    continue;
-                }
-                break;
-            }
-
-            // One synchronized decode step.
-            let mut spec = StepSpec {
-                layer_runners: vec![0; n_layers],
-                ctx_lens: Vec::with_capacity(active.len()),
-                lm_head_evals: 0.0,
-                draft_slots: 0,
-                self_draft_slots: 0,
-                predictor_calls: 0.0,
-            };
-            for slot in &active {
-                let trace = &traces[slot.req];
-                let exit = trace.exit_layers[slot.next_token].min(n_layers);
-                for runner in spec.layer_runners.iter_mut().take(exit) {
-                    *runner += 1;
-                }
-                spec.ctx_lens.push(slot.ctx_len);
-                // Final logits (dense) or exit verification (SpecEE); extra
-                // failed verifications are charged via the per-token rate.
-                spec.lm_head_evals += 1.0_f64.max(trace.verify_calls_per_token);
-                if trace.speculative {
-                    spec.draft_slots += 1;
-                    spec.predictor_calls += trace.predictor_calls_per_token;
-                }
-                layer_sum += exit as f64;
-                token_sum += 1;
-            }
-            let dur = self.model.decode_step_latency(&spec);
-            if let Some(r) = rec.as_deref_mut() {
-                let layers = spec.layer_runners.iter().rposition(|&c| c > 0);
-                r.record_at(
-                    now,
-                    None,
-                    EventKind::Step {
-                        step: steps,
-                        occupancy: active.len() as u32,
-                        layers: layers.map_or(0, |l| l + 1) as u32,
-                        dur_s: dur,
-                    },
-                );
-            }
-            now += dur;
-            steps += 1;
-            occupancy_sum += active.len() as f64;
-
-            // Advance slots; retire the finished.
-            let mut still_active = Vec::with_capacity(active.len());
-            for mut slot in active {
-                slot.next_token += 1;
-                slot.ctx_len += 1;
-                let req = &requests[slot.req];
-                if slot.next_token >= req.gen_len {
-                    completions.push(Completion {
-                        id: req.id,
-                        arrival_s: req.arrival_s,
-                        first_token_s: first_token_s[slot.req],
-                        finish_s: now,
-                        tokens: req.gen_len,
-                    });
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.record_at(
-                            now,
-                            Some(req.id),
-                            EventKind::Request {
-                                request: req.id,
-                                arrival_s: req.arrival_s,
-                                first_token_s: first_token_s[slot.req],
-                                finish_s: now,
-                                tokens: req.gen_len as u32,
-                            },
-                        );
-                    }
-                } else {
-                    still_active.push(slot);
-                }
-            }
-            active = still_active;
-        }
-
-        completions.sort_by_key(|c| c.id);
-        ServeReport {
-            completions,
-            makespan_s: now,
-            steps,
-            avg_occupancy: if steps > 0 {
-                occupancy_sum / steps as f64
-            } else {
-                0.0
-            },
-            avg_layers: if token_sum > 0 {
-                layer_sum / token_sum as f64
-            } else {
-                0.0
-            },
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::PoissonArrivals;
+    use crate::cost::StepSpec;
+    use crate::request::{PoissonArrivals, ServeRequest};
+    use specee_batch::BatchedEngine;
+    use specee_core::predictor::{PredictorBank, PredictorConfig};
+    use specee_core::{ScheduleEngine, SpecEeConfig};
+    use specee_draft::NoDraft;
+    use specee_model::ModelConfig;
+    use specee_synth::{DatasetProfile, SyntheticLmBuilder};
+    use specee_tensor::rng::Pcg;
 
     fn config(max_batch: usize) -> BatcherConfig {
         BatcherConfig {
@@ -412,22 +155,25 @@ mod tests {
         }
     }
 
-    fn dense_traces(n: usize, gen: usize) -> Vec<RequestTrace> {
-        (0..n)
-            .map(|i| RequestTrace::dense(vec![i as u32; gen], 32))
-            .collect()
-    }
-
-    fn specee_traces(n: usize, gen: usize, exit: usize) -> Vec<RequestTrace> {
-        (0..n)
-            .map(|i| RequestTrace {
-                tokens: vec![i as u32; gen],
-                exit_layers: vec![exit; gen],
-                predictor_calls_per_token: 3.0,
-                verify_calls_per_token: 1.0,
-                speculative: true,
-            })
-            .collect()
+    /// Serves `requests` densely: a tiny model as deep as the priced dims,
+    /// decoded live with nothing to speculate on (the bank is never
+    /// scored, so it needs no training).
+    fn serve_dense(b: &ContinuousBatcher, requests: &[ServeRequest]) -> ServeReport {
+        let n_layers = b.config.cost.n_layers;
+        let cfg = ModelConfig {
+            n_layers,
+            ..ModelConfig::tiny()
+        };
+        let template = SyntheticLmBuilder::new(cfg, DatasetProfile::qa())
+            .seed(5)
+            .build();
+        let config = SpecEeConfig::default();
+        let bank = PredictorBank::new(n_layers, &PredictorConfig::default(), &mut Pcg::seed(1));
+        let schedule = ScheduleEngine::all_layers(n_layers);
+        let mut engine =
+            BatchedEngine::new(b.config.max_batch, 16, n_layers, bank, schedule, config);
+        b.run_live(requests, &mut engine, |_| (template.clone(), NoDraft))
+            .report
     }
 
     fn requests(n: usize, gen: usize) -> Vec<ServeRequest> {
@@ -441,7 +187,7 @@ mod tests {
     #[test]
     fn all_requests_complete_with_sane_timings() {
         let reqs = requests(6, 12);
-        let report = ContinuousBatcher::new(config(3)).run(&reqs, &dense_traces(6, 12));
+        let report = serve_dense(&ContinuousBatcher::new(config(3)), &reqs);
         assert_eq!(report.completions.len(), 6);
         for (c, r) in report.completions.iter().zip(&reqs) {
             assert_eq!(c.id, r.id);
@@ -457,9 +203,8 @@ mod tests {
     #[test]
     fn larger_batches_raise_throughput() {
         let reqs = requests(16, 16);
-        let traces = dense_traces(16, 16);
-        let b1 = ContinuousBatcher::new(config(1)).run(&reqs, &traces);
-        let b8 = ContinuousBatcher::new(config(8)).run(&reqs, &traces);
+        let b1 = serve_dense(&ContinuousBatcher::new(config(1)), &reqs);
+        let b8 = serve_dense(&ContinuousBatcher::new(config(8)), &reqs);
         assert!(
             b8.stats().throughput_tok_s > 1.5 * b1.stats().throughput_tok_s,
             "b8 {} vs b1 {}",
@@ -468,18 +213,32 @@ mod tests {
         );
     }
 
+    /// One priced step at context 64 in which slot `i` leaves after
+    /// `exits[i]` of the 32 layers; a slot that leaves early drafted and
+    /// scored three predictors on the way.
+    fn step_latency(exits: &[usize]) -> f64 {
+        let early = exits.iter().filter(|&&e| e < 32).count();
+        ContinuousBatcher::new(config(exits.len()))
+            .cost_model()
+            .decode_step_latency(&StepSpec {
+                layer_runners: (0..32)
+                    .map(|l| exits.iter().filter(|&&e| e > l).count())
+                    .collect(),
+                ctx_lens: vec![64; exits.len()],
+                lm_head_evals: exits.len() as f64,
+                draft_slots: early,
+                self_draft_slots: 0,
+                predictor_calls: 3.0 * early as f64,
+            })
+    }
+
     #[test]
     fn early_exit_advantage_shrinks_with_batch() {
-        let reqs = requests(16, 16);
-        let dense = dense_traces(16, 16);
-        let spec = specee_traces(16, 16, 20);
-        let speedup = |mb: usize| {
-            let d = ContinuousBatcher::new(config(mb)).run(&reqs, &dense);
-            let s = ContinuousBatcher::new(config(mb)).run(&reqs, &spec);
-            s.stats().throughput_tok_s / d.stats().throughput_tok_s
-        };
-        let at1 = speedup(1);
-        let at8 = speedup(8);
+        // The same mean exit depth, 20 of 32 layers: alone the sequence
+        // saves twelve layers of weight reads, co-batched the step still
+        // streams every layer down to the rearmost exit.
+        let at1 = step_latency(&[32]) / step_latency(&[20]);
+        let at8 = step_latency(&[32; 8]) / step_latency(&[13, 15, 17, 19, 21, 23, 25, 27]);
         assert!(at1 > 1.05, "batch-1 speedup {at1}");
         assert!(at8 < at1, "batch-8 {at8} vs batch-1 {at1}");
     }
@@ -488,23 +247,20 @@ mod tests {
     fn unanimous_exits_still_win_at_large_batch() {
         // When every sequence exits at the same layer the weight savings
         // survive batching.
-        let reqs = requests(8, 16);
-        let d = ContinuousBatcher::new(config(8)).run(&reqs, &dense_traces(8, 16));
-        let s = ContinuousBatcher::new(config(8)).run(&reqs, &specee_traces(8, 16, 16));
-        assert!(s.makespan_s < d.makespan_s);
+        assert!(step_latency(&[16; 8]) < step_latency(&[32; 8]));
     }
 
     #[test]
     fn batch_cap_respected() {
         let reqs = requests(10, 8);
-        let report = ContinuousBatcher::new(config(2)).run(&reqs, &dense_traces(10, 8));
+        let report = serve_dense(&ContinuousBatcher::new(config(2)), &reqs);
         assert!(report.avg_occupancy <= 2.0);
     }
 
     #[test]
     fn gen_len_one_finishes_at_prefill() {
         let reqs = PoissonArrivals::new(10.0, 3).requests(&[(vec![1, 2, 3], 1)]);
-        let report = ContinuousBatcher::new(config(2)).run(&reqs, &dense_traces(1, 1));
+        let report = serve_dense(&ContinuousBatcher::new(config(2)), &reqs);
         assert_eq!(report.completions.len(), 1);
         assert_eq!(
             report.completions[0].finish_s,
@@ -532,13 +288,11 @@ mod tests {
                 arrival_s: 0.0,
             });
         }
-        let traces: Vec<RequestTrace> = requests
-            .iter()
-            .map(|r| RequestTrace::dense(vec![7; r.gen_len], 32))
-            .collect();
-        let fcfs = ContinuousBatcher::new(config(1)).run(&requests, &traces);
-        let sjf = ContinuousBatcher::with_policy(config(1), AdmissionPolicy::ShortestJobFirst)
-            .run(&requests, &traces);
+        let fcfs = serve_dense(&ContinuousBatcher::new(config(1)), &requests);
+        let sjf = serve_dense(
+            &ContinuousBatcher::with_policy(config(1), AdmissionPolicy::ShortestJobFirst),
+            &requests,
+        );
         assert!(
             sjf.stats().mean_latency_s < fcfs.stats().mean_latency_s * 0.8,
             "sjf {} vs fcfs {}",
@@ -553,8 +307,7 @@ mod tests {
     #[test]
     fn fcfs_admits_in_arrival_order() {
         let reqs = requests(6, 8);
-        let traces = dense_traces(6, 8);
-        let report = ContinuousBatcher::new(config(1)).run(&reqs, &traces);
+        let report = serve_dense(&ContinuousBatcher::new(config(1)), &reqs);
         // At cap 1, FCFS finishes strictly in arrival (= id) order.
         let mut finishes: Vec<(u64, f64)> = report
             .completions
@@ -564,47 +317,5 @@ mod tests {
         finishes.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
         let order: Vec<u64> = finishes.iter().map(|(id, _)| *id).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn recorded_replay_is_bit_identical_and_captures_the_run() {
-        let reqs = requests(6, 8);
-        let traces = specee_traces(6, 8, 20);
-        let b = ContinuousBatcher::new(config(2));
-        let plain = b.run(&reqs, &traces);
-        let mut rec = Recorder::new();
-        let recorded = b.run_recorded(&reqs, &traces, Some(&mut rec));
-        assert_eq!(plain, recorded, "recording must not perturb the run");
-        let events = rec.into_events();
-        let count = |f: fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
-        assert_eq!(count(|k| matches!(k, EventKind::Admission { .. })), 6);
-        assert_eq!(count(|k| matches!(k, EventKind::Request { .. })), 6);
-        assert_eq!(
-            count(|k| matches!(k, EventKind::Step { .. })) as u64,
-            plain.steps
-        );
-        // The batcher records in clock order, so the stream is already a
-        // valid timeline without merging.
-        assert!(events.windows(2).all(|w| w[0].t <= w[1].t));
-        for e in &events {
-            if let EventKind::Step { layers, dur_s, .. } = e.kind {
-                assert_eq!(layers, 20, "every replay trace exits at layer 20");
-                assert!(dur_s > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one trace per request")]
-    fn trace_count_validated() {
-        let reqs = requests(2, 4);
-        let _ = ContinuousBatcher::new(config(2)).run(&reqs, &dense_traces(1, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than gen_len")]
-    fn trace_length_validated() {
-        let reqs = requests(1, 8);
-        let _ = ContinuousBatcher::new(config(2)).run(&reqs, &dense_traces(1, 4));
     }
 }

@@ -13,32 +13,23 @@
 //! speedup at batch 1 toward the compute-only savings at large batches.
 //! The `ablation_batch_serving` bench quantifies the decay curve.
 //!
-//! # Three execution modes: replay, live and cluster
+//! # Two execution modes: live and cluster
 //!
-//! **Replay** ([`batcher`], [`ContinuousBatcher::run`]): under greedy
-//! decoding a sequence's tokens and exit layers do not depend on what else
-//! shares the batch — batching changes *timing*, not values. The simulator
-//! records each request's trace (tokens, per-token exit layers,
-//! predictor/verify call counts) by running the real engines once per
-//! request ([`trace`]), then replays the traces through the
-//! admission/batching/pricing loop. Every token in a served run is a
-//! genuinely computed token; only the clock is modelled. Replay is cheap
-//! (one engine pass per request, then arbitrarily many batch-cap sweeps)
-//! and exact *as long as* the replayed per-token overhead averages stand
-//! in faithfully for what a real batch would execute per step.
+//! Both run the same [`ServeLoop`]; every number either mode reports comes
+//! from a decode step that loop executed on a `specee_batch::BatchedEngine`
+//! and priced from what the step measured.
 //!
 //! **Live** ([`live`], [`ContinuousBatcher::run_live`]): requests are
-//! admitted into the slots of a `specee_batch::BatchedEngine` and decoded
-//! for real — N sequences in lock-step through the layer stack, scheduled
-//! predictors evaluated per sequence, the step ending at the rearmost
-//! layer any sequence still needs. The step cost is priced from *measured*
-//! per-layer runner counts and call totals, not per-request averages.
-//! Live is the trustworthy mode whenever batch composition matters: it
-//! measures the Cannikin batch-size decay instead of assuming trace
-//! independence, at the price of re-decoding the workload for every
-//! configuration swept. Use replay for broad sweeps, live to validate the
-//! points that matter; both share [`ServeReport`]/[`ServeStats`], so the
-//! curves overlay directly (`ablation_live_batch` does exactly that).
+//! admitted into the engine's slots and decoded for real — N sequences in
+//! lock-step through the layer stack, scheduled predictors evaluated per
+//! sequence, the step ending at the rearmost layer any sequence still
+//! needs. The step cost is priced from *measured* per-layer runner counts
+//! and call totals, so the Cannikin batch-size decay is observed rather
+//! than assumed. The dense reference is the same run with
+//! `specee_draft::NoDraft` seated in every slot: no candidates, so no
+//! predictor call, no verification and no draft term in the price — the
+//! two [`ServeReport`]s differ only by what speculation did
+//! (`ablation_batch_serving` and `ablation_live_batch` print both).
 //!
 //! **Cluster** (the `specee-cluster` crate, `specee serve --mode
 //! cluster`): N live workers — one OS thread and one batched engine each
@@ -46,8 +37,8 @@
 //! drives the very [`ServeLoop`] live mode runs, fed one arrival frontier
 //! at a time instead of all at once, so it prices its measured steps with
 //! the same [`StepCostModel`] and reports the same [`ServeReport`] shape,
-//! merged across workers into one aggregate. Cluster numbers are trustworthy exactly where live numbers
-//! are (every step is genuinely executed and priced), *plus* they are the
+//! merged across workers into one aggregate. Cluster numbers are
+//! trustworthy exactly where live numbers are, *plus* they are the
 //! only mode in which routing-policy effects — queue-wait tails, the
 //! many-small-batches counter to the Cannikin decay — are real rather
 //! than extrapolated. A one-worker round-robin cluster reproduces
@@ -59,28 +50,42 @@
 //!
 //! # Examples
 //!
-//! ```
-//! use specee_metrics::{FrameworkProfile, HardwareProfile};
-//! use specee_model::CostDims;
-//! use specee_serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, RequestTrace, ServeRequest};
+//! Two requests served live and densely on a tiny model:
 //!
-//! // Two synthetic traces standing in for recorded engine runs.
-//! let traces = vec![
-//!     RequestTrace::dense(vec![5, 6, 7, 8], 32),
-//!     RequestTrace::dense(vec![9, 10, 11], 32),
-//! ];
+//! ```
+//! use specee_batch::BatchedEngine;
+//! use specee_core::predictor::{PredictorBank, PredictorConfig};
+//! use specee_core::{ScheduleEngine, SpecEeConfig};
+//! use specee_draft::NoDraft;
+//! use specee_metrics::{FrameworkProfile, HardwareProfile};
+//! use specee_model::{CostDims, ModelConfig};
+//! use specee_serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, ServeRequest};
+//! use specee_synth::{DatasetProfile, SyntheticLmBuilder};
+//! use specee_tensor::rng::Pcg;
+//!
+//! let cfg = ModelConfig::tiny();
+//! let n_layers = cfg.n_layers;
 //! let requests: Vec<ServeRequest> = PoissonArrivals::new(4.0, 11)
 //!     .requests(&[(vec![1, 2, 3], 4), (vec![4, 5], 3)]);
 //!
-//! let config = BatcherConfig {
+//! let batcher = ContinuousBatcher::new(BatcherConfig {
 //!     max_batch: 2,
 //!     hardware: HardwareProfile::a100_80g(),
 //!     framework: FrameworkProfile::vllm(),
-//!     cost: CostDims::llama2_7b(),
-//! };
-//! let report = ContinuousBatcher::new(config).run(&requests, &traces);
-//! assert_eq!(report.completions.len(), 2);
-//! assert!(report.stats().throughput_tok_s > 0.0);
+//!     // Price the depth that is executed.
+//!     cost: CostDims { n_layers, ..CostDims::llama2_7b() },
+//! });
+//! // `NoDraft` proposes nothing, so the bank is never scored.
+//! let bank = PredictorBank::new(n_layers, &PredictorConfig::default(), &mut Pcg::seed(1));
+//! let schedule = ScheduleEngine::all_layers(n_layers);
+//! let mut engine = BatchedEngine::new(2, 16, n_layers, bank, schedule, SpecEeConfig::default());
+//! let template = SyntheticLmBuilder::new(cfg, DatasetProfile::qa()).seed(3).build();
+//!
+//! let outcome = batcher.run_live(&requests, &mut engine, |_| (template.clone(), NoDraft));
+//! assert_eq!(outcome.report.completions.len(), 2);
+//! assert_eq!(outcome.outputs[0].tokens.len(), 4);
+//! assert_eq!(outcome.report.avg_layers, n_layers as f64);
+//! assert!(outcome.report.stats().throughput_tok_s > 0.0);
 //! ```
 
 #![deny(missing_docs)]
@@ -90,11 +95,9 @@ pub mod cost;
 pub mod live;
 pub mod request;
 pub mod stats;
-pub mod trace;
 
 pub use batcher::{AdmissionPolicy, BatcherConfig, ContinuousBatcher, ServeReport};
 pub use cost::StepCostModel;
 pub use live::{LiveOutcome, ServeLoop};
 pub use request::{Completion, PoissonArrivals, ServeRequest};
 pub use stats::{ClassStats, ServeStats};
-pub use trace::RequestTrace;

@@ -27,14 +27,33 @@ pub fn softmax(x: &[f32]) -> Vec<f32> {
     out
 }
 
+/// The two terms log-softmax subtracts from every element: the maximum
+/// and `ln Σ exp(x - max)`.
+fn log_normaliser(x: &[f32]) -> (f32, f32) {
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let log_sum: f32 = x.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
+    (max, log_sum)
+}
+
 /// Log-softmax (stable); used for perplexity accounting.
 pub fn log_softmax(x: &[f32]) -> Vec<f32> {
     if x.is_empty() {
         return Vec::new();
     }
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = x.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
+    let (max, log_sum) = log_normaliser(x);
     x.iter().map(|v| v - max - log_sum).collect()
+}
+
+/// Negative log-likelihood of `index` under `softmax(x)`: the one element
+/// `-log_softmax(x)[index]`, bit for bit, without the vocabulary-wide
+/// vector.
+///
+/// # Panics
+///
+/// Panics if `index` is out of range.
+pub fn nll(x: &[f32], index: usize) -> f32 {
+    let (max, log_sum) = log_normaliser(x);
+    -(x[index] - max - log_sum)
 }
 
 /// Index of the maximum element (first on ties).
@@ -198,6 +217,23 @@ mod tests {
         let p = softmax(&x);
         for (l, q) in ls.iter().zip(p.iter()) {
             assert_close(l.exp(), *q);
+        }
+    }
+
+    proptest::proptest! {
+        /// `nll` is one element of `-log_softmax`, to the bit: random
+        /// logits quantised so that ties (a shared maximum included) are
+        /// common, down to a one-element slice.
+        #[test]
+        fn nll_is_one_element_of_log_softmax(seed in 0u64..10_000, len in 1usize..48, levels in 1u32..40) {
+            let mut rng = crate::rng::Pcg::seed(seed);
+            let x: Vec<f32> = (0..len)
+                .map(|_| (rng.next_u64() % u64::from(levels)) as f32 * 0.37 - 5.0)
+                .collect();
+            let reference = log_softmax(&x);
+            for (i, r) in reference.iter().enumerate() {
+                proptest::prop_assert_eq!(nll(&x, i).to_bits(), (-r).to_bits());
+            }
         }
     }
 

@@ -1,26 +1,26 @@
 //! Live batched decoding: N sequences in lock-step with per-sequence
 //! early exit.
 //!
-//! Where `examples/serving.rs` *replays* recorded traces through a clock
-//! model, this example drives the `specee-batch` runtime directly: four
+//! Where `examples/serving.rs` sweeps batch caps through the serving
+//! loop, this example drives the `specee-batch` runtime directly: four
 //! sequences decode together, each making its own predictor decisions,
 //! and every step prints the measured per-layer runner counts — the
 //! Cannikin effect (the batch pays for layers down to the rearmost
 //! still-needed one) observed live rather than assumed. It then serves
-//! the same burst through `ContinuousBatcher::run_live` and overlays the
-//! live and replay clocks.
+//! the same burst through `ContinuousBatcher::run_live`, with the oracle
+//! draft and with nothing to speculate on, on the same priced clock.
 //!
 //! Run with: `cargo run --release --example live_batch`
 
 use specee::batch::{Admission, BatchedEngine};
 use specee::core::collect::{collect_training_data, train_bank};
-use specee::core::engine::SpecEeEngine;
 use specee::core::predictor::{PredictorBank, PredictorConfig};
 use specee::core::SpecEeConfig;
+use specee::draft::NoDraft;
 use specee::metrics::{FrameworkProfile, HardwareProfile};
 use specee::model::{CostDims, ModelConfig, TokenId};
 use specee::nn::TrainConfig;
-use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, RequestTrace};
+use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals};
 use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::rng::Pcg;
 
@@ -135,7 +135,9 @@ fn main() {
         );
     }
 
-    // Served comparison: the same burst through replay and live modes.
+    // Served comparison: the same burst through the serving loop, with the
+    // oracle draft and with nothing to speculate on. Every sequence is a
+    // clone of one never-stepped template, so the batch shares its weights.
     let specs: Vec<(Vec<TokenId>, usize)> = prompts.iter().map(|p| (p.to_vec(), GEN)).collect();
     let requests = PoissonArrivals::new(30.0, seed).requests(&specs);
     let batcher = ContinuousBatcher::new(BatcherConfig {
@@ -144,28 +146,35 @@ fn main() {
         framework: FrameworkProfile::vllm(),
         cost: cfg.cost.expect("cost twin"),
     });
-    let mut traces = Vec::new();
-    for (i, (p, g)) in specs.iter().enumerate() {
-        let lm = build_lm(seed);
-        let d = build_draft(&lm, seed ^ i as u64);
-        let mut single = SpecEeEngine::new(lm, d, bank.clone(), schedule.clone(), config.clone());
-        traces.push(RequestTrace::from_output(&single.generate(p, *g), true));
-    }
-    let replay = batcher.run(&requests, &traces);
+    let template = build_lm(seed);
+    let mut dense_engine: BatchedEngine<SyntheticLm, NoDraft> = BatchedEngine::new(
+        4,
+        16,
+        N_LAYERS,
+        bank.clone(),
+        schedule.clone(),
+        config.clone(),
+    );
+    let dense = batcher.run_live(&requests, &mut dense_engine, |_| {
+        (template.clone(), NoDraft)
+    });
     let mut live_engine: BatchedEngine<SyntheticLm, OracleDraft> =
         BatchedEngine::new(4, 16, N_LAYERS, bank, schedule, config);
     let live = batcher.run_live(&requests, &mut live_engine, |req| {
-        let lm = build_lm(seed);
-        let d = build_draft(&lm, seed ^ req.id);
-        (lm, d)
+        (template.clone(), build_draft(&template, seed ^ req.id))
     });
-    for (out, trace) in live.outputs.iter().zip(&traces) {
-        assert_eq!(out.tokens, trace.tokens, "live/replay token mismatch");
+    for (out, alone) in live.outputs.iter().zip(&finished) {
+        assert_eq!(out.tokens, alone.tokens, "served/stepped token mismatch");
     }
+    let (d, s) = (dense.report.stats(), live.report.stats());
     println!(
-        "\nserved burst of {}: replay {:.2} tok/s, live {:.2} tok/s (same tokens, measured clock)",
+        "\nserved burst of {}: dense {:.2} tok/s at {:.1} layers, SpecEE {:.2} tok/s at {:.1} \
+         ({:.2}x, measured steps)",
         specs.len(),
-        replay.stats().throughput_tok_s,
-        live.report.stats().throughput_tok_s
+        d.throughput_tok_s,
+        dense.report.avg_layers,
+        s.throughput_tok_s,
+        live.report.avg_layers,
+        s.throughput_tok_s / d.throughput_tok_s
     );
 }

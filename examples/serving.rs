@@ -1,22 +1,41 @@
 //! Serving: SpecEE under continuous batching (the multi-request extension).
 //!
-//! The paper evaluates single-stream decoding; this example records real
-//! engine traces for a burst of requests and replays them through the
-//! continuous batcher at several batch caps, showing how the early-exit
+//! The paper evaluates single-stream decoding; this example serves a
+//! Poisson stream of requests live through the continuous batcher at
+//! several batch caps — once with the oracle draft, once with nothing to
+//! speculate on (the dense reference) — showing how the early-exit
 //! advantage decays as weight reads amortize across the batch.
 //!
 //! Run with: `cargo run --release --example serving`
 
+use specee::batch::BatchedEngine;
 use specee::core::collect::{collect_training_data, train_bank};
-use specee::core::engine::{DenseEngine, SpecEeEngine};
 use specee::core::predictor::PredictorBank;
-use specee::core::SpecEeConfig;
+use specee::core::{ScheduleEngine, SpecEeConfig};
+use specee::draft::{NoDraft, SpeculativeSource};
 use specee::metrics::{FrameworkProfile, HardwareProfile};
 use specee::model::{ModelConfig, TokenId};
 use specee::nn::TrainConfig;
-use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, RequestTrace};
-use specee::synth::{DatasetProfile, OracleDraft, SyntheticLmBuilder};
+use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals};
+use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::rng::Pcg;
+
+/// An empty engine of `max_batch` slots over the trained parts; `D` is the
+/// draft its sequences carry.
+fn engine<D: SpeculativeSource>(
+    max_batch: usize,
+    (bank, schedule, config): &(PredictorBank, ScheduleEngine, SpecEeConfig),
+) -> BatchedEngine<SyntheticLm, D> {
+    let n_layers = bank.len() + 1;
+    BatchedEngine::new(
+        max_batch,
+        16,
+        n_layers,
+        bank.clone(),
+        schedule.clone(),
+        config.clone(),
+    )
+}
 
 fn main() {
     let cfg = ModelConfig::sim_llama2_7b();
@@ -44,19 +63,15 @@ fn main() {
     let mut bank = PredictorBank::new(cfg.n_layers, &config.predictor, &mut Pcg::seed(seed));
     train_bank(&mut bank, &data.samples, 1.0, &TrainConfig::default(), seed);
 
-    // Record one trace per request with the real engines.
+    // One never-stepped template: every served sequence is a clone of it
+    // (fresh KV and noise streams, the one weight set shared).
     let schedule = config.build_schedule(cfg.n_layers, Some(&data.exit_frequencies));
-    let fresh = SyntheticLmBuilder::new(cfg.clone(), profile.clone())
+    let parts = (bank, schedule, config);
+    let template = SyntheticLmBuilder::new(cfg.clone(), profile.clone())
         .seed(seed)
         .build();
-    let lang = *fresh.language();
-    let mut spec_engine = SpecEeEngine::new(fresh, draft, bank, schedule, config);
-    let mut dense_engine = DenseEngine::new(
-        SyntheticLmBuilder::new(cfg.clone(), profile.clone())
-            .seed(seed)
-            .build(),
-    );
-
+    let lang = *template.language();
+    let draft = OracleDraft::new(lang, profile.hit_rate, &cfg, seed);
     let specs: Vec<(Vec<TokenId>, usize)> = (0..n_requests)
         .map(|i| {
             (
@@ -65,31 +80,10 @@ fn main() {
             )
         })
         .collect();
-    let mut dense_traces = Vec::new();
-    let mut spec_traces = Vec::new();
-    for (prompt, g) in &specs {
-        dense_traces.push(RequestTrace::from_output(
-            &dense_engine.generate(prompt, *g),
-            false,
-        ));
-        spec_traces.push(RequestTrace::from_output(
-            &spec_engine.generate(prompt, *g),
-            true,
-        ));
-    }
-    println!(
-        "recorded {n_requests} request traces; SpecEE mean exit layer {:.1} / {}",
-        spec_traces
-            .iter()
-            .map(RequestTrace::avg_exit_layer)
-            .sum::<f64>()
-            / n_requests as f64,
-        cfg.n_layers
-    );
 
-    // Replay under several batch caps.
+    // Serve under several batch caps.
     let requests = PoissonArrivals::new(8.0, seed).requests(&specs);
-    println!("\nbatch | dense tok/s | SpecEE tok/s | speedup | SpecEE mean TTFT");
+    println!("batch | dense tok/s | SpecEE tok/s | speedup | SpecEE mean TTFT | SpecEE avg layers");
     for max_batch in [1usize, 2, 4, 8] {
         let batcher = ContinuousBatcher::new(BatcherConfig {
             max_batch,
@@ -97,14 +91,24 @@ fn main() {
             framework: FrameworkProfile::vllm(),
             cost: cfg.cost.expect("sim preset has a cost twin"),
         });
-        let d = batcher.run(&requests, &dense_traces).stats();
-        let s = batcher.run(&requests, &spec_traces).stats();
+        let d = batcher
+            .run_live(&requests, &mut engine(max_batch, &parts), |_| {
+                (template.clone(), NoDraft)
+            })
+            .report;
+        let s = batcher
+            .run_live(&requests, &mut engine(max_batch, &parts), |_| {
+                (template.clone(), draft.clone())
+            })
+            .report;
+        let (d, s, layers) = (d.stats(), s.stats(), s.avg_layers);
         println!(
-            "{max_batch:>5} | {:>11.2} | {:>12.2} | {:>6.2}x | {:>13.0} ms",
+            "{max_batch:>5} | {:>11.2} | {:>12.2} | {:>6.2}x | {:>13.0} ms | {layers:>10.1} / {}",
             d.throughput_tok_s,
             s.throughput_tok_s,
             s.throughput_tok_s / d.throughput_tok_s,
-            s.mean_ttft_s * 1e3
+            s.mean_ttft_s * 1e3,
+            cfg.n_layers
         );
     }
     println!("\nthe speedup decays toward 1x: a layer's weights are saved only when");

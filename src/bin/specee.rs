@@ -21,7 +21,7 @@ use specee::core::engine::{DenseEngine, SpecEeEngine};
 use specee::core::predictor::PredictorBank;
 use specee::core::skip_layer::{calibrate_calm_threshold, CalmEngine};
 use specee::core::{agreement, GenOutput, ScheduleEngine, SpecEeConfig};
-use specee::draft::{SelfDraft, SelfDraftSpec, TreeShape};
+use specee::draft::{NoDraft, SelfDraft, SelfDraftSpec, SpeculativeSource, TreeShape};
 use specee::metrics::{FrameworkProfile, HardwareProfile, Roofline};
 use specee::model::{LayeredLm, ModelConfig, TokenId};
 use specee::nn::TrainConfig;
@@ -29,7 +29,7 @@ use specee::obs::{
     chrome_trace_json, fold_dropped_events, fold_events, fold_meter, fold_roofline,
     prometheus_text, Event, MetricsRegistry, Recorder, SloSpec,
 };
-use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, RequestTrace};
+use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, ServeStats};
 use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::rng::Pcg;
 use specee::tensor::BackendKind;
@@ -87,13 +87,12 @@ fn print_help() {
                       (--model, --dataset, --seed as above)\n  \
            tokenize   train a byte-level BPE vocabulary and encode TEXT (--vocab N)\n  \
            serve      continuous batching (--batch N --requests N --rate R\n             \
-                      --mode replay|live|cluster: replay prices recorded traces,\n             \
-                      live runs the lock-step batched engine and prices measured\n             \
-                      steps, cluster shards live decoding over --workers N threads\n             \
-                      routed by --router round-robin|shortest-queue|exit-aware;\n             \
+                      --mode live|cluster: live (the default) runs the lock-step\n             \
+                      batched engine and prices measured steps, cluster shards\n             \
+                      that over --workers N threads routed by\n             \
+                      --router round-robin|shortest-queue|exit-aware;\n             \
                       --controller static|pid|bandit adapts exit thresholds\n             \
-                      online in live and cluster modes;\n             \
-                      paged-KV memory plane (live and cluster modes):\n             \
+                      online; paged-KV memory plane:\n             \
                       --pages N caps each engine's physical KV pages and\n             \
                       parks/resumes the lowest-priority resident under\n             \
                       pressure (bit-identical outputs), --prefix-share on\n             \
@@ -101,7 +100,7 @@ fn print_help() {
                       --lanes N assigns request id mod N as its priority\n             \
                       lane, lower = higher priority)\n  \
            help       this message\n\n\
-         OBSERVABILITY (generate with --engine specee, serve in any mode):\n  \
+         OBSERVABILITY (generate with --engine specee, serve in either mode):\n  \
            --trace-out FILE    write the run's event timeline as Chrome\n                       \
                                trace-event JSON (open in Perfetto or\n                       \
                                chrome://tracing; one lane per worker)\n  \
@@ -112,7 +111,7 @@ fn print_help() {
                                counted in specee_trace_dropped_events_total\n  \
            Recording is a pure observer: traced runs decode bit-identically\n  \
            to untraced runs.\n\n\
-         SLO PLANE (serve --mode live|cluster):\n  \
+         SLO PLANE (serve):\n  \
            --slo SPEC          track objectives and bend exit thresholds\n                       \
                                under burn pressure, e.g.\n                       \
                                --slo p99_ttft=0.25,false_exit_rate=0.1;\n                       \
@@ -291,32 +290,30 @@ impl Pipeline {
         self.template.clone()
     }
 
-    fn draft(&self, lm: &SyntheticLm) -> OracleDraft {
+    fn draft(&self) -> OracleDraft {
         OracleDraft::new(
-            *lm.language(),
+            *self.template.language(),
             self.profile.hit_rate,
             &self.cfg,
             self.seed ^ 0xd,
         )
     }
 
-    fn prompts(&self, lm: &SyntheticLm, n: usize, gen: usize) -> Vec<(Vec<TokenId>, usize)> {
+    fn prompts(&self, n: usize, gen: usize) -> Vec<(Vec<TokenId>, usize)> {
+        let language = self.template.language();
         (0..n)
             .map(|i| {
                 let start = (self.seed as u32 + i as u32 * 7) % self.cfg.vocab_size as u32;
-                (
-                    lm.language()
-                        .sample_sequence(start, 12, self.seed ^ i as u64),
-                    gen,
-                )
+                let prompt = language.sample_sequence(start, 12, self.seed ^ i as u64);
+                (prompt, gen)
             })
             .collect()
     }
 
     fn trained_bank(&self) -> (PredictorBank, Vec<f64>) {
         let mut lm = self.lm();
-        let mut draft = self.draft(&lm);
-        let prompts = self.prompts(&lm, 6, 16);
+        let mut draft = self.draft();
+        let prompts = self.prompts(6, 16);
         let data = collect_training_data(&mut lm, &mut draft, &prompts, 4);
         let config = SpecEeConfig::default();
         let mut bank = PredictorBank::new(
@@ -447,14 +444,13 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let lm = pipe.lm();
-    let prompt = lm.language().sample_sequence(5, 12, pipe.seed ^ 0x9e);
+    let language = pipe.template.language();
+    let prompt = language.sample_sequence(5, 12, pipe.seed ^ 0x9e);
     let mut controller_summary: Option<ControllerSummary> = None;
-    let mut events: Vec<Event> = Vec::new();
-    let mut dropped: u64 = 0;
-    let out: GenOutput = match engine_name {
-        "dense" => DenseEngine::new(pipe.lm()).generate(&prompt, tokens),
-        "specee" if self_draft.is_some() => {
+    let recorder = observing.then(|| sampled(Recorder::new(), trace_sample));
+    let (out, recorder): (GenOutput, Option<Recorder>) = match (engine_name, &self_draft) {
+        ("dense", _) => (DenseEngine::new(pipe.lm()).generate(&prompt, tokens), None),
+        ("specee", Some(spec)) => {
             // Self-speculative drafting: the target's own shallow layers
             // draft a token tree per round, verified in one batched
             // full-depth sweep. Runs through the batch-1 BatchedEngine,
@@ -462,7 +458,6 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             // parity-identical to the single-stream SpeculativeEngine.
             // The predictor bank is inert here (self-draft never consults
             // exit predictors), so an untrained bank suffices.
-            let spec = self_draft.clone().expect("guarded by the match arm");
             let config = SpecEeConfig::default();
             let bank = PredictorBank::new(
                 pipe.cfg.n_layers,
@@ -471,44 +466,26 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             );
             let schedule = ScheduleEngine::all_layers(pipe.cfg.n_layers);
             let mut engine = BatchedEngine::new(1, 16, pipe.cfg.n_layers, bank, schedule, config);
-            if observing {
-                engine.set_recorder(Some(sampled(Recorder::new(), trace_sample)));
-            }
-            let out = match engine.admit(0, pipe.lm(), SelfDraft::new(spec), &prompt, tokens) {
-                Admission::Done(out) => out,
-                Admission::Seated { .. } => engine.drain().remove(0),
-            };
-            let rec = engine.take_recorder();
-            dropped = rec.as_ref().map_or(0, |r| r.dropped_events());
-            events = rec.map(|r| r.into_events()).unwrap_or_default();
-            GenOutput {
-                tokens: out.tokens,
-                exit_layers: out.exit_layers,
-                ce_sum: out.ce_sum,
-                meter: engine.meter().clone(),
-                predictor_calls: out.predictor_calls,
-                verify_calls: out.verify_calls,
-                rounds: out.verify_calls,
-                draft_calls: out.draft_calls,
-                self_draft_calls: out.self_draft_calls,
-            }
+            generate_batch1(
+                &mut engine,
+                recorder,
+                pipe.lm(),
+                SelfDraft::new(spec.clone()),
+                &prompt,
+                tokens,
+            )
         }
-        "specee" => {
+        ("specee", None) => {
             let (bank, freqs) = pipe.trained_bank();
             let config = SpecEeConfig::default();
             let schedule = config.build_schedule(pipe.cfg.n_layers, Some(&freqs));
-            let draft = pipe.draft(&lm);
+            let draft = pipe.draft();
             match controller {
                 None => {
                     let mut engine = SpecEeEngine::new(pipe.lm(), draft, bank, schedule, config);
-                    if observing {
-                        engine.set_recorder(Some(sampled(Recorder::new(), trace_sample)));
-                    }
+                    engine.set_recorder(recorder);
                     let out = engine.generate(&prompt, tokens);
-                    let rec = engine.take_recorder();
-                    dropped = rec.as_ref().map_or(0, |r| r.dropped_events());
-                    events = rec.map(|r| r.into_events()).unwrap_or_default();
-                    out
+                    (out, engine.take_recorder())
                 }
                 Some(policy) => {
                     // Controlled decoding runs the same ExitScan dataflow
@@ -520,39 +497,26 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
                     let mut engine =
                         BatchedEngine::new(1, 16, pipe.cfg.n_layers, bank, schedule, config);
                     engine.set_controller(policy.build_classed(n_predictors, base));
-                    if observing {
-                        engine.set_recorder(Some(sampled(Recorder::new(), trace_sample)));
-                    }
-                    let out = match engine.admit(0, pipe.lm(), draft, &prompt, tokens) {
-                        Admission::Done(out) => out,
-                        Admission::Seated { .. } => engine.drain().remove(0),
-                    };
+                    let run =
+                        generate_batch1(&mut engine, recorder, pipe.lm(), draft, &prompt, tokens);
                     controller_summary = engine.controller_summary();
-                    let rec = engine.take_recorder();
-                    dropped = rec.as_ref().map_or(0, |r| r.dropped_events());
-                    events = rec.map(|r| r.into_events()).unwrap_or_default();
-                    GenOutput {
-                        tokens: out.tokens,
-                        exit_layers: out.exit_layers,
-                        ce_sum: out.ce_sum,
-                        meter: engine.meter().clone(),
-                        predictor_calls: out.predictor_calls,
-                        verify_calls: out.verify_calls,
-                        rounds: 0,
-                        draft_calls: out.draft_calls,
-                        self_draft_calls: out.self_draft_calls,
-                    }
+                    run
                 }
             }
         }
-        "calm" => {
+        ("calm", _) => {
             let mut calib = pipe.lm();
-            let prompts = pipe.prompts(&calib, 4, 12);
+            let prompts = pipe.prompts(4, 12);
             let thr = calibrate_calm_threshold(&mut calib, &prompts);
-            CalmEngine::new(pipe.lm(), thr).generate(&prompt, tokens)
+            (
+                CalmEngine::new(pipe.lm(), thr).generate(&prompt, tokens),
+                None,
+            )
         }
         _ => unreachable!("engine name validated above"),
     };
+    let dropped = recorder.as_ref().map_or(0, |r| r.dropped_events());
+    let events = recorder.map(|r| r.into_events()).unwrap_or_default();
 
     let dense = DenseEngine::new(pipe.lm()).generate(&prompt, tokens);
     let cost = Roofline::with_framework(
@@ -609,6 +573,38 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         )?;
     }
     Ok(())
+}
+
+/// Decodes one prompt on a batch-1 [`BatchedEngine`] (`generate`'s
+/// `--controller` and `--draft self:` arms) and reports it in the
+/// single-stream shape, with the recorder handed back.
+fn generate_batch1<D: SpeculativeSource>(
+    engine: &mut BatchedEngine<SyntheticLm, D>,
+    recorder: Option<Recorder>,
+    lm: SyntheticLm,
+    draft: D,
+    prompt: &[TokenId],
+    tokens: usize,
+) -> (GenOutput, Option<Recorder>) {
+    // A self-draft step is one verify round; the exit scan has none.
+    let self_draft = draft.self_spec().is_some();
+    engine.set_recorder(recorder);
+    let out = match engine.admit(0, lm, draft, prompt, tokens) {
+        Admission::Done(out) => out,
+        Admission::Seated { .. } => engine.drain().remove(0),
+    };
+    let out = GenOutput {
+        tokens: out.tokens,
+        exit_layers: out.exit_layers,
+        ce_sum: out.ce_sum,
+        meter: engine.meter().clone(),
+        predictor_calls: out.predictor_calls,
+        verify_calls: out.verify_calls,
+        rounds: if self_draft { out.verify_calls } else { 0 },
+        draft_calls: out.draft_calls,
+        self_draft_calls: out.self_draft_calls,
+    };
+    (out, engine.take_recorder())
 }
 
 /// Parses `--controller <spec>` (absent means no controller).
@@ -805,8 +801,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let (opts, _) = parse_opts(args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let mut lm = pipe.lm();
-    let mut draft = pipe.draft(&lm);
-    let prompts = pipe.prompts(&lm, 6, 16);
+    let mut draft = pipe.draft();
+    let prompts = pipe.prompts(6, 16);
     let data = collect_training_data(&mut lm, &mut draft, &prompts, 4);
     println!(
         "collected {} samples over {} tokens; theoretical average exit {:.2} layers",
@@ -883,30 +879,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let router = RouterPolicy::parse(router_name).ok_or_else(|| {
         format!("unknown router `{router_name}` (round-robin, shortest-queue, exit-aware)")
     })?;
-    let mode = opts.get("mode").map_or("replay", String::as_str);
-    if !matches!(mode, "replay" | "live" | "cluster") {
-        return Err(format!("unknown mode `{mode}` (replay, live, cluster)"));
+    let mode = opts.get("mode").map_or("live", String::as_str);
+    if !matches!(mode, "live" | "cluster") {
+        return Err(format!("unknown mode `{mode}` (live, cluster)"));
     }
     if workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
     let mut controller = parse_controller(&opts)?.unwrap_or(ControllerPolicy::Static);
-    if mode == "replay" && controller != ControllerPolicy::Static {
-        return Err(
-            "--controller pid|bandit adapts thresholds from live verify outcomes; \
-             replay mode prices prerecorded traces (use --mode live or cluster)"
-                .to_string(),
-        );
-    }
     let slo = parse_slo(&opts)?;
     let trace_sample = parse_trace_sample(&opts)?;
-    if slo.is_some() && mode == "replay" {
-        return Err(
-            "--slo tracks burn rates over live decode timing; replay mode prices \
-             prerecorded traces (use --mode live or cluster)"
-                .to_string(),
-        );
-    }
     if slo.is_some() {
         // The SLO plane bends whatever controller was chosen: wrap it in
         // the pressure-driven decorator unless the spec already did.
@@ -923,13 +905,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let lanes_n: usize = parse_num(&opts, "lanes", 0)?;
     let pages: usize = parse_num(&opts, "pages", 0)?;
     let prefix_share = parse_switch(&opts, "prefix-share")?;
-    if mode == "replay" && (lanes_n > 0 || pages > 0 || prefix_share) {
-        return Err(
-            "--lanes/--pages/--prefix-share drive the live engine's paged-KV memory \
-             plane; replay mode prices prerecorded traces (use --mode live or cluster)"
-                .to_string(),
-        );
-    }
     if lanes_n > u8::MAX as usize + 1 {
         return Err("--lanes: at most 256 priority lanes".to_string());
     }
@@ -974,20 +949,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (bank, freqs) = pipe.trained_bank();
     let config = SpecEeConfig::default();
     let schedule = config.build_schedule(pipe.cfg.n_layers, Some(&freqs));
-    let mut dense_engine = DenseEngine::new(pipe.lm());
-    let specs: Vec<(Vec<TokenId>, usize)> = pipe.prompts(dense_engine.model(), n_requests, gen);
-
-    // The dense reference is always replayed from recorded traces (dense
-    // decode is batch-invariant in both values and per-step shape).
-    let mut dense_traces = Vec::new();
-    for (prompt, g) in &specs {
-        dense_traces.push(RequestTrace::from_output(
-            &dense_engine.generate(prompt, *g),
-            false,
-        ));
-    }
+    let specs: Vec<(Vec<TokenId>, usize)> = pipe.prompts(n_requests, gen);
     let requests = PoissonArrivals::new(rate, pipe.seed ^ 0x11).requests(&specs);
-    // The dense reference replays at the deployment's total slot budget:
+    // The dense reference is served at the deployment's total slot budget:
     // the monolithic alternative to a sharded cluster is one big batch.
     let dense_cap = if mode == "cluster" {
         batch * workers
@@ -995,50 +959,28 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         batch
     };
     let cost = pipe.cfg.cost.ok_or("model has no cost twin")?;
-    let make_batcher = |max_batch: usize| {
-        ContinuousBatcher::new(BatcherConfig {
-            max_batch,
-            hardware: HardwareProfile::a100_80g(),
-            framework: FrameworkProfile::vllm(),
-            cost,
-        })
+    let batcher_config = |max_batch: usize| BatcherConfig {
+        max_batch,
+        hardware: HardwareProfile::a100_80g(),
+        framework: FrameworkProfile::vllm(),
+        cost,
     };
-    let batcher = match &slo {
-        // Only the live path consumes the spec (replay rejects `--slo`
-        // above; cluster threads it through `ClusterConfig` instead).
-        Some(spec) => make_batcher(batch).with_slo(spec.clone()),
-        None => make_batcher(batch),
-    };
-    let d = make_batcher(dense_cap)
-        .run(&requests, &dense_traces)
+    // The dense reference: the same loop, bank, schedule and config, every
+    // sequence seated with nothing to speculate on.
+    let mut dense_engine = BatchedEngine::new(
+        dense_cap,
+        16,
+        pipe.cfg.n_layers,
+        bank.clone(),
+        schedule.clone(),
+        config.clone(),
+    );
+    let d = ContinuousBatcher::new(batcher_config(dense_cap))
+        .run_live(&requests, &mut dense_engine, |_req| (pipe.lm(), NoDraft))
+        .report
         .stats();
 
     let s = match mode {
-        "replay" => {
-            // Record per-request SpecEE traces, then replay their timing.
-            // A fresh engine per request keeps every trace's schedule and
-            // model state independent — exactly how the live engine seats
-            // each sequence — so the two modes decode the same workload.
-            let mut spec_traces = Vec::new();
-            for (prompt, g) in &specs {
-                let lm = pipe.lm();
-                let draft = pipe.draft(&lm);
-                let mut spec_engine =
-                    SpecEeEngine::new(lm, draft, bank.clone(), schedule.clone(), config.clone());
-                spec_traces.push(RequestTrace::from_output(
-                    &spec_engine.generate(prompt, *g),
-                    true,
-                ));
-            }
-            let mut rec = observing.then(|| sampled(Recorder::new(), trace_sample));
-            let report = batcher.run_recorded(&requests, &spec_traces, rec.as_mut());
-            if let Some(rec) = rec {
-                fold_dropped_events(&mut registry, rec.dropped_events());
-                events = rec.into_events();
-                fold_events(&mut registry, &events);
-            }
-            report.stats()
-        }
         "cluster" => {
             // Cluster: shard live decoding over worker threads behind the
             // chosen routing policy. The workload is homogeneous, so every
@@ -1065,12 +1007,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     prefix_share,
                     preemption,
                     admission: specee::serve::AdmissionPolicy::Fcfs,
-                    batcher: BatcherConfig {
-                        max_batch: batch,
-                        hardware: HardwareProfile::a100_80g(),
-                        framework: FrameworkProfile::vllm(),
-                        cost,
-                    },
+                    batcher: batcher_config(batch),
                     controller: controller.clone(),
                     gossip: true,
                     trace: observing,
@@ -1081,11 +1018,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 &bank,
                 &schedule,
                 &config,
-                std::sync::Arc::new(move |_req: &ClusterRequest| {
-                    let lm = seq_pipe.lm();
-                    let draft = seq_pipe.draft(&lm);
-                    (lm, draft)
-                }),
+                std::sync::Arc::new(move |_req: &ClusterRequest| (seq_pipe.lm(), seq_pipe.draft())),
             );
             for req in &requests {
                 let lane = lane_of(req.id);
@@ -1181,10 +1114,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 engine.set_recorder(Some(sampled(Recorder::for_worker(0), trace_sample)));
             }
             let lanes: Vec<specee::core::Lane> = requests.iter().map(|r| lane_of(r.id)).collect();
+            // Only this path hands the batcher the SLO spec (cluster
+            // threads it through `ClusterConfig` instead).
+            let mut batcher = ContinuousBatcher::new(batcher_config(batch));
+            if let Some(spec) = &slo {
+                batcher = batcher.with_slo(spec.clone());
+            }
             let outcome = batcher.run_live_laned(&requests, &lanes, &mut engine, |_req| {
-                let lm = pipe.lm();
-                let draft = pipe.draft(&lm);
-                (lm, draft)
+                (pipe.lm(), pipe.draft())
             });
             if page_capacity.is_some() || prefix_share || lanes_n > 0 {
                 let kv = engine.kv_stats();
@@ -1231,25 +1168,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     } else {
         "dense  ".to_string()
     };
-    println!(
-        "{dense_label}: {:>8.2} tok/s | TTFT {:>6.0} ms | latency p50/p95/p99 \
-         {:>5.0}/{:>5.0}/{:>5.0} ms",
-        d.throughput_tok_s,
-        d.mean_ttft_s * 1e3,
-        d.p50_latency_s * 1e3,
-        d.p95_latency_s * 1e3,
-        d.p99_latency_s * 1e3
-    );
-    println!(
-        "SpecEE : {:>8.2} tok/s | TTFT {:>6.0} ms | latency p50/p95/p99 \
-         {:>5.0}/{:>5.0}/{:>5.0} ms  ({:.2}x, {mode})",
-        s.throughput_tok_s,
-        s.mean_ttft_s * 1e3,
-        s.p50_latency_s * 1e3,
-        s.p95_latency_s * 1e3,
-        s.p99_latency_s * 1e3,
-        s.throughput_tok_s / d.throughput_tok_s
-    );
+    // Both rows come out of the same loop, so they print the same way.
+    let row = |s: &ServeStats| {
+        format!(
+            "{:>8.2} tok/s | TTFT {:>6.0} ms | latency p50/p95/p99 {:>5.0}/{:>5.0}/{:>5.0} ms",
+            s.throughput_tok_s,
+            s.mean_ttft_s * 1e3,
+            s.p50_latency_s * 1e3,
+            s.p95_latency_s * 1e3,
+            s.p99_latency_s * 1e3
+        )
+    };
+    println!("{dense_label}: {}", row(&d));
+    let speedup = s.throughput_tok_s / d.throughput_tok_s;
+    println!("SpecEE : {}  ({speedup:.2}x, {mode})", row(&s));
     if observing {
         write_exports(
             trace_out.as_deref(),

@@ -14,60 +14,39 @@ fn specee(args: &[&str]) -> std::process::Output {
         .expect("spawn specee binary")
 }
 
-/// The replay-mode contract: replay prices prerecorded traces, so the
-/// adaptive controllers (which feed on live verify outcomes) must be
-/// rejected with this exact error on stderr and a failing exit code —
-/// never silently downgraded to static.
+/// There are two serving modes. `replay` was a third once; it must fail
+/// like any unknown mode — this exact error on stderr, a failing exit
+/// code, nothing on stdout — never fall back to a mode that runs.
 #[test]
-fn replay_mode_rejects_adaptive_controllers_with_exact_error() {
-    const EXPECTED: &str = "error: --controller pid|bandit adapts thresholds from live verify \
-                            outcomes; replay mode prices prerecorded traces (use --mode live \
-                            or cluster)";
-    for controller in ["pid", "bandit", "pid:target=0.05", "bandit:floor=0.9"] {
-        let out = specee(&[
-            "serve",
-            "--mode",
-            "replay",
-            "--requests",
-            "0",
-            "--controller",
-            controller,
-        ]);
+fn replay_mode_is_an_unknown_mode_with_exact_error() {
+    for mode in ["replay", "bogus"] {
+        let out = specee(&["serve", "--mode", mode, "--requests", "0"]);
+        assert_eq!(out.status.code(), Some(1), "--mode {mode} must fail");
         assert_eq!(
-            out.status.code(),
-            Some(1),
-            "--controller {controller} must fail the process"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            stderr.trim_end(),
-            EXPECTED,
-            "--controller {controller}: the contract error moved"
+            String::from_utf8_lossy(&out.stderr).trim_end(),
+            format!("error: unknown mode `{mode}` (live, cluster)"),
         );
         assert!(
             out.stdout.is_empty(),
-            "--controller {controller}: rejection must precede any output, got: {}",
+            "--mode {mode}: rejection must precede any output, got: {}",
             String::from_utf8_lossy(&out.stdout)
         );
     }
 }
 
-/// The static policy stays legal in replay mode (it is the no-op
-/// baseline), so the rejection above cannot overreach.
+/// `serve` without `--mode` is `serve --mode live`, byte for byte (the
+/// header names the mode that ran; an empty request list keeps the debug
+/// binary from training a bank twice).
 #[test]
-fn replay_mode_accepts_the_static_controller() {
-    let out = specee(&[
-        "serve",
-        "--mode",
-        "replay",
-        "--requests",
-        "0",
-        "--controller",
-        "static",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "static + replay is valid");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 tokens served"), "stdout: {stdout}");
+fn serve_defaults_to_live_mode() {
+    let args = ["serve", "--requests", "0", "--batch", "2"];
+    let bare = specee(&args);
+    let live = specee(&[&args[..], &["--mode", "live"]].concat());
+    assert_eq!(bare.status.code(), Some(0));
+    assert_eq!(live.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&bare.stdout).contains("(live mode)"));
+    assert_eq!(bare.stdout, live.stdout);
+    assert_eq!(bare.stderr, live.stderr);
 }
 
 /// Malformed inline controller specs fail fast with a pointed error.

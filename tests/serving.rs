@@ -1,51 +1,56 @@
-//! Integration tests for the serving extension: real engine traces
-//! replayed through the continuous batcher, plus batcher-level properties.
+//! Integration tests for the serving extension: the live loop's
+//! dense-vs-SpecEE contract on a small real workload, plus loop-level
+//! properties. Both sides of every comparison are served by
+//! `ContinuousBatcher::run_live`; the dense side seats `NoDraft`.
 
 use proptest::prelude::*;
+use specee::batch::BatchedEngine;
 use specee::core::collect::{collect_training_data, train_bank};
-use specee::core::engine::{DenseEngine, SpecEeEngine};
 use specee::core::predictor::{PredictorBank, PredictorConfig};
-use specee::core::SpecEeConfig;
+use specee::core::{ScheduleEngine, SpecEeConfig};
+use specee::draft::NoDraft;
 use specee::metrics::{FrameworkProfile, HardwareProfile};
 use specee::model::{CostDims, ModelConfig, TokenId};
 use specee::nn::TrainConfig;
-use specee::serve::{
-    BatcherConfig, ContinuousBatcher, PoissonArrivals, RequestTrace, ServeRequest,
-};
-use specee::synth::{DatasetProfile, OracleDraft, SyntheticLmBuilder};
+use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, ServeReport, ServeRequest};
+use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::rng::Pcg;
 
-fn batcher(max_batch: usize) -> ContinuousBatcher {
+/// A batcher pricing the llama2-7b dims at the depth that is executed.
+fn batcher(max_batch: usize, n_layers: usize) -> ContinuousBatcher {
     ContinuousBatcher::new(BatcherConfig {
         max_batch,
         hardware: HardwareProfile::a100_80g(),
         framework: FrameworkProfile::vllm(),
-        cost: CostDims::llama2_7b(),
+        cost: CostDims {
+            n_layers,
+            ..CostDims::llama2_7b()
+        },
     })
 }
 
-/// Records dense + SpecEE traces for a small real workload.
-#[allow(clippy::type_complexity)]
-fn real_traces(
+/// A small real workload: an 8-layer model, its trained bank and schedule,
+/// and `n` requests of `gen` tokens.
+struct Workload {
+    cfg: ModelConfig,
+    template: SyntheticLm,
+    bank: PredictorBank,
+    schedule: ScheduleEngine,
+    config: SpecEeConfig,
     seed: u64,
-    n: usize,
-    gen: usize,
-) -> (
-    Vec<(Vec<TokenId>, usize)>,
-    Vec<RequestTrace>,
-    Vec<RequestTrace>,
-) {
+    specs: Vec<(Vec<TokenId>, usize)>,
+}
+
+fn workload(seed: u64, n: usize, gen: usize) -> Workload {
     let cfg = ModelConfig {
         n_layers: 8,
         vocab_size: 256,
         ..ModelConfig::tiny()
     };
-    let build = |s| {
-        SyntheticLmBuilder::new(cfg.clone(), DatasetProfile::qa())
-            .seed(s)
-            .build()
-    };
-    let mut lm = build(seed);
+    let template = SyntheticLmBuilder::new(cfg.clone(), DatasetProfile::qa())
+        .seed(seed)
+        .build();
+    let mut lm = template.clone();
     let mut draft = OracleDraft::new(*lm.language(), 0.9, &cfg, seed);
     let prompts: Vec<(Vec<TokenId>, usize)> =
         (0..6u32).map(|i| (vec![1 + i, 2 + i], 8usize)).collect();
@@ -61,69 +66,125 @@ fn real_traces(
         ..SpecEeConfig::default()
     };
     let schedule = config.build_schedule(8, Some(&data.exit_frequencies));
-    let mut spec = SpecEeEngine::new(build(seed), draft, bank, schedule, config);
-    let mut dense = DenseEngine::new(build(seed));
-
-    let specs: Vec<(Vec<TokenId>, usize)> = (0..n as u32)
+    let specs = (0..n as u32)
         .map(|i| (vec![2 + i, 5 + i, 1 + i], gen))
         .collect();
-    let mut dense_traces = Vec::new();
-    let mut spec_traces = Vec::new();
-    for (p, g) in &specs {
-        dense_traces.push(RequestTrace::from_output(&dense.generate(p, *g), false));
-        spec_traces.push(RequestTrace::from_output(&spec.generate(p, *g), true));
+    Workload {
+        cfg,
+        template,
+        bank,
+        schedule,
+        config,
+        seed,
+        specs,
     }
-    (specs, dense_traces, spec_traces)
+}
+
+impl Workload {
+    fn engine<D: specee::draft::SpeculativeSource>(
+        &self,
+        max_batch: usize,
+    ) -> BatchedEngine<SyntheticLm, D> {
+        BatchedEngine::new(
+            max_batch,
+            16,
+            8,
+            self.bank.clone(),
+            self.schedule.clone(),
+            self.config.clone(),
+        )
+    }
+
+    /// Serves `requests` live with the oracle draft.
+    fn serve_specee(&self, max_batch: usize, requests: &[ServeRequest]) -> ServeReport {
+        batcher(max_batch, 8)
+            .run_live(requests, &mut self.engine(max_batch), |_| {
+                let draft = OracleDraft::new(*self.template.language(), 0.9, &self.cfg, self.seed);
+                (self.template.clone(), draft)
+            })
+            .report
+    }
+
+    /// Serves `requests` live on the same bank and schedule with nothing
+    /// to speculate on.
+    fn serve_dense(&self, max_batch: usize, requests: &[ServeRequest]) -> ServeReport {
+        batcher(max_batch, 8)
+            .run_live(requests, &mut self.engine(max_batch), |_| {
+                (self.template.clone(), NoDraft)
+            })
+            .report
+    }
 }
 
 #[test]
 fn real_traces_replay_end_to_end() {
-    let (specs, dense_traces, spec_traces) = real_traces(31, 6, 10);
-    let requests = PoissonArrivals::new(20.0, 7).requests(&specs);
-    let b = batcher(3);
-    let d = b.run(&requests, &dense_traces);
-    let s = b.run(&requests, &spec_traces);
+    let w = workload(31, 6, 10);
+    let requests = PoissonArrivals::new(20.0, 7).requests(&w.specs);
+    let d = w.serve_dense(3, &requests);
+    let s = w.serve_specee(3, &requests);
     assert_eq!(d.completions.len(), 6);
     assert_eq!(s.completions.len(), 6);
     // Token conservation: every request decodes its gen_len tokens.
     assert_eq!(d.stats().tokens, 6 * 10);
     assert_eq!(s.stats().tokens, 6 * 10);
-    // SpecEE traces exit below full depth on this substrate, so the served
-    // run must be no slower than dense at batch 3.
+    // SpecEE exits below full depth on this substrate, so the served run
+    // must be no slower than dense at batch 3.
     assert!(
         s.makespan_s <= d.makespan_s * 1.02,
         "{} vs {}",
         s.makespan_s,
         d.makespan_s
     );
+    assert_eq!(d.avg_layers, 8.0);
     assert!(s.avg_layers < d.avg_layers);
 }
 
 #[test]
 fn serving_replay_is_deterministic() {
-    let (specs, _, spec_traces) = real_traces(33, 5, 8);
-    let requests = PoissonArrivals::new(10.0, 5).requests(&specs);
-    let a = batcher(2).run(&requests, &spec_traces);
-    let b = batcher(2).run(&requests, &spec_traces);
-    assert_eq!(a, b);
+    let w = workload(33, 5, 8);
+    let requests = PoissonArrivals::new(10.0, 5).requests(&w.specs);
+    assert_eq!(w.serve_specee(2, &requests), w.serve_specee(2, &requests));
+}
+
+/// Serves `requests` densely on the stock tiny model (the bank is never
+/// scored, so it needs no training), returning the batcher with the report.
+fn serve_tiny_dense(
+    max_batch: usize,
+    requests: &[ServeRequest],
+) -> (ContinuousBatcher, ServeReport) {
+    let cfg = ModelConfig::tiny();
+    let n_layers = cfg.n_layers;
+    let template = SyntheticLmBuilder::new(cfg, DatasetProfile::qa())
+        .seed(9)
+        .build();
+    let bank = PredictorBank::new(n_layers, &PredictorConfig::default(), &mut Pcg::seed(1));
+    let schedule = ScheduleEngine::all_layers(n_layers);
+    let mut engine = BatchedEngine::new(
+        max_batch,
+        16,
+        n_layers,
+        bank,
+        schedule,
+        SpecEeConfig::default(),
+    );
+    let b = batcher(max_batch, n_layers);
+    let outcome = b.run_live(requests, &mut engine, |_| (template.clone(), NoDraft));
+    (b, outcome.report)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Raising the batch cap never slows the served run (same traces, same
+    /// Raising the batch cap never slows the served run (same requests, same
     /// arrivals; more parallelism can only help under amortized pricing).
     #[test]
     fn larger_cap_never_slower(seed in 0u64..100, gen in 2usize..12) {
         let n = 8;
-        let traces: Vec<RequestTrace> = (0..n)
-            .map(|i| RequestTrace::dense(vec![i as u32; gen], 32))
-            .collect();
         let specs: Vec<(Vec<TokenId>, usize)> =
             (0..n).map(|i| (vec![i as u32 + 1, 2], gen)).collect();
         let requests = PoissonArrivals::new(50.0, seed).requests(&specs);
-        let small = batcher(2).run(&requests, &traces);
-        let large = batcher(8).run(&requests, &traces);
+        let (_, small) = serve_tiny_dense(2, &requests);
+        let (_, large) = serve_tiny_dense(8, &requests);
         prop_assert!(large.makespan_s <= small.makespan_s * 1.0001);
     }
 
@@ -133,10 +194,8 @@ proptest! {
     fn completion_milestones_ordered(seed in 0u64..100, rate in 1.0f64..40.0) {
         let specs: Vec<(Vec<TokenId>, usize)> =
             (0..6).map(|i| (vec![i as u32 + 1], 5)).collect();
-        let traces: Vec<RequestTrace> =
-            (0..6).map(|i| RequestTrace::dense(vec![i as u32; 5], 32)).collect();
         let requests = PoissonArrivals::new(rate, seed).requests(&specs);
-        let report = batcher(3).run(&requests, &traces);
+        let (_, report) = serve_tiny_dense(3, &requests);
         for (c, r) in report.completions.iter().zip(&requests) {
             prop_assert_eq!(c.id, r.id);
             prop_assert!(c.arrival_s <= c.first_token_s);
@@ -150,15 +209,12 @@ proptest! {
     #[test]
     fn idle_server_ttft_is_prefill_only(gap in 0.5f64..10.0) {
         let specs = [(vec![1u32, 2, 3], 4usize), (vec![4u32, 5, 6], 4)];
-        let traces: Vec<RequestTrace> =
-            (0..2).map(|i| RequestTrace::dense(vec![i as u32; 4], 32)).collect();
         // Second request arrives long after the first finishes.
         let requests = vec![
             ServeRequest { id: 0, prompt: specs[0].0.clone(), gen_len: 4, arrival_s: 0.0 },
             ServeRequest { id: 1, prompt: specs[1].0.clone(), gen_len: 4, arrival_s: gap },
         ];
-        let b = batcher(4);
-        let report = b.run(&requests, &traces);
+        let (b, report) = serve_tiny_dense(4, &requests);
         let prefill = b.cost_model().prefill_latency(&[3]);
         prop_assert!((report.completions[0].ttft_s() - prefill).abs() < 1e-9);
         prop_assert!((report.completions[1].ttft_s() - prefill).abs() < 1e-9);

@@ -151,3 +151,55 @@ fn the_admission_round_has_one_call_site() {
         assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
     }
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The serving loop is also the only place a step or a prefill is priced:
+/// across the non-test source of the serve and cluster crates each pricing
+/// function is *called* (`.name(` — the definitions in `cost.rs` do not
+/// match) exactly once. And the trace-replay simulator that used to price
+/// beside it stays gone: no source file names its types again.
+#[test]
+fn steps_are_priced_at_one_call_site_and_replay_stays_gone() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut serving = Vec::new();
+    rust_files(&root.join("crates/serve/src"), &mut serving);
+    rust_files(&root.join("crates/cluster/src"), &mut serving);
+    let mut code = String::new();
+    for path in &serving {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let non_test = text.split("#[cfg(test)]").next().expect("first piece");
+        code.extend(
+            non_test
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .flat_map(|l| [l, "\n"]),
+        );
+    }
+    for call in [".decode_step_latency(", ".prefill_latency("] {
+        assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
+    }
+
+    let mut all = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        rust_files(&root.join(dir), &mut all);
+    }
+    assert!(all.len() > 100, "the walk found the workspace");
+    let this_file = root.join(file!());
+    for path in all.iter().filter(|p| **p != this_file) {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        for gone in ["RequestTrace", "run_recorded"] {
+            assert!(!text.contains(gone), "`{gone}` in {}", path.display());
+        }
+    }
+}
