@@ -23,6 +23,7 @@
 pub mod calib;
 pub mod language;
 pub mod lm;
+pub mod noise;
 pub mod oracle;
 pub mod profile;
 pub mod schedule;
@@ -31,6 +32,7 @@ pub mod workload;
 
 pub use language::SyntheticLanguage;
 pub use lm::{SyntheticLm, SyntheticLmBuilder, TokenScript};
+pub use noise::NoiseStream;
 pub use oracle::OracleDraft;
 pub use profile::DatasetProfile;
 pub use schedule::{gamma, SaturationDriver};

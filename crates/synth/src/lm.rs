@@ -8,12 +8,19 @@
 //! logit trajectory the paper's predictor learns from: candidate
 //! probabilities stay low and flat until the saturation layer, then the
 //! correct token's probability shifts sharply upward (§4.2, Fig. 5).
+//!
+//! A clone copies per-sequence state only — KV, context, scripts, the
+//! saturation driver and a cursor. The weights and the steering normals
+//! are a lineage's constants, each behind one `Arc`: every (row, layer)
+//! reads `hidden_dim` normals off the [`NoiseStream`] tape at the clone's
+//! own cursor, and only the first clone to get there draws them.
 
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, ModelConfig, SkipKvPolicy, TokenId, Transformer, TreeKv};
 use specee_tensor::{ops, rng::Pcg};
 
 use crate::language::SyntheticLanguage;
+use crate::noise::NoiseStream;
 use crate::profile::DatasetProfile;
 use crate::schedule::{gamma, SaturationDriver};
 
@@ -25,6 +32,8 @@ const BASE_WEIGHT: f32 = 0.92;
 const DISTRACTOR_WEIGHT: f32 = 0.05;
 /// Per-component steering noise.
 const NOISE: f32 = 0.015;
+/// Distractors scripted per token.
+const DISTRACTORS: usize = 3;
 
 /// The per-token script: ground truth, plausible distractors and the
 /// saturation depth.
@@ -69,11 +78,13 @@ pub struct SyntheticLm {
     /// Tokens of the tree begun by the last `begin_tree`/`extend_tree`,
     /// kept so incremental extensions can derive node contexts.
     tree_tokens: Vec<TokenId>,
-    noise: Pcg,
+    /// `language.candidate_weights(DISTRACTORS)`.
+    distractor_weights: [f32; DISTRACTORS],
+    noise: NoiseStream,
     /// `noise` and `driver` as they stood when the committed context was
     /// last empty: where a clone's streams must stand for this sequence's
     /// prompt rows to be the rows it would compute itself.
-    origin: (Pcg, SaturationDriver),
+    origin: (NoiseStream, SaturationDriver),
     seed: u64,
 }
 
@@ -123,7 +134,7 @@ impl SyntheticLm {
     ) -> TokenScript {
         let input = *ctx_ends_with.last().expect("non-empty context");
         let target = language.next_token(ctx_ends_with);
-        let cands = language.candidates(ctx_ends_with, 4);
+        let cands = language.candidates(ctx_ends_with, DISTRACTORS + 1);
         let sat = driver.sample(prev_sat);
         TokenScript {
             input,
@@ -145,21 +156,9 @@ impl SyntheticLm {
         self.scripts.push(script);
     }
 
-    /// The next `hidden_dim` steering normals, one [`SyntheticLm::blend`]
-    /// call's worth.
-    fn draw_noise(&mut self) -> Vec<f32> {
-        let mut noise = vec![0.0; self.inner.config().hidden_dim];
-        self.fill_noise(&mut noise);
-        noise
-    }
-
-    fn fill_noise(&mut self, out: &mut [f32]) {
-        for n in out {
-            *n = self.noise.normal() as f32;
-        }
-    }
-
-    fn blend(&self, h: &[f32], script: &TokenScript, layer: usize, noise: &[f32]) -> Vec<f32> {
+    /// Steers layer output `h`; its `h.len()` normals start `noise_at`
+    /// past the stream's cursor, which the caller moves.
+    fn blend(&self, h: &[f32], script: &TokenScript, layer: usize, noise_at: usize) -> Vec<f32> {
         let g = gamma(layer, script.sat);
         let embed = &self.inner.weights().embed;
         let mut out = h.to_vec();
@@ -170,9 +169,10 @@ impl SyntheticLm {
         // components accumulate through the residual stream across layers
         // and distractors start winning the pre-saturation argmax, which a
         // real model's unsaturated logits do not do).
-        let mut directions: Vec<TokenId> = vec![script.input, script.target];
-        directions.extend_from_slice(&script.distractors);
-        for d in directions {
+        for &d in [script.input, script.target]
+            .iter()
+            .chain(&script.distractors)
+        {
             let e_d = embed.row(d as usize);
             let proj = specee_tensor::matrix::dot(&out, e_d);
             for (o, &e) in out.iter_mut().zip(e_d.iter()) {
@@ -183,9 +183,8 @@ impl SyntheticLm {
         for v in &mut out {
             *v *= (1.0 - g) * BASE_WEIGHT;
         }
-        let w = self.language.candidate_weights(script.distractors.len());
-        for (i, &d) in script.distractors.iter().enumerate() {
-            let coeff = (1.0 - g) * DISTRACTOR_WEIGHT * w[i];
+        for (&d, &w) in script.distractors.iter().zip(&self.distractor_weights) {
+            let coeff = (1.0 - g) * DISTRACTOR_WEIGHT * w;
             for (o, &e) in out.iter_mut().zip(embed.row(d as usize).iter()) {
                 *o += coeff * e;
             }
@@ -193,16 +192,27 @@ impl SyntheticLm {
         for (o, &e) in out.iter_mut().zip(embed.row(script.target as usize).iter()) {
             *o += g * e;
         }
-        for (o, &n) in out.iter_mut().zip(noise) {
-            *o = (*o + n * NOISE) * LOGIT_SCALE;
-        }
+        self.noise.zip_at(noise_at, &mut out, |o, n| {
+            *o = (*o + n * NOISE) * LOGIT_SCALE
+        });
         out
     }
 
     /// Steers a layer output at position `pos` from this model's stream.
     fn steer(&mut self, out: &[f32], pos: usize, layer: usize) -> Vec<f32> {
-        let noise = self.draw_noise();
-        self.blend(out, &self.scripts[pos], layer, &noise)
+        let steered = self.blend(out, &self.scripts[pos], layer, 0);
+        self.noise.skip(out.len());
+        steered
+    }
+
+    /// Steers one tree layer's node outputs, node `first + j` for `outs[j]`.
+    fn steer_tree(&mut self, outs: &[Vec<f32>], first: usize, layer: usize) -> Vec<Vec<f32>> {
+        let dim = self.inner.config().hidden_dim;
+        let steered = (outs.iter().enumerate())
+            .map(|(j, o)| self.blend(o, &self.tree_scripts[first + j], layer, j * dim))
+            .collect();
+        self.noise.skip(outs.len() * dim);
+        steered
     }
 
     fn node_context(
@@ -287,18 +297,17 @@ impl LayeredLm for SyntheticLm {
             .map(|&tok| self.begin_token(tok, meter))
             .collect();
         // The steering noise is one sequential stream that the token-major
-        // reference consumes position by position: draw it in that order
-        // (`[position][layer][dim]`) so the layer-major walk below blends
-        // every (position, layer) with the normals the reference would.
-        let mut noise = vec![0.0; prompt.len() * n_layers * dim];
-        self.fill_noise(&mut noise);
+        // reference consumes position by position (`[position][layer][dim]`):
+        // the layer-major walk below reads every (position, layer) where
+        // the reference would have drawn it.
         for layer in 0..n_layers {
             let outs = self.inner.forward_layer_span(layer, &hs, base, meter);
             for (i, (h, out)) in hs.iter_mut().zip(&outs).enumerate() {
                 let at = (i * n_layers + layer) * dim;
-                *h = self.blend(out, &self.scripts[base + i], layer, &noise[at..at + dim]);
+                *h = self.blend(out, &self.scripts[base + i], layer, at);
             }
         }
+        self.noise.skip(prompt.len() * n_layers * dim);
         hs.pop().expect("non-empty prompt")
     }
 
@@ -319,11 +328,11 @@ impl LayeredLm for SyntheticLm {
             self.push_token(token);
         }
         debug_assert_eq!(self.scripts, donor.scripts[..tokens.len()]);
-        // `prefill` draws one normal — four `next_u32` — per (position,
-        // layer, component), token-major: a prefix is a prefix of the stream.
+        // `prefill` reads one normal per (position, layer, component),
+        // token-major: a prefix is a prefix of the stream.
         let cfg = self.inner.config();
-        let normals = tokens.len() * cfg.n_layers * cfg.hidden_dim;
-        self.noise.advance(4 * normals as u64);
+        let rows = tokens.len() * cfg.n_layers;
+        self.noise.skip(rows * cfg.hidden_dim);
         true
     }
 
@@ -358,15 +367,7 @@ impl LayeredLm for SyntheticLm {
         meter: &mut Meter,
     ) -> (Vec<Vec<f32>>, TreeKv) {
         let (outs, kv) = self.inner.forward_layer_tree(layer, hs, parents, meter);
-        let blended = outs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| {
-                let noise = self.draw_noise();
-                self.blend(o, &self.tree_scripts[i], layer, &noise)
-            })
-            .collect();
-        (blended, kv)
+        (self.steer_tree(&outs, 0, layer), kv)
     }
 
     fn extend_tree(
@@ -408,13 +409,7 @@ impl LayeredLm for SyntheticLm {
         let outs = self
             .inner
             .forward_layer_tree_partial(layer, new_hs, parents, first_new, scratch, meter);
-        outs.iter()
-            .enumerate()
-            .map(|(j, o)| {
-                let noise = self.draw_noise();
-                self.blend(o, &self.tree_scripts[first_new + j], layer, &noise)
-            })
-            .collect()
+        self.steer_tree(&outs, first_new, layer)
     }
 
     fn commit_tree_kv(&mut self, layer: usize, kv: &TreeKv, accepted: &[usize]) {
@@ -481,8 +476,14 @@ impl LayeredLm for SyntheticLm {
         self.inner.kv_len()
     }
 
+    /// Like [`LayeredLm::reset`], does not rewind the noise and saturation
+    /// streams: positions decoded after a truncation draw fresh values.
     fn truncate_kv(&mut self, len: usize) {
         self.inner.truncate_kv(len);
+        self.context.truncate(len);
+        self.scripts.truncate(len);
+        self.tree_scripts.clear();
+        self.tree_tokens.clear();
     }
 
     fn allocated_kv_tokens(&self) -> usize {
@@ -528,7 +529,7 @@ impl SyntheticLmBuilder {
         let mut root = Pcg::seed(self.seed ^ self.profile.language_seed);
         let mut weights_rng = root.split(1);
         let driver_seed = root.next_u64();
-        let noise = root.split(2);
+        let noise = NoiseStream::new(root.split(2));
         let inner = Transformer::random(self.config.clone(), &mut weights_rng);
         let language = SyntheticLanguage::new(self.config.vocab_size, self.profile.language_seed);
         let driver = SaturationDriver::new(&self.profile, self.config.n_layers, driver_seed);
@@ -542,6 +543,8 @@ impl SyntheticLmBuilder {
             scripts: Vec::new(),
             tree_scripts: Vec::new(),
             tree_tokens: Vec::new(),
+            distractor_weights: (language.candidate_weights(DISTRACTORS).try_into())
+                .expect("one weight per distractor"),
             noise,
             seed: self.seed,
         }
@@ -729,6 +732,51 @@ mod tests {
         clone.inner_mut().quantize(specee_tensor::QuantBits::Int8);
         assert!(!clone.inner().shares_weights_with(original.inner()));
         assert_eq!(original.inner().weights(), &dense);
+    }
+
+    #[test]
+    fn truncate_kv_forgets_the_truncated_positions() {
+        /// Decodes `tokens` at full depth; every layer's steered output.
+        fn decode(m: &mut SyntheticLm, tokens: &[TokenId]) -> Vec<Vec<f32>> {
+            let mut meter = Meter::new();
+            let mut seen = Vec::new();
+            for &token in tokens {
+                let pos = m.kv_len();
+                let mut h = m.begin_token(token, &mut meter);
+                for layer in 0..m.config().n_layers {
+                    h = m.forward_layer(layer, &h, pos, &mut meter);
+                    seen.push(h.clone());
+                }
+            }
+            seen
+        }
+        let template = lm();
+        let mut cut = template.clone();
+        let first = decode(&mut cut, &[1, 2, 3]);
+        decode(&mut cut, &[4, 5, 6]);
+        let _ = cut.begin_tree(&[7, 8], &[None, Some(0)], &mut Meter::new());
+        cut.truncate_kv(3);
+        assert_eq!(cut.kv_len(), 3);
+        assert!(cut.tree_scripts.is_empty() && cut.tree_tokens.is_empty());
+
+        let mut fresh = template.clone();
+        assert_eq!(decode(&mut fresh, &[1, 2, 3]), first);
+        assert_eq!(
+            (cut.context(), cut.scripts()),
+            (fresh.context(), fresh.scripts())
+        );
+        // A truncation does not rewind the streams: the reference draws
+        // from where the truncated model's stand.
+        fresh.noise = cut.noise.clone();
+        fresh.driver = cut.driver.clone();
+        assert_eq!(decode(&mut cut, &[9, 8, 7]), decode(&mut fresh, &[9, 8, 7]));
+        assert_eq!(
+            (cut.context(), cut.scripts()),
+            (fresh.context(), fresh.scripts())
+        );
+        for layer in 0..cut.config().n_layers {
+            assert_eq!(cut.inner().cache(layer), fresh.inner().cache(layer));
+        }
     }
 
     #[test]
