@@ -15,7 +15,7 @@
 use specee_batch::BatchedEngine;
 use specee_core::baselines::{collect_adainfer_data, AdaInferEngine, RaeeEngine};
 use specee_core::collect::{collect_training_data, train_bank, CollectionReport};
-use specee_core::engine::{DenseEngine, SpecEeEngine, SpeculativeEngine};
+use specee_core::engine::{dense_probe, DenseEngine, SpecEeEngine, SpeculativeEngine};
 use specee_core::output::{agreement, GenOutput, RunStats};
 use specee_core::predictor::{PredictorBank, PredictorConfig};
 use specee_core::skip_layer::{
@@ -24,7 +24,7 @@ use specee_core::skip_layer::{
 use specee_core::{SchedulingMode, SpecEeConfig};
 use specee_draft::SpeculativeSource;
 use specee_metrics::{CostReport, FrameworkProfile, HardwareProfile, Meter, Roofline};
-use specee_model::{prefill, KvLayout, LayeredLm, ModelConfig, TokenId};
+use specee_model::{KvLayout, LayeredLm, ModelConfig, TokenId};
 use specee_nn::TrainConfig;
 use specee_serve::{PoissonArrivals, ServeRequest};
 use specee_synth::{
@@ -106,16 +106,7 @@ pub fn train_pipeline(
 ) -> Trained {
     let mut lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
     let mut draft = build_draft(&lm, cfg, seed);
-    let lang = *lm.language();
-    let prompts: Vec<(Vec<TokenId>, usize)> = (0..TRAIN_PROMPTS)
-        .map(|i| {
-            let start = (seed as u32 + i as u32 * 7) % cfg.vocab_size as u32;
-            (
-                lang.sample_sequence(start, 12, seed ^ (i as u64)),
-                TRAIN_GEN,
-            )
-        })
-        .collect();
+    let prompts = train_prompt_set(cfg, &lm, seed);
     let collection = collect_training_data(&mut lm, &mut draft, &prompts, predictor.spec_k);
     let mut bank = PredictorBank::new(cfg.n_layers, &predictor, &mut Pcg::seed(seed ^ 0xb4));
     train_bank(
@@ -170,6 +161,17 @@ pub struct EngineRun {
     pub avg_active_predictors: Option<f64>,
 }
 
+/// Serves every request of `workload`, in order, on one engine.
+fn serve(
+    workload: &[Request],
+    mut generate: impl FnMut(&[TokenId], usize) -> GenOutput,
+) -> Vec<GenOutput> {
+    workload
+        .iter()
+        .map(|r| generate(&r.prompt, r.gen_len))
+        .collect()
+}
+
 /// Runs `workload` through the chosen engine built from the given parts.
 ///
 /// # Panics
@@ -188,46 +190,39 @@ pub fn run_engine(
     let lm = build_lm(cfg, profile, seed, variant);
     let draft = build_draft(&lm, cfg, seed);
     let mut avg_active = None;
+    // The comparators' offline passes run on a dense model of their own
+    // over the shared training prompts.
+    let offline = || {
+        let collect_lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
+        let prompts = train_prompt_set(cfg, &collect_lm, seed);
+        (collect_lm, prompts)
+    };
+    let config = SpecEeConfig {
+        predictor: trained.predictor,
+        ..SpecEeConfig::default()
+    };
     let outputs: Vec<GenOutput> = match kind {
         EngineKind::Dense => {
             let mut engine = DenseEngine::new(lm);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::SpecEeAr(mode) => {
             let config = SpecEeConfig {
-                predictor: trained.predictor,
                 scheduling: mode,
-                ..SpecEeConfig::default()
+                ..config
             };
             let schedule =
                 config.build_schedule(cfg.n_layers, Some(&trained.collection.exit_frequencies));
             let mut engine = SpecEeEngine::new(lm, draft, trained.bank.clone(), schedule, config);
-            let outs: Vec<GenOutput> = workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect();
+            let outs = serve(workload, |p, n| engine.generate(p, n));
             avg_active = Some(engine.schedule().avg_active());
             outs
         }
         EngineKind::Speculative => {
-            let config = SpecEeConfig {
-                predictor: trained.predictor,
-                ..SpecEeConfig::default()
-            };
             let mut engine = SpeculativeEngine::baseline(lm, draft, config);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::SpecEeSpeculative => {
-            let config = SpecEeConfig {
-                predictor: trained.predictor,
-                ..SpecEeConfig::default()
-            };
             let schedule =
                 config.build_schedule(cfg.n_layers, Some(&trained.collection.exit_frequencies));
             let mut engine = SpeculativeEngine::with_early_exit(
@@ -237,60 +232,37 @@ pub fn run_engine(
                 schedule,
                 config,
             );
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::AdaInfer => {
-            let mut collect_lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
-            let prompts = train_prompt_set(cfg, &collect_lm, seed);
+            let (mut collect_lm, prompts) = offline();
             let samples = collect_adainfer_data(&mut collect_lm, &prompts);
             let mut engine = AdaInferEngine::train(lm, &samples, seed);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::Raee => {
-            let mut collect_lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
-            let prompts = train_prompt_set(cfg, &collect_lm, seed);
+            let (mut collect_lm, prompts) = offline();
             let observations = collect_raee_observations(&mut collect_lm, &prompts);
             let mut engine = RaeeEngine::build(lm, &observations);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::Calm => {
-            let mut calib_lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
-            let prompts = train_prompt_set(cfg, &calib_lm, seed);
+            let (mut calib_lm, prompts) = offline();
             let threshold = calibrate_calm_threshold(&mut calib_lm, &prompts);
             let mut engine = CalmEngine::new(lm, threshold);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::MoD => {
-            let mut collect_lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
-            let prompts = train_prompt_set(cfg, &collect_lm, seed);
+            let (mut collect_lm, prompts) = offline();
             let samples = collect_router_data(&mut collect_lm, &prompts);
             let mut engine = MoDEngine::train(lm, &samples, 0.85, seed);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
         EngineKind::DLlm => {
-            let mut collect_lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
-            let prompts = train_prompt_set(cfg, &collect_lm, seed);
+            let (mut collect_lm, prompts) = offline();
             let samples = collect_router_data(&mut collect_lm, &prompts);
             let mut engine = DLlmEngine::train(lm, &samples, seed);
-            workload
-                .iter()
-                .map(|r| engine.generate(&r.prompt, r.gen_len))
-                .collect()
+            serve(workload, |p, n| engine.generate(p, n))
         }
     };
     EngineRun {
@@ -322,10 +294,7 @@ pub fn run_speculative_with_config(
         schedule,
         config.clone(),
     );
-    let outputs: Vec<GenOutput> = workload_reqs
-        .iter()
-        .map(|r| engine.generate(&r.prompt, r.gen_len))
-        .collect();
+    let outputs = serve(workload_reqs, |p, n| engine.generate(p, n));
     EngineRun {
         stats: RunStats::aggregate(&outputs),
         outputs,
@@ -357,34 +326,12 @@ pub fn collect_raee_observations<M: LayeredLm>(
     model: &mut M,
     prompts: &[(Vec<TokenId>, usize)],
 ) -> Vec<(Vec<TokenId>, usize)> {
-    let n_layers = model.config().n_layers;
-    let mut meter = Meter::new();
     let mut observations = Vec::new();
-    for (prompt, gen_len) in prompts {
-        model.reset();
-        let mut h = prefill(model, prompt, &mut meter);
-        let logits = model.final_logits(&h, &mut meter);
-        let mut t = specee_tensor::ops::argmax(&logits).expect("logits") as TokenId;
-        let mut ctx = prompt.to_vec();
-        for _ in 1..*gen_len {
-            ctx.push(t);
-            let pos = model.kv_len();
-            h = model.begin_token(t, &mut meter);
-            let mut per_layer = Vec::with_capacity(n_layers);
-            for layer in 0..n_layers {
-                h = model.forward_layer(layer, &h, pos, &mut meter);
-                let full = model.final_logits(&h, &mut meter);
-                per_layer.push(specee_tensor::ops::argmax(&full).expect("logits") as TokenId);
-            }
-            let final_tok = *per_layer.last().expect("layers");
-            let earliest = per_layer
-                .iter()
-                .position(|&tok| tok == final_tok)
-                .map_or(n_layers, |l| l + 1);
-            observations.push((ctx.clone(), earliest));
-            t = final_tok;
-        }
-    }
+    dense_probe(model, prompts, |_, token| {
+        let final_tok = token.picks.last().expect("layers");
+        let earliest = token.picks.iter().position(|tok| tok == final_tok);
+        observations.push((token.ctx.to_vec(), earliest.expect("the last matches") + 1));
+    });
     observations
 }
 

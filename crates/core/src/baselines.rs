@@ -4,16 +4,18 @@
 //! These exist to reproduce the comparisons of Table 1, Fig. 7 and
 //! Table 4. AdaInfer pays a *full LM-head traversal per layer* to build
 //! its features — the cost SpecEE's vocabulary-space reduction removes.
+//! Neither has a loop of its own: each is a rule on [`crate::engine::decode`]
+//! and the collector a visitor of [`crate::engine::dense_probe`].
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use specee_metrics::{Meter, OpKind};
-use specee_model::{prefill, LayeredLm, SkipKvPolicy, TokenId};
+use specee_model::{LayeredLm, SkipKvPolicy, TokenId};
 use specee_nn::LinearSvm;
 use specee_tensor::ops;
 
-use crate::engine::first_token;
+use crate::collect::by_layer;
+use crate::engine::decode::{decode, dense_probe, pick, Exit, LayerRule};
 use crate::output::GenOutput;
 
 /// AdaInfer's per-layer features from the full-vocabulary distribution:
@@ -26,16 +28,8 @@ pub fn adainfer_features(full_logits: &[f32]) -> Vec<f32> {
     vec![p1, p1 - p2]
 }
 
-/// One collected AdaInfer sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdaSample {
-    /// Layer index.
-    pub layer: usize,
-    /// `[top_prob, gap]`.
-    pub features: Vec<f32>,
-    /// Whether exiting here reproduces the full-depth token.
-    pub label: bool,
-}
+/// One collected AdaInfer sample: `features` is `[top_prob, gap]`.
+pub type AdaSample = crate::collect::CollectedSample;
 
 /// Collects AdaInfer training data with dense runs.
 ///
@@ -47,38 +41,17 @@ pub fn collect_adainfer_data<M: LayeredLm>(
     prompts: &[(Vec<TokenId>, usize)],
 ) -> Vec<AdaSample> {
     assert!(!prompts.is_empty(), "need prompts");
-    let n_layers = model.config().n_layers;
-    let mut meter = Meter::new();
     let mut samples = Vec::new();
-    for (prompt, gen_len) in prompts {
-        model.reset();
-        let mut h = prefill(model, prompt, &mut meter);
-        let logits = model.final_logits(&h, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        for _ in 1..*gen_len {
-            let pos = model.kv_len();
-            h = model.begin_token(t, &mut meter);
-            let mut per_layer = Vec::new();
-            for layer in 0..n_layers {
-                h = model.forward_layer(layer, &h, pos, &mut meter);
-                if layer + 1 < n_layers {
-                    let full = model.final_logits(&h, &mut meter);
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    per_layer.push((adainfer_features(&full), tok));
-                }
-            }
-            let full = model.final_logits(&h, &mut meter);
-            let final_tok = ops::argmax(&full).expect("logits") as TokenId;
-            for (layer, (features, tok)) in per_layer.into_iter().enumerate() {
-                samples.push(AdaSample {
-                    layer,
-                    features,
-                    label: tok == final_tok,
-                });
-            }
-            t = final_tok;
+    dense_probe(model, prompts, |_, token| {
+        let (final_tok, earlier) = token.picks.split_last().expect("layers");
+        for (layer, tok) in earlier.iter().enumerate() {
+            samples.push(AdaSample {
+                layer,
+                features: adainfer_features(&token.fulls[layer]),
+                label: tok == final_tok,
+            });
         }
-    }
+    });
     samples
 }
 
@@ -94,20 +67,12 @@ pub struct AdaInferEngine<M> {
 impl<M: LayeredLm> AdaInferEngine<M> {
     /// Builds and trains the per-layer SVMs from collected samples.
     pub fn train(model: M, samples: &[AdaSample], seed: u64) -> Self {
-        let n_layers = model.config().n_layers;
-        let mut by_layer: Vec<Vec<(Vec<f32>, bool)>> = vec![Vec::new(); n_layers - 1];
-        for s in samples {
-            if s.layer < n_layers - 1 {
-                by_layer[s.layer].push((s.features.clone(), s.label));
-            }
-        }
-        let svms = by_layer
-            .iter()
+        let svms = by_layer(samples, model.config().n_layers - 1)
+            .into_iter()
             .map(|data| {
                 let mut svm = LinearSvm::new(2, 1e-3);
                 if !data.is_empty() {
-                    let xs: Vec<Vec<f32>> = data.iter().map(|(f, _)| f.clone()).collect();
-                    let ys: Vec<bool> = data.iter().map(|(_, l)| *l).collect();
+                    let (xs, ys): (Vec<Vec<f32>>, Vec<bool>) = data.into_iter().unzip();
                     svm.fit(&xs, &ys, 12, seed);
                 }
                 svm
@@ -131,71 +96,33 @@ impl<M: LayeredLm> AdaInferEngine<M> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
-        let n_layers = self.model.config().n_layers;
-        let mut meter = Meter::new();
-        self.model.reset();
-
-        let mut tokens = Vec::new();
-        let mut exit_layers = Vec::new();
-        let mut ce_sum = 0.0;
-        let mut predictor_calls = 0u64;
-
-        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
-        ce_sum += ce;
-        tokens.push(t);
-        exit_layers.push(n_layers);
-
-        while tokens.len() < gen_len {
-            let pos = self.model.kv_len();
-            let mut h = self.model.begin_token(t, &mut meter);
-            let mut exit: Option<(TokenId, Vec<f32>)> = None;
-            let mut executed = n_layers;
-            for layer in 0..n_layers {
-                h = self.model.forward_layer(layer, &h, pos, &mut meter);
-                if layer + 1 >= n_layers {
-                    break;
-                }
-                // AdaInfer reads the FULL vocabulary distribution per layer.
-                let full = self.model.final_logits(&h, &mut meter);
-                let feats = adainfer_features(&full);
-                predictor_calls += 1;
-                if self.svms[layer].predict(&feats) {
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    self.model
-                        .fill_skipped_kv(layer + 1, &h, pos, self.skip_policy, &mut meter);
-                    executed = layer + 1;
-                    exit = Some((tok, full));
-                    break;
-                }
-            }
-            let (next, full) = match exit {
-                Some(x) => x,
-                None => {
-                    let full = self.model.final_logits(&h, &mut meter);
-                    (ops::argmax(&full).expect("logits") as TokenId, full)
-                }
-            };
-            ce_sum += f64::from(ops::nll(&full, next as usize));
-            tokens.push(next);
-            exit_layers.push(executed);
-            meter.mark_token();
-            meter.mark_host_step();
-            t = next;
-        }
-
+        let svms = &self.svms;
+        let mut rule = FullHeadRule {
+            fires: |layer: usize, full: &[f32]| svms[layer].predict(&adainfer_features(full)),
+            predictor_calls: 0,
+        };
+        let policy = self.skip_policy;
+        let out = decode(&mut self.model, &mut rule, prompt, gen_len, policy);
         GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
-            predictor_calls,
-            verify_calls: 0,
-            rounds: 0,
-            draft_calls: 0,
-            self_draft_calls: 0,
+            predictor_calls: rule.predictor_calls,
+            ..out
         }
+    }
+}
+
+/// The rule AdaInfer and CALM share: read the FULL vocabulary distribution
+/// after every layer — the cost SpecEE's vocabulary reduction removes —
+/// and exit, unverified, when `fires(layer, full_logits)`.
+pub(crate) struct FullHeadRule<F> {
+    pub(crate) fires: F,
+    pub(crate) predictor_calls: u64,
+}
+
+impl<M: LayeredLm, F: FnMut(usize, &[f32]) -> bool> LayerRule<M> for FullHeadRule<F> {
+    fn exits(&mut self, model: &mut M, layer: usize, h: &[f32], meter: &mut Meter) -> Exit {
+        let full = model.final_logits(h, meter);
+        self.predictor_calls += 1;
+        (self.fires)(layer, &full).then(|| (pick(&full), full))
     }
 }
 
@@ -218,6 +145,14 @@ fn bigram_key(ctx: &[TokenId]) -> u64 {
     (a << 32) | b
 }
 
+/// The retrieved exit depth: the bucket's mean layer, `default_layer` on a miss.
+fn lookup(db: &HashMap<u64, (f64, u64)>, ctx: &[TokenId], default_layer: usize) -> usize {
+    match db.get(&bigram_key(ctx)) {
+        Some((sum, n)) if *n > 0 => ((sum / *n as f64).round() as usize).clamp(1, default_layer),
+        _ => default_layer,
+    }
+}
+
 impl<M: LayeredLm> RaeeEngine<M> {
     /// Builds the retrieval database from (context, earliest-correct-layer)
     /// observations.
@@ -237,18 +172,14 @@ impl<M: LayeredLm> RaeeEngine<M> {
         }
     }
 
+    /// Borrows the model.
+    pub fn model(&self) -> &M {
+        &self.model
+    }
+
     /// Number of database buckets.
     pub fn db_len(&self) -> usize {
         self.db.len()
-    }
-
-    fn lookup(&self, ctx: &[TokenId]) -> usize {
-        match self.db.get(&bigram_key(ctx)) {
-            Some((sum, n)) if *n > 0 => {
-                ((sum / *n as f64).round() as usize).clamp(1, self.default_layer)
-            }
-            _ => self.default_layer,
-        }
     }
 
     /// Generates with retrieval-scheduled exits.
@@ -257,62 +188,38 @@ impl<M: LayeredLm> RaeeEngine<M> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
-        let n_layers = self.model.config().n_layers;
-        let mut meter = Meter::new();
-        self.model.reset();
+        let mut rule = RaeeRule {
+            db: &self.db,
+            default_layer: self.default_layer,
+            retrieval_bytes: self.retrieval_bytes,
+            exit_at: self.default_layer,
+        };
+        let policy = SkipKvPolicy::ProjectExitHidden;
+        decode(&mut self.model, &mut rule, prompt, gen_len, policy)
+    }
+}
 
-        let mut tokens = Vec::new();
-        let mut exit_layers = Vec::new();
-        let mut ce_sum = 0.0;
+/// RAEE's rule: one retrieval per token names the layer it exits at,
+/// unverified.
+struct RaeeRule<'a> {
+    db: &'a HashMap<u64, (f64, u64)>,
+    default_layer: usize,
+    retrieval_bytes: f64,
+    exit_at: usize,
+}
 
-        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
-        ce_sum += ce;
-        tokens.push(t);
-        exit_layers.push(n_layers);
+impl<M: LayeredLm> LayerRule<M> for RaeeRule<'_> {
+    fn begin_token(&mut self, _model: &mut M, ctx: &[TokenId], meter: &mut Meter) {
+        // Retrieval: one index probe per token.
+        meter.record(OpKind::Other, 0.0, self.retrieval_bytes, 1);
+        self.exit_at = lookup(self.db, ctx, self.default_layer);
+    }
 
-        let mut ctx = prompt.to_vec();
-        while tokens.len() < gen_len {
-            ctx.push(t);
-            // Retrieval: one index probe per token.
-            meter.record(OpKind::Other, 0.0, self.retrieval_bytes, 1);
-            let exit_at = self.lookup(&ctx).min(n_layers);
-            let pos = self.model.kv_len();
-            let mut h = self.model.begin_token(t, &mut meter);
-            for layer in 0..exit_at {
-                h = self.model.forward_layer(layer, &h, pos, &mut meter);
-            }
-            if exit_at < n_layers {
-                self.model.fill_skipped_kv(
-                    exit_at,
-                    &h,
-                    pos,
-                    SkipKvPolicy::ProjectExitHidden,
-                    &mut meter,
-                );
-            }
-            let full = self.model.final_logits(&h, &mut meter);
-            let next = ops::argmax(&full).expect("logits") as TokenId;
-            ce_sum += f64::from(ops::nll(&full, next as usize));
-            tokens.push(next);
-            exit_layers.push(exit_at);
-            meter.mark_token();
-            meter.mark_host_step();
-            t = next;
-        }
-
-        GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
-            predictor_calls: 0,
-            verify_calls: 0,
-            rounds: 0,
-            draft_calls: 0,
-            self_draft_calls: 0,
-        }
+    fn exits(&mut self, model: &mut M, layer: usize, h: &[f32], meter: &mut Meter) -> Exit {
+        (layer + 1 == self.exit_at).then(|| {
+            let full = model.final_logits(h, meter);
+            (pick(&full), full)
+        })
     }
 }
 

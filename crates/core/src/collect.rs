@@ -10,19 +10,22 @@
 use serde::{Deserialize, Serialize};
 use specee_draft::SpeculativeSource;
 use specee_metrics::Meter;
-use specee_model::{prefill, LayeredLm, TokenId};
+use specee_model::{LayeredLm, TokenId};
 use specee_nn::TrainConfig;
-use specee_tensor::{ops, rng::Pcg};
+use specee_tensor::rng::Pcg;
 
+use crate::engine::dense_probe;
 use crate::features::FeatureTracker;
 use crate::predictor::PredictorBank;
 
-/// One labelled feature vector from one (token, layer) site.
+/// One labelled feature vector from one (token, layer) site, whatever the
+/// collector: flattened T1 features here, [`crate::baselines::AdaSample`]
+/// and [`crate::skip_layer::RouterSample`] for the comparators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CollectedSample {
     /// Decoder layer the features were taken after.
     pub layer: usize,
-    /// Flattened T1 features.
+    /// The collector's feature vector.
     pub features: Vec<f32>,
     /// Whether exiting here reproduces the full-depth token.
     pub label: bool,
@@ -68,51 +71,29 @@ where
     // Offline pass: metering is irrelevant, use a scratch meter.
     let mut meter = Meter::new();
 
-    for (prompt, gen_len) in prompts {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        model.reset();
-        draft.reset();
-        let mut h = prefill(model, prompt, &mut meter);
-        let logits = model.final_logits(&h, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        let mut ctx = prompt.clone();
-
-        for _ in 1..*gen_len {
-            ctx.push(t);
-            let spec = draft.propose(&ctx, spec_k, &mut meter);
-            let pos = model.kv_len();
-            h = model.begin_token(t, &mut meter);
-            let mut tracker = FeatureTracker::new();
-            let mut per_layer: Vec<(Vec<f32>, TokenId)> = Vec::with_capacity(n_layers - 1);
-            for layer in 0..n_layers {
-                h = model.forward_layer(layer, &h, pos, &mut meter);
-                if layer + 1 < n_layers {
-                    let feats = tracker.extract(model, &h, &spec, &mut meter);
-                    let full = model.final_logits(&h, &mut meter);
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    per_layer.push((feats.to_vec(), tok));
-                }
-            }
-            let full = model.final_logits(&h, &mut meter);
-            let final_tok = ops::argmax(&full).expect("logits") as TokenId;
-            let mut earliest = n_layers - 1;
-            for (layer, (features, tok)) in per_layer.into_iter().enumerate() {
-                let label = tok == final_tok;
-                if label && earliest == n_layers - 1 {
-                    earliest = layer;
-                }
-                samples.push(CollectedSample {
-                    layer,
-                    features,
-                    label,
-                });
-            }
-            exit_counts[earliest] += 1;
-            earliest_sum += earliest as u64 + 1;
-            tokens += 1;
-            t = final_tok;
+    dense_probe(model, prompts, |model, token| {
+        if token.starts_prompt {
+            draft.reset();
         }
-    }
+        let spec = draft.propose(token.ctx, spec_k, &mut meter);
+        let mut tracker = FeatureTracker::new();
+        let mut earliest = n_layers - 1;
+        for layer in 0..n_layers - 1 {
+            let feats = tracker.extract(model, &token.states[layer + 1], &spec, &mut meter);
+            let label = token.picks[layer] == token.picks[n_layers - 1];
+            if label && earliest == n_layers - 1 {
+                earliest = layer;
+            }
+            samples.push(CollectedSample {
+                layer,
+                features: feats.to_vec(),
+                label,
+            });
+        }
+        exit_counts[earliest] += 1;
+        earliest_sum += earliest as u64 + 1;
+        tokens += 1;
+    });
 
     let total: u64 = exit_counts.iter().sum();
     let exit_frequencies = exit_counts
@@ -135,6 +116,16 @@ where
         },
         tokens,
     }
+}
+
+/// Buckets `(features, label)` by the layer a sample was taken after, in
+/// sample order; samples of layers at or past `n_layers` are dropped.
+pub(crate) fn by_layer(samples: &[CollectedSample], n_layers: usize) -> Vec<Vec<(Vec<f32>, bool)>> {
+    let mut by_layer = vec![Vec::new(); n_layers];
+    for s in samples.iter().filter(|s| s.layer < n_layers) {
+        by_layer[s.layer].push((s.features.clone(), s.label));
+    }
+    by_layer
 }
 
 /// Per-layer training outcome.
@@ -164,12 +155,7 @@ pub fn train_bank(
 ) -> BankTrainingReport {
     assert!(fraction > 0.0 && fraction <= 1.0, "fraction in (0,1]");
     let n_layers = bank.len();
-    let mut by_layer: Vec<Vec<(Vec<f32>, bool)>> = vec![Vec::new(); n_layers];
-    for s in samples {
-        if s.layer < n_layers {
-            by_layer[s.layer].push((s.features.clone(), s.label));
-        }
-    }
+    let mut by_layer = by_layer(samples, n_layers);
     let mut layer_accuracy = vec![1.0f64; n_layers];
     let mut used = 0usize;
     let mut acc_sum = 0.0;

@@ -5,10 +5,9 @@ use specee_draft::SpeculativeSource;
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId};
 use specee_obs::Recorder;
-use specee_tensor::ops;
 
 use crate::config::SpecEeConfig;
-use crate::engine::first_token;
+use crate::engine::decode::{decode, Exit, LayerRule};
 use crate::engine::scan::ExitScan;
 use crate::output::GenOutput;
 use crate::predictor::PredictorBank;
@@ -135,93 +134,70 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
-        let n_layers = self.model.config().n_layers;
-        let spec_k = self.config.predictor.spec_k;
-        let mut meter = Meter::new();
-        self.model.reset();
+        // `reset` does not zero a draft's running forward count.
+        let draft_calls_base = self.draft.forward_calls();
         self.draft.reset();
-
-        let mut tokens = Vec::with_capacity(gen_len);
-        let mut exit_layers = Vec::with_capacity(gen_len);
-        let mut ce_sum = 0.0f64;
-
-        // First token comes out of the (full-depth) prefill.
-        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
-        ce_sum += ce;
-        tokens.push(t);
-        exit_layers.push(n_layers);
-
-        let mut ctx = prompt.to_vec();
-        let mut scan = ExitScan::new();
-
-        while tokens.len() < gen_len {
-            ctx.push(t);
-            let spec = self.draft.propose(&ctx, spec_k, &mut meter);
-            let pos = self.model.kv_len();
-            let mut h = self.model.begin_token(t, &mut meter);
-            scan.begin_token();
-
-            if let Some(rec) = self.trace.as_mut() {
-                // No simulated clock at batch 1: stamp the token ordinal.
-                rec.set_clock(tokens.len() as f64);
-                rec.set_seq(Some(tokens.len() as u64));
-            }
-            let mut exit: Option<(TokenId, Vec<f32>)> = None;
-            let mut executed = n_layers;
-            for layer in 0..n_layers {
-                h = self.model.forward_layer(layer, &h, pos, &mut meter);
-                if let Some((tok, full)) = scan.check_with_sink(
-                    &mut self.model,
-                    &self.bank,
-                    &self.schedule,
-                    &h,
-                    &spec,
-                    layer,
-                    &mut meter,
-                    &mut self.trace,
-                ) {
-                    self.model.fill_skipped_kv(
-                        layer + 1,
-                        &h,
-                        pos,
-                        self.config.skip_kv_policy,
-                        &mut meter,
-                    );
-                    executed = layer + 1;
-                    exit = Some((tok, full));
-                    break;
-                }
-            }
-            let (next, full) = match exit {
-                Some(x) => x,
-                None => {
-                    let full = self.model.final_logits(&h, &mut meter);
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    (tok, full)
-                }
-            };
-            ce_sum += f64::from(ops::nll(&full, next as usize));
-            self.schedule.note_exit(executed.saturating_sub(1));
-            tokens.push(next);
-            exit_layers.push(executed);
-            meter.mark_token();
-            meter.mark_host_step();
-            t = next;
-        }
-
+        let mut rule = SpecEeRule {
+            draft: &mut self.draft,
+            bank: &self.bank,
+            schedule: &mut self.schedule,
+            trace: &mut self.trace,
+            spec_k: self.config.predictor.spec_k,
+            prompt_len: prompt.len(),
+            scan: ExitScan::new(),
+            spec: Vec::new(),
+        };
+        let policy = self.config.skip_kv_policy;
+        let out = decode(&mut self.model, &mut rule, prompt, gen_len, policy);
         GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
-            predictor_calls: scan.predictor_calls(),
-            verify_calls: scan.verify_calls(),
-            rounds: 0,
-            draft_calls: self.draft.forward_calls(),
-            self_draft_calls: 0,
+            predictor_calls: rule.scan.predictor_calls(),
+            verify_calls: rule.scan.verify_calls(),
+            draft_calls: self.draft.forward_calls() - draft_calls_base,
+            ..out
         }
+    }
+}
+
+/// SpecEE's rule: the draft's K candidates per token, the scheduled
+/// predictor + verification scan after every layer.
+struct SpecEeRule<'a, D> {
+    draft: &'a mut D,
+    bank: &'a PredictorBank,
+    schedule: &'a mut ScheduleEngine,
+    trace: &'a mut Option<Recorder>,
+    spec_k: usize,
+    prompt_len: usize,
+    scan: ExitScan,
+    spec: Vec<TokenId>,
+}
+
+impl<M: LayeredLm, D: SpeculativeSource> LayerRule<M> for SpecEeRule<'_, D> {
+    fn begin_token(&mut self, _model: &mut M, ctx: &[TokenId], meter: &mut Meter) {
+        self.spec = self.draft.propose(ctx, self.spec_k, meter);
+        self.scan.begin_token();
+        if let Some(rec) = self.trace.as_mut() {
+            // No simulated clock at batch 1: stamp the token ordinal.
+            let emitted = ctx.len() - self.prompt_len;
+            rec.set_clock(emitted as f64);
+            rec.set_seq(Some(emitted as u64));
+        }
+    }
+
+    fn exits(&mut self, model: &mut M, layer: usize, h: &[f32], meter: &mut Meter) -> Exit {
+        self.scan.check_with_sink(
+            model,
+            self.bank,
+            self.schedule,
+            h,
+            &self.spec,
+            layer,
+            meter,
+            &mut *self.trace,
+        )
+    }
+
+    fn end_token(&mut self, executed: usize) {
+        self.schedule.note_exit(executed.saturating_sub(1));
     }
 }
 
@@ -368,6 +344,31 @@ mod tests {
         // every committed position must have KV in layer 0 (3 prompt + 9 fed)
         assert_eq!(engine.model().kv_len(), 3 + 9);
         assert_eq!(out.exit_layers.len(), 10);
+    }
+
+    #[test]
+    fn draft_calls_are_per_request_not_a_running_total() {
+        use specee_draft::DraftModel;
+        // `DraftModel::reset` keeps its forward count running, so a second
+        // request on the same engine must report its own share of it.
+        let cfg = ModelConfig {
+            n_layers: 8,
+            ..ModelConfig::tiny()
+        };
+        let lm = specee_model::Transformer::random(cfg.clone(), &mut Pcg::seed(1));
+        let draft = DraftModel::new(&cfg, &mut Pcg::seed(2));
+        let bank = PredictorBank::new(8, &PredictorConfig::default(), &mut Pcg::seed(3));
+        let config = SpecEeConfig::default();
+        let mut engine = SpecEeEngine::new(lm, draft, bank, ScheduleEngine::all_layers(8), config);
+        let first = engine.generate(&[1, 2, 3], 6);
+        let second = engine.generate(&[1, 2, 3], 6);
+        assert_eq!(first.tokens, second.tokens);
+        assert!(first.draft_calls > 0, "the draft network must have run");
+        assert_eq!(first.draft_calls, second.draft_calls);
+        assert_eq!(
+            first.draft_calls + second.draft_calls,
+            engine.draft.forward_calls()
+        );
     }
 
     #[test]

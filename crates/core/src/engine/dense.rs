@@ -1,10 +1,14 @@
 //! Dense autoregressive baseline (the HuggingFace/vllm/AWQ stand-in).
 
-use specee_metrics::Meter;
-use specee_model::{prefill, LayeredLm, TokenId};
-use specee_tensor::ops;
+use specee_model::{LayeredLm, SkipKvPolicy, TokenId};
 
+use crate::engine::decode::{decode, LayerRule};
 use crate::output::GenOutput;
+
+/// The rule that decides nothing: every layer runs, no token exits.
+struct Dense;
+
+impl<M: LayeredLm> LayerRule<M> for Dense {}
 
 /// Greedy autoregressive decoding through every layer.
 ///
@@ -47,50 +51,13 @@ impl<M: LayeredLm> DenseEngine<M> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
-        let n_layers = self.model.config().n_layers;
-        let mut meter = Meter::new();
-        self.model.reset();
-
-        let mut tokens = Vec::with_capacity(gen_len);
-        let mut exit_layers = Vec::with_capacity(gen_len);
-        let mut ce_sum = 0.0f64;
-
-        // TPOT convention: prefill runs on a scratch meter (real engines
-        // process the prompt in one batched forward; reported numbers are
-        // decode tokens/s).
-        let mut prefill_meter = Meter::new();
-        let mut h = prefill(&mut self.model, prompt, &mut prefill_meter);
-        loop {
-            let logits = self.model.final_logits(&h, &mut meter);
-            let t = ops::argmax(&logits).expect("non-empty logits") as TokenId;
-            ce_sum += f64::from(ops::nll(&logits, t as usize));
-            tokens.push(t);
-            exit_layers.push(n_layers);
-            meter.mark_token();
-            meter.mark_host_step();
-            if tokens.len() == gen_len {
-                break;
-            }
-            let pos = self.model.kv_len();
-            h = self.model.begin_token(t, &mut meter);
-            for layer in 0..n_layers {
-                h = self.model.forward_layer(layer, &h, pos, &mut meter);
-            }
-        }
-
-        GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
-            predictor_calls: 0,
-            verify_calls: 0,
-            rounds: 0,
-            draft_calls: 0,
-            self_draft_calls: 0,
-        }
+        let unused = SkipKvPolicy::default();
+        let mut out = decode(&mut self.model, &mut Dense, prompt, gen_len, unused);
+        // The dense baseline alone charges a host step for the first token
+        // as well (every early-exit engine starts counting at the second);
+        // every priced dense number in the repo includes it.
+        out.meter.mark_host_step();
+        out
     }
 
     /// Consumes the engine, returning the model.

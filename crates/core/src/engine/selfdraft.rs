@@ -22,6 +22,8 @@ use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId, TreeKv};
 use specee_tensor::ops;
 
+use crate::engine::decode::greedy_walk;
+
 /// Output of one shallow draft pass: the speculated node batch (index 0 is
 /// the pending bonus token; tree nodes follow, roots hanging off it), the
 /// per-shallow-layer scratch K/V covering every node, and the exit-layer
@@ -156,52 +158,28 @@ pub fn verify_commit<M: LayeredLm + ?Sized>(
     deep_kvs: &[TreeKv],
     meter: &mut Meter,
 ) -> RoundOutcome {
-    let n_nodes = pass.node_tokens.len();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    for (j, p) in pass.node_parents.iter().enumerate() {
-        if let Some(p) = *p {
-            children[p].push(j);
-        }
-    }
-
     let node_logits = model.final_logits_batch(final_hs, meter);
-    let mut accepted = vec![0usize];
-    let mut emitted: Vec<(TokenId, f64)> = Vec::new();
-    let mut cur = 0usize;
-    let next_bonus;
-    loop {
-        let full = &node_logits[cur];
-        let pred = ops::argmax(full).expect("logits") as TokenId;
-        let ce = f64::from(ops::nll(full, pred as usize));
-        emitted.push((pred, ce));
-        match children[cur].iter().find(|&&j| pass.node_tokens[j] == pred) {
-            Some(&j) => {
-                accepted.push(j);
-                cur = j;
-            }
-            None => {
-                next_bonus = pred;
-                break;
-            }
-        }
-    }
+    let walk = greedy_walk(&node_logits, &pass.node_tokens, &pass.node_parents, |_| {
+        true
+    });
+    let accepted = &walk.accepted;
 
     // Split commit: layer 0 first (the synthetic model's tree scripts are
     // keyed there), shallow from draft scratch, deep from the verify kvs.
     for (layer, kv) in pass.shallow_kvs.iter().enumerate() {
-        model.commit_tree_kv(layer, kv, &accepted);
+        model.commit_tree_kv(layer, kv, accepted);
     }
     for (off, kv) in deep_kvs.iter().enumerate() {
-        model.commit_tree_kv(pass.shallow_kvs.len() + off, kv, &accepted);
+        model.commit_tree_kv(pass.shallow_kvs.len() + off, kv, accepted);
     }
     let accepted_tokens: Vec<TokenId> = accepted.iter().map(|&i| pass.node_tokens[i]).collect();
     model.accept_tokens(&accepted_tokens);
 
     RoundOutcome {
-        emitted,
-        next_bonus,
         accepted_len: accepted.len(),
-        n_nodes,
+        emitted: walk.emitted,
+        next_bonus: walk.next_bonus,
+        n_nodes: pass.node_tokens.len(),
     }
 }
 

@@ -17,12 +17,10 @@
 //! [`crate::engine::selfdraft`]).
 
 use specee_draft::{SelfDraftSpec, SpeculativeSource};
-use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId};
-use specee_tensor::ops;
 
 use crate::config::SpecEeConfig;
-use crate::engine::first_token;
+use crate::engine::decode::{generate_rounds, greedy_walk, Round, Walk};
 use crate::engine::selfdraft::{deep_sweep, self_draft_pass, verify_commit};
 use crate::features::FeatureTracker;
 use crate::mapping::TreeExitState;
@@ -99,39 +97,19 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
         if let Some(spec) = self.draft.self_spec().cloned() {
             return self.generate_self_draft(prompt, gen_len, &spec);
         }
         let n_layers = self.model.config().n_layers;
         let spec_k = self.config.predictor.spec_k;
         let early_exit = self.config.tree_early_exit && self.bank.is_some();
-        let mut meter = Meter::new();
         let draft_calls_base = self.draft.forward_calls();
-        self.model.reset();
         self.draft.reset();
-
-        let mut tokens = Vec::with_capacity(gen_len + 8);
-        let mut exit_layers = Vec::with_capacity(gen_len + 8);
-        let mut ce_sum = 0.0f64;
         let (mut predictor_calls, mut verify_calls, mut rounds) = (0u64, 0u64, 0u64);
 
-        let (mut bonus, ce) = first_token(&mut self.model, prompt, &mut meter);
-        ce_sum += ce;
-        tokens.push(bonus);
-        exit_layers.push(n_layers);
-
-        let mut ctx = prompt.to_vec();
-
-        while tokens.len() < gen_len {
+        let out = generate_rounds(&mut self.model, prompt, gen_len, |model, ctx, meter| {
             rounds += 1;
-            meter.mark_host_step();
-            let mut draft_ctx = ctx.clone();
-            draft_ctx.push(bonus);
-            let mut tree = self
-                .draft
-                .propose_tree(&draft_ctx, &self.config.tree_shape, &mut meter);
+            let mut tree = self.draft.propose_tree(ctx, &self.config.tree_shape, meter);
             if let Some(budget) = self.config.tree_budget {
                 // EAGLE-2-style dynamic tree: verify only the highest
                 // joint-probability nodes.
@@ -140,26 +118,21 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
 
             // Node batch: index 0 is the pending bonus token; tree nodes
             // follow shifted by one, roots hanging off the bonus.
-            let mut node_tokens = vec![bonus];
+            let (committed, bonus) = ctx.split_at(ctx.len() - 1);
+            let mut node_tokens = bonus.to_vec();
             let mut node_parents: Vec<Option<usize>> = vec![None];
             for n in tree.nodes() {
                 node_tokens.push(n.token);
                 node_parents.push(Some(n.parent.map_or(0, |p| p + 1)));
             }
             let n_nodes = node_tokens.len();
-            let mut children: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-            for (j, p) in node_parents.iter().enumerate() {
-                if let Some(p) = *p {
-                    children[p].push(j);
-                }
-            }
             // Candidate set per node: the draft's top-K continuations of
             // the node's path (already computed during tree drafting, so
             // the cached lookup is free). The set always has K entries so
             // the predictor's feature dimension is fixed.
             let mut node_cands: Vec<Vec<TokenId>> = Vec::with_capacity(n_nodes);
             for i in 0..n_nodes {
-                let mut path_ctx = ctx.clone();
+                let mut path_ctx = committed.to_vec();
                 let mut chain = Vec::new();
                 let mut cur = Some(i);
                 while let Some(n) = cur {
@@ -168,21 +141,17 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
                 }
                 chain.reverse();
                 path_ctx.extend_from_slice(&chain);
-                node_cands.push(self.draft.cached_candidates(&path_ctx, spec_k, &mut meter));
+                node_cands.push(self.draft.cached_candidates(&path_ctx, spec_k, meter));
             }
 
-            let mut hs = self
-                .model
-                .begin_tree(&node_tokens, &node_parents, &mut meter);
+            let mut hs = model.begin_tree(&node_tokens, &node_parents, meter);
             let mut kvs = Vec::with_capacity(n_layers);
             let mut exit_state = TreeExitState::new(&node_parents);
             let mut trackers: Vec<FeatureTracker> = vec![FeatureTracker::new(); n_nodes];
             let mut executed = n_layers;
-            let mut exit_logits: Option<Vec<Vec<f32>>> = None;
+            let mut exit_walk: Option<Walk> = None;
             for layer in 0..n_layers {
-                let (out, kv) =
-                    self.model
-                        .forward_layer_tree(layer, &hs, &node_parents, &mut meter);
+                let (out, kv) = model.forward_layer_tree(layer, &hs, &node_parents, meter);
                 hs = out;
                 kvs.push(kv);
                 if !early_exit || layer + 1 >= n_layers || !self.schedule.is_active(layer) {
@@ -199,16 +168,14 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
                 let h_refs: Vec<&[f32]> = pending.iter().map(|&i| hs[i].as_slice()).collect();
                 let cand_refs: Vec<&[TokenId]> =
                     pending.iter().map(|&i| node_cands[i].as_slice()).collect();
-                let logits_per_node = self
-                    .model
-                    .grouped_slice_logits(&h_refs, &cand_refs, &mut meter);
+                let logits_per_node = model.grouped_slice_logits(&h_refs, &cand_refs, meter);
                 let feats: Vec<_> = pending
                     .iter()
                     .zip(logits_per_node)
                     .map(|(&i, logits)| trackers[i].update(logits))
                     .collect();
                 predictor_calls += pending.len() as u64;
-                let scores = bank.layer(layer).score_batch(&feats, &mut meter);
+                let scores = bank.layer(layer).score_batch(&feats, meter);
                 let threshold = bank.layer(layer).threshold();
                 for (&i, score) in pending.iter().zip(scores) {
                     if score > threshold {
@@ -217,131 +184,70 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
                 }
                 // Exit check: once some hyper-token is predictor-ready,
                 // run the verification of §4.3.3 over the whole batch and
-                // trial-walk the acceptance chain. The batch exits only
-                // when the chain that WOULD be accepted consists entirely
-                // of fired + verified nodes and ends naturally (a draft
-                // miss) — the Cannikin position of the real accepted
+                // walk the acceptance chain, trusting only nodes whose
+                // predictor fired and whose logits verify — an unfired
+                // node's logits may not have stabilized. The batch exits
+                // only when the chain that WOULD be accepted consists
+                // entirely of such nodes and ends naturally (a draft miss,
+                // not a cut) — the Cannikin position of the real accepted
                 // hyper-token, not of an arbitrary ready path.
                 if exit_state.any_path_ready() {
-                    let fulls = self.model.final_logits_batch(&hs, &mut meter);
+                    let fulls = model.final_logits_batch(&hs, meter);
                     verify_calls += 1;
                     let trusted = |j: usize| {
                         exit_state.fired(j) && verify_exit(&fulls[j], &node_cands[j]).is_some()
                     };
                     if trusted(0) {
-                        let mut cur = 0usize;
-                        let mut complete = true;
-                        loop {
-                            let pred = ops::argmax(&fulls[cur]).expect("logits") as TokenId;
-                            match children[cur].iter().find(|&&j| node_tokens[j] == pred) {
-                                Some(&j) if trusted(j) => cur = j,
-                                Some(_) => {
-                                    complete = false;
-                                    break;
-                                }
-                                None => break,
-                            }
-                        }
-                        if complete {
+                        let walk = greedy_walk(&fulls, &node_tokens, &node_parents, trusted);
+                        if !walk.cut {
                             executed = layer + 1;
-                            exit_logits = Some(fulls);
+                            exit_walk = Some(walk);
                             break;
                         }
                     }
                 }
             }
 
-            // Verification: all node logits come from ONE batched LM-head
-            // GEMM (how EAGLE verifies a tree), then a greedy walk from the
-            // bonus node accepts the longest matching path. After an early
-            // exit, the walk only trusts nodes whose predictor fired — an
-            // unfired node's logits may not have stabilized, so the chain
-            // is cut before emitting its prediction.
-            // The exit check already computed (and paid for) the batched
-            // verification head; reuse its logits. Full-depth rounds
-            // compute them now.
-            let exited_early = exit_logits.is_some();
-            let node_logits = match exit_logits {
-                Some(logits) => logits,
-                None => {
-                    verify_calls += 1;
-                    self.model.final_logits_batch(&hs, &mut meter)
-                }
-            };
-            let trusted: Vec<bool> = (0..n_nodes)
-                .map(|j| {
-                    !exited_early
-                        || (exit_state.fired(j)
-                            && verify_exit(&node_logits[j], &node_cands[j]).is_some())
-                })
-                .collect();
-            let mut accepted = vec![0usize];
-            let mut emitted: Vec<(TokenId, f64)> = Vec::new();
-            let mut cur = 0usize;
-            let next_bonus;
-            loop {
-                let full = &node_logits[cur];
-                let pred = ops::argmax(full).expect("logits") as TokenId;
-                let ce = f64::from(ops::nll(full, pred as usize));
-                emitted.push((pred, ce));
-                let next = children[cur]
-                    .iter()
-                    .find(|&&j| node_tokens[j] == pred)
-                    .copied()
-                    .filter(|&j| trusted[j]);
-                match next {
-                    Some(j) => {
-                        accepted.push(j);
-                        cur = j;
-                    }
-                    None => {
-                        next_bonus = pred;
-                        break;
-                    }
-                }
-            }
-            let base_kv = self.model.kv_len();
+            // An exit's walk is the round's verification: its batched head
+            // is already computed and paid for. A full-depth round verifies
+            // now — all node logits from ONE batched LM-head GEMM (how
+            // EAGLE verifies a tree), then a greedy walk from the bonus
+            // node accepts the longest matching path.
+            let Walk {
+                accepted, emitted, ..
+            } = exit_walk.unwrap_or_else(|| {
+                verify_calls += 1;
+                let node_logits = model.final_logits_batch(&hs, meter);
+                greedy_walk(&node_logits, &node_tokens, &node_parents, |_| true)
+            });
+            let base_kv = model.kv_len();
 
             for (layer, kv) in kvs.iter().enumerate() {
-                self.model.commit_tree_kv(layer, kv, &accepted);
+                model.commit_tree_kv(layer, kv, &accepted);
             }
             if executed < n_layers {
                 for (ord, &idx) in accepted.iter().enumerate() {
-                    self.model.fill_skipped_kv(
+                    model.fill_skipped_kv(
                         executed,
                         &hs[idx],
                         base_kv + ord,
                         self.config.skip_kv_policy,
-                        &mut meter,
+                        meter,
                     );
                 }
             }
             let accepted_tokens: Vec<TokenId> = accepted.iter().map(|&i| node_tokens[i]).collect();
-            self.model.accept_tokens(&accepted_tokens);
-            ctx.extend_from_slice(&accepted_tokens);
-
-            for (tok, ce) in emitted {
-                tokens.push(tok);
-                exit_layers.push(executed);
-                ce_sum += ce;
-                meter.mark_token();
-            }
+            model.accept_tokens(&accepted_tokens);
             self.schedule.note_exit(executed.saturating_sub(1));
-            bonus = next_bonus;
-        }
+            Round { emitted, executed }
+        });
 
-        tokens.truncate(gen_len);
-        exit_layers.truncate(gen_len);
         GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
             predictor_calls,
             verify_calls,
             rounds,
             draft_calls: self.draft.forward_calls() - draft_calls_base,
-            self_draft_calls: 0,
+            ..out
         }
     }
 
@@ -375,50 +281,24 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
             "self-draft does not compose with a tree budget: the tree is \
              grown inside the target, not pruned from a separate proposal"
         );
-        let mut meter = Meter::new();
-        self.model.reset();
-
-        let mut tokens = Vec::with_capacity(gen_len + 8);
-        let mut exit_layers = Vec::with_capacity(gen_len + 8);
-        let mut ce_sum = 0.0f64;
-        let (mut verify_calls, mut rounds) = (0u64, 0u64);
-        let mut self_draft_calls = 0u64;
-
-        let (mut bonus, ce) = first_token(&mut self.model, prompt, &mut meter);
-        ce_sum += ce;
-        tokens.push(bonus);
-        exit_layers.push(n_layers);
-
-        while tokens.len() < gen_len {
+        let (mut rounds, mut self_draft_calls) = (0u64, 0u64);
+        let out = generate_rounds(&mut self.model, prompt, gen_len, |model, ctx, meter| {
             rounds += 1;
-            meter.mark_host_step();
-            let pass = self_draft_pass(&mut self.model, bonus, spec, &mut meter);
+            let bonus = *ctx.last().expect("pending token");
+            let pass = self_draft_pass(model, bonus, spec, meter);
             self_draft_calls += pass.shallow_calls;
-            let (final_hs, deep_kvs) =
-                deep_sweep(&mut self.model, &pass, spec.exit_layer, &mut meter);
-            let outcome = verify_commit(&mut self.model, &pass, &final_hs, &deep_kvs, &mut meter);
-            verify_calls += 1;
-            for (tok, ce) in outcome.emitted {
-                tokens.push(tok);
-                exit_layers.push(n_layers);
-                ce_sum += ce;
-                meter.mark_token();
+            let (final_hs, deep_kvs) = deep_sweep(model, &pass, spec.exit_layer, meter);
+            let outcome = verify_commit(model, &pass, &final_hs, &deep_kvs, meter);
+            Round {
+                emitted: outcome.emitted,
+                executed: n_layers,
             }
-            bonus = outcome.next_bonus;
-        }
-
-        tokens.truncate(gen_len);
-        exit_layers.truncate(gen_len);
+        });
         GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
-            predictor_calls: 0,
-            verify_calls,
+            verify_calls: rounds,
             rounds,
-            draft_calls: 0,
             self_draft_calls,
+            ..out
         }
     }
 }

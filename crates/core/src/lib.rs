@@ -14,9 +14,11 @@
 //!   paths merge into hyper-tokens whose exit is the rearmost node exit,
 //!   turning exponential mapping complexity into linear.
 //!
-//! [`engine`] hosts the runnable decoders; [`baselines`] the AdaInfer and
-//! RAEE comparators; [`collect`] the offline feature-collection and
-//! training pipeline of §7.4.4.
+//! [`engine`] hosts the runnable decoders, all on the one greedy loop of
+//! [`engine::decode`]; [`baselines`] (AdaInfer, RAEE) and [`skip_layer`]
+//! (MoD, D-LLM, CALM) the comparators, each a rule on that loop;
+//! [`collect`] the offline feature-collection and training pipeline of
+//! §7.4.4, like every collector a visitor of [`engine::dense_probe`].
 //!
 //! # Examples
 //!

@@ -17,15 +17,18 @@
 //!
 //! Skipped middle layers keep the KV cache aligned through
 //! [`LayeredLm::fill_layer_kv`], the same mechanism early exits use for
-//! skipped suffixes.
+//! skipped suffixes. All three engines are rules on the one loop of
+//! [`crate::engine::decode`] (MoD and D-LLM its `skips` hook, CALM its
+//! `exits` hook); the collectors visit [`crate::engine::dense_probe`].
 
-use serde::{Deserialize, Serialize};
 use specee_metrics::{Meter, OpKind};
-use specee_model::{prefill, LayeredLm, SkipKvPolicy, TokenId};
+use specee_model::{LayeredLm, SkipKvPolicy, TokenId};
 use specee_nn::LogisticRegression;
 use specee_tensor::ops;
 
-use crate::engine::first_token;
+use crate::baselines::FullHeadRule;
+use crate::collect::by_layer;
+use crate::engine::decode::{decode, dense_probe, LayerRule};
 use crate::output::GenOutput;
 
 /// Dimension of the router feature vector ([`hidden_summary`]).
@@ -51,17 +54,10 @@ pub fn hidden_summary(h: &[f32], prev: Option<&[f32]>) -> Vec<f32> {
     vec![mean, rms, max, min, pos_frac, delta_rms]
 }
 
-/// One collected router training sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RouterSample {
-    /// Layer the features were taken *after*.
-    pub layer: usize,
-    /// [`hidden_summary`] features.
-    pub features: Vec<f32>,
-    /// Whether the token was already settled here (exiting at this layer
-    /// reproduces the full-depth token), i.e. deeper blocks are redundant.
-    pub label: bool,
-}
+/// One collected router training sample: `features` is the
+/// [`hidden_summary`] taken after `layer`, `label` whether the token was
+/// already settled there, i.e. deeper blocks are redundant.
+pub type RouterSample = crate::collect::CollectedSample;
 
 /// Collects router training data from dense runs (one full LM-head read
 /// per layer is paid at *collection* time only, not at inference).
@@ -74,42 +70,20 @@ pub fn collect_router_data<M: LayeredLm>(
     prompts: &[(Vec<TokenId>, usize)],
 ) -> Vec<RouterSample> {
     assert!(!prompts.is_empty(), "need prompts");
-    let n_layers = model.config().n_layers;
-    let mut meter = Meter::new();
     let mut samples = Vec::new();
-    for (prompt, gen_len) in prompts {
-        model.reset();
-        let mut h = prefill(model, prompt, &mut meter);
-        let logits = model.final_logits(&h, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        for _ in 1..*gen_len {
-            let pos = model.kv_len();
-            h = model.begin_token(t, &mut meter);
-            let mut prev = h.clone();
-            let mut per_layer = Vec::with_capacity(n_layers);
-            for layer in 0..n_layers {
-                let next = model.forward_layer(layer, &h, pos, &mut meter);
-                if layer + 1 < n_layers {
-                    let feats = hidden_summary(&next, Some(&prev));
-                    let full = model.final_logits(&next, &mut meter);
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    per_layer.push((layer, feats, tok));
-                }
-                prev = h;
-                h = next;
-            }
-            let full = model.final_logits(&h, &mut meter);
-            let final_tok = ops::argmax(&full).expect("logits") as TokenId;
-            for (layer, features, tok) in per_layer {
-                samples.push(RouterSample {
-                    layer,
-                    features,
-                    label: tok == final_tok,
-                });
-            }
-            t = final_tok;
+    dense_probe(model, prompts, |_, token| {
+        let (final_tok, earlier) = token.picks.split_last().expect("layers");
+        for (layer, tok) in earlier.iter().enumerate() {
+            // The layer's output against the state two layers back (its
+            // own input's input; the embedding for layers 0 and 1).
+            let prev = &token.states[layer.saturating_sub(1)];
+            samples.push(RouterSample {
+                layer,
+                features: hidden_summary(&token.states[layer + 1], Some(prev)),
+                label: tok == final_tok,
+            });
         }
-    }
+    });
     samples
 }
 
@@ -123,68 +97,48 @@ fn meter_router(meter: &mut Meter) {
     );
 }
 
-/// Shared decode loop for layer-skipping engines: `decide(layer, feats)`
-/// returns `true` when the layer should be *skipped* (residual
-/// pass-through + KV fill).
+/// The rule of the layer-skipping engines: before every layer,
+/// `decide(layer, feats, meter)` sees the [`hidden_summary`] of the layer's
+/// input against the input of the last layer that ran, and returns `true`
+/// when the layer should be *skipped* (residual pass-through + KV fill).
+struct SkipRule<F> {
+    decide: F,
+    prev: Vec<f32>,
+    predictor_calls: u64,
+}
+
+impl<M: LayeredLm, F: FnMut(usize, &[f32], &mut Meter) -> bool> LayerRule<M> for SkipRule<F> {
+    fn skips(&mut self, layer: usize, h: &[f32], meter: &mut Meter) -> bool {
+        if layer == 0 {
+            self.prev = h.to_vec();
+        }
+        let feats = hidden_summary(h, Some(&self.prev));
+        self.predictor_calls += 1;
+        let skip = (self.decide)(layer, &feats, meter);
+        if !skip {
+            self.prev = h.to_vec();
+        }
+        skip
+    }
+}
+
+/// Decodes under a [`SkipRule`] built from `decide`.
 fn generate_with_skips<M: LayeredLm>(
     model: &mut M,
     prompt: &[TokenId],
     gen_len: usize,
-    skip_policy: SkipKvPolicy,
-    mut decide: impl FnMut(usize, &[f32], &mut Meter) -> bool,
+    decide: impl FnMut(usize, &[f32], &mut Meter) -> bool,
 ) -> GenOutput {
-    assert!(!prompt.is_empty(), "prompt must be non-empty");
-    assert!(gen_len > 0, "gen_len must be positive");
-    let n_layers = model.config().n_layers;
-    let mut meter = Meter::new();
-    model.reset();
-
-    let mut tokens = Vec::with_capacity(gen_len);
-    let mut exit_layers = Vec::with_capacity(gen_len);
-    let mut ce_sum = 0.0f64;
-    let mut predictor_calls = 0u64;
-
-    let (mut t, ce) = first_token(model, prompt, &mut meter);
-    ce_sum += ce;
-    tokens.push(t);
-    exit_layers.push(n_layers);
-
-    while tokens.len() < gen_len {
-        let pos = model.kv_len();
-        let mut h = model.begin_token(t, &mut meter);
-        let mut prev = h.clone();
-        let mut executed = 0usize;
-        for layer in 0..n_layers {
-            let feats = hidden_summary(&h, Some(&prev));
-            predictor_calls += 1;
-            if decide(layer, &feats, &mut meter) {
-                model.fill_layer_kv(layer, &h, pos, skip_policy, &mut meter);
-            } else {
-                prev = h.clone();
-                h = model.forward_layer(layer, &h, pos, &mut meter);
-                executed += 1;
-            }
-        }
-        let full = model.final_logits(&h, &mut meter);
-        let next = ops::argmax(&full).expect("logits") as TokenId;
-        ce_sum += f64::from(ops::nll(&full, next as usize));
-        tokens.push(next);
-        exit_layers.push(executed);
-        meter.mark_token();
-        meter.mark_host_step();
-        t = next;
-    }
-
+    let mut rule = SkipRule {
+        decide,
+        prev: Vec::new(),
+        predictor_calls: 0,
+    };
+    let policy = SkipKvPolicy::ProjectExitHidden;
+    let out = decode(model, &mut rule, prompt, gen_len, policy);
     GenOutput {
-        tokens,
-        exit_layers,
-        ce_sum,
-        meter,
-        predictor_calls,
-        verify_calls: 0,
-        rounds: 0,
-        draft_calls: 0,
-        self_draft_calls: 0,
+        predictor_calls: rule.predictor_calls,
+        ..out
     }
 }
 
@@ -218,13 +172,11 @@ impl<M: LayeredLm> MoDEngine<M> {
         let n_layers = model.config().n_layers;
         let mut routers = Vec::with_capacity(n_layers);
         let mut thresholds = Vec::with_capacity(n_layers);
-        for layer in 0..n_layers {
-            let data: Vec<&RouterSample> = samples.iter().filter(|s| s.layer == layer).collect();
+        for (layer, data) in by_layer(samples, n_layers).into_iter().enumerate() {
             let mut router = LogisticRegression::new(ROUTER_FEATURES);
             let mut threshold = 2.0f32; // unreachable: never skip
             if !data.is_empty() {
-                let xs: Vec<Vec<f32>> = data.iter().map(|s| s.features.clone()).collect();
-                let ys: Vec<bool> = data.iter().map(|s| s.label).collect();
+                let (xs, ys): (Vec<Vec<f32>>, Vec<bool>) = data.into_iter().unzip();
                 router.fit(&xs, &ys, 30, 0.1, seed ^ layer as u64);
                 // Skip when p(redundant) exceeds the capacity quantile.
                 let mut scores: Vec<f32> = xs.iter().map(|x| router.predict_proba(x)).collect();
@@ -258,19 +210,13 @@ impl<M: LayeredLm> MoDEngine<M> {
         let routers = &self.routers;
         let thresholds = &self.thresholds;
         let warmup = self.warmup_layers;
-        generate_with_skips(
-            &mut self.model,
-            prompt,
-            gen_len,
-            SkipKvPolicy::ProjectExitHidden,
-            |layer, feats, meter| {
-                if layer < warmup {
-                    return false;
-                }
-                meter_router(meter);
-                routers[layer].predict_proba(feats) > thresholds[layer]
-            },
-        )
+        generate_with_skips(&mut self.model, prompt, gen_len, |layer, feats, meter| {
+            if layer < warmup {
+                return false;
+            }
+            meter_router(meter);
+            routers[layer].predict_proba(feats) > thresholds[layer]
+        })
     }
 }
 
@@ -287,14 +233,13 @@ impl<M: LayeredLm> DLlmEngine<M> {
     /// Trains the per-layer gates from collected samples.
     pub fn train(model: M, samples: &[RouterSample], seed: u64) -> Self {
         let n_layers = model.config().n_layers;
-        let gates = (0..n_layers)
-            .map(|layer| {
-                let data: Vec<&RouterSample> =
-                    samples.iter().filter(|s| s.layer == layer).collect();
+        let gates = by_layer(samples, n_layers)
+            .into_iter()
+            .enumerate()
+            .map(|(layer, data)| {
                 let mut gate = LogisticRegression::new(ROUTER_FEATURES);
                 if !data.is_empty() {
-                    let xs: Vec<Vec<f32>> = data.iter().map(|s| s.features.clone()).collect();
-                    let ys: Vec<bool> = data.iter().map(|s| s.label).collect();
+                    let (xs, ys): (Vec<Vec<f32>>, Vec<bool>) = data.into_iter().unzip();
                     gate.fit(&xs, &ys, 30, 0.1, seed ^ (layer as u64) << 1);
                 }
                 gate
@@ -320,19 +265,13 @@ impl<M: LayeredLm> DLlmEngine<M> {
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
         let gates = &self.gates;
         let warmup = self.warmup_layers;
-        generate_with_skips(
-            &mut self.model,
-            prompt,
-            gen_len,
-            SkipKvPolicy::ProjectExitHidden,
-            |layer, feats, meter| {
-                if layer < warmup {
-                    return false;
-                }
-                meter_router(meter);
-                gates[layer].predict(feats)
-            },
-        )
+        generate_with_skips(&mut self.model, prompt, gen_len, |layer, feats, meter| {
+            if layer < warmup {
+                return false;
+            }
+            meter_router(meter);
+            gates[layer].predict(feats)
+        })
     }
 }
 
@@ -351,43 +290,21 @@ pub fn calibrate_calm_threshold<M: LayeredLm>(
     prompts: &[(Vec<TokenId>, usize)],
 ) -> f32 {
     assert!(!prompts.is_empty(), "need prompts");
-    let n_layers = model.config().n_layers;
-    let mut meter = Meter::new();
     let (mut settled_sum, mut settled_n) = (0.0f64, 0u64);
     let (mut unsettled_sum, mut unsettled_n) = (0.0f64, 0u64);
-    for (prompt, gen_len) in prompts {
-        model.reset();
-        let mut h = prefill(model, prompt, &mut meter);
-        let logits = model.final_logits(&h, &mut meter);
-        let mut t = ops::argmax(&logits).expect("logits") as TokenId;
-        for _ in 1..*gen_len {
-            let pos = model.kv_len();
-            h = model.begin_token(t, &mut meter);
-            let mut per_layer = Vec::with_capacity(n_layers);
-            for layer in 0..n_layers {
-                h = model.forward_layer(layer, &h, pos, &mut meter);
-                if layer + 1 < n_layers {
-                    let full = model.final_logits(&h, &mut meter);
-                    let probs = ops::softmax(&full);
-                    let top = probs.iter().copied().fold(0.0f32, f32::max);
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    per_layer.push((top, tok));
-                }
+    dense_probe(model, prompts, |_, token| {
+        let (final_tok, earlier) = token.picks.split_last().expect("layers");
+        for (tok, full) in earlier.iter().zip(token.fulls) {
+            let top = f64::from(top_probability(full));
+            if tok == final_tok {
+                settled_sum += top;
+                settled_n += 1;
+            } else {
+                unsettled_sum += top;
+                unsettled_n += 1;
             }
-            let full = model.final_logits(&h, &mut meter);
-            let final_tok = ops::argmax(&full).expect("logits") as TokenId;
-            for (top, tok) in per_layer {
-                if tok == final_tok {
-                    settled_sum += f64::from(top);
-                    settled_n += 1;
-                } else {
-                    unsettled_sum += f64::from(top);
-                    unsettled_n += 1;
-                }
-            }
-            t = final_tok;
         }
-    }
+    });
     let settled = if settled_n > 0 {
         settled_sum / settled_n as f64
     } else {
@@ -440,73 +357,29 @@ impl<M: LayeredLm> CalmEngine<M> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
-        let n_layers = self.model.config().n_layers;
-        let mut meter = Meter::new();
-        self.model.reset();
-
-        let mut tokens = Vec::with_capacity(gen_len);
-        let mut exit_layers = Vec::with_capacity(gen_len);
-        let mut ce_sum = 0.0f64;
-        let mut predictor_calls = 0u64;
-
-        let (mut t, ce) = first_token(&mut self.model, prompt, &mut meter);
-        ce_sum += ce;
-        tokens.push(t);
-        exit_layers.push(n_layers);
-
-        while tokens.len() < gen_len {
-            let pos = self.model.kv_len();
-            let mut h = self.model.begin_token(t, &mut meter);
-            let mut exit: Option<(TokenId, Vec<f32>)> = None;
-            let mut executed = n_layers;
-            for layer in 0..n_layers {
-                h = self.model.forward_layer(layer, &h, pos, &mut meter);
-                if layer + 1 >= n_layers {
-                    break;
-                }
-                // Confidence needs the FULL vocabulary distribution.
-                let full = self.model.final_logits(&h, &mut meter);
-                predictor_calls += 1;
-                let probs = ops::softmax(&full);
-                let top = probs.iter().copied().fold(0.0f32, f32::max);
-                if top >= self.threshold {
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    self.model
-                        .fill_skipped_kv(layer + 1, &h, pos, self.skip_policy, &mut meter);
-                    executed = layer + 1;
-                    exit = Some((tok, full));
-                    break;
-                }
-            }
-            let (next, full) = match exit {
-                Some(x) => x,
-                None => {
-                    let full = self.model.final_logits(&h, &mut meter);
-                    (ops::argmax(&full).expect("logits") as TokenId, full)
-                }
-            };
-            ce_sum += f64::from(ops::nll(&full, next as usize));
-            tokens.push(next);
-            exit_layers.push(executed);
-            meter.mark_token();
-            meter.mark_host_step();
-            t = next;
-        }
-
+        let threshold = self.threshold;
+        let mut rule = FullHeadRule {
+            fires: |_: usize, full: &[f32]| top_probability(full) >= threshold,
+            predictor_calls: 0,
+        };
+        let out = decode(
+            &mut self.model,
+            &mut rule,
+            prompt,
+            gen_len,
+            self.skip_policy,
+        );
         GenOutput {
-            tokens,
-            exit_layers,
-            ce_sum,
-            meter,
-            predictor_calls,
-            verify_calls: 0,
-            rounds: 0,
-            draft_calls: 0,
-            self_draft_calls: 0,
+            predictor_calls: rule.predictor_calls,
+            ..out
         }
     }
+}
+
+/// The top softmax probability of a full-vocabulary logits row: CALM's
+/// confidence.
+fn top_probability(full: &[f32]) -> f32 {
+    ops::softmax(full).iter().copied().fold(0.0f32, f32::max)
 }
 
 #[cfg(test)]

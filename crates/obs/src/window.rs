@@ -1,7 +1,8 @@
 //! Time-bucketed rolling windows over the simulated clock.
 //!
-//! Both windows here are rings of fixed-width time buckets keyed to the
-//! *simulated* clock (the same clock [`crate::Recorder`] stamps), so a
+//! Both windows here sit on one ring of fixed-width time buckets (a
+//! histogram is a counter per value bucket) keyed to the *simulated*
+//! clock (the same clock [`crate::Recorder`] stamps), so a
 //! traced and an untraced run advance them identically. Retirement is
 //! exact: when the clock crosses a bucket boundary the oldest bucket's
 //! integer counts are subtracted from the running aggregate — no decay
@@ -93,8 +94,9 @@ impl RollingCounter {
     }
 }
 
-/// A windowed fixed-bucket histogram: value buckets per time bucket,
-/// with the aggregate maintained by exact retire-on-advance.
+/// A windowed fixed-bucket histogram: one [`RollingCounter`] per value
+/// bucket, all advanced together, so the aggregate is maintained by the
+/// same exact retire-on-advance.
 ///
 /// Value bucketing matches [`crate::Histogram`]: a sample lands in the
 /// first bound it is `<=`, with one overflow bucket past the last bound,
@@ -105,12 +107,8 @@ impl RollingCounter {
 #[derive(Debug, Clone)]
 pub struct RollingHistogram {
     bounds: Vec<f64>,
-    bucket_s: f64,
-    /// `ring[time_bucket][value_bucket]`; the last value bucket is overflow.
-    ring: Vec<Vec<u64>>,
-    agg: Vec<u64>,
-    epoch: i64,
-    count: u64,
+    /// `values[value_bucket]`; the last value bucket is overflow.
+    values: Vec<RollingCounter>,
 }
 
 impl RollingHistogram {
@@ -122,11 +120,7 @@ impl RollingHistogram {
     /// With the same messages as [`RollingCounter::new`] for the window
     /// shape and [`crate::Histogram::new`] for the bounds.
     pub fn new(bounds: &[f64], bucket_s: f64, buckets: usize) -> Self {
-        assert!(
-            bucket_s.is_finite() && bucket_s > 0.0,
-            "window bucket width must be finite and positive"
-        );
-        assert!(buckets > 0, "window needs at least one bucket");
+        let window = RollingCounter::new(bucket_s, buckets);
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -134,41 +128,20 @@ impl RollingHistogram {
         );
         RollingHistogram {
             bounds: bounds.to_vec(),
-            bucket_s,
-            ring: vec![vec![0; bounds.len() + 1]; buckets],
-            agg: vec![0; bounds.len() + 1],
-            epoch: 0,
-            count: 0,
+            values: vec![window; bounds.len() + 1],
         }
     }
 
     /// The window span in simulated seconds.
     pub fn window_s(&self) -> f64 {
-        self.bucket_s * self.ring.len() as f64
-    }
-
-    fn slot(&self, epoch: i64) -> usize {
-        epoch.rem_euclid(self.ring.len() as i64) as usize
+        self.values[0].window_s()
     }
 
     /// Advances the window to simulated time `t`, exactly retiring every
     /// time bucket that fell off the trailing edge. Earlier `t` values
     /// are ignored.
     pub fn advance_to(&mut self, t: f64) {
-        let target = (t / self.bucket_s).floor() as i64;
-        if target <= self.epoch {
-            return;
-        }
-        let steps = (target - self.epoch).min(self.ring.len() as i64);
-        for i in 1..=steps {
-            let slot = self.slot(self.epoch + i);
-            for (value_bucket, n) in self.ring[slot].iter_mut().enumerate() {
-                self.agg[value_bucket] -= *n;
-                self.count -= *n;
-                *n = 0;
-            }
-        }
-        self.epoch = target;
+        self.values.iter_mut().for_each(|v| v.advance_to(t));
     }
 
     /// Records a sample into the current time bucket.
@@ -178,15 +151,12 @@ impl RollingHistogram {
             .iter()
             .position(|b| v <= *b)
             .unwrap_or(self.bounds.len());
-        let slot = self.slot(self.epoch);
-        self.ring[slot][value_bucket] += 1;
-        self.agg[value_bucket] += 1;
-        self.count += 1;
+        self.values[value_bucket].add(1);
     }
 
     /// Samples currently inside the window.
     pub fn count(&self) -> u64 {
-        self.count
+        self.values.iter().map(RollingCounter::total).sum()
     }
 
     /// The `q`-quantile over the window by the shared `nearest_rank`
@@ -198,13 +168,14 @@ impl RollingHistogram {
     /// If `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0.0;
         }
-        let rank = crate::nearest_rank(self.count as usize, q) as u64;
+        let rank = crate::nearest_rank(count as usize, q) as u64;
         let mut cum = 0u64;
-        for (value_bucket, n) in self.agg.iter().enumerate() {
-            cum += n;
+        for (value_bucket, value) in self.values.iter().enumerate() {
+            cum += value.total();
             if cum >= rank {
                 return self
                     .bounds

@@ -203,3 +203,33 @@ fn steps_are_priced_at_one_call_site_and_replay_stays_gone() {
         }
     }
 }
+
+/// There is one greedy loop (`specee_core::engine::decode`): before the
+/// first `#[cfg(test)]` of the core crate and of the bench harness, a
+/// decoder layer is *called* from exactly two places (the token body
+/// `decode` and the offline `dense_probe`), a token is marked in two
+/// (`first_token` and the outer loop `generate_rounds`) and so is a host
+/// step (the outer loop and the one extra `DenseEngine` charges for its
+/// first token). A third site means an engine or a collector has grown a
+/// loop of its own again.
+#[test]
+fn the_greedy_loop_has_one_body() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("crates/bench/src/lib.rs")];
+    rust_files(&root.join("crates/core/src"), &mut files);
+    assert!(files.len() > 15, "the walk found the core crate");
+    let mut code = String::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let non_test = text.split("#[cfg(test)]").next().expect("first piece");
+        code.extend(
+            non_test
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .flat_map(|l| [l, "\n"]),
+        );
+    }
+    for call in [".forward_layer(", ".mark_token(", ".mark_host_step("] {
+        assert_eq!(code.matches(call).count(), 2, "call sites of `{call}`");
+    }
+}
