@@ -354,11 +354,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         self.preempt_enabled = on;
     }
 
-    /// Whether page-pressure preemption is enabled.
-    pub fn preemption_enabled(&self) -> bool {
-        self.preempt_enabled
-    }
-
     /// Attaches (or detaches) a trace recorder. Subsequent steps emit
     /// exit-decision events (per predictor fire, stamped with the
     /// sequence id), controller-apply events (per class, at each step
@@ -470,12 +465,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// point).
     pub fn bank(&self) -> &PredictorBank {
         &self.bank
-    }
-
-    /// The predictor bank sequences of `class` decode with — the default
-    /// bank until the class's first admission clones its own.
-    pub fn class_bank(&self, class: TrafficClass) -> &PredictorBank {
-        self.class_banks.get(class).unwrap_or(&self.bank)
     }
 
     /// The batch cap.
@@ -784,9 +773,9 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// Creates `class`'s predictor bank on first sight: a clone of the
     /// default bank reset to the engine's base thresholds (the default
     /// bank may already carry controller-moved values), then initialized
-    /// by the controller — a pinned base lands here, and an adaptive
-    /// policy (possibly gossip-warmed before any local traffic) applies
-    /// its current operating point. The default class keeps using the
+    /// by the controller — an adaptive policy (possibly gossip-warmed
+    /// before any local traffic) applies its current operating point.
+    /// The default class keeps using the
     /// primary bank, untouched at admission, so un-classed runs are
     /// bit-identical to the pre-class runtime.
     fn ensure_class_bank(&mut self, class: TrafficClass) {
@@ -1600,7 +1589,7 @@ mod tests {
 
     #[test]
     fn per_class_banks_isolate_operating_points() {
-        // Pin one class's static operating point to "exits off" while the
+        // Set one class's static operating point to "exits off" while the
         // other keeps the trained base: co-batched sequences of the two
         // classes must decode under different thresholds in the same
         // engine, and feedback events must carry their class.
@@ -1608,16 +1597,18 @@ mod tests {
         let n = eng.bank().len();
         let base = eng.bank().layer(0).threshold();
         let (off, open) = (TrafficClass::new(1), TrafficClass::new(2));
-        let mut ctl = specee_control::ControllerPolicy::Static.build_classed(n, base);
-        ctl.pin_class_base(off, 1.0); // no sigmoid score exceeds 1.0
-        eng.set_controller(ctl);
+        eng.set_controller(specee_control::ControllerPolicy::Static.build_classed(n, base));
         for (i, class) in [(0u64, off), (1u64, open)] {
             let lm = build_lm(99);
             let draft = build_draft(&lm, 99 ^ i);
             let _ = eng.admit_classed(i, class, lm, draft, &[4 + i as TokenId, 2, 9], 12);
         }
-        assert_eq!(eng.class_bank(off).layer(0).threshold(), 1.0);
-        assert_eq!(eng.class_bank(open).layer(0).threshold(), base);
+        // No sigmoid score exceeds 1.0, and the static policy never
+        // moves a bank.
+        let off_bank = eng.class_banks.get_mut(off).expect("cloned at admission");
+        off_bank.set_threshold(1.0);
+        let open_bank = eng.class_banks.get(open).expect("cloned at admission");
+        assert_eq!(open_bank.layer(0).threshold(), base);
         let mut feedback = Vec::new();
         let mut outputs = Vec::new();
         while eng.occupancy() > 0 {
@@ -1667,10 +1658,11 @@ mod tests {
         let lm = build_lm(95);
         let draft = build_draft(&lm, 95);
         let _ = eng.admit_classed(0, c, lm, draft, &[4, 2, 9], 4);
+        let warmed = eng.class_banks.get(c).expect("cloned at admission");
         assert!(
-            eng.class_bank(c).layer(3).threshold() > 0.5,
+            warmed.layer(3).threshold() > 0.5,
             "gossip-warmed class bank starts tightened: {}",
-            eng.class_bank(c).layer(3).threshold()
+            warmed.layer(3).threshold()
         );
         // The default bank's layer-3 loop was not touched by class-2
         // evidence.
@@ -1962,9 +1954,7 @@ mod tests {
         }
         let step = eng.step();
         assert_eq!(step.emitted, 8);
-        let slots = eng.stack.occupied_slots();
-        assert_eq!(slots.len(), 8);
-        for slot in slots {
+        for slot in 0..8 {
             let seated = eng.stack.model(slot).inner();
             assert!(seated.shares_weights_with(lm.inner()), "slot {slot}");
         }

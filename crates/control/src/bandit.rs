@@ -163,11 +163,6 @@ impl BanditController {
         self.epochs
     }
 
-    /// The arm currently played (index into the grid).
-    pub fn current_arm(&self) -> usize {
-        self.current
-    }
-
     /// The `[0, 1]` reward of a window of `tokens` emitted tokens: the
     /// signed work saving centered at the no-exit baseline — a window
     /// that spends exactly full depth scores 0.5, harvested savings push
@@ -364,7 +359,7 @@ mod tests {
                 ctl.observe(&fb(i % 3 != 0));
                 ctl.note_token(if i % 2 == 0 { 4 } else { 12 }, 12);
             }
-            (ctl.current_arm(), ctl.summary())
+            (ctl.current, ctl.summary())
         };
         assert_eq!(run(), run());
     }
@@ -460,8 +455,7 @@ mod tests {
         // Posterior mean of the 0.2 arm: alpha grew by gossip reward.
         assert!(gossiped.arms[0].alpha > plain.arms[0].alpha);
         assert_eq!(
-            gossiped.current_arm(),
-            plain.current_arm(),
+            gossiped.current, plain.current,
             "absorb alone never switches arms"
         );
         // Rewardless dimensions: empty evidence is a no-op.

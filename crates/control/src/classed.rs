@@ -141,9 +141,6 @@ pub struct ClassedController {
     n_predictors: usize,
     base_threshold: f32,
     worker: usize,
-    /// Per-class base-threshold overrides (e.g. hindsight-oracle pins),
-    /// consulted when the class's instance is first created.
-    pinned: ClassMap<f32>,
     classes: ClassMap<ClassState>,
     /// Last SLO pressure received; replayed onto lazily created class
     /// instances so a class admitted mid-burn starts bent, not neutral.
@@ -171,7 +168,6 @@ impl ClassedController {
             n_predictors,
             base_threshold,
             worker,
-            pinned: ClassMap::new(),
             classes: ClassMap::new(),
             slo_pressure: 0.0,
         }
@@ -187,17 +183,9 @@ impl ClassedController {
         self.policy.name()
     }
 
-    /// The base threshold classes start from (unless pinned).
+    /// The base threshold classes start from.
     pub fn base_threshold(&self) -> f32 {
         self.base_threshold
-    }
-
-    /// Pins `class`'s starting operating point to `base` instead of the
-    /// shared base threshold. Takes effect when the class's instance is
-    /// created, so pin before the class sees traffic (pinning an
-    /// already-live class only affects a hypothetical rebuild).
-    pub fn pin_class_base(&mut self, class: TrafficClass, base: f32) {
-        *self.pinned.get_or_insert_with(class, || base) = base;
     }
 
     /// The classes that have state so far, ascending.
@@ -205,17 +193,10 @@ impl ClassedController {
         self.classes.classes()
     }
 
-    fn class_base(&self, class: TrafficClass) -> f32 {
-        self.pinned
-            .get(class)
-            .copied()
-            .unwrap_or(self.base_threshold)
-    }
-
     /// Lazily creates and returns the state for `class`.
     fn ensure(&mut self, class: TrafficClass) -> &mut ClassState {
         let (policy, n_predictors, worker) = (&self.policy, self.n_predictors, self.worker);
-        let base = self.class_base(class);
+        let base = self.base_threshold;
         let pressure = self.slo_pressure;
         self.classes.get_or_insert_with(class, || {
             let mut controller = policy.build_for_worker_class(n_predictors, base, worker, class);
@@ -284,7 +265,7 @@ impl ClassedController {
     pub fn threshold(&self, class: TrafficClass, layer: usize) -> f32 {
         match self.classes.get(class) {
             Some(state) => state.controller.threshold(layer),
-            None => self.class_base(class),
+            None => self.base_threshold,
         }
     }
 
@@ -298,14 +279,9 @@ impl ClassedController {
     }
 
     /// Initializes a freshly cloned per-class `bank`: creates the
-    /// class's instance, applies a pinned base threshold if one was set,
-    /// then lets the instance apply its operating point. For the static
-    /// policy (no-op apply) the pin alone takes effect, which is how
-    /// hindsight-oracle per-class static operating points are expressed.
+    /// class's instance, then lets it apply its operating point (a no-op
+    /// for the static policy).
     pub fn init_class_bank(&mut self, class: TrafficClass, bank: &mut PredictorBank) {
-        if let Some(&pin) = self.pinned.get(class) {
-            bank.set_threshold(pin);
-        }
         self.ensure(class);
         self.apply(class, bank);
     }
@@ -526,26 +502,18 @@ mod tests {
     }
 
     #[test]
-    fn pinned_base_takes_effect_at_class_creation() {
+    fn static_init_leaves_a_class_bank_untouched() {
         let mut ctl = ControllerPolicy::Static.build_classed(4, 0.5);
-        let c = TrafficClass::new(1);
-        ctl.pin_class_base(c, 0.8);
-        assert_eq!(ctl.threshold(c, 0), 0.8, "pin visible before creation");
         let mut bank = PredictorBank::new(
             5,
             &specee_core::predictor::PredictorConfig::default(),
             &mut specee_tensor::rng::Pcg::seed(3),
         );
-        ctl.init_class_bank(c, &mut bank);
-        assert_eq!(
-            bank.layer(0).threshold(),
-            0.8,
-            "pinned static operating point"
-        );
-        // The unpinned default class leaves a bank untouched under static.
-        let before = bank.layer(1).threshold();
-        ctl.init_class_bank(TrafficClass::DEFAULT, &mut bank);
-        assert_eq!(bank.layer(1).threshold(), before);
+        bank.set_threshold(0.8);
+        for class in [TrafficClass::new(1), TrafficClass::DEFAULT] {
+            ctl.init_class_bank(class, &mut bank);
+            assert_eq!(bank.layer(1).threshold(), 0.8);
+        }
     }
 
     #[test]

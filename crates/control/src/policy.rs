@@ -12,7 +12,7 @@ use crate::slo_adaptive::{SloAdaptive, SloAdaptiveConfig};
 /// (e.g. `ClusterConfig`) and what `--controller <policy>` parses into.
 ///
 /// Each worker/engine builds its *own* controller from the policy
-/// ([`ControllerPolicy::build`] / [`ControllerPolicy::build_for_worker`])
+/// ([`ControllerPolicy::build`] / [`ControllerPolicy::build_for_worker_class`])
 /// so controller state is never shared across threads — determinism
 /// comes from each instance consuming its own engine's feedback stream
 /// in program order.
@@ -115,24 +115,12 @@ impl ControllerPolicy {
         }
     }
 
-    /// [`ControllerPolicy::build`] with a per-worker seed derivation, so
-    /// the workers of a cluster run decorrelated (but each individually
-    /// deterministic) exploration streams.
-    pub fn build_for_worker(
-        &self,
-        n_predictors: usize,
-        base_threshold: f32,
-        worker: usize,
-    ) -> Box<dyn Controller> {
-        self.build_for_worker_class(n_predictors, base_threshold, worker, TrafficClass::DEFAULT)
-    }
-
-    /// [`ControllerPolicy::build_for_worker`] additionally decorrelated
-    /// per traffic class: the bandit instance serving `(worker, class)`
+    /// [`ControllerPolicy::build`] with a seed derived per worker and per
+    /// traffic class: the bandit instance serving `(worker, class)`
     /// draws its own exploration stream — reproducible for the pair,
-    /// distinct across workers *and* across the classes of one worker.
-    /// The default class reproduces [`ControllerPolicy::build_for_worker`]
-    /// exactly, and `(worker 0, default class)` reproduces
+    /// distinct across workers *and* across the classes of one worker,
+    /// so a cluster's workers explore decorrelated but each
+    /// deterministically. `(worker 0, default class)` reproduces
     /// [`ControllerPolicy::build`] — a solo engine and a one-worker
     /// cluster draw the same exploration stream.
     pub fn build_for_worker_class(
@@ -224,8 +212,8 @@ mod tests {
     #[test]
     fn worker_seeds_diverge_for_bandit_only() {
         let bandit = ControllerPolicy::bandit();
-        let mut a = bandit.build_for_worker(8, 0.5, 0);
-        let mut b = bandit.build_for_worker(8, 0.5, 1);
+        let mut a = bandit.build_for_worker_class(8, 0.5, 0, TrafficClass::DEFAULT);
+        let mut b = bandit.build_for_worker_class(8, 0.5, 1, TrafficClass::DEFAULT);
         // Same start...
         assert_eq!(a.threshold(0), b.threshold(0));
         // ...but genuinely different exploration streams once epochs
@@ -240,7 +228,11 @@ mod tests {
         }
         assert!(diverged, "worker seeds must decorrelate bandit arms");
         let pid = ControllerPolicy::pid();
-        assert_eq!(pid.build_for_worker(8, 0.5, 3).threshold(2), 0.5);
+        assert_eq!(
+            pid.build_for_worker_class(8, 0.5, 3, TrafficClass::DEFAULT)
+                .threshold(2),
+            0.5
+        );
     }
 
     /// Drives a controller through a fixed mid-reward feedback script and
@@ -259,25 +251,29 @@ mod tests {
     fn same_worker_id_is_reproducible() {
         let bandit = ControllerPolicy::bandit();
         for worker in [0usize, 3] {
-            let a = trajectory(&mut bandit.build_for_worker(8, 0.5, worker));
-            let b = trajectory(&mut bandit.build_for_worker(8, 0.5, worker));
+            let a = trajectory(&mut bandit.build_for_worker_class(
+                8,
+                0.5,
+                worker,
+                TrafficClass::DEFAULT,
+            ));
+            let b = trajectory(&mut bandit.build_for_worker_class(
+                8,
+                0.5,
+                worker,
+                TrafficClass::DEFAULT,
+            ));
             assert_eq!(a, b, "worker {worker} must reproduce its own stream");
         }
     }
 
     #[test]
     fn classes_of_one_worker_decorrelate_and_reproduce() {
-        use specee_core::TrafficClass;
         let bandit = ControllerPolicy::bandit();
         let run =
             |class: TrafficClass| trajectory(&mut bandit.build_for_worker_class(8, 0.5, 2, class));
         // Reproducible per (worker, class)...
         assert_eq!(run(TrafficClass::new(1)), run(TrafficClass::new(1)));
-        // ...default class identical to the class-less worker build...
-        assert_eq!(
-            run(TrafficClass::DEFAULT),
-            trajectory(&mut bandit.build_for_worker(8, 0.5, 2))
-        );
         // ...and distinct classes explore distinctly.
         assert_ne!(
             run(TrafficClass::new(1)),
@@ -288,7 +284,7 @@ mod tests {
         // both reduce to one multiply-add of k without the class offset.
         assert_ne!(
             trajectory(&mut bandit.build_for_worker_class(8, 0.5, 0, TrafficClass::new(3))),
-            trajectory(&mut bandit.build_for_worker(8, 0.5, 3)),
+            trajectory(&mut bandit.build_for_worker_class(8, 0.5, 3, TrafficClass::DEFAULT)),
             "class and worker mixes must not collide"
         );
     }

@@ -177,11 +177,6 @@ impl<M: LayeredLm> RaeeEngine<M> {
         &self.model
     }
 
-    /// Number of database buckets.
-    pub fn db_len(&self) -> usize {
-        self.db.len()
-    }
-
     /// Generates with retrieval-scheduled exits.
     ///
     /// # Panics
@@ -271,7 +266,7 @@ mod tests {
             .map(|i| (vec![i % 8, (i + 1) % 8], 5usize))
             .collect();
         let mut engine = RaeeEngine::build(build_lm(63), &observations);
-        assert!(engine.db_len() > 0);
+        assert!(!engine.db.is_empty());
         let out = engine.generate(&[1, 2, 3], 10);
         assert_eq!(out.tokens.len(), 10);
         // most tokens exit at the retrieved depth (5) or full depth default

@@ -59,11 +59,6 @@ impl<M: LayeredLm> DenseEngine<M> {
         out.meter.mark_host_step();
         out
     }
-
-    /// Consumes the engine, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! [`ExitScan`] bundles the layer-by-layer decision dataflow of Fig. 3 —
 //! consult the predictor schedule, extract candidate-slice features, score
 //! them, and verify a positive prediction against the full LM head —
-//! behind one `check` call per layer. `SpecEeEngine` drives one scan per
+//! behind one `check_with_sink` call per layer. `SpecEeEngine` drives one scan per
 //! token; the lock-step runtime in `specee-batch` drives one scan per
 //! (slot, token), so a batched sequence takes exactly the exits its
 //! single-stream run would (parity by construction, not by test alone).
@@ -17,7 +17,7 @@
 
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId};
-use specee_obs::{EventKind, NullSink, TraceSink};
+use specee_obs::{EventKind, TraceSink};
 
 use crate::features::FeatureTracker;
 use crate::predictor::PredictorBank;
@@ -55,7 +55,7 @@ pub struct ExitFeedback {
 /// Layer-by-layer early-exit decisions for one token's forward pass.
 ///
 /// Call [`ExitScan::begin_token`] at each token boundary, then
-/// [`ExitScan::check`] after every executed layer until it returns a
+/// [`ExitScan::check_with_sink`] after every executed layer until it returns a
 /// verified exit (or the stack runs out of layers). Every predictor fire
 /// additionally records an [`ExitFeedback`] event; runtimes that adapt
 /// thresholds online drain them with [`ExitScan::take_feedback`].
@@ -105,38 +105,14 @@ impl ExitScan {
     /// slot, empty candidate set, negative prediction, or failed
     /// verification — the failed verification's LM-head cost is recorded
     /// in `meter` and counted in [`ExitScan::verify_calls`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn check<M: LayeredLm + ?Sized>(
-        &mut self,
-        model: &mut M,
-        bank: &PredictorBank,
-        schedule: &ScheduleEngine,
-        h: &[f32],
-        candidates: &[TokenId],
-        layer: usize,
-        meter: &mut Meter,
-    ) -> Option<(TokenId, Vec<f32>)> {
-        self.check_with_sink(
-            model,
-            bank,
-            schedule,
-            h,
-            candidates,
-            layer,
-            meter,
-            &mut NullSink,
-        )
-    }
-
-    /// [`ExitScan::check`] with a [`TraceSink`] attached: every predictor
-    /// fire additionally emits an [`EventKind::ExitDecision`] (same
+    ///
+    /// Every predictor fire additionally emits an
+    /// [`EventKind::ExitDecision`] to `sink` (same
     /// layer/score/threshold/accepted payload as the [`ExitFeedback`]
     /// event, stamped with the sink's ambient clock and sequence id).
-    ///
     /// The sink is write-only, so a traced scan decides exactly what the
-    /// untraced scan decides; with [`NullSink`] the extra parameter
-    /// monomorphizes away entirely — which is why `check` simply
-    /// delegates here.
+    /// untraced scan decides; with [`specee_obs::NullSink`] the parameter
+    /// monomorphizes away entirely.
     #[allow(clippy::too_many_arguments)]
     pub fn check_with_sink<M: LayeredLm + ?Sized, S: TraceSink>(
         &mut self,
@@ -216,6 +192,7 @@ mod tests {
     use super::*;
     use crate::predictor::PredictorConfig;
     use specee_model::{prefill, ModelConfig, Transformer};
+    use specee_obs::NullSink;
     use specee_tensor::rng::Pcg;
 
     fn parts() -> (Transformer, PredictorBank, Meter) {
@@ -239,7 +216,7 @@ mod tests {
         let h = prefill(&mut model, &[1, 2], &mut meter);
         let mut scan = ExitScan::new();
         scan.begin_token();
-        let out = scan.check(
+        let out = scan.check_with_sink(
             &mut model,
             &bank,
             &schedule,
@@ -247,6 +224,7 @@ mod tests {
             &[1, 2, 3, 4],
             3,
             &mut meter,
+            &mut NullSink,
         );
         assert!(out.is_none());
         assert_eq!(scan.predictor_calls(), 0);
@@ -262,18 +240,19 @@ mod tests {
         let mut scan = ExitScan::new();
         scan.begin_token();
         assert!(scan
-            .check(
+            .check_with_sink(
                 &mut model,
                 &bank,
                 &schedule,
                 &h,
                 &[1, 2, 3, 4],
                 0,
-                &mut meter
+                &mut meter,
+                &mut NullSink
             )
             .is_none());
         assert_eq!(scan.predictor_calls(), 0);
-        let _ = scan.check(
+        let _ = scan.check_with_sink(
             &mut model,
             &bank,
             &schedule,
@@ -281,6 +260,7 @@ mod tests {
             &[1, 2, 3, 4],
             2,
             &mut meter,
+            &mut NullSink,
         );
         assert_eq!(scan.predictor_calls(), 1);
     }
@@ -296,7 +276,16 @@ mod tests {
         let before = meter.clone();
         let mut scan = ExitScan::new();
         scan.begin_token();
-        let out = scan.check(&mut model, &bank, &schedule, &h, &[], 0, &mut meter);
+        let out = scan.check_with_sink(
+            &mut model,
+            &bank,
+            &schedule,
+            &h,
+            &[],
+            0,
+            &mut meter,
+            &mut NullSink,
+        );
         assert!(out.is_none());
         assert_eq!((scan.predictor_calls(), scan.verify_calls()), (0, 0));
         assert!(scan.feedback().is_empty());
@@ -316,7 +305,16 @@ mod tests {
         scan.begin_token();
         // Candidate set containing the global argmax: exit verifies.
         let cands = [global, global ^ 1, global ^ 2, global ^ 3];
-        let out = scan.check(&mut model, &bank, &schedule, &h, &cands, 0, &mut meter);
+        let out = scan.check_with_sink(
+            &mut model,
+            &bank,
+            &schedule,
+            &h,
+            &cands,
+            0,
+            &mut meter,
+            &mut NullSink,
+        );
         assert_eq!(out.map(|(t, _)| t), Some(global));
         assert_eq!(scan.verify_calls(), 1);
     }
@@ -340,10 +338,28 @@ mod tests {
         // Layer 0 fires and rejects (candidates miss the argmax), layer 1
         // fires and accepts.
         assert!(scan
-            .check(&mut model, &bank, &schedule, &h, &wrong, 0, &mut meter)
+            .check_with_sink(
+                &mut model,
+                &bank,
+                &schedule,
+                &h,
+                &wrong,
+                0,
+                &mut meter,
+                &mut NullSink
+            )
             .is_none());
         assert!(scan
-            .check(&mut model, &bank, &schedule, &h, &good, 1, &mut meter)
+            .check_with_sink(
+                &mut model,
+                &bank,
+                &schedule,
+                &h,
+                &good,
+                1,
+                &mut meter,
+                &mut NullSink
+            )
             .is_some());
 
         let fb = scan.feedback().to_vec();
@@ -375,7 +391,7 @@ mod tests {
         let mut scan = ExitScan::new();
         for _ in 0..3 {
             scan.begin_token();
-            let _ = scan.check(
+            let _ = scan.check_with_sink(
                 &mut model,
                 &bank,
                 &schedule,
@@ -383,6 +399,7 @@ mod tests {
                 &[1, 2, 3, 4],
                 0,
                 &mut meter,
+                &mut NullSink,
             );
             assert!(scan.feedback().len() <= 1, "buffer bounded per token");
         }
@@ -399,7 +416,7 @@ mod tests {
         assert!(scan.class().is_default());
         scan.set_class(TrafficClass::new(3));
         scan.begin_token();
-        let _ = scan.check(
+        let _ = scan.check_with_sink(
             &mut model,
             &bank,
             &schedule,
@@ -407,6 +424,7 @@ mod tests {
             &[1, 2, 3, 4],
             0,
             &mut meter,
+            &mut NullSink,
         );
         assert_eq!(scan.feedback().len(), 1);
         assert_eq!(scan.feedback()[0].class, TrafficClass::new(3));
@@ -463,7 +481,7 @@ mod tests {
         scan2.set_class(TrafficClass::new(2));
         scan2.begin_token();
         let h2 = prefill(&mut model2, &[3], &mut Meter::new());
-        let untraced = scan2.check(
+        let untraced = scan2.check_with_sink(
             &mut model2,
             &bank,
             &schedule,
@@ -471,6 +489,7 @@ mod tests {
             &[1, 2, 3, 4],
             0,
             &mut Meter::new(),
+            &mut NullSink,
         );
         assert_eq!(traced.map(|(t, _)| t), untraced.map(|(t, _)| t));
     }
@@ -484,14 +503,15 @@ mod tests {
         let mut scan = ExitScan::new();
         scan.begin_token();
         assert!(scan
-            .check(
+            .check_with_sink(
                 &mut model,
                 &bank,
                 &schedule,
                 &h,
                 &[1, 2, 3, 4],
                 0,
-                &mut meter
+                &mut meter,
+                &mut NullSink
             )
             .is_none());
         assert_eq!(scan.predictor_calls(), 1);
@@ -511,7 +531,16 @@ mod tests {
         let wrong: Vec<TokenId> = (0..8).filter(|&t| t != global).take(4).collect();
         let mut scan = ExitScan::new();
         scan.begin_token();
-        let out = scan.check(&mut model, &bank, &schedule, &h, &wrong, 0, &mut meter);
+        let out = scan.check_with_sink(
+            &mut model,
+            &bank,
+            &schedule,
+            &h,
+            &wrong,
+            0,
+            &mut meter,
+            &mut NullSink,
+        );
         assert!(out.is_none());
         assert_eq!(scan.verify_calls(), 1);
         assert_eq!(scan.predictor_calls(), 1);

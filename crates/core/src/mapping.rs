@@ -116,25 +116,6 @@ impl TreeExitState {
     pub fn any_path_ready(&self) -> bool {
         (0..self.hypers.len()).any(|h| self.hyper_exit_layer(h).is_some())
     }
-
-    /// Indices of the hyper-tokens whose every node has fired.
-    pub fn ready_paths(&self) -> Vec<usize> {
-        (0..self.hypers.len())
-            .filter(|&h| self.hyper_exit_layer(h).is_some())
-            .collect()
-    }
-
-    /// Mapping complexity of the merged scheme: one decision per
-    /// hyper-token (linear), vs the product of per-node decision spaces
-    /// for the unmerged mapping (exponential). Returned as
-    /// `(merged, unmerged)` counts of predictor search spaces.
-    pub fn mapping_complexity(&self, candidates_per_node: usize) -> (u128, u128) {
-        let merged = self.hypers.len() as u128;
-        let unmerged = (candidates_per_node.max(1) as u128)
-            .checked_pow(self.fired_at.len() as u32)
-            .unwrap_or(u128::MAX);
-        (merged, unmerged)
-    }
 }
 
 #[cfg(test)]
@@ -185,15 +166,6 @@ mod tests {
         st.note_fired(0, 1);
         st.note_fired(3, 2);
         assert_eq!(st.pending(), vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn merged_complexity_is_linear() {
-        let st = TreeExitState::new(&parents());
-        let (merged, unmerged) = st.mapping_complexity(4);
-        assert_eq!(merged, 2);
-        assert_eq!(unmerged, 4u128.pow(5));
-        assert!(merged < unmerged);
     }
 
     #[test]

@@ -96,17 +96,9 @@ impl ExitPredictor {
     }
 
     /// Whether a score fires at the configured threshold — the single
-    /// definition of the fire decision; [`ExitPredictor::should_exit`]
-    /// and the exit scan both route through it, so the "one feedback
-    /// event per fire" invariant cannot silently diverge.
+    /// definition of the fire decision.
     pub fn fires(&self, score: f32) -> bool {
         score > self.threshold
-    }
-
-    /// Hard exit decision at the configured threshold.
-    pub fn should_exit(&self, features: &ExitFeatures, meter: &mut Meter) -> bool {
-        let score = self.score(features, meter);
-        self.fires(score)
     }
 
     /// Scores a batch of feature vectors as one batched kernel (how the

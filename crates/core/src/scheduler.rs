@@ -50,11 +50,6 @@ impl OfflineScheduler {
     pub fn is_kept(&self, layer: usize) -> bool {
         self.keep.get(layer).copied().unwrap_or(false)
     }
-
-    /// Number of kept layers.
-    pub fn kept_count(&self) -> usize {
-        self.keep.iter().filter(|&&k| k).count()
-    }
 }
 
 /// Online predictor activation from recent exit positions.
@@ -216,7 +211,7 @@ mod tests {
         assert!(off.is_kept(3));
         assert!(off.is_kept(1));
         assert!(!off.is_kept(0));
-        assert_eq!(off.kept_count(), 2);
+        assert_eq!(off.keep.iter().filter(|&&k| k).count(), 2);
     }
 
     #[test]

@@ -173,11 +173,6 @@ impl TokenTree {
         paths
     }
 
-    /// The token sequence along a node-index path.
-    pub fn path_tokens(&self, path: &[usize]) -> Vec<TokenId> {
-        path.iter().map(|&i| self.nodes[i].token).collect()
-    }
-
     /// Children of node `i` (or roots when `i` is `None`).
     pub fn children(&self, i: Option<usize>) -> Vec<usize> {
         self.nodes
@@ -295,12 +290,6 @@ mod tests {
         assert!(paths.contains(&vec![0, 2]));
         assert!(paths.contains(&vec![0, 3]));
         assert!(paths.contains(&vec![1, 4]));
-    }
-
-    #[test]
-    fn path_tokens_follow_path() {
-        let t = sample_tree();
-        assert_eq!(t.path_tokens(&[1, 4]), vec![2, 5]);
     }
 
     #[test]

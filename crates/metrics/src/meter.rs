@@ -140,14 +140,6 @@ impl Meter {
         self.totals[kind as usize].add(flops, bytes, kernels);
     }
 
-    /// Convenience recorder for a dense mat-vec: `rows × cols` weights at
-    /// `weight_bytes` payload, reading the input and writing the output.
-    pub fn record_matvec(&mut self, kind: OpKind, rows: usize, cols: usize, weight_bytes: usize) {
-        let flops = 2.0 * rows as f64 * cols as f64;
-        let io = (rows + cols) as f64 * 2.0; // activations at f16 on device
-        self.record(kind, flops, weight_bytes as f64 + io, 1);
-    }
-
     /// Marks the completion of one generated token.
     pub fn mark_token(&mut self) {
         self.tokens += 1;
@@ -227,15 +219,6 @@ mod tests {
         assert_eq!(t.flops, 15.0);
         assert_eq!(t.bytes, 25.0);
         assert_eq!(t.kernels, 3);
-    }
-
-    #[test]
-    fn record_matvec_flops() {
-        let mut m = Meter::new();
-        m.record_matvec(OpKind::Attention, 4, 8, 64);
-        let t = m.kind(OpKind::Attention);
-        assert_eq!(t.flops, 64.0);
-        assert!(t.bytes >= 64.0);
     }
 
     #[test]

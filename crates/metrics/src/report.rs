@@ -82,11 +82,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with the given precision (bench-output convenience).
-pub fn fmt_f(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
-}
-
 /// Formats a ratio as `N.NNx`.
 pub fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
@@ -123,7 +118,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
         assert_eq!(fmt_x(2.251), "2.25x");
         assert_eq!(fmt_pct(0.9312), "93.1%");
     }

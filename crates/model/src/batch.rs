@@ -630,18 +630,6 @@ impl<M: LayeredLm> BatchedStack<M> {
         self.slots.iter().position(|s| s.is_none())
     }
 
-    /// Whether `slot` currently holds a sequence.
-    pub fn is_occupied(&self, slot: usize) -> bool {
-        self.slots.get(slot).is_some_and(|s| s.is_some())
-    }
-
-    /// Indices of every occupied slot, ascending.
-    pub fn occupied_slots(&self) -> Vec<usize> {
-        (0..self.slots.len())
-            .filter(|&i| self.is_occupied(i))
-            .collect()
-    }
-
     /// Caps the page pool at `capacity` physical pages (`None` uncaps).
     /// See [`SlotPool::set_capacity`].
     pub fn set_page_capacity(&mut self, capacity: Option<usize>) {
@@ -770,21 +758,12 @@ impl<M: LayeredLm> BatchedStack<M> {
         total - matched
     }
 
-    /// Fresh physical pages the next decode step could allocate: every
-    /// resident sequence growing by one committed token (boundary
-    /// crossings plus pending copy-on-write copies). The batched engine
-    /// preempts until this fits [`SlotPool::available_pages`].
-    pub fn next_step_page_demand(&self) -> usize {
-        let extra = vec![1; self.slots.len()];
-        self.next_step_page_demand_for(&extra)
-    }
-
-    /// Like [`BatchedStack::next_step_page_demand`], but with a
-    /// per-slot growth bound: `extra[slot]` is the worst-case number of
-    /// tokens the slot could commit this step. Self-draft steps commit
-    /// up to `1 + tree depth` tokens per sequence per step, so the
-    /// batched engine gates preemption on this bound instead of the
-    /// one-token default.
+    /// Fresh physical pages the next decode step could allocate
+    /// (boundary crossings plus pending copy-on-write copies) when
+    /// resident `slot` grows by at most `extra[slot]` committed tokens:
+    /// one for a plain step, up to `1 + tree depth` for a self-draft
+    /// step. The batched engine preempts until this fits
+    /// [`SlotPool::available_pages`].
     ///
     /// # Panics
     ///
@@ -1202,7 +1181,7 @@ mod tests {
         // Next-step demand counts every resident growing one token: the
         // owner crossing into a fresh page plus the sharer's pending
         // copy-on-write copy.
-        assert_eq!(stack.next_step_page_demand(), 2);
+        assert_eq!(stack.next_step_page_demand_for(&[1, 1]), 2);
         let pos = stack.model(sb).kv_len();
         let mut h = stack.model_mut(sb).begin_token(9, &mut meter);
         for layer in 0..4 {
@@ -1399,7 +1378,7 @@ mod tests {
         let sa = stack.admit(a);
         // One token fits the current page; a 4-token tree commit crosses
         // into a second page.
-        assert_eq!(stack.next_step_page_demand(), 0);
+        assert_eq!(stack.next_step_page_demand_for(&[1, 1]), 0);
         let mut extra = vec![0, 0];
         extra[sa] = 4;
         assert_eq!(stack.next_step_page_demand_for(&extra), 1);

@@ -117,6 +117,7 @@ pub fn quantize_awq(model: &mut Transformer, bits: QuantBits, tap: &ActivationTa
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::linear::LinearOp;
     use specee_tensor::rng::Pcg;
 
     fn model() -> Transformer {
@@ -185,9 +186,14 @@ mod tests {
             .sum::<f32>()
             / ld.len() as f32;
         assert!(mse < 1e-2, "int8 AWQ logits far from dense: mse {mse}");
-        assert!(awq.weights().layers[0].wq.is_quantized());
-        assert!(awq.weights().layers[0].wo.is_quantized());
-        assert!(awq.weights().lm_head.is_quantized());
+        let quantized = awq.weights();
+        for op in [
+            &quantized.layers[0].wq,
+            &quantized.layers[0].wo,
+            &quantized.lm_head,
+        ] {
+            assert!(!matches!(op, LinearOp::Dense(_)));
+        }
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl LinearOp {
             LinearOp::Awq(a) => a.bytes(),
         }
     }
-
-    /// Whether the operator is quantized (either scheme).
-    pub fn is_quantized(&self) -> bool {
-        !matches!(self, LinearOp::Dense(_))
-    }
 }
 
 impl From<Matrix> for LinearOp {
@@ -178,8 +173,8 @@ mod tests {
         let d = LinearOp::from(m.clone());
         let q = LinearOp::quantized(&m, QuantBits::Int4);
         assert!(q.bytes() < d.bytes() / 3);
-        assert!(q.is_quantized());
-        assert!(!d.is_quantized());
+        assert!(matches!(q, LinearOp::Quant(_)));
+        assert!(matches!(d, LinearOp::Dense(_)));
     }
 
     #[test]

@@ -206,16 +206,6 @@ impl OpScale {
         meter.record(OpKind::SkipKvFill, flops, bytes, 2);
     }
 
-    /// Records a softmax/sampling step over the vocabulary.
-    pub fn record_sampling(&self, meter: &mut Meter) {
-        meter.record(
-            OpKind::Sampling,
-            3.0 * self.vocab,
-            self.vocab * ACT_BYTES,
-            1,
-        );
-    }
-
     /// Records one draft-model forward: one decoder layer plus its LM head
     /// (the EAGLE draft head is ≈ one target-model layer, §3.2/§7.4.2).
     pub fn record_draft_forward(&self, meter: &mut Meter, kv_len: usize) {

@@ -59,33 +59,6 @@ fn rotate(x: &mut [f32], table: &[(f32, f32)], n_heads: usize) {
     }
 }
 
-/// Applies rotary position embedding in place to a per-head vector layout:
-/// `x` is `[n_heads × head_dim]`, rotated pairwise within each head.
-///
-/// # Panics
-///
-/// Panics if `x.len()` is not `n_heads * head_dim` or `head_dim` is odd.
-pub fn apply_rope(x: &mut [f32], pos: usize, n_heads: usize, head_dim: usize, theta: f32) {
-    RopeFreqs::new(head_dim, theta).rotate(x, pos, n_heads);
-}
-
-/// [`apply_rope`] on a query and its key at the same position, sharing one
-/// `(sin, cos)` table between them.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`apply_rope`], for either vector.
-pub fn apply_rope_qk(
-    q: &mut [f32],
-    k: &mut [f32],
-    pos: usize,
-    n_heads: usize,
-    head_dim: usize,
-    theta: f32,
-) {
-    RopeFreqs::new(head_dim, theta).rotate_qk(q, k, pos, n_heads);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +68,7 @@ mod tests {
     fn position_zero_is_identity() {
         let mut x = vec![0.5, -0.25, 1.0, 2.0];
         let orig = x.clone();
-        apply_rope(&mut x, 0, 1, 4, 10000.0);
+        RopeFreqs::new(4, 10000.0).rotate(&mut x, 0, 1);
         for (a, b) in x.iter().zip(orig.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -105,7 +78,7 @@ mod tests {
     fn rotation_preserves_norm() {
         let mut x = vec![0.3, -0.7, 0.2, 0.9, 1.1, -0.4, 0.0, 0.5];
         let before = l2_norm(&x);
-        apply_rope(&mut x, 17, 2, 4, 10000.0);
+        RopeFreqs::new(4, 10000.0).rotate(&mut x, 17, 2);
         assert!((l2_norm(&x) - before).abs() < 1e-5);
     }
 
@@ -117,8 +90,8 @@ mod tests {
         let dot_at = |pq: usize, pk: usize| {
             let mut q = base_q.clone();
             let mut k = base_k.clone();
-            apply_rope(&mut q, pq, 1, 2, 10000.0);
-            apply_rope(&mut k, pk, 1, 2, 10000.0);
+            RopeFreqs::new(2, 10000.0).rotate(&mut q, pq, 1);
+            RopeFreqs::new(2, 10000.0).rotate(&mut k, pk, 1);
             q[0] * k[0] + q[1] * k[1]
         };
         assert!((dot_at(5, 3) - dot_at(9, 7)).abs() < 1e-5);
@@ -156,19 +129,12 @@ mod tests {
             per_head_reference(&mut want_k, pos, n_heads, head_dim, 10000.0);
 
             let mut single = k.clone();
-            apply_rope(&mut single, pos, n_heads, head_dim, 10000.0);
-            let (mut hoisted_q, mut hoisted_k) = (q.clone(), k.clone());
-            freqs.rotate_qk(&mut hoisted_q, &mut hoisted_k, pos, n_heads);
-            let mut hoisted_single = k.clone();
-            freqs.rotate(&mut hoisted_single, pos, n_heads);
-            apply_rope_qk(&mut q, &mut k, pos, n_heads, head_dim, 10000.0);
+            freqs.rotate(&mut single, pos, n_heads);
+            freqs.rotate_qk(&mut q, &mut k, pos, n_heads);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&q), bits(&want_q), "q at pos {pos}");
             assert_eq!(bits(&k), bits(&want_k), "k at pos {pos}");
-            assert_eq!(bits(&single), bits(&want_k), "apply_rope at pos {pos}");
-            assert_eq!(bits(&hoisted_q), bits(&want_q), "hoisted q at pos {pos}");
-            assert_eq!(bits(&hoisted_k), bits(&want_k), "hoisted k at pos {pos}");
-            assert_eq!(bits(&hoisted_single), bits(&want_k), "hoisted at pos {pos}");
+            assert_eq!(bits(&single), bits(&want_k), "rotate at pos {pos}");
         }
     }
 
@@ -176,6 +142,6 @@ mod tests {
     #[should_panic(expected = "rope shape")]
     fn validates_shape() {
         let mut x = vec![0.0; 6];
-        apply_rope(&mut x, 0, 2, 4, 10000.0);
+        RopeFreqs::new(4, 10000.0).rotate(&mut x, 0, 2);
     }
 }

@@ -867,7 +867,7 @@ mod tests {
 
         clone.quantize(QuantBits::Int8);
         assert!(!clone.shares_weights_with(&original));
-        assert!(clone.weights().layers[0].wq.is_quantized());
+        assert!(matches!(clone.weights().layers[0].wq, LinearOp::Quant(_)));
         assert_eq!(original.weights(), &dense, "the original stays dense");
 
         let mut sparse = original.clone();

@@ -179,6 +179,6 @@ mod tests {
         let dense_bytes = w.bytes();
         w.quantize(QuantBits::Int4);
         assert!(w.bytes() < dense_bytes / 2);
-        assert!(w.layers[0].wq.is_quantized());
+        assert!(matches!(w.layers[0].wq, LinearOp::Quant(_)));
     }
 }

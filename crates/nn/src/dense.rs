@@ -45,11 +45,6 @@ impl Dense {
         &self.w
     }
 
-    /// Borrows the bias vector.
-    pub fn bias(&self) -> &[f32] {
-        &self.b
-    }
-
     /// Forward pass for one sample.
     ///
     /// # Panics

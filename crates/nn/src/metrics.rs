@@ -49,47 +49,6 @@ impl BinaryMetrics {
             (self.tp + self.tn) as f64 / total as f64
         }
     }
-
-    /// Precision of the positive class (0 when nothing predicted positive).
-    pub fn precision(&self) -> f64 {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// Recall of the positive class (0 when no positives exist).
-    pub fn recall(&self) -> f64 {
-        let denom = self.tp + self.fn_;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let (p, r) = (self.precision(), self.recall());
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// False-positive rate (the dangerous direction for early exit: exiting
-    /// when the token has not stabilized).
-    pub fn false_positive_rate(&self) -> f64 {
-        let denom = self.fp + self.tn;
-        if denom == 0 {
-            0.0
-        } else {
-            self.fp as f64 / denom as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -100,16 +59,12 @@ mod tests {
     fn perfect_predictions() {
         let m = BinaryMetrics::from_predictions(&[true, false, true], &[true, false, true]);
         assert_eq!(m.accuracy(), 1.0);
-        assert_eq!(m.f1(), 1.0);
-        assert_eq!(m.false_positive_rate(), 0.0);
     }
 
     #[test]
     fn all_wrong() {
         let m = BinaryMetrics::from_predictions(&[true, false], &[false, true]);
         assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.precision(), 0.0);
-        assert_eq!(m.recall(), 0.0);
     }
 
     #[test]
@@ -119,15 +74,11 @@ mod tests {
         let m = BinaryMetrics::from_predictions(&preds, &labels);
         assert_eq!((m.tp, m.fp, m.fn_, m.tn), (1, 1, 1, 1));
         assert_eq!(m.accuracy(), 0.5);
-        assert_eq!(m.precision(), 0.5);
-        assert_eq!(m.recall(), 0.5);
-        assert_eq!(m.f1(), 0.5);
     }
 
     #[test]
     fn empty_is_zero_not_nan() {
         let m = BinaryMetrics::default();
         assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.f1(), 0.0);
     }
 }

@@ -73,11 +73,6 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    /// Number of dense layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Borrows the layers (optimizer access).
     pub fn layers(&self) -> &[Dense] {
         &self.layers
@@ -192,7 +187,7 @@ mod tests {
         let mlp = Mlp::new(&[12, 512, 1], Activation::Relu, &mut rng);
         assert_eq!(mlp.in_dim(), 12);
         assert_eq!(mlp.out_dim(), 1);
-        assert_eq!(mlp.layer_count(), 2);
+        assert_eq!(mlp.layers().len(), 2);
         assert_eq!(mlp.forward(&[0.1; 12]).len(), 1);
         assert_eq!(mlp.param_count(), 12 * 512 + 512 + 512 + 1);
     }

@@ -209,19 +209,6 @@ fn bce(p: f32, target: f32) -> f32 {
     -(target * p.ln() + (1.0 - target) * (1.0 - p).ln())
 }
 
-/// Deterministically splits indices into train/test partitions.
-///
-/// Returns `(train, test)` index vectors. `train_fraction` is clamped to
-/// `[0, 1]`.
-pub fn train_test_split(n: usize, train_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = Pcg::seed(seed);
-    rng.shuffle(&mut idx);
-    let cut = ((n as f64) * train_fraction.clamp(0.0, 1.0)).round() as usize;
-    let test = idx.split_off(cut.min(n));
-    (idx, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,21 +258,6 @@ mod tests {
         })
         .train(&mut mlp, &xs, &ys);
         assert!(report.loss_curve.first().unwrap() > report.loss_curve.last().unwrap());
-    }
-
-    #[test]
-    fn split_is_disjoint_and_complete() {
-        let (train, test) = train_test_split(100, 0.8, 3);
-        assert_eq!(train.len(), 80);
-        assert_eq!(test.len(), 20);
-        let mut all: Vec<usize> = train.iter().chain(test.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_deterministic() {
-        assert_eq!(train_test_split(50, 0.5, 9), train_test_split(50, 0.5, 9));
     }
 
     #[test]

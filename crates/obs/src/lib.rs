@@ -23,10 +23,9 @@
 //!    exits and gossip; loadable in Perfetto / `chrome://tracing`) and
 //!    Prometheus text exposition, both written via the vendored serde
 //!    stand-ins.
-//! 4. **Online layer** ([`window`], [`sketch`], [`slo`]): rolling
-//!    windows over the simulated clock with exact retire-on-advance, a
-//!    deterministic streaming quantile sketch, and SLO objectives with
-//!    multi-window burn-rate alerting — the streaming half that answers
+//! 4. **Online layer** ([`window`], [`slo`]): rolling windows over the
+//!    simulated clock with exact retire-on-advance, and SLO objectives
+//!    with multi-window burn-rate alerting — the streaming half that answers
 //!    questions *during* a run (and feeds `SloAdaptive` controllers in
 //!    `specee-control`) instead of after it.
 //!
@@ -64,7 +63,6 @@ pub mod prom;
 pub mod quantile;
 pub mod registry;
 pub mod sink;
-pub mod sketch;
 pub mod slo;
 pub mod window;
 
@@ -77,6 +75,5 @@ pub use registry::{
     DRAFT_ACCEPTED_LEN_BOUNDS, EXIT_LAYER_BOUNDS, QUEUE_DEPTH_BOUNDS, TTFT_BOUNDS,
 };
 pub use sink::{merge_events, NullSink, Recorder, TraceSink, DEFAULT_EVENT_BUDGET};
-pub use sketch::{QuantileSketch, DEFAULT_SKETCH_K};
 pub use slo::{SloKind, SloObjective, SloSpec, SloTracker};
-pub use window::{RollingCounter, RollingHistogram};
+pub use window::RollingCounter;

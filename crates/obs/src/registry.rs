@@ -194,11 +194,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0.0)
     }
 
-    /// Gauge value, when set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Histogram by name, when present.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -486,7 +481,7 @@ mod tests {
         b.observe("h2", &[1.0], 0.5);
         a.merge(&b);
         assert_eq!(a.counter("c"), 3.0);
-        assert_eq!(a.gauge("g"), Some(5.0));
+        assert_eq!(a.gauges.get("g").copied(), Some(5.0));
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.histogram("h2").unwrap().count(), 1);
     }
@@ -504,8 +499,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("only_a"), 1.0);
         assert_eq!(a.counter("only_b"), 2.0);
-        assert_eq!(a.gauge("gauge_a"), Some(4.0));
-        assert_eq!(a.gauge("gauge_b"), Some(5.0));
+        assert_eq!(a.gauges.get("gauge_a").copied(), Some(4.0));
+        assert_eq!(a.gauges.get("gauge_b").copied(), Some(5.0));
         assert_eq!(a.histogram("hist_a").unwrap().count(), 1);
         assert_eq!(a.histogram("hist_b").unwrap().count(), 1);
         assert_eq!(a.counters().count(), 2);
@@ -582,7 +577,9 @@ mod tests {
             1.0
         );
         assert_eq!(
-            reg.gauge("specee_slo_burning{objective=\"p99_ttft\"}"),
+            reg.gauges
+                .get("specee_slo_burning{objective=\"p99_ttft\"}")
+                .copied(),
             Some(1.0)
         );
         fold_events(
@@ -596,7 +593,9 @@ mod tests {
             1.0
         );
         assert_eq!(
-            reg.gauge("specee_slo_burning{objective=\"p99_ttft\"}"),
+            reg.gauges
+                .get("specee_slo_burning{objective=\"p99_ttft\"}")
+                .copied(),
             Some(0.0)
         );
         fold_dropped_events(&mut reg, 17);
@@ -653,16 +652,20 @@ mod tests {
         let cost = Roofline::new(HardwareProfile::a100_80g()).cost(&m);
         fold_roofline(&mut reg, &cost);
         let lat = reg
-            .gauge("specee_op_modeled_latency_seconds{kind=\"predictor\"}")
+            .gauges
+            .get("specee_op_modeled_latency_seconds{kind=\"predictor\"}")
+            .copied()
             .unwrap();
         assert!(lat > 0.0);
         assert_eq!(
-            reg.gauge("specee_op_memory_bound{kind=\"predictor\"}"),
+            reg.gauges
+                .get("specee_op_memory_bound{kind=\"predictor\"}")
+                .copied(),
             Some(1.0),
             "the predictor is the paper's memory-bound op"
         );
         assert_eq!(
-            reg.gauge("specee_modeled_latency_seconds"),
+            reg.gauges.get("specee_modeled_latency_seconds").copied(),
             Some(cost.latency_s)
         );
     }

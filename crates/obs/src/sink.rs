@@ -22,11 +22,9 @@
 //!
 //! A [`Recorder`] never grows without bound: every recorder carries an
 //! event budget ([`DEFAULT_EVENT_BUDGET`] unless overridden). Past the
-//! budget the default mode *drops newest* (the prefix of the run is
-//! kept) and the ring mode ([`Recorder::with_ring_capacity`]) *drops
-//! oldest* (the suffix is kept) — both count every discarded event in
-//! [`Recorder::dropped_events`], so a truncated trace is always
-//! detectable. Per-kind sampling ([`Recorder::with_sample_every`])
+//! budget it *drops newest* (the prefix of the run is kept) and counts
+//! every discarded event in [`Recorder::dropped_events`], so a truncated
+//! trace is always detectable. Per-kind sampling ([`Recorder::with_sample_every`])
 //! keeps a deterministic 1-in-N of each event kind before the budget
 //! applies. All of it is write-side only: sampling and dropping decide
 //! what is *kept*, never what the engines compute, so the bit-identity
@@ -38,8 +36,8 @@ use crate::event::{Event, EventKind};
 
 /// Default [`Recorder`] event budget (events kept before the recorder
 /// starts dropping): 2^20 events, a few hundred MB at the very worst.
-/// Soak-scale runs should prefer sampling (`--trace-sample`) or ring
-/// mode so the *interesting* events survive; the budget is the backstop
+/// Soak-scale runs should prefer sampling (`--trace-sample`) so the
+/// *interesting* events survive; the budget is the backstop
 /// that keeps an unconfigured long run from growing without bound.
 pub const DEFAULT_EVENT_BUDGET: usize = 1 << 20;
 
@@ -126,8 +124,8 @@ impl<S: TraceSink> TraceSink for Option<S> {
 /// engine) emit correctly stamped events without carrying timestamps
 /// themselves.
 ///
-/// Memory is bounded: see the module docs on [`DEFAULT_EVENT_BUDGET`],
-/// ring mode and per-kind sampling.
+/// Memory is bounded: see the module docs on [`DEFAULT_EVENT_BUDGET`]
+/// and per-kind sampling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recorder {
     worker: u32,
@@ -136,15 +134,11 @@ pub struct Recorder {
     events: Vec<Event>,
     /// Events kept before dropping kicks in.
     budget: usize,
-    /// Past the budget: overwrite oldest (`true`) or drop newest.
-    ring: bool,
-    /// Next overwrite slot once a ring has wrapped.
-    head: usize,
     /// Keep 1 in N events of each kind (1 = keep everything).
     sample_every: u32,
     /// Per-kind occurrence counters driving the sampler.
     sample_seen: BTreeMap<&'static str, u64>,
-    /// Events discarded by sampling, the budget cap or ring overwrite.
+    /// Events discarded by sampling or the budget cap.
     dropped: u64,
 }
 
@@ -156,8 +150,6 @@ impl Default for Recorder {
             seq: None,
             events: Vec::new(),
             budget: DEFAULT_EVENT_BUDGET,
-            ring: false,
-            head: 0,
             sample_every: 1,
             sample_seen: BTreeMap::new(),
             dropped: 0,
@@ -180,8 +172,8 @@ impl Recorder {
     }
 
     /// Replaces the event budget (default [`DEFAULT_EVENT_BUDGET`]).
-    /// Past it the recorder drops — newest events by default, oldest in
-    /// ring mode — and counts the loss in [`dropped_events`].
+    /// Past it the recorder drops the newest events and counts the loss
+    /// in [`dropped_events`].
     ///
     /// # Panics
     ///
@@ -191,20 +183,6 @@ impl Recorder {
     pub fn with_budget(mut self, budget: usize) -> Self {
         assert!(budget > 0, "recorder budget must be positive");
         self.budget = budget;
-        self
-    }
-
-    /// Switches to ring mode with the given capacity: once full, each
-    /// new event overwrites the oldest kept one, so a soak run retains
-    /// its most recent `capacity` events in fixed memory.
-    ///
-    /// # Panics
-    ///
-    /// If `capacity` is zero.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "recorder budget must be positive");
-        self.budget = capacity;
-        self.ring = true;
         self
     }
 
@@ -222,7 +200,7 @@ impl Recorder {
         self
     }
 
-    /// Events discarded so far (sampling + budget/ring drops).
+    /// Events discarded so far (sampling + budget drops).
     pub fn dropped_events(&self) -> u64 {
         self.dropped
     }
@@ -245,10 +223,6 @@ impl Recorder {
         }
         if self.events.len() < self.budget {
             self.events.push(ev);
-        } else if self.ring {
-            self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.budget;
-            self.dropped += 1;
         } else {
             self.dropped += 1;
         }
@@ -286,21 +260,14 @@ impl Recorder {
         });
     }
 
-    /// Events kept so far, in emission order. In ring mode after a
-    /// wrap this is storage order — use [`into_events`] for the
-    /// chronologically rotated stream.
-    ///
-    /// [`into_events`]: Recorder::into_events
+    /// Events kept so far, in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events
     }
 
     /// Consumes the recorder, returning its kept events in emission
-    /// order (a wrapped ring is rotated back to chronological order).
-    pub fn into_events(mut self) -> Vec<Event> {
-        if self.head > 0 {
-            self.events.rotate_left(self.head);
-        }
+    /// order.
+    pub fn into_events(self) -> Vec<Event> {
         self.events
     }
 }
@@ -419,18 +386,6 @@ mod tests {
         assert_eq!(r.dropped_events(), 2);
         let kept: Vec<f64> = r.into_events().iter().map(|e| e.t).collect();
         assert_eq!(kept, [0.0, 1.0, 2.0], "prefix survives, newest dropped");
-    }
-
-    #[test]
-    fn ring_mode_keeps_newest_in_chronological_order() {
-        let mut r = Recorder::new().with_ring_capacity(3);
-        for i in 0..5u32 {
-            r.set_clock(f64::from(i));
-            r.record(step(u64::from(i)));
-        }
-        assert_eq!(r.dropped_events(), 2);
-        let kept: Vec<f64> = r.into_events().iter().map(|e| e.t).collect();
-        assert_eq!(kept, [2.0, 3.0, 4.0], "suffix survives, oldest dropped");
     }
 
     #[test]

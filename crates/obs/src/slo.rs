@@ -23,9 +23,7 @@
 //! caller to stamp into its trace stream.
 
 use crate::event::EventKind;
-use crate::registry::TTFT_BOUNDS;
-use crate::sketch::QuantileSketch;
-use crate::window::{RollingCounter, RollingHistogram};
+use crate::window::RollingCounter;
 
 /// What an objective bounds.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,14 +177,6 @@ impl SloSpec {
             ..SloSpec::default()
         })
     }
-
-    /// A spec with a single objective and default geometry.
-    pub fn single(objective: SloObjective) -> SloSpec {
-        SloSpec {
-            objectives: vec![objective],
-            ..SloSpec::default()
-        }
-    }
 }
 
 /// Per-objective window pair plus alert state.
@@ -248,10 +238,6 @@ impl ObjectiveState {
 pub struct SloTracker {
     spec: SloSpec,
     states: Vec<ObjectiveState>,
-    /// Whole-run TTFT stream (bounded memory, deterministic).
-    ttft_sketch: QuantileSketch,
-    /// Windowed TTFT distribution over the slow window.
-    ttft_window: RollingHistogram,
 }
 
 impl SloTracker {
@@ -281,13 +267,7 @@ impl SloTracker {
                 last_burn: 0.0,
             })
             .collect();
-        let ttft_window = RollingHistogram::new(&TTFT_BOUNDS, spec.bucket_s, slow);
-        SloTracker {
-            spec,
-            states,
-            ttft_sketch: QuantileSketch::default(),
-            ttft_window,
-        }
+        SloTracker { spec, states }
     }
 
     /// The spec the tracker was built from.
@@ -297,9 +277,6 @@ impl SloTracker {
 
     /// Records one request's time-to-first-token at simulated time `t`.
     pub fn observe_ttft(&mut self, t: f64, ttft_s: f64) {
-        self.ttft_window.advance_to(t);
-        self.ttft_window.observe(ttft_s);
-        self.ttft_sketch.insert(ttft_s);
         for state in &mut self.states {
             if let SloKind::LatencyQuantile { limit_s, .. } = state.objective.kind {
                 state.advance_to(t);
@@ -349,11 +326,6 @@ impl SloTracker {
         transitions
     }
 
-    /// Whether any objective is currently firing.
-    pub fn any_firing(&self) -> bool {
-        self.states.iter().any(|s| s.firing)
-    }
-
     /// The controller feedback signal, as of the last [`evaluate`]:
     /// positive while a latency objective burns (push the operating
     /// point toward aggressive exits to drain the queue), negative
@@ -376,26 +348,18 @@ impl SloTracker {
         }
         p.clamp(-1.0, 1.0)
     }
-
-    /// The `q`-quantile of TTFT over the whole run so far, from the
-    /// streaming sketch.
-    pub fn ttft_quantile(&self, q: f64) -> f64 {
-        self.ttft_sketch.quantile(q)
-    }
-
-    /// The `q`-quantile of TTFT over the trailing slow window, from the
-    /// windowed histogram (bucket upper bound semantics).
-    pub fn windowed_ttft_quantile(&self, q: f64) -> f64 {
-        self.ttft_window.quantile(q)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn any_firing(tracker: &SloTracker) -> bool {
+        tracker.states.iter().any(|s| s.firing)
+    }
+
     fn p99(limit_s: f64) -> SloSpec {
-        SloSpec::single(SloObjective::parse(&format!("p99_ttft={limit_s}")).expect("parses"))
+        SloSpec::parse(&format!("p99_ttft={limit_s}")).expect("parses")
     }
 
     #[test]
@@ -441,7 +405,7 @@ mod tests {
             tracker.observe_ttft(f64::from(i) * 0.25, 0.05);
         }
         assert!(tracker.evaluate(2.0).is_empty());
-        assert!(!tracker.any_firing());
+        assert!(!any_firing(&tracker));
         // A sustained burst of misses: fast window saturates, slow
         // window follows, the objective fires exactly once.
         let mut fired = 0;
@@ -455,7 +419,7 @@ mod tests {
                 .count();
         }
         assert_eq!(fired, 1);
-        assert!(tracker.any_firing());
+        assert!(any_firing(&tracker));
         assert!(tracker.pressure() > 0.0, "latency pressure is positive");
         // Recovery: once the fast window is all-good, it clears even
         // though the slow window still remembers the burst.
@@ -467,7 +431,7 @@ mod tests {
         assert!(transitions
             .iter()
             .any(|e| matches!(e, EventKind::SloCleared { .. })));
-        assert!(!tracker.any_firing());
+        assert!(!any_firing(&tracker));
         assert_eq!(tracker.pressure(), 0.0);
     }
 
@@ -501,18 +465,5 @@ mod tests {
         }
         assert!(tracker.evaluate(2.0).is_empty());
         assert_eq!(tracker.pressure(), 0.0);
-    }
-
-    #[test]
-    fn tracker_quantiles_report_the_stream() {
-        let mut tracker = SloTracker::new(p99(0.5));
-        for i in 0..10 {
-            tracker.observe_ttft(f64::from(i) * 0.1, 0.02 + f64::from(i) * 0.001);
-        }
-        let exact = tracker.ttft_quantile(1.0);
-        assert!((exact - 0.029).abs() < 1e-12);
-        // Windowed answer is a TTFT_BOUNDS bucket upper bound.
-        let windowed = tracker.windowed_ttft_quantile(0.5);
-        assert!((0.02..=0.1).contains(&windowed), "got {windowed}");
     }
 }

@@ -84,12 +84,6 @@ impl StepCostModel {
         }
     }
 
-    /// Overrides the predictor parameter count (design-space sweeps).
-    pub fn with_predictor_params(mut self, params: f64) -> Self {
-        self.predictor_params = params;
-        self
-    }
-
     /// The cost dimensions being priced.
     pub fn dims(&self) -> &CostDims {
         &self.cost

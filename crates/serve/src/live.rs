@@ -852,7 +852,7 @@ mod tests {
     fn slo_tracked_live_run_is_bit_identical_with_sampling_and_budget() {
         // An impossible TTFT target fires mid-run and pushes real
         // pressure into an slo+static controller — and even then a run
-        // traced through a sampled, ring-bounded recorder must match an
+        // traced through a sampled, budget-bounded recorder must match an
         // untraced run bit for bit, because the tracker (and hence the
         // pressure the controller sees) never touches the recorder.
         use specee_control::ControllerPolicy;

@@ -5,26 +5,25 @@
 //! the substrate away from the paper's measured phenomena, these tests
 //! fail before any benchmark silently degrades.
 
-/// Target ±2-layer / last-5-token context-similarity hit ratio (Fig. 11
-/// reports ~80 %).
-pub const CONTEXT_SIMILARITY_TARGET: f64 = 0.80;
-
-/// Acceptable band around [`CONTEXT_SIMILARITY_TARGET`].
-pub const CONTEXT_SIMILARITY_BAND: f64 = 0.10;
-
-/// Maximum share of exit mass carried by the bottom-50 % least-frequent
-/// layers (Fig. 10: "does not exceed 20 %").
-pub const SKEW_BOTTOM_HALF_MAX: f64 = 0.20;
-
-/// Mean actual-forward-layer fraction SpecEE should land in on Llama2-7B
-/// (Table 4: ~23/32 ≈ 0.72, band covers per-dataset variation).
-pub const AVG_LAYER_FRACTION_7B: (f64, f64) = (0.60, 0.82);
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::profile::DatasetProfile;
     use crate::schedule::SaturationDriver;
+
+    /// Target ±2-layer / last-5-token context-similarity hit ratio (Fig. 11
+    /// reports ~80 %).
+    const CONTEXT_SIMILARITY_TARGET: f64 = 0.80;
+
+    /// Acceptable band around [`CONTEXT_SIMILARITY_TARGET`].
+    const CONTEXT_SIMILARITY_BAND: f64 = 0.10;
+
+    /// Maximum share of exit mass carried by the bottom-50 % least-frequent
+    /// layers (Fig. 10: "does not exceed 20 %").
+    const SKEW_BOTTOM_HALF_MAX: f64 = 0.20;
+
+    /// Mean actual-forward-layer fraction SpecEE should land in on Llama2-7B
+    /// (Table 4: ~23/32 ≈ 0.72, band covers per-dataset variation).
+    const AVG_LAYER_FRACTION_7B: (f64, f64) = (0.60, 0.82);
 
     #[test]
     fn all_profiles_reproduce_context_similarity() {

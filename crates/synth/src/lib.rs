@@ -20,7 +20,6 @@
 
 #![deny(missing_docs)]
 
-pub mod calib;
 pub mod language;
 pub mod lm;
 pub mod noise;
@@ -38,3 +37,6 @@ pub use profile::DatasetProfile;
 pub use schedule::{gamma, SaturationDriver};
 pub use vocab::Vocabulary;
 pub use workload::{generate_workload, Request};
+
+#[cfg(test)]
+mod calib;

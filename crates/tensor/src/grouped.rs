@@ -48,11 +48,10 @@ impl GroupedGemmSpec {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GroupedGemm {
-    /// Sorted union of all requested rows.
-    unique_rows: Vec<usize>,
-    /// Gathered copies of the unique rows (read once at plan time).
+    /// Gathered copies of the sorted union of all requested rows (read
+    /// once at plan time).
     compact: Matrix,
-    /// For each group, indices into `unique_rows`.
+    /// For each group, indices into `compact`'s rows.
     group_indices: Vec<Vec<usize>>,
 }
 
@@ -90,20 +89,9 @@ impl GroupedGemm {
             })
             .collect();
         GroupedGemm {
-            unique_rows,
             compact,
             group_indices,
         }
-    }
-
-    /// Number of groups in the plan.
-    pub fn group_count(&self) -> usize {
-        self.group_indices.len()
-    }
-
-    /// Number of distinct weight rows gathered by the plan.
-    pub fn unique_row_count(&self) -> usize {
-        self.unique_rows.len()
     }
 
     /// Runs the plan: `out[g][i] = weight[specs[g].row_ids[i]] · inputs[g]`.
@@ -138,12 +126,6 @@ impl GroupedGemm {
     /// has the wrong dimension.
     pub fn run_with(&self, backend: &dyn Backend, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         backend.gemm(&self.compact, &self.group_indices, inputs)
-    }
-
-    /// Bytes of weight data read at plan time (the shared-read win: each
-    /// unique row is touched once regardless of how many groups request it).
-    pub fn gathered_bytes(&self) -> usize {
-        self.compact.bytes()
     }
 }
 
@@ -205,9 +187,9 @@ mod tests {
         let (w, specs, _) = setup();
         let plan = GroupedGemm::plan(&w, &specs);
         let requested: usize = specs.iter().map(|s| s.row_ids.len()).sum();
-        assert_eq!(plan.unique_row_count(), 5);
-        assert!(plan.unique_row_count() < requested);
-        assert_eq!(plan.group_count(), 3);
+        assert_eq!(plan.compact.rows(), 5);
+        assert!(plan.compact.rows() < requested);
+        assert_eq!(plan.group_indices.len(), 3);
     }
 
     #[test]

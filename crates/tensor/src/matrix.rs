@@ -35,16 +35,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape/data mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Panics
@@ -81,11 +71,6 @@ impl Matrix {
         let mut m = Matrix::zeros(rows, cols);
         rng.fill_uniform(&mut m.data, scale);
         m
-    }
-
-    /// Creates an identity matrix.
-    pub fn identity(n: usize) -> Self {
-        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
     /// Number of rows.
@@ -210,38 +195,9 @@ impl Matrix {
             .collect()
     }
 
-    /// Dense matrix product `self * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(r);
-                for (c, &b) in orow.iter().enumerate() {
-                    out_row[c] += a * b;
-                }
-            }
-        }
-        out
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Scales every element in place.
@@ -328,29 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity_is_noop() {
-        let mut rng = Pcg::seed(3);
-        let m = Matrix::random(4, 4, 1.0, &mut rng);
-        let i = Matrix::identity(4);
-        assert_eq!(m.matmul(&i), m);
-    }
-
-    #[test]
-    fn matmul_matches_matvec_per_column() {
-        let mut rng = Pcg::seed(4);
-        let a = Matrix::random(3, 5, 1.0, &mut rng);
-        let b = Matrix::random(5, 2, 1.0, &mut rng);
-        let c = a.matmul(&b);
-        for col in 0..2 {
-            let bcol: Vec<f32> = (0..5).map(|r| b.get(r, col)).collect();
-            let expect = a.matvec(&bcol);
-            for (r, &e) in expect.iter().enumerate() {
-                assert!((c.get(r, col) - e).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
     fn transpose_twice_is_identity() {
         let mut rng = Pcg::seed(5);
         let m = Matrix::random(6, 3, 1.0, &mut rng);
@@ -366,7 +299,7 @@ mod tests {
     #[test]
     fn add_scaled_accumulates() {
         let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::identity(2);
+        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         a.add_scaled(&b, 2.5);
         assert_eq!(a.get(0, 0), 2.5);
         assert_eq!(a.get(0, 1), 0.0);

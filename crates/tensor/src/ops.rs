@@ -117,30 +117,6 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Elementwise `a += b`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn add_inplace(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "add_inplace shape");
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x += y;
-    }
-}
-
-/// Elementwise `a = a * (1 - t) + b * t` (linear interpolation toward `b`).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn lerp_inplace(a: &mut [f32], b: &[f32], t: f32) {
-    assert_eq!(a.len(), b.len(), "lerp_inplace shape");
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x = *x * (1.0 - t) + y * t;
-    }
-}
-
 /// Euclidean norm.
 pub fn l2_norm(x: &[f32]) -> f32 {
     x.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -154,20 +130,6 @@ pub fn l2_normalize(x: &mut [f32]) {
             *v /= n;
         }
     }
-}
-
-/// Cosine similarity; zero if either vector is zero.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine shape");
-    let (na, nb) = (l2_norm(a), l2_norm(b));
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    crate::matrix::dot(a, b) / (na * nb)
 }
 
 /// Mean of a slice (0 for empty input).
@@ -275,19 +237,6 @@ mod tests {
         assert_close(sigmoid(0.0), 0.5);
         assert!(sigmoid(20.0) > 0.999);
         assert!(sigmoid(-20.0) < 0.001);
-    }
-
-    #[test]
-    fn lerp_midpoint() {
-        let mut a = vec![0.0, 2.0];
-        lerp_inplace(&mut a, &[2.0, 0.0], 0.5);
-        assert_eq!(a, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn cosine_of_parallel_and_orthogonal() {
-        assert_close(cosine(&[1.0, 0.0], &[2.0, 0.0]), 1.0);
-        assert_close(cosine(&[1.0, 0.0], &[0.0, 5.0]), 0.0);
     }
 
     #[test]

@@ -132,33 +132,9 @@ impl Pcg {
         mean + std_dev * self.normal()
     }
 
-    /// Log-normal sample with the given parameters of the underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.normal()).exp()
-    }
-
     /// Bernoulli trial with success probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Samples an index from an (unnormalized) non-negative weight slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut target = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
     }
 
     /// Samples from a Zipf distribution over `n` ranks with exponent `s`,
@@ -242,14 +218,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn weighted_prefers_heavy_bucket() {
-        let mut rng = Pcg::seed(3);
-        let w = [0.05, 0.9, 0.05];
-        let hits = (0..5000).filter(|_| rng.weighted(&w) == 1).count();
-        assert!(hits > 4000, "hits {hits}");
     }
 
     #[test]

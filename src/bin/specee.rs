@@ -4,7 +4,6 @@
 //! specee info                         # model / hardware / dataset tables
 //! specee generate [OPTIONS]           # decode with a chosen engine
 //! specee train [OPTIONS]              # offline predictor training (§7.4.4)
-//! specee tokenize [--vocab N] TEXT    # train a BPE vocab, encode TEXT
 //! specee serve [OPTIONS]              # continuous-batching simulation
 //! ```
 //!
@@ -33,7 +32,6 @@ use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, ServeStat
 use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::rng::Pcg;
 use specee::tensor::BackendKind;
-use specee::text::{BpeTrainer, CorpusConfig, SyntheticCorpus};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +43,6 @@ fn main() -> ExitCode {
         "info" => cmd_info(),
         "generate" => cmd_generate(&args[1..]),
         "train" => cmd_train(&args[1..]),
-        "tokenize" => cmd_tokenize(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "help" | "--help" | "-h" => {
             print_help();
@@ -85,7 +82,6 @@ fn print_help() {
                       fewer full-depth passes)\n  \
            train      offline predictor pipeline; prints per-layer accuracy\n             \
                       (--model, --dataset, --seed as above)\n  \
-           tokenize   train a byte-level BPE vocabulary and encode TEXT (--vocab N)\n  \
            serve      continuous batching (--batch N --requests N --rate R\n             \
                       --mode live|cluster: live (the default) runs the lock-step\n             \
                       batched engine and prices measured steps, cluster shards\n             \
@@ -191,10 +187,9 @@ fn write_exports(
     Ok(())
 }
 
-/// Parses `--key value` options; positional arguments are returned in order.
-fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
+/// Parses `--key value` options; a bare word is ignored.
+fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
-    let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
@@ -202,11 +197,9 @@ fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>),
                 .next()
                 .ok_or_else(|| format!("--{key} expects a value"))?;
             opts.insert(key.to_string(), value.clone());
-        } else {
-            positional.push(a.clone());
         }
     }
-    Ok((opts, positional))
+    Ok(opts)
 }
 
 fn model_by_name(name: &str) -> Result<ModelConfig, String> {
@@ -304,7 +297,7 @@ impl Pipeline {
         (0..n)
             .map(|i| {
                 let start = (self.seed as u32 + i as u32 * 7) % self.cfg.vocab_size as u32;
-                let prompt = language.sample_sequence(start, 12, self.seed ^ i as u64);
+                let prompt = language.sample_sequence(start, PROMPT_LEN, self.seed ^ i as u64);
                 (prompt, gen)
             })
             .collect()
@@ -375,7 +368,7 @@ fn cmd_info() -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (opts, _) = parse_opts(args)?;
+    let opts = parse_opts(args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let tokens: usize = parse_num(&opts, "tokens", 24)?;
     let engine_name = opts.get("engine").map_or("specee", String::as_str);
@@ -798,7 +791,7 @@ fn controller_line(summary: &ControllerSummary) -> String {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let (opts, _) = parse_opts(args)?;
+    let opts = parse_opts(args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let mut lm = pipe.lm();
     let mut draft = pipe.draft();
@@ -835,41 +828,15 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tokenize(args: &[String]) -> Result<(), String> {
-    let (opts, positional) = parse_opts(args)?;
-    let vocab: usize = parse_num(&opts, "vocab", 1024)?;
-    let text = if positional.is_empty() {
-        "the speculative predictor exits the layer early".to_string()
-    } else {
-        positional.join(" ")
-    };
-    let corpus = SyntheticCorpus::new(CorpusConfig::default(), 301).paragraphs(200);
-    let tok = BpeTrainer::new(vocab).train(&corpus);
-    let ids = tok.encode(&text);
-    println!(
-        "vocabulary    : {} tokens ({} merges)",
-        tok.vocab().len(),
-        tok.merges().len()
-    );
-    println!("input         : {text}");
-    println!("ids           : {ids:?}");
-    println!("roundtrip     : {}", tok.decode(&ids));
-    let stats = tok.stats(&text);
-    println!(
-        "compression   : {:.2} bytes/token, {:.2} tokens/word",
-        stats.bytes_per_token(),
-        stats.tokens_per_word()
-    );
-    println!(
-        "search space  : full vocabulary {} -> 4 speculative candidates ({}x reduction)",
-        tok.vocab().len(),
-        tok.vocab().len() / 4
-    );
-    Ok(())
-}
+/// The `serve` workload's shape: every request is a [`PROMPT_LEN`]-token
+/// prompt (from [`Pipeline::prompts`]) decoding [`GEN_LEN`] tokens into
+/// KV pages of [`PAGE_SIZE`] tokens.
+const PROMPT_LEN: usize = 12;
+const GEN_LEN: usize = 16;
+const PAGE_SIZE: usize = 16;
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (opts, _) = parse_opts(args)?;
+    let opts = parse_opts(args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let batch: usize = parse_num(&opts, "batch", 8)?;
     let n_requests: usize = parse_num(&opts, "requests", 12)?;
@@ -885,6 +852,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if workers == 0 {
         return Err("--workers must be at least 1".to_string());
+    }
+    if batch == 0 {
+        return Err("--batch must be at least 1".to_string());
+    }
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!(
+            "--rate: expected a positive arrival rate, got `{rate}`"
+        ));
     }
     let mut controller = parse_controller(&opts)?.unwrap_or(ControllerPolicy::Static);
     let slo = parse_slo(&opts)?;
@@ -908,6 +883,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if lanes_n > u8::MAX as usize + 1 {
         return Err("--lanes: at most 256 priority lanes".to_string());
     }
+    // A request that does not fit the pool alone can never be seated.
+    let pages_per_request = (PROMPT_LEN + GEN_LEN).div_ceil(PAGE_SIZE);
+    if pages > 0 && pages < pages_per_request {
+        return Err(format!(
+            "--pages: one request needs {pages_per_request} pages ({PROMPT_LEN} prompt + \
+             {GEN_LEN} generated tokens, {PAGE_SIZE} per page), got {pages}"
+        ));
+    }
     let page_capacity = (pages > 0).then_some(pages);
     // A capped pool parks/resumes under pressure instead of aborting;
     // preemption rides the cap on the CLI.
@@ -923,7 +906,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let observing = trace_out.is_some() || metrics_out.is_some();
     let mut events: Vec<Event> = Vec::new();
     let mut registry = MetricsRegistry::new();
-    let gen = 16usize;
 
     match mode {
         "cluster" => println!(
@@ -949,7 +931,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (bank, freqs) = pipe.trained_bank();
     let config = SpecEeConfig::default();
     let schedule = config.build_schedule(pipe.cfg.n_layers, Some(&freqs));
-    let specs: Vec<(Vec<TokenId>, usize)> = pipe.prompts(n_requests, gen);
+    let specs: Vec<(Vec<TokenId>, usize)> = pipe.prompts(n_requests, GEN_LEN);
     let requests = PoissonArrivals::new(rate, pipe.seed ^ 0x11).requests(&specs);
     // The dense reference is served at the deployment's total slot budget:
     // the monolithic alternative to a sharded cluster is one big batch.
@@ -969,7 +951,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // sequence seated with nothing to speculate on.
     let mut dense_engine = BatchedEngine::new(
         dense_cap,
-        16,
+        PAGE_SIZE,
         pipe.cfg.n_layers,
         bank.clone(),
         schedule.clone(),
@@ -1002,7 +984,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             let mut cluster: Cluster<SyntheticLm, OracleDraft> = Cluster::spawn(
                 &ClusterConfig {
                     workers,
-                    page_size: 16,
+                    page_size: PAGE_SIZE,
                     page_capacity,
                     prefix_share,
                     preemption,
@@ -1105,7 +1087,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             let n_predictors = bank.len();
             let base = config.predictor.threshold;
             let mut engine =
-                BatchedEngine::new(batch, 16, pipe.cfg.n_layers, bank, schedule, config);
+                BatchedEngine::new(batch, PAGE_SIZE, pipe.cfg.n_layers, bank, schedule, config);
             engine.set_page_capacity(page_capacity);
             engine.enable_prefix_share(prefix_share);
             engine.set_preemption_enabled(preemption);

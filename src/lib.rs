@@ -25,4 +25,3 @@ pub use specee_obs as obs;
 pub use specee_serve as serve;
 pub use specee_synth as synth;
 pub use specee_tensor as tensor;
-pub use specee_text as text;

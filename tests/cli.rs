@@ -66,3 +66,57 @@ fn malformed_controller_specs_fail_with_exit_code_one() {
         );
     }
 }
+
+/// Flag values the serving loop cannot run on — a rate that is not a
+/// positive number, an empty batch, a page pool smaller than one request —
+/// are usage errors: exit 1 and one `error:` line before any output, never
+/// an assertion deep in the runtime (in cluster mode that killed every
+/// worker thread).
+#[test]
+fn unserveable_flag_values_are_usage_errors_not_panics() {
+    for flags in [
+        &["--rate", "0"][..],
+        &["--rate", "nan"],
+        &["--rate", "-2"],
+        &["--rate", "inf"],
+        &["--batch", "0"],
+        &["--pages", "1"],
+        &["--mode", "cluster", "--pages", "1"],
+    ] {
+        let out = specee(&[&["serve", "--requests", "3"], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {}", flags[flags.len() - 2])),
+            "{flags:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed before failing");
+    }
+}
+
+/// The BPE tokenizer left the workspace: `tokenize` fails like any
+/// unknown command, and neither `specee help` nor the binary's own module
+/// documentation still offers it.
+#[test]
+fn tokenize_is_an_unknown_command() {
+    let out = specee(&["tokenize", "--vocab", "400", "some text"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "error: unknown command `tokenize` (try `specee help`)",
+    );
+    assert!(out.stdout.is_empty());
+
+    let help = specee(&["help"]);
+    assert_eq!(help.status.code(), Some(0));
+    let module_doc = include_str!("../src/bin/specee.rs")
+        .lines()
+        .take_while(|l| l.starts_with("//!"))
+        .collect::<String>();
+    for text in [String::from_utf8_lossy(&help.stdout).as_ref(), &module_doc] {
+        assert!(text.contains("specee"), "read the wrong text");
+        assert!(!text.contains("tokenize"), "still offered: {text}");
+    }
+}

@@ -91,7 +91,8 @@ fn quickstart_path_generates_with_bounded_exits() {
 
 /// The bench-binary and example counts README.md and ARCHITECTURE.md quote
 /// ("N benchmark binaries", "N bench targets", "N examples") are checked
-/// against `crates/bench/Cargo.toml` and `examples/`, not hand-maintained.
+/// against `crates/bench/Cargo.toml` and `examples/`, and README's crate
+/// map against `crates/*/Cargo.toml`, not hand-maintained.
 #[test]
 fn documented_bench_and_example_counts_match_the_tree() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -125,6 +126,29 @@ fn documented_bench_and_example_counts_match_the_tree() {
         }
         assert!(quoted > 0, "{doc} no longer quotes a count; drop it here");
     }
+
+    // README's crate map has one row per workspace package outside
+    // `vendor/`: the umbrella crate and every `crates/*/Cargo.toml`.
+    let readme = read("README.md");
+    let listed: std::collections::BTreeSet<String> = readme
+        .split("## Crate map")
+        .nth(1)
+        .expect("README has a crate map")
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter(|l| l.starts_with("| `"))
+        .map(|l| l.split('`').nth(3).expect("a path cell").to_string())
+        .collect();
+    let mut packages = std::collections::BTreeSet::from([".".to_string()]);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = entry.expect("crates/ entry").path();
+        if dir.join("Cargo.toml").is_file() {
+            let name = dir.file_name().expect("a crate directory");
+            packages.insert(format!("crates/{}", name.to_string_lossy()));
+        }
+    }
+    assert_eq!(listed, packages, "README crate map vs the workspace");
 }
 
 /// There is one serving loop (`specee_serve::ServeLoop`): across the
@@ -232,4 +256,216 @@ fn the_greedy_loop_has_one_body() {
     for call in [".forward_layer(", ".mark_token(", ".mark_host_step("] {
         assert_eq!(code.matches(call).count(), 2, "call sites of `{call}`");
     }
+}
+
+/// `src` with every comment, string literal and char literal cut out
+/// (their newlines kept), so a name in prose or in a message is not a
+/// reference. Block comments are not handled: the workspace has none.
+fn code_only(src: &str) -> String {
+    // Bytes of the literal that opens `s` with the quote `q`.
+    fn quoted_len(s: &str, q: char) -> usize {
+        let mut chars = s.char_indices().skip(1);
+        while let Some((at, c)) = chars.next() {
+            if c == '\\' {
+                chars.next();
+            } else if c == q {
+                return at + 1;
+            }
+        }
+        s.len()
+    }
+    let mut out = String::with_capacity(src.len());
+    let mut rest = src;
+    while let Some(at) = rest.find(['/', '"', '\'']) {
+        let (head, tail) = rest.split_at(at);
+        let unhashed = head.trim_end_matches('#');
+        let mut after = tail.chars().skip(1);
+        let cut = if tail.starts_with("//") {
+            tail.find('\n').unwrap_or(tail.len())
+        } else if tail.starts_with('"') && unhashed.ends_with('r') {
+            let close = format!("\"{}", &head[unhashed.len()..]);
+            tail[1..]
+                .find(&close)
+                .map_or(tail.len(), |n| 1 + n + close.len())
+        } else if tail.starts_with('"') {
+            quoted_len(tail, '"')
+        } else if tail.starts_with("'\\") {
+            quoted_len(tail, '\'')
+        } else if let (true, Some(c), Some('\'')) =
+            (tail.starts_with('\''), after.next(), after.next())
+        {
+            2 + c.len_utf8()
+        } else {
+            // A division, or the tick of a lifetime.
+            0
+        };
+        out.push_str(head);
+        out.push(' ');
+        out.extend(tail[..cut].matches('\n'));
+        rest = &tail[cut.max(1)..];
+    }
+    out + rest
+}
+
+/// What the dead-`pub` guard reads of one source file: the names its
+/// plain-`pub` items define, every name it mentions other than to define
+/// it, and the subset of those mentions outside `impl` headers (an
+/// `impl Foo {` is part of `Foo`'s definition to its own file). `use`
+/// statements count as neither: a re-export is not a caller, and an
+/// import that is used is mentioned again below it.
+#[derive(Default)]
+struct Names {
+    defined: Vec<String>,
+    mentioned: std::collections::HashSet<String>,
+    mentioned_outside_impl_headers: std::collections::HashSet<String>,
+}
+
+fn names(code: &str) -> Names {
+    const KINDS: [&str; 6] = ["fn", "struct", "enum", "trait", "type", "const"];
+    const MODIFIERS: [&str; 3] = ["const", "unsafe", "async"];
+    let mut found = Names::default();
+    let mut in_use = false;
+    // The identifiers before the current one, nearest last.
+    let mut before: Vec<&str> = Vec::new();
+    for line in code.lines() {
+        let trimmed = line.trim_start();
+        let after_vis = trimmed
+            .strip_prefix("pub")
+            .map_or(trimmed, |l| {
+                l.trim_start_matches("(crate)")
+                    .trim_start_matches("(super)")
+            })
+            .trim_start();
+        in_use |= after_vis.starts_with("use ");
+        if in_use {
+            in_use = !line.contains(';');
+            continue;
+        }
+        let impl_header = trimmed.starts_with("impl ") || trimmed.starts_with("impl<");
+        let idents = line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|t| !t.is_empty());
+        for t in idents {
+            let defines =
+                before.last().is_some_and(|p| KINDS.contains(p)) && t != "fn" && t != "unsafe";
+            if defines {
+                let vis = before.iter().rev().skip(1).find(|p| !MODIFIERS.contains(p));
+                if vis == Some(&"pub") {
+                    found.defined.push(t.to_string());
+                }
+            } else {
+                found.mentioned.insert(t.to_string());
+                if !impl_header {
+                    found.mentioned_outside_impl_headers.insert(t.to_string());
+                }
+            }
+            before.push(t);
+        }
+    }
+    found
+}
+
+/// Plain-`pub` items that nothing outside a `#[cfg(test)]` module names,
+/// each with the reason it stays. The list may only shrink: an entry whose
+/// item is gone, or has gained a caller, fails the guard too.
+const UNREFERENCED_PUB_ALLOWED: &[(&str, &str)] = &[
+    (
+        "crates/model/src/attention.rs: attention_forward_tree",
+        "the one-call full sweep `partial_sweeps_are_bit_identical_to_one_full_sweep` compares partial calls against",
+    ),
+    (
+        "crates/obs/src/sink.rs: NullSink",
+        "the disabled sink: what the `TraceSink` doc example and the exit scan's unit tests pass",
+    ),
+    (
+        "crates/obs/src/sink.rs: with_budget",
+        "the only way a test reaches the drop-newest cap below the 2^20 default (obs and serve unit tests)",
+    ),
+    (
+        "crates/tensor/src/matrix.rs: from_rows",
+        "literal-matrix fixtures: the `Matrix` doc example and unit tests in tensor and nn",
+    ),
+    (
+        "crates/tensor/src/matrix.rs: transpose",
+        "the reference `matvec_t_matches_transpose` compares `matvec_t` against",
+    ),
+    (
+        "crates/tensor/src/ops.rs: log_softmax",
+        "the reference `ops::nll` is compared against, bit for bit",
+    ),
+];
+
+/// Every public item has a caller. For each `pub fn / struct / enum /
+/// trait / type / const` before the first `#[cfg(test)]` of a product
+/// source file (`crates/*/src`, `src`), some other source file — product
+/// code before its own first `#[cfg(test)]`, or a test, bench, example or
+/// the benchmark adapter, which are outside the crate and need `pub` —
+/// must name it, or its own file must outside the definition. What
+/// only an in-crate unit test calls is not product surface: delete it with
+/// the test, or list it above with the reason (a reference implementation
+/// a test compares against is one). The scan is by name, so a dead `new`
+/// hides behind every other `new`; what it does report is dead.
+#[test]
+fn every_pub_item_has_a_referrer() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let scanned: Vec<(String, bool, Names)> = files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).expect("under the root");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            let product = rel.starts_with("src/") || rel.split('/').nth(2) == Some("src");
+            let text = std::fs::read_to_string(path).expect("readable source");
+            let code = code_only(&text);
+            let read = if product {
+                code.split("#[cfg(test)]").next().expect("first piece")
+            } else {
+                &code
+            };
+            (rel, product, names(read))
+        })
+        .collect();
+    assert!(scanned.len() > 150, "the walk found the workspace");
+
+    let mut unreferenced = std::collections::BTreeSet::new();
+    for (at, (rel, product, own)) in scanned.iter().enumerate() {
+        if !product {
+            continue;
+        }
+        for name in &own.defined {
+            let elsewhere = scanned
+                .iter()
+                .enumerate()
+                .any(|(other, (_, _, names))| other != at && names.mentioned.contains(name));
+            if !elsewhere && !own.mentioned_outside_impl_headers.contains(name) {
+                unreferenced.insert(format!("{rel}: {name}"));
+            }
+        }
+    }
+
+    let allowed: std::collections::BTreeSet<String> = UNREFERENCED_PUB_ALLOWED
+        .iter()
+        .map(|(item, reason)| {
+            assert!(
+                !reason.trim().is_empty(),
+                "`{item}` is allowed without a reason"
+            );
+            item.to_string()
+        })
+        .collect();
+    let unlisted: Vec<&String> = unreferenced.difference(&allowed).collect();
+    let stale: Vec<&String> = allowed.difference(&unreferenced).collect();
+    assert!(
+        unlisted.is_empty(),
+        "{} `pub` items no non-test code names — delete each (with the unit tests \
+         whose only subject it was), make it private, or allow it with a reason:\n{unlisted:#?}",
+        unlisted.len()
+    );
+    assert!(
+        stale.is_empty(),
+        "allow-list entries whose item is gone or has a caller now — drop them:\n{stale:#?}"
+    );
 }
