@@ -794,10 +794,16 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
 
     /// Runs one synchronized decode step: every seated sequence proposes
     /// its candidates, feeds its pending token, and sweeps the layer stack
-    /// in lock-step. A sequence whose scheduled predictor fires (and
-    /// verifies) drops out of the sweep at its exit layer; the sweep
-    /// itself continues to the rearmost layer any sequence still needs.
-    /// Emits one token per seated sequence and retires the finished.
+    /// in lock-step. After each layer every running sequence scores its
+    /// own scheduled predictor ([`ExitScan::score`]), the ones that fired
+    /// share one full LM head ([`BatchedStack::final_logits`]) and each
+    /// settles its own row ([`ExitScan::settle`]); a verified exit drops
+    /// out of the sweep there, and the sweep itself continues to the
+    /// rearmost layer any sequence still needs. At the end of the step the
+    /// sequences that left fill the K/V of the layers they skipped in one
+    /// pass per layer ([`BatchedStack::fill_skipped_kv`]) and the rest
+    /// share one last head. Emits one token per seated sequence and
+    /// retires the finished.
     ///
     /// Returns the measured step — an empty report (no runners, nothing
     /// emitted) when no sequence is seated.
@@ -852,7 +858,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         }
 
         // The shared layer sweep: active-masked, ending at the rearmost
-        // layer any sequence still needs.
+        // layer any sequence still needs. An exit is paid for once per
+        // weight pass, not once per seat: after each layer every running
+        // seat scores its own predictor, the seats that fired share one
+        // full head, and each settles its own row.
+        let mut fires: Vec<Option<(f32, f32)>> = vec![None; max_batch];
+        let mut fired = vec![false; max_batch];
         for layer in 0..self.n_layers {
             if !needs.iter().any(|&n| n) {
                 break;
@@ -865,36 +876,61 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                     continue;
                 }
                 let seq = self.seqs[slot].as_mut().expect("seated sequence");
-                let model = self.stack.model_mut(slot);
-                let h = hidden[slot].as_ref().expect("swept state");
                 // Thresholds resolve per sequence: each scan runs against
                 // its class's bank (the default bank for untagged slots).
                 let bank = self.class_banks.get(seq.class).unwrap_or(&self.bank);
-                if let Some(rec) = self.trace.as_mut() {
-                    rec.set_seq(Some(seq.id));
-                }
-                if let Some((tok, full)) = seq.scan.check_with_sink(
-                    model,
+                fires[slot] = seq.scan.score(
+                    self.stack.model_mut(slot),
                     bank,
                     &seq.schedule,
-                    h,
+                    hidden[slot].as_ref().expect("swept state"),
                     &cands[slot],
                     layer,
                     &mut self.meter,
-                    &mut self.trace,
-                ) {
-                    model.fill_skipped_kv(
-                        layer + 1,
-                        h,
-                        positions[slot],
-                        self.config.skip_kv_policy,
-                        &mut self.meter,
-                    );
+                );
+            }
+            for (on, fire) in fired.iter_mut().zip(&fires) {
+                *on = fire.is_some();
+            }
+            if !fired.iter().any(|&f| f) {
+                continue;
+            }
+            let rows = self.stack.final_logits(&hidden, &fired, &mut self.meter);
+            for (slot, full) in (0..max_batch).filter(|&s| fired[s]).zip(rows) {
+                let seq = self.seqs[slot].as_mut().expect("seated sequence");
+                if let Some(rec) = self.trace.as_mut() {
+                    rec.set_seq(Some(seq.id));
+                }
+                let fire = fires[slot].take().expect("a fire per row");
+                if let Some((tok, full)) =
+                    seq.scan
+                        .settle(fire, full, &cands[slot], layer, &mut self.trace)
+                {
                     exited[slot] = Some((layer + 1, tok, full));
                     needs[slot] = false;
                 }
             }
         }
+        // What the step's exits owe, paid at its boundary: every seat that
+        // left fills the layers it skipped from its exit state (still in
+        // `hidden` — nothing reads those rows before the next step), a
+        // layer's K/V projections streamed once for all who skipped it;
+        // the seats that ran the whole stack share one last head.
+        let first_skipped: Vec<Option<usize>> = exited
+            .iter()
+            .map(|exit| exit.as_ref().map(|&(executed, ..)| executed))
+            .collect();
+        self.stack.fill_skipped_kv(
+            &first_skipped,
+            &hidden,
+            &positions,
+            self.config.skip_kv_policy,
+            &mut self.meter,
+        );
+        let mut last_heads = self
+            .stack
+            .final_logits(&hidden, &needs, &mut self.meter)
+            .into_iter();
 
         // Emit one token per sequence; retire the finished. Feedback is
         // collected here in slot order and handed to the controller
@@ -907,8 +943,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             let (executed, next, full) = match exited[slot].take() {
                 Some(exit) => exit,
                 None => {
-                    let h = hidden[slot].as_ref().expect("swept state");
-                    let full = self.stack.model_mut(slot).final_logits(h, &mut self.meter);
+                    let full = last_heads.next().expect("a head row per full-depth seat");
                     let tok = ops::argmax(&full).expect("logits") as TokenId;
                     report.lm_head_evals += 1;
                     (self.n_layers, tok, full)

@@ -4,10 +4,13 @@
 //! [`ExitScan`] bundles the layer-by-layer decision dataflow of Fig. 3 —
 //! consult the predictor schedule, extract candidate-slice features, score
 //! them, and verify a positive prediction against the full LM head —
-//! behind one `check_with_sink` call per layer. `SpecEeEngine` drives one scan per
-//! token; the lock-step runtime in `specee-batch` drives one scan per
-//! (slot, token), so a batched sequence takes exactly the exits its
-//! single-stream run would (parity by construction, not by test alone).
+//! behind one `check_with_sink` call per layer: `score`, the model's full
+//! head on a fire, `settle`. `SpecEeEngine` drives one scan per token; the
+//! lock-step runtime in `specee-batch` drives one scan per (slot, token)
+//! and calls the two halves itself, one full head per layer between them
+//! for every slot that fired — so a batched sequence takes exactly the
+//! exits its single-stream run would (parity by construction, not by test
+//! alone).
 //!
 //! The scan is the *early-exit* half of the draft/verify seam. Its
 //! sibling, [`crate::engine::selfdraft`], covers the *self-speculative*
@@ -55,7 +58,8 @@ pub struct ExitFeedback {
 /// Layer-by-layer early-exit decisions for one token's forward pass.
 ///
 /// Call [`ExitScan::begin_token`] at each token boundary, then
-/// [`ExitScan::check_with_sink`] after every executed layer until it returns a
+/// [`ExitScan::check_with_sink`] (or its halves, [`ExitScan::score`] then
+/// [`ExitScan::settle`]) after every executed layer until it returns a
 /// verified exit (or the stack runs out of layers). Every predictor fire
 /// additionally records an [`ExitFeedback`] event; runtimes that adapt
 /// thresholds online drain them with [`ExitScan::take_feedback`].
@@ -106,13 +110,9 @@ impl ExitScan {
     /// verification — the failed verification's LM-head cost is recorded
     /// in `meter` and counted in [`ExitScan::verify_calls`]).
     ///
-    /// Every predictor fire additionally emits an
-    /// [`EventKind::ExitDecision`] to `sink` (same
-    /// layer/score/threshold/accepted payload as the [`ExitFeedback`]
-    /// event, stamped with the sink's ambient clock and sequence id).
-    /// The sink is write-only, so a traced scan decides exactly what the
-    /// untraced scan decides; with [`specee_obs::NullSink`] the parameter
-    /// monomorphizes away entirely.
+    /// This is [`ExitScan::score`], the model's full head on a fire, then
+    /// [`ExitScan::settle`]; a runtime that batches the head across
+    /// sequences calls the two halves itself.
     #[allow(clippy::too_many_arguments)]
     pub fn check_with_sink<M: LayeredLm + ?Sized, S: TraceSink>(
         &mut self,
@@ -125,6 +125,26 @@ impl ExitScan {
         meter: &mut Meter,
         sink: &mut S,
     ) -> Option<(TokenId, Vec<f32>)> {
+        let fire = self.score(model, bank, schedule, h, candidates, layer, meter)?;
+        let full = model.final_logits(h, meter);
+        self.settle(fire, full, candidates, layer, sink)
+    }
+
+    /// The first half of the decision: schedule gate → candidate-slice
+    /// features → predictor. Returns the `(score, threshold)` of a fire —
+    /// which the caller owes one full-LM-head row and a
+    /// [`ExitScan::settle`] — and `None` when the layer decides nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn score<M: LayeredLm + ?Sized>(
+        &mut self,
+        model: &mut M,
+        bank: &PredictorBank,
+        schedule: &ScheduleEngine,
+        h: &[f32],
+        candidates: &[TokenId],
+        layer: usize,
+        meter: &mut Meter,
+    ) -> Option<(f32, f32)> {
         // With no candidates `verify_exit` can accept nothing, so scoring
         // the layer would only burn a predictor call.
         if layer + 1 >= model.config().n_layers
@@ -136,12 +156,32 @@ impl ExitScan {
         let feats = self.tracker.extract(model, h, candidates, meter);
         self.predictor_calls += 1;
         let predictor = bank.layer(layer);
-        let (score, threshold) = (predictor.score(&feats, meter), predictor.threshold());
+        let score = predictor.score(&feats, meter);
         if !predictor.fires(score) {
             return None;
         }
         self.verify_calls += 1;
-        let full = model.final_logits(h, meter);
+        Some((score, predictor.threshold()))
+    }
+
+    /// The second half: verifies the fire [`ExitScan::score`] returned
+    /// against `full`, the full-LM-head logits of the same hidden state,
+    /// and returns them with the token when the exit stands.
+    ///
+    /// Every fire records an [`ExitFeedback`] and emits an
+    /// [`EventKind::ExitDecision`] to `sink` (same
+    /// layer/score/threshold/accepted payload, stamped with the sink's
+    /// ambient clock and sequence id). The sink is write-only, so a traced
+    /// scan decides exactly what the untraced scan decides; with
+    /// [`specee_obs::NullSink`] the parameter monomorphizes away entirely.
+    pub fn settle<S: TraceSink>(
+        &mut self,
+        (score, threshold): (f32, f32),
+        full: Vec<f32>,
+        candidates: &[TokenId],
+        layer: usize,
+        sink: &mut S,
+    ) -> Option<(TokenId, Vec<f32>)> {
         let exit = verify_exit(&full, candidates).map(|tok| (tok, full));
         if sink.enabled() {
             sink.record(EventKind::ExitDecision {

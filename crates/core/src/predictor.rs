@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use specee_metrics::{Meter, OpKind};
 use specee_nn::{Activation, BinaryTrainer, Mlp, TrainConfig, TrainReport};
-use specee_tensor::{ops, rng::Pcg};
+use specee_tensor::{ops, rng::Pcg, BackendKind};
 
 use crate::features::ExitFeatures;
 
@@ -84,7 +84,6 @@ impl ExitPredictor {
     /// ~0.07 M-parameter workload of Fig. 2(c)).
     pub fn score(&self, features: &ExitFeatures, meter: &mut Meter) -> f32 {
         let x = features.to_vec();
-        let logit = self.mlp.forward(&x)[0];
         // two matmuls + activation + sigmoid, each its own small kernel
         meter.record(
             OpKind::Predictor,
@@ -92,7 +91,14 @@ impl ExitPredictor {
             self.mlp.bytes() as f64 + x.len() as f64 * 2.0,
             4,
         );
-        ops::sigmoid(logit)
+        self.sigmoid_of(&x)
+    }
+
+    /// The forward every score takes. `Blocked` is bit-identical to the
+    /// `Reference` [`Mlp::forward`] (tensor conformance suite) and several
+    /// times faster on the first layer's `hidden × 3K` short dots.
+    fn sigmoid_of(&self, x: &[f32]) -> f32 {
+        ops::sigmoid(self.mlp.forward_with(BackendKind::Blocked, x)[0])
     }
 
     /// Whether a score fires at the configured threshold — the single
@@ -101,23 +107,22 @@ impl ExitPredictor {
         score > self.threshold
     }
 
-    /// Scores a batch of feature vectors as one batched kernel (how the
-    /// tree-mode predictor runs on GPU: weights read once, 4 launches).
+    /// Scores a batch of feature vectors, metered as one batched kernel
+    /// (how the tree-mode predictor runs on GPU: weights read once, 4
+    /// launches); each row takes the forward [`ExitPredictor::score`] takes.
     pub fn score_batch(&self, features: &[ExitFeatures], meter: &mut Meter) -> Vec<f32> {
         if features.is_empty() {
             return Vec::new();
         }
-        let outs: Vec<f32> = features
-            .iter()
-            .map(|f| ops::sigmoid(self.mlp.forward(&f.to_vec())[0]))
-            .collect();
+        let rows: Vec<Vec<f32>> = features.iter().map(ExitFeatures::to_vec).collect();
+        let inputs: usize = rows.iter().map(Vec::len).sum();
         meter.record(
             OpKind::Predictor,
             self.mlp.flops() * features.len() as f64,
-            self.mlp.bytes() as f64 + features.len() as f64 * 12.0 * 2.0,
+            self.mlp.bytes() as f64 + inputs as f64 * 2.0,
             4,
         );
-        outs
+        rows.iter().map(|x| self.sigmoid_of(x)).collect()
     }
 
     /// Trains on collected `(features, label)` samples.
@@ -138,7 +143,7 @@ impl ExitPredictor {
         }
         let correct = samples
             .iter()
-            .filter(|(f, l)| (ops::sigmoid(self.mlp.forward(f)[0]) > self.threshold) == *l)
+            .filter(|(f, l)| self.fires(self.sigmoid_of(f)) == *l)
             .count();
         correct as f64 / samples.len() as f64
     }
@@ -325,6 +330,42 @@ mod tests {
         assert!((0.0..=1.0).contains(&s));
         assert_eq!(meter.kind(OpKind::Predictor).kernels, 4);
         assert!(meter.kind(OpKind::Predictor).flops > 10_000.0);
+    }
+
+    #[test]
+    fn score_batch_meters_the_rows_it_was_given() {
+        // One record for the batch: the weights once, every row's actual
+        // features (3 × spec_k each) as f16 activations — and each row's
+        // score is the score `score` gives it.
+        for spec_k in [4usize, 8] {
+            let cfg = PredictorConfig {
+                spec_k,
+                ..PredictorConfig::default()
+            };
+            let p = ExitPredictor::new(&cfg, &mut Pcg::seed(10));
+            let rows: Vec<ExitFeatures> = (0..3)
+                .map(|r| ExitFeatures {
+                    logits: (0..spec_k).map(|i| (r + i) as f32 * 0.5).collect(),
+                    probs: vec![1.0 / spec_k as f32; spec_k],
+                    delta: vec![0.01 * r as f32; spec_k],
+                })
+                .collect();
+            let mut meter = Meter::new();
+            let scores = p.score_batch(&rows, &mut meter);
+            let got = meter.kind(OpKind::Predictor);
+            let features = (rows.len() * 3 * spec_k) as f64;
+            assert_eq!(got.bytes, p.bytes() as f64 + features * 2.0, "K={spec_k}");
+            assert_eq!(got.flops, p.flops() * rows.len() as f64);
+            assert_eq!(got.kernels, 4);
+            if spec_k == 4 {
+                // The width the old formula hard-coded: the record it made.
+                assert_eq!(got.bytes, p.bytes() as f64 + rows.len() as f64 * 12.0 * 2.0);
+            }
+            for (row, &score) in rows.iter().zip(&scores) {
+                assert_eq!(p.score(row, &mut Meter::new()), score);
+                assert_eq!(score, ops::sigmoid(p.mlp.forward(&row.to_vec())[0]));
+            }
+        }
     }
 
     #[test]

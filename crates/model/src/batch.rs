@@ -33,6 +33,7 @@
 use specee_metrics::Meter;
 
 use crate::attention::TreeKv;
+use crate::kv::SkipKvPolicy;
 use crate::traits::LayeredLm;
 
 /// A pool of fixed-size KV pages shared by every slot of a batch.
@@ -599,6 +600,12 @@ pub struct BatchedStack<M> {
     index: Option<PrefixIndex>,
 }
 
+/// `values[slot]` of every slot `active` marks, in slot order.
+fn packed<'a, T: Copy>(active: &'a [bool], values: &'a [T]) -> impl Iterator<Item = T> + 'a {
+    let marked = active.iter().zip(values).filter(|(&on, _)| on);
+    marked.map(|(_, &value)| value)
+}
+
 impl<M: LayeredLm> BatchedStack<M> {
     /// Creates `max_batch` empty slots over a fresh page pool.
     ///
@@ -814,6 +821,32 @@ impl<M: LayeredLm> BatchedStack<M> {
         &mut self.slots[slot].as_mut().expect("slot is vacant").model
     }
 
+    /// The models seated in the slots `active` marks, mutably and in slot
+    /// order, each with its hidden state — the member lists of the
+    /// [`LayeredLm`] group calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask or the states don't cover every slot, or an
+    /// active slot is vacant or missing its hidden state.
+    fn group<'a>(
+        &'a mut self,
+        hidden: &'a [Option<Vec<f32>>],
+        active: &[bool],
+    ) -> (Vec<&'a mut M>, Vec<&'a [f32]>) {
+        assert_eq!(hidden.len(), self.slots.len(), "one hidden state per slot");
+        assert_eq!(active.len(), self.slots.len(), "one mask bit per slot");
+        let n = active.iter().filter(|&&a| a).count();
+        let (mut group, mut hs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (slot, seat) in self.slots.iter_mut().enumerate() {
+            if active[slot] {
+                group.push(&mut seat.as_mut().expect("active slot is vacant").model);
+                hs.push(hidden[slot].as_deref().expect("active slot has no state"));
+            }
+        }
+        (group, hs)
+    }
+
     /// The shared layer sweep: runs decoder layer `layer` on every slot
     /// whose `active` bit is set — as one
     /// [`LayeredLm::forward_layer_group`] call, so seats sharing weights
@@ -833,24 +866,59 @@ impl<M: LayeredLm> BatchedStack<M> {
         positions: &[usize],
         meter: &mut Meter,
     ) -> usize {
-        assert_eq!(hidden.len(), self.slots.len(), "one hidden state per slot");
-        assert_eq!(active.len(), self.slots.len(), "one mask bit per slot");
         assert_eq!(positions.len(), self.slots.len(), "one position per slot");
-        let (mut group, mut hs, mut at) = (Vec::new(), Vec::new(), Vec::new());
-        for (slot, seat) in self.slots.iter_mut().enumerate() {
-            if !active[slot] {
-                continue;
-            }
-            group.push(&mut seat.as_mut().expect("active slot is vacant").model);
-            hs.push(hidden[slot].as_deref().expect("active slot has no state"));
-            at.push(positions[slot]);
-        }
+        let at: Vec<usize> = packed(active, positions).collect();
+        let (mut group, hs) = self.group(hidden, active);
         let outs = M::forward_layer_group(&mut group, layer, &hs, &at, meter);
         let runners = outs.len();
         for (slot, out) in (0..active.len()).filter(|&s| active[s]).zip(outs) {
             hidden[slot] = Some(out);
         }
         runners
+    }
+
+    /// The full LM head over `hidden[slot]` of every slot whose `active`
+    /// bit is set — as one [`LayeredLm::final_logits_group`] call, so
+    /// seats sharing weights take one pass over the head. Logits come
+    /// back in slot order, one row per active slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`BatchedStack::sweep_layer`].
+    pub fn final_logits(
+        &mut self,
+        hidden: &[Option<Vec<f32>>],
+        active: &[bool],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        let (mut group, hs) = self.group(hidden, active);
+        M::final_logits_group(&mut group, &hs, meter)
+    }
+
+    /// Fills the K/V of the layers this step's early exits skipped: a
+    /// slot with `first_skipped[slot] = Some(l)` left after layer `l - 1`
+    /// with `hidden[slot]` and owes layers `l..` a row at
+    /// `positions[slot]` — as one [`LayeredLm::fill_skipped_kv_group`]
+    /// call, so seats sharing weights stream each layer's K/V projections
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`BatchedStack::sweep_layer`].
+    pub fn fill_skipped_kv(
+        &mut self,
+        first_skipped: &[Option<usize>],
+        hidden: &[Option<Vec<f32>>],
+        positions: &[usize],
+        policy: SkipKvPolicy,
+        meter: &mut Meter,
+    ) {
+        assert_eq!(positions.len(), self.slots.len(), "one position per slot");
+        let left: Vec<bool> = first_skipped.iter().map(Option::is_some).collect();
+        let from: Vec<usize> = first_skipped.iter().flatten().copied().collect();
+        let at: Vec<usize> = packed(&left, positions).collect();
+        let (mut group, hs) = self.group(hidden, &left);
+        M::fill_skipped_kv_group(&mut group, &from, &hs, &at, policy, meter);
     }
 
     /// The shared *tree* sweep for batched token-tree verification: runs

@@ -5,7 +5,8 @@
 //! exposes exactly the control points the engine needs: embed a token, run
 //! one layer — for one sequence, a group of sequences at their own
 //! positions, or a draft-token tree — read full or sliced logits, and fill
-//! the KV cache of skipped layers after an exit. A prompt goes through
+//! the KV cache of skipped layers after an exit (the full head and the
+//! fill for one sequence or for a group). A prompt goes through
 //! [`LayeredLm::prefill`]; the part of it a resident sequence has already
 //! prefilled can be taken over with [`LayeredLm::adopt_prefix`] instead,
 //! which copies only where the copy provably equals the computation.
@@ -217,8 +218,56 @@ pub trait LayeredLm {
         }
     }
 
+    /// [`LayeredLm::fill_skipped_kv`] for a group of sequences that left
+    /// the same decode step early (what
+    /// [`crate::BatchedStack::fill_skipped_kv`] makes with the seats that
+    /// exited): member `i` fills layers `first_skipped[i]..` for its own
+    /// `positions[i]` from its exit hidden state `hs[i]`.
+    ///
+    /// This default — member by member, one K/V weight stream per member
+    /// per skipped layer — is the reference: implementations whose members
+    /// share weights override it to stream each layer's `wk` / `wv` once
+    /// for every member that skips it, and must stay bit-identical to it
+    /// (every K/V row, every [`Meter`] total).
+    fn fill_skipped_kv_group(
+        group: &mut [&mut Self],
+        first_skipped: &[usize],
+        hs: &[&[f32]],
+        positions: &[usize],
+        policy: SkipKvPolicy,
+        meter: &mut Meter,
+    ) where
+        Self: Sized,
+    {
+        for (i, member) in group.iter_mut().enumerate() {
+            member.fill_skipped_kv(first_skipped[i], hs[i], positions[i], policy, meter);
+        }
+    }
+
     /// Final norm + full LM head over the whole vocabulary.
     fn final_logits(&mut self, h: &[f32], meter: &mut Meter) -> Vec<f32>;
+
+    /// [`LayeredLm::final_logits`] for a group of sequences, one hidden
+    /// state each (what [`crate::BatchedStack::final_logits`] makes with
+    /// the seats whose predictors fired at a layer, or that ran the whole
+    /// stack); logits come back in member order, metered per member.
+    ///
+    /// This default — member by member, one LM-head stream each — is the
+    /// reference: implementations whose members share weights override it
+    /// to stream the head once per group, and must stay bit-identical to
+    /// it (every logit, every [`Meter`] total).
+    fn final_logits_group(
+        group: &mut [&mut Self],
+        hs: &[&[f32]],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>>
+    where
+        Self: Sized,
+    {
+        (0..group.len())
+            .map(|i| group[i].final_logits(hs[i], meter))
+            .collect()
+    }
 
     /// Batched full LM head over several hidden states (one weight read —
     /// how tree verification prices the head). The default computes

@@ -360,6 +360,26 @@ impl Transformer {
         }
         (outs, normed)
     }
+
+    /// The full LM head over `hs`: one weight pass, logits per row.
+    fn head_rows<H: AsRef<[f32]>>(&self, hs: &[H]) -> Vec<Vec<f32>> {
+        let w = &self.shared.weights;
+        let normed = pack_normed(hs, &w.final_norm);
+        w.lm_head
+            .matmul_with(self.backend, &normed, hs.len())
+            .chunks_exact(w.lm_head.rows())
+            .map(<[f32]>::to_vec)
+            .collect()
+    }
+
+    /// Whether `group` can take one weight pass: one set of weights, one
+    /// kernel to pass them through, and no calibration tap (a tap records
+    /// per sequence).
+    fn one_pass(group: &[&mut Self]) -> bool {
+        group.iter().all(|m| {
+            m.shares_weights_with(group[0]) && m.backend == group[0].backend && m.tap.is_none()
+        })
+    }
 }
 
 fn normed(h: &[f32], gain: &[f32]) -> Vec<f32> {
@@ -418,12 +438,7 @@ impl LayeredLm for Transformer {
         positions: &[usize],
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
-        // One weight pass needs one set of weights and one kernel to
-        // pass them through; a calibration tap records per sequence.
-        let one_pass = group.iter().all(|m| {
-            m.shares_weights_with(group[0]) && m.backend == group[0].backend && m.tap.is_none()
-        });
-        if one_pass && !group.is_empty() {
+        if Self::one_pass(group) && !group.is_empty() {
             let spans = positions.iter().map(|&pos| (pos, 1));
             return Self::layer_rows(group, layer, hs, spans, meter);
         }
@@ -556,6 +571,47 @@ impl LayeredLm for Transformer {
         }
     }
 
+    fn fill_skipped_kv_group(
+        group: &mut [&mut Self],
+        first_skipped: &[usize],
+        hs: &[&[f32]],
+        positions: &[usize],
+        policy: SkipKvPolicy,
+        meter: &mut Meter,
+    ) {
+        // Only the projecting policy reads weights; the other two copy or
+        // zero a row per member whichever way they are called.
+        if policy != SkipKvPolicy::ProjectExitHidden || !Self::one_pass(group) || group.is_empty() {
+            for (i, m) in group.iter_mut().enumerate() {
+                m.fill_skipped_kv(first_skipped[i], hs[i], positions[i], policy, meter);
+            }
+            return;
+        }
+        // Members in the order they left: a layer's skippers are a prefix.
+        // (`fill_layer_kv` is deliberately not routed through here: it is
+        // the reference this pass is tested against.)
+        let mut order: Vec<usize> = (0..group.len()).collect();
+        order.sort_by_key(|&i| first_skipped[i]);
+        let (shared, backend) = (Arc::clone(&group[0].shared), group[0].backend);
+        for layer in first_skipped[order[0]]..group[0].config.n_layers {
+            let skippers = &order[..order.partition_point(|&i| first_skipped[i] <= layer)];
+            let w = &shared.weights.layers[layer];
+            let rows: Vec<&[f32]> = skippers.iter().map(|&i| hs[i]).collect();
+            let normed = pack_normed(&rows, &w.attn_norm);
+            let mut ks = w.wk.matmul_with(backend, &normed, rows.len());
+            let vs = w.wv.matmul_with(backend, &normed, rows.len());
+            let kv_dim = w.wk.rows();
+            let kv = ks.chunks_exact_mut(kv_dim).zip(vs.chunks_exact(kv_dim));
+            for (&i, (k, v)) in skippers.iter().zip(kv) {
+                let m = &mut *group[i];
+                debug_assert_eq!(m.caches[layer].len(), positions[i], "skip-fill position");
+                shared.rope.rotate(k, positions[i], m.config.n_heads);
+                m.caches[layer].push(k, v);
+                m.scale.record_skip_kv_fill(meter);
+            }
+        }
+    }
+
     fn final_logits(&mut self, h: &[f32], meter: &mut Meter) -> Vec<f32> {
         let normed = normed(h, &self.shared.weights.final_norm);
         if let Some(tap) = &mut self.tap {
@@ -568,15 +624,25 @@ impl LayeredLm for Transformer {
             .matvec_with(self.backend, &normed)
     }
 
+    fn final_logits_group(
+        group: &mut [&mut Self],
+        hs: &[&[f32]],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        if !Self::one_pass(group) || group.is_empty() {
+            return (0..group.len())
+                .map(|i| group[i].final_logits(hs[i], meter))
+                .collect();
+        }
+        for m in group.iter() {
+            m.scale.record_lm_head_full(meter);
+        }
+        group[0].head_rows(hs)
+    }
+
     fn final_logits_batch(&mut self, hs: &[Vec<f32>], meter: &mut Meter) -> Vec<Vec<f32>> {
         self.scale.record_lm_head_full_batch(meter, hs.len());
-        let w = &self.shared.weights;
-        let normed = pack_normed(hs, &w.final_norm);
-        w.lm_head
-            .matmul_with(self.backend, &normed, hs.len())
-            .chunks_exact(w.lm_head.rows())
-            .map(<[f32]>::to_vec)
-            .collect()
+        self.head_rows(hs)
     }
 
     fn slice_logits(&mut self, h: &[f32], tokens: &[TokenId], meter: &mut Meter) -> Vec<f32> {

@@ -451,8 +451,36 @@ impl LayeredLm for SyntheticLm {
             .fill_skipped_kv(first_skipped, h, pos, policy, meter);
     }
 
+    fn fill_skipped_kv_group(
+        group: &mut [&mut Self],
+        first_skipped: &[usize],
+        hs: &[&[f32]],
+        positions: &[usize],
+        policy: SkipKvPolicy,
+        meter: &mut Meter,
+    ) {
+        let mut inners: Vec<&mut Transformer> = group.iter_mut().map(|m| &mut m.inner).collect();
+        Transformer::fill_skipped_kv_group(
+            &mut inners,
+            first_skipped,
+            hs,
+            positions,
+            policy,
+            meter,
+        );
+    }
+
     fn final_logits(&mut self, h: &[f32], meter: &mut Meter) -> Vec<f32> {
         self.inner.final_logits(h, meter)
+    }
+
+    fn final_logits_group(
+        group: &mut [&mut Self],
+        hs: &[&[f32]],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        let mut inners: Vec<&mut Transformer> = group.iter_mut().map(|m| &mut m.inner).collect();
+        Transformer::final_logits_group(&mut inners, hs, meter)
     }
 
     fn final_logits_batch(&mut self, hs: &[Vec<f32>], meter: &mut Meter) -> Vec<Vec<f32>> {

@@ -14,9 +14,12 @@ use specee_tensor::rng::Pcg;
 
 /// Normals per chunk: 16 KiB, allocated when first touched.
 pub const CHUNK: usize = 4096;
-/// Chunks kept: 512 Ki normals, 2 MiB — a 7B(sim) sequence's first 128
-/// full-depth tokens. Reads beyond are drawn every time.
-pub const CHUNKS: usize = 128;
+/// Chunks kept: 2 Mi normals, 8 MiB if every one is touched — a 7B(sim)
+/// sequence's first 512 full-depth tokens, or some 23 rounds of a 22-node
+/// token tree (90 k normals a round, whatever it commits), which covers a
+/// tree request: 24-token prompt and about nine rounds, 0.9 M. Reads
+/// beyond are drawn every time.
+pub const CHUNKS: usize = 512;
 
 struct NoiseTape {
     origin: Pcg,

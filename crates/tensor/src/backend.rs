@@ -290,20 +290,6 @@ mod x86 {
     /// 256-bit accumulator chains, enough to cover the add latency.
     const TILE_INPUTS: usize = 4;
 
-    /// Ordered horizontal sum `v0 + v1 + v2 + v3` (the reference lane
-    /// reduction; deliberately not a tree reduction).
-    ///
-    /// `inline(always)`: with plain `#[inline]` the inliner stops inlining
-    /// this into the `target_feature` kernels once more than one of them
-    /// calls it, and the out-of-line call (plus the spill around it) costs
-    /// the mat-vec about a third of its speed.
-    #[inline(always)]
-    unsafe fn hsum_ordered(v: __m128) -> f32 {
-        let mut lanes = [0.0f32; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), v);
-        lanes[0] + lanes[1] + lanes[2] + lanes[3]
-    }
-
     /// One register tile: four weight rows (`w`) against the `N`
     /// consecutive inputs at `xs`, each weight chunk loaded once and
     /// reused across the inputs. Writes `ys[n * rows + 0..4]`.
@@ -336,12 +322,17 @@ mod x86 {
         }
         for n in 0..N {
             let x = xs.add(n * cols);
-            let mut out = [
-                hsum_ordered(_mm256_castps256_ps128(acc01[n])),
-                hsum_ordered(_mm256_extractf128_ps(acc01[n], 1)),
-                hsum_ordered(_mm256_castps256_ps128(acc23[n])),
-                hsum_ordered(_mm256_extractf128_ps(acc23[n], 1)),
-            ];
+            // The four rows' ordered lane sums `v0 + v1 + v2 + v3` (the
+            // reference reduction; deliberately not a tree) at once:
+            // transposed, vector `i` holds lane `i` of every row.
+            let mut t0 = _mm256_castps256_ps128(acc01[n]);
+            let mut t1 = _mm256_extractf128_ps(acc01[n], 1);
+            let mut t2 = _mm256_castps256_ps128(acc23[n]);
+            let mut t3 = _mm256_extractf128_ps(acc23[n], 1);
+            _MM_TRANSPOSE4_PS(&mut t0, &mut t1, &mut t2, &mut t3);
+            let mut out = [0.0f32; 4];
+            let sums = _mm_add_ps(_mm_add_ps(_mm_add_ps(t0, t1), t2), t3);
+            _mm_storeu_ps(out.as_mut_ptr(), sums);
             for j in chunks * 4..cols {
                 let xv = *x.add(j);
                 out[0] += *w[0].add(j) * xv;

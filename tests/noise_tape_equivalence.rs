@@ -23,6 +23,9 @@ use specee::tensor::{BackendKind, Pcg};
 
 /// Normals the tape keeps; reads at or past this index are drawn afresh.
 const CAP: usize = CHUNK * CHUNKS;
+/// Where the cap stood while the tape kept 128 chunks: an ordinary chunk
+/// boundary now, half a tree request in.
+const OLD_CAP: usize = CHUNK * 128;
 
 /// The next `n` normals of `stream`, taken the way `SyntheticLm::steer`
 /// takes them: read at the cursor, then move it.
@@ -60,6 +63,9 @@ fn walk(rng: &mut Pcg, dim: usize) -> Vec<(usize, usize)> {
         (3 * CHUNK - across_many, 2 * CHUNK + rng.below(CHUNK)),
         // Over chunks nobody touched.
         (9 * CHUNK - rng.below(CHUNK), dim),
+        // Across where the cap used to stand, then on from there.
+        (OLD_CAP - short(rng), dim + 1),
+        (OLD_CAP + dim + 1, CHUNK + short(rng)),
         // Starts under the cap and ends past it; then wholly past it.
         (CAP - across_cap, across_cap + short(rng)),
     ];
