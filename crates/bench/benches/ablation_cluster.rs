@@ -61,7 +61,7 @@ fn deep_profile() -> DatasetProfile {
 /// SSDD: ids 0,1 shallow; 2,3 deep; repeating. Round-robin at two
 /// workers alternates, so every one of its batches mixes the classes.
 fn is_shallow(id: u64) -> bool {
-    (id / 2) % 2 == 0
+    (id / 2).is_multiple_of(2)
 }
 
 struct Harness {

@@ -11,12 +11,20 @@
 //! the dense product so the speed/accuracy trade is visible next to the
 //! timings.
 //!
-//! `model_shapes` then prints the per-input cost of the decoder's real
-//! projection shapes (7B(sim): hidden 128, FFN 256) at 1/2/4/8 inputs, and
-//! of a layer's seven projections together. A 128x128 f32 matrix is 64 KB
-//! against a 48 KB L1D, so the one-input product re-streams it from L2 on
-//! every call; the 4-input tile reads each weight chunk once per four
-//! inputs — the reason `sweep_layer` batches its seats.
+//! Two more groups time the decoder's real projection shapes (7B(sim):
+//! hidden 128, FFN 256) and answer different questions. `model_shapes`
+//! (1/2/4/8 inputs, each shape and a layer's seven together) multiplies
+//! *one* matrix over and over: a 128x128 f32 matrix is 64 KB against a
+//! 48 KB L1D, so it stays hot in L2 and the row says what the register
+//! tile costs when memory is not in the way. `streamed` walks what the
+//! engines walk — 32 layers of seven projections, 21 MB against a 4 MB
+//! L2, in layer order, so every weight comes from L3 or DRAM — at
+//! 1/2/4/5/6/7/8/22 inputs, and adds GMAC/s: that row is the one a decode
+//! step pays, and the one the row-block look-ahead prefetch exists for.
+//! On either, a tile loads each weight chunk once for all its inputs
+//! (four on the AVX path, eight on the AVX-512 one) — the reason
+//! `sweep_layer` batches its seats — so the per-`N` column of `streamed`
+//! should not decrease from 4 to 8 inputs and ns/input should fall.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specee_tensor::{BackendKind, Matrix, Pcg};
@@ -89,16 +97,19 @@ const MODEL_SHAPES: &[(usize, usize)] = &[(128, 128), (256, 128), (128, 256)];
 const PER_LAYER: &[usize] = &[4, 2, 1];
 const MODEL_INPUTS: &[usize] = &[1, 2, 4, 8];
 
-/// Fastest observed call of `f`, in ns, over ~150 ms of batches of 64.
-fn min_ns(mut f: impl FnMut()) -> f64 {
+/// Fastest observed call of `f`, in ns, over batches of `batch` calls:
+/// ~150 ms of them, five at least.
+fn min_ns(batch: u32, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     let start = Instant::now();
-    while start.elapsed() < Duration::from_millis(150) {
+    let mut batches = 0;
+    while start.elapsed() < Duration::from_millis(150) || batches < 5 {
         let t = Instant::now();
-        for _ in 0..64 {
+        for _ in 0..batch {
             f();
         }
-        best = best.min(t.elapsed().as_nanos() as f64 / 64.0);
+        best = best.min(t.elapsed().as_nanos() as f64 / f64::from(batch));
+        batches += 1;
     }
     best
 }
@@ -114,7 +125,7 @@ fn model_shapes(_c: &mut Criterion) {
                 let mut xs = vec![0.0f32; n_in * cols];
                 rng.fill_uniform(&mut xs, 1.0);
                 let mut ys = vec![0.0f32; n_in * rows];
-                let ns = min_ns(|| {
+                let ns = min_ns(64, || {
                     backend.matmul_into(black_box(&m), black_box(&xs), n_in, black_box(&mut ys))
                 });
                 layer_ns += ns * count as f64;
@@ -133,10 +144,51 @@ fn model_shapes(_c: &mut Criterion) {
     }
 }
 
-fn report(name: &str, ns: f64, n_in: usize) {
-    let per_input = ns / n_in as f64;
-    println!("{name:<40} {ns:>9.0} ns/call {per_input:>9.0} ns/input");
+/// Layers the `streamed` walk covers: a whole 7B(sim) decoder.
+const STREAMED_LAYERS: usize = 32;
+/// Every tile remainder from four to eight inputs, and a full draft tree.
+const STREAMED_INPUTS: &[usize] = &[1, 2, 4, 5, 6, 7, 8, 22];
+
+fn streamed(_c: &mut Criterion) {
+    let mut rng = Pcg::seed(29);
+    let per_layer = MODEL_SHAPES.iter().zip(PER_LAYER);
+    let layer: Vec<(usize, usize)> = per_layer
+        .flat_map(|(&shape, &count)| std::iter::repeat_n(shape, count))
+        .collect();
+    let weights: Vec<Matrix> = (0..STREAMED_LAYERS)
+        .flat_map(|_| layer.iter())
+        .map(|&(rows, cols)| Matrix::random(rows, cols, 0.5, &mut rng))
+        .collect();
+    let layer_macs: usize = layer.iter().map(|&(rows, cols)| rows * cols).sum();
+    let dim = layer.iter().map(|&(rows, cols)| rows.max(cols)).max();
+    let mut xs = vec![0.0f32; dim.unwrap() * STREAMED_INPUTS.iter().max().unwrap()];
+    rng.fill_uniform(&mut xs, 1.0);
+    let mut ys = vec![0.0f32; xs.len()];
+    for kind in [BackendKind::Reference, BackendKind::Blocked] {
+        let backend = kind.get();
+        for &n_in in STREAMED_INPUTS {
+            let walk_ns = min_ns(1, || {
+                for m in &weights {
+                    let (x, y) = (&xs[..n_in * m.cols()], &mut ys[..n_in * m.rows()]);
+                    backend.matmul_into(black_box(m), black_box(x), n_in, black_box(y));
+                }
+            });
+            let ns = walk_ns / STREAMED_LAYERS as f64;
+            let name = format!("streamed/{kind}/layer(4+2+1)x{n_in}");
+            let gmacs = (layer_macs * n_in) as f64 / ns;
+            println!("{} {gmacs:>6.2} GMAC/s", row(&name, ns, n_in));
+        }
+    }
 }
 
-criterion_group!(benches, bench, model_shapes);
+fn row(name: &str, ns: f64, n_in: usize) -> String {
+    let per_input = ns / n_in as f64;
+    format!("{name:<40} {ns:>9.0} ns/call {per_input:>9.0} ns/input")
+}
+
+fn report(name: &str, ns: f64, n_in: usize) {
+    println!("{}", row(name, ns, n_in));
+}
+
+criterion_group!(benches, bench, model_shapes, streamed);
 criterion_main!(benches);

@@ -477,7 +477,7 @@ fn exit_aware_routing_segregates_skewed_traffic() {
     let parts = trained(seed);
     let requests = PoissonArrivals::new(100.0, 17).requests(&specs(8, 6));
     // SSDD pattern: shallow, shallow, deep, deep, repeating.
-    let hint_of = |i: usize| if (i / 2) % 2 == 0 { 2.0 } else { 8.0 };
+    let hint_of = |i: usize| if (i / 2).is_multiple_of(2) { 2.0 } else { 8.0 };
 
     let route_all = |policy: RouterPolicy| {
         let mut cluster: Cluster<SyntheticLm, OracleDraft> = Cluster::spawn(

@@ -217,7 +217,7 @@ impl ModelConfig {
     /// Panics if `hidden_dim` is not divisible by `n_heads`.
     pub fn head_dim(&self) -> usize {
         assert!(
-            self.hidden_dim % self.n_heads == 0,
+            self.hidden_dim.is_multiple_of(self.n_heads),
             "hidden_dim {} not divisible by n_heads {}",
             self.hidden_dim,
             self.n_heads
@@ -240,7 +240,7 @@ impl ModelConfig {
         if self.hidden_dim == 0 || self.n_layers == 0 || self.vocab_size == 0 {
             return Err("dimensions must be positive".to_string());
         }
-        if self.hidden_dim % self.n_heads != 0 {
+        if !self.hidden_dim.is_multiple_of(self.n_heads) {
             return Err(format!(
                 "hidden_dim {} not divisible by n_heads {}",
                 self.hidden_dim, self.n_heads

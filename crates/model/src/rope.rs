@@ -13,7 +13,7 @@ impl RopeFreqs {
     ///
     /// Panics if `head_dim` is odd.
     pub fn new(head_dim: usize, theta: f32) -> Self {
-        assert!(head_dim % 2 == 0, "head_dim must be even");
+        assert!(head_dim.is_multiple_of(2), "head_dim must be even");
         let freq = |i| theta.powf(-2.0 * i as f32 / head_dim as f32);
         RopeFreqs((0..head_dim / 2).map(freq).collect())
     }

@@ -214,7 +214,7 @@ impl Recorder {
     fn push(&mut self, ev: Event) {
         if self.sample_every > 1 {
             let seen = self.sample_seen.entry(ev.kind.name()).or_insert(0);
-            let keep = *seen % u64::from(self.sample_every) == 0;
+            let keep = seen.is_multiple_of(u64::from(self.sample_every));
             *seen += 1;
             if !keep {
                 self.dropped += 1;

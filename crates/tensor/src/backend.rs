@@ -257,62 +257,88 @@ impl Backend for Reference {
 /// chunk is loaded once for the row block's whole batch of inputs, and the
 /// independent accumulator chains keep the multiply pipes busy, while
 /// every result stays bit-identical to [`Reference`]. The mat-vec *is* the
-/// mat-mul of one input. On x86-64 both dispatch (at runtime, via
-/// `is_x86_feature_detected!`) to an AVX kernel that packs the four rows'
-/// four-lane accumulators into two 256-bit registers per input, four
-/// inputs to a register tile — the per-lane addition chains are untouched,
-/// so that path is *also* bit-identical to the scalar oracle, just ~2x
-/// faster per mat-vec and ~2x again per input of a batch. `gemm` (row
-/// subsets) stays a per-row dot in the same order. `matvec_t`
-/// re-associates across the row block (four saxpys fused per pass over
-/// `y`) and is only tolerance-equal.
+/// mat-mul of one input. Three paths, picked at runtime by
+/// `is_x86_feature_detected!`: portable; AVX, two rows' lanes to a 256-bit
+/// register (two accumulators an input, four inputs a register tile);
+/// AVX-512, all four rows' lanes in one 512-bit accumulator an input, eight
+/// inputs a tile, so the weight register is built once per eight inputs
+/// and the arithmetic per input halves. Each keeps every (row, input, lane)
+/// addition chain, the `s0+s1+s2+s3` reduction and the sequential column
+/// tail as the oracle has them — only the register a lane sits in differs,
+/// and multiply and add stay two instructions (FMA and 8-lane sums round
+/// differently) — so each is bit-identical to it. The x86 tiles prefetch
+/// the row block two ahead (a decoder walks more weights per token than L2
+/// holds, and a tile's four row streams defeat the hardware prefetcher):
+/// that moves a cache line, never a sum. `gemm` (row subsets) stays a
+/// per-row dot in the same order. `matvec_t` re-associates across the row
+/// block (four saxpys fused per pass over `y`) and is only tolerance-equal.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
-/// Wide-register x86-64 mat-mul kernel used by [`Blocked`].
-///
-/// The kernel replicates the reference reduction exactly: each
-/// (weight row, input) pair keeps four f32 accumulator lanes updated in
-/// column order, lanes are combined `s0+s1+s2+s3`, and the ragged column
-/// tail is added sequentially — only the *packing* of independent lanes
-/// into 256-bit registers differs, which IEEE-754 addition cannot observe.
-/// (An AVX-512 variant measured no faster — the kernel is memory-bound —
-/// and its intrinsics would raise the workspace MSRV, so AVX is the
-/// widest path shipped. FMA and 8-lane accumulators are faster but round
-/// differently from the oracle, so they are out.)
+/// The x86-64 register tiles and the block walk behind [`Blocked`], whose
+/// docs say why every path keeps the oracle's sums.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
 
     use crate::matrix::{dot, Matrix};
 
-    /// Inputs per register tile: 4 rows × 4 inputs is eight independent
-    /// 256-bit accumulator chains, enough to cover the add latency.
-    const TILE_INPUTS: usize = 4;
+    /// Row blocks between the one a tile reduces and the one it prefetches
+    /// (1, 2 and 4 measured alike, 8 worse: one constant, no tuning).
+    const LOOK_AHEAD: usize = 2;
 
-    /// One register tile: four weight rows (`w`) against the `N`
-    /// consecutive inputs at `xs`, each weight chunk loaded once and
-    /// reused across the inputs. Writes `ys[n * rows + 0..4]`.
+    /// What a register tile of `N` inputs works on, `(w, cols, xs, ys, rows,
+    /// ahead)`: four weight rows `w + k * cols` and inputs `xs + n * cols`,
+    /// each readable for `cols` floats; outputs `ys + n * rows`, writable
+    /// for four; `ahead`, null or the first of `4 * cols` readable floats (a
+    /// later row block) to prefetch, one cache line per four-column chunk.
+    type Operands = (*const f32, usize, *const f32, *mut f32, usize, *const f32);
+
+    /// Finishes input `n` of a tile, `lanes[k]` holding row `k`'s four lane
+    /// sums: the one place the reduction order is written down.
     ///
     /// # Safety
     ///
-    /// AVX must be available; every `w[k]` and `xs + n * cols` must be
-    /// readable for `cols` floats and `ys + n * rows` writable for four.
+    /// `t` must be what [`Operands`] says for a tile of more than `n` inputs.
+    #[inline(always)]
+    unsafe fn store_block_sums(lanes: [__m128; 4], t: Operands, n: usize) {
+        let (w, cols, xs, ys, rows, _) = t;
+        // The four rows' ordered lane sums `v0 + v1 + v2 + v3` (the
+        // reference reduction; deliberately not a tree) at once:
+        // transposed, vector `i` holds lane `i` of every row.
+        let [mut t0, mut t1, mut t2, mut t3] = lanes;
+        _MM_TRANSPOSE4_PS(&mut t0, &mut t1, &mut t2, &mut t3);
+        let mut out = [0.0f32; 4];
+        let sums = _mm_add_ps(_mm_add_ps(_mm_add_ps(t0, t1), t2), t3);
+        _mm_storeu_ps(out.as_mut_ptr(), sums);
+        for j in cols / 4 * 4..cols {
+            let xv = *xs.add(n * cols + j);
+            for (k, o) in out.iter_mut().enumerate() {
+                *o += *w.add(k * cols + j) * xv;
+            }
+        }
+        core::ptr::copy_nonoverlapping(out.as_ptr(), ys.add(n * rows), 4);
+    }
+
+    /// The AVX tile, `N <= 4`: 2 N independent 256-bit chains. Out of line
+    /// like its sibling: inlined, all tiles share the walk's registers and
+    /// the one-input loop spills its row pointers.
+    ///
+    /// # Safety
+    ///
+    /// AVX must be available and `t` be what [`Operands`] says.
+    #[inline(never)]
     #[target_feature(enable = "avx")]
-    unsafe fn tile_avx<const N: usize>(
-        w: [*const f32; 4],
-        cols: usize,
-        xs: *const f32,
-        ys: *mut f32,
-        rows: usize,
-    ) {
-        let chunks = cols / 4;
+    unsafe fn tile_avx<const N: usize>(t: Operands) {
+        let (w, cols, xs, _, _, ahead) = t;
         let mut acc01 = [_mm256_setzero_ps(); N];
         let mut acc23 = [_mm256_setzero_ps(); N];
-        for c in 0..chunks {
-            let j = c * 4;
-            let w01 = _mm256_set_m128(_mm_loadu_ps(w[1].add(j)), _mm_loadu_ps(w[0].add(j)));
-            let w23 = _mm256_set_m128(_mm_loadu_ps(w[3].add(j)), _mm_loadu_ps(w[2].add(j)));
+        for j in (0..cols / 4 * 4).step_by(4) {
+            if !ahead.is_null() {
+                _mm_prefetch::<_MM_HINT_T0>(ahead.add(j * 4).cast());
+            }
+            let [w0, w1, w2, w3] = [0, 1, 2, 3].map(|k| _mm_loadu_ps(w.add(k * cols + j)));
+            let (w01, w23) = (_mm256_set_m128(w1, w0), _mm256_set_m128(w3, w2));
             for n in 0..N {
                 let xv = _mm_loadu_ps(xs.add(n * cols + j));
                 let xx = _mm256_set_m128(xv, xv);
@@ -321,32 +347,94 @@ mod x86 {
             }
         }
         for n in 0..N {
-            let x = xs.add(n * cols);
-            // The four rows' ordered lane sums `v0 + v1 + v2 + v3` (the
-            // reference reduction; deliberately not a tree) at once:
-            // transposed, vector `i` holds lane `i` of every row.
-            let mut t0 = _mm256_castps256_ps128(acc01[n]);
-            let mut t1 = _mm256_extractf128_ps(acc01[n], 1);
-            let mut t2 = _mm256_castps256_ps128(acc23[n]);
-            let mut t3 = _mm256_extractf128_ps(acc23[n], 1);
-            _MM_TRANSPOSE4_PS(&mut t0, &mut t1, &mut t2, &mut t3);
-            let mut out = [0.0f32; 4];
-            let sums = _mm_add_ps(_mm_add_ps(_mm_add_ps(t0, t1), t2), t3);
-            _mm_storeu_ps(out.as_mut_ptr(), sums);
-            for j in chunks * 4..cols {
-                let xv = *x.add(j);
-                out[0] += *w[0].add(j) * xv;
-                out[1] += *w[1].add(j) * xv;
-                out[2] += *w[2].add(j) * xv;
-                out[3] += *w[3].add(j) * xv;
-            }
-            core::ptr::copy_nonoverlapping(out.as_ptr(), ys.add(n * rows), 4);
+            let lanes = [
+                _mm256_castps256_ps128(acc01[n]),
+                _mm256_extractf128_ps(acc01[n], 1),
+                _mm256_castps256_ps128(acc23[n]),
+                _mm256_extractf128_ps(acc23[n], 1),
+            ];
+            store_block_sums(lanes, t, n);
         }
     }
 
-    /// AVX mat-mul: blocks of four rows, each walked over the inputs in
-    /// register tiles (a single input is the degenerate tile — the
-    /// mat-vec).
+    /// The AVX-512 tile, `N <= 8`: one 512-bit accumulator an input, row
+    /// `k`'s four lanes in its 128-bit group `k`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available and `t` be what [`Operands`] says.
+    #[inline(never)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile_avx512<const N: usize>(t: Operands) {
+        let (w, cols, xs, _, _, ahead) = t;
+        let mut acc = [_mm512_setzero_ps(); N];
+        for j in (0..cols / 4 * 4).step_by(4) {
+            if !ahead.is_null() {
+                _mm_prefetch::<_MM_HINT_T0>(ahead.add(j * 4).cast());
+            }
+            let [w0, w1, w2, w3] = [0, 1, 2, 3].map(|k| _mm_loadu_ps(w.add(k * cols + j)));
+            let mut wv = _mm512_castps128_ps512(w0);
+            wv = _mm512_insertf32x4::<1>(wv, w1);
+            wv = _mm512_insertf32x4::<2>(wv, w2);
+            wv = _mm512_insertf32x4::<3>(wv, w3);
+            for (n, a) in acc.iter_mut().enumerate() {
+                let xv = _mm512_broadcast_f32x4(_mm_loadu_ps(xs.add(n * cols + j)));
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(wv, xv));
+            }
+        }
+        for (n, &a) in acc.iter().enumerate() {
+            let lanes = [
+                _mm512_castps512_ps128(a),
+                _mm512_extractf32x4_ps::<1>(a),
+                _mm512_extractf32x4_ps::<2>(a),
+                _mm512_extractf32x4_ps::<3>(a),
+            ];
+            store_block_sums(lanes, t, n);
+        }
+    }
+
+    /// The block walk: blocks of four rows, each walked over the inputs in
+    /// register tiles of up to `WIDTH` (a single input is the degenerate
+    /// tile — the mat-vec); remainder rows through the oracle's `dot`.
+    ///
+    /// # Safety
+    ///
+    /// `xs.len() == n_in * m.cols()`, `ys.len() == n_in * m.rows()`; `tile(n,
+    /// t)` sound whenever `t` is what [`Operands`] says for `n <= WIDTH` inputs.
+    #[inline(always)]
+    unsafe fn matmul_tiled<const WIDTH: usize>(
+        m: &Matrix,
+        xs: &[f32],
+        n_in: usize,
+        ys: &mut [f32],
+        tile: impl Fn(usize, Operands),
+    ) {
+        let (rows, cols) = (m.rows(), m.cols());
+        let data = m.as_slice();
+        let block = |b: usize| data.get(b * 4 * cols..(b + 1) * 4 * cols);
+        for b in 0..rows / 4 {
+            let w = block(b).expect("b < rows / 4").as_ptr();
+            // Only a block that lies inside the matrix is prefetched, and
+            // only by the first tile: later ones would find it in L1.
+            let mut ahead = block(b + LOOK_AHEAD).map_or(core::ptr::null(), <[f32]>::as_ptr);
+            for n in (0..n_in).step_by(WIDTH) {
+                // `n < n_in` and `b * 4 + 4 <= rows`: both pointers are in
+                // bounds; the tile covers the `min(WIDTH, n_in - n)` inputs left.
+                let x = xs.as_ptr().add(n * cols);
+                let y = ys.as_mut_ptr().add(n * rows + b * 4);
+                tile((n_in - n).min(WIDTH), (w, cols, x, y, rows, ahead));
+                ahead = core::ptr::null();
+            }
+        }
+        for r in rows / 4 * 4..rows {
+            let row = &data[r * cols..(r + 1) * cols];
+            for n in 0..n_in {
+                ys[n * rows + r] = dot(row, &xs[n * cols..(n + 1) * cols]);
+            }
+        }
+    }
+
+    /// AVX mat-mul.
     ///
     /// # Safety
     ///
@@ -354,32 +442,32 @@ mod x86 {
     /// (`xs.len() == n_in * m.cols()`, `ys.len() == n_in * m.rows()`).
     #[target_feature(enable = "avx")]
     pub unsafe fn matmul_avx(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
-        let (rows, cols) = (m.rows(), m.cols());
-        let data = m.as_slice();
-        let blocks = rows / 4;
-        for b in 0..blocks {
-            let r = b * 4;
-            let p = data.as_ptr().add(r * cols);
-            let w = [p, p.add(cols), p.add(2 * cols), p.add(3 * cols)];
-            for n in (0..n_in).step_by(TILE_INPUTS) {
-                // `n < n_in` and `r + 4 <= rows`: both pointers are in
-                // bounds, and the tile chosen below covers exactly the
-                // `min(TILE_INPUTS, n_in - n)` inputs that remain.
-                let (x, y) = (xs.as_ptr().add(n * cols), ys.as_mut_ptr().add(n * rows + r));
-                match n_in - n {
-                    1 => tile_avx::<1>(w, cols, x, y, rows),
-                    2 => tile_avx::<2>(w, cols, x, y, rows),
-                    3 => tile_avx::<3>(w, cols, x, y, rows),
-                    _ => tile_avx::<TILE_INPUTS>(w, cols, x, y, rows),
-                }
-            }
-        }
-        for r in blocks * 4..rows {
-            let row = &data[r * cols..(r + 1) * cols];
-            for n in 0..n_in {
-                ys[n * rows + r] = dot(row, &xs[n * cols..(n + 1) * cols]);
-            }
-        }
+        matmul_tiled::<4>(m, xs, n_in, ys, |n, t| match n {
+            1 => tile_avx::<1>(t),
+            2 => tile_avx::<2>(t),
+            3 => tile_avx::<3>(t),
+            _ => tile_avx::<4>(t),
+        })
+    }
+
+    /// AVX-512 mat-mul. One input is one addition chain a row either way,
+    /// and the 256-bit adds of [`tile_avx`] have the shorter latency.
+    ///
+    /// # Safety
+    ///
+    /// As [`matmul_avx`], with AVX-512F available.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn matmul_avx512(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+        matmul_tiled::<8>(m, xs, n_in, ys, |n, t| match n {
+            1 => tile_avx::<1>(t),
+            2 => tile_avx512::<2>(t),
+            3 => tile_avx512::<3>(t),
+            4 => tile_avx512::<4>(t),
+            5 => tile_avx512::<5>(t),
+            6 => tile_avx512::<6>(t),
+            7 => tile_avx512::<7>(t),
+            _ => tile_avx512::<8>(t),
+        })
     }
 }
 
@@ -472,11 +560,13 @@ fn matmul_blocked_portable(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) 
 fn matmul_blocked(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
+        // SAFETY (both calls): the feature is checked on the line above;
+        // callers validated `xs.len()` and `ys.len()` against `n_in`.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return unsafe { x86::matmul_avx512(m, xs, n_in, ys) };
+        }
         if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: feature presence checked above; callers validated
-            // `xs.len() == n_in * cols` and `ys.len() == n_in * rows`.
-            unsafe { x86::matmul_avx(m, xs, n_in, ys) };
-            return;
+            return unsafe { x86::matmul_avx(m, xs, n_in, ys) };
         }
     }
     matmul_blocked_portable(m, xs, n_in, ys);
@@ -817,27 +907,49 @@ mod tests {
         }
     }
 
-    /// The public `Blocked` entry points dispatch to the widest available
-    /// kernel; this pins *each* path (portable, AVX where present) to the
-    /// oracle independently, over `shapes` of (rows, cols, inputs).
-    fn pin_every_blocked_path(seed: u64, shapes: &[(usize, usize, usize)]) {
-        let mut rng = Pcg::seed(seed);
-        for &shape in shapes {
-            assert_path_matches_reference("portable", matmul_blocked_portable, &mut rng, shape);
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx") {
-                    assert_path_matches_reference(
-                        "avx",
-                        // SAFETY: feature presence checked; the helper
-                        // sizes `xs`/`ys` to the shape.
-                        |m, xs, n_in, ys| unsafe { x86::matmul_avx(m, xs, n_in, ys) },
-                        &mut rng,
-                        shape,
-                    );
-                }
+    /// A `Blocked` mat-mul path, as the tests call it.
+    type Path = fn(&Matrix, &[f32], usize, &mut [f32]);
+
+    /// Every kernel path this CPU can run, by name. The public `Blocked`
+    /// entry points only ever reach the widest; the tests below pin *each*
+    /// to the oracle on its own.
+    fn blocked_paths() -> Vec<(&'static str, Path)> {
+        let mut paths: Vec<(&'static str, Path)> = vec![("portable", matmul_blocked_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY (both): pushed only when the feature is present; the
+            // callers size `xs` / `ys` to the shape.
+            if std::arch::is_x86_feature_detected!("avx") {
+                paths.push(("avx", |m, xs, n_in, ys| unsafe {
+                    x86::matmul_avx(m, xs, n_in, ys)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                paths.push(("avx512", |m, xs, n_in, ys| unsafe {
+                    x86::matmul_avx512(m, xs, n_in, ys)
+                }));
             }
         }
+        paths
+    }
+
+    /// Pins every path to the oracle over `shapes` of (rows, cols, inputs)
+    /// and prints which paths those were: a runner without AVX-512 passes
+    /// on two, and `--nocapture` shows that it did.
+    fn pin_every_blocked_path(seed: u64, shapes: &[(usize, usize, usize)]) {
+        let mut rng = Pcg::seed(seed);
+        let paths = blocked_paths();
+        for &shape in shapes {
+            for &(what, kernel) in &paths {
+                assert_path_matches_reference(what, kernel, &mut rng, shape);
+            }
+        }
+        let names: Vec<&str> = paths.iter().map(|p| p.0).collect();
+        println!(
+            "pinned to Reference over {} shapes: {}",
+            shapes.len(),
+            names.join(", ")
+        );
     }
 
     #[test]
@@ -850,14 +962,27 @@ mod tests {
 
     #[test]
     fn every_blocked_matmul_path_bit_identical_to_reference() {
-        // Odd rows, `cols % 4 != 0`, and every input-tile remainder.
+        // Every tile remainder of both widths and two full 8-tiles; blocks
+        // with and without a look-ahead, ragged row tail; `cols % 4 != 0`.
         let mut shapes = Vec::new();
-        for n_in in [0, 1, 2, 3, 4, 5, 7, 8, 22] {
-            for (rows, cols) in [(1, 7), (4, 4), (5, 19), (32, 64), (33, 65), (6, 0)] {
-                shapes.push((rows, cols, n_in));
+        for n_in in (0..=9).chain([15, 16, 17, 22]) {
+            for rows in [1, 4, 5, 11, 12, 13, 32, 33, 47] {
+                for cols in [0, 4, 7, 19, 64, 65, 128, 256] {
+                    shapes.push((rows, cols, n_in));
+                }
             }
         }
         pin_every_blocked_path(12, &shapes);
+    }
+
+    /// The look-ahead never leaves the matrix. `Matrix::random` sizes its
+    /// `Vec` exactly, so every matrix here ends where its allocation ends;
+    /// thirteen rows put the last whole block two behind the first, with a
+    /// ragged row after it, and the inputs run over every tile width.
+    #[test]
+    fn every_blocked_path_stays_inside_a_matrix_at_the_end_of_its_allocation() {
+        let shapes: Vec<_> = (0..=17).map(|n_in| (13, 35, n_in)).collect();
+        pin_every_blocked_path(13, &shapes);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl QuantizedMatrix {
     /// Returns [`QuantError::BadGroupSize`] if `group_size` is zero or does
     /// not divide the column count.
     pub fn quantize(m: &Matrix, bits: QuantBits, group_size: usize) -> Result<Self, QuantError> {
-        if group_size == 0 || m.cols() % group_size != 0 {
+        if group_size == 0 || !m.cols().is_multiple_of(group_size) {
             return Err(QuantError::BadGroupSize {
                 group_size,
                 cols: m.cols(),

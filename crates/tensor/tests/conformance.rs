@@ -12,8 +12,10 @@
 //! * `matmul_into` on *every* backend equals that backend's own
 //!   `matvec_into` input by input, bit for bit (the quantized backend
 //!   included: batching may not change what it rounds). The `Blocked`
-//!   kernel paths behind it (portable, AVX) are private, so each is pinned
-//!   to the oracle on its own in `backend.rs`'s unit tests.
+//!   kernel paths behind it (portable, AVX, AVX-512) are private, so each
+//!   is pinned to the oracle on its own in `backend.rs`'s unit tests
+//!   (`cargo test -p specee-tensor every_blocked -- --nocapture` prints the
+//!   paths this CPU could pin); here the widest one is what runs.
 //! * `QuantizedI8` rounds to i8 codes; its error is bounded analytically
 //!   from the per-group half-step (`scale / 2`) and the bound is computed
 //!   per instance and asserted.
@@ -49,9 +51,9 @@ const SHAPES: &[(usize, usize)] = &[
     (33, 64),
 ];
 
-/// Input counts for `matmul_into`: empty, the degenerate tile, every
-/// remainder of the four-input register tile, and a full draft tree.
-const MATMUL_INPUTS: &[usize] = &[0, 1, 3, 4, 5, 22];
+/// Input counts for `matmul_into`: empty, the degenerate tile, remainders
+/// of the four- and the eight-input register tile, and a full draft tree.
+const MATMUL_INPUTS: &[usize] = &[0, 1, 3, 4, 5, 8, 9, 22];
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::random(rows, cols, 1.0, &mut Pcg::seed(seed))
@@ -552,7 +554,9 @@ proptest! {
     }
 
     #[test]
-    fn prop_blocked_matmul_bit_identical(seed in 0u64..10_000, rows in 0usize..40, cols in 0usize..70, n_in in 0usize..24) {
+    fn prop_blocked_matmul_bit_identical(seed in 0u64..10_000, rows in 0usize..71, cols in 0usize..301, n_in in 0usize..25) {
+        // Up to 17 row blocks (look-aheads that exist and ones that do not),
+        // 75 column chunks and three full 8-input tiles.
         let m = mat(rows, cols, seed);
         let xs = vec_in(n_in * cols, seed.wrapping_add(8));
         let mut ys = vec![f32::NAN; n_in * rows];
