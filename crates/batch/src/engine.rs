@@ -1,17 +1,19 @@
 //! The lock-step batched decoding engine.
 
+use std::collections::BTreeMap;
+
 use specee_control::{ClassEvidence, ClassedController, ControllerSummary};
 use specee_core::engine::first_token;
 use specee_core::engine::scan::{ExitFeedback, ExitScan};
 use specee_core::engine::selfdraft::{self_draft_pass, verify_commit, DraftPass};
 use specee_core::predictor::PredictorBank;
 use specee_core::scheduler::ScheduleEngine;
-use specee_core::traffic::{ClassMap, Lane, TrafficClass};
+use specee_core::traffic::{Lane, TrafficClass};
 use specee_core::SpecEeConfig;
-use specee_draft::SpeculativeSource;
+use specee_draft::{SelfDraftSpec, SpeculativeSource};
 use specee_metrics::Meter;
-use specee_model::{BatchedStack, LayeredLm, SlotPool, TokenId, TreeKv};
-use specee_obs::{EventKind, Recorder, TraceSink};
+use specee_model::{LayeredLm, PageLedger, SlotPool, TokenId, TreeKv};
+use specee_obs::{EventKind, Recorder};
 use specee_tensor::ops;
 
 /// The finished record of one batched sequence.
@@ -171,15 +173,57 @@ impl<D: SpeculativeSource> SeqState<D> {
             self_draft_calls: self.self_draft_calls,
         }
     }
+
+    /// The most tokens one decode step can commit for this sequence: one
+    /// for a plain step, `1 + tree depth` for a self-draft step.
+    fn step_growth(&self) -> usize {
+        let depth = |spec: &SelfDraftSpec| spec.shape.branching().len();
+        1 + self.draft.self_spec().map_or(0, depth)
+    }
 }
 
-/// A sequence evicted from its slot under KV page pressure: its model
-/// handle (the committed KV; the weights stay shared with every other
-/// sequence) and the generation state are parked whole, so re-seating
-/// leases fresh pages and continues bit-identically.
-struct Parked<M, D> {
+/// One slot's record: the sequence's model (its committed K/V; the
+/// weights stay shared with every other sequence) and its generation
+/// state. A sequence evicted under KV page pressure is the same record,
+/// off the slot vector: parked whole, so re-seating leases fresh pages
+/// and continues bit-identically.
+struct Seat<M, D> {
     model: M,
     seq: SeqState<D>,
+}
+
+/// One running seat's share of a decode step: the state its token carries
+/// from layer to layer, beside the seat it belongs to.
+struct Running<'a, M, D> {
+    slot: usize,
+    seat: &'a mut Seat<M, D>,
+    /// The K/V position the pending token occupies.
+    pos: usize,
+    hidden: Vec<f32>,
+    cands: Vec<TokenId>,
+    /// The scan's (predictor, verify) call counters when the step began.
+    scan_base: (u64, u64),
+    /// The `(score, threshold)` of a predictor fire awaiting its head row.
+    fire: Option<(f32, f32)>,
+    /// Layers executed, token and full logits of a verified exit; a seat
+    /// is in the sweep while this is `None`.
+    exit: Option<(usize, TokenId, Vec<f32>)>,
+}
+
+/// The member lists of a [`LayeredLm`] group call: the models of the
+/// running seats `pick` selects, in slot order, with each one's hidden
+/// state and K/V position.
+fn members<'a, M, D>(
+    running: &'a mut [Running<'_, M, D>],
+    pick: impl Fn(&Running<'_, M, D>) -> bool,
+) -> (Vec<&'a mut M>, Vec<&'a [f32]>, Vec<usize>) {
+    let (mut group, mut hs, mut at) = (Vec::new(), Vec::new(), Vec::new());
+    for run in running.iter_mut().filter(|run| pick(run)) {
+        group.push(&mut run.seat.model);
+        hs.push(run.hidden.as_slice());
+        at.push(run.pos);
+    }
+    (group, hs, at)
 }
 
 /// A live batched decoding runtime: up to `max_batch` sequences decode in
@@ -230,8 +274,11 @@ struct Parked<M, D> {
 /// assert_eq!(summary.tokens, 8, "4 decode-step tokens per sequence");
 /// ```
 pub struct BatchedEngine<M, D> {
-    stack: BatchedStack<M>,
-    seqs: Vec<Option<SeqState<D>>>,
+    /// `seats[slot]`: the sequence decoding in that slot, if any.
+    seats: Vec<Option<Seat<M, D>>>,
+    /// The seated sequences' KV page accounting, slot by slot: a lease
+    /// exactly where `seats` holds a sequence.
+    ledger: PageLedger,
     /// The default class's predictor bank (the only bank untagged runs
     /// ever touch — parity with the pre-class runtime is structural).
     bank: PredictorBank,
@@ -241,12 +288,11 @@ pub struct BatchedEngine<M, D> {
     /// One bank per non-default traffic class, lazily cloned at the
     /// first admission of the class so each class decodes under its own
     /// operating point.
-    class_banks: ClassMap<PredictorBank>,
+    class_banks: BTreeMap<TrafficClass, PredictorBank>,
     schedule_template: ScheduleEngine,
     config: SpecEeConfig,
     n_layers: usize,
     meter: Meter,
-    steps: u64,
     controller: Option<ClassedController>,
     /// Compute backend stamped onto every model at admission; `None`
     /// keeps each model's own.
@@ -257,7 +303,7 @@ pub struct BatchedEngine<M, D> {
     /// [`BatchedEngine::recorder_mut`] before each step.
     trace: Option<Recorder>,
     /// Sequences evicted under page pressure, awaiting re-admission.
-    parked: Vec<Parked<M, D>>,
+    parked: Vec<Seat<M, D>>,
     /// Whether page pressure may evict residents (off = the pre-paged
     /// behaviour: exhaustion panics in the pool).
     preempt_enabled: bool,
@@ -296,16 +342,15 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         );
         let base_thresholds = (0..bank.len()).map(|l| bank.layer(l).threshold()).collect();
         BatchedEngine {
-            stack: BatchedStack::new(max_batch, page_size),
-            seqs: (0..max_batch).map(|_| None).collect(),
+            seats: (0..max_batch).map(|_| None).collect(),
+            ledger: PageLedger::new(max_batch, page_size),
             bank,
             base_thresholds,
-            class_banks: ClassMap::new(),
+            class_banks: BTreeMap::new(),
             schedule_template: schedule,
             config,
             n_layers,
             meter: Meter::new(),
-            steps: 0,
             controller: None,
             backend: None,
             trace: None,
@@ -326,7 +371,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     ///
     /// Panics if `capacity` is `Some(0)`.
     pub fn set_page_capacity(&mut self, capacity: Option<usize>) {
-        self.stack.set_page_capacity(capacity);
+        self.ledger.set_capacity(capacity);
     }
 
     /// Turns copy-on-write prefix sharing on or off: subsequent
@@ -337,12 +382,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     ///
     /// Panics if any slot is occupied.
     pub fn enable_prefix_share(&mut self, on: bool) {
-        self.stack.enable_prefix_share(on);
-    }
-
-    /// Whether prefix sharing is enabled.
-    pub fn prefix_sharing(&self) -> bool {
-        self.stack.prefix_sharing()
+        self.ledger.enable_prefix_share(on);
     }
 
     /// Enables (or disables) preemption under page pressure: when the
@@ -449,7 +489,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             ctl.absorb(delta);
         }
         ctl.apply(TrafficClass::DEFAULT, &mut self.bank);
-        for (class, bank) in self.class_banks.iter_mut() {
+        for (&class, bank) in self.class_banks.iter_mut() {
             ctl.apply(class, bank);
         }
         if !evidence.is_empty() {
@@ -469,7 +509,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
 
     /// The batch cap.
     pub fn max_batch(&self) -> usize {
-        self.stack.max_batch()
+        self.seats.len()
     }
 
     /// Decoder depth the engine drives.
@@ -479,17 +519,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
 
     /// Occupied slots.
     pub fn occupancy(&self) -> usize {
-        self.stack.occupancy()
+        self.seats.iter().flatten().count()
     }
 
     /// Whether a new sequence can be admitted.
     pub fn has_free_slot(&self) -> bool {
-        self.stack.free_slot().is_some()
-    }
-
-    /// Decode steps executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
+        self.seats.iter().any(Option::is_none)
     }
 
     /// The engine-wide op trace (prefills excluded, like the single-stream
@@ -500,11 +535,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
 
     /// The shared KV page pool.
     pub fn pool(&self) -> &SlotPool {
-        self.stack.pool()
+        self.ledger.pool()
     }
 
-    /// Admits an untagged (default-class) sequence — see
-    /// [`BatchedEngine::admit_classed`].
+    /// Admits an untagged sequence on the default lane — see
+    /// [`BatchedEngine::admit_laned`].
     pub fn admit(
         &mut self,
         id: u64,
@@ -513,14 +548,15 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         prompt: &[TokenId],
         gen_len: usize,
     ) -> Admission {
-        self.admit_classed(id, TrafficClass::DEFAULT, model, draft, prompt, gen_len)
+        let (class, lane) = (TrafficClass::DEFAULT, Lane::DEFAULT);
+        self.admit_laned(id, class, lane, model, draft, prompt, gen_len)
     }
 
-    /// Admits a sequence tagged with a traffic class: resets the model
-    /// and draft, prefills the prompt (producing the first token at full
-    /// depth, as the single-stream engines do), and seats it in a free
-    /// slot. A `gen_len` of one finishes immediately without occupying a
-    /// slot.
+    /// Admits a sequence tagged with a traffic class and a priority lane:
+    /// resets the model and draft, prefills the prompt (producing the
+    /// first token at full depth, as the single-stream engines do), and
+    /// seats it in the lowest free slot. A `gen_len` of one finishes
+    /// immediately without occupying a slot.
     ///
     /// The class keys the feedback plane: the sequence's exit scans run
     /// against the class's own predictor bank (lazily cloned from the
@@ -528,39 +564,21 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// events carry the class, and an attached controller steers the
     /// class's thresholds independently of every other class's.
     ///
-    /// # Panics
-    ///
-    /// Panics if no slot is free (check [`BatchedEngine::has_free_slot`]),
-    /// `prompt` is empty, `gen_len` is zero, or the model's depth does not
-    /// match the engine's.
-    pub fn admit_classed(
-        &mut self,
-        id: u64,
-        class: TrafficClass,
-        model: M,
-        draft: D,
-        prompt: &[TokenId],
-        gen_len: usize,
-    ) -> Admission {
-        self.admit_laned(id, class, Lane::DEFAULT, model, draft, prompt, gen_len)
-    }
-
-    /// Admits a sequence tagged with both a traffic class and a priority
-    /// lane — see [`BatchedEngine::admit_classed`] for the class
-    /// semantics. The lane orders the memory plane: under page pressure
-    /// the engine evicts the highest-lane (lowest-priority) resident
-    /// first, and parked sequences re-seat in ascending lane order. With
-    /// prefix sharing enabled the prompt is matched against resident
-    /// prefixes and matching pages are co-leased copy-on-write instead
-    /// of allocated; their K/V is copied from a resident that holds it
-    /// when the model can show the copy equals its own prefill
+    /// The lane orders the memory plane: under page pressure the engine
+    /// evicts the highest-lane (lowest-priority) resident first, and
+    /// parked sequences re-seat in ascending lane order. With prefix
+    /// sharing enabled the prompt is matched against resident prefixes
+    /// and matching pages are co-leased copy-on-write instead of
+    /// allocated; their K/V is copied from a resident that holds it when
+    /// the model can show the copy equals its own prefill
     /// ([`LayeredLm::adopt_prefix`]), and only the rest is prefilled.
     ///
     /// # Panics
     ///
-    /// Panics like [`BatchedEngine::admit_classed`], or if the page pool
-    /// cannot cover the prompt (gate with [`BatchedEngine::can_seat`] /
-    /// [`BatchedEngine::make_room`] first).
+    /// Panics if no slot is free (check [`BatchedEngine::has_free_slot`]),
+    /// `prompt` is empty, `gen_len` is zero, the model's depth does not
+    /// match the engine's, or the page pool cannot cover the prompt (gate
+    /// with [`BatchedEngine::make_room`] first).
     #[allow(clippy::too_many_arguments)]
     pub fn admit_laned(
         &mut self,
@@ -591,9 +609,10 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         // What a resident has already prefilled is copied, not recomputed —
         // all but the last prompt token, whose hidden state feeds the head.
         let mut reused = 0;
-        if let Some((slot, tokens)) = self.stack.prefix_donor(prompt) {
+        if let Some((slot, tokens)) = self.ledger.donor(prompt) {
+            let donor = self.seats[slot].as_ref().expect("a lease per seat");
             let shared = &prompt[..tokens.min(prompt.len() - 1)];
-            if model.adopt_prefix(self.stack.model(slot), shared) {
+            if model.adopt_prefix(&donor.model, shared) {
                 reused = shared.len();
             }
         }
@@ -622,13 +641,34 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         if gen_len == 1 {
             return Admission::Done(seq.into_output());
         }
-        let slot = if self.stack.prefix_sharing() {
-            self.stack.admit_shared(model, prompt)
-        } else {
-            self.stack.admit(model)
-        };
-        self.seqs[slot] = Some(seq);
+        let slot = self.seat(Seat { model, seq }, Some(prompt));
         Admission::Seated { slot }
+    }
+
+    /// Puts `seat` in the lowest free slot and leases pages for the K/V
+    /// its model has committed — matched against and registered with the
+    /// prefix index under `prompt` (an admission), all private without one
+    /// (a parked sequence coming back).
+    fn seat(&mut self, seat: Seat<M, D>, prompt: Option<&[TokenId]>) -> usize {
+        let free = self.seats.iter().position(Option::is_none);
+        let slot = free.expect("no free slot");
+        self.ledger.lease(slot, seat.model.kv_len(), prompt);
+        self.seats[slot] = Some(seat);
+        slot
+    }
+
+    /// The occupied slots and their seats, in slot order.
+    fn seated(&self) -> impl Iterator<Item = (usize, &Seat<M, D>)> {
+        let slots = self.seats.iter().enumerate();
+        slots.filter_map(|(slot, seat)| Some((slot, seat.as_ref()?)))
+    }
+
+    /// Empties `slot`: its pages (and prefix registration) go back to the
+    /// ledger, its sequence to the caller — finished, cancelled or parked.
+    fn unseat(&mut self, slot: usize) -> Seat<M, D> {
+        let seat = self.seats[slot].take().expect("seated sequence");
+        self.ledger.vacate(slot);
+        seat
     }
 
     /// Fresh physical pages admitting a sequence with this prompt would
@@ -636,22 +676,22 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// with the pool's available pages to budget a round of admissions
     /// under a capacity.
     pub fn pages_for_admit(&self, prompt: &[TokenId]) -> usize {
-        self.stack.pages_for_admit(prompt)
+        self.ledger.pages_for_admit(prompt)
     }
 
     /// Whether a sequence with this prompt can be seated right now: a
     /// slot is free and the pool can cover the fresh pages the prompt
     /// needs (prefix-index matches subtract from the demand).
-    pub fn can_seat(&self, prompt: &[TokenId]) -> bool {
-        self.has_free_slot() && self.stack.pages_for_admit(prompt) <= self.pool().available_pages()
+    fn can_seat(&self, prompt: &[TokenId]) -> bool {
+        self.has_free_slot() && self.pages_for_admit(prompt) <= self.pool().available_pages()
     }
 
     /// Tries to make room for a `lane`-priority admission with this
     /// prompt by evicting strictly lower-priority (higher-lane)
-    /// residents, lowest priority first, until [`BatchedEngine::can_seat`]
-    /// holds or no eligible victim remains. Returns whether the
-    /// admission now fits. A no-op (returning `can_seat`) when
-    /// preemption is disabled.
+    /// residents, lowest priority first, until a slot is free and the pool
+    /// covers the prompt's fresh pages, or no eligible victim remains.
+    /// Returns whether the admission now fits. A no-op (returning whether
+    /// it fits as things stand) when preemption is disabled.
     pub fn make_room(&mut self, prompt: &[TokenId], lane: Lane) -> bool {
         if !self.preempt_enabled {
             return self.can_seat(prompt);
@@ -669,28 +709,34 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// `(lane, id)` — among those of strictly lower priority than
     /// `above` (among all residents when `None`).
     fn eviction_victim(&self, above: Option<Lane>) -> Option<usize> {
-        self.seqs
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, s)| s.as_ref().map(|seq| (seq.lane, seq.id, slot)))
+        self.seated()
+            .map(|(slot, s)| (s.seq.lane, s.seq.id, slot))
             .filter(|&(lane, _, _)| above.is_none_or(|a| lane > a))
             .max()
             .map(|(_, _, slot)| slot)
     }
 
-    /// The step-boundary page-pressure gate: preempts the lowest-priority
-    /// residents until the step's worst-case page demand — `extras[slot]`
-    /// tokens of growth per resident (boundary crossings plus pending
-    /// copy-on-write copies) — fits the pool's free capacity. Never
+    /// Fresh pages the next step could allocate: every seat's lease grown
+    /// by the most tokens the step can commit for it (boundary crossings
+    /// plus pending copy-on-write copies).
+    fn step_page_demand(&self) -> usize {
+        let grown = |s: &Seat<M, D>| s.model.kv_len() + s.seq.step_growth();
+        self.seated()
+            .map(|(slot, s)| self.ledger.demand(slot, grown(s)))
+            .sum()
+    }
+
+    /// The step boundary of the memory plane: re-seats parked sequences
+    /// that fit, then preempts the lowest-priority residents until the
+    /// step's worst-case page demand fits the pool's free capacity. Never
     /// preempts the last resident: a single sequence exceeding the cap is
     /// a configuration error and panics in the pool.
-    fn relieve_page_pressure(&mut self, extras: &[usize]) {
+    fn open_step(&mut self) {
+        self.resume_parked();
         if !(self.preempt_enabled && self.pool().capacity().is_some()) {
             return;
         }
-        while self.stack.next_step_page_demand_for(extras) > self.pool().available_pages()
-            && self.occupancy() > 1
-        {
+        while self.step_page_demand() > self.pool().available_pages() && self.occupancy() > 1 {
             let slot = self.eviction_victim(None).expect("occupancy > 1");
             self.preempt_slot(slot);
         }
@@ -700,17 +746,17 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// pool, its model and generation state park whole, and a
     /// [`EventKind::Preempted`] instant is traced.
     fn preempt_slot(&mut self, slot: usize) {
-        let seq = self.seqs[slot].take().expect("seated sequence");
         let before = self.pool().pages_in_use();
-        let model = self.stack.retire(slot);
+        let seat = self.unseat(slot);
         let freed = before - self.pool().pages_in_use();
         self.preemptions += 1;
-        trace_event(&mut self.trace, Some(seq.id), || EventKind::Preempted {
-            request: seq.id,
-            lane: seq.lane.id(),
+        let (request, lane) = (seat.seq.id, seat.seq.lane.id());
+        trace_event(&mut self.trace, Some(request), || EventKind::Preempted {
+            request,
+            lane,
             pages: freed as u32,
         });
-        self.parked.push(Parked { model, seq });
+        self.parked.push(seat);
     }
 
     /// Re-seats parked sequences in priority order — ascending (lane,
@@ -726,16 +772,14 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         while i < self.parked.len() {
             let needed = self.parked[i].model.kv_len().div_ceil(ps);
             if self.has_free_slot() && needed <= self.pool().available_pages() {
-                let parked = self.parked.remove(i);
-                let slot = self.stack.admit(parked.model);
+                let seat = self.parked.remove(i);
+                let (request, lane) = (seat.seq.id, seat.seq.lane.id());
+                self.seat(seat, None);
                 self.resumes += 1;
-                trace_event(&mut self.trace, Some(parked.seq.id), || {
-                    EventKind::Resumed {
-                        request: parked.seq.id,
-                        lane: parked.seq.lane.id(),
-                    }
+                trace_event(&mut self.trace, Some(request), || EventKind::Resumed {
+                    request,
+                    lane,
                 });
-                self.seqs[slot] = Some(parked.seq);
             } else {
                 i += 1;
             }
@@ -779,7 +823,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// primary bank, untouched at admission, so un-classed runs are
     /// bit-identical to the pre-class runtime.
     fn ensure_class_bank(&mut self, class: TrafficClass) {
-        if class.is_default() || self.class_banks.get(class).is_some() {
+        if class.is_default() || self.class_banks.contains_key(&class) {
             return;
         }
         let mut bank = self.bank.clone();
@@ -789,158 +833,159 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         if let Some(ctl) = self.controller.as_mut() {
             ctl.init_class_bank(class, &mut bank);
         }
-        self.class_banks.get_or_insert_with(class, || bank);
+        self.class_banks.insert(class, bank);
+    }
+
+    /// Whether this batch decodes by self-draft tree verification. The
+    /// whole batch — parked sequences included — must agree, because the
+    /// two step bodies disagree on how many tokens a step may commit.
+    fn self_drafting(&self) -> bool {
+        let everyone = || self.seats.iter().flatten().chain(&self.parked);
+        let is_self = |s: &Seat<M, D>| s.seq.draft.self_spec().is_some();
+        let any = everyone().any(is_self);
+        assert!(
+            !any || everyone().all(is_self),
+            "self-draft sequences cannot share a batch with \
+             separate-draft sequences"
+        );
+        any
     }
 
     /// Runs one synchronized decode step: every seated sequence proposes
     /// its candidates, feeds its pending token, and sweeps the layer stack
-    /// in lock-step. After each layer every running sequence scores its
-    /// own scheduled predictor ([`ExitScan::score`]), the ones that fired
-    /// share one full LM head ([`BatchedStack::final_logits`]) and each
-    /// settles its own row ([`ExitScan::settle`]); a verified exit drops
-    /// out of the sweep there, and the sweep itself continues to the
-    /// rearmost layer any sequence still needs. At the end of the step the
-    /// sequences that left fill the K/V of the layers they skipped in one
-    /// pass per layer ([`BatchedStack::fill_skipped_kv`]) and the rest
-    /// share one last head. Emits one token per seated sequence and
-    /// retires the finished.
+    /// in lock-step — one [`LayeredLm::forward_layer_group`] call per layer
+    /// over the seats still running. After each layer every running
+    /// sequence scores its own scheduled predictor ([`ExitScan::score`]),
+    /// the ones that fired share one full LM head
+    /// ([`LayeredLm::final_logits_group`]) and each settles its own row
+    /// ([`ExitScan::settle`]); a verified exit drops out of the sweep
+    /// there, and the sweep itself continues to the rearmost layer any
+    /// sequence still needs. At the end of the step the sequences that left
+    /// fill the K/V of the layers they skipped in one pass per layer
+    /// ([`LayeredLm::fill_skipped_kv_group`]) and the rest share one last
+    /// head. Emits one token per seated sequence and retires the finished.
+    ///
+    /// Self-draft batches take the tree-verification body instead: per
+    /// seat a shallow draft pass, then one lock-step
+    /// [`LayeredLm::forward_layer_tree`] sweep of the deep layers and a
+    /// split commit, up to `1 + tree depth` tokens per sequence.
     ///
     /// Returns the measured step — an empty report (no runners, nothing
     /// emitted) when no sequence is seated.
     pub fn step(&mut self) -> BatchStep {
-        // Self-draft batches take the tree-verification step path: the
-        // whole batch must agree on the mode, because the two paths
-        // disagree on how many tokens a step may commit.
-        let is_self = |s: &SeqState<D>| s.draft.self_spec().is_some();
-        let any_self =
-            self.seqs.iter().flatten().any(is_self) || self.parked.iter().any(|p| is_self(&p.seq));
-        if any_self {
-            assert!(
-                self.seqs.iter().flatten().all(is_self)
-                    && self.parked.iter().all(|p| is_self(&p.seq)),
-                "self-draft sequences cannot share a batch with \
-                 separate-draft sequences"
-            );
+        if self.self_drafting() {
             return self.step_self_draft();
         }
-        // Memory plane, at the boundary: re-seat parked sequences that
-        // fit, then gate on every resident growing by one token.
-        self.resume_parked();
-        let max_batch = self.stack.max_batch();
-        self.relieve_page_pressure(&vec![1; max_batch]);
+        self.open_step();
         let mut report = BatchStep::empty(self.n_layers);
         let spec_k = self.config.predictor.spec_k;
 
-        // Token setup per seated sequence: context, draft proposal, embed.
-        let mut hidden: Vec<Option<Vec<f32>>> = vec![None; max_batch];
-        let mut positions = vec![0usize; max_batch];
-        let mut needs = vec![false; max_batch];
-        let mut cands: Vec<Vec<TokenId>> = vec![Vec::new(); max_batch];
-        let mut exited: Vec<Option<(usize, TokenId, Vec<f32>)>> = vec![None; max_batch];
-        let mut scan_base: Vec<(u64, u64)> = vec![(0, 0); max_batch];
-        for slot in 0..max_batch {
-            let Some(seq) = self.seqs[slot].as_mut() else {
-                continue;
-            };
+        // Token setup per seated sequence, in slot order: context, draft
+        // proposal, embed.
+        let mut running: Vec<Running<'_, M, D>> = Vec::new();
+        for (slot, seat) in self.seats.iter_mut().enumerate() {
+            let Some(seat) = seat else { continue };
+            let seq = &mut seat.seq;
             seq.ctx.push(seq.last);
-            cands[slot] = seq.draft.propose(&seq.ctx, spec_k, &mut self.meter);
-            scan_base[slot] = (seq.scan.predictor_calls(), seq.scan.verify_calls());
+            let cands = seq.draft.propose(&seq.ctx, spec_k, &mut self.meter);
+            let scan_base = (seq.scan.predictor_calls(), seq.scan.verify_calls());
             seq.scan.begin_token();
-            let model = self.stack.model_mut(slot);
-            positions[slot] = model.kv_len();
-            hidden[slot] = Some(model.begin_token(seq.last, &mut self.meter));
-            needs[slot] = true;
-            report.ctx_lens.push(positions[slot] + 1);
-            report.draft_slots += usize::from(!cands[slot].is_empty());
+            let pos = seat.model.kv_len();
+            let hidden = seat.model.begin_token(seq.last, &mut self.meter);
+            report.ctx_lens.push(pos + 1);
+            report.draft_slots += usize::from(!cands.is_empty());
+            running.push(Running {
+                slot,
+                seat,
+                pos,
+                hidden,
+                cands,
+                scan_base,
+                fire: None,
+                exit: None,
+            });
         }
-        if report.ctx_lens.is_empty() {
+        if running.is_empty() {
             return report;
         }
 
-        // The shared layer sweep: active-masked, ending at the rearmost
-        // layer any sequence still needs. An exit is paid for once per
-        // weight pass, not once per seat: after each layer every running
-        // seat scores its own predictor, the seats that fired share one
-        // full head, and each settles its own row.
-        let mut fires: Vec<Option<(f32, f32)>> = vec![None; max_batch];
-        let mut fired = vec![false; max_batch];
+        // The shared layer sweep over the seats that have not left,
+        // ending at the rearmost layer any of them still needs. An exit is
+        // paid for once per weight pass, not once per seat: after each
+        // layer every running seat scores its own predictor, the seats
+        // that fired share one full head, and each settles its own row.
         for layer in 0..self.n_layers {
-            if !needs.iter().any(|&n| n) {
+            let (mut group, hs, at) = members(&mut running, |run| run.exit.is_none());
+            if group.is_empty() {
                 break;
             }
-            report.layer_runners[layer] =
-                self.stack
-                    .sweep_layer(layer, &mut hidden, &needs, &positions, &mut self.meter);
-            for slot in 0..max_batch {
-                if !needs[slot] {
-                    continue;
-                }
-                let seq = self.seqs[slot].as_mut().expect("seated sequence");
+            let outs = M::forward_layer_group(&mut group, layer, &hs, &at, &mut self.meter);
+            report.layer_runners[layer] = outs.len();
+            let in_sweep = running.iter_mut().filter(|run| run.exit.is_none());
+            for (run, out) in in_sweep.zip(outs) {
+                run.hidden = out;
+                let Seat { model, seq } = &mut *run.seat;
                 // Thresholds resolve per sequence: each scan runs against
                 // its class's bank (the default bank for untagged slots).
-                let bank = self.class_banks.get(seq.class).unwrap_or(&self.bank);
-                fires[slot] = seq.scan.score(
-                    self.stack.model_mut(slot),
+                let bank = self.class_banks.get(&seq.class).unwrap_or(&self.bank);
+                run.fire = seq.scan.score(
+                    model,
                     bank,
                     &seq.schedule,
-                    hidden[slot].as_ref().expect("swept state"),
-                    &cands[slot],
+                    &run.hidden,
+                    &run.cands,
                     layer,
                     &mut self.meter,
                 );
             }
-            for (on, fire) in fired.iter_mut().zip(&fires) {
-                *on = fire.is_some();
-            }
-            if !fired.iter().any(|&f| f) {
+            let (mut group, hs, _) = members(&mut running, |run| run.fire.is_some());
+            if group.is_empty() {
                 continue;
             }
-            let rows = self.stack.final_logits(&hidden, &fired, &mut self.meter);
-            for (slot, full) in (0..max_batch).filter(|&s| fired[s]).zip(rows) {
-                let seq = self.seqs[slot].as_mut().expect("seated sequence");
+            let rows = M::final_logits_group(&mut group, &hs, &mut self.meter);
+            let fired = running.iter_mut().filter(|run| run.fire.is_some());
+            for (run, full) in fired.zip(rows) {
+                let seq = &mut run.seat.seq;
                 if let Some(rec) = self.trace.as_mut() {
                     rec.set_seq(Some(seq.id));
                 }
-                let fire = fires[slot].take().expect("a fire per row");
-                if let Some((tok, full)) =
-                    seq.scan
-                        .settle(fire, full, &cands[slot], layer, &mut self.trace)
-                {
-                    exited[slot] = Some((layer + 1, tok, full));
-                    needs[slot] = false;
-                }
+                let fire = run.fire.take().expect("a fire per row");
+                let settled = seq
+                    .scan
+                    .settle(fire, full, &run.cands, layer, &mut self.trace);
+                run.exit = settled.map(|(tok, full)| (layer + 1, tok, full));
             }
         }
         // What the step's exits owe, paid at its boundary: every seat that
-        // left fills the layers it skipped from its exit state (still in
+        // left fills the layers it skipped from its exit state (still its
         // `hidden` — nothing reads those rows before the next step), a
         // layer's K/V projections streamed once for all who skipped it;
         // the seats that ran the whole stack share one last head.
-        let first_skipped: Vec<Option<usize>> = exited
+        let first_skipped: Vec<usize> = running
             .iter()
-            .map(|exit| exit.as_ref().map(|&(executed, ..)| executed))
+            .filter_map(|run| run.exit.as_ref().map(|&(executed, ..)| executed))
             .collect();
-        self.stack.fill_skipped_kv(
+        let (mut group, hs, at) = members(&mut running, |run| run.exit.is_some());
+        let policy = self.config.skip_kv_policy;
+        M::fill_skipped_kv_group(
+            &mut group,
             &first_skipped,
-            &hidden,
-            &positions,
-            self.config.skip_kv_policy,
+            &hs,
+            &at,
+            policy,
             &mut self.meter,
         );
-        let mut last_heads = self
-            .stack
-            .final_logits(&hidden, &needs, &mut self.meter)
-            .into_iter();
+        let (mut group, hs, _) = members(&mut running, |run| run.exit.is_none());
+        let mut last_heads = M::final_logits_group(&mut group, &hs, &mut self.meter).into_iter();
 
-        // Emit one token per sequence; retire the finished. Feedback is
-        // collected here in slot order and handed to the controller
-        // afterwards, grouped by class.
+        // Emit one token per sequence. Feedback is collected here in slot
+        // order and handed to the controller afterwards, grouped by
+        // class.
         let mut drained: Vec<(TrafficClass, Vec<ExitFeedback>, usize)> = Vec::new();
-        for slot in 0..max_batch {
-            let Some(seq) = self.seqs[slot].as_mut() else {
-                continue;
-            };
-            let (executed, next, full) = match exited[slot].take() {
+        let mut finished: Vec<usize> = Vec::new();
+        for run in running {
+            let seq = &mut run.seat.seq;
+            let (executed, next, full) = match run.exit {
                 Some(exit) => exit,
                 None => {
                     let full = last_heads.next().expect("a head row per full-depth seat");
@@ -956,7 +1001,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             seq.last = next;
             self.meter.mark_token();
             report.emitted += 1;
-            let (p0, v0) = scan_base[slot];
+            let (p0, v0) = run.scan_base;
             report.predictor_calls += seq.scan.predictor_calls() - p0;
             report.lm_head_evals += seq.scan.verify_calls() - v0;
             // Drain this sequence's verifier outcomes. The step report
@@ -971,10 +1016,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 report.feedback.extend(feedback);
             }
             if seq.tokens.len() >= seq.gen_len {
-                let seq = self.seqs[slot].take().expect("seated sequence");
-                let _ = self.stack.retire(slot);
-                report.finished.push(seq.into_output());
+                finished.push(run.slot);
             }
+        }
+        for slot in finished {
+            report.finished.push(self.unseat(slot).seq.into_output());
         }
         // Close the loop: feed the controller per class in slot order
         // (classes ascend; the stable sort keeps slot order within each
@@ -990,14 +1036,14 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 ctl.note_token(*class, *executed, self.n_layers);
             }
             ctl.apply(TrafficClass::DEFAULT, &mut self.bank);
-            for (class, bank) in self.class_banks.iter_mut() {
+            for (&class, bank) in self.class_banks.iter_mut() {
                 ctl.apply(class, bank);
             }
             // Trace the operating point each apply left in force: one
             // controller-apply event per class per step boundary, so a
             // trace shows the threshold trajectory the run decoded under.
-            let default_bank = (TrafficClass::DEFAULT, &self.bank);
-            for (class, bank) in std::iter::once(default_bank).chain(self.class_banks.iter()) {
+            let default_bank = (&TrafficClass::DEFAULT, &self.bank);
+            for (class, bank) in std::iter::once(default_bank).chain(&self.class_banks) {
                 trace_event(&mut self.trace, None, || EventKind::ControllerApply {
                     class: class.id(),
                     threshold: (0..bank.len())
@@ -1011,48 +1057,45 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         report
     }
 
-    /// Runs one synchronized *self-draft* decode step: every seated
+    /// The self-draft body of [`BatchedEngine::step`]: every seated
     /// sequence drafts a token tree through its own model's shallow
     /// layers (sequence-local — each slot's tree grows inside its own
     /// KV scratch), the deep layers then verify every slot's whole tree
-    /// in lock-step masked sweeps
-    /// ([`BatchedStack::sweep_layer_tree`]), and each slot commits its
-    /// accepted root path under the split-KV rule: shallow layers from
-    /// the draft-pass scratch (committed, never recomputed), deep
-    /// layers from the verify sweep. Rejected branches leave no pool
-    /// residue. Emits up to `1 + tree depth` tokens per sequence per
-    /// step.
+    /// in lock-step ([`LayeredLm::forward_layer_tree`], a seat joining at
+    /// its own exit layer), and each slot commits its accepted root path
+    /// under the split-KV rule: shallow layers from the draft-pass
+    /// scratch (committed, never recomputed), deep layers from the verify
+    /// sweep. Rejected branches leave no pool residue.
     fn step_self_draft(&mut self) -> BatchStep {
-        let max_batch = self.stack.max_batch();
-        self.resume_parked();
-        // Preemption gate with the multi-token growth bound: a slot may
-        // commit up to `1 + depth` tokens this step.
-        let extras: Vec<usize> = (0..max_batch)
-            .map(|slot| {
-                self.seqs[slot].as_ref().map_or(0, |s| {
-                    let spec = s.draft.self_spec().expect("self-draft batch");
-                    1 + spec.shape.branching().len()
-                })
-            })
-            .collect();
-        self.relieve_page_pressure(&extras);
+        /// One seat's tree through the step: what its draft pass built
+        /// and what the verify sweep has made of it so far.
+        struct Drafted<'a, M, D> {
+            slot: usize,
+            seat: &'a mut Seat<M, D>,
+            pass: DraftPass,
+            /// The first layer of the verify sweep this tree runs.
+            exit_layer: usize,
+            /// Hidden state per tree node.
+            hidden: Vec<Vec<f32>>,
+            /// Scratch K/V of the verify sweep, in tree-node order, one
+            /// entry per layer run.
+            kvs: Vec<TreeKv>,
+        }
+        self.open_step();
         let mut report = BatchStep::empty(self.n_layers);
 
         // Per-slot shallow draft pass. Drafting is sequence-local (each
         // tree attends its own context), but every shallow layer a pass
         // ran still lands in the step's layer-runner counts — the
         // Cannikin price of the step is measured, not assumed.
-        let mut passes: Vec<Option<DraftPass>> = vec![None; max_batch];
-        let mut exits = vec![0usize; max_batch];
-        for slot in 0..max_batch {
-            let Some(seq) = self.seqs[slot].as_mut() else {
-                continue;
-            };
+        let mut drafted: Vec<Drafted<'_, M, D>> = Vec::new();
+        for (slot, seat) in self.seats.iter_mut().enumerate() {
+            let Some(seat) = seat else { continue };
+            let Seat { model, seq } = &mut *seat;
             let spec = seq.draft.self_spec().expect("self-draft batch").clone();
             seq.ctx.push(seq.last);
-            let model = self.stack.model_mut(slot);
             report.ctx_lens.push(model.kv_len() + 1);
-            let pass = self_draft_pass(model, seq.last, &spec, &mut self.meter);
+            let mut pass = self_draft_pass(model, seq.last, &spec, &mut self.meter);
             seq.self_draft_calls += pass.shallow_calls;
             for runner in report.layer_runners.iter_mut().take(spec.exit_layer) {
                 *runner += 1;
@@ -1061,60 +1104,43 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 nodes: pass.node_tokens.len() as u32,
                 exit_layer: spec.exit_layer as u32,
             });
-            exits[slot] = spec.exit_layer;
-            passes[slot] = Some(pass);
             report.self_draft_slots += 1;
+            drafted.push(Drafted {
+                slot,
+                seat,
+                hidden: std::mem::take(&mut pass.exit_hs),
+                pass,
+                exit_layer: spec.exit_layer,
+                kvs: Vec::new(),
+            });
         }
-        if report.self_draft_slots == 0 {
+
+        if drafted.is_empty() {
             return report;
         }
 
         // The lock-step verify sweep: deep layers run over every slot's
-        // whole tree, masked per slot (slots with a deeper exit layer
-        // join the sweep later).
-        let mut hidden: Vec<Option<Vec<Vec<f32>>>> = passes
-            .iter()
-            .map(|p| p.as_ref().map(|p| p.exit_hs.clone()))
-            .collect();
-        let parents: Vec<Vec<Option<usize>>> = passes
-            .iter()
-            .map(|p| {
-                p.as_ref()
-                    .map(|p| p.node_parents.clone())
-                    .unwrap_or_default()
-            })
-            .collect();
-        let mut kvs: Vec<Vec<TreeKv>> = vec![Vec::new(); max_batch];
-        let first = exits
-            .iter()
-            .zip(&passes)
-            .filter(|(_, p)| p.is_some())
-            .map(|(&e, _)| e)
-            .min()
-            .expect("an active slot");
-        for layer in first..self.n_layers {
-            let active: Vec<bool> = (0..max_batch)
-                .map(|s| passes[s].is_some() && layer >= exits[s])
-                .collect();
-            report.layer_runners[layer] += self.stack.sweep_layer_tree(
-                layer,
-                &mut hidden,
-                &parents,
-                &active,
-                &mut kvs,
-                &mut self.meter,
-            );
+        // whole tree under that slot's tree attention mask (slots with a
+        // deeper exit layer join the sweep later).
+        let first = drafted.iter().map(|d| d.exit_layer).min();
+        for layer in first.expect("a drafted seat")..self.n_layers {
+            for d in drafted.iter_mut().filter(|d| layer >= d.exit_layer) {
+                let parents = &d.pass.node_parents;
+                let (out, kv) =
+                    d.seat
+                        .model
+                        .forward_layer_tree(layer, &d.hidden, parents, &mut self.meter);
+                d.hidden = out;
+                d.kvs.push(kv);
+                report.layer_runners[layer] += 1;
+            }
         }
 
         // Per-slot verification and split commit; retire the finished.
-        for slot in 0..max_batch {
-            let Some(pass) = passes[slot].take() else {
-                continue;
-            };
-            let final_hs = hidden[slot].take().expect("swept tree");
-            let seq = self.seqs[slot].as_mut().expect("seated sequence");
-            let model = self.stack.model_mut(slot);
-            let outcome = verify_commit(model, &pass, &final_hs, &kvs[slot], &mut self.meter);
+        let mut finished: Vec<usize> = Vec::new();
+        for d in drafted {
+            let Seat { model, seq } = d.seat;
+            let outcome = verify_commit(model, &d.pass, &d.hidden, &d.kvs, &mut self.meter);
             report.lm_head_evals += 1;
             seq.self_draft_rounds += 1;
             for &(tok, ce) in &outcome.emitted {
@@ -1139,12 +1165,13 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 accepted: outcome.accepted_len as u32,
             });
             if seq.tokens.len() >= seq.gen_len {
-                let mut seq = self.seqs[slot].take().expect("seated sequence");
                 seq.tokens.truncate(seq.gen_len);
                 seq.exit_layers.truncate(seq.gen_len);
-                let _ = self.stack.retire(slot);
-                report.finished.push(seq.into_output());
+                finished.push(d.slot);
             }
+        }
+        for slot in finished {
+            report.finished.push(self.unseat(slot).seq.into_output());
         }
         self.close_step();
         report
@@ -1153,15 +1180,22 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// Closes a decode step at its boundary: settles the page leases,
     /// samples page pressure into the trace and counts the step.
     fn close_step(&mut self) {
-        self.stack.sync_leases();
+        // Every lease catches up with its model's committed K/V, in slot
+        // order: new pages as sequences grew, a copy-on-write copy of any
+        // shared page the growth wrote into.
+        for (slot, seat) in self.seats.iter().enumerate() {
+            if let Some(seat) = seat {
+                self.ledger.grow(slot, seat.model.kv_len());
+            }
+        }
         // Sample page pressure at the boundary, but only when the memory
         // plane is actually configured (a capacity, prefix sharing, or a
         // parked backlog) — plain runs keep their exact event streams.
         if self.pool().capacity().is_some()
-            || self.stack.prefix_sharing()
+            || self.ledger.prefix_sharing()
             || !self.parked.is_empty()
         {
-            let (pool, parked) = (self.stack.pool(), self.parked.len() as u32);
+            let (pool, parked) = (self.ledger.pool(), self.parked.len() as u32);
             trace_event(&mut self.trace, None, || {
                 let stats = pool.stats();
                 EventKind::KvPressure {
@@ -1172,28 +1206,21 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             });
         }
         self.meter.mark_host_step();
-        self.steps += 1;
     }
 
-    /// Cancels the seated sequence with the given id, retiring its slot
-    /// immediately and returning the partial output decoded so far (the
-    /// prefill token plus every step it participated in). Returns `None`
-    /// when no seated sequence carries the id — already finished,
-    /// never admitted, or finished at admission — leaving the engine
-    /// untouched. The freed slot and its KV pages are recycled exactly as
-    /// on normal retirement.
+    /// Cancels the sequence with the given id — seated or parked —
+    /// retiring its slot immediately and returning the partial output
+    /// decoded so far (the prefill token plus every step it participated
+    /// in). Returns `None` when no such sequence carries the id — already
+    /// finished, never admitted, or finished at admission — leaving the
+    /// engine untouched. The freed slot and its KV pages are recycled
+    /// exactly as on normal retirement.
     pub fn cancel(&mut self, id: u64) -> Option<BatchedOutput> {
         if let Some(pos) = self.parked.iter().position(|p| p.seq.id == id) {
-            let parked = self.parked.remove(pos);
-            return Some(parked.seq.into_output());
+            return Some(self.parked.remove(pos).seq.into_output());
         }
-        let slot = self
-            .seqs
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|seq| seq.id == id))?;
-        let seq = self.seqs[slot].take().expect("seated sequence");
-        let _ = self.stack.retire(slot);
-        Some(seq.into_output())
+        let (slot, _) = self.seated().find(|(_, s)| s.seq.id == id)?;
+        Some(self.unseat(slot).seq.into_output())
     }
 
     /// Runs steps until every seated sequence finishes, returning the
@@ -1603,7 +1630,8 @@ mod tests {
                 let draft = build_draft(&lm, 97 ^ i);
                 match class {
                     Some(c) => {
-                        let _ = eng.admit_classed(i, c, lm, draft, &[4 + i as TokenId, 2, 9], 12);
+                        let prompt = [4 + i as TokenId, 2, 9];
+                        let _ = eng.admit_laned(i, c, Lane::DEFAULT, lm, draft, &prompt, 12);
                     }
                     None => {
                         let _ = eng.admit(i, lm, draft, &[4 + i as TokenId, 2, 9], 12);
@@ -1636,13 +1664,14 @@ mod tests {
         for (i, class) in [(0u64, off), (1u64, open)] {
             let lm = build_lm(99);
             let draft = build_draft(&lm, 99 ^ i);
-            let _ = eng.admit_classed(i, class, lm, draft, &[4 + i as TokenId, 2, 9], 12);
+            let prompt = [4 + i as TokenId, 2, 9];
+            let _ = eng.admit_laned(i, class, Lane::DEFAULT, lm, draft, &prompt, 12);
         }
         // No sigmoid score exceeds 1.0, and the static policy never
         // moves a bank.
-        let off_bank = eng.class_banks.get_mut(off).expect("cloned at admission");
+        let off_bank = eng.class_banks.get_mut(&off).expect("cloned at admission");
         off_bank.set_threshold(1.0);
-        let open_bank = eng.class_banks.get(open).expect("cloned at admission");
+        let open_bank = eng.class_banks.get(&open).expect("cloned at admission");
         assert_eq!(open_bank.layer(0).threshold(), base);
         let mut feedback = Vec::new();
         let mut outputs = Vec::new();
@@ -1692,8 +1721,8 @@ mod tests {
         }
         let lm = build_lm(95);
         let draft = build_draft(&lm, 95);
-        let _ = eng.admit_classed(0, c, lm, draft, &[4, 2, 9], 4);
-        let warmed = eng.class_banks.get(c).expect("cloned at admission");
+        let _ = eng.admit_laned(0, c, Lane::DEFAULT, lm, draft, &[4, 2, 9], 4);
+        let warmed = eng.class_banks.get(&c).expect("cloned at admission");
         assert!(
             warmed.layer(3).threshold() > 0.5,
             "gossip-warmed class bank starts tightened: {}",
@@ -1940,7 +1969,10 @@ mod tests {
 
     /// An engine over an untrained bank that scans every layer: enough
     /// for tests about what admission does to the model it is handed.
-    fn untrained_engine(max_batch: usize) -> BatchedEngine<SyntheticLm, OracleDraft> {
+    fn untrained_engine(
+        max_batch: usize,
+        page_size: usize,
+    ) -> BatchedEngine<SyntheticLm, OracleDraft> {
         let pcfg = PredictorConfig {
             hidden_dim: 32,
             ..PredictorConfig::default()
@@ -1950,14 +1982,8 @@ mod tests {
             predictor: pcfg,
             ..SpecEeConfig::default()
         };
-        BatchedEngine::new(
-            max_batch,
-            16,
-            12,
-            bank,
-            ScheduleEngine::all_layers(12),
-            config,
-        )
+        let schedule = ScheduleEngine::all_layers(12);
+        BatchedEngine::new(max_batch, page_size, 12, bank, schedule, config)
     }
 
     fn seat(eng: &mut BatchedEngine<SyntheticLm, OracleDraft>, id: u64, lm: &SyntheticLm) -> usize {
@@ -1967,30 +1993,34 @@ mod tests {
         }
     }
 
+    fn model_in(eng: &BatchedEngine<SyntheticLm, OracleDraft>, slot: usize) -> &SyntheticLm {
+        &eng.seats[slot].as_ref().expect("seated sequence").model
+    }
+
     #[test]
     fn admission_keeps_the_models_backend_unless_the_engine_sets_one() {
         use specee_tensor::BackendKind;
         let mut lm = build_lm(83);
         lm.set_backend(BackendKind::Blocked);
-        let mut eng = untrained_engine(2);
+        let mut eng = untrained_engine(2, 16);
         let slot = seat(&mut eng, 0, &lm);
-        assert_eq!(eng.stack.model(slot).backend(), BackendKind::Blocked);
+        assert_eq!(model_in(&eng, slot).backend(), BackendKind::Blocked);
         eng.set_backend(BackendKind::Reference);
         let slot = seat(&mut eng, 1, &lm);
-        assert_eq!(eng.stack.model(slot).backend(), BackendKind::Reference);
+        assert_eq!(model_in(&eng, slot).backend(), BackendKind::Reference);
     }
 
     #[test]
     fn eight_seated_clones_hold_one_weight_allocation() {
         let lm = build_lm(84);
-        let mut eng = untrained_engine(8);
+        let mut eng = untrained_engine(8, 16);
         for id in 0..8 {
             seat(&mut eng, id, &lm);
         }
         let step = eng.step();
         assert_eq!(step.emitted, 8);
         for slot in 0..8 {
-            let seated = eng.stack.model(slot).inner();
+            let seated = model_in(&eng, slot).inner();
             assert!(seated.shares_weights_with(lm.inner()), "slot {slot}");
         }
     }
@@ -2014,5 +2044,150 @@ mod tests {
         let lm = build_lm(81);
         let d = build_draft(&lm, 82);
         let _ = eng.admit(1, lm, d, &[1, 2], 8);
+    }
+
+    /// The fixed request kinds of the script test: `(prompt, gen_len)`.
+    /// A prompt is up to two whole pages of one of two system prompts and
+    /// a suffix that opens with a token no other kind uses, so what two
+    /// registered sequences share is exactly the whole prompt pages on
+    /// which their prompts agree (never a tail page).
+    fn script_kinds() -> Vec<(Vec<TokenId>, usize)> {
+        (0..10u32)
+            .map(|kind| {
+                let system =
+                    (0..(kind % 3) * SCRIPT_PAGE as u32).map(|i| 7 + (kind % 2) * 5 + i % 3);
+                let suffix = (0..1 + kind % 6).map(|i| if i == 0 { 100 + kind } else { 3 + i });
+                (system.chain(suffix).collect(), 4 + (kind as usize * 5) % 13)
+            })
+            .collect()
+    }
+
+    const SCRIPT_PAGE: usize = 4;
+
+    /// What each kind decodes alone, uninterrupted, in an engine with no
+    /// page cap and no sharing.
+    fn script_solos(template: &SyntheticLm) -> Vec<BatchedOutput> {
+        let solo = |(kind, (prompt, gen)): (usize, &(Vec<TokenId>, usize))| {
+            let mut eng = untrained_engine(1, SCRIPT_PAGE);
+            let draft = build_draft(template, kind as u64);
+            let _ = eng.admit(0, template.clone(), draft, prompt, *gen);
+            eng.drain().remove(0)
+        };
+        script_kinds().iter().enumerate().map(solo).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Random admit / step / cancel scripts under a page cap (so
+        /// steps and admissions preempt, and later steps resume) with
+        /// prefix sharing on. After every call the ledger holds a lease
+        /// exactly where a sequence is seated, covering exactly its
+        /// committed K/V; the pool's lease and page counts are what those
+        /// lengths and the shared prompt pages imply; and at the end every
+        /// sequence decoded what it decodes alone and no page is left.
+        #[test]
+        fn the_ledger_follows_the_seats_through_any_script(
+            ops in proptest::collection::vec((0u8..8, 0u8..255), 1..48),
+            max_batch in 1usize..5,
+            cap in 0usize..4,
+            share in 0u8..4,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            use std::collections::{BTreeMap, BTreeSet};
+            let template = build_lm(131);
+            let (kinds, solos) = (script_kinds(), script_solos(&template));
+            let sharing = share > 0;
+            let mut eng = untrained_engine(max_batch, SCRIPT_PAGE);
+            // Every kind fits alone in 8 pages (14 prompt + 16 generated
+            // tokens, 4 a page), so the caps preempt but never wedge.
+            let capacity = [None, Some(8), Some(8), Some(11)][cap];
+            eng.set_page_capacity(capacity);
+            eng.set_preemption_enabled(capacity.is_some());
+            eng.enable_prefix_share(sharing);
+            // id → kind of every sequence still in the engine, and the ids
+            // that have been parked since they were admitted (a sequence
+            // comes back on private pages, out of the prefix index).
+            let mut live: BTreeMap<u64, usize> = BTreeMap::new();
+            let mut was_parked: BTreeSet<u64> = BTreeSet::new();
+            let mut next_id = 0u64;
+            let check = |eng: &BatchedEngine<SyntheticLm, OracleDraft>,
+                         live: &BTreeMap<u64, usize>,
+                         was_parked: &mut BTreeSet<u64>| {
+                was_parked.extend(eng.parked.iter().map(|p| p.seq.id));
+                let pool = eng.pool();
+                let (mut leased, mut private) = (0, 0);
+                let mut shared: BTreeSet<&[TokenId]> = BTreeSet::new();
+                let mut seated = 0;
+                for (slot, seat) in eng.seats.iter().enumerate() {
+                    let Some(seat) = seat else { continue };
+                    seated += 1;
+                    let kv = seat.model.kv_len();
+                    // The slot's lease covers the committed K/V, and ends
+                    // with it: one more position opens a page iff it is full.
+                    prop_assert_eq!(eng.ledger.demand(slot, kv), 0, "slot {}", slot);
+                    let next = usize::from(kv % SCRIPT_PAGE == 0);
+                    prop_assert_eq!(eng.ledger.demand(slot, kv + 1), next, "slot {}", slot);
+                    let pages = kv.div_ceil(SCRIPT_PAGE);
+                    leased += pages;
+                    let prompt = &kinds[live[&seat.seq.id]].0;
+                    let registered = sharing && !was_parked.contains(&seat.seq.id);
+                    let whole = if registered { prompt.len() / SCRIPT_PAGE } else { 0 };
+                    shared.extend((1..=whole).map(|p| &prompt[..p * SCRIPT_PAGE]));
+                    private += pages - whole;
+                }
+                prop_assert_eq!(seated + eng.parked.len(), live.len());
+                // One lease per page a seat covers, one more per indexed
+                // prompt page; a page many hold is one physical page.
+                prop_assert_eq!(pool.logical_pages_in_use(), leased + shared.len());
+                prop_assert_eq!(pool.pages_in_use(), private + shared.len());
+                prop_assert!(pool.capacity().is_none_or(|c| pool.pages_in_use() <= c));
+                Ok(())
+            };
+            let finish = |out: BatchedOutput, live: &mut BTreeMap<u64, usize>, whole: bool| {
+                let solo = &solos[live.remove(&out.id).expect("a live id")];
+                let n = out.tokens.len();
+                prop_assert!(n == solo.tokens.len() || !whole);
+                prop_assert_eq!(&out.tokens[..], &solo.tokens[..n]);
+                prop_assert_eq!(&out.exit_layers[..], &solo.exit_layers[..n]);
+                prop_assert!(out.ce_sum == solo.ce_sum || !whole);
+                Ok(())
+            };
+            for (op, sel) in ops {
+                match op {
+                    0..=2 => {
+                        let kind = sel as usize % kinds.len();
+                        let lane = Lane::new(sel / 16 % 3);
+                        let (prompt, gen) = &kinds[kind];
+                        if eng.make_room(prompt, lane) {
+                            let draft = build_draft(&template, kind as u64);
+                            let class = TrafficClass::DEFAULT;
+                            let lm = template.clone();
+                            let _ = eng.admit_laned(next_id, class, lane, lm, draft, prompt, *gen);
+                            live.insert(next_id, kind);
+                            next_id += 1;
+                        }
+                    }
+                    3..=6 => {
+                        for out in eng.step().finished {
+                            finish(out, &mut live, true)?;
+                        }
+                    }
+                    _ => {
+                        let id = live.keys().nth(sel as usize % live.len().max(1)).copied();
+                        if let Some(out) = id.and_then(|id| eng.cancel(id)) {
+                            finish(out, &mut live, false)?;
+                        }
+                    }
+                }
+                check(&eng, &live, &mut was_parked)?;
+            }
+            for out in eng.drain() {
+                finish(out, &mut live, true)?;
+            }
+            prop_assert!(live.is_empty());
+            check(&eng, &live, &mut was_parked)?;
+            prop_assert_eq!(eng.pool().logical_pages_in_use(), 0, "a drained engine holds no page");
+        }
     }
 }

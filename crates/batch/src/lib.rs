@@ -3,9 +3,9 @@
 //!
 //! The serving loop in `specee-serve` owns the clock, the queues and the
 //! prices; this crate *executes* the batched regime it serves with. A
-//! [`BatchedEngine`] seats up to `max_batch` sequences
-//! in the slots of a [`specee_model::BatchedStack`] and decodes them in
-//! lock-step: one shared sweep over the decoder layers per step, each
+//! [`BatchedEngine`] seats up to `max_batch` sequences — each slot one
+//! record of model and generation state, its KV pages accounted beside it
+//! in a [`specee_model::PageLedger`] — and decodes them in lock-step: one shared sweep over the decoder layers per step, each
 //! sequence participating only while it still needs the layer. Per layer,
 //! every pending sequence runs its own scheduled predictor
 //! ([`specee_core::ExitScan`] — the exact decision dataflow of the

@@ -52,7 +52,11 @@ fn engine(max_batch: usize) -> BatchedEngine<Transformer, SelfDraft> {
 }
 
 fn spec() -> SelfDraftSpec {
-    SelfDraftSpec::new(2, TreeShape::new(vec![2, 2]))
+    spec_at(2)
+}
+
+fn spec_at(exit_layer: usize) -> SelfDraftSpec {
+    SelfDraftSpec::new(exit_layer, TreeShape::new(vec![2, 2]))
 }
 
 fn prompts() -> Vec<Vec<TokenId>> {
@@ -61,8 +65,12 @@ fn prompts() -> Vec<Vec<TokenId>> {
 
 /// Single-sequence reference self-draft run for one prompt.
 fn solo(seed: u64, prompt: &[TokenId]) -> specee_core::GenOutput {
+    solo_at(spec(), seed, prompt)
+}
+
+fn solo_at(spec: SelfDraftSpec, seed: u64, prompt: &[TokenId]) -> specee_core::GenOutput {
     let mut engine =
-        SpeculativeEngine::baseline(tf(seed), SelfDraft::new(spec()), SpecEeConfig::default());
+        SpeculativeEngine::baseline(tf(seed), SelfDraft::new(spec), SpecEeConfig::default());
     engine.generate(prompt, GEN)
 }
 
@@ -96,25 +104,32 @@ fn batch_one_self_draft_is_bit_identical_to_single_engine() {
 #[test]
 fn co_batched_self_draft_sequences_each_match_their_solo_run() {
     // The stronger form: at batch 3, every co-resident sequence still
-    // matches its own single-sequence run — the masked deep tree sweep
-    // changes step timing, never values.
+    // matches its own single-sequence run — the lock-step deep tree sweep
+    // changes step timing, never values. The middle seat drafts one layer
+    // deeper, so it joins the verify sweep a layer after the others: a
+    // seat's tree must not run (nor gather scratch K/V) below its own exit
+    // layer.
     let seed = 223;
+    let exits = [2, 3, 2];
     let mut eng = engine(3);
     for (i, prompt) in prompts().iter().enumerate() {
         let admission = eng.admit(
             i as u64,
             tf(seed + i as u64),
-            SelfDraft::new(spec()),
+            SelfDraft::new(spec_at(exits[i])),
             prompt,
             GEN,
         );
         assert!(matches!(admission, Admission::Seated { .. }));
     }
-    let mut outputs = eng.drain();
+    let first = eng.step();
+    assert_eq!(first.layer_runners, vec![3; N_LAYERS], "one run per seat");
+    let mut outputs = first.finished;
+    outputs.extend(eng.drain());
     outputs.sort_by_key(|o| o.id);
     assert_eq!(outputs.len(), 3);
     for (i, (out, prompt)) in outputs.iter().zip(prompts()).enumerate() {
-        let reference = solo(seed + i as u64, &prompt);
+        let reference = solo_at(spec_at(exits[i]), seed + i as u64, &prompt);
         assert_eq!(out.tokens, reference.tokens, "slot {i}: tokens diverged");
         assert_eq!(out.tokens.len(), GEN, "slot {i}: overshoot not truncated");
         assert_eq!(

@@ -54,7 +54,7 @@ use specee_core::collect::{collect_training_data, train_bank};
 use specee_core::engine::DenseEngine;
 use specee_core::output::agreement;
 use specee_core::predictor::PredictorBank;
-use specee_core::{ScheduleEngine, SpecEeConfig, TrafficClass};
+use specee_core::{Lane, ScheduleEngine, SpecEeConfig, TrafficClass};
 use specee_metrics::{report::fmt_x, FrameworkProfile, HardwareProfile, Table};
 use specee_model::{ModelConfig, TokenId};
 use specee_nn::TrainConfig;
@@ -292,7 +292,7 @@ fn run_stream(
         } else {
             TrafficClass::DEFAULT
         };
-        let out = match engine.admit_classed(req.id, class, lm, draft, &prompt, GEN) {
+        let out = match engine.admit_laned(req.id, class, Lane::DEFAULT, lm, draft, &prompt, GEN) {
             Admission::Done(out) => out,
             Admission::Seated { .. } => loop {
                 let step = engine.step();

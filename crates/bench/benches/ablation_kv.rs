@@ -26,7 +26,7 @@ use specee_batch::{Admission, BatchedEngine};
 use specee_bench::banner;
 use specee_core::collect::{collect_training_data, train_bank};
 use specee_core::predictor::{PredictorBank, PredictorConfig};
-use specee_core::{Lane, ScheduleEngine, SpecEeConfig, TrafficClass};
+use specee_core::{Lane, ScheduleEngine, SpecEeConfig};
 use specee_metrics::{FrameworkProfile, HardwareProfile, Table};
 use specee_model::{CostDims, ModelConfig, TokenId};
 use specee_nn::TrainConfig;
@@ -131,7 +131,7 @@ fn main() {
         for (i, prompt) in prompts.iter().enumerate() {
             let (lm, draft) = seq_parts(&template, seed, i as u64);
             let started = Instant::now();
-            match engine.admit_classed(i as u64, TrafficClass::DEFAULT, lm, draft, prompt, gen) {
+            match engine.admit(i as u64, lm, draft, prompt, gen) {
                 Admission::Seated { .. } => {}
                 Admission::Done(_) => unreachable!("gen > 0 stays seated"),
             }

@@ -1,7 +1,9 @@
 //! Per-worker and aggregate cluster reporting.
 
+use std::collections::BTreeMap;
+
 use specee_batch::BatchedOutput;
-use specee_core::traffic::ClassMap;
+use specee_core::traffic::TrafficClass;
 use specee_metrics::{HardwareProfile, Roofline};
 use specee_obs::{
     fold_dropped_events, fold_events, fold_meter, fold_roofline, merge_events, Event,
@@ -134,15 +136,16 @@ impl ClusterReport {
     /// layer sums add, controller operating points merge token-weighted.
     /// Empty when no request carried a class and no controller ran.
     pub fn class_breakdown(&self) -> Vec<ClassStats> {
-        let mut merged: ClassMap<ClassStats> = ClassMap::new();
+        let mut merged: BTreeMap<TrafficClass, ClassStats> = BTreeMap::new();
         for worker in &self.workers {
             for row in &worker.classes {
                 merged
-                    .get_or_insert_with(row.class, || ClassStats::empty(row.class))
+                    .entry(row.class)
+                    .or_insert_with(|| ClassStats::empty(row.class))
                     .merge(row);
             }
         }
-        merged.iter().map(|(_, row)| row.clone()).collect()
+        merged.into_values().collect()
     }
 
     /// Mean observed exit depth (executed layers per decode token)

@@ -19,13 +19,14 @@
 //! no longer serve, and keeps answering the coordinator so the rest of
 //! the cluster drains normally.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use specee_batch::{BatchedEngine, BatchedOutput};
 use specee_control::{ClassEvidence, ControllerSummary};
-use specee_core::traffic::{ClassMap, TrafficClass};
+use specee_core::traffic::TrafficClass;
 use specee_draft::SpeculativeSource;
 use specee_metrics::Meter;
 use specee_model::LayeredLm;
@@ -345,9 +346,11 @@ fn class_rows(
     outputs: &[BatchedOutput],
     controllers: Option<Vec<(TrafficClass, ControllerSummary)>>,
 ) -> Vec<ClassStats> {
-    let mut rows: ClassMap<ClassStats> = ClassMap::new();
+    let mut rows: BTreeMap<TrafficClass, ClassStats> = BTreeMap::new();
     for out in outputs {
-        let row = rows.get_or_insert_with(out.class, || ClassStats::empty(out.class));
+        let row = rows
+            .entry(out.class)
+            .or_insert_with(|| ClassStats::empty(out.class));
         row.requests += 1;
         row.tokens += out.exit_layers.len().saturating_sub(1) as u64;
         // The prefill token always runs full depth and is excluded
@@ -355,10 +358,12 @@ fn class_rows(
         row.layer_sum += out.exit_layers.iter().skip(1).sum::<usize>() as f64;
     }
     for (class, summary) in controllers.into_iter().flatten() {
-        let row = rows.get_or_insert_with(class, || ClassStats::empty(class));
+        let row = rows
+            .entry(class)
+            .or_insert_with(|| ClassStats::empty(class));
         row.mean_threshold = Some(summary.mean_threshold);
     }
-    rows.iter().map(|(_, row)| row.clone()).collect()
+    rows.into_values().collect()
 }
 
 /// Extracts a printable message from a panic payload.

@@ -3,8 +3,8 @@
 //!
 //! A single [`Controller`] blurs mixed traffic into one operating point.
 //! [`ClassedController`] keys full controller state — PID loops, bandit
-//! posteriors — by [`TrafficClass`] behind a shared
-//! [`specee_core::traffic::ClassMap`]: untagged traffic lands in the
+//! posteriors — by [`TrafficClass`] in a `BTreeMap` (every walk ascends
+//! by class id, so runs stay deterministic): untagged traffic lands in the
 //! lazily created default class and behaves exactly as the un-classed
 //! runtime did, while tagged traffic gets its own loops/posteriors the
 //! first time it is seen. The same structure accumulates per-class
@@ -12,8 +12,10 @@
 //! a cluster coordinator gossips between workers so drift observed by
 //! one worker is not re-learned from scratch by the others.
 
+use std::collections::BTreeMap;
+
 use specee_core::predictor::PredictorBank;
-use specee_core::traffic::{ClassMap, TrafficClass};
+use specee_core::traffic::TrafficClass;
 use specee_core::ExitFeedback;
 
 use crate::controller::{Controller, ControllerSummary};
@@ -141,7 +143,7 @@ pub struct ClassedController {
     n_predictors: usize,
     base_threshold: f32,
     worker: usize,
-    classes: ClassMap<ClassState>,
+    classes: BTreeMap<TrafficClass, ClassState>,
     /// Last SLO pressure received; replayed onto lazily created class
     /// instances so a class admitted mid-burn starts bent, not neutral.
     slo_pressure: f64,
@@ -168,7 +170,7 @@ impl ClassedController {
             n_predictors,
             base_threshold,
             worker,
-            classes: ClassMap::new(),
+            classes: BTreeMap::new(),
             slo_pressure: 0.0,
         }
     }
@@ -190,7 +192,7 @@ impl ClassedController {
 
     /// The classes that have state so far, ascending.
     pub fn classes(&self) -> Vec<TrafficClass> {
-        self.classes.classes()
+        self.classes.keys().copied().collect()
     }
 
     /// Lazily creates and returns the state for `class`.
@@ -198,7 +200,7 @@ impl ClassedController {
         let (policy, n_predictors, worker) = (&self.policy, self.n_predictors, self.worker);
         let base = self.base_threshold;
         let pressure = self.slo_pressure;
-        self.classes.get_or_insert_with(class, || {
+        self.classes.entry(class).or_insert_with(|| {
             let mut controller = policy.build_for_worker_class(n_predictors, base, worker, class);
             if pressure != 0.0 {
                 controller.set_slo_pressure(pressure);
@@ -217,7 +219,7 @@ impl ClassedController {
     /// at the next step-boundary apply.
     pub fn set_slo_pressure(&mut self, pressure: f64) {
         self.slo_pressure = pressure.clamp(-1.0, 1.0);
-        for (_, state) in self.classes.iter_mut() {
+        for state in self.classes.values_mut() {
             state.controller.set_slo_pressure(self.slo_pressure);
         }
     }
@@ -263,7 +265,7 @@ impl ClassedController {
     /// The current threshold for `(class, layer)` — the class's base
     /// when the class has no state yet.
     pub fn threshold(&self, class: TrafficClass, layer: usize) -> f32 {
-        match self.classes.get(class) {
+        match self.classes.get(&class) {
             Some(state) => state.controller.threshold(layer),
             None => self.base_threshold,
         }
@@ -273,7 +275,7 @@ impl ClassedController {
     /// predictor bank). Delegates to the instance's
     /// [`Controller::apply`], so the static policy stays a strict no-op.
     pub fn apply(&self, class: TrafficClass, bank: &mut PredictorBank) {
-        if let Some(state) = self.classes.get(class) {
+        if let Some(state) = self.classes.get(&class) {
             state.controller.apply(bank);
         }
     }
@@ -315,7 +317,7 @@ impl ClassedController {
     pub fn drain_evidence(&mut self) -> Vec<ClassEvidence> {
         let n_predictors = self.n_predictors;
         let mut out = Vec::new();
-        for (class, state) in self.classes.iter_mut() {
+        for (&class, state) in self.classes.iter_mut() {
             if state.delta.tokens < Self::MIN_GOSSIP_TOKENS {
                 continue;
             }
@@ -346,7 +348,7 @@ impl ClassedController {
             rejects: 0,
             tokens: 0,
         };
-        for (_, state) in self.classes.iter() {
+        for state in self.classes.values() {
             let s = state.controller.summary();
             merged.mean_threshold += s.mean_threshold;
             merged.accepts += s.accepts;
@@ -361,7 +363,7 @@ impl ClassedController {
     pub fn class_summaries(&self) -> Vec<(TrafficClass, ControllerSummary)> {
         self.classes
             .iter()
-            .map(|(class, state)| (class, state.controller.summary()))
+            .map(|(&class, state)| (class, state.controller.summary()))
             .collect()
     }
 }

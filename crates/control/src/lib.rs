@@ -42,7 +42,7 @@
 //! Controller state is keyed by **traffic class**: runtimes attach a
 //! [`ClassedController`] ([`ControllerPolicy::build_classed`]) holding
 //! one full policy instance per observed [`specee_core::TrafficClass`]
-//! behind a shared `ClassMap` — untagged traffic lands in the lazily
+//! — untagged traffic lands in the lazily
 //! created default class and behaves exactly like a single instance,
 //! while mixed traffic gets per-class PID loops / bandit posteriors
 //! instead of one blurred operating point. Per-class evidence deltas

@@ -164,8 +164,7 @@ impl ControllerPolicy {
     }
 
     /// Builds the traffic-class-keyed controller runtimes attach: one
-    /// full policy instance per observed class behind a shared
-    /// `ClassMap`, lazily created (untagged traffic lands in the default
+    /// full policy instance per observed class, lazily created (untagged traffic lands in the default
     /// class and behaves exactly like [`ControllerPolicy::build`]'s
     /// single instance).
     pub fn build_classed(&self, n_predictors: usize, base_threshold: f32) -> ClassedController {

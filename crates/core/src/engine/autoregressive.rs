@@ -80,11 +80,6 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
         &self.model
     }
 
-    /// Mutably borrows the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Selects the model's compute backend (see
     /// [`specee_tensor::BackendKind`]). With the blocked backend, dense
     /// models produce bit-identical tokens and exit layers to the

@@ -40,11 +40,6 @@ impl<M: LayeredLm> DenseEngine<M> {
         &self.model
     }
 
-    /// Mutably borrows the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Generates `gen_len` tokens greedily.
     ///
     /// # Panics

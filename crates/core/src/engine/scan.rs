@@ -20,7 +20,7 @@
 
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId};
-use specee_obs::{EventKind, TraceSink};
+use specee_obs::{EventKind, Recorder};
 
 use crate::features::FeatureTracker;
 use crate::predictor::PredictorBank;
@@ -114,7 +114,7 @@ impl ExitScan {
     /// [`ExitScan::settle`]; a runtime that batches the head across
     /// sequences calls the two halves itself.
     #[allow(clippy::too_many_arguments)]
-    pub fn check_with_sink<M: LayeredLm + ?Sized, S: TraceSink>(
+    pub fn check_with_sink<M: LayeredLm + ?Sized>(
         &mut self,
         model: &mut M,
         bank: &PredictorBank,
@@ -123,7 +123,7 @@ impl ExitScan {
         candidates: &[TokenId],
         layer: usize,
         meter: &mut Meter,
-        sink: &mut S,
+        sink: &mut Option<Recorder>,
     ) -> Option<(TokenId, Vec<f32>)> {
         let fire = self.score(model, bank, schedule, h, candidates, layer, meter)?;
         let full = model.final_logits(h, meter);
@@ -169,22 +169,22 @@ impl ExitScan {
     /// and returns them with the token when the exit stands.
     ///
     /// Every fire records an [`ExitFeedback`] and emits an
-    /// [`EventKind::ExitDecision`] to `sink` (same
-    /// layer/score/threshold/accepted payload, stamped with the sink's
-    /// ambient clock and sequence id). The sink is write-only, so a traced
-    /// scan decides exactly what the untraced scan decides; with
-    /// [`specee_obs::NullSink`] the parameter monomorphizes away entirely.
-    pub fn settle<S: TraceSink>(
+    /// [`EventKind::ExitDecision`] to `sink` when a recorder is attached
+    /// (same layer/score/threshold/accepted payload, stamped with the
+    /// recorder's ambient clock and sequence id). The recorder is
+    /// write-only, so a traced scan decides exactly what the untraced scan
+    /// decides.
+    pub fn settle(
         &mut self,
         (score, threshold): (f32, f32),
         full: Vec<f32>,
         candidates: &[TokenId],
         layer: usize,
-        sink: &mut S,
+        sink: &mut Option<Recorder>,
     ) -> Option<(TokenId, Vec<f32>)> {
         let exit = verify_exit(&full, candidates).map(|tok| (tok, full));
-        if sink.enabled() {
-            sink.record(EventKind::ExitDecision {
+        if let Some(rec) = sink {
+            rec.record(EventKind::ExitDecision {
                 class: self.class.id(),
                 layer: layer as u32,
                 score: f64::from(score),
@@ -232,7 +232,6 @@ mod tests {
     use super::*;
     use crate::predictor::PredictorConfig;
     use specee_model::{prefill, ModelConfig, Transformer};
-    use specee_obs::NullSink;
     use specee_tensor::rng::Pcg;
 
     fn parts() -> (Transformer, PredictorBank, Meter) {
@@ -264,7 +263,7 @@ mod tests {
             &[1, 2, 3, 4],
             3,
             &mut meter,
-            &mut NullSink,
+            &mut None,
         );
         assert!(out.is_none());
         assert_eq!(scan.predictor_calls(), 0);
@@ -288,7 +287,7 @@ mod tests {
                 &[1, 2, 3, 4],
                 0,
                 &mut meter,
-                &mut NullSink
+                &mut None
             )
             .is_none());
         assert_eq!(scan.predictor_calls(), 0);
@@ -300,7 +299,7 @@ mod tests {
             &[1, 2, 3, 4],
             2,
             &mut meter,
-            &mut NullSink,
+            &mut None,
         );
         assert_eq!(scan.predictor_calls(), 1);
     }
@@ -324,7 +323,7 @@ mod tests {
             &[],
             0,
             &mut meter,
-            &mut NullSink,
+            &mut None,
         );
         assert!(out.is_none());
         assert_eq!((scan.predictor_calls(), scan.verify_calls()), (0, 0));
@@ -346,14 +345,7 @@ mod tests {
         // Candidate set containing the global argmax: exit verifies.
         let cands = [global, global ^ 1, global ^ 2, global ^ 3];
         let out = scan.check_with_sink(
-            &mut model,
-            &bank,
-            &schedule,
-            &h,
-            &cands,
-            0,
-            &mut meter,
-            &mut NullSink,
+            &mut model, &bank, &schedule, &h, &cands, 0, &mut meter, &mut None,
         );
         assert_eq!(out.map(|(t, _)| t), Some(global));
         assert_eq!(scan.verify_calls(), 1);
@@ -378,28 +370,10 @@ mod tests {
         // Layer 0 fires and rejects (candidates miss the argmax), layer 1
         // fires and accepts.
         assert!(scan
-            .check_with_sink(
-                &mut model,
-                &bank,
-                &schedule,
-                &h,
-                &wrong,
-                0,
-                &mut meter,
-                &mut NullSink
-            )
+            .check_with_sink(&mut model, &bank, &schedule, &h, &wrong, 0, &mut meter, &mut None)
             .is_none());
         assert!(scan
-            .check_with_sink(
-                &mut model,
-                &bank,
-                &schedule,
-                &h,
-                &good,
-                1,
-                &mut meter,
-                &mut NullSink
-            )
+            .check_with_sink(&mut model, &bank, &schedule, &h, &good, 1, &mut meter, &mut None)
             .is_some());
 
         let fb = scan.feedback().to_vec();
@@ -439,7 +413,7 @@ mod tests {
                 &[1, 2, 3, 4],
                 0,
                 &mut meter,
-                &mut NullSink,
+                &mut None,
             );
             assert!(scan.feedback().len() <= 1, "buffer bounded per token");
         }
@@ -464,7 +438,7 @@ mod tests {
             &[1, 2, 3, 4],
             0,
             &mut meter,
-            &mut NullSink,
+            &mut None,
         );
         assert_eq!(scan.feedback().len(), 1);
         assert_eq!(scan.feedback()[0].class, TrafficClass::new(3));
@@ -529,7 +503,7 @@ mod tests {
             &[1, 2, 3, 4],
             0,
             &mut Meter::new(),
-            &mut NullSink,
+            &mut None,
         );
         assert_eq!(traced.map(|(t, _)| t), untraced.map(|(t, _)| t));
     }
@@ -551,7 +525,7 @@ mod tests {
                 &[1, 2, 3, 4],
                 0,
                 &mut meter,
-                &mut NullSink
+                &mut None
             )
             .is_none());
         assert_eq!(scan.predictor_calls(), 1);
@@ -572,14 +546,7 @@ mod tests {
         let mut scan = ExitScan::new();
         scan.begin_token();
         let out = scan.check_with_sink(
-            &mut model,
-            &bank,
-            &schedule,
-            &h,
-            &wrong,
-            0,
-            &mut meter,
-            &mut NullSink,
+            &mut model, &bank, &schedule, &h, &wrong, 0, &mut meter, &mut None,
         );
         assert!(out.is_none());
         assert_eq!(scan.verify_calls(), 1);

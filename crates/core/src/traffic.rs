@@ -134,96 +134,6 @@ impl fmt::Display for Lane {
     }
 }
 
-/// A small map keyed by [`TrafficClass`], ordered by class id.
-///
-/// The per-class feedback plane keeps one value per observed class —
-/// controller state, predictor banks, evidence accumulators — and every
-/// consumer must walk them in the *same* order for runs to stay
-/// deterministic. `ClassMap` is a sorted vec: lookups are binary
-/// searches, insertion keeps class order, and iteration is always
-/// ascending by class id. Entries are created lazily via
-/// [`ClassMap::get_or_insert_with`], so a run that never tags traffic
-/// never pays for the plane.
-///
-/// # Examples
-///
-/// ```
-/// use specee_core::traffic::{ClassMap, TrafficClass};
-///
-/// let mut map: ClassMap<u32> = ClassMap::new();
-/// *map.get_or_insert_with(TrafficClass::new(2), || 0) += 5;
-/// *map.get_or_insert_with(TrafficClass::DEFAULT, || 0) += 1;
-/// let order: Vec<u16> = map.iter().map(|(c, _)| c.id()).collect();
-/// assert_eq!(order, [0, 2], "iteration ascends by class id");
-/// assert_eq!(map.get(TrafficClass::new(2)), Some(&5));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClassMap<T> {
-    entries: Vec<(TrafficClass, T)>,
-}
-
-impl<T> ClassMap<T> {
-    /// An empty map.
-    pub fn new() -> Self {
-        ClassMap {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Number of classes with an entry.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no class has an entry yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entry for `class`, if one exists.
-    pub fn get(&self, class: TrafficClass) -> Option<&T> {
-        self.entries
-            .binary_search_by_key(&class, |(c, _)| *c)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    /// Mutable access to the entry for `class`, if one exists.
-    pub fn get_mut(&mut self, class: TrafficClass) -> Option<&mut T> {
-        self.entries
-            .binary_search_by_key(&class, |(c, _)| *c)
-            .ok()
-            .map(|i| &mut self.entries[i].1)
-    }
-
-    /// The entry for `class`, created with `init` on first touch.
-    pub fn get_or_insert_with(&mut self, class: TrafficClass, init: impl FnOnce() -> T) -> &mut T {
-        let idx = match self.entries.binary_search_by_key(&class, |(c, _)| *c) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (class, init()));
-                i
-            }
-        };
-        &mut self.entries[idx].1
-    }
-
-    /// Iterates entries in ascending class order.
-    pub fn iter(&self) -> impl Iterator<Item = (TrafficClass, &T)> {
-        self.entries.iter().map(|(c, v)| (*c, v))
-    }
-
-    /// Iterates entries mutably, in ascending class order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (TrafficClass, &mut T)> {
-        self.entries.iter_mut().map(|(c, v)| (*c, v))
-    }
-
-    /// The observed classes, ascending.
-    pub fn classes(&self) -> Vec<TrafficClass> {
-        self.entries.iter().map(|(c, _)| *c).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,26 +182,5 @@ mod tests {
         ];
         v.sort();
         assert_eq!(v.map(TrafficClass::id), [0, 1, 3]);
-    }
-
-    #[test]
-    fn class_map_inserts_lazily_and_iterates_sorted() {
-        let mut map: ClassMap<Vec<u32>> = ClassMap::new();
-        assert!(map.is_empty());
-        assert_eq!(map.get(TrafficClass::new(7)), None);
-        map.get_or_insert_with(TrafficClass::new(7), Vec::new)
-            .push(1);
-        map.get_or_insert_with(TrafficClass::DEFAULT, Vec::new)
-            .push(2);
-        map.get_or_insert_with(TrafficClass::new(7), Vec::new)
-            .push(3);
-        assert_eq!(map.len(), 2, "second touch reuses the entry");
-        assert_eq!(
-            map.classes().iter().map(|c| c.id()).collect::<Vec<_>>(),
-            [0, 7]
-        );
-        assert_eq!(map.get(TrafficClass::new(7)), Some(&vec![1, 3]));
-        map.get_mut(TrafficClass::DEFAULT).expect("entry").push(4);
-        assert_eq!(map.get(TrafficClass::DEFAULT), Some(&vec![2, 4]));
     }
 }

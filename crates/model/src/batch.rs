@@ -1,40 +1,31 @@
-//! The batched forward path: per-slot sequences swept through a shared
-//! layer loop, backed by a paged-KV memory plane.
+//! The paged-KV memory plane of a served batch: a refcounted page pool,
+//! a prefix index over resident prompts, and the per-slot page ledger
+//! that ties them to the sequences a batch is decoding.
 //!
-//! A served batch runs N independent sequences in lock-step: one shared
-//! sweep over the decoder layers in which each sequence participates only
-//! while it still needs the layer (its *active mask*). Every slot keeps
+//! A served batch runs N independent sequences in lock-step, each with
 //! its own KV state — the per-layer [`crate::KvCache`]s of its
-//! [`LayeredLm`] instance — while page occupancy across slots is tracked
-//! by a vllm-style [`SlotPool`] whose freed blocks are recycled when a
-//! sequence retires.
+//! [`crate::LayeredLm`] instance. The sequences themselves live in
+//! `specee-batch`'s `BatchedEngine`; what lives here is the accounting of
+//! their page occupancy: a vllm-style [`SlotPool`] whose freed blocks are
+//! recycled when a sequence retires, and the [`PageLedger`] that leases
+//! its pages slot by slot.
 //!
 //! The pool is a *refcounted* page allocator: a page may be leased by
 //! several sequences at once (copy-on-write prefix sharing), and an
 //! optional capacity turns exhaustion into a checkable condition instead
 //! of unbounded growth, which is what makes preemption in the batched
 //! engine possible. Prefix sharing is driven by a [`PrefixIndex`] — a
-//! radix-style tree over whole-page prompt chunks — consulted at
-//! admission: a new sequence's prompt is matched against resident
+//! radix-style tree over whole-page prompt chunks — consulted when a
+//! sequence takes a slot: its prompt is matched against resident
 //! prefixes and the matching pages are leased read-only, with a private
-//! copy made only on the first divergent write
-//! (see [`BatchedStack::admit_shared`]). The leases are a ledger — every
-//! sequence keeps private K/V — but the compute is saved:
-//! [`BatchedStack::prefix_donor`] names a resident that already holds the
-//! matched pages' rows, for the engine to copy instead of prefilling.
+//! copy made only on the first divergent write (see
+//! [`PageLedger::lease`]). The leases are a ledger — every sequence keeps
+//! private K/V — but the compute is saved: [`PageLedger::donor`] names a
+//! slot whose sequence already holds the matched pages' rows, for the
+//! engine to copy instead of prefilling.
 //!
-//! [`BatchedStack`] is the substrate the `specee-batch` engine drives: it
-//! owns the slot models, leases KV pages on their behalf, and exposes the
-//! masked layer sweep ([`BatchedStack::sweep_layer`]) whose per-layer
-//! runner counts are exactly the quantity batched pricing needs (a layer's
-//! weights stream once for the whole batch if *any* slot runs it — the
-//! Cannikin effect measured live by the batched engine).
-
-use specee_metrics::Meter;
-
-use crate::attention::TreeKv;
-use crate::kv::SkipKvPolicy;
-use crate::traits::LayeredLm;
+//! The ledger has no model type and never sees one: the engine feeds it
+//! committed K/V lengths and prompts, and reads back page demand.
 
 /// A pool of fixed-size KV pages shared by every slot of a batch.
 ///
@@ -327,6 +318,9 @@ struct SlotLease {
     pages: Vec<PageRef>,
     /// Committed token positions the lease covers.
     tokens: usize,
+    /// The prompt registered with the prefix index (for unregistration
+    /// when the slot is vacated); `None` when leased without sharing.
+    registered: Option<Vec<u32>>,
 }
 
 impl SlotLease {
@@ -556,105 +550,74 @@ impl PrefixIndex {
     }
 }
 
-struct Slot<M> {
-    model: M,
-    lease: SlotLease,
-    /// The prompt registered with the prefix index (for unregistration
-    /// at retirement); `None` when admitted without sharing.
-    registered: Option<Vec<u32>>,
-}
-
-/// A fixed number of sequence slots stepped through a shared layer sweep.
+/// The page ledger of a served batch: which pool pages each slot's
+/// sequence leases, kept beside the K/V it accounts for.
 ///
-/// Each occupied slot holds one [`LayeredLm`] instance — its own KV cache,
-/// its own committed context — admitted by [`BatchedStack::admit`] and
-/// recycled by [`BatchedStack::retire`]. The slot's KV footprint is leased
-/// from the shared [`SlotPool`] and returned on retirement, so a
-/// long-running server reuses freed blocks instead of growing without
-/// bound. With prefix sharing enabled
-/// ([`BatchedStack::enable_prefix_share`]), admission matches the prompt
-/// against resident prefixes and co-leases matching pages copy-on-write.
+/// The ledger never sees a model. Its caller — `specee-batch`'s
+/// `BatchedEngine`, which owns the seated sequences — tells it how many
+/// positions a slot's sequence has committed ([`PageLedger::lease`] when
+/// a sequence takes the slot, [`PageLedger::grow`] after every decode
+/// step, [`PageLedger::vacate`] when it leaves) and the ledger turns that
+/// into page traffic on the shared [`SlotPool`]: allocation, recycling,
+/// and — with prefix sharing on ([`PageLedger::enable_prefix_share`]) —
+/// read-only co-leases of resident prompt pages found through the
+/// [`PrefixIndex`], copied on the first divergent write.
 ///
 /// # Examples
 ///
 /// ```
-/// use specee_metrics::Meter;
-/// use specee_model::batch::BatchedStack;
-/// use specee_model::{prefill, LayeredLm, ModelConfig, Transformer};
-/// use specee_tensor::rng::Pcg;
+/// use specee_model::batch::PageLedger;
 ///
-/// let cfg = ModelConfig::tiny();
-/// let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 16);
-/// let mut meter = Meter::new();
-/// let mut m = Transformer::random(cfg.clone(), &mut Pcg::seed(1));
-/// prefill(&mut m, &[1, 2, 3], &mut meter);
-/// let slot = stack.admit(m);
-/// assert_eq!(stack.occupancy(), 1);
-/// assert!(stack.pool().pages_in_use() > 0);
-/// let _ = stack.retire(slot);
-/// assert_eq!(stack.pool().pages_in_use(), 0);
+/// let mut ledger = PageLedger::new(2, 16);
+/// ledger.lease(0, 3, None); // a 3-token prompt was prefilled into slot 0
+/// assert_eq!(ledger.pool().pages_in_use(), 1);
+/// assert_eq!(ledger.demand(0, 17), 1, "position 16 opens a second page");
+/// ledger.grow(0, 17);
+/// assert_eq!(ledger.pool().pages_in_use(), 2);
+/// ledger.vacate(0);
+/// assert_eq!(ledger.pool().pages_in_use(), 0);
 /// ```
-pub struct BatchedStack<M> {
-    slots: Vec<Option<Slot<M>>>,
+#[derive(Debug)]
+pub struct PageLedger {
+    leases: Vec<Option<SlotLease>>,
     pool: SlotPool,
     index: Option<PrefixIndex>,
 }
 
-/// `values[slot]` of every slot `active` marks, in slot order.
-fn packed<'a, T: Copy>(active: &'a [bool], values: &'a [T]) -> impl Iterator<Item = T> + 'a {
-    let marked = active.iter().zip(values).filter(|(&on, _)| on);
-    marked.map(|(_, &value)| value)
-}
-
-impl<M: LayeredLm> BatchedStack<M> {
-    /// Creates `max_batch` empty slots over a fresh page pool.
+impl PageLedger {
+    /// A ledger for `slots` sequence slots over a fresh pool of
+    /// `page_size`-token pages.
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch` is zero (page-size validation is
+    /// Panics if `slots` is zero (page-size validation is
     /// [`SlotPool::new`]'s).
-    pub fn new(max_batch: usize, page_size: usize) -> Self {
-        assert!(max_batch > 0, "max_batch must be positive");
-        BatchedStack {
-            slots: (0..max_batch).map(|_| None).collect(),
+    pub fn new(slots: usize, page_size: usize) -> Self {
+        assert!(slots > 0, "max_batch must be positive");
+        PageLedger {
+            leases: vec![None; slots],
             pool: SlotPool::new(page_size),
             index: None,
         }
     }
 
-    /// Number of slots (the batch cap).
-    pub fn max_batch(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of occupied slots.
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// The lowest free slot index, if any.
-    pub fn free_slot(&self) -> Option<usize> {
-        self.slots.iter().position(|s| s.is_none())
-    }
-
     /// Caps the page pool at `capacity` physical pages (`None` uncaps).
     /// See [`SlotPool::set_capacity`].
-    pub fn set_page_capacity(&mut self, capacity: Option<usize>) {
+    pub fn set_capacity(&mut self, capacity: Option<usize>) {
         self.pool.set_capacity(capacity);
     }
 
-    /// Turns copy-on-write prefix sharing on or off. Subsequent
-    /// [`BatchedStack::admit_shared`] calls match and register prompts;
-    /// plain [`BatchedStack::admit`] is unaffected.
+    /// Turns copy-on-write prefix sharing on or off: subsequent
+    /// [`PageLedger::lease`] calls that name a prompt match and register
+    /// it.
     ///
     /// # Panics
     ///
-    /// Panics if any slot is occupied (toggling mid-flight would orphan
+    /// Panics if any slot holds a lease (toggling mid-flight would orphan
     /// index-held page references).
     pub fn enable_prefix_share(&mut self, on: bool) {
-        assert_eq!(
-            self.occupancy(),
-            0,
+        assert!(
+            self.leases.iter().all(Option::is_none),
             "prefix sharing can only be toggled on an empty stack"
         );
         self.index = on.then(|| PrefixIndex::new(self.pool.page_size()));
@@ -665,99 +628,76 @@ impl<M: LayeredLm> BatchedStack<M> {
         self.index.is_some()
     }
 
-    /// Seats `model` in the lowest free slot, leasing pages for its
-    /// already-committed KV (the prefilled prompt), and returns the slot
-    /// index.
+    /// Leases pages for the `kv_len` positions the sequence taking `slot`
+    /// has already committed. With `prompt` — the tokens those positions
+    /// hold — and prefix sharing on, the prompt is matched against the
+    /// prefix index first: matching whole pages are co-leased read-only
+    /// instead of allocated, a matching tail page is co-leased
+    /// copy-on-write, and the prompt's own full pages are registered for
+    /// later arrivals. Without either, every page is private (how a
+    /// parked sequence comes back).
     ///
     /// # Panics
     ///
-    /// Panics if every slot is occupied — check [`BatchedStack::free_slot`]
-    /// first — or the page pool is at capacity.
-    pub fn admit(&mut self, model: M) -> usize {
-        let slot = self.free_slot().expect("no free slot");
+    /// Panics if the slot already holds a lease, the page pool is at
+    /// capacity, or `prompt` does not cover exactly `kv_len` positions.
+    pub fn lease(&mut self, slot: usize, kv_len: usize, prompt: Option<&[u32]>) {
+        assert!(self.leases[slot].is_none(), "slot {slot} is already leased");
         let mut lease = SlotLease::default();
-        lease.grow(&mut self.pool, model.kv_len());
-        self.slots[slot] = Some(Slot {
-            model,
-            lease,
-            registered: None,
-        });
-        slot
+        if let (Some(index), Some(prompt)) = (self.index.as_mut(), prompt) {
+            assert_eq!(
+                prompt.len(),
+                kv_len,
+                "lease: the committed KV must cover exactly the prompt"
+            );
+            let ps = self.pool.page_size();
+            let (full, tail) = index.matched(prompt);
+            for &page in full.iter().chain(&tail) {
+                self.pool.share_page(page);
+                lease.pages.push(PageRef { page, shared: true });
+            }
+            lease.tokens = if tail.is_some() {
+                kv_len
+            } else {
+                full.len() * ps
+            };
+            // Private pages for whatever the index did not cover.
+            lease.grow(&mut self.pool, kv_len);
+            let full_pages: Vec<usize> =
+                lease.pages[..kv_len / ps].iter().map(|r| r.page).collect();
+            index.register(prompt, &full_pages, &mut self.pool);
+            lease.registered = Some(prompt.to_vec());
+        } else {
+            lease.grow(&mut self.pool, kv_len);
+        }
+        self.leases[slot] = Some(lease);
     }
 
-    /// Seats `model` like [`BatchedStack::admit`], additionally matching
-    /// `prompt` (the tokens whose KV the model has committed) against the
-    /// prefix index: matching whole pages are co-leased read-only instead
-    /// of allocated, a matching tail page is co-leased copy-on-write, and
-    /// the prompt's own full pages are registered for later arrivals.
-    /// Falls back to a private lease when sharing is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`BatchedStack::admit`], or if `prompt.len()` differs
-    /// from the model's committed KV length.
-    pub fn admit_shared(&mut self, model: M, prompt: &[u32]) -> usize {
-        let Some(mut index) = self.index.take() else {
-            return self.admit(model);
-        };
-        let slot = self.free_slot().expect("no free slot");
-        let kv = model.kv_len();
-        assert_eq!(
-            prompt.len(),
-            kv,
-            "admit_shared: model KV must cover exactly the prompt"
-        );
-        let ps = self.pool.page_size();
-        let (full, tail) = index.matched(prompt);
-        let mut lease = SlotLease::default();
-        for &page in &full {
-            self.pool.share_page(page);
-            lease.pages.push(PageRef { page, shared: true });
-        }
-        lease.tokens = full.len() * ps;
-        if let Some(page) = tail {
-            self.pool.share_page(page);
-            lease.pages.push(PageRef { page, shared: true });
-            lease.tokens = kv;
-        }
-        // Private pages for whatever the index did not cover.
-        lease.grow(&mut self.pool, kv);
-        let full_pages: Vec<usize> = lease.pages[..kv / ps].iter().map(|r| r.page).collect();
-        index.register(prompt, &full_pages, &mut self.pool);
-        self.index = Some(index);
-        self.slots[slot] = Some(Slot {
-            model,
-            lease,
-            registered: Some(prompt.to_vec()),
-        });
-        slot
-    }
-
-    /// A resident sequence whose prompt K/V a newcomer with this `prompt`
-    /// could adopt ([`LayeredLm::adopt_prefix`]) instead of recomputing:
-    /// `(slot, tokens)` — the longest chain of whole prompt pages the
-    /// index matches, and a slot registered under a prompt that begins
-    /// with those `tokens` (one exists while the chain does: a node lives
-    /// as long as a registrant). `None` without sharing or without a match.
-    pub fn prefix_donor(&self, prompt: &[u32]) -> Option<(usize, usize)> {
+    /// A leased slot whose sequence holds prompt K/V a newcomer with this
+    /// `prompt` could adopt ([`crate::LayeredLm::adopt_prefix`]) instead
+    /// of recomputing: `(slot, tokens)` — the longest chain of whole
+    /// prompt pages the index matches, and a slot registered under a
+    /// prompt that begins with those `tokens` (one exists while the chain
+    /// does: a node lives as long as a registrant). `None` without sharing
+    /// or without a match.
+    pub fn donor(&self, prompt: &[u32]) -> Option<(usize, usize)> {
         let pages = self.index.as_ref()?.matched(prompt).0.len();
         let shared = &prompt[..pages * self.pool.page_size()];
         if shared.is_empty() {
             return None;
         }
-        let slot = self.slots.iter().position(|s| {
-            let registered = s.as_ref().and_then(|s| s.registered.as_deref());
+        let slot = self.leases.iter().position(|lease| {
+            let registered = lease.as_ref().and_then(|l| l.registered.as_deref());
             registered.is_some_and(|p| p.starts_with(shared))
         })?;
         Some((slot, shared.len()))
     }
 
-    /// Fresh physical pages admitting a sequence with this `prompt`
-    /// would allocate, accounting for prefix-index matches. Compare with
+    /// Fresh physical pages leasing a sequence with this `prompt` would
+    /// allocate, accounting for prefix-index matches. Compare with
     /// [`SlotPool::available_pages`] to gate admission under a capacity.
     pub fn pages_for_admit(&self, prompt: &[u32]) -> usize {
-        let ps = self.pool.page_size();
-        let total = prompt.len().div_ceil(ps);
+        let total = prompt.len().div_ceil(self.pool.page_size());
         let matched = self.index.as_ref().map_or(0, |index| {
             let (full, tail) = index.matched(prompt);
             full.len() + usize::from(tail.is_some())
@@ -765,216 +705,46 @@ impl<M: LayeredLm> BatchedStack<M> {
         total - matched
     }
 
-    /// Fresh physical pages the next decode step could allocate
-    /// (boundary crossings plus pending copy-on-write copies) when
-    /// resident `slot` grows by at most `extra[slot]` committed tokens:
-    /// one for a plain step, up to `1 + tree depth` for a self-draft
-    /// step. The batched engine preempts until this fits
+    /// Fresh physical pages growing `slot`'s lease to `kv_len` positions
+    /// would allocate (boundary crossings plus pending copy-on-write
+    /// copies), without performing them. The batched engine sums this over
+    /// its seats — each at its committed length plus the most the next
+    /// step can commit — and preempts until the sum fits
     /// [`SlotPool::available_pages`].
     ///
     /// # Panics
     ///
-    /// Panics if `extra` doesn't cover every slot.
-    pub fn next_step_page_demand_for(&self, extra: &[usize]) -> usize {
-        assert_eq!(extra.len(), self.slots.len(), "one growth bound per slot");
-        let ps = self.pool.page_size();
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, seat)| {
-                seat.as_ref()
-                    .map(|s| s.lease.pages_needed_for(ps, s.model.kv_len() + extra[slot]))
-            })
-            .sum()
+    /// Panics if the slot holds no lease.
+    pub fn demand(&self, slot: usize, kv_len: usize) -> usize {
+        let lease = self.leases[slot].as_ref().expect("slot is vacant");
+        lease.pages_needed_for(self.pool.page_size(), kv_len)
     }
 
-    /// Empties `slot`, returning its pages to the pool (and its prefix
-    /// registration to the index) and its model to the caller.
+    /// Grows `slot`'s lease to cover `kv_len` committed positions, leasing
+    /// new pages as the sequence grew (and copy-on-write copying any
+    /// shared page the growth writes into). Call once per seat per decode
+    /// step, in slot order, after the K/V commits.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is vacant.
-    pub fn retire(&mut self, slot: usize) -> M {
-        let mut s = self.slots[slot].take().expect("slot is vacant");
-        if let (Some(index), Some(prompt)) = (self.index.as_mut(), s.registered.take()) {
+    /// Panics if the slot holds no lease or the pool is at capacity.
+    pub fn grow(&mut self, slot: usize, kv_len: usize) {
+        let lease = self.leases[slot].as_mut().expect("slot is vacant");
+        lease.grow(&mut self.pool, kv_len);
+    }
+
+    /// Ends `slot`'s lease: its pages return to the pool and its prefix
+    /// registration, if any, to the index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no lease.
+    pub fn vacate(&mut self, slot: usize) {
+        let mut lease = self.leases[slot].take().expect("slot is vacant");
+        if let (Some(index), Some(prompt)) = (self.index.as_mut(), lease.registered.take()) {
             index.unregister(&prompt, &mut self.pool);
         }
-        s.lease.release(&mut self.pool);
-        s.model
-    }
-
-    /// Borrows the model seated in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is vacant.
-    pub fn model(&self, slot: usize) -> &M {
-        &self.slots[slot].as_ref().expect("slot is vacant").model
-    }
-
-    /// Mutably borrows the model seated in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is vacant.
-    pub fn model_mut(&mut self, slot: usize) -> &mut M {
-        &mut self.slots[slot].as_mut().expect("slot is vacant").model
-    }
-
-    /// The models seated in the slots `active` marks, mutably and in slot
-    /// order, each with its hidden state — the member lists of the
-    /// [`LayeredLm`] group calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask or the states don't cover every slot, or an
-    /// active slot is vacant or missing its hidden state.
-    fn group<'a>(
-        &'a mut self,
-        hidden: &'a [Option<Vec<f32>>],
-        active: &[bool],
-    ) -> (Vec<&'a mut M>, Vec<&'a [f32]>) {
-        assert_eq!(hidden.len(), self.slots.len(), "one hidden state per slot");
-        assert_eq!(active.len(), self.slots.len(), "one mask bit per slot");
-        let n = active.iter().filter(|&&a| a).count();
-        let (mut group, mut hs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (slot, seat) in self.slots.iter_mut().enumerate() {
-            if active[slot] {
-                group.push(&mut seat.as_mut().expect("active slot is vacant").model);
-                hs.push(hidden[slot].as_deref().expect("active slot has no state"));
-            }
-        }
-        (group, hs)
-    }
-
-    /// The shared layer sweep: runs decoder layer `layer` on every slot
-    /// whose `active` bit is set — as one
-    /// [`LayeredLm::forward_layer_group`] call, so seats sharing weights
-    /// take one pass over them — replacing `hidden[slot]` in place, and
-    /// returns the number of runners. `positions[slot]` is the KV position
-    /// the slot's pending token occupies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask or state slices don't cover every slot, or an
-    /// active slot is vacant or missing its hidden state.
-    pub fn sweep_layer(
-        &mut self,
-        layer: usize,
-        hidden: &mut [Option<Vec<f32>>],
-        active: &[bool],
-        positions: &[usize],
-        meter: &mut Meter,
-    ) -> usize {
-        assert_eq!(positions.len(), self.slots.len(), "one position per slot");
-        let at: Vec<usize> = packed(active, positions).collect();
-        let (mut group, hs) = self.group(hidden, active);
-        let outs = M::forward_layer_group(&mut group, layer, &hs, &at, meter);
-        let runners = outs.len();
-        for (slot, out) in (0..active.len()).filter(|&s| active[s]).zip(outs) {
-            hidden[slot] = Some(out);
-        }
-        runners
-    }
-
-    /// The full LM head over `hidden[slot]` of every slot whose `active`
-    /// bit is set — as one [`LayeredLm::final_logits_group`] call, so
-    /// seats sharing weights take one pass over the head. Logits come
-    /// back in slot order, one row per active slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`BatchedStack::sweep_layer`].
-    pub fn final_logits(
-        &mut self,
-        hidden: &[Option<Vec<f32>>],
-        active: &[bool],
-        meter: &mut Meter,
-    ) -> Vec<Vec<f32>> {
-        let (mut group, hs) = self.group(hidden, active);
-        M::final_logits_group(&mut group, &hs, meter)
-    }
-
-    /// Fills the K/V of the layers this step's early exits skipped: a
-    /// slot with `first_skipped[slot] = Some(l)` left after layer `l - 1`
-    /// with `hidden[slot]` and owes layers `l..` a row at
-    /// `positions[slot]` — as one [`LayeredLm::fill_skipped_kv_group`]
-    /// call, so seats sharing weights stream each layer's K/V projections
-    /// once.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`BatchedStack::sweep_layer`].
-    pub fn fill_skipped_kv(
-        &mut self,
-        first_skipped: &[Option<usize>],
-        hidden: &[Option<Vec<f32>>],
-        positions: &[usize],
-        policy: SkipKvPolicy,
-        meter: &mut Meter,
-    ) {
-        assert_eq!(positions.len(), self.slots.len(), "one position per slot");
-        let left: Vec<bool> = first_skipped.iter().map(Option::is_some).collect();
-        let from: Vec<usize> = first_skipped.iter().flatten().copied().collect();
-        let at: Vec<usize> = packed(&left, positions).collect();
-        let (mut group, hs) = self.group(hidden, &left);
-        M::fill_skipped_kv_group(&mut group, &from, &hs, &at, policy, meter);
-    }
-
-    /// The shared *tree* sweep for batched token-tree verification: runs
-    /// decoder layer `layer` over every active slot's whole draft tree
-    /// under that slot's tree attention mask, replacing `hidden[slot]`
-    /// (per-node hidden states) in place and appending the layer's
-    /// scratch K/V to `kvs[slot]`. Returns the number of runners.
-    ///
-    /// The per-slot scratch K/V accumulates in tree-node order, so after
-    /// sweeping layers `exit..n_layers` the engine can commit the
-    /// accepted root path per slot via `commit_tree_kv` with no pool
-    /// residue from rejected branches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask or state slices don't cover every slot, or an
-    /// active slot is vacant or missing its tree state.
-    pub fn sweep_layer_tree(
-        &mut self,
-        layer: usize,
-        hidden: &mut [Option<Vec<Vec<f32>>>],
-        parents: &[Vec<Option<usize>>],
-        active: &[bool],
-        kvs: &mut [Vec<TreeKv>],
-        meter: &mut Meter,
-    ) -> usize {
-        assert_eq!(hidden.len(), self.slots.len(), "one tree state per slot");
-        assert_eq!(parents.len(), self.slots.len(), "one tree shape per slot");
-        assert_eq!(active.len(), self.slots.len(), "one mask bit per slot");
-        assert_eq!(kvs.len(), self.slots.len(), "one scratch stack per slot");
-        let mut runners = 0;
-        for (slot, seat) in self.slots.iter_mut().enumerate() {
-            if !active[slot] {
-                continue;
-            }
-            let seat = seat.as_mut().expect("active slot is vacant");
-            let hs = hidden[slot].as_ref().expect("active slot has no tree");
-            let (out, kv) = seat
-                .model
-                .forward_layer_tree(layer, hs, &parents[slot], meter);
-            hidden[slot] = Some(out);
-            kvs[slot].push(kv);
-            runners += 1;
-        }
-        runners
-    }
-
-    /// Re-syncs every lease with its model's committed KV length, leasing
-    /// new pages as sequences grow (and copy-on-write copying any shared
-    /// page the growth writes into). Call once per decode step after KV
-    /// commits.
-    pub fn sync_leases(&mut self) {
-        for seat in self.slots.iter_mut().flatten() {
-            let needed = seat.model.kv_len();
-            seat.lease.grow(&mut self.pool, needed);
-        }
+        lease.release(&mut self.pool);
     }
 
     /// The shared page pool (occupancy, recycling and peak statistics).
@@ -986,13 +756,6 @@ impl<M: LayeredLm> BatchedStack<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
-    use crate::transformer::{prefill, Transformer};
-    use specee_tensor::rng::Pcg;
-
-    fn model(seed: u64) -> Transformer {
-        Transformer::random(ModelConfig::tiny(), &mut Pcg::seed(seed))
-    }
 
     #[test]
     fn pool_recycles_freed_pages() {
@@ -1129,374 +892,132 @@ mod tests {
 
     #[test]
     fn admit_leases_pages_for_prefilled_kv() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 2);
-        let mut meter = Meter::new();
-        let mut m = model(1);
-        prefill(&mut m, &[1, 2, 3], &mut meter);
-        stack.admit(m);
+        let mut ledger = PageLedger::new(2, 2);
+        ledger.lease(0, 3, None);
         // 3 committed positions at page size 2 → 2 pages.
-        assert_eq!(stack.pool().pages_in_use(), 2);
-        assert_eq!(stack.pool().tokens_in_use(), 4);
+        assert_eq!(ledger.pool().pages_in_use(), 2);
+        assert_eq!(ledger.pool().tokens_in_use(), 4);
     }
 
     #[test]
     fn retire_returns_pages_and_next_admit_reuses_them() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 2);
-        let mut meter = Meter::new();
-        let mut m = model(2);
-        prefill(&mut m, &[1, 2, 3, 4], &mut meter);
-        let slot = stack.admit(m);
-        let created = stack.pool().pages_created();
-        let _ = stack.retire(slot);
-        assert_eq!(stack.pool().pages_in_use(), 0);
-        let mut m2 = model(3);
-        prefill(&mut m2, &[5, 6], &mut meter);
-        stack.admit(m2);
-        // The second admission fits entirely in recycled pages.
-        assert_eq!(stack.pool().pages_created(), created);
+        let mut ledger = PageLedger::new(2, 2);
+        ledger.lease(0, 4, None);
+        let created = ledger.pool().pages_created();
+        ledger.vacate(0);
+        assert_eq!(ledger.pool().pages_in_use(), 0);
+        // The second lease fits entirely in recycled pages.
+        ledger.lease(0, 2, None);
+        assert_eq!(ledger.pool().pages_created(), created);
     }
 
     #[test]
     fn shared_admission_coleases_prefix_pages() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(3, 2);
-        stack.enable_prefix_share(true);
-        let mut meter = Meter::new();
+        let mut ledger = PageLedger::new(3, 2);
+        ledger.enable_prefix_share(true);
         let prompt = [1u32, 2, 3, 4];
-        let mut a = model(1);
-        prefill(&mut a, &prompt, &mut meter);
-        stack.admit_shared(a, &prompt);
-        assert_eq!(stack.pool().pages_in_use(), 2);
+        ledger.lease(0, 4, Some(&prompt));
+        assert_eq!(ledger.pool().pages_in_use(), 2);
 
         // Identical prompt: zero fresh pages, both full pages co-leased.
-        assert_eq!(stack.pages_for_admit(&prompt), 0);
-        let mut b = model(2);
-        prefill(&mut b, &prompt, &mut meter);
-        let sb = stack.admit_shared(b, &prompt);
-        assert_eq!(stack.pool().pages_in_use(), 2, "no new physical pages");
-        assert_eq!(stack.pool().shared_pages(), 2);
-        assert!(stack.pool().logical_pages_in_use() > stack.pool().pages_in_use());
+        assert_eq!(ledger.pages_for_admit(&prompt), 0);
+        ledger.lease(1, 4, Some(&prompt));
+        assert_eq!(ledger.pool().pages_in_use(), 2, "no new physical pages");
+        assert_eq!(ledger.pool().shared_pages(), 2);
+        assert!(ledger.pool().logical_pages_in_use() > ledger.pool().pages_in_use());
 
         // Divergence in the second page: one fresh page only.
         let diverged = [1u32, 2, 7, 8];
-        assert_eq!(stack.pages_for_admit(&diverged), 1);
-        let mut c = model(3);
-        prefill(&mut c, &diverged, &mut meter);
-        stack.admit_shared(c, &diverged);
-        assert_eq!(stack.pool().pages_in_use(), 3);
+        assert_eq!(ledger.pages_for_admit(&diverged), 1);
+        ledger.lease(2, 4, Some(&diverged));
+        assert_eq!(ledger.pool().pages_in_use(), 3);
 
-        // Retiring the sharer drops its co-leases but the pages stay
+        // Vacating the sharer drops its co-leases but the pages stay
         // resident for the original owner.
-        let _ = stack.retire(sb);
-        assert_eq!(stack.pool().pages_in_use(), 3);
+        ledger.vacate(1);
+        assert_eq!(ledger.pool().pages_in_use(), 3);
     }
 
     #[test]
     fn prefix_donor_is_a_registered_holder_of_the_matched_whole_pages() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(4, 2);
-        let mut meter = Meter::new();
-        let seat = |prompt: &[u32], meter: &mut Meter| {
-            let mut m = model(1);
-            prefill(&mut m, prompt, meter);
-            m
-        };
+        let mut ledger = PageLedger::new(4, 2);
         let long = [1u32, 2, 3, 4, 5];
-        assert_eq!(stack.prefix_donor(&long), None, "sharing is off");
-        stack.enable_prefix_share(true);
-        assert_eq!(stack.prefix_donor(&long), None, "nobody is resident");
-        // A plain admission registers nothing, so it holds nothing; nor
-        // does the holder of some other prompt.
-        let plain = stack.admit(seat(&long, &mut meter));
-        let other = stack.admit_shared(seat(&[9, 2, 3, 4], &mut meter), &[9, 2, 3, 4]);
-        assert_eq!(stack.prefix_donor(&long), None);
-        let a = stack.admit_shared(seat(&long, &mut meter), &long);
-        assert!(plain < a && other < a, "the donor is not the first seat");
+        assert_eq!(ledger.donor(&long), None, "sharing is off");
+        ledger.enable_prefix_share(true);
+        assert_eq!(ledger.donor(&long), None, "nobody is resident");
+        // A lease that names no prompt registers nothing, so it holds
+        // nothing; nor does the holder of some other prompt.
+        ledger.lease(0, long.len(), None);
+        ledger.lease(1, 4, Some(&[9, 2, 3, 4]));
+        assert_eq!(ledger.donor(&long), None);
+        // The donor is not the first leased slot.
+        ledger.lease(2, long.len(), Some(&long));
         // Whole pages only: the odd fifth token and a tail match inside
         // the second page are not on offer.
-        assert_eq!(stack.prefix_donor(&long), Some((a, 4)));
-        assert_eq!(stack.prefix_donor(&[1, 2, 3, 9]), Some((a, 2)));
-        assert_eq!(stack.prefix_donor(&[1, 2, 3]), Some((a, 2)));
-        assert_eq!(stack.prefix_donor(&[1]), None);
-        assert_eq!(stack.prefix_donor(&[9, 2, 3, 4]), Some((other, 4)));
-        assert_eq!(stack.prefix_donor(&[8, 2, 3, 4]), None);
+        assert_eq!(ledger.donor(&long), Some((2, 4)));
+        assert_eq!(ledger.donor(&[1, 2, 3, 9]), Some((2, 2)));
+        assert_eq!(ledger.donor(&[1, 2, 3]), Some((2, 2)));
+        assert_eq!(ledger.donor(&[1]), None);
+        assert_eq!(ledger.donor(&[9, 2, 3, 4]), Some((1, 4)));
+        assert_eq!(ledger.donor(&[8, 2, 3, 4]), None);
         // A second holder of the first page keeps it on offer once the
         // first is gone — for as far as its own prompt goes.
-        let b = stack.admit_shared(seat(&[1, 2, 7, 8], &mut meter), &[1, 2, 7, 8]);
-        let _ = stack.retire(a);
-        assert_eq!(stack.prefix_donor(&long), Some((b, 2)));
-        let _ = stack.retire(b);
-        assert_eq!(stack.prefix_donor(&long), None);
+        ledger.lease(3, 4, Some(&[1, 2, 7, 8]));
+        ledger.vacate(2);
+        assert_eq!(ledger.donor(&long), Some((3, 2)));
+        ledger.vacate(3);
+        assert_eq!(ledger.donor(&long), None);
     }
 
     #[test]
     fn tail_share_copies_on_first_divergent_write() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 2);
-        stack.enable_prefix_share(true);
-        let mut meter = Meter::new();
-        let long = [1u32, 2, 3, 4];
-        let mut a = model(1);
-        prefill(&mut a, &long, &mut meter);
-        stack.admit_shared(a, &long);
+        let mut ledger = PageLedger::new(2, 2);
+        ledger.enable_prefix_share(true);
+        ledger.lease(0, 4, Some(&[1, 2, 3, 4]));
 
         // A strict prefix of the resident prompt shares the tail page
-        // read-only: no fresh pages at admission.
+        // read-only: no fresh pages when it takes its slot.
         let short = [1u32, 2, 3];
-        assert_eq!(stack.pages_for_admit(&short), 0);
-        let mut b = model(2);
-        prefill(&mut b, &short, &mut meter);
-        let sb = stack.admit_shared(b, &short);
-        assert_eq!(stack.pool().pages_in_use(), 2);
-        assert_eq!(stack.pool().cow_copies(), 0);
+        assert_eq!(ledger.pages_for_admit(&short), 0);
+        ledger.lease(1, 3, Some(&short));
+        assert_eq!(ledger.pool().pages_in_use(), 2);
+        assert_eq!(ledger.pool().cow_copies(), 0);
         // Next-step demand counts every resident growing one token: the
         // owner crossing into a fresh page plus the sharer's pending
         // copy-on-write copy.
-        assert_eq!(stack.next_step_page_demand_for(&[1, 1]), 2);
-        let pos = stack.model(sb).kv_len();
-        let mut h = stack.model_mut(sb).begin_token(9, &mut meter);
-        for layer in 0..4 {
-            h = stack
-                .model_mut(sb)
-                .forward_layer(layer, &h, pos, &mut meter);
-        }
-        stack.sync_leases();
-        assert_eq!(stack.pool().cow_copies(), 1);
-        assert_eq!(stack.pool().pages_in_use(), 3);
-    }
-
-    #[test]
-    fn masked_sweep_matches_single_stream() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 16);
-        let mut meter = Meter::new();
-        let mut a = model(7);
-        let mut b = model(7);
-        prefill(&mut a, &[1, 2], &mut meter);
-        prefill(&mut b, &[3], &mut meter);
-        let sa = stack.admit(a);
-        let sb = stack.admit(b);
-
-        // Reference: the same models stepped individually.
-        let mut ra = model(7);
-        let mut rb = model(7);
-        prefill(&mut ra, &[1, 2], &mut meter);
-        prefill(&mut rb, &[3], &mut meter);
-        let mut ha = ra.begin_token(5, &mut meter);
-        let mut hb = rb.begin_token(6, &mut meter);
-
-        let mut hidden = vec![None, None];
-        hidden[sa] = Some(stack.model_mut(sa).begin_token(5, &mut meter));
-        hidden[sb] = Some(stack.model_mut(sb).begin_token(6, &mut meter));
-        let positions = [2, 1];
-        let active = [true, true];
-        for layer in 0..4 {
-            let runners = stack.sweep_layer(layer, &mut hidden, &active, &positions, &mut meter);
-            assert_eq!(runners, 2);
-            ha = ra.forward_layer(layer, &ha, 2, &mut meter);
-            hb = rb.forward_layer(layer, &hb, 1, &mut meter);
-        }
-        assert_eq!(hidden[sa].as_deref(), Some(ha.as_slice()));
-        assert_eq!(hidden[sb].as_deref(), Some(hb.as_slice()));
-    }
-
-    #[test]
-    fn mixed_mask_over_mixed_seats_matches_single_streams() {
-        // Seats 0 and 2 share one weight set; seat 1 was quantized after
-        // cloning. Each seat leaves the token at its own layer, the way
-        // early exit shrinks a live batch: layer 0 runs all three (the
-        // per-seat fallback), layers 1–2 the sharing pair (one weight
-        // pass), layer 3 seat 0 alone.
-        let template = model(21);
-        let prompts: [&[u32]; 3] = [&[1, 2, 3], &[4], &[5, 6]];
-        let tokens = [7u32, 8, 9];
-        let last_layer = [4usize, 1, 3];
-        let seat = |i: usize, meter: &mut Meter| {
-            let mut m = template.clone();
-            if i == 1 {
-                m.quantize(specee_tensor::QuantBits::Int8);
-            }
-            prefill(&mut m, prompts[i], meter);
-            m
-        };
-        let (mut meter, mut ref_meter) = (Meter::new(), Meter::new());
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(3, 16);
-        let mut refs: Vec<Transformer> = Vec::new();
-        for i in 0..3 {
-            assert_eq!(stack.admit(seat(i, &mut meter)), i);
-            refs.push(seat(i, &mut ref_meter));
-        }
-        assert!(stack.model(0).shares_weights_with(stack.model(2)));
-        assert!(!stack.model(0).shares_weights_with(stack.model(1)));
-
-        let positions: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
-        let mut hidden: Vec<Option<Vec<f32>>> = Vec::new();
-        let mut want: Vec<Vec<f32>> = Vec::new();
-        for i in 0..3 {
-            hidden.push(Some(stack.model_mut(i).begin_token(tokens[i], &mut meter)));
-            want.push(refs[i].begin_token(tokens[i], &mut ref_meter));
-        }
-        for layer in 0..4 {
-            let active: Vec<bool> = last_layer.iter().map(|&l| layer < l).collect();
-            let runners = stack.sweep_layer(layer, &mut hidden, &active, &positions, &mut meter);
-            assert_eq!(runners, active.iter().filter(|&&a| a).count());
-            for i in (0..3).filter(|&i| active[i]) {
-                want[i] = refs[i].forward_layer(layer, &want[i], positions[i], &mut ref_meter);
-            }
-            for i in 0..3 {
-                assert_eq!(hidden[i].as_ref(), Some(&want[i]), "layer {layer} seat {i}");
-                assert_eq!(stack.model(i).cache(layer), refs[i].cache(layer));
-            }
-        }
-        assert_eq!(meter, ref_meter, "same records, in the same per-kind order");
-    }
-
-    #[test]
-    fn masked_tree_sweep_matches_single_stream_tree() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 16);
-        let mut meter = Meter::new();
-        let mut a = model(11);
-        let mut b = model(11);
-        prefill(&mut a, &[1, 2], &mut meter);
-        prefill(&mut b, &[3], &mut meter);
-        let sa = stack.admit(a);
-        let sb = stack.admit(b);
-
-        // Reference: the same models sweeping their trees individually.
-        let mut ra = model(11);
-        let mut rb = model(11);
-        prefill(&mut ra, &[1, 2], &mut meter);
-        prefill(&mut rb, &[3], &mut meter);
-        let pa: Vec<Option<usize>> = vec![None, Some(0), Some(0)];
-        let pb: Vec<Option<usize>> = vec![None, Some(0)];
-        let mut ha = ra.begin_tree(&[5, 6, 7], &pa, &mut meter);
-        let mut hb = rb.begin_tree(&[8, 9], &pb, &mut meter);
-
-        let mut hidden = vec![None, None];
-        hidden[sa] = Some(stack.model_mut(sa).begin_tree(&[5, 6, 7], &pa, &mut meter));
-        hidden[sb] = Some(stack.model_mut(sb).begin_tree(&[8, 9], &pb, &mut meter));
-        let mut parents = vec![Vec::new(), Vec::new()];
-        parents[sa] = pa.clone();
-        parents[sb] = pb.clone();
-        let mut kvs: Vec<Vec<TreeKv>> = vec![Vec::new(), Vec::new()];
-        let mut ref_kvs: Vec<Vec<TreeKv>> = vec![Vec::new(), Vec::new()];
-        for layer in 0..4 {
-            let runners = stack.sweep_layer_tree(
-                layer,
-                &mut hidden,
-                &parents,
-                &[true, true],
-                &mut kvs,
-                &mut meter,
-            );
-            assert_eq!(runners, 2);
-            let (oa, ka) = ra.forward_layer_tree(layer, &ha, &pa, &mut meter);
-            let (ob, kb) = rb.forward_layer_tree(layer, &hb, &pb, &mut meter);
-            ha = oa;
-            hb = ob;
-            ref_kvs[sa].push(ka);
-            ref_kvs[sb].push(kb);
-        }
-        assert_eq!(hidden[sa].as_ref(), Some(&ha), "slot a tree states match");
-        assert_eq!(hidden[sb].as_ref(), Some(&hb), "slot b tree states match");
-        assert_eq!(kvs, ref_kvs, "per-layer scratch K/V matches per slot");
-    }
-
-    #[test]
-    fn tree_sweep_skips_masked_slots() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 16);
-        let mut meter = Meter::new();
-        let mut a = model(13);
-        let mut b = model(13);
-        prefill(&mut a, &[1], &mut meter);
-        prefill(&mut b, &[1], &mut meter);
-        let sa = stack.admit(a);
-        let sb = stack.admit(b);
-        let parents: Vec<Option<usize>> = vec![None, Some(0)];
-        let mut hidden = vec![None, None];
-        hidden[sa] = Some(
-            stack
-                .model_mut(sa)
-                .begin_tree(&[2, 3], &parents, &mut meter),
-        );
-        hidden[sb] = Some(
-            stack
-                .model_mut(sb)
-                .begin_tree(&[2, 3], &parents, &mut meter),
-        );
-        let frozen = hidden[sb].clone();
-        let all_parents = vec![parents.clone(), parents.clone()];
-        let mut kvs: Vec<Vec<TreeKv>> = vec![Vec::new(), Vec::new()];
-        let runners = stack.sweep_layer_tree(
-            0,
-            &mut hidden,
-            &all_parents,
-            &[true, false],
-            &mut kvs,
-            &mut meter,
-        );
-        assert_eq!(runners, 1);
-        assert_eq!(hidden[sb], frozen, "masked-off slot keeps its tree");
-        assert!(kvs[sb].is_empty(), "masked-off slot accrues no scratch");
-        assert_eq!(kvs[sa].len(), 1);
+        assert_eq!(ledger.demand(0, 5) + ledger.demand(1, 4), 2);
+        // The sharer commits one token into the shared tail page.
+        ledger.grow(1, 4);
+        assert_eq!(ledger.pool().cow_copies(), 1);
+        assert_eq!(ledger.pool().pages_in_use(), 3);
     }
 
     #[test]
     fn per_slot_demand_bound_scales_with_tree_depth() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 4);
-        let mut meter = Meter::new();
-        let mut a = model(17);
-        prefill(&mut a, &[1, 2, 3], &mut meter);
-        let sa = stack.admit(a);
+        let mut ledger = PageLedger::new(2, 4);
+        ledger.lease(0, 3, None);
         // One token fits the current page; a 4-token tree commit crosses
         // into a second page.
-        assert_eq!(stack.next_step_page_demand_for(&[1, 1]), 0);
-        let mut extra = vec![0, 0];
-        extra[sa] = 4;
-        assert_eq!(stack.next_step_page_demand_for(&extra), 1);
-    }
-
-    #[test]
-    fn inactive_slots_do_not_run() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(2, 16);
-        let mut meter = Meter::new();
-        let mut a = model(9);
-        let mut b = model(9);
-        prefill(&mut a, &[1], &mut meter);
-        prefill(&mut b, &[1], &mut meter);
-        let sa = stack.admit(a);
-        let sb = stack.admit(b);
-        let mut hidden = vec![None, None];
-        hidden[sa] = Some(stack.model_mut(sa).begin_token(2, &mut meter));
-        hidden[sb] = Some(stack.model_mut(sb).begin_token(2, &mut meter));
-        let frozen = hidden[sb].clone();
-        let runners = stack.sweep_layer(0, &mut hidden, &[true, false], &[1, 1], &mut meter);
-        assert_eq!(runners, 1);
-        assert_eq!(hidden[sb], frozen, "masked-off slot keeps its state");
-        assert_ne!(hidden[sa], frozen);
+        assert_eq!(ledger.demand(0, 3 + 1), 0);
+        assert_eq!(ledger.demand(0, 3 + 4), 1);
     }
 
     #[test]
     fn sync_leases_tracks_growth() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(1, 2);
-        let mut meter = Meter::new();
-        let mut m = model(4);
-        prefill(&mut m, &[1, 2], &mut meter);
-        let slot = stack.admit(m);
-        assert_eq!(stack.pool().pages_in_use(), 1);
-        // Decode one token through all layers, then sync.
-        let pos = stack.model(slot).kv_len();
-        let mut h = stack.model_mut(slot).begin_token(3, &mut meter);
-        for layer in 0..4 {
-            h = stack
-                .model_mut(slot)
-                .forward_layer(layer, &h, pos, &mut meter);
-        }
-        stack.sync_leases();
-        assert_eq!(stack.pool().pages_in_use(), 2, "third token needs page 2");
+        let mut ledger = PageLedger::new(1, 2);
+        ledger.lease(0, 2, None);
+        assert_eq!(ledger.pool().pages_in_use(), 1);
+        ledger.grow(0, 3);
+        assert_eq!(ledger.pool().pages_in_use(), 2, "third token needs page 2");
+        ledger.grow(0, 3);
+        assert_eq!(ledger.pool().pages_in_use(), 2, "nothing new to cover");
     }
 
     #[test]
-    #[should_panic(expected = "no free slot")]
+    #[should_panic(expected = "already leased")]
     fn admit_checks_capacity() {
-        let mut stack: BatchedStack<Transformer> = BatchedStack::new(1, 16);
-        stack.admit(model(1));
-        stack.admit(model(2));
+        let mut ledger = PageLedger::new(1, 16);
+        ledger.lease(0, 1, None);
+        ledger.lease(0, 1, None);
     }
 }

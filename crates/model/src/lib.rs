@@ -42,7 +42,7 @@ pub mod transformer;
 pub mod weights;
 
 pub use attention::TreeKv;
-pub use batch::{BatchedStack, KvStats, PrefixIndex, SlotPool};
+pub use batch::{KvStats, PageLedger, PrefixIndex, SlotPool};
 pub use calibration::{collect_awq_tap, quantize_awq, ActivationTap};
 pub use config::{CostDims, ModelConfig, TokenId};
 pub use ffn::{FfnMode, FfnRouter};

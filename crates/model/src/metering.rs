@@ -55,23 +55,10 @@ impl OpScale {
     }
 
     /// Records one decode-step attention block over `kv_len` cached
-    /// positions (projections, RoPE, scores, weighted sum, output).
+    /// positions (projections, RoPE, scores, weighted sum, output): the
+    /// tree-batched block at one node.
     pub fn record_attention(&self, meter: &mut Meter, kv_len: usize) {
-        let h = self.hidden;
-        let kv = self.kv_dim;
-        let n = kv_len as f64;
-        let proj_flops = 4.0 * h * h + 4.0 * h * kv;
-        let score_flops = 4.0 * n * h;
-        let weight_bytes = (2.0 * h * h + 2.0 * h * kv) * self.wbytes;
-        let kv_read = 2.0 * n * kv * ACT_BYTES;
-        let act = 6.0 * h * ACT_BYTES;
-        meter.record(
-            OpKind::Attention,
-            proj_flops + score_flops,
-            weight_bytes + act,
-            6,
-        );
-        meter.record(OpKind::KvCache, 0.0, kv_read + 2.0 * kv * ACT_BYTES, 1);
+        self.record_attention_tree(meter, &[kv_len]);
     }
 
     /// Records one tree-batched attention block: weights are read once for
@@ -151,38 +138,24 @@ impl OpScale {
 
     /// Records a dense gated-FFN block.
     pub fn record_ffn(&self, meter: &mut Meter) {
-        let flops = 6.0 * self.hidden * self.ffn + self.ffn;
-        let bytes = 3.0 * self.hidden * self.ffn * self.wbytes + 4.0 * self.hidden * ACT_BYTES;
-        meter.record(OpKind::Ffn, flops, bytes, 3);
+        self.record_ffn_tree(meter, 1);
     }
 
     /// Records a sparse-activation FFN where only `active_frac` of neurons
     /// were computed, plus the low-rank router that predicted them
     /// (PowerInfer substitution).
     pub fn record_ffn_sparse(&self, meter: &mut Meter, active_frac: f64, router_rank: usize) {
-        let frac = active_frac.clamp(0.0, 1.0);
-        let r = router_rank as f64;
-        let router_flops = 2.0 * self.hidden * r + 2.0 * r * self.ffn;
-        let router_bytes = (self.hidden * r + r * self.ffn) * self.wbytes;
-        let flops = (6.0 * self.hidden * self.ffn + self.ffn) * frac + router_flops;
-        let bytes = 3.0 * self.hidden * self.ffn * self.wbytes * frac
-            + router_bytes
-            + 4.0 * self.hidden * ACT_BYTES;
-        meter.record(OpKind::Ffn, flops, bytes, 4);
+        self.record_ffn_sparse_tree(meter, 1, active_frac, router_rank);
     }
 
     /// Records the RMSNorm pair of a decoder layer.
     pub fn record_norms(&self, meter: &mut Meter) {
-        let flops = 8.0 * self.hidden;
-        let bytes = 4.0 * self.hidden * ACT_BYTES;
-        meter.record(OpKind::Norm, flops, bytes, 2);
+        self.record_norms_tree(meter, 1);
     }
 
     /// Records a full-vocabulary LM-head product.
     pub fn record_lm_head_full(&self, meter: &mut Meter) {
-        let flops = 2.0 * self.hidden * self.vocab;
-        let bytes = self.hidden * self.vocab * self.wbytes + self.vocab * ACT_BYTES;
-        meter.record(OpKind::LmHeadFull, flops, bytes, 1);
+        self.record_lm_head_full_batch(meter, 1);
     }
 
     /// Records a speculative LM-head slice over `k` candidate rows
@@ -284,5 +257,76 @@ mod tests {
         let mut sparse = Meter::new();
         s.record_ffn_sparse(&mut sparse, 0.2, 64);
         assert!(sparse.total_bytes() < dense.total_bytes() * 0.5);
+    }
+
+    /// Each one-row price is its batched sibling at one row, to the bit:
+    /// the batched formulas scale per-row terms by a count, and a count
+    /// of one multiplies by `1.0`. The expected meters are the one-row
+    /// formulas written out.
+    #[test]
+    fn one_row_prices_are_their_batched_siblings_at_one_row() {
+        for cfg in [ModelConfig::sim_llama2_7b(), ModelConfig::tiny()] {
+            let s = OpScale::of(&cfg);
+            let (h, kv, ffn, vocab, wb) = (s.hidden, s.kv_dim, s.ffn, s.vocab, s.wbytes);
+            let metered = |f: &dyn Fn(&mut Meter)| {
+                let mut meter = Meter::new();
+                f(&mut meter);
+                meter
+            };
+            let same = |name: &str, want: Meter, one: Meter, batched: Meter| {
+                assert_eq!(one, want, "{name}");
+                assert_eq!(batched, want, "{name} (batched at one row)");
+            };
+
+            let n = 37.0;
+            let want = metered(&|m| {
+                let flops = 4.0 * h * h + 4.0 * h * kv + 4.0 * n * h;
+                let bytes = (2.0 * h * h + 2.0 * h * kv) * wb + 6.0 * h * ACT_BYTES;
+                m.record(OpKind::Attention, flops, bytes, 6);
+                let kv_bytes = 2.0 * n * kv * ACT_BYTES + 2.0 * kv * ACT_BYTES;
+                m.record(OpKind::KvCache, 0.0, kv_bytes, 1);
+            });
+            let one = metered(&|m| s.record_attention(m, 37));
+            same(
+                "attention",
+                want,
+                one,
+                metered(&|m| s.record_attention_tree(m, &[37])),
+            );
+
+            let want = metered(&|m| {
+                let bytes = 3.0 * h * ffn * wb + 4.0 * h * ACT_BYTES;
+                m.record(OpKind::Ffn, 6.0 * h * ffn + ffn, bytes, 3);
+            });
+            let one = metered(&|m| s.record_ffn(m));
+            same("ffn", want, one, metered(&|m| s.record_ffn_tree(m, 1)));
+
+            let (frac, r) = (0.3, 16.0);
+            let want = metered(&|m| {
+                let flops = (6.0 * h * ffn + ffn) * frac + 2.0 * h * r + 2.0 * r * ffn;
+                let bytes =
+                    3.0 * h * ffn * wb * frac + (h * r + r * ffn) * wb + 4.0 * h * ACT_BYTES;
+                m.record(OpKind::Ffn, flops, bytes, 4);
+            });
+            let one = metered(&|m| s.record_ffn_sparse(m, 0.3, 16));
+            let batched = metered(&|m| s.record_ffn_sparse_tree(m, 1, 0.3, 16));
+            same("sparse ffn", want, one, batched);
+
+            let want = metered(&|m| m.record(OpKind::Norm, 8.0 * h, 4.0 * h * ACT_BYTES, 2));
+            let one = metered(&|m| s.record_norms(m));
+            same("norms", want, one, metered(&|m| s.record_norms_tree(m, 1)));
+
+            let want = metered(&|m| {
+                let bytes = h * vocab * wb + vocab * ACT_BYTES;
+                m.record(OpKind::LmHeadFull, 2.0 * h * vocab, bytes, 1);
+            });
+            let one = metered(&|m| s.record_lm_head_full(m));
+            same(
+                "lm head",
+                want,
+                one,
+                metered(&|m| s.record_lm_head_full_batch(m, 1)),
+            );
+        }
     }
 }

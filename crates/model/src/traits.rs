@@ -53,8 +53,8 @@ pub trait LayeredLm {
         -> Vec<f32>;
 
     /// Runs decoder layer `layer` for a group of sequences in one call
-    /// (what [`crate::BatchedStack::sweep_layer`] makes with its active
-    /// seats): member `i` takes `hs[i]` at its own `positions[i]` and
+    /// (what `specee-batch`'s `BatchedEngine::step` makes with the seats
+    /// still in its layer sweep): member `i` takes `hs[i]` at its own `positions[i]` and
     /// appends to its own K/V; outputs come back in member order.
     ///
     /// This default — [`LayeredLm::forward_layer`] member by member, one
@@ -219,9 +219,8 @@ pub trait LayeredLm {
     }
 
     /// [`LayeredLm::fill_skipped_kv`] for a group of sequences that left
-    /// the same decode step early (what
-    /// [`crate::BatchedStack::fill_skipped_kv`] makes with the seats that
-    /// exited): member `i` fills layers `first_skipped[i]..` for its own
+    /// the same decode step early (what `BatchedEngine::step` makes with
+    /// the seats that exited): member `i` fills layers `first_skipped[i]..` for its own
     /// `positions[i]` from its exit hidden state `hs[i]`.
     ///
     /// This default — member by member, one K/V weight stream per member
@@ -248,9 +247,8 @@ pub trait LayeredLm {
     fn final_logits(&mut self, h: &[f32], meter: &mut Meter) -> Vec<f32>;
 
     /// [`LayeredLm::final_logits`] for a group of sequences, one hidden
-    /// state each (what [`crate::BatchedStack::final_logits`] makes with
-    /// the seats whose predictors fired at a layer, or that ran the whole
-    /// stack); logits come back in member order, metered per member.
+    /// state each (what `BatchedEngine::step` makes with the seats whose
+    /// predictors fired at a layer, or that ran the whole stack); logits come back in member order, metered per member.
     ///
     /// This default — member by member, one LM-head stream each — is the
     /// reference: implementations whose members share weights override it

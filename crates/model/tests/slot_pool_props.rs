@@ -204,7 +204,7 @@ proptest! {
         let mut pool = SlotPool::new(page_size);
         let mut index = PrefixIndex::new(page_size);
         // Admit: lease pages for each prompt privately, then register
-        // its full chunks (exactly what `BatchedStack::admit_shared`
+        // its full chunks (exactly what `PageLedger::lease`
         // does for the non-matching part of a prompt).
         let mut leases: Vec<(Vec<u32>, Vec<usize>)> = Vec::new();
         for prompt in &prompts {

@@ -304,7 +304,7 @@ pub fn lanes_of(doc: &Value) -> Option<Vec<(u64, u64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{Recorder, TraceSink};
+    use crate::sink::Recorder;
 
     fn sample_events() -> Vec<Event> {
         let mut r0 = Recorder::for_worker(0);

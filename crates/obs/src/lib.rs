@@ -4,8 +4,8 @@
 //! (`ServeStats`, `ClusterReport`, `Meter`); this crate records *when*
 //! things happened. It has three layers:
 //!
-//! 1. **Event plane** ([`event`], [`sink`]): a [`TraceSink`] trait plus a
-//!    deterministic [`Recorder`] capturing typed [`Event`]s — exit
+//! 1. **Event plane** ([`event`], [`sink`]): a deterministic
+//!    [`Recorder`] capturing typed [`Event`]s — exit
 //!    fire/accept/reject with layer, score and threshold; batch steps;
 //!    admissions; routing decisions with per-worker scores; controller
 //!    applies; gossip deltas — stamped with the *simulated* clock the
@@ -29,15 +29,14 @@
 //!    questions *during* a run (and feeds `SloAdaptive` controllers in
 //!    `specee-control`) instead of after it.
 //!
-//! The disabled path is a no-op: engines thread a generic
-//! `S: TraceSink`, and with [`NullSink`] (or `Option::<Recorder>::None`)
-//! `enabled()` is a constant `false` the optimizer deletes — no
-//! allocation, no branch cost (`sec74_overhead` asserts this).
+//! The disabled path is one discriminant test: engines thread an
+//! `Option<Recorder>` and build an event only when it is `Some` — no
+//! allocation (`sec74_overhead` asserts this).
 //!
 //! # Examples
 //!
 //! ```
-//! use specee_obs::{EventKind, Recorder, TraceSink};
+//! use specee_obs::{EventKind, Recorder};
 //!
 //! let mut rec = Recorder::for_worker(0);
 //! rec.set_clock(0.5);
@@ -74,6 +73,6 @@ pub use registry::{
     fold_dropped_events, fold_events, fold_meter, fold_roofline, Histogram, MetricsRegistry,
     DRAFT_ACCEPTED_LEN_BOUNDS, EXIT_LAYER_BOUNDS, QUEUE_DEPTH_BOUNDS, TTFT_BOUNDS,
 };
-pub use sink::{merge_events, NullSink, Recorder, TraceSink, DEFAULT_EVENT_BUDGET};
+pub use sink::{merge_events, Recorder, DEFAULT_EVENT_BUDGET};
 pub use slo::{SloKind, SloObjective, SloSpec, SloTracker};
 pub use window::RollingCounter;

@@ -1,20 +1,18 @@
-//! Sinks: where engines hand events, and the recorder that keeps them.
+//! The sink: where engines hand events, and the recorder that keeps them.
 //!
-//! Engines thread a generic `S: TraceSink` through their hot loops. The
-//! two implementations bracket the cost spectrum:
+//! Engines hold an `Option<Recorder>` and thread `&mut Option<Recorder>`
+//! into their hot loops. With `None` — the default everywhere; tracing is
+//! strictly opt-in — a recording site is one discriminant test with
+//! nothing behind it: call sites build the [`EventKind`] only inside
+//! `if let Some(rec) = ...`, so the disabled path allocates nothing.
+//! A [`Recorder`] buffers [`Event`]s in memory, stamping each with the
+//! ambient simulated clock, worker lane and sequence id that the layer
+//! *owning* the clock sets before delegating into clock-less layers
+//! (`BatchedEngine` has no clock at all; the serve loop and the cluster
+//! workers own `now`/`sim_now`).
 //!
-//! - [`NullSink`] (and `Option::<Recorder>::None`): `enabled()` is a
-//!   constant `false`, so the guard `if sink.enabled() { ... }`
-//!   monomorphizes to nothing — no allocation, no branch. This is the
-//!   default everywhere; tracing is strictly opt-in.
-//! - [`Recorder`]: buffers [`Event`]s in memory, stamping each with the
-//!   ambient simulated clock, worker lane and sequence id that the layer
-//!   *owning* the clock sets before delegating into clock-less layers
-//!   (`BatchedEngine` has only a step counter; the serve loop and the
-//!   cluster workers own `now`/`sim_now`).
-//!
-//! The enabled path never feeds back into the computation — sinks are
-//! write-only — so tracing cannot perturb tokens, exit layers or
+//! The enabled path never feeds back into the computation — the recorder
+//! is write-only — so tracing cannot perturb tokens, exit layers or
 //! timings; the bit-identity tests in `specee-serve`/`specee-cluster`
 //! hold the runtime to that.
 //!
@@ -40,81 +38,6 @@ use crate::event::{Event, EventKind};
 /// *interesting* events survive; the budget is the backstop
 /// that keeps an unconfigured long run from growing without bound.
 pub const DEFAULT_EVENT_BUDGET: usize = 1 << 20;
-
-/// Destination for trace events.
-///
-/// `record` takes only the [`EventKind`]; the sink supplies the
-/// timestamp/lane context (see [`Recorder::set_clock`]). Call sites must
-/// guard event *construction* behind [`TraceSink::enabled`] so the
-/// disabled path allocates nothing:
-///
-/// ```
-/// use specee_obs::{EventKind, NullSink, TraceSink};
-///
-/// fn hot_loop<S: TraceSink>(sink: &mut S) {
-///     if sink.enabled() {
-///         sink.record(EventKind::Step {
-///             step: 0,
-///             occupancy: 1,
-///             layers: 32,
-///             dur_s: 0.001,
-///         });
-///     }
-/// }
-/// hot_loop(&mut NullSink);
-/// ```
-pub trait TraceSink {
-    /// Whether events are being kept. Constant `false` for [`NullSink`],
-    /// so guarded recording compiles away.
-    fn enabled(&self) -> bool;
-
-    /// Records one event (stamped with the sink's ambient context).
-    fn record(&mut self, kind: EventKind);
-}
-
-/// The no-op sink: tracing disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record(&mut self, _kind: EventKind) {}
-}
-
-impl<S: TraceSink + ?Sized> TraceSink for &mut S {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    #[inline(always)]
-    fn record(&mut self, kind: EventKind) {
-        (**self).record(kind);
-    }
-}
-
-/// `Option<S>` is a sink: `None` behaves exactly like [`NullSink`].
-///
-/// This is the shape engines store (`Option<Recorder>`): the common
-/// disabled case stays a branch on a discriminant with nothing behind it.
-impl<S: TraceSink> TraceSink for Option<S> {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        self.as_ref().is_some_and(|s| s.enabled())
-    }
-
-    #[inline(always)]
-    fn record(&mut self, kind: EventKind) {
-        if let Some(s) = self {
-            s.record(kind);
-        }
-    }
-}
 
 /// Deterministic in-memory event recorder.
 ///
@@ -248,9 +171,20 @@ impl Recorder {
         self.seq = seq;
     }
 
+    /// Records one event, stamped with the ambient clock, worker lane and
+    /// sequence id.
+    pub fn record(&mut self, kind: EventKind) {
+        self.push(Event {
+            t: self.clock,
+            worker: self.worker,
+            seq: self.seq,
+            kind,
+        });
+    }
+
     /// Records an event at an explicit time instead of the ambient clock
     /// (e.g. a request span stamped at its arrival time). Sampling and
-    /// the budget apply exactly as in [`TraceSink::record`].
+    /// the budget apply exactly as in [`Recorder::record`].
     pub fn record_at(&mut self, t: f64, seq: Option<u64>, kind: EventKind) {
         self.push(Event {
             t,
@@ -269,22 +203,6 @@ impl Recorder {
     /// order.
     pub fn into_events(self) -> Vec<Event> {
         self.events
-    }
-}
-
-impl TraceSink for Recorder {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, kind: EventKind) {
-        self.push(Event {
-            t: self.clock,
-            worker: self.worker,
-            seq: self.seq,
-            kind,
-        });
     }
 }
 
@@ -336,18 +254,6 @@ mod tests {
         assert_eq!(ev[0].seq, Some(42));
         assert_eq!(ev[1].t, 2.0);
         assert_eq!(ev[1].seq, None);
-    }
-
-    #[test]
-    fn null_sink_and_none_are_disabled() {
-        assert!(!NullSink.enabled());
-        let mut none: Option<Recorder> = None;
-        assert!(!none.enabled());
-        none.record(step(0)); // must be a no-op, not a panic
-        let mut some = Some(Recorder::new());
-        assert!(some.enabled());
-        some.record(step(0));
-        assert_eq!(some.unwrap().events().len(), 1);
     }
 
     #[test]

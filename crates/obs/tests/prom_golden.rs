@@ -11,7 +11,7 @@
 
 use specee_obs::{
     fold_events, merge_events, prometheus_text, Event, EventKind, MetricsRegistry, Recorder,
-    TraceSink, COORDINATOR_LANE, TTFT_BOUNDS,
+    COORDINATOR_LANE, TTFT_BOUNDS,
 };
 
 /// A small two-worker run, written out event by event: worker 0 decodes

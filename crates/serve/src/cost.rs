@@ -14,6 +14,12 @@ use specee_model::CostDims;
 /// Bytes per cached element (f16 KV cache and activations).
 const F16: f64 = 2.0;
 
+/// Exit-predictor parameter count (paper: 2-layer MLP, 12 → 512 → 1).
+const PREDICTOR_PARAMS: f64 = (12 * 512 + 512 + 512 + 1) as f64;
+
+/// Draft candidates per proposal (K; columns of the LM-head slice).
+const SPEC_K: f64 = 4.0;
+
 /// What one decode step executed, aggregated over the batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepSpec {
@@ -65,10 +71,6 @@ pub struct StepCostModel {
     cost: CostDims,
     roofline: Roofline,
     per_step_overhead_s: f64,
-    /// Exit-predictor parameter count (paper: 2-layer MLP, 12 → 512 → 1).
-    predictor_params: f64,
-    /// Draft candidates per proposal (K; columns of the LM-head slice).
-    spec_k: usize,
 }
 
 impl StepCostModel {
@@ -79,8 +81,6 @@ impl StepCostModel {
             cost,
             roofline: Roofline::with_framework(hw, fw),
             per_step_overhead_s,
-            predictor_params: (12 * 512 + 512 + 512 + 1) as f64,
-            spec_k: 4,
         }
     }
 
@@ -177,10 +177,9 @@ impl StepCostModel {
 
         if spec.predictor_calls > 0.0 {
             // MLP weights are shared; candidate-slice GEMV per call.
-            bytes += self.predictor_params * F16
-                + spec.predictor_calls * self.spec_k as f64 * h * self.cost.weight_bytes_per_elem();
-            flops +=
-                spec.predictor_calls * (2.0 * self.predictor_params + 2.0 * self.spec_k as f64 * h);
+            bytes += PREDICTOR_PARAMS * F16
+                + spec.predictor_calls * SPEC_K * h * self.cost.weight_bytes_per_elem();
+            flops += spec.predictor_calls * (2.0 * PREDICTOR_PARAMS + 2.0 * SPEC_K * h);
             kernels += 2;
         }
 

@@ -30,7 +30,7 @@ use specee::cluster::{Cluster, ClusterConfig, ClusterRequest, RouterPolicy};
 use specee::control::{BanditConfig, ControllerPolicy};
 use specee::core::collect::{collect_training_data, train_bank};
 use specee::core::predictor::{PredictorBank, PredictorConfig};
-use specee::core::{ScheduleEngine, SpecEeConfig, TrafficClass};
+use specee::core::{Lane, ScheduleEngine, SpecEeConfig, TrafficClass};
 use specee::metrics::{FrameworkProfile, HardwareProfile};
 use specee::model::{CostDims, ModelConfig, TokenId};
 use specee::nn::TrainConfig;
@@ -159,7 +159,8 @@ fn run(bank: &PredictorBank, config: &SpecEeConfig, tagged: bool) -> [ClassOutco
         let class = class_of(id);
         let (lm, draft, prompt) = request(id);
         let admit_class = if tagged { class } else { TrafficClass::DEFAULT };
-        let out = match engine.admit_classed(id, admit_class, lm, draft, &prompt, GEN) {
+        let out = match engine.admit_laned(id, admit_class, Lane::DEFAULT, lm, draft, &prompt, GEN)
+        {
             Admission::Done(out) => out,
             Admission::Seated { .. } => loop {
                 let step = engine.step();

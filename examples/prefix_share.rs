@@ -120,7 +120,7 @@ fn main() {
         eng.enable_prefix_share(share);
         for (i, prompt) in prompts.iter().enumerate() {
             let (lm, draft) = seq_parts(&template, i as u64);
-            match eng.admit_classed(i as u64, TrafficClass::DEFAULT, lm, draft, prompt, gen) {
+            match eng.admit(i as u64, lm, draft, prompt, gen) {
                 Admission::Seated { .. } => {}
                 Admission::Done(_) => unreachable!("gen > 0 stays seated"),
             }

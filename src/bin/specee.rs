@@ -187,17 +187,48 @@ fn write_exports(
     Ok(())
 }
 
-/// Parses `--key value` options; a bare word is ignored.
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags every model-building subcommand takes ([`Pipeline::from_opts`]),
+/// then each subcommand's own (`generate` takes `--slo` only to explain why
+/// it is a `serve` flag).
+const PIPELINE_FLAGS: &str = "model dataset seed backend";
+const GENERATE_FLAGS: &str =
+    "tokens engine controller draft slo trace-out metrics-out trace-sample";
+const TRAIN_FLAGS: &str = "out";
+const SERVE_FLAGS: &str = "batch requests rate mode workers router controller slo pages \
+                           prefix-share lanes trace-out metrics-out trace-sample";
+
+/// Parses `command`'s `--key value` options. Anything else on the command
+/// line — a flag `command` does not take (a typo, another subcommand's), a
+/// word that is neither a flag nor a flag's value — is a usage error naming
+/// the flags it does take.
+fn parse_opts(
+    command: &str,
+    own_flags: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
+    let flags: Vec<&str> = PIPELINE_FLAGS
+        .split(' ')
+        .chain(own_flags.split(' '))
+        .collect();
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{key} expects a value"))?;
-            opts.insert(key.to_string(), value.clone());
-        }
+        let Some(key) = a.strip_prefix("--").filter(|key| flags.contains(key)) else {
+            let what = if a.starts_with("--") {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            let takes: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+            return Err(format!(
+                "{what} `{a}`: `specee {command}` takes {}",
+                takes.join(", ")
+            ));
+        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("--{key} expects a value"))?;
+        opts.insert(key.to_string(), value.clone());
     }
     Ok(opts)
 }
@@ -368,7 +399,7 @@ fn cmd_info() -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("generate", GENERATE_FLAGS, args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let tokens: usize = parse_num(&opts, "tokens", 24)?;
     let engine_name = opts.get("engine").map_or("specee", String::as_str);
@@ -791,7 +822,7 @@ fn controller_line(summary: &ControllerSummary) -> String {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("train", TRAIN_FLAGS, args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let mut lm = pipe.lm();
     let mut draft = pipe.draft();
@@ -836,7 +867,7 @@ const GEN_LEN: usize = 16;
 const PAGE_SIZE: usize = 16;
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("serve", SERVE_FLAGS, args)?;
     let pipe = Pipeline::from_opts(&opts)?;
     let batch: usize = parse_num(&opts, "batch", 8)?;
     let n_requests: usize = parse_num(&opts, "requests", 12)?;

@@ -120,3 +120,47 @@ fn tokenize_is_an_unknown_command() {
         assert!(!text.contains("tokenize"), "still offered: {text}");
     }
 }
+
+/// A command line the subcommand cannot take in full is refused, not
+/// half-read: a misspelt flag (which used to serve at the default cap), a
+/// word that is no flag's value, another subcommand's flags. One `error:`
+/// line naming the offender and the flags the subcommand does take, exit
+/// code 1, nothing on stdout.
+#[test]
+fn unknown_flags_and_stray_words_are_usage_errors() {
+    for (args, offender, takes) in [
+        (
+            &["serve", "--batchs", "3"][..],
+            "unknown flag `--batchs`",
+            "--batch,",
+        ),
+        (
+            &["serve", "stray", "words"],
+            "unexpected argument `stray`",
+            "--requests,",
+        ),
+        (
+            &["generate", "--workers", "9", "--router", "nope"],
+            "unknown flag `--workers`",
+            "--tokens,",
+        ),
+    ] {
+        let out = specee(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let command = args[0];
+        assert!(
+            stderr.starts_with(&format!(
+                "error: {offender}: `specee {command}` takes --model,"
+            )),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(takes), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("--workers,") || command == "serve",
+            "{stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+}

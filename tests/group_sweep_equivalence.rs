@@ -1,9 +1,10 @@
 //! The cross-sequence layer group against the per-member loop it must
 //! reproduce, bit for bit.
 //!
-//! `LayeredLm::forward_layer_group` is what `BatchedStack::sweep_layer`
-//! calls with its active seats. On `Transformer` (and `SyntheticLm`, which
-//! wraps one) members that read the same weights take one pass over them:
+//! `LayeredLm::forward_layer_group` is what `BatchedEngine::step` calls
+//! with the seats still in its layer sweep. On `Transformer` (and
+//! `SyntheticLm`, which wraps one) members that read the same weights take
+//! one pass over them:
 //! q/k/v, `wo` and the dense FFN are one `matmul` each for the whole
 //! group. The house contract is that batching can never change a token or
 //! a priced second, so every hidden state, every K/V row of every layer
@@ -106,7 +107,7 @@ fn members_at<M: LayeredLm + Clone>(template: &M, lens: &[usize], rng: &mut Pcg)
 }
 
 /// How one decoded token walks the layers: the way `BatchedEngine::step`
-/// drives `BatchedStack`, with early exits scripted by `depths`.
+/// drives its seats, with early exits scripted by `depths`.
 #[derive(Clone, Copy)]
 enum Sweep {
     /// One `forward_layer_group` call per layer over the members still

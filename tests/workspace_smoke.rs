@@ -374,10 +374,6 @@ const UNREFERENCED_PUB_ALLOWED: &[(&str, &str)] = &[
         "the one-call full sweep `partial_sweeps_are_bit_identical_to_one_full_sweep` compares partial calls against",
     ),
     (
-        "crates/obs/src/sink.rs: NullSink",
-        "the disabled sink: what the `TraceSink` doc example and the exit scan's unit tests pass",
-    ),
-    (
         "crates/obs/src/sink.rs: with_budget",
         "the only way a test reaches the drop-newest cap below the 2^20 default (obs and serve unit tests)",
     ),
