@@ -1,12 +1,12 @@
 //! The lock-step batched decoding engine.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use specee_control::{ClassEvidence, ClassedController, ControllerSummary};
 use specee_core::engine::first_token;
 use specee_core::engine::scan::{ExitFeedback, ExitScan};
 use specee_core::engine::selfdraft::{self_draft_pass, verify_commit, DraftPass};
-use specee_core::predictor::PredictorBank;
+use specee_core::predictor::{ExitPredictor, PredictorBank};
 use specee_core::scheduler::ScheduleEngine;
 use specee_core::traffic::{Lane, TrafficClass};
 use specee_core::SpecEeConfig;
@@ -130,6 +130,19 @@ fn trace_event(trace: &mut Option<Recorder>, seq: Option<u64>, kind: impl FnOnce
         rec.set_seq(seq);
         rec.record(kind());
     }
+}
+
+/// The threshold `class`'s score fires at after `layer`, whose predictor
+/// is `own`: the controller's operating point, or the bank's own where it
+/// answers `None` (or none is attached).
+fn fire_threshold(
+    ctl: Option<&ClassedController>,
+    own: &ExitPredictor,
+    class: TrafficClass,
+    layer: usize,
+) -> f32 {
+    ctl.and_then(|ctl| ctl.fires_at(class, layer))
+        .unwrap_or(own.threshold())
 }
 
 struct SeqState<D> {
@@ -279,16 +292,12 @@ pub struct BatchedEngine<M, D> {
     /// The seated sequences' KV page accounting, slot by slot: a lease
     /// exactly where `seats` holds a sequence.
     ledger: PageLedger,
-    /// The default class's predictor bank (the only bank untagged runs
-    /// ever touch — parity with the pre-class runtime is structural).
+    /// The predictors every class scores with: weights and the trained
+    /// thresholds a class fires at where the controller names none.
     bank: PredictorBank,
-    /// The bank's per-layer thresholds at construction: the pristine
-    /// base every new class bank starts from.
-    base_thresholds: Vec<f32>,
-    /// One bank per non-default traffic class, lazily cloned at the
-    /// first admission of the class so each class decodes under its own
-    /// operating point.
-    class_banks: BTreeMap<TrafficClass, PredictorBank>,
+    /// The default class and every class admitted so far: the classes
+    /// whose operating point the trace reports at each step boundary.
+    classes: BTreeSet<TrafficClass>,
     schedule_template: ScheduleEngine,
     config: SpecEeConfig,
     n_layers: usize,
@@ -340,13 +349,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             n_layers - 1,
             "one predictor per non-final layer"
         );
-        let base_thresholds = (0..bank.len()).map(|l| bank.layer(l).threshold()).collect();
         BatchedEngine {
             seats: (0..max_batch).map(|_| None).collect(),
             ledger: PageLedger::new(max_batch, page_size),
             bank,
-            base_thresholds,
-            class_banks: BTreeMap::new(),
+            classes: BTreeSet::from([TrafficClass::DEFAULT]),
             schedule_template: schedule,
             config,
             n_layers,
@@ -426,61 +433,42 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     }
 
     /// Attaches a traffic-class-keyed closed-loop threshold controller.
-    /// After every decode step the engine drains each seated sequence's
-    /// verifier accept/reject events and emitted-token depths **per
-    /// class in slot order** (classes ascend, slots ascend within a
-    /// class — a deterministic trajectory) and re-applies each class's
-    /// thresholds to that class's predictor bank — threshold changes
-    /// take effect at the next step boundary, never mid-scan. Attaching
-    /// the `static` policy is bit-identical to attaching none.
+    /// Every score a seat's scan compares fires at the threshold the
+    /// controller names for the seat's `(class, layer)`
+    /// ([`ClassedController::fires_at`]; the bank's own where it names
+    /// none). After every decode step the engine drains each seated
+    /// sequence's verifier accept/reject events and emitted-token depths
+    /// **per class in slot order** (classes ascend, slots ascend within a
+    /// class — a deterministic trajectory). The controller changes only
+    /// between steps — from that feed, gossip, or SLO pressure pushed
+    /// through [`BatchedEngine::controller_mut`] — so a change takes
+    /// effect at the next step, never mid-scan. Attaching the `static`
+    /// policy is bit-identical to attaching none.
     pub fn set_controller(&mut self, controller: ClassedController) {
         self.controller = Some(controller);
     }
 
-    /// Forwards the SLO burn-rate pressure signal (computed by the
-    /// serving tier's `specee_obs::slo::SloTracker` at step boundaries)
-    /// to the attached controller's class instances. A no-op without a
-    /// controller, and plain (non-`slo+*`) policies ignore it — so runs
-    /// without an SLO plane are untouched. Like controller applies, the
-    /// bent operating point takes effect at the next step boundary,
-    /// never mid-scan.
-    pub fn set_slo_pressure(&mut self, pressure: f64) {
-        if let Some(ctl) = self.controller.as_mut() {
-            ctl.set_slo_pressure(pressure);
-        }
+    /// The attached controller, if any.
+    pub fn controller(&self) -> Option<&ClassedController> {
+        self.controller.as_ref()
+    }
+
+    /// The attached controller, mutably — the serving tier pushes SLO
+    /// pressure into it and a cluster worker drains its gossip evidence
+    /// between steps. There is no copy to refresh: the next step reads it.
+    pub fn controller_mut(&mut self) -> Option<&mut ClassedController> {
+        self.controller.as_mut()
     }
 
     /// The attached controller's merged state, if one is attached.
     pub fn controller_summary(&self) -> Option<ControllerSummary> {
-        self.controller.as_ref().map(|c| c.summary())
-    }
-
-    /// Per-class controller summaries (ascending class order), if a
-    /// controller is attached.
-    pub fn controller_class_summaries(&self) -> Option<Vec<(TrafficClass, ControllerSummary)>> {
-        self.controller.as_ref().map(|c| c.class_summaries())
-    }
-
-    /// The base threshold the attached controller's classes start from.
-    pub fn controller_base_threshold(&self) -> Option<f32> {
-        self.controller.as_ref().map(|c| c.base_threshold())
-    }
-
-    /// Drains the per-class evidence deltas the controller accumulated
-    /// since the last drain — the payload a cluster coordinator gossips
-    /// to sibling workers. Empty when no controller is attached.
-    pub fn take_gossip_evidence(&mut self) -> Vec<ClassEvidence> {
-        self.controller
-            .as_mut()
-            .map(ClassedController::drain_evidence)
-            .unwrap_or_default()
+        self.controller().map(ClassedController::summary)
     }
 
     /// Absorbs merged remote evidence (cross-worker gossip) into the
-    /// controller and immediately re-applies every class's operating
-    /// point to its bank, so the update lands at this step boundary
-    /// instead of one step late. A no-op without a controller; the
-    /// static policy ignores evidence, so parity runs are untouched.
+    /// controller, which the next step reads, and traces the delivery. A
+    /// no-op without a controller; the static policy ignores evidence, so
+    /// parity runs are untouched.
     pub fn absorb_gossip(&mut self, evidence: &[ClassEvidence]) {
         let Some(ctl) = self.controller.as_mut() else {
             return;
@@ -488,23 +476,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         for delta in evidence {
             ctl.absorb(delta);
         }
-        ctl.apply(TrafficClass::DEFAULT, &mut self.bank);
-        for (&class, bank) in self.class_banks.iter_mut() {
-            ctl.apply(class, bank);
-        }
         if !evidence.is_empty() {
             trace_event(&mut self.trace, None, || EventKind::Gossip {
                 classes: evidence.len() as u32,
                 tokens: evidence.iter().map(|e| e.tokens).sum(),
             });
         }
-    }
-
-    /// The predictor bank untagged (default-class) sequences decode with
-    /// (thresholds reflect any attached controller's latest operating
-    /// point).
-    pub fn bank(&self) -> &PredictorBank {
-        &self.bank
     }
 
     /// The batch cap.
@@ -558,11 +535,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// seats it in the lowest free slot. A `gen_len` of one finishes
     /// immediately without occupying a slot.
     ///
-    /// The class keys the feedback plane: the sequence's exit scans run
-    /// against the class's own predictor bank (lazily cloned from the
-    /// base thresholds at the class's first admission), its feedback
-    /// events carry the class, and an attached controller steers the
-    /// class's thresholds independently of every other class's.
+    /// The class keys the feedback plane: the sequence's exit scans fire
+    /// at the class's thresholds, its feedback events carry the class,
+    /// and an attached controller steers the class's thresholds
+    /// independently of every other class's (a class's first admission
+    /// opens its controller state).
     ///
     /// The lane orders the memory plane: under page pressure the engine
     /// evicts the highest-lane (lowest-priority) resident first, and
@@ -594,7 +571,13 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         assert!(!prompt.is_empty(), "prompt must be non-empty");
         assert!(gen_len > 0, "gen_len must be positive");
         assert_eq!(model.config().n_layers, self.n_layers, "model depth");
-        self.ensure_class_bank(class);
+        // The default class is in `classes` from the start, so it is never
+        // opened here: it fires at the bank's own until its first feedback.
+        if self.classes.insert(class) {
+            if let Some(ctl) = self.controller.as_mut() {
+                ctl.open(class);
+            }
+        }
         model.reset();
         if let Some(backend) = self.backend {
             model.set_backend(backend);
@@ -814,28 +797,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         self.pool().stats()
     }
 
-    /// Creates `class`'s predictor bank on first sight: a clone of the
-    /// default bank reset to the engine's base thresholds (the default
-    /// bank may already carry controller-moved values), then initialized
-    /// by the controller — an adaptive policy (possibly gossip-warmed
-    /// before any local traffic) applies its current operating point.
-    /// The default class keeps using the
-    /// primary bank, untouched at admission, so un-classed runs are
-    /// bit-identical to the pre-class runtime.
-    fn ensure_class_bank(&mut self, class: TrafficClass) {
-        if class.is_default() || self.class_banks.contains_key(&class) {
-            return;
-        }
-        let mut bank = self.bank.clone();
-        for (layer, &t) in self.base_thresholds.iter().enumerate() {
-            bank.layer_mut(layer).set_threshold(t);
-        }
-        if let Some(ctl) = self.controller.as_mut() {
-            ctl.init_class_bank(class, &mut bank);
-        }
-        self.class_banks.insert(class, bank);
-    }
-
     /// Whether this batch decodes by self-draft tree verification. The
     /// whole batch — parked sequences included — must agree, because the
     /// two step bodies disagree on how many tokens a step may commit.
@@ -914,6 +875,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         // paid for once per weight pass, not once per seat: after each
         // layer every running seat scores its own predictor, the seats
         // that fired share one full head, and each settles its own row.
+        let ctl = self.controller.as_ref();
         for layer in 0..self.n_layers {
             let (mut group, hs, at) = members(&mut running, |run| run.exit.is_none());
             if group.is_empty() {
@@ -925,16 +887,14 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             for (run, out) in in_sweep.zip(outs) {
                 run.hidden = out;
                 let Seat { model, seq } = &mut *run.seat;
-                // Thresholds resolve per sequence: each scan runs against
-                // its class's bank (the default bank for untagged slots).
-                let bank = self.class_banks.get(&seq.class).unwrap_or(&self.bank);
                 run.fire = seq.scan.score(
                     model,
-                    bank,
+                    &self.bank,
                     &seq.schedule,
                     &run.hidden,
                     &run.cands,
                     layer,
+                    |own| fire_threshold(ctl, own, seq.class, layer),
                     &mut self.meter,
                 );
             }
@@ -1024,9 +984,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         }
         // Close the loop: feed the controller per class in slot order
         // (classes ascend; the stable sort keeps slot order within each
-        // class), then push every class's operating point into its bank
-        // so threshold changes land at the step boundary, never
-        // mid-scan.
+        // class). The next step's scans read what it moved to.
         if let Some(ctl) = self.controller.as_mut() {
             drained.sort_by_key(|(class, _, _)| *class);
             for (class, feedback, executed) in &drained {
@@ -1035,19 +993,15 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 }
                 ctl.note_token(*class, *executed, self.n_layers);
             }
-            ctl.apply(TrafficClass::DEFAULT, &mut self.bank);
-            for (&class, bank) in self.class_banks.iter_mut() {
-                ctl.apply(class, bank);
-            }
-            // Trace the operating point each apply left in force: one
-            // controller-apply event per class per step boundary, so a
-            // trace shows the threshold trajectory the run decoded under.
-            let default_bank = (&TrafficClass::DEFAULT, &self.bank);
-            for (class, bank) in std::iter::once(default_bank).chain(&self.class_banks) {
+            // Trace the operating point now in force: one controller-apply
+            // event per class per step boundary, so a trace shows the
+            // threshold trajectory the run decoded under.
+            let (ctl, bank) = (Some(&*ctl), &self.bank);
+            for &class in &self.classes {
                 trace_event(&mut self.trace, None, || EventKind::ControllerApply {
                     class: class.id(),
                     threshold: (0..bank.len())
-                        .map(|l| f64::from(bank.layer(l).threshold()))
+                        .map(|l| f64::from(fire_threshold(ctl, bank.layer(l), class, l)))
                         .sum::<f64>()
                         / bank.len().max(1) as f64,
                 });
@@ -1477,8 +1431,8 @@ mod tests {
         let run = |controlled: bool| {
             let mut eng = engine(2, 91);
             if controlled {
-                let base = eng.bank().layer(0).threshold();
-                let n = eng.bank().len();
+                let base = eng.bank.layer(0).threshold();
+                let n = eng.bank.len();
                 eng.set_controller(specee_control::ControllerPolicy::Static.build_classed(n, base));
             }
             for i in 0..2u64 {
@@ -1505,8 +1459,8 @@ mod tests {
         // plus controller-apply events at every step boundary.
         let run = |traced: bool| {
             let mut eng = engine(2, 91);
-            let base = eng.bank().layer(0).threshold();
-            let n = eng.bank().len();
+            let base = eng.bank.layer(0).threshold();
+            let n = eng.bank.len();
             eng.set_controller(specee_control::ControllerPolicy::pid().build_classed(n, base));
             if traced {
                 eng.set_recorder(Some(Recorder::for_worker(0)));
@@ -1558,8 +1512,8 @@ mod tests {
         // stream carries exactly one event per verify call, and accepted
         // events equal the early exits actually taken.
         let mut eng = engine(2, 93);
-        let base = eng.bank().layer(0).threshold();
-        let n = eng.bank().len();
+        let base = eng.bank.layer(0).threshold();
+        let n = eng.bank.len();
         eng.set_controller(specee_control::ControllerPolicy::Static.build_classed(n, base));
         for i in 0..2u64 {
             let lm = build_lm(93);
@@ -1592,35 +1546,164 @@ mod tests {
         assert_eq!(summary.accepts + summary.rejects, verify_calls);
     }
 
+    /// The threshold every layer of `class` fires at right now.
+    fn fire_thresholds<D: SpeculativeSource>(
+        eng: &BatchedEngine<SyntheticLm, D>,
+        class: TrafficClass,
+    ) -> Vec<f32> {
+        let bank = &eng.bank;
+        let at = |l| fire_threshold(eng.controller(), bank.layer(l), class, l);
+        (0..bank.len()).map(at).collect()
+    }
+
     #[test]
     fn pid_controller_moves_thresholds_between_steps() {
         let mut eng = engine(1, 95);
-        let n = eng.bank().len();
+        let n = eng.bank.len();
         // Start absurdly strict: the PID loop's idle decay plus feedback
-        // must walk thresholds down, changing the bank between steps.
+        // must walk thresholds down between steps.
         eng.set_controller(specee_control::ControllerPolicy::pid().build_classed(n, 0.95));
         let lm = build_lm(95);
         let draft = build_draft(&lm, 95);
         let _ = eng.admit(0, lm, draft, &[4, 2, 9], 24);
-        let outs = eng.drain();
-        let after: Vec<f32> = (0..n).map(|l| eng.bank().layer(l).threshold()).collect();
+        let (mut outs, mut seen) = (Vec::new(), Vec::new());
+        while eng.occupancy() > 0 {
+            let want = fire_thresholds(&eng, TrafficClass::DEFAULT);
+            let step = eng.step();
+            for f in &step.feedback {
+                assert_eq!(
+                    f.threshold, want[f.layer],
+                    "a fire reads the step's thresholds"
+                );
+            }
+            outs.extend(step.finished);
+            seen.push(want);
+        }
         assert_eq!(outs[0].tokens.len(), 24);
-        // The controller's operating point (not the bank's trained 0.5)
-        // governs the run, and feedback walked some layers off it.
-        assert!(after.iter().all(|&a| a > 0.5), "applied: {after:?}");
+        // The first step fires at the bank's trained 0.5 (the default
+        // class has no state before its first feedback); after it, the
+        // controller's operating point governs, and feedback walked some
+        // layers off the start.
+        assert!(seen[0].iter().all(|&t| t == 0.5), "{:?}", seen[0]);
+        let ctl = eng.controller().expect("controller");
+        let after: Vec<Option<f32>> = (0..n)
+            .map(|l| ctl.fires_at(TrafficClass::DEFAULT, l))
+            .collect();
         assert!(
-            after.iter().any(|&a| a < 0.95),
+            after.iter().all(|a| a.is_some_and(|a| a > 0.5)),
+            "{after:?}"
+        );
+        assert!(
+            after.iter().any(|a| a.is_some_and(|a| a < 0.95)),
             "thresholds should move off the 0.95 start: {after:?}"
         );
+        assert!(seen.windows(2).any(|w| w[0] != w[1]), "moved between steps");
         let summary = eng.controller_summary().expect("controller");
         assert_eq!(summary.policy, "pid");
         assert_eq!(summary.tokens, 23, "every decode-step token observed");
     }
 
     #[test]
+    fn static_fires_at_the_banks_own_threshold() {
+        // A static controller's base is a nominal number, not a threshold:
+        // with the bank at 1.0 (no sigmoid score exceeds it) and the base
+        // at 0.5, nothing exits — what the dense arms of
+        // `ablation_cluster` and `ablation_classes` rely on.
+        let mut eng = engine(2, 93);
+        eng.bank.set_threshold(1.0);
+        let n = eng.bank.len();
+        eng.set_controller(specee_control::ControllerPolicy::Static.build_classed(n, 0.5));
+        for (i, class) in [(0u64, TrafficClass::DEFAULT), (1, TrafficClass::new(2))] {
+            let lm = build_lm(93);
+            let draft = build_draft(&lm, 93 ^ i);
+            let prompt = [3 + i as TokenId, 7, 1];
+            let _ = eng.admit_laned(i, class, Lane::DEFAULT, lm, draft, &prompt, 10);
+        }
+        let outs = eng.drain();
+        assert_eq!(outs.len(), 2);
+        for out in &outs {
+            assert!(out.predictor_calls > 0, "id {}: the scan ran", out.id);
+            assert_eq!(out.verify_calls, 0, "id {}: nothing fired", out.id);
+            assert_eq!(out.exit_layers, vec![12; 10], "id {}", out.id);
+        }
+    }
+
+    /// An engine under `slo+static` based at 0.6 — its SLO floor bends
+    /// that to 0.2 under full pressure — on a bank trained at 0.5, with
+    /// two sequences seated.
+    fn slo_static_engine() -> BatchedEngine<SyntheticLm, OracleDraft> {
+        let mut eng = engine(2, 91);
+        assert!((0..eng.bank.len()).all(|l| eng.bank.layer(l).threshold() == 0.5));
+        let policy = specee_control::ControllerPolicy::Static.slo_adaptive();
+        eng.set_controller(policy.build_classed(eng.bank.len(), 0.6));
+        for i in 0..2u64 {
+            let lm = build_lm(91);
+            let draft = build_draft(&lm, 91 ^ i);
+            let _ = eng.admit(i, lm, draft, &[4 + i as TokenId, 2, 9], 24);
+        }
+        eng
+    }
+
+    fn set_pressure(eng: &mut BatchedEngine<SyntheticLm, OracleDraft>, pressure: f64) {
+        let ctl = eng.controller_mut().expect("controller attached");
+        ctl.set_slo_pressure(pressure);
+    }
+
+    #[test]
+    fn a_cleared_burn_releases_slo_static_to_the_banks_own_thresholds() {
+        let mut eng = slo_static_engine();
+        set_pressure(&mut eng, 1.0);
+        for _ in 0..3 {
+            let _ = eng.step();
+        }
+        set_pressure(&mut eng, 0.0);
+        let mut fires = Vec::new();
+        while eng.occupancy() > 0 {
+            fires.extend(eng.step().feedback);
+        }
+        assert!(!fires.is_empty(), "the run must fire after the clear");
+        for f in &fires {
+            assert_eq!(
+                f.threshold, 0.5,
+                "layer {}: the bank's own, not the bent 0.2",
+                f.layer
+            );
+        }
+    }
+
+    #[test]
+    fn slo_pressure_set_between_steps_reaches_the_next_steps_fires() {
+        let mut eng = slo_static_engine();
+        // The first step opens the default class's controller state (it
+        // fires at the bank's own until then, pressure or not).
+        let _ = eng.step();
+        let (mut bent, mut own) = (0, 0);
+        for step in 1.. {
+            if eng.occupancy() == 0 {
+                break;
+            }
+            let burning = step % 2 == 1;
+            set_pressure(&mut eng, if burning { 1.0 } else { 0.0 });
+            for f in eng.step().feedback {
+                if burning {
+                    assert!((f.threshold - 0.2).abs() < 1e-6, "step {step}: {f:?}");
+                    bent += 1;
+                } else {
+                    assert_eq!(f.threshold, 0.5, "step {step}: {f:?}");
+                    own += 1;
+                }
+            }
+        }
+        assert!(
+            bent > 0 && own > 0,
+            "fires under both: {bent} bent, {own} own"
+        );
+    }
+
+    #[test]
     fn classed_admission_without_controller_matches_untagged() {
         // A class tag alone changes keys, never values: with no
-        // controller attached, the class bank is a clone at base
+        // controller attached, every class fires at the bank's own
         // thresholds, so a tagged run decodes exactly like an untagged
         // one.
         let run = |class: Option<TrafficClass>| {
@@ -1650,87 +1733,107 @@ mod tests {
         assert!(tagged.iter().all(|o| o.class == TrafficClass::new(3)));
     }
 
+    /// Absorbs `rounds` remote windows for `class` in which every
+    /// predictor layer fired 12 times, all `accepted` or all rejected.
+    fn absorb_verdicts(
+        eng: &mut BatchedEngine<SyntheticLm, OracleDraft>,
+        class: TrafficClass,
+        layers: std::ops::Range<usize>,
+        accepted: bool,
+        rounds: usize,
+    ) {
+        let n = eng.bank.len();
+        let mut evidence = specee_control::ClassEvidence::empty(class, n, 12);
+        let verdicts = if accepted {
+            &mut evidence.layer_accepts
+        } else {
+            &mut evidence.layer_rejects
+        };
+        verdicts[layers].fill(12);
+        evidence.tokens = 12;
+        evidence.executed_layers = 12 * 5;
+        evidence.mean_threshold = 0.5;
+        for _ in 0..rounds {
+            eng.absorb_gossip(&[evidence.clone()]);
+        }
+    }
+
     #[test]
     fn per_class_banks_isolate_operating_points() {
-        // Set one class's static operating point to "exits off" while the
-        // other keeps the trained base: co-batched sequences of the two
-        // classes must decode under different thresholds in the same
-        // engine, and feedback events must carry their class.
+        // Drive two classes' PID loops apart with gossip before either is
+        // served — one rejection-heavy (tightened above the trained 0.5),
+        // one acceptance-heavy (loosened below it): co-batched sequences
+        // of the two classes must fire at their own class's thresholds in
+        // the same engine, over one shared bank, and feedback events must
+        // carry their class.
         let mut eng = engine(2, 99);
-        let n = eng.bank().len();
-        let base = eng.bank().layer(0).threshold();
-        let (off, open) = (TrafficClass::new(1), TrafficClass::new(2));
-        eng.set_controller(specee_control::ControllerPolicy::Static.build_classed(n, base));
-        for (i, class) in [(0u64, off), (1u64, open)] {
+        let n = eng.bank.len();
+        let (tight, loose) = (TrafficClass::new(1), TrafficClass::new(2));
+        eng.set_controller(specee_control::ControllerPolicy::pid().build_classed(n, 0.5));
+        absorb_verdicts(&mut eng, tight, 0..n, false, 8);
+        absorb_verdicts(&mut eng, loose, 0..n, true, 8);
+        for (i, class) in [(0u64, tight), (1u64, loose)] {
             let lm = build_lm(99);
             let draft = build_draft(&lm, 99 ^ i);
             let prompt = [4 + i as TokenId, 2, 9];
             let _ = eng.admit_laned(i, class, Lane::DEFAULT, lm, draft, &prompt, 12);
         }
-        // No sigmoid score exceeds 1.0, and the static policy never
-        // moves a bank.
-        let off_bank = eng.class_banks.get_mut(&off).expect("cloned at admission");
-        off_bank.set_threshold(1.0);
-        let open_bank = eng.class_banks.get(&open).expect("cloned at admission");
-        assert_eq!(open_bank.layer(0).threshold(), base);
-        let mut feedback = Vec::new();
-        let mut outputs = Vec::new();
+        let mut steps = Vec::new();
         while eng.occupancy() > 0 {
+            let want = [tight, loose].map(|class| fire_thresholds(&eng, class));
             let step = eng.step();
-            feedback.extend(step.feedback);
-            outputs.extend(step.finished);
+            for f in &step.feedback {
+                assert!(f.class == tight || f.class == loose, "{f:?}");
+                let class_want = &want[usize::from(f.class == loose)];
+                assert_eq!(f.threshold, class_want[f.layer], "{f:?}");
+            }
+            steps.push(step.feedback);
         }
-        outputs.sort_by_key(|o| o.id);
+        // Local feedback moves both loops from there; the first step
+        // fires where gossip left them.
+        let of = |class| {
+            steps[0]
+                .iter()
+                .filter(move |f: &&ExitFeedback| f.class == class)
+        };
+        assert!(of(loose).count() > 0, "the loosened class fires");
         assert!(
-            outputs[0].exit_layers.iter().all(|&l| l == 12),
-            "exits-off class must run full depth: {:?}",
-            outputs[0].exit_layers
+            of(loose).all(|f| f.threshold < 0.5),
+            "loose fires below the bank's 0.5"
         );
-        assert!(
-            outputs[1].exit_layers.iter().any(|&l| l < 12),
-            "open class must still exit early"
-        );
-        assert!(!feedback.is_empty());
-        assert!(
-            feedback.iter().all(|f| f.class == open),
-            "only the open class fires"
-        );
-        let summaries = eng.controller_class_summaries().expect("controller");
-        assert_eq!(
-            summaries.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
-            vec![off, open]
-        );
+        assert!(of(tight).all(|f| f.threshold > 0.5), "tight fires above it");
+        let ctl = eng.controller().expect("controller");
+        assert_eq!(ctl.classes(), vec![tight, loose], "no default-class state");
+        assert_eq!(ctl.fires_at(TrafficClass::DEFAULT, 0), None);
     }
 
     #[test]
     fn absorbed_gossip_moves_class_thresholds_at_the_boundary() {
         // Remote rejection-heavy evidence for a class this engine never
-        // served must warm the class: the bank created at its first
-        // admission starts from the gossip-tightened operating point.
+        // served must warm the class: its first step fires at the
+        // gossip-tightened operating point.
         let mut eng = engine(2, 95);
-        let n = eng.bank().len();
+        let n = eng.bank.len();
         eng.set_controller(specee_control::ControllerPolicy::pid().build_classed(n, 0.5));
         let c = TrafficClass::new(2);
-        let mut evidence = specee_control::ClassEvidence::empty(c, n, 12);
-        evidence.layer_rejects[3] = 12;
-        evidence.tokens = 12;
-        evidence.executed_layers = 12 * 5;
-        evidence.mean_threshold = 0.5;
-        for _ in 0..6 {
-            eng.absorb_gossip(&[evidence.clone()]);
-        }
+        absorb_verdicts(&mut eng, c, 3..4, false, 6);
+        let warmed = fire_thresholds(&eng, c);
+        assert!(
+            warmed[3] > 0.5,
+            "gossip-warmed class starts tightened: {warmed:?}"
+        );
+        assert!(warmed.iter().enumerate().all(|(l, &t)| l == 3 || t == 0.5));
+        // The default class's layer-3 loop was not touched by class-2
+        // evidence: it still fires at the bank's own.
+        assert_eq!(fire_thresholds(&eng, TrafficClass::DEFAULT), vec![0.5; n]);
         let lm = build_lm(95);
         let draft = build_draft(&lm, 95);
         let _ = eng.admit_laned(0, c, Lane::DEFAULT, lm, draft, &[4, 2, 9], 4);
-        let warmed = eng.class_banks.get(&c).expect("cloned at admission");
-        assert!(
-            warmed.layer(3).threshold() > 0.5,
-            "gossip-warmed class bank starts tightened: {}",
-            warmed.layer(3).threshold()
-        );
-        // The default bank's layer-3 loop was not touched by class-2
-        // evidence.
-        assert_eq!(eng.bank().layer(3).threshold(), 0.5);
+        let step = eng.step();
+        assert!(!step.feedback.is_empty(), "the first step fires");
+        for f in &step.feedback {
+            assert_eq!(f.threshold, warmed[f.layer], "{f:?}");
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! The engine also closes the control loop: every step's verifier
 //! accept/reject events ride in [`BatchStep::feedback`], and an attached
 //! [`specee_control::Controller`] ([`BatchedEngine::set_controller`])
-//! consumes them — per sequence, in slot order — to adapt the shared
-//! predictor bank's exit thresholds online. The `static` policy is a
+//! consumes them — per sequence, in slot order — and owns the thresholds
+//! the shared predictor bank's scores fire at. The `static` policy is a
 //! bit-identical no-op (asserted in `tests/parity.rs`).
 //!
 //! # Examples

@@ -74,10 +74,10 @@ pub struct ClusterConfig {
     /// coordinator) keeps a deterministic 1-in-N of each event *kind*
     /// and counts the rest as dropped ([`WorkerReport::dropped_events`],
     /// folded into [`ClusterReport::metrics`] as
-    /// `specee_trace_dropped_events_total`). `1` keeps everything;
-    /// ignored unless [`trace`](ClusterConfig::trace) is on. Sampling
-    /// only thins the recorded stream — it never feeds back into the
-    /// simulation.
+    /// `specee_trace_dropped_events_total`). `1` (or `0`) keeps
+    /// everything; ignored unless [`trace`](ClusterConfig::trace) is on.
+    /// Sampling only thins the recorded stream — it never feeds back into
+    /// the simulation.
     pub trace_sample: u32,
     /// Online SLO objectives, evaluated per worker. When set, every
     /// worker drives a [`SloTracker`] on its own simulated clock —
@@ -85,8 +85,8 @@ pub struct ClusterConfig {
     /// rolling windows, burn-rate alerts are evaluated at every clock
     /// advance, fired/cleared transitions land in the worker's trace
     /// lane (when tracing is on), and the tracker's pressure signal is
-    /// pushed into the worker's controller via
-    /// `BatchedEngine::set_slo_pressure` (actuation requires an
+    /// pushed into the worker's controller
+    /// (`BatchedEngine::controller_mut`; actuation requires an
     /// `slo+*` [`ControllerPolicy`]). The tracker runs independently of
     /// tracing, so traced and untraced runs stay bit-identical even
     /// while an objective burns.
@@ -253,10 +253,8 @@ where
                 id,
             ));
             if config.trace {
-                engine.set_recorder(Some(sampled(
-                    Recorder::for_worker(id as u32),
-                    config.trace_sample,
-                )));
+                let rec = Recorder::for_worker(id as u32);
+                engine.set_recorder(Some(rec.with_sample_every(config.trace_sample.max(1))));
             }
             let cost = StepCostModel::new(
                 config.batcher.cost,
@@ -285,9 +283,9 @@ where
             router,
             snapshots,
             gossip: config.gossip,
-            trace: config
-                .trace
-                .then(|| sampled(Recorder::for_worker(COORDINATOR_LANE), config.trace_sample)),
+            trace: config.trace.then(|| {
+                Recorder::for_worker(COORDINATOR_LANE).with_sample_every(config.trace_sample.max(1))
+            }),
             last_arrival: f64::NEG_INFINITY,
             unroutable: Vec::new(),
             _seq: std::marker::PhantomData,
@@ -481,16 +479,6 @@ where
             reports.push(report);
         }
         ClusterReport::new(router, reports, self.unroutable, coordinator_events)
-    }
-}
-
-/// Applies the configured 1-in-N trace sampling to a recorder lane
-/// (`n <= 1` keeps everything).
-fn sampled(rec: Recorder, n: u32) -> Recorder {
-    if n > 1 {
-        rec.with_sample_every(n)
-    } else {
-        rec
     }
 }
 

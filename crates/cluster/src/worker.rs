@@ -196,10 +196,9 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
                     // is paused on — a deterministic point — so the
                     // coordinator's merge is a pure function of the
                     // workload. A failed worker gossips nothing.
-                    let evidence = if self.panic.is_none() {
-                        self.engine.take_gossip_evidence()
-                    } else {
-                        Vec::new()
+                    let evidence = match self.engine.controller_mut() {
+                        Some(ctl) if self.panic.is_none() => ctl.drain_evidence(),
+                        _ => Vec::new(),
                     };
                     if tx
                         .send(WorkerReply::Synced(Box::new(self.snapshot()), evidence))
@@ -278,6 +277,7 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
             max_depth = max_depth.max(depth);
             residents += 1;
         }
+        let ctl = self.engine.controller();
         WorkerSnapshot {
             worker: self.id,
             sim_now: self.serving.now(),
@@ -289,13 +289,11 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
             active_depth: (residents > 0).then(|| depth_sum / residents as f64),
             max_depth: (residents > 0).then_some(max_depth),
             observed_depth: self.serving.observed_depth(),
-            mean_threshold: self.engine.controller_summary().map(|s| s.mean_threshold),
-            base_threshold: self.engine.controller_base_threshold().map(f64::from),
-            class_thresholds: self
-                .engine
-                .controller_class_summaries()
-                .map(|summaries| {
-                    summaries
+            mean_threshold: ctl.map(|c| c.summary().mean_threshold),
+            base_threshold: ctl.map(|c| f64::from(c.base_threshold())),
+            class_thresholds: ctl
+                .map(|c| {
+                    c.class_summaries()
                         .into_iter()
                         .map(|(class, s)| (class, s.mean_threshold))
                         .collect()
@@ -316,7 +314,10 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
         WorkerReport {
             worker: self.id,
             report: live.report,
-            classes: class_rows(&live.outputs, self.engine.controller_class_summaries()),
+            classes: class_rows(
+                &live.outputs,
+                self.engine.controller().map(|c| c.class_summaries()),
+            ),
             outputs: live.outputs,
             assigned: self.assigned,
             layer_sum: live.layer_sum,

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use specee_core::predictor::PredictorBank;
 use specee_core::traffic::TrafficClass;
 use specee_core::ExitFeedback;
 
@@ -106,9 +105,10 @@ struct ClassState {
 ///
 /// This is what runtimes attach to an engine. Feedback events route to
 /// their class's instance (the class rides on [`ExitFeedback`] itself),
-/// thresholds resolve per `(class, layer)` at step boundaries, and each
-/// class's operating point is pushed into that class's predictor bank —
-/// one blurred global threshold vector becomes one vector per class.
+/// and every score a runtime compares reads its `(class, layer)`
+/// threshold here ([`ClassedController::fires_at`]) against one shared
+/// predictor bank — one blurred global threshold vector becomes one
+/// vector per class, and no bank is copied.
 ///
 /// Per-class **evidence deltas** accumulate alongside
 /// ([`ClassedController::drain_evidence`]) and remote deltas merge back
@@ -134,9 +134,10 @@ struct ClassState {
 ///         accepted: false,
 ///     });
 /// }
-/// assert!(ctl.threshold(chat, 3) > 0.5);
-/// // ...while the default class still sits at its base operating point.
-/// assert_eq!(ctl.threshold(TrafficClass::DEFAULT, 3), 0.5);
+/// assert!(ctl.fires_at(chat, 3) > Some(0.5));
+/// // ...while the default class, which has no state yet, fires at the
+/// // predictor bank's own thresholds.
+/// assert_eq!(ctl.fires_at(TrafficClass::DEFAULT, 3), None);
 /// ```
 pub struct ClassedController {
     policy: ControllerPolicy,
@@ -215,8 +216,8 @@ impl ClassedController {
 
     /// Broadcasts the SLO burn-rate pressure signal to every class
     /// instance (and remembers it for classes created later). Plain
-    /// policies ignore it; `slo+*` wrappers bend their operating points
-    /// at the next step-boundary apply.
+    /// policies ignore it; `slo+*` wrappers bend their operating points,
+    /// which the next score a runtime compares reads.
     pub fn set_slo_pressure(&mut self, pressure: f64) {
         self.slo_pressure = pressure.clamp(-1.0, 1.0);
         for state in self.classes.values_mut() {
@@ -262,30 +263,21 @@ impl ClassedController {
         state.fires_since_token = 0;
     }
 
-    /// The current threshold for `(class, layer)` — the class's base
-    /// when the class has no state yet.
-    pub fn threshold(&self, class: TrafficClass, layer: usize) -> f32 {
-        match self.classes.get(&class) {
-            Some(state) => state.controller.threshold(layer),
-            None => self.base_threshold,
-        }
+    /// The threshold `class`'s predictors fire at after `layer`, clamped
+    /// to `[0, 1]` like [`specee_core::predictor::ExitPredictor::set_threshold`].
+    /// `None` means the predictor bank's own: the static policy's answer
+    /// (also through an idle `slo+` wrapper), and that of every class with
+    /// no state yet.
+    pub fn fires_at(&self, class: TrafficClass, layer: usize) -> Option<f32> {
+        let state = self.classes.get(&class)?;
+        state.controller.fires_at(layer).map(|t| t.clamp(0.0, 1.0))
     }
 
-    /// Pushes `class`'s operating point into `bank` (the class's own
-    /// predictor bank). Delegates to the instance's
-    /// [`Controller::apply`], so the static policy stays a strict no-op.
-    pub fn apply(&self, class: TrafficClass, bank: &mut PredictorBank) {
-        if let Some(state) = self.classes.get(&class) {
-            state.controller.apply(bank);
-        }
-    }
-
-    /// Initializes a freshly cloned per-class `bank`: creates the
-    /// class's instance, then lets it apply its operating point (a no-op
-    /// for the static policy).
-    pub fn init_class_bank(&mut self, class: TrafficClass, bank: &mut PredictorBank) {
+    /// Opens `class`'s state if it has none — what a runtime does at the
+    /// class's first admission, so an adaptive policy (possibly
+    /// gossip-warmed already) steers the class from its first step.
+    pub fn open(&mut self, class: TrafficClass) {
         self.ensure(class);
-        self.apply(class, bank);
     }
 
     /// Absorbs one remote evidence delta into its class's instance,
@@ -384,22 +376,25 @@ mod tests {
             threshold: 0.6,
             accepted: true,
         });
-        assert_eq!(ctl.threshold(early, 0), 0.6);
+        assert_eq!(ctl.fires_at(early, 0), None, "idle: the bank's own");
         ctl.set_slo_pressure(1.0);
+        let bent = |t: Option<f32>| t.is_some_and(|t| (t - 0.2).abs() < 1e-6);
         assert!(
-            (ctl.threshold(early, 0) - 0.2).abs() < 1e-6,
+            bent(ctl.fires_at(early, 0)),
             "existing class bends to the floor"
         );
         // A class first seen *after* the pressure was set starts bent.
         let late = TrafficClass::new(2);
         ctl.note_token(late, 4, 4);
         assert!(
-            (ctl.threshold(late, 0) - 0.2).abs() < 1e-6,
+            bent(ctl.fires_at(late, 0)),
             "late class inherits the ambient pressure"
         );
+        // A cleared burn releases every class back to the bank's own.
         ctl.set_slo_pressure(0.0);
-        assert_eq!(ctl.threshold(early, 0), 0.6);
-        assert_eq!(ctl.threshold(late, 0), 0.6);
+        assert_eq!(ctl.fires_at(early, 0), None);
+        assert_eq!(ctl.fires_at(late, 0), None);
+        assert_eq!(ctl.summary().mean_threshold, f64::from(0.6f32));
     }
 
     fn fb(class: TrafficClass, layer: usize, accepted: bool) -> ExitFeedback {
@@ -422,10 +417,10 @@ mod tests {
             ctl.observe(&fb(b, 1, true)); // accepts: harvest
         }
         assert_eq!(ctl.classes(), vec![a, b]);
-        assert!(ctl.threshold(a, 1) > 0.5, "a {}", ctl.threshold(a, 1));
-        assert!(ctl.threshold(b, 1) < 0.5, "b {}", ctl.threshold(b, 1));
-        // An untouched class reports the base operating point.
-        assert_eq!(ctl.threshold(TrafficClass::DEFAULT, 1), 0.5);
+        assert!(ctl.fires_at(a, 1) > Some(0.5), "a {:?}", ctl.fires_at(a, 1));
+        assert!(ctl.fires_at(b, 1) < Some(0.5), "b {:?}", ctl.fires_at(b, 1));
+        // An untouched class fires at the bank's own thresholds.
+        assert_eq!(ctl.fires_at(TrafficClass::DEFAULT, 1), None);
         let summary = ctl.summary();
         assert_eq!((summary.accepts, summary.rejects), (20, 20));
         assert_eq!(ctl.class_summaries().len(), 2);
@@ -494,9 +489,9 @@ mod tests {
         }
         assert_eq!(ctl.classes(), vec![c]);
         assert!(
-            ctl.threshold(c, 1) > 0.5,
-            "remote rejects tighten the warmed class: {}",
-            ctl.threshold(c, 1)
+            ctl.fires_at(c, 1) > Some(0.5),
+            "remote rejects tighten the warmed class: {:?}",
+            ctl.fires_at(c, 1)
         );
         // Absorbing empty evidence is a no-op.
         ctl.absorb(&ClassEvidence::empty(TrafficClass::new(7), 4, 8));
@@ -504,18 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn static_init_leaves_a_class_bank_untouched() {
+    fn static_leaves_every_opened_class_on_the_banks_own() {
         let mut ctl = ControllerPolicy::Static.build_classed(4, 0.5);
-        let mut bank = PredictorBank::new(
-            5,
-            &specee_core::predictor::PredictorConfig::default(),
-            &mut specee_tensor::rng::Pcg::seed(3),
-        );
-        bank.set_threshold(0.8);
         for class in [TrafficClass::new(1), TrafficClass::DEFAULT] {
-            ctl.init_class_bank(class, &mut bank);
-            assert_eq!(bank.layer(1).threshold(), 0.8);
+            ctl.open(class);
+            assert!((0..4).all(|layer| ctl.fires_at(class, layer).is_none()));
         }
+        assert_eq!(ctl.classes().len(), 2, "opening creates the state");
     }
 
     #[test]
@@ -527,6 +517,7 @@ mod tests {
         evidence.tokens = 50;
         evidence.mean_threshold = 0.5;
         ctl.absorb(&evidence);
-        assert_eq!(ctl.threshold(c, 0), 0.5, "static never moves");
+        assert_eq!(ctl.fires_at(c, 0), None, "static never moves");
+        assert_eq!(ctl.summary().mean_threshold, 0.5);
     }
 }

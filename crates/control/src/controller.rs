@@ -1,6 +1,5 @@
 //! The [`Controller`] trait and the static (fixed-threshold) baseline.
 
-use specee_core::predictor::PredictorBank;
 use specee_core::ExitFeedback;
 
 use crate::classed::ClassEvidence;
@@ -11,10 +10,10 @@ use crate::classed::ClassEvidence;
 /// decode loop — the verifier's per-fire accept/reject outcomes
 /// ([`ExitFeedback`], via [`Controller::observe`]) and per-token executed
 /// depths (via [`Controller::note_token`]) — and maintains one exit
-/// threshold per predictor layer. The runtime pushes the operating point
-/// back into its [`PredictorBank`] with [`Controller::apply`] after each
-/// decode step, so threshold changes take effect at the next token
-/// boundary and never mid-scan.
+/// threshold per predictor layer. The runtime reads the operating point
+/// ([`Controller::fires_at`]) for every score it compares, and feeds the
+/// controller only between decode steps, so threshold changes take effect
+/// at the next step and never mid-scan.
 ///
 /// Implementations must be deterministic: the same event stream must
 /// produce the same threshold trajectory (randomized policies draw from
@@ -60,17 +59,16 @@ pub trait Controller: Send {
     /// predictor fires.
     fn note_token(&mut self, executed_layers: usize, n_layers: usize);
 
-    /// The current threshold for `layer`'s predictor.
+    /// The policy's current threshold for `layer`'s predictor (what
+    /// summaries report and an `slo+` wrapper bends).
     fn threshold(&self, layer: usize) -> f32;
 
-    /// Pushes the current operating point into `bank`. The default
-    /// writes [`Controller::threshold`] for every predictor layer;
-    /// the static policy overrides it with a no-op so attaching it is
-    /// bit-identical to running uncontrolled.
-    fn apply(&self, bank: &mut PredictorBank) {
-        for layer in 0..bank.len() {
-            bank.layer_mut(layer).set_threshold(self.threshold(layer));
-        }
+    /// The threshold `layer`'s predictor fires at, or `None` for the
+    /// predictor bank's own. The default is [`Controller::threshold`];
+    /// the static policy answers `None`, so attaching it is bit-identical
+    /// to running uncontrolled.
+    fn fires_at(&self, layer: usize) -> Option<f32> {
+        Some(self.threshold(layer))
     }
 
     /// Absorbs summarized *remote* evidence — the cross-worker gossip a
@@ -151,9 +149,9 @@ pub(crate) fn mean_threshold(thresholds: &[f32]) -> f64 {
 /// Today's behavior as a policy: thresholds never move.
 ///
 /// Attaching a static controller is bit-identical to attaching none —
-/// its [`Controller::apply`] is a no-op, so even a bank whose per-layer
-/// thresholds differ from the controller's nominal base is left exactly
-/// as the caller configured it. It still counts the feedback stream, so
+/// its [`Controller::fires_at`] is `None`, so even a bank whose per-layer
+/// thresholds differ from the controller's nominal base fires exactly as
+/// the caller configured it. It still counts the feedback stream, so
 /// reports can compare its observed false-exit rate against the adaptive
 /// policies'.
 #[derive(Debug, Clone)]
@@ -189,8 +187,9 @@ impl Controller for StaticController {
         self.thresholds[layer]
     }
 
-    fn apply(&self, _bank: &mut PredictorBank) {
-        // Static means static: leave the bank exactly as configured.
+    fn fires_at(&self, _layer: usize) -> Option<f32> {
+        // Static means static: the bank fires as configured.
+        None
     }
 
     fn summary(&self) -> ControllerSummary {
@@ -207,8 +206,6 @@ impl Controller for StaticController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specee_core::predictor::PredictorConfig;
-    use specee_tensor::rng::Pcg;
 
     fn fb(layer: usize, accepted: bool) -> ExitFeedback {
         ExitFeedback {
@@ -221,13 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn static_apply_is_a_noop() {
-        let mut bank = PredictorBank::new(4, &PredictorConfig::default(), &mut Pcg::seed(1));
-        bank.layer_mut(1).set_threshold(0.9); // deliberately off-base
-        let ctl = StaticController::new(3, 0.5);
-        ctl.apply(&mut bank);
-        assert_eq!(bank.layer(1).threshold(), 0.9);
-        assert_eq!(bank.layer(0).threshold(), 0.5);
+    fn static_answers_none_for_every_layer() {
+        // `None` is "the bank's own": whatever the nominal base, a static
+        // controller never names a threshold of its own.
+        let ctl = StaticController::new(3, 0.9);
+        assert!((0..3).all(|layer| ctl.fires_at(layer).is_none()));
+        assert_eq!(ctl.threshold(1), 0.9, "the base is still reported");
     }
 
     #[test]

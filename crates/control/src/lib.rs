@@ -8,15 +8,17 @@
 //! [`Controller`] consumes the deterministic feedback streams the decode
 //! loop already produces — the verifier's per-fire accept/reject
 //! outcomes ([`specee_core::ExitFeedback`], emitted by
-//! [`specee_core::ExitScan`]) and per-token executed depths — and steers
-//! the per-layer thresholds of a [`specee_core::PredictorBank`] while
-//! decoding runs.
+//! [`specee_core::ExitScan`]) and per-token executed depths — and owns
+//! the per-layer thresholds a [`specee_core::PredictorBank`]'s scores
+//! fire at while decoding runs ([`Controller::fires_at`]; the bank keeps
+//! its weights and trained thresholds, and nothing is copied into it).
 //!
 //! Three policies ship behind [`ControllerPolicy`]:
 //!
-//! * **`static`** — thresholds never move; its `apply` is a no-op, so a
-//!   batch-1 run with a static controller is bit-identical to an
-//!   uncontrolled run (asserted in `specee-batch`'s parity tests).
+//! * **`static`** — thresholds never move; it answers `None` ("the
+//!   bank's own"), so a batch-1 run with a static controller is
+//!   bit-identical to an uncontrolled run (asserted in `specee-batch`'s
+//!   parity tests).
 //! * **`pid`** — per-layer PI loops tracking a target *false-exit rate*
 //!   (fraction of predictor fires the full-LM-head verifier rejects),
 //!   with a small downward drift on idle full-depth tokens so a
@@ -50,9 +52,10 @@
 //! gossip, and remote deltas merge back in via [`Controller::absorb`].
 //!
 //! Runtimes consume controllers per engine: `specee-batch`'s
-//! `BatchedEngine` drains each seated sequence's feedback after every
-//! lock-step decode step (per class, in slot order) and re-applies each
-//! class's thresholds at the step boundary; `specee-cluster` builds one
+//! `BatchedEngine` reads each seat's `(class, layer)` threshold
+//! ([`ClassedController::fires_at`]) for every score it compares and
+//! drains each seated sequence's feedback after every lock-step decode
+//! step (per class, in slot order); `specee-cluster` builds one
 //! classed controller per worker
 //! ([`ControllerPolicy::build_classed_for_worker`], with
 //! `(worker, class)`-decorrelated bandit seeds) whose state advances
@@ -65,16 +68,14 @@
 //!
 //! ```
 //! use specee_control::{Controller, ControllerPolicy};
-//! use specee_core::predictor::{PredictorBank, PredictorConfig};
+//! use specee_core::predictor::PredictorConfig;
 //! use specee_core::{ExitFeedback, TrafficClass};
-//! use specee_tensor::rng::Pcg;
 //!
 //! let pcfg = PredictorConfig::default();
-//! let mut bank = PredictorBank::new(8, &pcfg, &mut Pcg::seed(1));
-//! let mut ctl = ControllerPolicy::pid().build(bank.len(), pcfg.threshold);
+//! let mut ctl = ControllerPolicy::pid().build(7, pcfg.threshold);
 //!
 //! // The serving loop feeds verify outcomes; a rejection-heavy stream
-//! // at layer 2 tightens that layer's threshold.
+//! // at layer 2 tightens the threshold that layer's scores fire at.
 //! for _ in 0..12 {
 //!     ctl.observe(&ExitFeedback {
 //!         class: TrafficClass::DEFAULT,
@@ -85,9 +86,11 @@
 //!     });
 //!     ctl.note_token(3, 8);
 //! }
-//! ctl.apply(&mut bank);
-//! assert!(bank.layer(2).threshold() > pcfg.threshold);
+//! assert!(ctl.fires_at(2) > Some(pcfg.threshold));
 //! assert_eq!(ctl.summary().rejects, 12);
+//!
+//! // The static policy names no threshold: scores fire at the bank's own.
+//! assert_eq!(ControllerPolicy::Static.build(7, 0.5).fires_at(2), None);
 //! ```
 
 #![deny(missing_docs)]

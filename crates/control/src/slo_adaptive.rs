@@ -15,17 +15,18 @@
 //! * **negative pressure** — a `false_exit_rate` objective is burning.
 //!   The wrapper blends toward a conservative *ceiling* (1.0 disables
 //!   exits) until the verifier stops rejecting.
-//! * **zero pressure** — exact pass-through: thresholds, `apply`
-//!   behavior (including the static policy's no-op `apply`) and
-//!   summaries are the wrapped policy's own, bit for bit. An
-//!   `SloAdaptive` wrapper whose tracker never fires is invisible.
+//! * **zero pressure** — exact pass-through: thresholds, the operating
+//!   point runtimes fire at ([`Controller::fires_at`] — including the
+//!   static policy's `None`, "the bank's own") and summaries are the
+//!   wrapped policy's own, bit for bit. An `SloAdaptive` wrapper whose
+//!   tracker never fires is invisible, and one whose burn has cleared is
+//!   invisible again.
 //!
 //! The wrapper holds no windows of its own — the tracker owns the
 //! measurement, the wrapper owns the actuation — so wrapping changes
 //! nothing about how feedback or gossip are consumed: `observe`,
 //! `note_token` and `absorb` delegate untouched.
 
-use specee_core::predictor::PredictorBank;
 use specee_core::ExitFeedback;
 
 use crate::classed::ClassEvidence;
@@ -126,15 +127,13 @@ impl Controller for SloAdaptive {
         self.bend(f64::from(self.inner.threshold(layer))) as f32
     }
 
-    fn apply(&self, bank: &mut PredictorBank) {
+    fn fires_at(&self, layer: usize) -> Option<f32> {
         if self.effective_pressure() == 0.0 {
-            // Exact pass-through, including the static policy's no-op
-            // `apply` — an idle wrapper is bit-invisible.
-            self.inner.apply(bank);
+            // Exact pass-through, including the static policy's `None` —
+            // an idle wrapper is bit-invisible.
+            self.inner.fires_at(layer)
         } else {
-            for layer in 0..bank.len() {
-                bank.layer_mut(layer).set_threshold(self.threshold(layer));
-            }
+            Some(self.threshold(layer))
         }
     }
 
@@ -159,8 +158,6 @@ mod tests {
     use super::*;
     use crate::controller::StaticController;
     use crate::ControllerPolicy;
-    use specee_core::predictor::PredictorConfig;
-    use specee_tensor::rng::Pcg;
 
     fn wrapped_static(base: f32) -> SloAdaptive {
         SloAdaptive::new(Box::new(StaticController::new(4, base)))
@@ -168,14 +165,13 @@ mod tests {
 
     #[test]
     fn zero_pressure_is_exact_pass_through() {
-        let mut bank = PredictorBank::new(5, &PredictorConfig::default(), &mut Pcg::seed(1));
-        bank.layer_mut(1).set_threshold(0.9); // deliberately off-base
         let ctl = wrapped_static(0.5);
         assert_eq!(ctl.threshold(0), 0.5);
-        ctl.apply(&mut bank);
-        // Static's no-op apply must survive the wrapper untouched.
-        assert_eq!(bank.layer(1).threshold(), 0.9);
+        // Static's "the bank's own" must survive the wrapper untouched.
+        assert_eq!(ctl.fires_at(1), None);
         assert_eq!(ctl.summary().mean_threshold, 0.5);
+        let pid = SloAdaptive::new(ControllerPolicy::pid().build(4, 0.5));
+        assert_eq!(pid.fires_at(1), Some(0.5));
     }
 
     #[test]
@@ -186,11 +182,11 @@ mod tests {
         assert!((t - 0.4).abs() < 1e-6, "halfway to the 0.2 floor: {t}");
         ctl.set_slo_pressure(1.0);
         assert!((ctl.threshold(0) - 0.2).abs() < 1e-6);
-        // Applying under pressure writes the bent thresholds even for
-        // a wrapped static policy.
-        let mut bank = PredictorBank::new(5, &PredictorConfig::default(), &mut Pcg::seed(1));
-        ctl.apply(&mut bank);
-        assert!((bank.layer(0).threshold() - 0.2).abs() < 1e-6);
+        // Under pressure a wrapped static policy fires at the bent
+        // thresholds; once the burn clears, at the bank's own again.
+        assert_eq!(ctl.fires_at(0), Some(ctl.threshold(0)));
+        ctl.set_slo_pressure(0.0);
+        assert_eq!(ctl.fires_at(0), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use specee_model::{LayeredLm, TokenId};
 use specee_obs::{EventKind, Recorder};
 
 use crate::features::FeatureTracker;
-use crate::predictor::PredictorBank;
+use crate::predictor::{ExitPredictor, PredictorBank};
 use crate::scheduler::ScheduleEngine;
 use crate::traffic::TrafficClass;
 use crate::verify::verify_exit;
@@ -110,9 +110,9 @@ impl ExitScan {
     /// verification — the failed verification's LM-head cost is recorded
     /// in `meter` and counted in [`ExitScan::verify_calls`]).
     ///
-    /// This is [`ExitScan::score`], the model's full head on a fire, then
-    /// [`ExitScan::settle`]; a runtime that batches the head across
-    /// sequences calls the two halves itself.
+    /// This is [`ExitScan::score`] at the bank's own thresholds, the
+    /// model's full head on a fire, then [`ExitScan::settle`]; a runtime
+    /// that batches the head across sequences calls the two halves itself.
     #[allow(clippy::too_many_arguments)]
     pub fn check_with_sink<M: LayeredLm + ?Sized>(
         &mut self,
@@ -125,15 +125,18 @@ impl ExitScan {
         meter: &mut Meter,
         sink: &mut Option<Recorder>,
     ) -> Option<(TokenId, Vec<f32>)> {
-        let fire = self.score(model, bank, schedule, h, candidates, layer, meter)?;
+        let own = ExitPredictor::threshold;
+        let fire = self.score(model, bank, schedule, h, candidates, layer, own, meter)?;
         let full = model.final_logits(h, meter);
         self.settle(fire, full, candidates, layer, sink)
     }
 
     /// The first half of the decision: schedule gate → candidate-slice
-    /// features → predictor. Returns the `(score, threshold)` of a fire —
-    /// which the caller owes one full-LM-head row and a
-    /// [`ExitScan::settle`] — and `None` when the layer decides nothing.
+    /// features → predictor, whose score fires above `threshold(predictor)`
+    /// (the caller's operating point; [`ExitPredictor::threshold`] is the
+    /// bank's own). Returns the `(score, threshold)` of a fire — which the
+    /// caller owes one full-LM-head row and a [`ExitScan::settle`] — and
+    /// `None` when the layer decides nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn score<M: LayeredLm + ?Sized>(
         &mut self,
@@ -143,6 +146,7 @@ impl ExitScan {
         h: &[f32],
         candidates: &[TokenId],
         layer: usize,
+        threshold: impl FnOnce(&ExitPredictor) -> f32,
         meter: &mut Meter,
     ) -> Option<(f32, f32)> {
         // With no candidates `verify_exit` can accept nothing, so scoring
@@ -157,11 +161,12 @@ impl ExitScan {
         self.predictor_calls += 1;
         let predictor = bank.layer(layer);
         let score = predictor.score(&feats, meter);
-        if !predictor.fires(score) {
+        let threshold = threshold(predictor);
+        if !ExitPredictor::fires(score, threshold) {
             return None;
         }
         self.verify_calls += 1;
-        Some((score, predictor.threshold()))
+        Some((score, threshold))
     }
 
     /// The second half: verifies the fire [`ExitScan::score`] returned

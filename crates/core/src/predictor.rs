@@ -101,10 +101,10 @@ impl ExitPredictor {
         ops::sigmoid(self.mlp.forward_with(BackendKind::Blocked, x)[0])
     }
 
-    /// Whether a score fires at the configured threshold — the single
-    /// definition of the fire decision.
-    pub fn fires(&self, score: f32) -> bool {
-        score > self.threshold
+    /// Whether `score` fires at `threshold` — the single definition of
+    /// the fire decision.
+    pub fn fires(score: f32, threshold: f32) -> bool {
+        score > threshold
     }
 
     /// Scores a batch of feature vectors, metered as one batched kernel
@@ -143,7 +143,7 @@ impl ExitPredictor {
         }
         let correct = samples
             .iter()
-            .filter(|(f, l)| self.fires(self.sigmoid_of(f)) == *l)
+            .filter(|(f, l)| Self::fires(self.sigmoid_of(f), self.threshold) == *l)
             .count();
         correct as f64 / samples.len() as f64
     }

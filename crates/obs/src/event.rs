@@ -98,11 +98,12 @@ pub enum EventKind {
         /// like round-robin.
         scores: Vec<(u32, f64)>,
     },
-    /// A controller applied a new exit threshold for a class.
+    /// The exit threshold a class's scans fire at after a controller's
+    /// step-boundary update.
     ControllerApply {
         /// Raw traffic-class id.
         class: u16,
-        /// Threshold now in force.
+        /// Mean threshold now in force across predictor layers.
         threshold: f64,
     },
     /// A gossip delta from peer workers was absorbed.

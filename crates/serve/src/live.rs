@@ -440,7 +440,9 @@ impl<R: AsRef<ServeRequest>> ServeLoop<R> {
                 rec.record_at(self.now, None, kind);
             }
         }
-        engine.set_slo_pressure(tracker.pressure());
+        if let Some(ctl) = engine.controller_mut() {
+            ctl.set_slo_pressure(tracker.pressure());
+        }
     }
 
     /// Best-effort cancellation by request id: a queued request vanishes,

@@ -80,8 +80,10 @@ fn print_help() {
                       AxBxC token tree per round, verified in one batched\n             \
                       full-depth sweep; bit-identical greedy tokens with\n             \
                       fewer full-depth passes)\n  \
-           train      offline predictor pipeline; prints per-layer accuracy\n             \
-                      (--model, --dataset, --seed as above)\n  \
+           train      offline predictor pipeline; prints the sample count and\n             \
+                      the mean predictor accuracy (--model, --dataset, --seed,\n             \
+                      --backend as above; --out FILE writes the trained bank\n             \
+                      as JSON)\n  \
            serve      continuous batching (--batch N --requests N --rate R\n             \
                       --mode live|cluster: live (the default) runs the lock-step\n             \
                       batched engine and prices measured steps, cluster shards\n             \
@@ -140,15 +142,6 @@ fn parse_trace_sample(opts: &HashMap<String, String>) -> Result<u32, String> {
         return Err("--trace-sample must be at least 1 (N keeps 1-in-N events per kind)".into());
     }
     Ok(n)
-}
-
-/// Applies the `--trace-sample` rate to a recorder (no-op at 1).
-fn sampled(rec: Recorder, every: u32) -> Recorder {
-    if every > 1 {
-        rec.with_sample_every(every)
-    } else {
-        rec
-    }
 }
 
 /// `--slo SPEC`: comma-separated objectives, e.g.
@@ -471,7 +464,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let language = pipe.template.language();
     let prompt = language.sample_sequence(5, 12, pipe.seed ^ 0x9e);
     let mut controller_summary: Option<ControllerSummary> = None;
-    let recorder = observing.then(|| sampled(Recorder::new(), trace_sample));
+    let recorder = observing.then(|| Recorder::new().with_sample_every(trace_sample));
     let (out, recorder): (GenOutput, Option<Recorder>) = match (engine_name, &self_draft) {
         ("dense", _) => (DenseEngine::new(pipe.lm()).generate(&prompt, tokens), None),
         ("specee", Some(spec)) => {
@@ -1124,7 +1117,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             engine.set_preemption_enabled(preemption);
             engine.set_controller(controller.build_classed(n_predictors, base));
             if observing {
-                engine.set_recorder(Some(sampled(Recorder::for_worker(0), trace_sample)));
+                let rec = Recorder::for_worker(0).with_sample_every(trace_sample);
+                engine.set_recorder(Some(rec));
             }
             let lanes: Vec<specee::core::Lane> = requests.iter().map(|r| lane_of(r.id)).collect();
             // Only this path hands the batcher the SLO spec (cluster

@@ -121,6 +121,41 @@ fn tokenize_is_an_unknown_command() {
     }
 }
 
+/// `specee help` documents every flag a subcommand takes: each one its
+/// own usage error lists (`specee <cmd> --bogus x`) appears in the help
+/// text as a whole `--flag`.
+#[test]
+fn help_names_every_flag_each_subcommand_takes() {
+    let help = String::from_utf8(specee(&["help"]).stdout).expect("utf-8 help");
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    let named = |flag: &str| {
+        help.match_indices(flag).any(|(at, _)| {
+            let before = help[..at].chars().next_back();
+            let after = help[at + flag.len()..].chars().next();
+            !before.is_some_and(is_word) && !after.is_some_and(is_word)
+        })
+    };
+    for command in ["generate", "train", "serve"] {
+        let out = specee(&[command, "--bogus", "x"]);
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let takes = stderr
+            .trim_end()
+            .split(" takes ")
+            .nth(1)
+            .expect("a flag list");
+        let flags: Vec<&str> = takes.split(", ").collect();
+        assert!(flags.len() > 4, "{command}: {stderr}");
+        for flag in flags {
+            assert!(flag.starts_with("--"), "{command}: {flag}");
+            assert!(
+                named(flag),
+                "`specee help` never mentions {command}'s {flag}"
+            );
+        }
+    }
+}
+
 /// A command line the subcommand cannot take in full is refused, not
 /// half-read: a misspelt flag (which used to serve at the default cap), a
 /// word that is no flag's value, another subcommand's flags. One `error:`

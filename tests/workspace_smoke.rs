@@ -158,19 +158,10 @@ fn documented_bench_and_example_counts_match_the_tree() {
 #[test]
 fn the_admission_round_has_one_call_site() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut code = String::new();
-    for dir in ["crates/serve/src", "crates/cluster/src"] {
-        for entry in std::fs::read_dir(root.join(dir)).expect(dir) {
-            let text = std::fs::read_to_string(entry.expect(dir).path()).expect(dir);
-            let non_test = text.split("#[cfg(test)]").next().expect("first piece");
-            code.extend(
-                non_test
-                    .lines()
-                    .filter(|l| !l.trim_start().starts_with("//"))
-                    .flat_map(|l| [l, "\n"]),
-            );
-        }
-    }
+    let mut serving = Vec::new();
+    rust_files(&root.join("crates/serve/src"), &mut serving);
+    rust_files(&root.join("crates/cluster/src"), &mut serving);
+    let code = non_test_code(&serving);
     for call in ["admit_laned(", "make_room("] {
         assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
     }
@@ -188,6 +179,19 @@ fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
+/// The call-site guards' reading of `files`: each one's [`code_only`]
+/// text before its first `#[cfg(test)]`, concatenated.
+fn non_test_code(files: &[std::path::PathBuf]) -> String {
+    let non_test = |path: &std::path::PathBuf| {
+        let code = code_only(&std::fs::read_to_string(path).expect("readable source"));
+        code.split("#[cfg(test)]")
+            .next()
+            .expect("first piece")
+            .to_string()
+    };
+    files.iter().map(non_test).collect()
+}
+
 /// The serving loop is also the only place a step or a prefill is priced:
 /// across the non-test source of the serve and cluster crates each pricing
 /// function is *called* (`.name(` — the definitions in `cost.rs` do not
@@ -199,17 +203,7 @@ fn steps_are_priced_at_one_call_site_and_replay_stays_gone() {
     let mut serving = Vec::new();
     rust_files(&root.join("crates/serve/src"), &mut serving);
     rust_files(&root.join("crates/cluster/src"), &mut serving);
-    let mut code = String::new();
-    for path in &serving {
-        let text = std::fs::read_to_string(path).expect("readable source");
-        let non_test = text.split("#[cfg(test)]").next().expect("first piece");
-        code.extend(
-            non_test
-                .lines()
-                .filter(|l| !l.trim_start().starts_with("//"))
-                .flat_map(|l| [l, "\n"]),
-        );
-    }
+    let code = non_test_code(&serving);
     for call in [".decode_step_latency(", ".prefill_latency("] {
         assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
     }
@@ -242,17 +236,7 @@ fn the_greedy_loop_has_one_body() {
     let mut files = vec![root.join("crates/bench/src/lib.rs")];
     rust_files(&root.join("crates/core/src"), &mut files);
     assert!(files.len() > 15, "the walk found the core crate");
-    let mut code = String::new();
-    for path in &files {
-        let text = std::fs::read_to_string(path).expect("readable source");
-        let non_test = text.split("#[cfg(test)]").next().expect("first piece");
-        code.extend(
-            non_test
-                .lines()
-                .filter(|l| !l.trim_start().starts_with("//"))
-                .flat_map(|l| [l, "\n"]),
-        );
-    }
+    let code = non_test_code(&files);
     for call in [".forward_layer(", ".mark_token(", ".mark_host_step("] {
         assert_eq!(code.matches(call).count(), 2, "call sites of `{call}`");
     }
