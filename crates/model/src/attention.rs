@@ -2,13 +2,13 @@
 //! attention for speculative-decoding verification.
 
 use specee_metrics::Meter;
-use specee_tensor::matrix::dot;
-use specee_tensor::{ops, BackendKind};
+use specee_tensor::attention::attend;
+use specee_tensor::BackendKind;
 
 use crate::config::ModelConfig;
 use crate::kv::KvCache;
 use crate::metering::OpScale;
-use crate::rope::RopeFreqs;
+use crate::rope::{self, RopeFreqs};
 use crate::weights::LayerWeights;
 
 /// Per-node key/value rows produced by one tree-attention pass, kept aside
@@ -37,49 +37,6 @@ impl TreeKv {
 fn packed_rows(xs: &[f32], dim: usize) -> usize {
     assert_eq!(xs.len() % dim, 0, "inputs must be whole hidden rows");
     xs.len() / dim
-}
-
-/// The `(key, value)` rows one query sees, in attention order: the
-/// committed cache, then the `chain` (root → node) out of the tree scratch.
-fn visible_rows<'a>(
-    cache: &'a KvCache,
-    tree: &'a TreeKv,
-    chain: &'a [usize],
-) -> impl Iterator<Item = (&'a [f32], &'a [f32])> + Clone {
-    let committed = (0..cache.len()).map(move |p| (cache.key(p), cache.value(p)));
-    let drafted = chain
-        .iter()
-        .map(move |&n| (tree.k[n].as_slice(), tree.v[n].as_slice()));
-    committed.chain(drafted)
-}
-
-/// Softmax attention of one query over `rows`, head by head, accumulated
-/// into `merged` (zeroed by the caller); `scores` is reused scratch.
-fn attend<'a>(
-    q: &[f32],
-    rows: impl Iterator<Item = (&'a [f32], &'a [f32])> + Clone,
-    head_dim: usize,
-    scores: &mut Vec<f32>,
-    merged: &mut [f32],
-) {
-    let hd_scale = 1.0 / (head_dim as f32).sqrt();
-    let heads = q
-        .chunks_exact(head_dim)
-        .zip(merged.chunks_exact_mut(head_dim));
-    for (h, (q_head, out)) in heads.enumerate() {
-        let span = h * head_dim..(h + 1) * head_dim;
-        scores.clear();
-        scores.extend(
-            rows.clone()
-                .map(|(k, _)| dot(q_head, &k[span.clone()]) * hd_scale),
-        );
-        ops::softmax_inplace(scores);
-        for (s, (_, v)) in scores.iter().zip(rows.clone()) {
-            for (o, &vv) in out.iter_mut().zip(&v[span.clone()]) {
-                *o += s * vv;
-            }
-        }
-    }
 }
 
 /// `rows` consecutive rows of a packed batch: positions `base..` of the
@@ -152,7 +109,7 @@ pub(crate) fn attention_forward_rows(
     let mut ks = w.wk.matmul_with(backend, xs, n);
     let vs = w.wv.matmul_with(backend, xs, n);
     let mut merged = vec![0.0f32; n * dim];
-    let (no_tree, mut scores) = (TreeKv::default(), Vec::new());
+    let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
     let mut rows = qs
         .chunks_exact_mut(dim)
         .zip(ks.chunks_exact_mut(dim))
@@ -164,8 +121,8 @@ pub(crate) fn attention_forward_rows(
         for (((q, k), v), out) in rows.by_ref().take(seat.rows) {
             rope.rotate_qk(q, k, cache.len(), cfg.n_heads);
             cache.push(k, v);
-            let visible = visible_rows(cache, &no_tree, &[]);
-            attend(q, visible, cfg.head_dim(), &mut scores, out);
+            let visible = [(cache.keys(), cache.values())];
+            attend(q, head_dim, &visible, &mut scores, out);
             scale.record_attention(meter, cache.len());
         }
     }
@@ -225,9 +182,9 @@ pub fn attention_forward_tree(
 /// This is the kernel behind self-speculative drafting: the shallow draft
 /// pass grows the token tree level by level, and each level only pays for
 /// its frontier. The q/k/v and output projections take one weight pass
-/// each for all new nodes; attention itself runs per node, keys gathered
-/// committed cache first, then the ancestor chain root→node, at RoPE
-/// position `cache.len() + depth` — which depends on the node alone, so
+/// each for all new nodes; attention itself is one [`attend`] call per
+/// node over the committed cache, then the ancestor chain root→node, at
+/// RoPE position `cache.len() + depth` — which depends on the node alone, so
 /// running a tree through repeated partial calls is bit-identical to one
 /// full sweep.
 ///
@@ -272,29 +229,38 @@ pub fn attention_forward_tree_partial(
         .chunks_exact_mut(dim)
         .zip(ks.chunks_exact_mut(dim))
         .zip(vs.chunks_exact(dim));
-    for (((q, k), v), depth) in rows.zip(&depths[first_new..]) {
-        rope.rotate_qk(q, k, base + depth, cfg.n_heads);
+    // A node's position is `base + depth`: one `(sin, cos)` table per depth.
+    let new_depths = &depths[first_new..];
+    let shallowest = new_depths.iter().copied().min().unwrap_or(0);
+    let deepest = new_depths.iter().copied().max().unwrap_or(0);
+    let tables: Vec<_> = (shallowest..=deepest)
+        .map(|depth| rope.sin_cos_table(base + depth))
+        .collect();
+    for (((q, k), v), depth) in rows.zip(new_depths) {
+        let table = &tables[depth - shallowest];
+        rope::rotate(q, table, cfg.n_heads);
+        rope::rotate(k, table, cfg.n_heads);
         scratch.k.push(k.to_vec());
         scratch.v.push(v.to_vec());
     }
 
     let mut merged = vec![0.0f32; n * dim];
-    let (mut chain, mut scores) = (Vec::new(), Vec::new());
+    let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
     let mut kv_lens = Vec::with_capacity(n);
+    let mut visible = vec![(cache.keys(), cache.values())];
     let nodes = qs.chunks_exact(dim).zip(merged.chunks_exact_mut(dim));
     for (j, (q, out)) in nodes.enumerate() {
-        // Ancestor chain root → node (`depths_from_parents` checked the
-        // topological order).
-        chain.clear();
+        // The committed cache, then the ancestor chain root → node
+        // (`depths_from_parents` checked the topological order).
+        visible.truncate(1);
         let mut cur = Some(first_new + j);
         while let Some(node) = cur {
-            chain.push(node);
+            visible.push((scratch.k[node].as_slice(), scratch.v[node].as_slice()));
             cur = parents[node];
         }
-        chain.reverse();
-        let visible = visible_rows(cache, scratch, &chain);
-        attend(q, visible, cfg.head_dim(), &mut scores, out);
-        kv_lens.push(base + chain.len());
+        visible[1..].reverse();
+        attend(q, head_dim, &visible, &mut scores, out);
+        kv_lens.push(base + visible.len() - 1);
     }
     scale.record_attention_tree(meter, &kv_lens);
     w.wo.matmul_with(backend, &merged, n)

@@ -163,6 +163,16 @@ impl KvCache {
         &self.v[pos * self.kv_dim..(pos + 1) * self.kv_dim]
     }
 
+    /// Every committed key row, packed `[len × kv_dim]`.
+    pub fn keys(&self) -> &[f32] {
+        &self.k
+    }
+
+    /// Every committed value row, packed `[len × kv_dim]`.
+    pub fn values(&self) -> &[f32] {
+        &self.v
+    }
+
     /// Discards positions beyond `new_len` (speculative rollback).
     pub fn truncate(&mut self, new_len: usize) {
         if new_len < self.len {

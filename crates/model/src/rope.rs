@@ -20,7 +20,7 @@ impl RopeFreqs {
 
     /// The `(sin, cos)` pairs of position `pos` — the same for every head
     /// and for queries and keys, so computed once per position.
-    fn sin_cos_table(&self, pos: usize) -> Vec<(f32, f32)> {
+    pub(crate) fn sin_cos_table(&self, pos: usize) -> Vec<(f32, f32)> {
         let at = |&freq: &f32| (pos as f32 * freq).sin_cos();
         self.0.iter().map(at).collect()
     }
@@ -48,7 +48,9 @@ impl RopeFreqs {
     }
 }
 
-fn rotate(x: &mut [f32], table: &[(f32, f32)], n_heads: usize) {
+/// Rotates `x` (`[n_heads × head_dim]`) by one position's `(sin, cos)`
+/// table ([`RopeFreqs::sin_cos_table`]), in place.
+pub(crate) fn rotate(x: &mut [f32], table: &[(f32, f32)], n_heads: usize) {
     assert_eq!(x.len(), n_heads * table.len() * 2, "rope shape");
     for head in x.chunks_exact_mut(table.len() * 2) {
         for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(table) {

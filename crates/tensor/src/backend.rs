@@ -278,7 +278,7 @@ pub struct Blocked;
 /// The x86-64 register tiles and the block walk behind [`Blocked`], whose
 /// docs say why every path keeps the oracle's sums.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
     use crate::matrix::{dot, Matrix};
@@ -294,8 +294,27 @@ mod x86 {
     /// later row block) to prefetch, one cache line per four-column chunk.
     type Operands = (*const f32, usize, *const f32, *mut f32, usize, *const f32);
 
+    /// The four rows' ordered lane sums `v0 + v1 + v2 + v3`, `lanes[k]`
+    /// holding row `k`'s four lanes: the one place the reduction order of
+    /// the x86 tiles (these and the attention kernel's) is written down.
+    #[inline(always)]
+    pub(crate) fn lane_sums(lanes: [__m128; 4]) -> [f32; 4] {
+        // The reference reduction, deliberately not a tree, for all four
+        // rows at once: transposed, vector `i` holds lane `i` of every row.
+        let [mut t0, mut t1, mut t2, mut t3] = lanes;
+        let mut out = [0.0f32; 4];
+        // SAFETY: SSE is part of the x86-64 baseline, and `out` holds the
+        // four floats the store writes.
+        unsafe {
+            _MM_TRANSPOSE4_PS(&mut t0, &mut t1, &mut t2, &mut t3);
+            let sums = _mm_add_ps(_mm_add_ps(_mm_add_ps(t0, t1), t2), t3);
+            _mm_storeu_ps(out.as_mut_ptr(), sums);
+        }
+        out
+    }
+
     /// Finishes input `n` of a tile, `lanes[k]` holding row `k`'s four lane
-    /// sums: the one place the reduction order is written down.
+    /// sums.
     ///
     /// # Safety
     ///
@@ -303,14 +322,7 @@ mod x86 {
     #[inline(always)]
     unsafe fn store_block_sums(lanes: [__m128; 4], t: Operands, n: usize) {
         let (w, cols, xs, ys, rows, _) = t;
-        // The four rows' ordered lane sums `v0 + v1 + v2 + v3` (the
-        // reference reduction; deliberately not a tree) at once:
-        // transposed, vector `i` holds lane `i` of every row.
-        let [mut t0, mut t1, mut t2, mut t3] = lanes;
-        _MM_TRANSPOSE4_PS(&mut t0, &mut t1, &mut t2, &mut t3);
-        let mut out = [0.0f32; 4];
-        let sums = _mm_add_ps(_mm_add_ps(_mm_add_ps(t0, t1), t2), t3);
-        _mm_storeu_ps(out.as_mut_ptr(), sums);
+        let mut out = lane_sums(lanes);
         for j in cols / 4 * 4..cols {
             let xv = *xs.add(n * cols + j);
             for (k, o) in out.iter_mut().enumerate() {
@@ -500,7 +512,7 @@ fn dot_blocked(a: &[f32], b: &[f32]) -> f32 {
 /// accumulation order is identical to [`dot_blocked`] (hence to the
 /// reference `dot`).
 #[inline]
-fn dot4_rows(r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32], x: &[f32]) -> [f32; 4] {
+pub(crate) fn dot4_rows(r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32], x: &[f32]) -> [f32; 4] {
     let mut acc = [[0.0f32; 4]; ROW_BLOCK];
     let cx = x.chunks_exact(4);
     let tail_start = x.len() - cx.remainder().len();

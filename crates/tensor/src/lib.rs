@@ -7,8 +7,8 @@
 //! grouped GEMM used by SpecEE's hyper-token feature extraction
 //! ([`grouped`]), a pluggable compute-backend seam ([`backend`]) with a
 //! scalar oracle, a cache-blocked kernel set, and an i8 integer kernel set,
-//! and a deterministic PRNG ([`rng`]) so every experiment is
-//! bit-reproducible.
+//! the decoder's SIMD softmax-attention kernel ([`attention`]), and a
+//! deterministic PRNG ([`rng`]) so every experiment is bit-reproducible.
 //!
 //! # Examples
 //!
@@ -23,6 +23,7 @@
 
 #![deny(missing_docs)]
 
+pub mod attention;
 pub mod awq;
 pub mod backend;
 pub mod grouped;
