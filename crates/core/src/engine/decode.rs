@@ -13,14 +13,15 @@
 //! * [`dense_probe`] — the offline pass of the collectors: decode densely,
 //!   read the full head after every layer, hand each token to a visitor.
 //! * `greedy_walk` — tree verification: the longest path of the draft
-//!   tree the model's own greedy picks follow.
+//!   tree the model's own greedy picks follow, reading a node's head row
+//!   only where the walk goes (`verify_head` computes and prices them).
 //!
 //! Each engine keeps the order of its [`Meter::record`] calls within an
 //! [`specee_metrics::OpKind`]: the per-kind totals are `f64` sums, so that
 //! order is part of bit-identity (`tests/decode_equivalence.rs`).
 
 use specee_metrics::Meter;
-use specee_model::{prefill, LayeredLm, SkipKvPolicy, TokenId};
+use specee_model::{prefill, LayeredLm, OpScale, SkipKvPolicy, TokenId};
 use specee_tensor::ops;
 
 use crate::engine::first_token;
@@ -233,7 +234,7 @@ pub fn dense_probe<M: LayeredLm>(
 }
 
 /// The path a greedy tree verification accepts.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Walk {
     /// Accepted node indices in path order; the root (node 0) always is.
     pub(crate) accepted: Vec<usize>,
@@ -249,32 +250,71 @@ pub(crate) struct Walk {
 
 /// Walks the draft tree from node 0 (the pending bonus token): at each
 /// node the model's greedy pick is emitted, and the walk moves on to the
-/// first child carrying that token while `trusted` vouches for it.
+/// first child carrying that token while that child is trusted.
+/// `trusted_row(j)` is node `j`'s head row, or `None` when the node is not
+/// trusted; the walk asks it once per node it reads: the root, and each
+/// matching child, which is accepted or is the one child the walk stops
+/// at. `None` when the root itself is not trusted.
 pub(crate) fn greedy_walk(
-    node_logits: &[Vec<f32>],
     node_tokens: &[TokenId],
     parents: &[Option<usize>],
-    trusted: impl Fn(usize) -> bool,
-) -> Walk {
+    mut trusted_row: impl FnMut(usize) -> Option<Vec<f32>>,
+) -> Option<Walk> {
+    let mut full = trusted_row(0)?;
     let mut accepted = vec![0usize];
     let mut emitted = Vec::new();
     loop {
         let cur = *accepted.last().expect("the root is accepted");
-        let full = &node_logits[cur];
-        let pred = pick(full);
-        emitted.push((pred, f64::from(ops::nll(full, pred as usize))));
+        let pred = pick(&full);
+        emitted.push((pred, f64::from(ops::nll(&full, pred as usize))));
         let hit = (0..parents.len()).find(|&j| parents[j] == Some(cur) && node_tokens[j] == pred);
-        match hit {
-            Some(j) if trusted(j) => accepted.push(j),
+        match hit.map(|j| (j, trusted_row(j))) {
+            Some((j, Some(next))) => {
+                accepted.push(j);
+                full = next;
+            }
             _ => {
-                return Walk {
+                return Some(Walk {
                     accepted,
                     emitted,
                     next_bonus: pred,
                     cut: hit.is_some(),
-                }
+                })
             }
         }
+    }
+}
+
+/// The head rows of a tree verification over the node states `hs`, for
+/// [`greedy_walk`] to read: `head(j)` is node `j`'s row, or `None` when
+/// `readable(j)` is false — asked first, so an unreadable node's row is
+/// never computed. A readable row is computed when it is read, by
+/// `final_logits_batch` over that one state. So is a chain's, although the
+/// walk may read all of it: a self-draft walk mostly stops at the root,
+/// and a call over rows the walk never reads costs more than the weight
+/// passes it would save.
+///
+/// The verification is priced here, once, as the batched verify head of
+/// the paper's A100 profile: one `LmHeadFull` record over every node —
+/// what `Transformer::final_logits_batch(hs)` records, whatever the model
+/// — however few rows are computed. The rows are metered on a scratch
+/// meter; the backends give the same sums at any input count, so each
+/// row is the whole batch's row bit for bit.
+pub(crate) fn verify_head<'a, M: LayeredLm + ?Sized>(
+    model: &'a mut M,
+    hs: &'a [Vec<f32>],
+    readable: impl Fn(usize) -> bool + 'a,
+    meter: &mut Meter,
+) -> impl FnMut(usize) -> Option<Vec<f32>> + 'a {
+    OpScale::of(model.config()).record_lm_head_full_batch(meter, hs.len());
+    let mut scratch = Meter::new();
+    move |j| {
+        readable(j).then(|| {
+            model
+                .final_logits_batch(std::slice::from_ref(&hs[j]), &mut scratch)
+                .pop()
+                .expect("one state in, one row out")
+        })
     }
 }
 
@@ -329,6 +369,10 @@ mod tests {
         cfg: ModelConfig,
         rows: Vec<usize>,
         tape: Rc<RefCell<Vec<String>>>,
+        /// The head row of tree node `j`, whose state is `[j]`.
+        heads: Vec<Vec<f32>>,
+        /// The nodes of every `final_logits_batch` call, in order.
+        batches: Vec<Vec<usize>>,
     }
 
     impl Taped {
@@ -381,6 +425,12 @@ mod tests {
         fn final_logits(&mut self, h: &[f32], _: &mut Meter) -> Vec<f32> {
             self.note(format!("head after {} layers", h[0]));
             vec![0.0, 1.0]
+        }
+        fn final_logits_batch(&mut self, hs: &[Vec<f32>], _: &mut Meter) -> Vec<Vec<f32>> {
+            let nodes: Vec<usize> = hs.iter().map(|h| h[0] as usize).collect();
+            let rows = nodes.iter().map(|&j| self.heads[j].clone()).collect();
+            self.batches.push(nodes);
+            rows
         }
         fn kv_len(&self) -> usize {
             self.rows[0]
@@ -478,6 +528,8 @@ mod tests {
             cfg,
             rows: vec![0; 5],
             tape: Rc::clone(&tape),
+            heads: Vec::new(),
+            batches: Vec::new(),
         };
         let mut rule = Scripted {
             skip,
@@ -571,12 +623,23 @@ mod tests {
         row
     }
 
+    /// [`greedy_walk`] over precomputed rows, `fired` alone deciding trust.
+    fn walk_over(
+        logits: &[Vec<f32>],
+        tokens: &[TokenId],
+        parents: &[Option<usize>],
+        fired: impl Fn(usize) -> bool,
+    ) -> Walk {
+        greedy_walk(tokens, parents, |j| fired(j).then(|| logits[j].clone()))
+            .expect("a trusted root")
+    }
+
     #[test]
     fn the_walk_follows_a_chain_to_its_end() {
         // 0 → 1 → 2, every pick matching the next node; the last pick (7)
         // has no node to land on.
         let logits = [picking(3), picking(5), picking(7)];
-        let walk = greedy_walk(&logits, &[9, 3, 5], &[None, Some(0), Some(1)], |_| true);
+        let walk = walk_over(&logits, &[9, 3, 5], &[None, Some(0), Some(1)], |_| true);
         assert_eq!(walk.accepted, vec![0, 1, 2]);
         let tokens: Vec<TokenId> = walk.emitted.iter().map(|e| e.0).collect();
         assert_eq!(tokens, vec![3, 5, 7]);
@@ -592,25 +655,164 @@ mod tests {
         // accepted, and the stop is a cut.
         let logits = [picking(3), picking(1), picking(1)];
         let parents = [None, Some(0), Some(0)];
-        let walk = greedy_walk(&logits, &[9, 2, 3], &parents, |j| j != 2);
+        let walk = walk_over(&logits, &[9, 2, 3], &parents, |j| j != 2);
         assert_eq!(walk.accepted, vec![0]);
         assert_eq!(
             (walk.emitted.len(), walk.next_bonus, walk.cut),
             (1, 3, true)
         );
         // Trusted, the same child is taken, and a miss below it is no cut.
-        let walk = greedy_walk(&logits, &[9, 2, 3], &parents, |_| true);
+        let walk = walk_over(&logits, &[9, 2, 3], &parents, |_| true);
         assert_eq!((walk.accepted, walk.cut), (vec![0, 2], false));
     }
 
     #[test]
     fn the_walk_stops_at_a_root_with_no_matching_child() {
         let logits = [picking(6), picking(1)];
-        let walk = greedy_walk(&logits, &[9, 2], &[None, Some(0)], |_| true);
+        let walk = walk_over(&logits, &[9, 2], &[None, Some(0)], |_| true);
         assert_eq!(walk.accepted, vec![0]);
         assert_eq!(
             (walk.emitted.len(), walk.next_bonus, walk.cut),
             (1, 6, false)
         );
+    }
+
+    /// The walk as it was before rows were read on demand: every node's
+    /// head row computed up front, `trusted` asked of a matching child with
+    /// its row at hand. The oracle of the on-demand walk.
+    fn all_rows_walk(
+        node_logits: &[Vec<f32>],
+        node_tokens: &[TokenId],
+        parents: &[Option<usize>],
+        trusted: impl Fn(usize) -> bool,
+    ) -> Walk {
+        let mut accepted = vec![0usize];
+        let mut emitted = Vec::new();
+        loop {
+            let cur = *accepted.last().expect("the root is accepted");
+            let full = &node_logits[cur];
+            let pred = pick(full);
+            emitted.push((pred, f64::from(ops::nll(full, pred as usize))));
+            let hit =
+                (0..parents.len()).find(|&j| parents[j] == Some(cur) && node_tokens[j] == pred);
+            match hit {
+                Some(j) if trusted(j) => accepted.push(j),
+                _ => {
+                    return Walk {
+                        accepted,
+                        emitted,
+                        next_bonus: pred,
+                        cut: hit.is_some(),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_on_demand_walk_is_the_all_rows_walk_and_computes_only_where_it_goes() {
+        let mut rng = Pcg::seed(27);
+        // How often each kind of stop was met, so no branch goes untested.
+        let (mut deep, mut read_cut, mut unfired_match, mut untrusted_root) = (0, 0, 0, 0);
+        for case in 0..2000 {
+            // A small vocabulary, so that picks often match children.
+            let n = 1 + rng.below(16);
+            let tokens: Vec<TokenId> = (0..n).map(|_| rng.below(4) as TokenId).collect();
+            let parents: Vec<Option<usize>> =
+                (0..n).map(|j| (j > 0).then(|| rng.below(j))).collect();
+            let logits: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..4).map(|_| rng.normal() as f32).collect())
+                .collect();
+            let fired: Vec<bool> = (0..n).map(|_| rng.chance(0.8)).collect();
+            let verifies: Vec<bool> = (0..n).map(|_| rng.chance(0.8)).collect();
+
+            let mut m = Taped {
+                cfg: ModelConfig::tiny(),
+                rows: Vec::new(),
+                tape: Rc::default(),
+                heads: logits.clone(),
+                batches: Vec::new(),
+            };
+            let hs: Vec<Vec<f32>> = (0..n).map(|j| vec![j as f32]).collect();
+            let mut meter = Meter::new();
+            let walk = {
+                let mut head = verify_head(&mut m, &hs, |j| fired[j], &mut meter);
+                greedy_walk(&tokens, &parents, |j| {
+                    head(j).filter(|row| {
+                        assert_eq!(row, &logits[j], "case {case}: node {j} gets its own row");
+                        verifies[j]
+                    })
+                })
+            };
+            let trusted = |j: usize| fired[j] && verifies[j];
+            let oracle = trusted(0).then(|| all_rows_walk(&logits, &tokens, &parents, trusted));
+            assert_eq!(walk, oracle, "case {case}");
+
+            // One row a call, never an unfired node's.
+            assert!(
+                m.batches.iter().all(|call| call.len() == 1),
+                "case {case}: {:?}",
+                m.batches
+            );
+            let computed = m.batches.concat();
+            assert!(
+                computed.iter().all(|&j| fired[j]),
+                "case {case}: an unfired node's row was computed: {computed:?}"
+            );
+            let Some(walk) = walk else {
+                assert!(computed.len() <= 1, "case {case}: {computed:?}");
+                untrusted_root += 1;
+                continue;
+            };
+            let path = walk.accepted.len();
+            assert_eq!(computed[..path], walk.accepted, "case {case}");
+            assert!(computed.len() <= path + 1, "case {case}: {computed:?}");
+            if computed.len() == path + 1 {
+                assert!(
+                    walk.cut,
+                    "case {case}: a child computed past the path is the cut"
+                );
+                read_cut += 1;
+            } else if walk.cut {
+                unfired_match += 1;
+            }
+            deep += usize::from(path >= 3);
+        }
+        assert!(
+            [deep, read_cut, unfired_match, untrusted_root]
+                .iter()
+                .all(|&seen| seen >= 20),
+            "{deep} {read_cut} {unfired_match} {untrusted_root}"
+        );
+    }
+
+    #[test]
+    fn a_verification_is_priced_once_over_the_tree_whatever_rows_it_reads() {
+        // `verify_head` prices as `Transformer::final_logits_batch` does;
+        // the synthetic model forwards its head to its inner transformer,
+        // so the two owners of that record cannot drift apart unseen.
+        fn check<M: LayeredLm>(m: &mut M, name: &str) {
+            let mut scratch = Meter::new();
+            let hs: Vec<Vec<f32>> = (0..7).map(|t| m.begin_token(t, &mut scratch)).collect();
+            let mut batch_meter = Meter::new();
+            let batch = m.final_logits_batch(&hs, &mut batch_meter);
+            for reads in [vec![], vec![0], vec![0, 4, 2], (0..7).collect()] {
+                let mut meter = Meter::new();
+                let rows: Vec<Vec<f32>> = {
+                    let mut head = verify_head(m, &hs, |_| true, &mut meter);
+                    reads.iter().map(|&j| head(j).expect("readable")).collect()
+                };
+                for (&j, row) in reads.iter().zip(&rows) {
+                    assert_eq!(row, &batch[j], "{name}: row {j} of {reads:?}");
+                }
+                assert_eq!(meter, batch_meter, "{name}: reading {reads:?}");
+            }
+        }
+        check(&mut model(3), "transformer");
+        let synth = specee_synth::SyntheticLmBuilder::new(
+            model(3).config().clone(),
+            specee_synth::DatasetProfile::qa(),
+        );
+        check(&mut synth.seed(3).build(), "synthetic");
     }
 }

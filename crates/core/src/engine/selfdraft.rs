@@ -22,7 +22,7 @@ use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId, TreeKv};
 use specee_tensor::ops;
 
-use crate::engine::decode::greedy_walk;
+use crate::engine::decode::{greedy_walk, verify_head};
 
 /// Output of one shallow draft pass: the speculated node batch (index 0 is
 /// the pending bonus token; tree nodes follow, roots hanging off it), the
@@ -145,12 +145,13 @@ pub struct RoundOutcome {
 }
 
 /// Verifies the drafted tree against the deep final hidden states and
-/// commits the accepted path's K/V: ONE batched LM-head GEMM over all
-/// nodes, a greedy walk from the bonus node accepting the longest matching
-/// path, then the split commit — shallow layers from the draft-pass
-/// scratch (never recomputed), deep layers from the verify sweep. Rejected
-/// branches' scratch rows are simply dropped; nothing of them reaches the
-/// model's cache or pool.
+/// commits the accepted path's K/V. A greedy walk from the bonus node
+/// accepts the longest matching path, computing the LM head only on the
+/// rows it reads; the verification is priced as ONE batched head over all
+/// nodes. Then the split commit: shallow layers from the draft-pass
+/// scratch (never recomputed), deep layers from the verify sweep.
+/// Rejected branches' scratch rows are simply dropped; nothing of them
+/// reaches the model's cache or pool.
 pub fn verify_commit<M: LayeredLm + ?Sized>(
     model: &mut M,
     pass: &DraftPass,
@@ -158,10 +159,9 @@ pub fn verify_commit<M: LayeredLm + ?Sized>(
     deep_kvs: &[TreeKv],
     meter: &mut Meter,
 ) -> RoundOutcome {
-    let node_logits = model.final_logits_batch(final_hs, meter);
-    let walk = greedy_walk(&node_logits, &pass.node_tokens, &pass.node_parents, |_| {
-        true
-    });
+    let head = verify_head(model, final_hs, |_| true, meter);
+    let walk = greedy_walk(&pass.node_tokens, &pass.node_parents, head)
+        .expect("a walk that trusts every node stands on its root");
     let accepted = &walk.accepted;
 
     // Split commit: layer 0 first (the synthetic model's tree scripts are

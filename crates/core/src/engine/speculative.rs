@@ -20,7 +20,7 @@ use specee_draft::{SelfDraftSpec, SpeculativeSource};
 use specee_model::{LayeredLm, TokenId};
 
 use crate::config::SpecEeConfig;
-use crate::engine::decode::{generate_rounds, greedy_walk, Round, Walk};
+use crate::engine::decode::{generate_rounds, greedy_walk, verify_head, Round, Walk};
 use crate::engine::selfdraft::{deep_sweep, self_draft_pass, verify_commit};
 use crate::features::FeatureTracker;
 use crate::mapping::TreeExitState;
@@ -186,39 +186,38 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
                 // run the verification of §4.3.3 over the whole batch and
                 // walk the acceptance chain, trusting only nodes whose
                 // predictor fired and whose logits verify — an unfired
-                // node's logits may not have stabilized. The batch exits
-                // only when the chain that WOULD be accepted consists
-                // entirely of such nodes and ends naturally (a draft miss,
-                // not a cut) — the Cannikin position of the real accepted
-                // hyper-token, not of an arbitrary ready path.
+                // node's logits may not have stabilized, and its head row
+                // is never computed. The batch exits only when the chain
+                // that WOULD be accepted consists entirely of such nodes
+                // and ends naturally (a draft miss, not a cut) — the
+                // Cannikin position of the real accepted hyper-token, not
+                // of an arbitrary ready path.
                 if exit_state.any_path_ready() {
-                    let fulls = model.final_logits_batch(&hs, meter);
                     verify_calls += 1;
-                    let trusted = |j: usize| {
-                        exit_state.fired(j) && verify_exit(&fulls[j], &node_cands[j]).is_some()
-                    };
-                    if trusted(0) {
-                        let walk = greedy_walk(&fulls, &node_tokens, &node_parents, trusted);
-                        if !walk.cut {
-                            executed = layer + 1;
-                            exit_walk = Some(walk);
-                            break;
-                        }
+                    let mut head = verify_head(model, &hs, |j| exit_state.fired(j), meter);
+                    let walk = greedy_walk(&node_tokens, &node_parents, |j| {
+                        head(j).filter(|full| verify_exit(full, &node_cands[j]).is_some())
+                    });
+                    if let Some(walk) = walk.filter(|walk| !walk.cut) {
+                        executed = layer + 1;
+                        exit_walk = Some(walk);
+                        break;
                     }
                 }
             }
 
-            // An exit's walk is the round's verification: its batched head
-            // is already computed and paid for. A full-depth round verifies
-            // now — all node logits from ONE batched LM-head GEMM (how
-            // EAGLE verifies a tree), then a greedy walk from the bonus
-            // node accepts the longest matching path.
+            // An exit's walk is the round's verification, already paid
+            // for. A full-depth round verifies now — priced as ONE batched
+            // LM-head GEMM over every node (how EAGLE verifies a tree),
+            // then a greedy walk from the bonus node accepts the longest
+            // matching path.
             let Walk {
                 accepted, emitted, ..
             } = exit_walk.unwrap_or_else(|| {
                 verify_calls += 1;
-                let node_logits = model.final_logits_batch(&hs, meter);
-                greedy_walk(&node_logits, &node_tokens, &node_parents, |_| true)
+                let head = verify_head(model, &hs, |_| true, meter);
+                greedy_walk(&node_tokens, &node_parents, head)
+                    .expect("a walk that trusts every node stands on its root")
             });
             let base_kv = model.kv_len();
 

@@ -267,10 +267,14 @@ pub trait LayeredLm {
             .collect()
     }
 
-    /// Batched full LM head over several hidden states (one weight read —
-    /// how tree verification prices the head). The default computes
-    /// per-state logits and meters each separately; `Transformer`
-    /// overrides with batched metering.
+    /// Batched full LM head over several hidden states (what a self-draft
+    /// level's frontier expansion calls). The default computes per-state
+    /// logits and meters each separately; `Transformer` overrides with one
+    /// batched record. Tree verification calls it one state at a time,
+    /// only on the rows its greedy walk reads, on a scratch meter, and
+    /// prices the tree itself with the record `Transformer`'s override
+    /// makes over every node — whatever the model, so a model keeping
+    /// this default is priced by verification as `Transformer` is.
     fn final_logits_batch(&mut self, hs: &[Vec<f32>], meter: &mut Meter) -> Vec<Vec<f32>> {
         hs.iter().map(|h| self.final_logits(h, meter)).collect()
     }

@@ -387,8 +387,34 @@ fn normed(h: &[f32], gain: &[f32]) -> Vec<f32> {
 }
 
 /// [`normed`] copies of `hs`, packed row-major for the batched kernels.
+/// The squares are summed eight rows at a time, one lane a row, each lane
+/// adding its own row's squares in index order — `ops::rmsnorm`'s chain —
+/// so no sum mixes two rows and every row is [`normed`] bit for bit.
 fn pack_normed<H: AsRef<[f32]>>(hs: &[H], gain: &[f32]) -> Vec<f32> {
-    hs.iter().flat_map(|h| normed(h.as_ref(), gain)).collect()
+    const LANES: usize = 8;
+    let dim = gain.len();
+    let mut packed = vec![0.0; hs.len() * dim];
+    for (block, out) in hs.chunks(LANES).zip(packed.chunks_mut(LANES * dim)) {
+        let mut rows: [&[f32]; LANES] = [&[]; LANES];
+        for (row, h) in rows.iter_mut().zip(block) {
+            *row = h.as_ref();
+            assert_eq!(row.len(), dim, "rmsnorm shape");
+        }
+        let rows = &rows[..block.len()];
+        let mut sums = [0.0f32; LANES];
+        for i in 0..dim {
+            for (sum, row) in sums.iter_mut().zip(rows) {
+                *sum += row[i] * row[i];
+            }
+        }
+        for ((row, sum), out) in rows.iter().zip(sums).zip(out.chunks_exact_mut(dim)) {
+            let inv = 1.0 / (sum / dim as f32 + 1e-5).sqrt();
+            for ((o, v), g) in out.iter_mut().zip(*row).zip(gain) {
+                *o = v * inv * g;
+            }
+        }
+    }
+    packed
 }
 
 impl LayeredLm for Transformer {
@@ -726,6 +752,35 @@ mod tests {
         assert_eq!(logits.len(), m.config().vocab_size);
         assert_eq!(m.kv_len(), 3);
         assert!(argmax(&logits).is_some());
+    }
+
+    #[test]
+    fn a_packed_norm_is_the_row_norm_bit_for_bit() {
+        let mut rng = Pcg::seed(27);
+        let counts = (0..=17).chain([22, 40]);
+        for (n, dim) in counts.flat_map(|n| [6, 8, 10, 128].map(|dim| (n, dim))) {
+            let gain: Vec<f32> = (0..dim).map(|_| rng.normal() as f32).collect();
+            // Draws scaled by 1e-30, 1 and 1e30 in turn (the squares
+            // underflow at the bottom and overflow at the top), plus an
+            // all-zero row and a subnormal one when there is room.
+            let mut hs: Vec<Vec<f32>> = (0..n)
+                .map(|i| {
+                    let scale = 10f32.powi(30 * (i as i32 % 3 - 1));
+                    (0..dim).map(|_| rng.normal() as f32 * scale).collect()
+                })
+                .collect();
+            if n > 2 {
+                hs[1] = vec![0.0; dim];
+                hs[n - 1] = vec![f32::from_bits(1); dim];
+            }
+            let packed = pack_normed(&hs, &gain);
+            assert_eq!(packed.len(), n * dim);
+            for (i, (h, row)) in hs.iter().zip(packed.chunks_exact(dim)).enumerate() {
+                let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want = ops::rmsnorm(h, &gain, 1e-5);
+                assert_eq!(bits(row), bits(&want), "row {i} of {n}, width {dim}");
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! the kernels' column tail).
 
 use proptest::prelude::*;
+use specee::core::engine::SpeculativeEngine;
+use specee::core::{GenOutput, PredictorBank, PredictorConfig, ScheduleEngine, SpecEeConfig};
+use specee::draft::{DraftModel, SelfDraft, SelfDraftSpec, SpeculativeSource, TreeShape};
 use specee::metrics::{Meter, OpKind};
-use specee::model::{LayeredLm, ModelConfig, TokenId, Transformer, TreeKv};
-use specee::synth::{DatasetProfile, SyntheticLm, SyntheticLmBuilder};
+use specee::model::{LayeredLm, ModelConfig, SkipKvPolicy, TokenId, Transformer, TreeKv};
+use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::{BackendKind, Pcg, QuantBits};
 
 /// A random forest of 1..=24 draft nodes in topological order: mostly one
@@ -228,4 +231,295 @@ proptest! {
             prop_assert_eq!(&batch[i], &model.final_logits(h, &mut meter), "logits of node {}", i);
         }
     }
+}
+
+/// Forwards every call to `M`, except that a one-row `final_logits_batch`
+/// on a node state of the last `forward_layer_tree` is answered from ONE
+/// batched head over that whole layer: verification as it ran before the
+/// walk read rows on demand, every node's row out of one
+/// `final_logits_batch` over the tree. An engine on it is the all-rows run
+/// of the same engine on `M`.
+#[derive(Clone)]
+struct AllRows<M> {
+    inner: M,
+    /// The states the last `forward_layer_tree` returned and, once a walk
+    /// read one of them, the head rows of them all.
+    tree: Vec<Vec<f32>>,
+    rows: Vec<Vec<f32>>,
+    /// Rows the walks read, and rows the all-rows heads computed.
+    read: usize,
+    computed: usize,
+}
+
+impl<M: LayeredLm> LayeredLm for AllRows<M> {
+    fn config(&self) -> &ModelConfig {
+        self.inner.config()
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn prefill(&mut self, prompt: &[TokenId], meter: &mut Meter) -> Vec<f32> {
+        self.inner.prefill(prompt, meter)
+    }
+    fn begin_token(&mut self, token: TokenId, meter: &mut Meter) -> Vec<f32> {
+        self.inner.begin_token(token, meter)
+    }
+    fn forward_layer(
+        &mut self,
+        layer: usize,
+        h: &[f32],
+        pos: usize,
+        meter: &mut Meter,
+    ) -> Vec<f32> {
+        self.inner.forward_layer(layer, h, pos, meter)
+    }
+    fn begin_tree(
+        &mut self,
+        tokens: &[TokenId],
+        parents: &[Option<usize>],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        self.inner.begin_tree(tokens, parents, meter)
+    }
+    fn forward_layer_tree(
+        &mut self,
+        layer: usize,
+        hs: &[Vec<f32>],
+        parents: &[Option<usize>],
+        meter: &mut Meter,
+    ) -> (Vec<Vec<f32>>, TreeKv) {
+        let (outs, kv) = self.inner.forward_layer_tree(layer, hs, parents, meter);
+        self.tree = outs.clone();
+        self.rows.clear();
+        (outs, kv)
+    }
+    fn extend_tree(
+        &mut self,
+        tokens: &[TokenId],
+        parents: &[Option<usize>],
+        first_new: usize,
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        self.inner.extend_tree(tokens, parents, first_new, meter)
+    }
+    fn forward_layer_tree_partial(
+        &mut self,
+        layer: usize,
+        new_hs: &[Vec<f32>],
+        parents: &[Option<usize>],
+        first_new: usize,
+        scratch: &mut TreeKv,
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        self.inner
+            .forward_layer_tree_partial(layer, new_hs, parents, first_new, scratch, meter)
+    }
+    fn commit_tree_kv(&mut self, layer: usize, kv: &TreeKv, accepted: &[usize]) {
+        self.inner.commit_tree_kv(layer, kv, accepted);
+    }
+    fn accept_tokens(&mut self, tokens: &[TokenId]) {
+        self.inner.accept_tokens(tokens);
+    }
+    fn fill_layer_kv(
+        &mut self,
+        layer: usize,
+        h: &[f32],
+        pos: usize,
+        policy: SkipKvPolicy,
+        meter: &mut Meter,
+    ) {
+        self.inner.fill_layer_kv(layer, h, pos, policy, meter);
+    }
+    fn fill_skipped_kv(
+        &mut self,
+        first: usize,
+        h: &[f32],
+        pos: usize,
+        policy: SkipKvPolicy,
+        meter: &mut Meter,
+    ) {
+        self.inner.fill_skipped_kv(first, h, pos, policy, meter);
+    }
+    fn final_logits(&mut self, h: &[f32], meter: &mut Meter) -> Vec<f32> {
+        self.inner.final_logits(h, meter)
+    }
+    fn final_logits_batch(&mut self, hs: &[Vec<f32>], meter: &mut Meter) -> Vec<Vec<f32>> {
+        let node = match hs {
+            [h] => self.tree.iter().position(|state| state == h),
+            _ => None,
+        };
+        let Some(node) = node else {
+            return self.inner.final_logits_batch(hs, meter);
+        };
+        if self.rows.is_empty() {
+            self.rows = self.inner.final_logits_batch(&self.tree, &mut Meter::new());
+            self.computed += self.rows.len();
+        }
+        self.read += 1;
+        vec![self.rows[node].clone()]
+    }
+    fn slice_logits(&mut self, h: &[f32], tokens: &[TokenId], meter: &mut Meter) -> Vec<f32> {
+        self.inner.slice_logits(h, tokens, meter)
+    }
+    fn grouped_slice_logits(
+        &mut self,
+        hs: &[&[f32]],
+        sets: &[&[TokenId]],
+        meter: &mut Meter,
+    ) -> Vec<Vec<f32>> {
+        self.inner.grouped_slice_logits(hs, sets, meter)
+    }
+    fn kv_len(&self) -> usize {
+        self.inner.kv_len()
+    }
+    fn truncate_kv(&mut self, len: usize) {
+        self.inner.truncate_kv(len);
+    }
+    fn allocated_kv_tokens(&self) -> usize {
+        self.inner.allocated_kv_tokens()
+    }
+    fn modelled_weight_bytes(&self) -> f64 {
+        self.inner.modelled_weight_bytes()
+    }
+}
+
+/// Runs `engine` ("eagle", "t3" or "selfdraft") on `model` and hands the
+/// model back with the output.
+fn tree_engine<M: LayeredLm + Clone, D: SpeculativeSource + Clone>(
+    engine: &str,
+    model: M,
+    draft: &D,
+    bank: &PredictorBank,
+    prompt: &[TokenId],
+    gen_len: usize,
+) -> (GenOutput, M) {
+    fn serve<M: LayeredLm + Clone, D: SpeculativeSource>(
+        mut engine: SpeculativeEngine<M, D>,
+        prompt: &[TokenId],
+        gen_len: usize,
+    ) -> (GenOutput, M) {
+        let out = engine.generate(prompt, gen_len);
+        (out, engine.model().clone())
+    }
+    let n_layers = model.config().n_layers;
+    let config = SpecEeConfig {
+        tree_shape: TreeShape::new(vec![3, 2]),
+        ..SpecEeConfig::default()
+    };
+    match engine {
+        "eagle" => serve(
+            SpeculativeEngine::baseline(model, draft.clone(), config),
+            prompt,
+            gen_len,
+        ),
+        "t3" => {
+            let schedule = ScheduleEngine::all_layers(n_layers);
+            let t3 = SpeculativeEngine::with_early_exit(
+                model,
+                draft.clone(),
+                bank.clone(),
+                schedule,
+                config,
+            );
+            serve(t3, prompt, gen_len)
+        }
+        _ => {
+            let spec = SelfDraftSpec::new(n_layers - 1, TreeShape::new(vec![2, 2]));
+            serve(
+                SpeculativeEngine::baseline(model, SelfDraft::new(spec), SpecEeConfig::default()),
+                prompt,
+                gen_len,
+            )
+        }
+    }
+}
+
+/// `engine` on a clone of `model` and on an [`AllRows`] twin of another:
+/// both outputs, the rows the twin's walks read and the rows its all-rows
+/// heads computed.
+fn on_demand_and_all_rows<M: LayeredLm + Clone, D: SpeculativeSource + Clone>(
+    engine: &str,
+    model: &M,
+    draft: &D,
+    bank: &PredictorBank,
+    prompt: &[TokenId],
+    gen_len: usize,
+) -> (GenOutput, GenOutput, usize, usize) {
+    let (on_demand, _) = tree_engine(engine, model.clone(), draft, bank, prompt, gen_len);
+    let twin = AllRows {
+        inner: model.clone(),
+        tree: Vec::new(),
+        rows: Vec::new(),
+        read: 0,
+        computed: 0,
+    };
+    let (all_rows, twin) = tree_engine(engine, twin, draft, bank, prompt, gen_len);
+    (on_demand, all_rows, twin.read, twin.computed)
+}
+
+/// T3, EAGLE and self-draft read the LM head only where the greedy walk
+/// goes; on `Transformer` in every weight format × backend, and on the
+/// synthetic model, their tokens, exit layers, `ce_sum`,
+/// `verify_calls` and whole `Meter` are the all-rows run's, while the
+/// walks read fewer rows than the tree has. Both runs price verification
+/// through the same `verify_head`, so the `Meter` equality here cannot see
+/// a pricing change; the pricing itself is pinned against a real
+/// `final_logits_batch` by `specee-core`'s
+/// `a_verification_is_priced_once_over_the_tree_whatever_rows_it_reads`.
+#[test]
+fn tree_engines_reading_rows_on_demand_equal_their_all_rows_runs() {
+    let cfg = ModelConfig {
+        n_layers: 6,
+        ..ModelConfig::tiny()
+    };
+    let (mut read, mut computed, mut t3_exits) = (0, 0, 0);
+    for seed in 0..6u64 {
+        let mut rng = Pcg::seed(seed ^ 0x27);
+        let prompt: Vec<TokenId> = (0..1 + rng.below(8))
+            .map(|_| rng.below(cfg.vocab_size) as TokenId)
+            .collect();
+        let gen_len = 1 + rng.below(16);
+        let mut bank = PredictorBank::new(
+            cfg.n_layers,
+            &PredictorConfig::default(),
+            &mut Pcg::seed(seed),
+        );
+        // Low thresholds fire most nodes early, so the exit walk runs on
+        // trees where some nodes have fired and some have not.
+        bank.set_threshold([0.0, 0.3, 0.5][seed as usize % 3]);
+
+        let models = variants(&cfg, seed);
+        let draft = DraftModel::new(&cfg, &mut Pcg::seed(seed ^ 9));
+        let synth = SyntheticLmBuilder::new(cfg.clone(), DatasetProfile::qa())
+            .seed(seed)
+            .build();
+        let oracle = OracleDraft::new(*synth.language(), 0.9, &cfg, seed ^ 1);
+
+        for engine in ["eagle", "t3", "selfdraft"] {
+            let mut runs: Vec<(&str, _)> = models
+                .iter()
+                .map(|(name, model)| {
+                    let runs =
+                        on_demand_and_all_rows(engine, model, &draft, &bank, &prompt, gen_len);
+                    (name.as_str(), runs)
+                })
+                .collect();
+            let runs_synth =
+                on_demand_and_all_rows(engine, &synth, &oracle, &bank, &prompt, gen_len);
+            runs.push(("synthetic", runs_synth));
+            for (name, (on_demand, all_rows, twin_read, twin_computed)) in runs {
+                assert_eq!(on_demand, all_rows, "{engine} on {name}, seed {seed}");
+                read += twin_read;
+                computed += twin_computed;
+                if engine == "t3" {
+                    let exits = on_demand.exit_layers.iter().filter(|&&l| l < cfg.n_layers);
+                    t3_exits += exits.count();
+                }
+            }
+        }
+    }
+    // The twins answered the walks, which read well under every row, and
+    // T3 exited on some of them.
+    assert!(read > 0 && 2 * read < computed, "read {read} of {computed}");
+    assert!(t3_exits > 0);
 }
