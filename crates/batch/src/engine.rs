@@ -3,16 +3,16 @@
 use std::collections::BTreeSet;
 
 use specee_control::{ClassEvidence, ClassedController, ControllerSummary};
-use specee_core::engine::first_token;
 use specee_core::engine::scan::{ExitFeedback, ExitScan};
-use specee_core::engine::selfdraft::{self_draft_pass, verify_commit, DraftPass};
+use specee_core::engine::selfdraft::{self_draft_pass, verify_commit};
+use specee_core::engine::{Round, Transcript};
 use specee_core::predictor::{ExitPredictor, PredictorBank};
 use specee_core::scheduler::ScheduleEngine;
 use specee_core::traffic::{Lane, TrafficClass};
 use specee_core::SpecEeConfig;
 use specee_draft::{SelfDraftSpec, SpeculativeSource};
 use specee_metrics::Meter;
-use specee_model::{LayeredLm, PageLedger, SlotPool, TokenId, TreeKv};
+use specee_model::{LayeredLm, PageLedger, SlotPool, TokenId};
 use specee_obs::{EventKind, Recorder};
 use specee_tensor::ops;
 
@@ -152,12 +152,7 @@ struct SeqState<D> {
     draft: D,
     schedule: ScheduleEngine,
     scan: ExitScan,
-    ctx: Vec<TokenId>,
-    last: TokenId,
-    gen_len: usize,
-    tokens: Vec<TokenId>,
-    exit_layers: Vec<usize>,
-    ce_sum: f64,
+    log: Transcript,
     /// The draft source's forward-call counter at admission, so the
     /// output reports only this sequence's own draft work.
     draft_calls_base: u64,
@@ -171,12 +166,13 @@ struct SeqState<D> {
 
 impl<D: SpeculativeSource> SeqState<D> {
     fn into_output(self) -> BatchedOutput {
+        let (tokens, exit_layers, ce_sum) = self.log.finish();
         BatchedOutput {
             id: self.id,
             class: self.class,
-            tokens: self.tokens,
-            exit_layers: self.exit_layers,
-            ce_sum: self.ce_sum,
+            tokens,
+            exit_layers,
+            ce_sum,
             predictor_calls: self.scan.predictor_calls(),
             verify_calls: self.scan.verify_calls() + self.self_draft_rounds,
             draft_calls: self
@@ -568,8 +564,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         gen_len: usize,
     ) -> Admission {
         assert!(self.has_free_slot(), "no free slot");
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        assert!(gen_len > 0, "gen_len must be positive");
         assert_eq!(model.config().n_layers, self.n_layers, "model depth");
         // The default class is in `classes` from the start, so it is never
         // opened here: it fires at the bank's own until its first feedback.
@@ -600,7 +594,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             }
         }
         self.prefix_tokens_reused += reused as u64;
-        let (t, ce) = first_token(&mut model, &prompt[reused..], &mut self.meter);
+        let log = Transcript::start(&mut model, prompt, reused, gen_len, &mut self.meter);
 
         let mut scan = ExitScan::new();
         scan.set_class(class);
@@ -611,17 +605,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             draft,
             schedule: self.schedule_template.clone(),
             scan,
-            ctx: prompt.to_vec(),
-            last: t,
-            gen_len,
-            tokens: vec![t],
-            exit_layers: vec![self.n_layers],
-            ce_sum: ce,
+            log,
             draft_calls_base,
             self_draft_calls: 0,
             self_draft_rounds: 0,
         };
-        if gen_len == 1 {
+        if seq.log.done() {
             return Admission::Done(seq.into_output());
         }
         let slot = self.seat(Seat { model, seq }, Some(prompt));
@@ -798,8 +787,9 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     }
 
     /// Whether this batch decodes by self-draft tree verification. The
-    /// whole batch — parked sequences included — must agree, because the
-    /// two step bodies disagree on how many tokens a step may commit.
+    /// whole batch — parked sequences included — must agree, because a
+    /// step produces every seat's round one way: a token through the exit
+    /// scan, or a tree through the verify sweep.
     fn self_drafting(&self) -> bool {
         let everyone = || self.seats.iter().flatten().chain(&self.parked);
         let is_self = |s: &Seat<M, D>| s.seq.draft.self_spec().is_some();
@@ -812,47 +802,70 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         any
     }
 
-    /// Runs one synchronized decode step: every seated sequence proposes
-    /// its candidates, feeds its pending token, and sweeps the layer stack
-    /// in lock-step — one [`LayeredLm::forward_layer_group`] call per layer
-    /// over the seats still running. After each layer every running
-    /// sequence scores its own scheduled predictor ([`ExitScan::score`]),
-    /// the ones that fired share one full LM head
-    /// ([`LayeredLm::final_logits_group`]) and each settles its own row
-    /// ([`ExitScan::settle`]); a verified exit drops out of the sweep
-    /// there, and the sweep itself continues to the rearmost layer any
-    /// sequence still needs. At the end of the step the sequences that left
-    /// fill the K/V of the layers they skipped in one pass per layer
-    /// ([`LayeredLm::fill_skipped_kv_group`]) and the rest share one last
-    /// head. Emits one token per seated sequence and retires the finished.
+    /// Runs one synchronized decode step: opens it at the memory plane's
+    /// boundary, lets every seated sequence produce its [`Round`] in
+    /// lock-step, commits each round to the sequence's [`Transcript`],
+    /// retires the finished and closes the step.
     ///
-    /// Self-draft batches take the tree-verification body instead: per
-    /// seat a shallow draft pass, then one lock-step
+    /// A round is one token through the exit scan: every sequence proposes
+    /// its candidates and feeds its pending token, and the batch sweeps the
+    /// layers — one [`LayeredLm::forward_layer_group`] call per layer over
+    /// the seats still running. After each layer every running sequence
+    /// scores its own scheduled predictor ([`ExitScan::score`]), the ones
+    /// that fired share one full LM head ([`LayeredLm::final_logits_group`])
+    /// and each settles its own row ([`ExitScan::settle`]); a verified exit
+    /// leaves the sweep, which runs to the rearmost layer anyone still
+    /// needs. Then the sequences that left fill the K/V of the layers they
+    /// skipped, one pass per layer ([`LayeredLm::fill_skipped_kv_group`]),
+    /// and the rest share one last head. In a self-draft batch a round is a
+    /// tree: per seat a shallow draft pass, then one lock-step
     /// [`LayeredLm::forward_layer_tree`] sweep of the deep layers and a
-    /// split commit, up to `1 + tree depth` tokens per sequence.
+    /// split commit ([`verify_commit`]) — up to `1 + tree depth` tokens.
     ///
     /// Returns the measured step — an empty report (no runners, nothing
     /// emitted) when no sequence is seated.
     pub fn step(&mut self) -> BatchStep {
-        if self.self_drafting() {
-            return self.step_self_draft();
-        }
+        let trees = self.self_drafting();
         self.open_step();
         let mut report = BatchStep::empty(self.n_layers);
+        if self.occupancy() == 0 {
+            return report;
+        }
+        let rounds = if trees {
+            self.tree_rounds(&mut report)
+        } else {
+            self.token_rounds(&mut report)
+        };
+        for (slot, round) in rounds {
+            report.emitted += round.emitted.len();
+            let log = &mut self.seats[slot].as_mut().expect("a round per seat").seq.log;
+            log.commit(round, &mut self.meter);
+            if log.done() {
+                report.finished.push(self.unseat(slot).seq.into_output());
+            }
+        }
+        self.close_step();
+        report
+    }
+
+    /// Every seat's round of a plain step, in slot order: one token
+    /// through the lock-step sweep and exit scan of [`BatchedEngine::step`].
+    /// The scans' feedback goes into the report and, with a controller
+    /// attached, into the controller.
+    fn token_rounds(&mut self, report: &mut BatchStep) -> Vec<(usize, Round)> {
         let spec_k = self.config.predictor.spec_k;
 
-        // Token setup per seated sequence, in slot order: context, draft
-        // proposal, embed.
+        // Token setup per seated sequence, in slot order: draft proposal,
+        // embed.
         let mut running: Vec<Running<'_, M, D>> = Vec::new();
         for (slot, seat) in self.seats.iter_mut().enumerate() {
             let Some(seat) = seat else { continue };
             let seq = &mut seat.seq;
-            seq.ctx.push(seq.last);
-            let cands = seq.draft.propose(&seq.ctx, spec_k, &mut self.meter);
+            let cands = seq.draft.propose(seq.log.ctx(), spec_k, &mut self.meter);
             let scan_base = (seq.scan.predictor_calls(), seq.scan.verify_calls());
             seq.scan.begin_token();
             let pos = seat.model.kv_len();
-            let hidden = seat.model.begin_token(seq.last, &mut self.meter);
+            let hidden = seat.model.begin_token(seq.log.pending(), &mut self.meter);
             report.ctx_lens.push(pos + 1);
             report.draft_slots += usize::from(!cands.is_empty());
             running.push(Running {
@@ -865,9 +878,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 fire: None,
                 exit: None,
             });
-        }
-        if running.is_empty() {
-            return report;
         }
 
         // The shared layer sweep over the seats that have not left,
@@ -938,11 +948,10 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
         let (mut group, hs, _) = members(&mut running, |run| run.exit.is_none());
         let mut last_heads = M::final_logits_group(&mut group, &hs, &mut self.meter).into_iter();
 
-        // Emit one token per sequence. Feedback is collected here in slot
-        // order and handed to the controller afterwards, grouped by
-        // class.
+        // One token per sequence. Feedback is collected here in slot order
+        // and handed to the controller afterwards, grouped by class.
         let mut drained: Vec<(TrafficClass, Vec<ExitFeedback>, usize)> = Vec::new();
-        let mut finished: Vec<usize> = Vec::new();
+        let mut rounds = Vec::new();
         for run in running {
             let seq = &mut run.seat.seq;
             let (executed, next, full) = match run.exit {
@@ -954,13 +963,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                     (self.n_layers, tok, full)
                 }
             };
-            seq.ce_sum += f64::from(ops::nll(&full, next as usize));
             seq.schedule.note_exit(executed.saturating_sub(1));
-            seq.tokens.push(next);
-            seq.exit_layers.push(executed);
-            seq.last = next;
-            self.meter.mark_token();
-            report.emitted += 1;
             let (p0, v0) = run.scan_base;
             report.predictor_calls += seq.scan.predictor_calls() - p0;
             report.lm_head_evals += seq.scan.verify_calls() - v0;
@@ -975,12 +978,8 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             } else {
                 report.feedback.extend(feedback);
             }
-            if seq.tokens.len() >= seq.gen_len {
-                finished.push(run.slot);
-            }
-        }
-        for slot in finished {
-            report.finished.push(self.unseat(slot).seq.into_output());
+            let emitted = vec![(next, f64::from(ops::nll(&full, next as usize)))];
+            rounds.push((run.slot, Round { emitted, executed }));
         }
         // Close the loop: feed the controller per class in slot order
         // (classes ascend; the stable sort keeps slot order within each
@@ -1007,49 +1006,27 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 });
             }
         }
-        self.close_step();
-        report
+        rounds
     }
 
-    /// The self-draft body of [`BatchedEngine::step`]: every seated
-    /// sequence drafts a token tree through its own model's shallow
-    /// layers (sequence-local — each slot's tree grows inside its own
-    /// KV scratch), the deep layers then verify every slot's whole tree
-    /// in lock-step ([`LayeredLm::forward_layer_tree`], a seat joining at
-    /// its own exit layer), and each slot commits its accepted root path
-    /// under the split-KV rule: shallow layers from the draft-pass
-    /// scratch (committed, never recomputed), deep layers from the verify
-    /// sweep. Rejected branches leave no pool residue.
-    fn step_self_draft(&mut self) -> BatchStep {
-        /// One seat's tree through the step: what its draft pass built
-        /// and what the verify sweep has made of it so far.
-        struct Drafted<'a, M, D> {
-            slot: usize,
-            seat: &'a mut Seat<M, D>,
-            pass: DraftPass,
-            /// The first layer of the verify sweep this tree runs.
-            exit_layer: usize,
-            /// Hidden state per tree node.
-            hidden: Vec<Vec<f32>>,
-            /// Scratch K/V of the verify sweep, in tree-node order, one
-            /// entry per layer run.
-            kvs: Vec<TreeKv>,
-        }
-        self.open_step();
-        let mut report = BatchStep::empty(self.n_layers);
-
-        // Per-slot shallow draft pass. Drafting is sequence-local (each
-        // tree attends its own context), but every shallow layer a pass
-        // ran still lands in the step's layer-runner counts — the
-        // Cannikin price of the step is measured, not assumed.
-        let mut drafted: Vec<Drafted<'_, M, D>> = Vec::new();
+    /// Every seat's round of a self-draft step, in slot order: its tree
+    /// drafted through its own model's shallow layers (sequence-local —
+    /// each tree grows inside its own K/V scratch), the deep layers then
+    /// swept over every tree in lock-step, a tree joining at its own exit
+    /// layer, and each seat's tree verified and split-committed
+    /// ([`verify_commit`]): shallow layers from the draft-pass scratch
+    /// (committed, never recomputed), deep layers from the sweep. Rejected
+    /// branches leave no pool residue.
+    fn tree_rounds(&mut self, report: &mut BatchStep) -> Vec<(usize, Round)> {
+        // Every shallow layer a pass ran lands in the step's layer-runner
+        // counts — the Cannikin price of the step is measured, not assumed.
+        let mut trees = Vec::new();
         for (slot, seat) in self.seats.iter_mut().enumerate() {
             let Some(seat) = seat else { continue };
             let Seat { model, seq } = &mut *seat;
-            let spec = seq.draft.self_spec().expect("self-draft batch").clone();
-            seq.ctx.push(seq.last);
+            let spec = seq.draft.self_spec().expect("a self-draft batch");
             report.ctx_lens.push(model.kv_len() + 1);
-            let mut pass = self_draft_pass(model, seq.last, &spec, &mut self.meter);
+            let pass = self_draft_pass(model, seq.log.pending(), spec, &mut self.meter);
             seq.self_draft_calls += pass.shallow_calls;
             for runner in report.layer_runners.iter_mut().take(spec.exit_layer) {
                 *runner += 1;
@@ -1059,76 +1036,32 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 exit_layer: spec.exit_layer as u32,
             });
             report.self_draft_slots += 1;
-            drafted.push(Drafted {
-                slot,
-                seat,
-                hidden: std::mem::take(&mut pass.exit_hs),
-                pass,
-                exit_layer: spec.exit_layer,
-                kvs: Vec::new(),
-            });
+            trees.push((slot, seat, pass));
         }
 
-        if drafted.is_empty() {
-            return report;
-        }
-
-        // The lock-step verify sweep: deep layers run over every slot's
-        // whole tree under that slot's tree attention mask (slots with a
-        // deeper exit layer join the sweep later).
-        let first = drafted.iter().map(|d| d.exit_layer).min();
-        for layer in first.expect("a drafted seat")..self.n_layers {
-            for d in drafted.iter_mut().filter(|d| layer >= d.exit_layer) {
-                let parents = &d.pass.node_parents;
-                let (out, kv) =
-                    d.seat
-                        .model
-                        .forward_layer_tree(layer, &d.hidden, parents, &mut self.meter);
-                d.hidden = out;
-                d.kvs.push(kv);
-                report.layer_runners[layer] += 1;
+        // The lock-step verify sweep: each layer runs every tree that has
+        // run all the layers below it, under that tree's attention mask.
+        for layer in 0..self.n_layers {
+            for (_, seat, pass) in trees.iter_mut() {
+                if pass.kvs.len() == layer {
+                    pass.sweep_layer(&mut seat.model, &mut self.meter);
+                    report.layer_runners[layer] += 1;
+                }
             }
         }
 
-        // Per-slot verification and split commit; retire the finished.
-        let mut finished: Vec<usize> = Vec::new();
-        for d in drafted {
-            let Seat { model, seq } = d.seat;
-            let outcome = verify_commit(model, &d.pass, &d.hidden, &d.kvs, &mut self.meter);
+        let mut rounds = Vec::new();
+        for (slot, Seat { model, seq }, mut pass) in trees {
+            let round = verify_commit(model, &mut pass, &mut self.meter);
             report.lm_head_evals += 1;
             seq.self_draft_rounds += 1;
-            for &(tok, ce) in &outcome.emitted {
-                seq.tokens.push(tok);
-                seq.exit_layers.push(self.n_layers);
-                seq.ce_sum += ce;
-                self.meter.mark_token();
-                report.emitted += 1;
-            }
-            // Context coherence: the accepted path joined the committed
-            // context (the bonus was pushed before drafting).
-            seq.ctx.extend(
-                outcome
-                    .emitted
-                    .iter()
-                    .take(outcome.accepted_len - 1)
-                    .map(|&(t, _)| t),
-            );
-            seq.last = outcome.next_bonus;
             trace_event(&mut self.trace, Some(seq.id), || EventKind::TreeVerified {
-                nodes: outcome.n_nodes as u32,
-                accepted: outcome.accepted_len as u32,
+                nodes: pass.node_tokens.len() as u32,
+                accepted: round.emitted.len() as u32,
             });
-            if seq.tokens.len() >= seq.gen_len {
-                seq.tokens.truncate(seq.gen_len);
-                seq.exit_layers.truncate(seq.gen_len);
-                finished.push(d.slot);
-            }
+            rounds.push((slot, round));
         }
-        for slot in finished {
-            report.finished.push(self.unseat(slot).seq.into_output());
-        }
-        self.close_step();
-        report
+        rounds
     }
 
     /// Closes a decode step at its boundary: settles the page leases,
@@ -2072,10 +2005,10 @@ mod tests {
 
     /// An engine over an untrained bank that scans every layer: enough
     /// for tests about what admission does to the model it is handed.
-    fn untrained_engine(
+    fn untrained_engine<D: SpeculativeSource>(
         max_batch: usize,
         page_size: usize,
-    ) -> BatchedEngine<SyntheticLm, OracleDraft> {
+    ) -> BatchedEngine<SyntheticLm, D> {
         let pcfg = PredictorConfig {
             hidden_dim: 32,
             ..PredictorConfig::default()
@@ -2135,6 +2068,42 @@ mod tests {
         assert_eq!(step.emitted, 0);
         assert_eq!(step.rearmost_layer(), 0);
         assert!(step.finished.is_empty());
+    }
+
+    /// A source that drafts through its target's shallow layers or, built
+    /// without a spec, proposes nothing.
+    struct EitherDraft(Option<SelfDraftSpec>);
+
+    impl SpeculativeSource for EitherDraft {
+        fn propose(&mut self, _: &[TokenId], _: usize, _: &mut Meter) -> Vec<TokenId> {
+            Vec::new()
+        }
+        fn propose_tree(
+            &mut self,
+            _: &[TokenId],
+            _: &specee_draft::TreeShape,
+            _: &mut Meter,
+        ) -> specee_draft::TokenTree {
+            specee_draft::TokenTree::new()
+        }
+        fn reset(&mut self) {}
+        fn modelled_bytes(&self) -> f64 {
+            0.0
+        }
+        fn self_spec(&self) -> Option<&SelfDraftSpec> {
+            self.0.as_ref()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "self-draft sequences cannot share a batch")]
+    fn a_batch_mixing_self_draft_and_separate_draft_sequences_is_refused() {
+        let mut eng = untrained_engine(2, 16);
+        let spec = SelfDraftSpec::new(2, specee_draft::TreeShape::chain(2));
+        for (id, draft) in [(0, EitherDraft(None)), (1, EitherDraft(Some(spec)))] {
+            let _ = eng.admit(id, build_lm(85), draft, &[4, 2, 9], 6);
+        }
+        let _ = eng.step();
     }
 
     #[test]

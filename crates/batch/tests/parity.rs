@@ -8,7 +8,7 @@ use specee_batch::{Admission, BatchedEngine};
 use specee_core::collect::{collect_training_data, train_bank};
 use specee_core::engine::SpecEeEngine;
 use specee_core::predictor::{PredictorBank, PredictorConfig};
-use specee_core::{ScheduleEngine, SpecEeConfig};
+use specee_core::{GenOutput, ScheduleEngine, SpecEeConfig};
 use specee_model::{ModelConfig, TokenId};
 use specee_nn::TrainConfig;
 use specee_synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
@@ -78,17 +78,27 @@ fn prompts() -> Vec<Vec<TokenId>> {
 
 /// Single-stream reference run for one prompt (fresh engine per prompt so
 /// schedule/noise state never leaks across requests).
+fn reference(
+    seed: u64,
+    draft_seed: u64,
+    parts: &(PredictorBank, ScheduleEngine, SpecEeConfig),
+    prompt: &[TokenId],
+) -> GenOutput {
+    let lm = build_lm(seed);
+    let draft = build_draft(&lm, draft_seed);
+    let mut engine =
+        SpecEeEngine::new(lm, draft, parts.0.clone(), parts.1.clone(), parts.2.clone());
+    engine.generate(prompt, GEN)
+}
+
+/// The [`reference`] run's tokens, exit layers, predictor and verify calls.
 fn single_stream(
     seed: u64,
     draft_seed: u64,
     parts: &(PredictorBank, ScheduleEngine, SpecEeConfig),
     prompt: &[TokenId],
 ) -> (Vec<TokenId>, Vec<usize>, u64, u64) {
-    let lm = build_lm(seed);
-    let draft = build_draft(&lm, draft_seed);
-    let mut engine =
-        SpecEeEngine::new(lm, draft, parts.0.clone(), parts.1.clone(), parts.2.clone());
-    let out = engine.generate(prompt, GEN);
+    let out = reference(seed, draft_seed, parts, prompt);
     (
         out.tokens,
         out.exit_layers,
@@ -103,7 +113,15 @@ fn batch_one_is_token_and_exit_identical_to_single_stream() {
     let parts = trained(seed);
     for (i, prompt) in prompts().iter().enumerate() {
         let draft_seed = seed ^ (i as u64);
-        let (tokens, exits, pcalls, vcalls) = single_stream(seed, draft_seed, &parts, prompt);
+        let GenOutput {
+            tokens,
+            exit_layers: exits,
+            predictor_calls: pcalls,
+            verify_calls: vcalls,
+            ce_sum,
+            meter,
+            ..
+        } = reference(seed, draft_seed, &parts, prompt);
 
         let mut engine: BatchedEngine<SyntheticLm, OracleDraft> = BatchedEngine::new(
             1,
@@ -125,6 +143,10 @@ fn batch_one_is_token_and_exit_identical_to_single_stream() {
         assert_eq!(out.exit_layers, exits, "prompt {i}: exit layers diverged");
         assert_eq!(out.predictor_calls, pcalls, "prompt {i}: predictor calls");
         assert_eq!(out.verify_calls, vcalls, "prompt {i}: verify calls");
+        // The same work in the same order: every op total, token and host
+        // step, and the cross-entropy summed token by token.
+        assert_eq!(engine.meter(), &meter, "prompt {i}: meter diverged");
+        assert_eq!(out.ce_sum, ce_sum, "prompt {i}: cross-entropy diverged");
         // Sanity: the run genuinely exercised early exits, not just
         // full-depth agreement.
         assert!(

@@ -87,10 +87,8 @@ fn batch_one_self_draft_is_bit_identical_to_single_engine() {
 
         assert_eq!(out.tokens, reference.tokens, "prompt {i}: tokens diverged");
         assert_eq!(out.exit_layers, reference.exit_layers, "prompt {i}: exits");
-        assert!(
-            (out.ce_sum - reference.ce_sum).abs() < 1e-9,
-            "prompt {i}: cross-entropy diverged"
-        );
+        assert_eq!(out.ce_sum, reference.ce_sum, "prompt {i}: cross-entropy");
+        assert_eq!(eng.meter(), &reference.meter, "prompt {i}: meter diverged");
         assert_eq!(out.verify_calls, reference.rounds, "prompt {i}: rounds");
         assert_eq!(
             out.self_draft_calls, reference.self_draft_calls,

@@ -5,9 +5,11 @@
 //! self-draft are the same request loop with a round that emits several
 //! tokens. So there is one of each here and the engines are what differs:
 //!
-//! * `generate_rounds` — the request: first token, rounds until
-//!   `gen_len` tokens are out, every token and host step marked, the one
-//!   full [`GenOutput`] literal of the crate.
+//! * [`Transcript`] — a request's bookkeeping: first token, context ending
+//!   in the pending token, each [`Round`] committed, cut at `gen_len`; one
+//!   per request here, one per seat in `specee-batch`.
+//! * `generate_rounds` — the request: rounds until its transcript is done,
+//!   a host step each, the one full [`GenOutput`] literal of the crate.
 //! * `decode` — the round that emits one token, under a `LayerRule`
 //!   whose hooks all default to "run the layer, read the final head".
 //! * [`dense_probe`] — the offline pass of the collectors: decode densely,
@@ -24,7 +26,6 @@ use specee_metrics::Meter;
 use specee_model::{prefill, LayeredLm, OpScale, SkipKvPolicy, TokenId};
 use specee_tensor::ops;
 
-use crate::engine::first_token;
 use crate::output::GenOutput;
 
 /// The greedy pick of a logits row.
@@ -35,21 +36,102 @@ pub(crate) fn pick(logits: &[f32]) -> TokenId {
 /// A taken exit: the token and the full-vocabulary logits it was read from.
 pub(crate) type Exit = Option<(TokenId, Vec<f32>)>;
 
-/// What one round of [`generate_rounds`] produced.
-pub(crate) struct Round {
+/// What one round of a request produced: one token through the layers, or
+/// a verified tree's accepted path.
+#[derive(Debug)]
+pub struct Round {
     /// Emitted `(token, cross-entropy)` pairs, in order (at least one).
-    pub(crate) emitted: Vec<(TokenId, f64)>,
+    pub emitted: Vec<(TokenId, f64)>,
     /// Decoder layers run for each of them.
-    pub(crate) executed: usize,
+    pub executed: usize,
 }
 
-/// Decodes one request. The first token comes out of the full-depth
-/// prefill; then `round(model, ctx, meter)` runs, with `ctx` the prompt and
-/// every emitted token — the last one still pending: it has been emitted
-/// but not yet fed to the model — until `gen_len` tokens are out. A round
-/// may overshoot; tokens and exit layers are truncated, the meter and
-/// `ce_sum` keep everything that ran. One host step is charged per round.
-/// The counters come back zero: callers fill theirs with `..out`.
+/// One request's decode so far: the context — the prompt and every emitted
+/// token, the last one still pending: emitted but not yet fed to the model
+/// — the layers each emitted token ran, and their summed cross-entropy. A
+/// round may overshoot `gen_len`; [`Transcript::finish`] truncates tokens
+/// and exit layers, while the meter and `ce_sum` keep everything that ran.
+#[derive(Debug, Clone)]
+pub struct Transcript {
+    ctx: Vec<TokenId>,
+    prompt_len: usize,
+    gen_len: usize,
+    exit_layers: Vec<usize>,
+    ce_sum: f64,
+}
+
+impl Transcript {
+    /// Opens a request with its first token, out of the full-depth prefill
+    /// of `prompt` past its first `cached` tokens (whose K/V the model
+    /// already holds). The prefill runs on a throw-away meter — reported
+    /// numbers are decode tokens/s —, the LM head on `meter`, which marks
+    /// the token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prompt` is empty, `cached` leaves none of it to prefill,
+    /// or `gen_len` is zero.
+    pub fn start<M: LayeredLm + ?Sized>(
+        model: &mut M,
+        prompt: &[TokenId],
+        cached: usize,
+        gen_len: usize,
+        meter: &mut Meter,
+    ) -> Self {
+        assert!(!prompt.is_empty(), "prompt must be non-empty");
+        assert!(gen_len > 0, "gen_len must be positive");
+        let h = prefill(model, &prompt[cached..], &mut Meter::new());
+        let logits = model.final_logits(&h, meter);
+        let first = pick(&logits);
+        meter.mark_token();
+        Transcript {
+            ctx: [prompt, &[first]].concat(),
+            prompt_len: prompt.len(),
+            gen_len,
+            exit_layers: vec![model.config().n_layers],
+            ce_sum: f64::from(ops::nll(&logits, first as usize)),
+        }
+    }
+
+    /// The prompt and every emitted token, the pending one last.
+    pub fn ctx(&self) -> &[TokenId] {
+        &self.ctx
+    }
+
+    /// The token the next round feeds: the last one emitted.
+    pub fn pending(&self) -> TokenId {
+        self.ctx[self.ctx.len() - 1]
+    }
+
+    /// Whether `gen_len` tokens are out.
+    pub fn done(&self) -> bool {
+        self.exit_layers.len() >= self.gen_len
+    }
+
+    /// Appends a round's tokens, marking each on `meter`.
+    pub fn commit(&mut self, round: Round, meter: &mut Meter) {
+        for (token, ce) in round.emitted {
+            self.ctx.push(token);
+            self.exit_layers.push(round.executed);
+            self.ce_sum += ce;
+            meter.mark_token();
+        }
+    }
+
+    /// The emitted tokens and their exit layers, both cut at `gen_len`,
+    /// and the cross-entropy of every token emitted.
+    pub fn finish(mut self) -> (Vec<TokenId>, Vec<usize>, f64) {
+        let mut tokens = self.ctx.split_off(self.prompt_len);
+        tokens.truncate(self.gen_len);
+        self.exit_layers.truncate(self.gen_len);
+        (tokens, self.exit_layers, self.ce_sum)
+    }
+}
+
+/// Decodes one request: its [`Transcript`], then `round(model, ctx, meter)`
+/// with the transcript's context until it is done, one host step charged
+/// per round. The counters come back zero: callers fill theirs with
+/// `..out`.
 ///
 /// # Panics
 ///
@@ -60,30 +142,15 @@ pub(crate) fn generate_rounds<M: LayeredLm>(
     gen_len: usize,
     mut round: impl FnMut(&mut M, &[TokenId], &mut Meter) -> Round,
 ) -> GenOutput {
-    assert!(!prompt.is_empty(), "prompt must be non-empty");
-    assert!(gen_len > 0, "gen_len must be positive");
     let mut meter = Meter::new();
     model.reset();
-
-    let (first, mut ce_sum) = first_token(model, prompt, &mut meter);
-    let mut ctx = prompt.to_vec();
-    ctx.push(first);
-    let mut exit_layers = vec![model.config().n_layers];
-
-    while exit_layers.len() < gen_len {
-        let Round { emitted, executed } = round(model, &ctx, &mut meter);
+    let mut log = Transcript::start(model, prompt, 0, gen_len, &mut meter);
+    while !log.done() {
+        let r = round(model, log.ctx(), &mut meter);
         meter.mark_host_step();
-        for (token, ce) in emitted {
-            ctx.push(token);
-            exit_layers.push(executed);
-            ce_sum += ce;
-            meter.mark_token();
-        }
+        log.commit(r, &mut meter);
     }
-
-    let mut tokens = ctx.split_off(prompt.len());
-    tokens.truncate(gen_len);
-    exit_layers.truncate(gen_len);
+    let (tokens, exit_layers, ce_sum) = log.finish();
     GenOutput {
         tokens,
         exit_layers,
@@ -239,10 +306,9 @@ pub(crate) struct Walk {
     /// Accepted node indices in path order; the root (node 0) always is.
     pub(crate) accepted: Vec<usize>,
     /// The model's pick and its cross-entropy at every accepted node: the
-    /// tokens the round emits.
+    /// tokens the round emits, the last of them the first pick no accepted
+    /// child carries.
     pub(crate) emitted: Vec<(TokenId, f64)>,
-    /// The last pick — the first one no accepted child carries.
-    pub(crate) next_bonus: TokenId,
     /// Whether the walk stopped at a child that *matched* the pick but was
     /// not trusted, rather than at a draft miss.
     pub(crate) cut: bool,
@@ -277,7 +343,6 @@ pub(crate) fn greedy_walk(
                 return Some(Walk {
                     accepted,
                     emitted,
-                    next_bonus: pred,
                     cut: hit.is_some(),
                 })
             }
@@ -643,7 +708,7 @@ mod tests {
         assert_eq!(walk.accepted, vec![0, 1, 2]);
         let tokens: Vec<TokenId> = walk.emitted.iter().map(|e| e.0).collect();
         assert_eq!(tokens, vec![3, 5, 7]);
-        assert_eq!((walk.next_bonus, walk.cut), (7, false));
+        assert!(!walk.cut);
         let ce = f64::from(ops::nll(&logits[0], 3));
         assert_eq!(walk.emitted[0].1, ce);
     }
@@ -658,7 +723,7 @@ mod tests {
         let walk = walk_over(&logits, &[9, 2, 3], &parents, |j| j != 2);
         assert_eq!(walk.accepted, vec![0]);
         assert_eq!(
-            (walk.emitted.len(), walk.next_bonus, walk.cut),
+            (walk.emitted.len(), walk.emitted[0].0, walk.cut),
             (1, 3, true)
         );
         // Trusted, the same child is taken, and a miss below it is no cut.
@@ -672,7 +737,7 @@ mod tests {
         let walk = walk_over(&logits, &[9, 2], &[None, Some(0)], |_| true);
         assert_eq!(walk.accepted, vec![0]);
         assert_eq!(
-            (walk.emitted.len(), walk.next_bonus, walk.cut),
+            (walk.emitted.len(), walk.emitted[0].0, walk.cut),
             (1, 6, false)
         );
     }
@@ -701,7 +766,6 @@ mod tests {
                     return Walk {
                         accepted,
                         emitted,
-                        next_bonus: pred,
                         cut: hit.is_some(),
                     }
                 }

@@ -12,11 +12,14 @@
 //! exits its single-stream run would (parity by construction, not by test
 //! alone).
 //!
-//! The scan is the *early-exit* half of the draft/verify seam. Its
+//! The scan is the *early-exit* half of the draft/verify seam: a round of
+//! one token, [`crate::engine::Round`] with the layers it ran. Its
 //! sibling, [`crate::engine::selfdraft`], covers the *self-speculative*
 //! half: there the shallow layers themselves play the draft role and no
 //! per-layer predictor scan runs at all — sequences in self-draft mode
 //! bypass `ExitScan` entirely (exit layers are always the full depth).
+//! Both kinds of round commit to a [`crate::engine::Transcript`] the same
+//! way, in `generate_rounds` and in the batched step alike.
 
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId};

@@ -1,10 +1,10 @@
-//! Self-speculative draft/verify round helpers (Kangaroo-style split).
+//! Self-speculative draft/verify rounds (Kangaroo-style split).
 //!
 //! The self-draft mode runs the *target's own* shallow layers
 //! `0..exit_layer` as the draft model: each round grows a token tree level
 //! by level through the shallow stack (expanding every frontier node with
 //! the tied LM head on its exit-layer hidden state), then resumes the deep
-//! layers `exit_layer..n_layers` over the whole tree in one masked sweep
+//! layers `exit_layer..n_layers` over the whole tree in masked sweeps
 //! for verification. The KV cache is split at the exit layer — shallow K/V
 //! written during drafting is *committed, not recomputed* when nodes are
 //! accepted, so each accepted token pays for each shallow layer exactly
@@ -12,35 +12,49 @@
 //!
 //! Both [`crate::SpeculativeEngine`] (single sequence) and the batched
 //! engine in `specee-batch` drive their rounds through these helpers, so
-//! the two tiers stay in parity by construction: the batched engine runs
-//! [`self_draft_pass`] per slot, sweeps the deep layers in lock-step, and
-//! finishes each slot with [`verify_commit`]; the single engine's
-//! [`deep_sweep`] is the batch-of-one special case.
+//! the two tiers stay in parity by construction: a round is
+//! [`self_draft_pass`], the deep layers one [`DraftPass::sweep_layer`] at
+//! a time, then [`verify_commit`], which returns the round's
+//! [`crate::engine::Round`]. The batched engine sweeps its seats' trees
+//! in lock-step, layer by layer; a lone sequence leaves the whole sweep to
+//! `verify_commit` — the batch of one.
 
 use specee_draft::SelfDraftSpec;
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId, TreeKv};
 use specee_tensor::ops;
 
-use crate::engine::decode::{greedy_walk, verify_head};
+use crate::engine::decode::{greedy_walk, verify_head, Round};
 
-/// Output of one shallow draft pass: the speculated node batch (index 0 is
-/// the pending bonus token; tree nodes follow, roots hanging off it), the
-/// per-shallow-layer scratch K/V covering every node, and the exit-layer
-/// hidden state per node that the verify pass resumes from.
+/// One round's draft tree (index 0 is the pending bonus token; tree nodes
+/// follow, roots hanging off it), as deep as it has run: the shallow draft
+/// pass, then the layers of the verify sweep.
 #[derive(Debug, Clone)]
 pub struct DraftPass {
     /// Token per node (index 0 = bonus).
     pub node_tokens: Vec<TokenId>,
     /// In-batch parent per node (`None` only for the bonus root).
     pub node_parents: Vec<Option<usize>>,
-    /// Scratch K/V per shallow layer (`shallow_kvs[l]` covers all nodes at
-    /// layer `l`), written incrementally while drafting.
-    pub shallow_kvs: Vec<TreeKv>,
-    /// Exit-layer hidden state per node.
-    pub exit_hs: Vec<Vec<f32>>,
+    /// Scratch K/V per layer run (`kvs[l]` covers all nodes at layer
+    /// `l`): the shallow layers, written incrementally while drafting,
+    /// then the deep layers of the verify sweep.
+    pub kvs: Vec<TreeKv>,
+    /// Hidden state per node after the last layer run: the exit layer's
+    /// once drafted, the final layer's once swept.
+    pub hs: Vec<Vec<f32>>,
     /// Shallow (node × layer) runs this pass executed.
     pub shallow_calls: u64,
+}
+
+impl DraftPass {
+    /// Runs the whole tree through its next layer, the first it has not
+    /// run, under the tree attention mask: one step of the verify sweep.
+    pub fn sweep_layer<M: LayeredLm + ?Sized>(&mut self, model: &mut M, meter: &mut Meter) {
+        let layer = self.kvs.len();
+        let (out, kv) = model.forward_layer_tree(layer, &self.hs, &self.node_parents, meter);
+        self.hs = out;
+        self.kvs.push(kv);
+    }
 }
 
 /// Runs the shallow draft pass for one round: seeds the tree with the
@@ -104,82 +118,43 @@ pub fn self_draft_pass<M: LayeredLm + ?Sized>(
     DraftPass {
         node_tokens,
         node_parents,
-        shallow_kvs,
-        exit_hs,
+        kvs: shallow_kvs,
+        hs: exit_hs,
         shallow_calls,
     }
 }
 
-/// Resumes the deep layers `exit_layer..n_layers` over the whole drafted
-/// tree in full masked sweeps (the batch-of-one verify pass); returns the
-/// final hidden states and the deep scratch K/V per layer.
-pub fn deep_sweep<M: LayeredLm + ?Sized>(
-    model: &mut M,
-    pass: &DraftPass,
-    exit_layer: usize,
-    meter: &mut Meter,
-) -> (Vec<Vec<f32>>, Vec<TreeKv>) {
-    let n_layers = model.config().n_layers;
-    let mut hs = pass.exit_hs.clone();
-    let mut deep_kvs = Vec::with_capacity(n_layers - exit_layer);
-    for layer in exit_layer..n_layers {
-        let (out, kv) = model.forward_layer_tree(layer, &hs, &pass.node_parents, meter);
-        hs = out;
-        deep_kvs.push(kv);
-    }
-    (hs, deep_kvs)
-}
-
-/// Outcome of one verified self-draft round.
-#[derive(Debug, Clone)]
-pub struct RoundOutcome {
-    /// Emitted `(token, cross-entropy)` pairs, in order.
-    pub emitted: Vec<(TokenId, f64)>,
-    /// The next round's bonus token (first rejected position's greedy fix,
-    /// or the continuation past a fully accepted path).
-    pub next_bonus: TokenId,
-    /// Nodes accepted into the context (≥ 1: the bonus always commits).
-    pub accepted_len: usize,
-    /// Total nodes verified this round.
-    pub n_nodes: usize,
-}
-
-/// Verifies the drafted tree against the deep final hidden states and
-/// commits the accepted path's K/V. A greedy walk from the bonus node
-/// accepts the longest matching path, computing the LM head only on the
-/// rows it reads; the verification is priced as ONE batched head over all
-/// nodes. Then the split commit: shallow layers from the draft-pass
-/// scratch (never recomputed), deep layers from the verify sweep.
-/// Rejected branches' scratch rows are simply dropped; nothing of them
-/// reaches the model's cache or pool.
+/// Finishes a round: sweeps the deep layers the tree has not run yet,
+/// verifies it and commits the accepted path's K/V. A greedy walk from the
+/// bonus node accepts the longest matching path, computing the LM head
+/// only on the rows it reads; the verification is priced as ONE batched
+/// head over all nodes. Then the split commit: shallow layers from the
+/// draft-pass scratch (never recomputed), deep layers from the verify
+/// sweep. Rejected branches' scratch rows are simply dropped; nothing of
+/// them reaches the model's cache or pool. Every emitted token ran the
+/// whole stack.
 pub fn verify_commit<M: LayeredLm + ?Sized>(
     model: &mut M,
-    pass: &DraftPass,
-    final_hs: &[Vec<f32>],
-    deep_kvs: &[TreeKv],
+    pass: &mut DraftPass,
     meter: &mut Meter,
-) -> RoundOutcome {
-    let head = verify_head(model, final_hs, |_| true, meter);
+) -> Round {
+    let n_layers = model.config().n_layers;
+    while pass.kvs.len() < n_layers {
+        pass.sweep_layer(model, meter);
+    }
+    let head = verify_head(model, &pass.hs, |_| true, meter);
     let walk = greedy_walk(&pass.node_tokens, &pass.node_parents, head)
         .expect("a walk that trusts every node stands on its root");
-    let accepted = &walk.accepted;
 
-    // Split commit: layer 0 first (the synthetic model's tree scripts are
-    // keyed there), shallow from draft scratch, deep from the verify kvs.
-    for (layer, kv) in pass.shallow_kvs.iter().enumerate() {
-        model.commit_tree_kv(layer, kv, accepted);
+    // Layer 0 first: the synthetic model's tree scripts are keyed there.
+    for (layer, kv) in pass.kvs.iter().enumerate() {
+        model.commit_tree_kv(layer, kv, &walk.accepted);
     }
-    for (off, kv) in deep_kvs.iter().enumerate() {
-        model.commit_tree_kv(pass.shallow_kvs.len() + off, kv, accepted);
-    }
-    let accepted_tokens: Vec<TokenId> = accepted.iter().map(|&i| pass.node_tokens[i]).collect();
-    model.accept_tokens(&accepted_tokens);
-
-    RoundOutcome {
-        accepted_len: accepted.len(),
+    let accepted: Vec<TokenId> = walk.accepted.iter().map(|&i| pass.node_tokens[i]).collect();
+    model.accept_tokens(&accepted);
+    Round {
         emitted: walk.emitted,
-        next_bonus: walk.next_bonus,
-        n_nodes: pass.node_tokens.len(),
+        executed: n_layers,
     }
 }
 
@@ -211,9 +186,9 @@ mod tests {
         // bonus + 2 roots + 4 children
         assert_eq!(pass.node_tokens.len(), 7);
         assert_eq!(pass.node_parents[0], None);
-        assert_eq!(pass.exit_hs.len(), 7);
-        assert_eq!(pass.shallow_kvs.len(), 2);
-        for kv in &pass.shallow_kvs {
+        assert_eq!(pass.hs.len(), 7);
+        assert_eq!(pass.kvs.len(), 2);
+        for kv in &pass.kvs {
             assert_eq!(kv.len(), 7, "scratch covers every node per layer");
         }
         assert_eq!(pass.shallow_calls, 7 * 2);
@@ -226,7 +201,8 @@ mod tests {
     #[test]
     fn accepted_tokens_commit_without_a_second_shallow_pass() {
         // KV-split invariant at the round level: after verify_commit, the
-        // model's committed cache grew by accepted_len at EVERY layer, and
+        // model's committed cache grew by the accepted length at EVERY
+        // layer, and
         // the shallow rows are bit-identical to the draft-pass scratch —
         // proof they were committed, not recomputed (a recompute would have
         // attended over a longer cache and produced different rows).
@@ -235,29 +211,23 @@ mod tests {
         let _ = prefill(&mut m, &[1, 2, 3], &mut meter);
         let base = m.kv_len();
         let spec = SelfDraftSpec::new(2, TreeShape::chain(3));
-        let pass = self_draft_pass(&mut m, 5, &spec, &mut meter);
-        let (final_hs, deep_kvs) = deep_sweep(&mut m, &pass, 2, &mut meter);
-        let out = verify_commit(&mut m, &pass, &final_hs, &deep_kvs, &mut meter);
-        assert!(out.accepted_len >= 1);
-        assert_eq!(out.n_nodes, 4);
-        assert_eq!(m.kv_len(), base + out.accepted_len);
+        let mut pass = self_draft_pass(&mut m, 5, &spec, &mut meter);
+        let out = verify_commit(&mut m, &mut pass, &mut meter);
+        let accepted = out.emitted.len();
+        assert!(accepted >= 1);
+        assert_eq!((pass.node_tokens.len(), pass.kvs.len()), (4, 4));
+        assert_eq!(m.kv_len(), base + accepted);
         // Every layer's cache holds exactly the committed positions:
         // rejected nodes left no residue anywhere.
         for layer in 0..4 {
-            assert_eq!(m.cache(layer).len(), base + out.accepted_len);
+            assert_eq!(m.cache(layer).len(), base + accepted);
         }
         // Shallow rows in the cache are the draft-pass scratch rows, bit
         // for bit — committed, not recomputed (a recompute would attend
         // over a longer cache and produce different rows).
         for layer in 0..2 {
-            assert_eq!(
-                m.cache(layer).key(base),
-                pass.shallow_kvs[layer].k[0].as_slice()
-            );
-            assert_eq!(
-                m.cache(layer).value(base),
-                pass.shallow_kvs[layer].v[0].as_slice()
-            );
+            assert_eq!(m.cache(layer).key(base), pass.kvs[layer].k[0].as_slice());
+            assert_eq!(m.cache(layer).value(base), pass.kvs[layer].v[0].as_slice());
         }
     }
 
@@ -273,9 +243,8 @@ mod tests {
         let logits = m.final_logits(&h, &mut meter);
         let bonus = ops::argmax(&logits).expect("logits") as TokenId;
         let spec = SelfDraftSpec::new(2, TreeShape::chain(3));
-        let pass = self_draft_pass(&mut m, bonus, &spec, &mut meter);
-        let (final_hs, deep_kvs) = deep_sweep(&mut m, &pass, 2, &mut meter);
-        let out = verify_commit(&mut m, &pass, &final_hs, &deep_kvs, &mut meter);
+        let mut pass = self_draft_pass(&mut m, bonus, &spec, &mut meter);
+        let out = verify_commit(&mut m, &mut pass, &mut meter);
 
         // Greedy reference: token-by-token decode on a fresh model.
         let mut r = model();

@@ -21,7 +21,7 @@ use specee_model::{LayeredLm, TokenId};
 
 use crate::config::SpecEeConfig;
 use crate::engine::decode::{generate_rounds, greedy_walk, verify_head, Round, Walk};
-use crate::engine::selfdraft::{deep_sweep, self_draft_pass, verify_commit};
+use crate::engine::selfdraft::{self_draft_pass, verify_commit};
 use crate::features::FeatureTracker;
 use crate::mapping::TreeExitState;
 use crate::output::GenOutput;
@@ -250,8 +250,9 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
         }
     }
 
-    /// Self-speculative rounds: shallow draft pass → deep verify sweep →
-    /// split KV commit, all through [`crate::engine::selfdraft`].
+    /// Self-speculative rounds: shallow draft pass, then the deep verify
+    /// sweep and split KV commit of [`verify_commit`], all through
+    /// [`crate::engine::selfdraft`].
     ///
     /// # Panics
     ///
@@ -284,14 +285,9 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
         let out = generate_rounds(&mut self.model, prompt, gen_len, |model, ctx, meter| {
             rounds += 1;
             let bonus = *ctx.last().expect("pending token");
-            let pass = self_draft_pass(model, bonus, spec, meter);
+            let mut pass = self_draft_pass(model, bonus, spec, meter);
             self_draft_calls += pass.shallow_calls;
-            let (final_hs, deep_kvs) = deep_sweep(model, &pass, spec.exit_layer, meter);
-            let outcome = verify_commit(model, &pass, &final_hs, &deep_kvs, meter);
-            Round {
-                emitted: outcome.emitted,
-                executed: n_layers,
-            }
+            verify_commit(model, &mut pass, meter)
         });
         GenOutput {
             verify_calls: rounds,

@@ -608,7 +608,21 @@ fn generate_batch1<D: SpeculativeSource>(
     engine.set_recorder(recorder);
     let out = match engine.admit(0, lm, draft, prompt, tokens) {
         Admission::Done(out) => out,
-        Admission::Seated { .. } => engine.drain().remove(0),
+        Admission::Seated { .. } => {
+            // No simulated clock at batch 1: each step is stamped with the
+            // tokens emitted before it, as `SpecEeEngine` stamps a token.
+            let mut emitted = 1;
+            loop {
+                if let Some(rec) = engine.recorder_mut() {
+                    rec.set_clock(emitted as f64);
+                }
+                let mut step = engine.step();
+                emitted += step.emitted;
+                if let Some(out) = step.finished.pop() {
+                    break out;
+                }
+            }
+        }
     };
     let out = GenOutput {
         tokens: out.tokens,

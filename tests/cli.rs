@@ -199,3 +199,69 @@ fn unknown_flags_and_stray_words_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{args:?} printed before failing");
     }
 }
+
+/// The instant events of a Chrome trace `specee` wrote, by text: `(name,
+/// ts, args)` per event, each event one `{"name":…}` object whose args
+/// hold no nested object.
+fn instants(path: &std::path::Path) -> Vec<(String, f64, String)> {
+    let trace = std::fs::read_to_string(path).expect("the trace was written");
+    let after = |event: &str, key: &str| event.split(key).nth(1).map(str::to_string);
+    trace
+        .split(r#"{"name":""#)
+        .filter(|event| event.contains(r#""ph":"i""#))
+        .map(|event| {
+            let name = event.split('"').next().expect("a name").to_string();
+            let ts = after(event, r#""ts":"#).expect("a timestamp");
+            let ts = ts.split(',').next().expect("a number").parse().expect("ts");
+            let args = after(event, r#""args":{"#).expect("args");
+            (name, ts, args.split('}').next().expect("args").to_string())
+        })
+        .collect()
+}
+
+/// `generate`'s batch-1 arms (`--controller`, `--draft self:`) stamp each
+/// event with the tokens emitted before it, as the single-stream engine
+/// does, instead of stamping every event at time 0: a static controller's
+/// exit instants carry the uncontrolled run's `(ts, layer, accepted)`, and
+/// self-draft passes advance the clock.
+#[test]
+fn batch_one_generate_traces_are_stamped_by_token() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let traced = |name: &str, flags: &[&str]| {
+        let path = dir.join(format!("batch_one_{name}.json"));
+        let base = [
+            "generate",
+            "--model",
+            "tiny",
+            "--tokens",
+            "6",
+            "--trace-out",
+        ];
+        let out = specee(&[&base[..], &[path.to_str().expect("utf-8")], flags].concat());
+        assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
+        instants(&path)
+    };
+    let exits = |events: Vec<(String, f64, String)>| -> Vec<(f64, String, bool)> {
+        let exits = events
+            .into_iter()
+            .filter(|(name, ..)| name.starts_with("exit-"));
+        exits
+            .map(|(_, ts, args)| {
+                let layer = args.split(r#""layer":"#).nth(1).expect("a layer");
+                let layer = layer.split(',').next().expect("a layer").to_string();
+                (ts, layer, args.contains(r#""accepted":true"#))
+            })
+            .collect()
+    };
+    let plain = exits(traced("plain", &[]));
+    assert!(plain.len() > 1, "the run must exit to test anything");
+    assert_eq!(exits(traced("static", &["--controller", "static"])), plain);
+
+    let passes: Vec<f64> = traced("self_draft", &["--draft", "self:exit=2,tree=2x2"])
+        .into_iter()
+        .filter(|(name, ..)| name == "draft-pass")
+        .map(|(_, ts, _)| ts)
+        .collect();
+    assert!(passes.len() > 1, "{passes:?}");
+    assert!(passes.windows(2).all(|w| w[0] < w[1]), "{passes:?}");
+}

@@ -167,6 +167,21 @@ fn the_admission_round_has_one_call_site() {
     }
 }
 
+/// `BatchedEngine::step` is one body whatever its seats draft: across the
+/// non-test source of the batch crate a step is opened, closed and given
+/// its report in exactly one place. A second site means a step body of its
+/// own has grown back beside it.
+#[test]
+fn the_batched_step_has_one_body() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/batch/src"), &mut files);
+    let code = non_test_code(&files);
+    for call in ["self.open_step()", "self.close_step()", "BatchStep::empty("] {
+        assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
+    }
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable directory") {
@@ -226,9 +241,9 @@ fn steps_are_priced_at_one_call_site_and_replay_stays_gone() {
 /// first `#[cfg(test)]` of the core crate and of the bench harness, a
 /// decoder layer is *called* from exactly two places (the token body
 /// `decode` and the offline `dense_probe`), a token is marked in two
-/// (`first_token` and the outer loop `generate_rounds`) and so is a host
-/// step (the outer loop and the one extra `DenseEngine` charges for its
-/// first token). A third site means an engine or a collector has grown a
+/// (`Transcript::start` and `Transcript::commit`) and so is a host step
+/// (the outer loop `generate_rounds` and the one extra `DenseEngine`
+/// charges for its first token). A third site means an engine or a collector has grown a
 /// loop of its own again.
 #[test]
 fn the_greedy_loop_has_one_body() {
