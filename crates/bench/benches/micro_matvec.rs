@@ -25,9 +25,12 @@
 //! (four on the AVX path, eight on the AVX-512 one) — the reason
 //! `sweep_layer` batches its seats — so the per-`N` column of `streamed`
 //! should not decrease from 4 to 8 inputs and ns/input should fall.
+//!
+//! `exp` times `ops::exp_in_place` against the scalar `f32::exp` loop it
+//! replaced, in ns an element, at the widths the decoder calls it with.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use specee_tensor::{BackendKind, Matrix, Pcg};
+use specee_tensor::{ops, BackendKind, Matrix, Pcg};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -181,6 +184,35 @@ fn streamed(_c: &mut Criterion) {
     }
 }
 
+/// Widths the decoder runs `exp` over: one attention head's scores at 64
+/// cached rows, one SiLU gate row (FFN 256), one vocabulary-wide `nll`.
+const EXP_WIDTHS: &[usize] = &[64, 256, 2048];
+
+/// Both sides refill the row from the same inputs in `[-8, 8)` (no lane
+/// takes the special path) before every call; printed, never asserted.
+fn exp_rows(_c: &mut Criterion) {
+    let mut rng = Pcg::seed(31);
+    for &n in EXP_WIDTHS {
+        let mut x = vec![0.0f32; n];
+        rng.fill_uniform(&mut x, 8.0);
+        let mut y = x.clone();
+        let scalar = min_ns(64, || {
+            y.copy_from_slice(&x);
+            for v in black_box(&mut y[..]).iter_mut() {
+                *v = v.exp();
+            }
+        });
+        let vector = min_ns(64, || {
+            y.copy_from_slice(&x);
+            ops::exp_in_place(black_box(&mut y[..]));
+        });
+        for (path, ns) in [("scalar", scalar), ("vector", vector)] {
+            let name = format!("exp/{path}/{n}");
+            println!("{name:<40} {:>9.2} ns/element", ns / n as f64);
+        }
+    }
+}
+
 fn row(name: &str, ns: f64, n_in: usize) -> String {
     let per_input = ns / n_in as f64;
     format!("{name:<40} {ns:>9.0} ns/call {per_input:>9.0} ns/input")
@@ -190,5 +222,5 @@ fn report(name: &str, ns: f64, n_in: usize) {
     println!("{}", row(name, ns, n_in));
 }
 
-criterion_group!(benches, bench, model_shapes, streamed);
+criterion_group!(benches, bench, model_shapes, streamed, exp_rows);
 criterion_main!(benches);

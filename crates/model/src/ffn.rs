@@ -61,9 +61,7 @@ impl FfnRouter {
 pub fn ffn_apply(w: &LayerWeights, backend: BackendKind, xs: &[f32], n: usize) -> Vec<f32> {
     let mut act = w.w_gate.matmul_with(backend, xs, n);
     let up = w.w_up.matmul_with(backend, xs, n);
-    for (a, &u) in act.iter_mut().zip(up.iter()) {
-        *a = ops::silu(*a) * u;
-    }
+    ops::silu_mul_in_place(&mut act, &up);
     w.w_down.matmul_with(backend, &act, n)
 }
 

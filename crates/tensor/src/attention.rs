@@ -5,9 +5,10 @@
 //! [`attend`] is bit-identical to the scalar loop it replaced (kept as the
 //! oracle of this module's tests). For every head it scores each visible
 //! row `matrix::dot(q_head, k_head) * (1 / √head_dim)`, runs
-//! [`ops::softmax_inplace`] over that head's scores — the scalar `exp`; a
-//! vector one would round differently — and adds `weight * v` into the
-//! output row by row, in row order. Three paths, picked at runtime as
+//! [`ops::softmax_inplace`] over that head's scores — whose vector `exp`,
+//! [`ops::exp_in_place`], returns `f32::exp`'s bits lane for lane — and
+//! adds `weight * v` into the output row by row, in row order. Three
+//! paths, picked at runtime as
 //! [`crate::Blocked`]'s mat-mul is. The portable one scores a quad of rows
 //! through the mat-mul's `dot4_rows`; AVX puts the quad two rows to a
 //! 256-bit register, the mat-mul's AVX tile layout with a cached row in
