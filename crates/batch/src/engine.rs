@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use specee_control::{ClassEvidence, ClassedController, ControllerSummary};
-use specee_core::engine::scan::{ExitFeedback, ExitScan};
+use specee_core::engine::scan::{sweep, ExitFeedback, ExitScan, Running};
 use specee_core::engine::selfdraft::{self_draft_pass, verify_commit};
 use specee_core::engine::{Round, Transcript};
 use specee_core::predictor::{ExitPredictor, PredictorBank};
@@ -14,7 +14,6 @@ use specee_draft::{SelfDraftSpec, SpeculativeSource};
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, PageLedger, SlotPool, TokenId};
 use specee_obs::{EventKind, Recorder};
-use specee_tensor::ops;
 
 /// The finished record of one batched sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,45 +200,12 @@ struct Seat<M, D> {
     seq: SeqState<D>,
 }
 
-/// One running seat's share of a decode step: the state its token carries
-/// from layer to layer, beside the seat it belongs to.
-struct Running<'a, M, D> {
-    slot: usize,
-    seat: &'a mut Seat<M, D>,
-    /// The K/V position the pending token occupies.
-    pos: usize,
-    hidden: Vec<f32>,
-    cands: Vec<TokenId>,
-    /// The scan's (predictor, verify) call counters when the step began.
-    scan_base: (u64, u64),
-    /// The `(score, threshold)` of a predictor fire awaiting its head row.
-    fire: Option<(f32, f32)>,
-    /// Layers executed, token and full logits of a verified exit; a seat
-    /// is in the sweep while this is `None`.
-    exit: Option<(usize, TokenId, Vec<f32>)>,
-}
-
-/// The member lists of a [`LayeredLm`] group call: the models of the
-/// running seats `pick` selects, in slot order, with each one's hidden
-/// state and K/V position.
-fn members<'a, M, D>(
-    running: &'a mut [Running<'_, M, D>],
-    pick: impl Fn(&Running<'_, M, D>) -> bool,
-) -> (Vec<&'a mut M>, Vec<&'a [f32]>, Vec<usize>) {
-    let (mut group, mut hs, mut at) = (Vec::new(), Vec::new(), Vec::new());
-    for run in running.iter_mut().filter(|run| pick(run)) {
-        group.push(&mut run.seat.model);
-        hs.push(run.hidden.as_slice());
-        at.push(run.pos);
-    }
-    (group, hs, at)
-}
-
 /// A live batched decoding runtime: up to `max_batch` sequences decode in
 /// lock-step through the real layer stack, each making its own scheduled
-/// predictor decisions ([`ExitScan`] — the exact dataflow of the
-/// single-stream `SpecEeEngine`), firing independently, while the batch
-/// as a whole executes every layer down to the rearmost one still needed.
+/// predictor decisions (core's [`sweep`], which the single-stream
+/// `SpecEeEngine` runs at a seat count of one), firing independently,
+/// while the batch as a whole executes every layer down to the rearmost
+/// one still needed.
 ///
 /// The per-step [`BatchStep`] report carries the measured layer-runner
 /// counts, so batched pricing reflects exits that actually happened.
@@ -808,16 +774,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// retires the finished and closes the step.
     ///
     /// A round is one token through the exit scan: every sequence proposes
-    /// its candidates and feeds its pending token, and the batch sweeps the
-    /// layers — one [`LayeredLm::forward_layer_group`] call per layer over
-    /// the seats still running. After each layer every running sequence
-    /// scores its own scheduled predictor ([`ExitScan::score`]), the ones
-    /// that fired share one full LM head ([`LayeredLm::final_logits_group`])
-    /// and each settles its own row ([`ExitScan::settle`]); a verified exit
-    /// leaves the sweep, which runs to the rearmost layer anyone still
-    /// needs. Then the sequences that left fill the K/V of the layers they
-    /// skipped, one pass per layer ([`LayeredLm::fill_skipped_kv_group`]),
-    /// and the rest share one last head. In a self-draft batch a round is a
+    /// its candidates, and core's lock-step [`sweep`] runs every pending
+    /// token through the layers — one weight pass per layer over the seats
+    /// still running, each seat scoring at its class's controller threshold,
+    /// one shared head for the seats that fired, each settling its own row —
+    /// to the rearmost layer anyone still needs, then fills what the exits
+    /// skipped and reads the last head. In a self-draft batch a round is a
     /// tree: per seat a shallow draft pass, then one lock-step
     /// [`LayeredLm::forward_layer_tree`] sweep of the deep layers and a
     /// split commit ([`verify_commit`]) — up to `1 + tree depth` tokens.
@@ -849,122 +811,48 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     }
 
     /// Every seat's round of a plain step, in slot order: one token
-    /// through the lock-step sweep and exit scan of [`BatchedEngine::step`].
-    /// The scans' feedback goes into the report and, with a controller
-    /// attached, into the controller.
+    /// through core's [`sweep`], at the thresholds the controller names.
+    /// What is batch-specific stays here: the proposals, the step report's
+    /// counters, and the scans' feedback into the report and, with a
+    /// controller attached, into the controller per class.
     fn token_rounds(&mut self, report: &mut BatchStep) -> Vec<(usize, Round)> {
         let spec_k = self.config.predictor.spec_k;
 
         // Token setup per seated sequence, in slot order: draft proposal,
-        // embed.
-        let mut running: Vec<Running<'_, M, D>> = Vec::new();
+        // then its seat in the sweep.
+        let (mut slots, mut running) = (Vec::new(), Vec::new());
+        let meter = &mut self.meter;
         for (slot, seat) in self.seats.iter_mut().enumerate() {
-            let Some(seat) = seat else { continue };
-            let seq = &mut seat.seq;
-            let cands = seq.draft.propose(seq.log.ctx(), spec_k, &mut self.meter);
-            let scan_base = (seq.scan.predictor_calls(), seq.scan.verify_calls());
-            seq.scan.begin_token();
-            let pos = seat.model.kv_len();
-            let hidden = seat.model.begin_token(seq.log.pending(), &mut self.meter);
-            report.ctx_lens.push(pos + 1);
-            report.draft_slots += usize::from(!cands.is_empty());
-            running.push(Running {
-                slot,
-                seat,
-                pos,
-                hidden,
-                cands,
-                scan_base,
-                fire: None,
-                exit: None,
-            });
-        }
-
-        // The shared layer sweep over the seats that have not left,
-        // ending at the rearmost layer any of them still needs. An exit is
-        // paid for once per weight pass, not once per seat: after each
-        // layer every running seat scores its own predictor, the seats
-        // that fired share one full head, and each settles its own row.
-        let ctl = self.controller.as_ref();
-        for layer in 0..self.n_layers {
-            let (mut group, hs, at) = members(&mut running, |run| run.exit.is_none());
-            if group.is_empty() {
-                break;
-            }
-            let outs = M::forward_layer_group(&mut group, layer, &hs, &at, &mut self.meter);
-            report.layer_runners[layer] = outs.len();
-            let in_sweep = running.iter_mut().filter(|run| run.exit.is_none());
-            for (run, out) in in_sweep.zip(outs) {
-                run.hidden = out;
-                let Seat { model, seq } = &mut *run.seat;
-                run.fire = seq.scan.score(
-                    model,
-                    &self.bank,
-                    &seq.schedule,
-                    &run.hidden,
-                    &run.cands,
-                    layer,
-                    |own| fire_threshold(ctl, own, seq.class, layer),
-                    &mut self.meter,
-                );
-            }
-            let (mut group, hs, _) = members(&mut running, |run| run.fire.is_some());
-            if group.is_empty() {
+            let Some(Seat { model, seq }) = seat else {
                 continue;
-            }
-            let rows = M::final_logits_group(&mut group, &hs, &mut self.meter);
-            let fired = running.iter_mut().filter(|run| run.fire.is_some());
-            for (run, full) in fired.zip(rows) {
-                let seq = &mut run.seat.seq;
-                if let Some(rec) = self.trace.as_mut() {
-                    rec.set_seq(Some(seq.id));
-                }
-                let fire = run.fire.take().expect("a fire per row");
-                let settled = seq
-                    .scan
-                    .settle(fire, full, &run.cands, layer, &mut self.trace);
-                run.exit = settled.map(|(tok, full)| (layer + 1, tok, full));
-            }
+            };
+            let cands = seq.draft.propose(seq.log.ctx(), spec_k, meter);
+            report.ctx_lens.push(model.kv_len() + 1);
+            report.draft_slots += usize::from(!cands.is_empty());
+            slots.push((slot, seq.scan.predictor_calls(), seq.scan.verify_calls()));
+            let (id, pending) = (seq.id, seq.log.pending());
+            let (scan, schedule) = (&mut seq.scan, &mut seq.schedule);
+            let seat = Running::new(id, model, scan, schedule, cands, pending, meter);
+            running.push(seat);
         }
-        // What the step's exits owe, paid at its boundary: every seat that
-        // left fills the layers it skipped from its exit state (still its
-        // `hidden` — nothing reads those rows before the next step), a
-        // layer's K/V projections streamed once for all who skipped it;
-        // the seats that ran the whole stack share one last head.
-        let first_skipped: Vec<usize> = running
-            .iter()
-            .filter_map(|run| run.exit.as_ref().map(|&(executed, ..)| executed))
-            .collect();
-        let (mut group, hs, at) = members(&mut running, |run| run.exit.is_some());
+        let ctl = self.controller.as_ref();
+        let threshold = |class, layer, own: &ExitPredictor| fire_threshold(ctl, own, class, layer);
         let policy = self.config.skip_kv_policy;
-        M::fill_skipped_kv_group(
-            &mut group,
-            &first_skipped,
-            &hs,
-            &at,
-            policy,
-            &mut self.meter,
-        );
-        let (mut group, hs, _) = members(&mut running, |run| run.exit.is_none());
-        let mut last_heads = M::final_logits_group(&mut group, &hs, &mut self.meter).into_iter();
+        let (bank, trace) = (&self.bank, &mut self.trace);
+        let rounds = sweep(running, bank, threshold, policy, meter, trace);
 
         // One token per sequence. Feedback is collected here in slot order
         // and handed to the controller afterwards, grouped by class.
         let mut drained: Vec<(TrafficClass, Vec<ExitFeedback>, usize)> = Vec::new();
-        let mut rounds = Vec::new();
-        for run in running {
-            let seq = &mut run.seat.seq;
-            let (executed, next, full) = match run.exit {
-                Some(exit) => exit,
-                None => {
-                    let full = last_heads.next().expect("a head row per full-depth seat");
-                    let tok = ops::argmax(&full).expect("logits") as TokenId;
-                    report.lm_head_evals += 1;
-                    (self.n_layers, tok, full)
-                }
-            };
-            seq.schedule.note_exit(executed.saturating_sub(1));
-            let (p0, v0) = run.scan_base;
+        let mut slot_rounds = Vec::new();
+        for ((slot, p0, v0), round) in slots.into_iter().zip(rounds) {
+            let seq = &mut self.seats[slot].as_mut().expect("a seat per round").seq;
+            for runner in report.layer_runners.iter_mut().take(round.executed) {
+                *runner += 1;
+            }
+            // A full-depth token read the last head; an exit read its own
+            // on the fire that stood, counted with the scan's verify calls.
+            report.lm_head_evals += u64::from(round.executed == self.n_layers);
             report.predictor_calls += seq.scan.predictor_calls() - p0;
             report.lm_head_evals += seq.scan.verify_calls() - v0;
             // Drain this sequence's verifier outcomes. The step report
@@ -974,12 +862,11 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             let feedback = seq.scan.take_feedback();
             if self.controller.is_some() {
                 report.feedback.extend(feedback.iter().copied());
-                drained.push((seq.class, feedback, executed));
+                drained.push((seq.class, feedback, round.executed));
             } else {
                 report.feedback.extend(feedback);
             }
-            let emitted = vec![(next, f64::from(ops::nll(&full, next as usize)))];
-            rounds.push((run.slot, Round { emitted, executed }));
+            slot_rounds.push((slot, round));
         }
         // Close the loop: feed the controller per class in slot order
         // (classes ascend; the stable sort keeps slot order within each
@@ -1006,7 +893,7 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
                 });
             }
         }
-        rounds
+        slot_rounds
     }
 
     /// Every seat's round of a self-draft step, in slot order: its tree

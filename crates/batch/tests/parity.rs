@@ -1,8 +1,11 @@
 //! Batch-1 parity: the lock-step batched runtime must reproduce the
 //! single-stream `SpecEeEngine` token-for-token and
-//! exit-layer-for-exit-layer on the same seed — both engines drive the
-//! same `ExitScan` decision dataflow, so any divergence is a bug in the
-//! batching, not a tuning difference.
+//! exit-layer-for-exit-layer on the same seed — both engines run core's
+//! one exit-scan sweep (`specee_core::engine::scan::sweep`; the single
+//! stream is a seat count of one at the bank's own thresholds), so any
+//! divergence is a bug in what the batch adds around it — admission, the
+//! controller's thresholds, the step's bookkeeping — not a tuning
+//! difference.
 
 use specee_batch::{Admission, BatchedEngine};
 use specee_core::collect::{collect_training_data, train_bank};

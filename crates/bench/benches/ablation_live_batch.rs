@@ -1,8 +1,8 @@
 //! Serving extension (ours): the Cannikin batch-size decay *measured* by
 //! the live lock-step engine.
 //!
-//! `ablation_batch_serving` serves a Poisson stream and reports queueing;
-//! this harness serves one saturating burst with `specee-batch`'s
+//! At every batch cap this harness serves two request streams. The first
+//! is one saturating burst with `specee-batch`'s
 //! `BatchedEngine` — N sequences genuinely decoding in lock-step,
 //! scheduled predictors evaluated per sequence, each step priced from its
 //! measured per-layer runner counts — beside the same burst served with
@@ -20,6 +20,10 @@
 //! cap where the priced speedup over dense decays (admission is still one
 //! prompt at a time, which dilutes the burst figure). Reported, never
 //! asserted — it is a stopwatch on a shared box.
+//!
+//! The second is a Poisson stream (8 req/s) of the workload's own request
+//! lengths, served the same two ways: queueing as well as batching, so its
+//! table adds time to first token, p95 latency and mean occupancy.
 
 use std::time::Instant;
 
@@ -146,6 +150,17 @@ fn main() {
     let dense_template = (template_lm.clone(), NoDraft);
     let template = (template_lm, template_draft);
     let mut live_speedups = Vec::new();
+    let stream = workload(&cfg, &ds, (request_count() * 6).max(12), seed);
+    let stream = serve_requests(&stream, 8.0, seed ^ 0x5e);
+    let mut poisson = Table::new(vec![
+        "batch cap",
+        "dense tok/s",
+        "SpecEE tok/s",
+        "speedup",
+        "SpecEE TTFT",
+        "SpecEE p95 lat",
+        "occupancy",
+    ]);
     for &max_batch in &[1usize, 2, 4, 8, 16] {
         let batcher = ContinuousBatcher::new(BatcherConfig {
             max_batch,
@@ -192,6 +207,26 @@ fn main() {
             format!("{decode_tok_s:.0}"),
             format!("{step_ms:.2}"),
         ]);
+
+        let mut dense_engine = live_engine(&cfg, &trained, max_batch);
+        let d = batcher
+            .run_live(&stream, &mut dense_engine, |_req| dense_template.clone())
+            .report
+            .stats();
+        let mut engine = live_engine(&cfg, &trained, max_batch);
+        let s = batcher
+            .run_live(&stream, &mut engine, |_req| template.clone())
+            .report
+            .stats();
+        poisson.row(vec![
+            max_batch.to_string(),
+            format!("{:.2}", d.throughput_tok_s),
+            format!("{:.2}", s.throughput_tok_s),
+            fmt_x(s.throughput_tok_s / d.throughput_tok_s),
+            format!("{:.0}ms", s.mean_ttft_s * 1e3),
+            format!("{:.0}ms", s.p95_latency_s * 1e3),
+            format!("{:.2}", s.avg_occupancy),
+        ]);
     }
     println!(
         "Llama2-7B(sim) @ A100 / vllm host profile, {} requests, saturating burst",
@@ -215,6 +250,11 @@ fn main() {
          one weight pass per layer serves the whole batch, so decode tok/s should rise\n\
          with the cap."
     );
+    println!(
+        "The same caps serving a Poisson stream, {} requests at 8 req/s:",
+        stream.len()
+    );
+    println!("{poisson}");
     assert!(
         monotone,
         "live speedup must decay monotonically with batch size: {live_speedups:?}"

@@ -2,15 +2,14 @@
 //! T2 (two-level scheduling) on top of ordinary greedy decoding.
 
 use specee_draft::SpeculativeSource;
-use specee_metrics::Meter;
 use specee_model::{LayeredLm, TokenId};
 use specee_obs::Recorder;
 
 use crate::config::SpecEeConfig;
-use crate::engine::decode::{decode, Exit, LayerRule};
-use crate::engine::scan::ExitScan;
+use crate::engine::decode::generate_rounds;
+use crate::engine::scan::{sweep, ExitScan, Running};
 use crate::output::GenOutput;
-use crate::predictor::PredictorBank;
+use crate::predictor::{ExitPredictor, PredictorBank};
 use crate::scheduler::ScheduleEngine;
 
 /// Autoregressive decoding with speculative early exiting (Fig. 3's
@@ -22,6 +21,9 @@ use crate::scheduler::ScheduleEngine;
 /// 3. a positive prediction is verified against the full LM head before
 ///    the exit is taken,
 /// 4. the skipped layers' KV cache is filled so later tokens can attend.
+///
+/// It is the lock-step [`sweep`] of `specee-batch`'s `BatchedEngine` at a
+/// seat count of one, scoring at the bank's own thresholds.
 #[derive(Debug, Clone)]
 pub struct SpecEeEngine<M, D> {
     model: M,
@@ -63,9 +65,10 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
 
     /// Attaches (or detaches) a trace recorder. Single-stream decoding
     /// has no simulated clock, so exit-decision events are stamped with
-    /// the decoded-token ordinal instead. The recorder is write-only:
-    /// traced and untraced runs produce bit-identical tokens and exit
-    /// layers.
+    /// the decoded-token ordinal instead, under request id `0` (the id a
+    /// batch-1 `BatchedEngine` run admits under). The recorder is
+    /// write-only: traced and untraced runs produce bit-identical tokens
+    /// and exit layers.
     pub fn set_recorder(&mut self, recorder: Option<Recorder>) {
         self.trace = recorder;
     }
@@ -132,67 +135,28 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
         // `reset` does not zero a draft's running forward count.
         let draft_calls_base = self.draft.forward_calls();
         self.draft.reset();
-        let mut rule = SpecEeRule {
-            draft: &mut self.draft,
-            bank: &self.bank,
-            schedule: &mut self.schedule,
-            trace: &mut self.trace,
-            spec_k: self.config.predictor.spec_k,
-            prompt_len: prompt.len(),
-            scan: ExitScan::new(),
-            spec: Vec::new(),
-        };
-        let policy = self.config.skip_kv_policy;
-        let out = decode(&mut self.model, &mut rule, prompt, gen_len, policy);
+        let mut scan = ExitScan::new();
+        let (draft, schedule, trace) = (&mut self.draft, &mut self.schedule, &mut self.trace);
+        let (bank, config) = (&self.bank, &self.config);
+        let out = generate_rounds(&mut self.model, prompt, gen_len, |model, ctx, meter| {
+            let cands = draft.propose(ctx, config.predictor.spec_k, meter);
+            if let Some(rec) = trace.as_mut() {
+                // No simulated clock at batch 1: stamp the token ordinal.
+                rec.set_clock((ctx.len() - prompt.len()) as f64);
+            }
+            let pending = *ctx.last().expect("pending token");
+            let seat = Running::new(0, model, &mut scan, schedule, cands, pending, meter);
+            let own = |_, _, predictor: &ExitPredictor| predictor.threshold();
+            let policy = config.skip_kv_policy;
+            let mut rounds = sweep(vec![seat], bank, own, policy, meter, trace);
+            rounds.pop().expect("one seat, one round")
+        });
         GenOutput {
-            predictor_calls: rule.scan.predictor_calls(),
-            verify_calls: rule.scan.verify_calls(),
+            predictor_calls: scan.predictor_calls(),
+            verify_calls: scan.verify_calls(),
             draft_calls: self.draft.forward_calls() - draft_calls_base,
             ..out
         }
-    }
-}
-
-/// SpecEE's rule: the draft's K candidates per token, the scheduled
-/// predictor + verification scan after every layer.
-struct SpecEeRule<'a, D> {
-    draft: &'a mut D,
-    bank: &'a PredictorBank,
-    schedule: &'a mut ScheduleEngine,
-    trace: &'a mut Option<Recorder>,
-    spec_k: usize,
-    prompt_len: usize,
-    scan: ExitScan,
-    spec: Vec<TokenId>,
-}
-
-impl<M: LayeredLm, D: SpeculativeSource> LayerRule<M> for SpecEeRule<'_, D> {
-    fn begin_token(&mut self, _model: &mut M, ctx: &[TokenId], meter: &mut Meter) {
-        self.spec = self.draft.propose(ctx, self.spec_k, meter);
-        self.scan.begin_token();
-        if let Some(rec) = self.trace.as_mut() {
-            // No simulated clock at batch 1: stamp the token ordinal.
-            let emitted = ctx.len() - self.prompt_len;
-            rec.set_clock(emitted as f64);
-            rec.set_seq(Some(emitted as u64));
-        }
-    }
-
-    fn exits(&mut self, model: &mut M, layer: usize, h: &[f32], meter: &mut Meter) -> Exit {
-        self.scan.check_with_sink(
-            model,
-            self.bank,
-            self.schedule,
-            h,
-            &self.spec,
-            layer,
-            meter,
-            &mut *self.trace,
-        )
-    }
-
-    fn end_token(&mut self, executed: usize) {
-        self.schedule.note_exit(executed.saturating_sub(1));
     }
 }
 

@@ -1,9 +1,12 @@
 //! The one greedy loop every engine decodes through.
 //!
-//! SpecEE, AdaInfer, RAEE, CALM, MoD, D-LLM and the dense baseline are the
-//! same token loop with a different decision around a layer; EAGLE and
-//! self-draft are the same request loop with a round that emits several
-//! tokens. So there is one of each here and the engines are what differs:
+//! AdaInfer, RAEE, CALM, MoD, D-LLM and the dense baseline are the same
+//! token loop with a different decision around a layer; SpecEE is the same
+//! request loop with the exit scan's lock-step sweep as its round
+//! ([`crate::engine::scan::sweep`] at one seat, as `specee-batch` runs it
+//! with one seat per slot); EAGLE and self-draft are the same request loop
+//! with a round that emits several tokens. So there is one of each here
+//! and the engines are what differs:
 //!
 //! * [`Transcript`] — a request's bookkeeping: first token, context ending
 //!   in the pending token, each [`Round`] committed, cut at `gen_len`; one
@@ -181,9 +184,6 @@ pub(crate) trait LayerRule<M: LayeredLm> {
     fn exits(&mut self, _model: &mut M, _layer: usize, _h: &[f32], _meter: &mut Meter) -> Exit {
         None
     }
-
-    /// After the token's head was read, with the layers it ran.
-    fn end_token(&mut self, _executed: usize) {}
 }
 
 /// Decodes one request one token per round under `rule`. A skipped layer
@@ -227,7 +227,6 @@ pub(crate) fn decode<M: LayeredLm, R: LayerRule<M>>(
             let full = model.final_logits(&h, meter);
             (pick(&full), full)
         });
-        rule.end_token(executed);
         Round {
             emitted: vec![(token, f64::from(ops::nll(&full, token as usize)))],
             executed,
@@ -576,9 +575,6 @@ mod tests {
             self.tape.borrow_mut().push(format!("exits? {layer}"));
             (layer == self.exit_after).then(|| (1, m.final_logits(h, meter)))
         }
-        fn end_token(&mut self, executed: usize) {
-            self.tape.borrow_mut().push(format!("end_token {executed}"));
-        }
     }
 
     /// Decodes `[7]` + one more token on a five-layer [`Taped`] model and
@@ -625,7 +621,6 @@ mod tests {
             "exits? 3",
             "head after 3 layers",
             "fill 4",
-            "end_token 3",
         ];
         assert_eq!(calls, expected);
         // Layers 0, 2, 3 ran: 1 was skipped, 4 is past the exit.
@@ -652,7 +647,6 @@ mod tests {
             "exits? 3",
             "layer 4",
             "head after 5 layers",
-            "end_token 5",
         ];
         assert_eq!(calls, expected);
         assert_eq!(out.exit_layers, vec![5, 5]);

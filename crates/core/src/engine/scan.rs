@@ -1,16 +1,18 @@
-//! The per-token exit scan shared by the single-stream and batched
-//! autoregressive engines.
+//! The per-token exit scan and the one lock-step sweep that drives it.
 //!
 //! [`ExitScan`] bundles the layer-by-layer decision dataflow of Fig. 3 —
 //! consult the predictor schedule, extract candidate-slice features, score
-//! them, and verify a positive prediction against the full LM head —
-//! behind one `check_with_sink` call per layer: `score`, the model's full
-//! head on a fire, `settle`. `SpecEeEngine` drives one scan per token; the
-//! lock-step runtime in `specee-batch` drives one scan per (slot, token)
-//! and calls the two halves itself, one full head per layer between them
-//! for every slot that fired — so a batched sequence takes exactly the
-//! exits its single-stream run would (parity by construction, not by test
-//! alone).
+//! them, and verify a positive prediction against the full LM head — in
+//! two halves per layer: `ExitScan::score` at the caller's threshold, then
+//! `ExitScan::settle` against the full head's row. [`sweep`] is their only
+//! caller: it runs one token per seat through the layers in lock-step —
+//! one [`LayeredLm::forward_layer_group`] per layer, every seat's score,
+//! one [`LayeredLm::final_logits_group`] for the seats that fired, each
+//! seat's settle — then fills what the exits skipped and reads the last
+//! head. `SpecEeEngine` sweeps a seat count of one at the bank's own
+//! thresholds; `specee-batch` sweeps every seated sequence at its
+//! controller's. So a batched sequence takes exactly the exits its
+//! single-stream run would (parity by construction, not by test alone).
 //!
 //! The scan is the *early-exit* half of the draft/verify seam: a round of
 //! one token, [`crate::engine::Round`] with the layers it ran. Its
@@ -22,9 +24,11 @@
 //! way, in `generate_rounds` and in the batched step alike.
 
 use specee_metrics::Meter;
-use specee_model::{LayeredLm, TokenId};
+use specee_model::{LayeredLm, SkipKvPolicy, TokenId};
 use specee_obs::{EventKind, Recorder};
+use specee_tensor::ops;
 
+use crate::engine::decode::{pick, Round};
 use crate::features::FeatureTracker;
 use crate::predictor::{ExitPredictor, PredictorBank};
 use crate::scheduler::ScheduleEngine;
@@ -60,12 +64,11 @@ pub struct ExitFeedback {
 
 /// Layer-by-layer early-exit decisions for one token's forward pass.
 ///
-/// Call [`ExitScan::begin_token`] at each token boundary, then
-/// [`ExitScan::check_with_sink`] (or its halves, [`ExitScan::score`] then
-/// [`ExitScan::settle`]) after every executed layer until it returns a
-/// verified exit (or the stack runs out of layers). Every predictor fire
-/// additionally records an [`ExitFeedback`] event; runtimes that adapt
-/// thresholds online drain them with [`ExitScan::take_feedback`].
+/// A sequence keeps one for its whole request; [`sweep`] drives it —
+/// starts it at each token, scores after every executed layer and settles
+/// each fire, until one stands (or the stack runs out of layers). Every
+/// predictor fire additionally records an [`ExitFeedback`] event; runtimes
+/// that adapt thresholds online drain them with [`ExitScan::take_feedback`].
 #[derive(Debug, Clone, Default)]
 pub struct ExitScan {
     tracker: FeatureTracker,
@@ -89,59 +92,26 @@ impl ExitScan {
         self.class = class;
     }
 
-    /// The traffic class this scan stamps on its feedback events.
-    pub fn class(&self) -> TrafficClass {
-        self.class
-    }
-
     /// Starts a new token: clears the probability-variation history the
     /// feature tracker carries between layers, and discards any feedback
     /// events the previous token's consumer left undrained — so a run
     /// with no controller attached never accumulates more than one
     /// token's worth of events.
-    pub fn begin_token(&mut self) {
+    fn begin_token(&mut self) {
         self.tracker.reset();
         self.feedback.clear();
     }
 
-    /// Runs the scheduled exit decision after `layer` on hidden state `h`.
-    ///
-    /// Returns `Some((token, full_logits))` when the predictor fired *and*
-    /// the full-LM-head verification of §4.3.3 accepted the exit; `None`
-    /// when decoding must continue to the next layer (inactive schedule
-    /// slot, empty candidate set, negative prediction, or failed
-    /// verification — the failed verification's LM-head cost is recorded
-    /// in `meter` and counted in [`ExitScan::verify_calls`]).
-    ///
-    /// This is [`ExitScan::score`] at the bank's own thresholds, the
-    /// model's full head on a fire, then [`ExitScan::settle`]; a runtime
-    /// that batches the head across sequences calls the two halves itself.
+    /// The first half of the decision after `layer`, on its output `h`:
+    /// schedule gate → candidate-slice features → predictor, whose score
+    /// fires above `threshold(predictor)` (the caller's operating point;
+    /// [`ExitPredictor::threshold`] is the bank's own). Returns the `(score,
+    /// threshold)` of a fire — which the caller owes one full-LM-head row
+    /// and a [`ExitScan::settle`] — and `None` when the layer decides
+    /// nothing (last layer, inactive schedule slot, no candidates, or a
+    /// negative prediction).
     #[allow(clippy::too_many_arguments)]
-    pub fn check_with_sink<M: LayeredLm + ?Sized>(
-        &mut self,
-        model: &mut M,
-        bank: &PredictorBank,
-        schedule: &ScheduleEngine,
-        h: &[f32],
-        candidates: &[TokenId],
-        layer: usize,
-        meter: &mut Meter,
-        sink: &mut Option<Recorder>,
-    ) -> Option<(TokenId, Vec<f32>)> {
-        let own = ExitPredictor::threshold;
-        let fire = self.score(model, bank, schedule, h, candidates, layer, own, meter)?;
-        let full = model.final_logits(h, meter);
-        self.settle(fire, full, candidates, layer, sink)
-    }
-
-    /// The first half of the decision: schedule gate → candidate-slice
-    /// features → predictor, whose score fires above `threshold(predictor)`
-    /// (the caller's operating point; [`ExitPredictor::threshold`] is the
-    /// bank's own). Returns the `(score, threshold)` of a fire — which the
-    /// caller owes one full-LM-head row and a [`ExitScan::settle`] — and
-    /// `None` when the layer decides nothing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn score<M: LayeredLm + ?Sized>(
+    fn score<M: LayeredLm + ?Sized>(
         &mut self,
         model: &mut M,
         bank: &PredictorBank,
@@ -174,7 +144,9 @@ impl ExitScan {
 
     /// The second half: verifies the fire [`ExitScan::score`] returned
     /// against `full`, the full-LM-head logits of the same hidden state,
-    /// and returns them with the token when the exit stands.
+    /// and returns them with the token when the exit stands (§4.3.3); a
+    /// rejected fire has still cost its head and counts in
+    /// [`ExitScan::verify_calls`].
     ///
     /// Every fire records an [`ExitFeedback`] and emits an
     /// [`EventKind::ExitDecision`] to `sink` when a recorder is attached
@@ -182,7 +154,7 @@ impl ExitScan {
     /// recorder's ambient clock and sequence id). The recorder is
     /// write-only, so a traced scan decides exactly what the untraced scan
     /// decides.
-    pub fn settle(
+    fn settle(
         &mut self,
         (score, threshold): (f32, f32),
         full: Vec<f32>,
@@ -235,12 +207,187 @@ impl ExitScan {
     }
 }
 
+/// One seat of a [`sweep`]: a sequence's model, scan and schedule, and the
+/// state its pending token carries from layer to layer.
+pub struct Running<'a, M> {
+    /// The request id its exit decisions are traced under.
+    id: u64,
+    model: &'a mut M,
+    scan: &'a mut ExitScan,
+    schedule: &'a mut ScheduleEngine,
+    /// The draft's candidates for the pending token.
+    cands: Vec<TokenId>,
+    /// The K/V position the pending token occupies.
+    pos: usize,
+    hidden: Vec<f32>,
+    /// The `(score, threshold)` of a predictor fire awaiting its head row.
+    fire: Option<(f32, f32)>,
+    /// Layers executed, token and full logits of a verified exit; a seat
+    /// is in the sweep while this is `None`.
+    exit: Option<(usize, TokenId, Vec<f32>)>,
+}
+
+impl<'a, M: LayeredLm> Running<'a, M> {
+    /// Seats request `id`'s `pending` token, scored against the draft's
+    /// `cands`: starts the scan's token and embeds the token at the
+    /// model's next K/V position.
+    pub fn new(
+        id: u64,
+        model: &'a mut M,
+        scan: &'a mut ExitScan,
+        schedule: &'a mut ScheduleEngine,
+        cands: Vec<TokenId>,
+        pending: TokenId,
+        meter: &mut Meter,
+    ) -> Self {
+        scan.begin_token();
+        let pos = model.kv_len();
+        let hidden = model.begin_token(pending, meter);
+        Running {
+            id,
+            model,
+            scan,
+            schedule,
+            cands,
+            pos,
+            hidden,
+            fire: None,
+            exit: None,
+        }
+    }
+}
+
+/// The member lists of a [`LayeredLm`] group call: the models of the seats
+/// `pick` selects, in seat order, with each one's hidden state and K/V
+/// position.
+fn members<'a, M>(
+    running: &'a mut [Running<'_, M>],
+    pick: impl Fn(&Running<'_, M>) -> bool,
+) -> (Vec<&'a mut M>, Vec<&'a [f32]>, Vec<usize>) {
+    let (mut group, mut hs, mut at) = (Vec::new(), Vec::new(), Vec::new());
+    for run in running.iter_mut().filter(|run| pick(run)) {
+        group.push(&mut *run.model);
+        hs.push(run.hidden.as_slice());
+        at.push(run.pos);
+    }
+    (group, hs, at)
+}
+
+/// Runs every seat's pending token through the layers in lock-step, each
+/// seat making its own scheduled exit decisions, and returns each seat's
+/// round in seat order. A round's layers are a prefix of the stack.
+///
+/// Per layer: one [`LayeredLm::forward_layer_group`] over the seats still
+/// in the sweep; every one of them scores its predictor at `threshold(class,
+/// layer, predictor)`; the seats that fired share one
+/// [`LayeredLm::final_logits_group`], and each settles its own row — a
+/// verified exit leaves the sweep, which ends at the rearmost layer anyone
+/// still needs. An exit is paid for once per weight pass, not once per
+/// seat. Then the seats that left fill the K/V of the layers they skipped
+/// from their exit state (one [`LayeredLm::fill_skipped_kv_group`], under
+/// `policy`), the rest share one last head, and every seat's schedule
+/// notes the layers its token ran. Exit decisions are traced to `trace`
+/// under each seat's id.
+///
+/// The bank covers every non-final layer: the depth is `bank.len() + 1`.
+pub fn sweep<M: LayeredLm>(
+    mut running: Vec<Running<'_, M>>,
+    bank: &PredictorBank,
+    threshold: impl Fn(TrafficClass, usize, &ExitPredictor) -> f32,
+    policy: SkipKvPolicy,
+    meter: &mut Meter,
+    trace: &mut Option<Recorder>,
+) -> Vec<Round> {
+    let n_layers = bank.len() + 1;
+    for layer in 0..n_layers {
+        let (mut group, hs, at) = members(&mut running, |run| run.exit.is_none());
+        if group.is_empty() {
+            break;
+        }
+        let outs = M::forward_layer_group(&mut group, layer, &hs, &at, meter);
+        let in_sweep = running.iter_mut().filter(|run| run.exit.is_none());
+        for (run, out) in in_sweep.zip(outs) {
+            run.hidden = out;
+            let class = run.scan.class;
+            run.fire = run.scan.score(
+                &mut *run.model,
+                bank,
+                run.schedule,
+                &run.hidden,
+                &run.cands,
+                layer,
+                |own| threshold(class, layer, own),
+                meter,
+            );
+        }
+        let (mut group, hs, _) = members(&mut running, |run| run.fire.is_some());
+        if group.is_empty() {
+            continue;
+        }
+        let rows = M::final_logits_group(&mut group, &hs, meter);
+        let fired = running.iter_mut().filter(|run| run.fire.is_some());
+        for (run, full) in fired.zip(rows) {
+            if let Some(rec) = trace.as_mut() {
+                rec.set_seq(Some(run.id));
+            }
+            let fire = run.fire.take().expect("a fire per row");
+            let settled = run.scan.settle(fire, full, &run.cands, layer, trace);
+            run.exit = settled.map(|(tok, full)| (layer + 1, tok, full));
+        }
+    }
+    // What the exits owe: every seat that left fills the layers it skipped
+    // from its exit state (still its `hidden`), a layer's K/V projections
+    // streamed once for all who skipped it; the seats that ran the whole
+    // stack share one last head.
+    let first_skipped: Vec<usize> = running
+        .iter()
+        .filter_map(|run| run.exit.as_ref().map(|&(executed, ..)| executed))
+        .collect();
+    let (mut group, hs, at) = members(&mut running, |run| run.exit.is_some());
+    M::fill_skipped_kv_group(&mut group, &first_skipped, &hs, &at, policy, meter);
+    let (mut group, hs, _) = members(&mut running, |run| run.exit.is_none());
+    let mut last_heads = M::final_logits_group(&mut group, &hs, meter).into_iter();
+
+    running
+        .into_iter()
+        .map(|run| {
+            let (executed, token, full) = run.exit.unwrap_or_else(|| {
+                let full = last_heads.next().expect("a head row per full-depth seat");
+                (n_layers, pick(&full), full)
+            });
+            run.schedule.note_exit(executed.saturating_sub(1));
+            let emitted = vec![(token, f64::from(ops::nll(&full, token as usize)))];
+            Round { emitted, executed }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predictor::PredictorConfig;
     use specee_model::{prefill, ModelConfig, Transformer};
     use specee_tensor::rng::Pcg;
+
+    /// One layer's decision the way [`sweep`] makes it for a seat: score at
+    /// the bank's own threshold, the full head on a fire, settle.
+    #[allow(clippy::too_many_arguments)]
+    fn check(
+        scan: &mut ExitScan,
+        model: &mut Transformer,
+        bank: &PredictorBank,
+        schedule: &ScheduleEngine,
+        h: &[f32],
+        candidates: &[TokenId],
+        layer: usize,
+        meter: &mut Meter,
+        sink: &mut Option<Recorder>,
+    ) -> Option<(TokenId, Vec<f32>)> {
+        let own = ExitPredictor::threshold;
+        let fire = scan.score(model, bank, schedule, h, candidates, layer, own, meter)?;
+        let full = model.final_logits(h, meter);
+        scan.settle(fire, full, candidates, layer, sink)
+    }
 
     fn parts() -> (Transformer, PredictorBank, Meter) {
         let cfg = ModelConfig::tiny();
@@ -263,7 +410,8 @@ mod tests {
         let h = prefill(&mut model, &[1, 2], &mut meter);
         let mut scan = ExitScan::new();
         scan.begin_token();
-        let out = scan.check_with_sink(
+        let out = check(
+            &mut scan,
             &mut model,
             &bank,
             &schedule,
@@ -286,20 +434,21 @@ mod tests {
         let h = prefill(&mut model, &[1], &mut meter);
         let mut scan = ExitScan::new();
         scan.begin_token();
-        assert!(scan
-            .check_with_sink(
-                &mut model,
-                &bank,
-                &schedule,
-                &h,
-                &[1, 2, 3, 4],
-                0,
-                &mut meter,
-                &mut None
-            )
-            .is_none());
+        assert!(check(
+            &mut scan,
+            &mut model,
+            &bank,
+            &schedule,
+            &h,
+            &[1, 2, 3, 4],
+            0,
+            &mut meter,
+            &mut None
+        )
+        .is_none());
         assert_eq!(scan.predictor_calls(), 0);
-        let _ = scan.check_with_sink(
+        let _ = check(
+            &mut scan,
             &mut model,
             &bank,
             &schedule,
@@ -323,7 +472,8 @@ mod tests {
         let before = meter.clone();
         let mut scan = ExitScan::new();
         scan.begin_token();
-        let out = scan.check_with_sink(
+        let out = check(
+            &mut scan,
             &mut model,
             &bank,
             &schedule,
@@ -352,8 +502,8 @@ mod tests {
         scan.begin_token();
         // Candidate set containing the global argmax: exit verifies.
         let cands = [global, global ^ 1, global ^ 2, global ^ 3];
-        let out = scan.check_with_sink(
-            &mut model, &bank, &schedule, &h, &cands, 0, &mut meter, &mut None,
+        let out = check(
+            &mut scan, &mut model, &bank, &schedule, &h, &cands, 0, &mut meter, &mut None,
         );
         assert_eq!(out.map(|(t, _)| t), Some(global));
         assert_eq!(scan.verify_calls(), 1);
@@ -377,12 +527,14 @@ mod tests {
         scan.begin_token();
         // Layer 0 fires and rejects (candidates miss the argmax), layer 1
         // fires and accepts.
-        assert!(scan
-            .check_with_sink(&mut model, &bank, &schedule, &h, &wrong, 0, &mut meter, &mut None)
-            .is_none());
-        assert!(scan
-            .check_with_sink(&mut model, &bank, &schedule, &h, &good, 1, &mut meter, &mut None)
-            .is_some());
+        assert!(check(
+            &mut scan, &mut model, &bank, &schedule, &h, &wrong, 0, &mut meter, &mut None
+        )
+        .is_none());
+        assert!(check(
+            &mut scan, &mut model, &bank, &schedule, &h, &good, 1, &mut meter, &mut None
+        )
+        .is_some());
 
         let fb = scan.feedback().to_vec();
         let accepts = fb.iter().filter(|f| f.accepted).count() as u64;
@@ -413,7 +565,8 @@ mod tests {
         let mut scan = ExitScan::new();
         for _ in 0..3 {
             scan.begin_token();
-            let _ = scan.check_with_sink(
+            let _ = check(
+                &mut scan,
                 &mut model,
                 &bank,
                 &schedule,
@@ -435,10 +588,11 @@ mod tests {
         let schedule = ScheduleEngine::all_layers(4);
         let h = prefill(&mut model, &[3], &mut meter);
         let mut scan = ExitScan::new();
-        assert!(scan.class().is_default());
+        assert!(scan.class.is_default());
         scan.set_class(TrafficClass::new(3));
         scan.begin_token();
-        let _ = scan.check_with_sink(
+        let _ = check(
+            &mut scan,
             &mut model,
             &bank,
             &schedule,
@@ -466,7 +620,8 @@ mod tests {
         scan.set_class(TrafficClass::new(2));
         scan.begin_token();
         let mut rec = Some(Recorder::for_worker(0));
-        let traced = scan.check_with_sink(
+        let traced = check(
+            &mut scan,
             &mut model,
             &bank,
             &schedule,
@@ -503,7 +658,8 @@ mod tests {
         scan2.set_class(TrafficClass::new(2));
         scan2.begin_token();
         let h2 = prefill(&mut model2, &[3], &mut Meter::new());
-        let untraced = scan2.check_with_sink(
+        let untraced = check(
+            &mut scan2,
             &mut model2,
             &bank,
             &schedule,
@@ -524,18 +680,18 @@ mod tests {
         let h = prefill(&mut model, &[2], &mut meter);
         let mut scan = ExitScan::new();
         scan.begin_token();
-        assert!(scan
-            .check_with_sink(
-                &mut model,
-                &bank,
-                &schedule,
-                &h,
-                &[1, 2, 3, 4],
-                0,
-                &mut meter,
-                &mut None
-            )
-            .is_none());
+        assert!(check(
+            &mut scan,
+            &mut model,
+            &bank,
+            &schedule,
+            &h,
+            &[1, 2, 3, 4],
+            0,
+            &mut meter,
+            &mut None
+        )
+        .is_none());
         assert_eq!(scan.predictor_calls(), 1);
         assert_eq!(scan.verify_calls(), 0);
         assert!(scan.feedback().is_empty());
@@ -553,8 +709,8 @@ mod tests {
         let wrong: Vec<TokenId> = (0..8).filter(|&t| t != global).take(4).collect();
         let mut scan = ExitScan::new();
         scan.begin_token();
-        let out = scan.check_with_sink(
-            &mut model, &bank, &schedule, &h, &wrong, 0, &mut meter, &mut None,
+        let out = check(
+            &mut scan, &mut model, &bank, &schedule, &h, &wrong, 0, &mut meter, &mut None,
         );
         assert!(out.is_none());
         assert_eq!(scan.verify_calls(), 1);

@@ -11,7 +11,7 @@
 //! layer's weight read is saved only when *every* sequence in the batch
 //! exits below it, so SpecEE's advantage decays from the full single-stream
 //! speedup at batch 1 toward the compute-only savings at large batches.
-//! The `ablation_batch_serving` bench quantifies the decay curve.
+//! The `ablation_live_batch` bench quantifies the decay curve.
 //!
 //! # Two execution modes: live and cluster
 //!
@@ -29,7 +29,7 @@
 //! `specee_draft::NoDraft` seated in every slot: no candidates, so no
 //! predictor call, no verification and no draft term in the price — the
 //! two [`ServeReport`]s differ only by what speculation did
-//! (`ablation_batch_serving` and `ablation_live_batch` print both).
+//! (`ablation_live_batch` prints both, for a burst and a Poisson stream).
 //!
 //! **Cluster** (the `specee-cluster` crate, `specee serve --mode
 //! cluster`): N live workers — one OS thread and one batched engine each

@@ -222,8 +222,9 @@ fn instants(path: &std::path::Path) -> Vec<(String, f64, String)> {
 /// `generate`'s batch-1 arms (`--controller`, `--draft self:`) stamp each
 /// event with the tokens emitted before it, as the single-stream engine
 /// does, instead of stamping every event at time 0: a static controller's
-/// exit instants carry the uncontrolled run's `(ts, layer, accepted)`, and
-/// self-draft passes advance the clock.
+/// exit instants are the uncontrolled run's, timestamp and whole payload —
+/// the request id `0` both runs decode under, class, layer, score,
+/// threshold and verdict — and self-draft passes advance the clock.
 #[test]
 fn batch_one_generate_traces_are_stamped_by_token() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
@@ -241,20 +242,22 @@ fn batch_one_generate_traces_are_stamped_by_token() {
         assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
         instants(&path)
     };
-    let exits = |events: Vec<(String, f64, String)>| -> Vec<(f64, String, bool)> {
+    let exits = |events: Vec<(String, f64, String)>| -> Vec<(f64, String)> {
         let exits = events
             .into_iter()
             .filter(|(name, ..)| name.starts_with("exit-"));
-        exits
-            .map(|(_, ts, args)| {
-                let layer = args.split(r#""layer":"#).nth(1).expect("a layer");
-                let layer = layer.split(',').next().expect("a layer").to_string();
-                (ts, layer, args.contains(r#""accepted":true"#))
-            })
-            .collect()
+        exits.map(|(_, ts, args)| (ts, args)).collect()
     };
     let plain = exits(traced("plain", &[]));
     assert!(plain.len() > 1, "the run must exit to test anything");
+    for key in ["seq", "class", "layer", "score", "threshold", "accepted"] {
+        let key = format!(r#""{key}":"#);
+        assert!(plain.iter().all(|(_, args)| args.contains(&key)), "{key}");
+    }
+    assert!(
+        plain.iter().all(|(_, args)| args.contains(r#""seq":0,"#)),
+        "{plain:?}"
+    );
     assert_eq!(exits(traced("static", &["--controller", "static"])), plain);
 
     let passes: Vec<f64> = traced("self_draft", &["--draft", "self:exit=2,tree=2x2"])

@@ -182,6 +182,30 @@ fn the_batched_step_has_one_body() {
     }
 }
 
+/// The exit scan runs in one place, core's lock-step `sweep`, whatever the
+/// seat count: across the non-test source of the core and batch crates a
+/// fire is settled, a layer is run for a group and a group's skipped K/V
+/// is filled in exactly one place, and the single-stream copy of the scan
+/// stays gone.
+#[test]
+fn the_exit_scan_has_one_sweep() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    rust_files(&root.join("crates/batch/src"), &mut files);
+    let code = non_test_code(&files);
+    for call in [
+        ".settle(",
+        "::forward_layer_group(",
+        "::fill_skipped_kv_group(",
+    ] {
+        assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
+    }
+    for gone in ["check_with_sink", "SpecEeRule"] {
+        assert!(!code.contains(gone), "`{gone}` is back");
+    }
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable directory") {
