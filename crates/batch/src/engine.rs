@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use specee_control::{ClassEvidence, ClassedController, ControllerSummary};
 use specee_core::engine::scan::{sweep, ExitFeedback, ExitScan, Running};
-use specee_core::engine::selfdraft::{self_draft_pass, verify_commit};
+use specee_core::engine::selfdraft::{self_draft_pass, sweep_trees};
 use specee_core::engine::{Round, Transcript};
 use specee_core::predictor::{ExitPredictor, PredictorBank};
 use specee_core::scheduler::ScheduleEngine;
@@ -780,9 +780,9 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
     /// one shared head for the seats that fired, each settling its own row —
     /// to the rearmost layer anyone still needs, then fills what the exits
     /// skipped and reads the last head. In a self-draft batch a round is a
-    /// tree: per seat a shallow draft pass, then one lock-step
-    /// [`LayeredLm::forward_layer_tree`] sweep of the deep layers and a
-    /// split commit ([`verify_commit`]) — up to `1 + tree depth` tokens.
+    /// tree: per seat a shallow draft pass, then core's lock-step
+    /// [`sweep_trees`] of the deep layers and a split commit — up to
+    /// `1 + tree depth` tokens.
     ///
     /// Returns the measured step — an empty report (no runners, nothing
     /// emitted) when no sequence is seated.
@@ -898,15 +898,12 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
 
     /// Every seat's round of a self-draft step, in slot order: its tree
     /// drafted through its own model's shallow layers (sequence-local —
-    /// each tree grows inside its own K/V scratch), the deep layers then
-    /// swept over every tree in lock-step, a tree joining at its own exit
-    /// layer, and each seat's tree verified and split-committed
-    /// ([`verify_commit`]): shallow layers from the draft-pass scratch
-    /// (committed, never recomputed), deep layers from the sweep. Rejected
-    /// branches leave no pool residue.
+    /// each tree grows inside its own K/V scratch), then core's lock-step
+    /// [`sweep_trees`] over every tree, a tree joining at its own exit
+    /// layer, each one verified and split-committed: shallow layers from the
+    /// draft-pass scratch (committed, never recomputed), deep layers from
+    /// the sweep. Rejected branches leave no pool residue.
     fn tree_rounds(&mut self, report: &mut BatchStep) -> Vec<(usize, Round)> {
-        // Every shallow layer a pass ran lands in the step's layer-runner
-        // counts — the Cannikin price of the step is measured, not assumed.
         let mut trees = Vec::new();
         for (slot, seat) in self.seats.iter_mut().enumerate() {
             let Some(seat) = seat else { continue };
@@ -915,9 +912,6 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             report.ctx_lens.push(model.kv_len() + 1);
             let pass = self_draft_pass(model, seq.log.pending(), spec, &mut self.meter);
             seq.self_draft_calls += pass.shallow_calls;
-            for runner in report.layer_runners.iter_mut().take(spec.exit_layer) {
-                *runner += 1;
-            }
             trace_event(&mut self.trace, Some(seq.id), || EventKind::DraftPass {
                 nodes: pass.node_tokens.len() as u32,
                 exit_layer: spec.exit_layer as u32,
@@ -925,30 +919,27 @@ impl<M: LayeredLm, D: SpeculativeSource> BatchedEngine<M, D> {
             report.self_draft_slots += 1;
             trees.push((slot, seat, pass));
         }
+        let seats = trees
+            .iter_mut()
+            .map(|(_, s, p)| (&mut s.model, p))
+            .collect();
+        let policy = self.config.skip_kv_policy;
+        let rounds = sweep_trees(seats, None, policy, &mut self.meter);
 
-        // The lock-step verify sweep: each layer runs every tree that has
-        // run all the layers below it, under that tree's attention mask.
-        for layer in 0..self.n_layers {
-            for (_, seat, pass) in trees.iter_mut() {
-                if pass.kvs.len() == layer {
-                    pass.sweep_layer(&mut seat.model, &mut self.meter);
-                    report.layer_runners[layer] += 1;
-                }
-            }
-        }
-
-        let mut rounds = Vec::new();
-        for (slot, Seat { model, seq }, mut pass) in trees {
-            let round = verify_commit(model, &mut pass, &mut self.meter);
+        // Every seat ran the whole stack, shallow and deep layers alike: the
+        // Cannikin price of the step is measured, not assumed.
+        let mut slot_rounds = Vec::new();
+        for ((slot, Seat { seq, .. }, pass), round) in trees.into_iter().zip(rounds) {
+            report.layer_runners.iter_mut().for_each(|r| *r += 1);
             report.lm_head_evals += 1;
             seq.self_draft_rounds += 1;
             trace_event(&mut self.trace, Some(seq.id), || EventKind::TreeVerified {
                 nodes: pass.node_tokens.len() as u32,
                 accepted: round.emitted.len() as u32,
             });
-            rounds.push((slot, round));
+            slot_rounds.push((slot, round));
         }
-        rounds
+        slot_rounds
     }
 
     /// Closes a decode step at its boundary: settles the page leases,

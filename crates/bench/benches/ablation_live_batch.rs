@@ -15,8 +15,8 @@
 //! tokens/s (of the whole burst — for the dense engine too — and of the
 //! SpecEE decode steps alone) and median step time on this machine
 //! (blocked backend), the burst served closed-loop. Sequences are clones
-//! of one template, so they share its weights and `sweep_layer` takes one
-//! pass over a layer for all of them: decode tokens/s should rise with the
+//! of one template, so they share its weights and the exit-scan sweep takes
+//! one pass over a layer for all of them: decode tokens/s should rise with the
 //! cap where the priced speedup over dense decays (admission is still one
 //! prompt at a time, which dilutes the burst figure). Reported, never
 //! asserted — it is a stopwatch on a shared box.

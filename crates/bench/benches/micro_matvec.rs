@@ -23,7 +23,7 @@
 //! step pays, and the one the row-block look-ahead prefetch exists for.
 //! On either, a tile loads each weight chunk once for all its inputs
 //! (four on the AVX path, eight on the AVX-512 one) — the reason
-//! `sweep_layer` batches its seats — so the per-`N` column of `streamed`
+//! the lock-step sweeps batch their seats — so the per-`N` column of `streamed`
 //! should not decrease from 4 to 8 inputs and ns/input should fall.
 //!
 //! `exp` times `ops::exp_in_place` against the scalar `f32::exp` loop it

@@ -40,8 +40,6 @@ pub struct SpecEeConfig {
     /// ([`specee_draft::TokenTree::prune_to_budget`]). `None` verifies the
     /// full fixed-shape tree.
     pub tree_budget: Option<usize>,
-    /// Whether the speculative engine applies hyper-token early exit (T3).
-    pub tree_early_exit: bool,
 }
 
 impl Default for SpecEeConfig {
@@ -55,7 +53,6 @@ impl Default for SpecEeConfig {
             skip_kv_policy: SkipKvPolicy::ProjectExitHidden,
             tree_shape: TreeShape::eagle_default(),
             tree_budget: None,
-            tree_early_exit: true,
         }
     }
 }
@@ -92,7 +89,6 @@ mod tests {
         assert_eq!(cfg.online_window, 5);
         assert_eq!(cfg.neighborhood, 2);
         assert_eq!(cfg.scheduling, SchedulingMode::TwoLevel);
-        assert!(cfg.tree_early_exit);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! token loop with a different decision around a layer; SpecEE is the same
 //! request loop with the exit scan's lock-step sweep as its round
 //! ([`crate::engine::scan::sweep`] at one seat, as `specee-batch` runs it
-//! with one seat per slot); EAGLE and self-draft are the same request loop
-//! with a round that emits several tokens. So there is one of each here
-//! and the engines are what differs:
+//! with one seat per slot); EAGLE, T3 and self-draft are the same request
+//! loop with a tree's round ([`crate::engine::selfdraft::sweep_trees`], the
+//! same way), which emits several tokens. So there is one of each here and
+//! the engines are what differs:
 //!
 //! * [`Transcript`] — a request's bookkeeping: first token, context ending
 //!   in the pending token, each [`Round`] committed, cut at `gen_len`; one

@@ -1,7 +1,8 @@
 //! Decoding engines: dense baseline, SpecEE autoregressive, and
 //! speculative (EAGLE ± SpecEE, separate-draft or self-draft).
 //! All of them, and the comparators of [`crate::baselines`] and
-//! [`crate::skip_layer`], decode through the one loop in [`decode`].
+//! [`crate::skip_layer`], decode through the one loop in [`decode`]; a
+//! token round is [`scan`]'s sweep, a tree round [`selfdraft`]'s.
 
 mod autoregressive;
 pub mod decode;

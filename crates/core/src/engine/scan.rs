@@ -14,14 +14,11 @@
 //! controller's. So a batched sequence takes exactly the exits its
 //! single-stream run would (parity by construction, not by test alone).
 //!
-//! The scan is the *early-exit* half of the draft/verify seam: a round of
-//! one token, [`crate::engine::Round`] with the layers it ran. Its
-//! sibling, [`crate::engine::selfdraft`], covers the *self-speculative*
-//! half: there the shallow layers themselves play the draft role and no
-//! per-layer predictor scan runs at all — sequences in self-draft mode
-//! bypass `ExitScan` entirely (exit layers are always the full depth).
-//! Both kinds of round commit to a [`crate::engine::Transcript`] the same
-//! way, in `generate_rounds` and in the batched step alike.
+//! A round here is one token, [`crate::engine::Round`] with the layers it
+//! ran; a tree's round, EAGLE / T3 / self-draft, is the sibling sweep of
+//! [`crate::engine::selfdraft`]. Both commit to a
+//! [`crate::engine::Transcript`] alike, in `generate_rounds` and the
+//! batched step.
 
 use specee_metrics::Meter;
 use specee_model::{LayeredLm, SkipKvPolicy, TokenId};

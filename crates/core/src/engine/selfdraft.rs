@@ -1,35 +1,39 @@
-//! Self-speculative draft/verify rounds (Kangaroo-style split).
+//! Tree rounds: one draft/verify round for every tree decoder.
 //!
-//! The self-draft mode runs the *target's own* shallow layers
-//! `0..exit_layer` as the draft model: each round grows a token tree level
-//! by level through the shallow stack (expanding every frontier node with
-//! the tied LM head on its exit-layer hidden state), then resumes the deep
-//! layers `exit_layer..n_layers` over the whole tree in masked sweeps
-//! for verification. The KV cache is split at the exit layer — shallow K/V
-//! written during drafting is *committed, not recomputed* when nodes are
-//! accepted, so each accepted token pays for each shallow layer exactly
-//! once.
+//! A round's tree is a [`DraftPass`] (node 0 the pending bonus token, the
+//! drafted nodes after it) holding the layers run so far; the draft source
+//! only decides how deep it starts. [`DraftPass::from_tree`] takes a
+//! separate draft's [`TokenTree`] (EAGLE, T3) with no layer run;
+//! [`self_draft_pass`] drafts *self-speculatively* (Kangaroo-style split):
+//! the target's own shallow layers `0..exit_layer` are the draft model, the
+//! tree growing level by level through them (every frontier node expanded
+//! by the tied LM head on its exit-layer hidden state).
 //!
-//! Both [`crate::SpeculativeEngine`] (single sequence) and the batched
-//! engine in `specee-batch` drive their rounds through these helpers, so
-//! the two tiers stay in parity by construction: a round is
-//! [`self_draft_pass`], the deep layers one [`DraftPass::sweep_layer`] at
-//! a time, then [`verify_commit`], which returns the round's
-//! [`crate::engine::Round`]. The batched engine sweeps its seats' trees
-//! in lock-step, layer by layer; a lone sequence leaves the whole sweep to
-//! `verify_commit` — the batch of one.
+//! Then [`sweep_trees`] runs every seat's pass through the layers it has
+//! not run, in lock-step, with T3's hyper-token exit check after each layer
+//! when given a predictor bank, and `verify_commit` finishes each tree: the
+//! greedy verify walk unless an exit's walk stood, the split commit — rows
+//! run while drafting are *committed, not recomputed*, so an accepted token
+//! pays for each layer once —, the K/V an exit skipped, and the
+//! [`crate::engine::Round`]. [`crate::SpeculativeEngine`] sweeps one seat,
+//! `specee-batch` every seated sequence: parity by construction.
 
-use specee_draft::SelfDraftSpec;
+use specee_draft::{SelfDraftSpec, TokenTree};
 use specee_metrics::Meter;
-use specee_model::{LayeredLm, TokenId, TreeKv};
+use specee_model::{LayeredLm, SkipKvPolicy, TokenId, TreeKv};
 use specee_tensor::ops;
 
-use crate::engine::decode::{greedy_walk, verify_head, Round};
+use crate::engine::decode::{greedy_walk, verify_head, Round, Walk};
+use crate::features::FeatureTracker;
+use crate::mapping::TreeExitState;
+use crate::predictor::PredictorBank;
+use crate::scheduler::ScheduleEngine;
+use crate::verify::verify_exit;
 
 /// One round's draft tree (index 0 is the pending bonus token; tree nodes
 /// follow, roots hanging off it), as deep as it has run: the shallow draft
-/// pass, then the layers of the verify sweep.
-#[derive(Debug, Clone)]
+/// pass, if any, then the layers of the sweep.
+#[derive(Debug, Default)]
 pub struct DraftPass {
     /// Token per node (index 0 = bonus).
     pub node_tokens: Vec<TokenId>,
@@ -37,23 +41,113 @@ pub struct DraftPass {
     pub node_parents: Vec<Option<usize>>,
     /// Scratch K/V per layer run (`kvs[l]` covers all nodes at layer
     /// `l`): the shallow layers, written incrementally while drafting,
-    /// then the deep layers of the verify sweep.
+    /// then the layers of the sweep.
     pub kvs: Vec<TreeKv>,
-    /// Hidden state per node after the last layer run: the exit layer's
-    /// once drafted, the final layer's once swept.
+    /// Hidden state per node after the last layer run.
     pub hs: Vec<Vec<f32>>,
-    /// Shallow (node × layer) runs this pass executed.
+    /// Shallow (node × layer) runs the self-draft pass executed.
     pub shallow_calls: u64,
+    /// The separate draft's top-K continuations of each node's path: the
+    /// candidate set T3 scores and verifies the node against.
+    cands: Vec<Vec<TokenId>>,
+    /// Predictor forwards T3's exit checks ran.
+    pub(crate) predictor_calls: u64,
+    /// LM-head verifications: T3's trial walks and the full-depth one.
+    pub(crate) verify_calls: u64,
+    /// T3's sticky fires and per-node feature history, from its first
+    /// exit check on.
+    hyper: Option<(TreeExitState, Vec<FeatureTracker>)>,
+    /// The walk of a T3 exit that stood: the round's verification, paid.
+    exit_walk: Option<Walk>,
 }
 
 impl DraftPass {
-    /// Runs the whole tree through its next layer, the first it has not
-    /// run, under the tree attention mask: one step of the verify sweep.
-    pub fn sweep_layer<M: LayeredLm + ?Sized>(&mut self, model: &mut M, meter: &mut Meter) {
-        let layer = self.kvs.len();
-        let (out, kv) = model.forward_layer_tree(layer, &self.hs, &self.node_parents, meter);
-        self.hs = out;
-        self.kvs.push(kv);
+    /// The pass of a separately drafted `tree` behind the pending `bonus`
+    /// token: node 0 is the bonus, the tree's nodes follow shifted by one,
+    /// its roots hanging off the bonus. `cands(path, meter)` is a node's
+    /// candidate set, asked in node order with the node's path from the
+    /// bonus. No layer has run; the nodes are embedded.
+    pub fn from_tree<M: LayeredLm + ?Sized>(
+        model: &mut M,
+        bonus: TokenId,
+        tree: &TokenTree,
+        mut cands: impl FnMut(&[TokenId], &mut Meter) -> Vec<TokenId>,
+        meter: &mut Meter,
+    ) -> DraftPass {
+        let mut node_tokens = vec![bonus];
+        let mut node_parents: Vec<Option<usize>> = vec![None];
+        for n in tree.nodes() {
+            node_tokens.push(n.token);
+            node_parents.push(Some(n.parent.map_or(0, |p| p + 1)));
+        }
+        // Parents precede children, so a node's path extends its parent's.
+        let mut paths: Vec<Vec<TokenId>> = Vec::with_capacity(node_tokens.len());
+        for (&token, parent) in node_tokens.iter().zip(&node_parents) {
+            let mut path = parent.map_or_else(Vec::new, |p| paths[p].clone());
+            path.push(token);
+            paths.push(path);
+        }
+        let cands = paths.iter().map(|path| cands(path, meter)).collect();
+        let hs = model.begin_tree(&node_tokens, &node_parents, meter);
+        DraftPass {
+            node_tokens,
+            node_parents,
+            hs,
+            cands,
+            ..DraftPass::default()
+        }
+    }
+
+    /// T3's exit check after `layer`: ONE grouped GEMM over every
+    /// pending node's candidate slice (Fig. 13), ONE batched predictor
+    /// kernel, sticky fires; then, once some hyper-token is
+    /// predictor-ready, the verification of §4.3.3 over the whole batch.
+    /// Its walk trusts only nodes whose predictor fired and whose logits
+    /// verify — an unfired node's logits may not have stabilized, and its
+    /// head row is never computed. The exit stands only when the chain
+    /// that WOULD be accepted consists entirely of such nodes and ends
+    /// naturally (a draft miss, not a cut): the Cannikin position of the
+    /// real accepted hyper-token, not of an arbitrary ready path.
+    fn check_exit<M: LayeredLm + ?Sized>(
+        &mut self,
+        model: &mut M,
+        bank: &PredictorBank,
+        layer: usize,
+        meter: &mut Meter,
+    ) -> Option<Walk> {
+        let (state, trackers) = self.hyper.get_or_insert_with(|| {
+            let trackers = vec![FeatureTracker::new(); self.node_tokens.len()];
+            (TreeExitState::new(&self.node_parents), trackers)
+        });
+        let pending = state.pending();
+        if pending.is_empty() {
+            return None;
+        }
+        let hs: Vec<&[f32]> = pending.iter().map(|&i| self.hs[i].as_slice()).collect();
+        let cands: Vec<&[TokenId]> = pending.iter().map(|&i| self.cands[i].as_slice()).collect();
+        let logits_per_node = model.grouped_slice_logits(&hs, &cands, meter);
+        let feats: Vec<_> = pending
+            .iter()
+            .zip(logits_per_node)
+            .map(|(&i, logits)| trackers[i].update(logits))
+            .collect();
+        self.predictor_calls += pending.len() as u64;
+        let scores = bank.layer(layer).score_batch(&feats, meter);
+        let threshold = bank.layer(layer).threshold();
+        for (&i, score) in pending.iter().zip(scores) {
+            if score > threshold {
+                state.note_fired(i, layer);
+            }
+        }
+        if !state.any_path_ready() {
+            return None;
+        }
+        self.verify_calls += 1;
+        let mut head = verify_head(model, &self.hs, |j| state.fired(j), meter);
+        let walk = greedy_walk(&self.node_tokens, &self.node_parents, |j| {
+            head(j).filter(|full| verify_exit(full, &self.cands[j]).is_some())
+        });
+        walk.filter(|walk| !walk.cut)
     }
 }
 
@@ -121,40 +215,92 @@ pub fn self_draft_pass<M: LayeredLm + ?Sized>(
         kvs: shallow_kvs,
         hs: exit_hs,
         shallow_calls,
+        ..DraftPass::default()
     }
 }
 
-/// Finishes a round: sweeps the deep layers the tree has not run yet,
-/// verifies it and commits the accepted path's K/V. A greedy walk from the
-/// bonus node accepts the longest matching path, computing the LM head
-/// only on the rows it reads; the verification is priced as ONE batched
-/// head over all nodes. Then the split commit: shallow layers from the
-/// draft-pass scratch (never recomputed), deep layers from the verify
-/// sweep. Rejected branches' scratch rows are simply dropped; nothing of
-/// them reaches the model's cache or pool. Every emitted token ran the
-/// whole stack.
-pub fn verify_commit<M: LayeredLm + ?Sized>(
+/// Runs every seat's tree, in lock-step, through the layers its pass has
+/// not run, then finishes each one (`verify_commit`) and returns their
+/// rounds in seat order.
+///
+/// Per layer: every pass still in the sweep that has run all the layers
+/// below this one runs it, under its own tree attention mask — a
+/// self-draft pass joins at its exit layer. With `exit`, T3's predictor
+/// bank (one predictor per non-final layer) and schedule, each of those
+/// passes then makes its exit check ([`DraftPass`]'s `check_exit`) at a
+/// scheduled layer, and leaves the sweep when its exit stands. `policy`
+/// fills the K/V of the layers an exit skipped.
+pub fn sweep_trees<M: LayeredLm>(
+    mut seats: Vec<(&mut M, &mut DraftPass)>,
+    exit: Option<(&PredictorBank, &ScheduleEngine)>,
+    policy: SkipKvPolicy,
+    meter: &mut Meter,
+) -> Vec<Round> {
+    let n_layers = seats.first().map_or(0, |s| s.0.config().n_layers);
+    let at = |pass: &DraftPass, depth| pass.exit_walk.is_none() && pass.kvs.len() == depth;
+    for layer in 0..n_layers {
+        for (model, pass) in seats.iter_mut().filter(|(_, pass)| at(pass, layer)) {
+            let (out, kv) = model.forward_layer_tree(layer, &pass.hs, &pass.node_parents, meter);
+            pass.hs = out;
+            pass.kvs.push(kv);
+        }
+        let Some((bank, schedule)) = exit else {
+            continue;
+        };
+        if layer + 1 >= n_layers || !schedule.is_active(layer) {
+            continue;
+        }
+        for (model, pass) in seats.iter_mut().filter(|(_, pass)| at(pass, layer + 1)) {
+            pass.exit_walk = pass.check_exit(&mut **model, bank, layer, meter);
+        }
+    }
+    seats
+        .into_iter()
+        .map(|(model, pass)| verify_commit(model, pass, policy, meter))
+        .collect()
+}
+
+/// Finishes a swept round: verifies the tree, commits the accepted path's
+/// K/V and feeds its tokens to the model. An exit's walk is the round's
+/// verification, already paid for; a full-depth tree is verified here by
+/// a greedy walk from the bonus node that accepts the longest matching
+/// path, computing the LM head only on the rows it reads — priced as ONE
+/// batched head over all nodes (how EAGLE verifies a tree). Then the split
+/// commit, layer 0 first (the synthetic model's tree scripts are keyed
+/// there): each layer's rows from the pass's scratch, the drafting pass's
+/// shallow rows included (never recomputed). Rejected branches' scratch
+/// rows are simply dropped; nothing of them reaches the model's cache or
+/// pool. After an exit, each accepted node's skipped layers are filled
+/// from its exit-layer state under `policy`.
+fn verify_commit<M: LayeredLm + ?Sized>(
     model: &mut M,
     pass: &mut DraftPass,
+    policy: SkipKvPolicy,
     meter: &mut Meter,
 ) -> Round {
     let n_layers = model.config().n_layers;
-    while pass.kvs.len() < n_layers {
-        pass.sweep_layer(model, meter);
-    }
-    let head = verify_head(model, &pass.hs, |_| true, meter);
-    let walk = greedy_walk(&pass.node_tokens, &pass.node_parents, head)
-        .expect("a walk that trusts every node stands on its root");
-
-    // Layer 0 first: the synthetic model's tree scripts are keyed there.
+    let executed = pass.kvs.len();
+    let walk = pass.exit_walk.take().unwrap_or_else(|| {
+        assert_eq!(executed, n_layers, "a tree is verified at full depth");
+        pass.verify_calls += 1;
+        let head = verify_head(model, &pass.hs, |_| true, meter);
+        greedy_walk(&pass.node_tokens, &pass.node_parents, head)
+            .expect("a walk that trusts every node stands on its root")
+    });
+    let base_kv = model.kv_len();
     for (layer, kv) in pass.kvs.iter().enumerate() {
         model.commit_tree_kv(layer, kv, &walk.accepted);
+    }
+    if executed < n_layers {
+        for (ord, &idx) in walk.accepted.iter().enumerate() {
+            model.fill_skipped_kv(executed, &pass.hs[idx], base_kv + ord, policy, meter);
+        }
     }
     let accepted: Vec<TokenId> = walk.accepted.iter().map(|&i| pass.node_tokens[i]).collect();
     model.accept_tokens(&accepted);
     Round {
         emitted: walk.emitted,
-        executed: n_layers,
+        executed,
     }
 }
 
@@ -174,6 +320,13 @@ mod tests {
             },
             &mut Pcg::seed(11),
         )
+    }
+
+    /// One seat's round through [`sweep_trees`], with no exit check.
+    fn sweep_one(m: &mut Transformer, pass: &mut DraftPass, meter: &mut Meter) -> Round {
+        let policy = SkipKvPolicy::ProjectExitHidden;
+        let mut rounds = sweep_trees(vec![(m, pass)], None, policy, meter);
+        rounds.pop().expect("one round")
     }
 
     #[test]
@@ -200,7 +353,7 @@ mod tests {
 
     #[test]
     fn accepted_tokens_commit_without_a_second_shallow_pass() {
-        // KV-split invariant at the round level: after verify_commit, the
+        // KV-split invariant at the round level: after the round, the
         // model's committed cache grew by the accepted length at EVERY
         // layer, and
         // the shallow rows are bit-identical to the draft-pass scratch —
@@ -212,7 +365,7 @@ mod tests {
         let base = m.kv_len();
         let spec = SelfDraftSpec::new(2, TreeShape::chain(3));
         let mut pass = self_draft_pass(&mut m, 5, &spec, &mut meter);
-        let out = verify_commit(&mut m, &mut pass, &mut meter);
+        let out = sweep_one(&mut m, &mut pass, &mut meter);
         let accepted = out.emitted.len();
         assert!(accepted >= 1);
         assert_eq!((pass.node_tokens.len(), pass.kvs.len()), (4, 4));
@@ -244,7 +397,7 @@ mod tests {
         let bonus = ops::argmax(&logits).expect("logits") as TokenId;
         let spec = SelfDraftSpec::new(2, TreeShape::chain(3));
         let mut pass = self_draft_pass(&mut m, bonus, &spec, &mut meter);
-        let out = verify_commit(&mut m, &mut pass, &mut meter);
+        let out = sweep_one(&mut m, &mut pass, &mut meter);
 
         // Greedy reference: token-by-token decode on a fresh model.
         let mut r = model();

@@ -1,36 +1,34 @@
 //! Tree-based speculative decoding (EAGLE stand-in) with optional
-//! hyper-token early exiting (T3).
+//! hyper-token early exiting (T3), or self-speculative rounds.
 //!
 //! Each round: the draft proposes a token tree; the target model runs the
 //! previous bonus token plus the whole tree through its layers with a tree
 //! attention mask; greedy verification walks the tree accepting the
-//! longest matching path and produces the next bonus token. With T3
-//! enabled, scheduled predictors score every pending node per layer
-//! against its own candidate set, nodes *fire* sticky, and the whole batch
-//! exits at the rearmost-ready layer (the Cannikin position of the merged
-//! hyper-tokens).
+//! longest matching path and produces the next bonus token. With a
+//! predictor bank (T3), scheduled predictors score every pending node per
+//! layer against its own candidate set, nodes *fire* sticky, and the whole
+//! batch exits at the rearmost-ready layer (the Cannikin position of the
+//! merged hyper-tokens).
 //!
 //! Handing the engine a [`specee_draft::SelfDraft`] source instead of a
 //! separate draft network switches it to *self-speculative* rounds: the
 //! draft pass runs the target's own shallow layers and the verify pass
-//! resumes from the exit-layer hidden states (see
-//! [`crate::engine::selfdraft`]).
+//! resumes from the exit-layer hidden states. Either way a round is one
+//! [`DraftPass`] through [`crate::engine::selfdraft`]'s lock-step tree
+//! sweep at one seat, as `specee-batch` runs it with one seat per slot.
 
-use specee_draft::{SelfDraftSpec, SpeculativeSource};
+use specee_draft::SpeculativeSource;
 use specee_model::{LayeredLm, TokenId};
 
 use crate::config::SpecEeConfig;
-use crate::engine::decode::{generate_rounds, greedy_walk, verify_head, Round, Walk};
-use crate::engine::selfdraft::{self_draft_pass, verify_commit};
-use crate::features::FeatureTracker;
-use crate::mapping::TreeExitState;
+use crate::engine::decode::generate_rounds;
+use crate::engine::selfdraft::{self_draft_pass, sweep_trees, DraftPass};
 use crate::output::GenOutput;
 use crate::predictor::PredictorBank;
 use crate::scheduler::ScheduleEngine;
-use crate::verify::verify_exit;
 
 /// Speculative decoding engine; `bank = None` is the EAGLE baseline,
-/// `Some(bank)` with `config.tree_early_exit` is SpecEE+EAGLE.
+/// `Some(bank)` is SpecEE+EAGLE (T3).
 #[derive(Debug, Clone)]
 pub struct SpeculativeEngine<M, D> {
     model: M,
@@ -49,10 +47,7 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
             draft,
             bank: None,
             schedule: ScheduleEngine::all_layers(n_layers),
-            config: SpecEeConfig {
-                tree_early_exit: false,
-                ..config
-            },
+            config,
         }
     }
 
@@ -78,10 +73,7 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
             draft,
             bank: Some(bank),
             schedule,
-            config: SpecEeConfig {
-                tree_early_exit: true,
-                ..config
-            },
+            config,
         }
     }
 
@@ -95,150 +87,68 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
     ///
     /// # Panics
     ///
-    /// Panics if `prompt` is empty or `gen_len` is zero.
+    /// Panics if `prompt` is empty or `gen_len` is zero; with a self-draft
+    /// source, also if its exit layer is not below the model depth, or with
+    /// T3 early exit or a tree budget: the shallow pass already plays the
+    /// exit predictors' role, and there is no separate proposal to prune.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
-        if let Some(spec) = self.draft.self_spec().cloned() {
-            return self.generate_self_draft(prompt, gen_len, &spec);
+        let self_spec = self.draft.self_spec().cloned();
+        if let Some(spec) = &self_spec {
+            if let Err(e) = spec.validate_for_depth(self.model.config().n_layers) {
+                panic!("{e}");
+            }
+            assert!(
+                self.bank.is_none(),
+                "self-draft does not compose with T3 tree early exit \
+                 (the shallow pass already fills the predictors' role)"
+            );
+            assert!(
+                self.config.tree_budget.is_none(),
+                "self-draft does not compose with a tree budget: the tree is \
+                 grown inside the target, not pruned from a separate proposal"
+            );
         }
-        let n_layers = self.model.config().n_layers;
         let spec_k = self.config.predictor.spec_k;
-        let early_exit = self.config.tree_early_exit && self.bank.is_some();
         let draft_calls_base = self.draft.forward_calls();
         self.draft.reset();
-        let (mut predictor_calls, mut verify_calls, mut rounds) = (0u64, 0u64, 0u64);
+        let (mut rounds, mut predictor_calls, mut verify_calls, mut self_draft_calls) =
+            (0, 0, 0, 0);
 
         let out = generate_rounds(&mut self.model, prompt, gen_len, |model, ctx, meter| {
             rounds += 1;
-            let mut tree = self.draft.propose_tree(ctx, &self.config.tree_shape, meter);
-            if let Some(budget) = self.config.tree_budget {
-                // EAGLE-2-style dynamic tree: verify only the highest
-                // joint-probability nodes.
-                tree = tree.prune_to_budget(budget);
-            }
-
-            // Node batch: index 0 is the pending bonus token; tree nodes
-            // follow shifted by one, roots hanging off the bonus.
-            let (committed, bonus) = ctx.split_at(ctx.len() - 1);
-            let mut node_tokens = bonus.to_vec();
-            let mut node_parents: Vec<Option<usize>> = vec![None];
-            for n in tree.nodes() {
-                node_tokens.push(n.token);
-                node_parents.push(Some(n.parent.map_or(0, |p| p + 1)));
-            }
-            let n_nodes = node_tokens.len();
-            // Candidate set per node: the draft's top-K continuations of
-            // the node's path (already computed during tree drafting, so
-            // the cached lookup is free). The set always has K entries so
-            // the predictor's feature dimension is fixed.
-            let mut node_cands: Vec<Vec<TokenId>> = Vec::with_capacity(n_nodes);
-            for i in 0..n_nodes {
-                let mut path_ctx = committed.to_vec();
-                let mut chain = Vec::new();
-                let mut cur = Some(i);
-                while let Some(n) = cur {
-                    chain.push(node_tokens[n]);
-                    cur = node_parents[n];
-                }
-                chain.reverse();
-                path_ctx.extend_from_slice(&chain);
-                node_cands.push(self.draft.cached_candidates(&path_ctx, spec_k, meter));
-            }
-
-            let mut hs = model.begin_tree(&node_tokens, &node_parents, meter);
-            let mut kvs = Vec::with_capacity(n_layers);
-            let mut exit_state = TreeExitState::new(&node_parents);
-            let mut trackers: Vec<FeatureTracker> = vec![FeatureTracker::new(); n_nodes];
-            let mut executed = n_layers;
-            let mut exit_walk: Option<Walk> = None;
-            for layer in 0..n_layers {
-                let (out, kv) = model.forward_layer_tree(layer, &hs, &node_parents, meter);
-                hs = out;
-                kvs.push(kv);
-                if !early_exit || layer + 1 >= n_layers || !self.schedule.is_active(layer) {
-                    continue;
-                }
-                let bank = self.bank.as_ref().expect("early exit requires bank");
-                // Hyper-token feature extraction: ONE grouped GEMM over all
-                // pending nodes' candidate slices (Fig. 13), then ONE
-                // batched predictor kernel.
-                let pending = exit_state.pending();
-                if pending.is_empty() {
-                    continue;
-                }
-                let h_refs: Vec<&[f32]> = pending.iter().map(|&i| hs[i].as_slice()).collect();
-                let cand_refs: Vec<&[TokenId]> =
-                    pending.iter().map(|&i| node_cands[i].as_slice()).collect();
-                let logits_per_node = model.grouped_slice_logits(&h_refs, &cand_refs, meter);
-                let feats: Vec<_> = pending
-                    .iter()
-                    .zip(logits_per_node)
-                    .map(|(&i, logits)| trackers[i].update(logits))
-                    .collect();
-                predictor_calls += pending.len() as u64;
-                let scores = bank.layer(layer).score_batch(&feats, meter);
-                let threshold = bank.layer(layer).threshold();
-                for (&i, score) in pending.iter().zip(scores) {
-                    if score > threshold {
-                        exit_state.note_fired(i, layer);
+            let bonus = *ctx.last().expect("pending token");
+            let mut pass = match &self_spec {
+                Some(spec) => self_draft_pass(model, bonus, spec, meter),
+                None => {
+                    let mut tree = self.draft.propose_tree(ctx, &self.config.tree_shape, meter);
+                    if let Some(budget) = self.config.tree_budget {
+                        // EAGLE-2-style dynamic tree: verify only the
+                        // highest joint-probability nodes.
+                        tree = tree.prune_to_budget(budget);
                     }
+                    // Candidate set per node: the draft's top-K
+                    // continuations of its path, cached while drafting.
+                    let committed = &ctx[..ctx.len() - 1];
+                    let draft = &mut self.draft;
+                    let cands = |path: &[TokenId], meter: &mut _| {
+                        draft.cached_candidates(&[committed, path].concat(), spec_k, meter)
+                    };
+                    DraftPass::from_tree(model, bonus, &tree, cands, meter)
                 }
-                // Exit check: once some hyper-token is predictor-ready,
-                // run the verification of §4.3.3 over the whole batch and
-                // walk the acceptance chain, trusting only nodes whose
-                // predictor fired and whose logits verify — an unfired
-                // node's logits may not have stabilized, and its head row
-                // is never computed. The batch exits only when the chain
-                // that WOULD be accepted consists entirely of such nodes
-                // and ends naturally (a draft miss, not a cut) — the
-                // Cannikin position of the real accepted hyper-token, not
-                // of an arbitrary ready path.
-                if exit_state.any_path_ready() {
-                    verify_calls += 1;
-                    let mut head = verify_head(model, &hs, |j| exit_state.fired(j), meter);
-                    let walk = greedy_walk(&node_tokens, &node_parents, |j| {
-                        head(j).filter(|full| verify_exit(full, &node_cands[j]).is_some())
-                    });
-                    if let Some(walk) = walk.filter(|walk| !walk.cut) {
-                        executed = layer + 1;
-                        exit_walk = Some(walk);
-                        break;
-                    }
-                }
+            };
+            let exit = self.bank.as_ref().map(|bank| (bank, &self.schedule));
+            let seat = vec![(&mut *model, &mut pass)];
+            let policy = self.config.skip_kv_policy;
+            let round = sweep_trees(seat, exit, policy, meter)
+                .pop()
+                .expect("one round");
+            if self_spec.is_none() {
+                self.schedule.note_exit(round.executed.saturating_sub(1));
             }
-
-            // An exit's walk is the round's verification, already paid
-            // for. A full-depth round verifies now — priced as ONE batched
-            // LM-head GEMM over every node (how EAGLE verifies a tree),
-            // then a greedy walk from the bonus node accepts the longest
-            // matching path.
-            let Walk {
-                accepted, emitted, ..
-            } = exit_walk.unwrap_or_else(|| {
-                verify_calls += 1;
-                let head = verify_head(model, &hs, |_| true, meter);
-                greedy_walk(&node_tokens, &node_parents, head)
-                    .expect("a walk that trusts every node stands on its root")
-            });
-            let base_kv = model.kv_len();
-
-            for (layer, kv) in kvs.iter().enumerate() {
-                model.commit_tree_kv(layer, kv, &accepted);
-            }
-            if executed < n_layers {
-                for (ord, &idx) in accepted.iter().enumerate() {
-                    model.fill_skipped_kv(
-                        executed,
-                        &hs[idx],
-                        base_kv + ord,
-                        self.config.skip_kv_policy,
-                        meter,
-                    );
-                }
-            }
-            let accepted_tokens: Vec<TokenId> = accepted.iter().map(|&i| node_tokens[i]).collect();
-            model.accept_tokens(&accepted_tokens);
-            self.schedule.note_exit(executed.saturating_sub(1));
-            Round { emitted, executed }
+            predictor_calls += pass.predictor_calls;
+            verify_calls += pass.verify_calls;
+            self_draft_calls += pass.shallow_calls;
+            round
         });
 
         GenOutput {
@@ -246,52 +156,6 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
             verify_calls,
             rounds,
             draft_calls: self.draft.forward_calls() - draft_calls_base,
-            ..out
-        }
-    }
-
-    /// Self-speculative rounds: shallow draft pass, then the deep verify
-    /// sweep and split KV commit of [`verify_commit`], all through
-    /// [`crate::engine::selfdraft`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's exit layer is not below the model depth, or if
-    /// the engine was built with T3 early exit or a tree budget — neither
-    /// composes with self-draft (the draft tree is grown inside the target,
-    /// so there is no separate proposal to prune, and the shallow pass
-    /// already plays the role the exit predictors would).
-    fn generate_self_draft(
-        &mut self,
-        prompt: &[TokenId],
-        gen_len: usize,
-        spec: &SelfDraftSpec,
-    ) -> GenOutput {
-        let n_layers = self.model.config().n_layers;
-        if let Err(e) = spec.validate_for_depth(n_layers) {
-            panic!("{e}");
-        }
-        assert!(
-            self.bank.is_none() && !self.config.tree_early_exit,
-            "self-draft does not compose with T3 tree early exit \
-             (the shallow pass already fills the predictors' role)"
-        );
-        assert!(
-            self.config.tree_budget.is_none(),
-            "self-draft does not compose with a tree budget: the tree is \
-             grown inside the target, not pruned from a separate proposal"
-        );
-        let (mut rounds, mut self_draft_calls) = (0u64, 0u64);
-        let out = generate_rounds(&mut self.model, prompt, gen_len, |model, ctx, meter| {
-            rounds += 1;
-            let bonus = *ctx.last().expect("pending token");
-            let mut pass = self_draft_pass(model, bonus, spec, meter);
-            self_draft_calls += pass.shallow_calls;
-            verify_commit(model, &mut pass, meter)
-        });
-        GenOutput {
-            verify_calls: rounds,
-            rounds,
             self_draft_calls,
             ..out
         }
@@ -532,6 +396,37 @@ mod tests {
         };
         let mut engine = SpeculativeEngine::baseline(tf(87), draft, config);
         let _ = engine.generate(&[1, 2], 4);
+    }
+
+    /// A draft that proposes nothing leaves a one-node tree, the pending
+    /// token alone: one full-depth round per decode token, the dense
+    /// greedy stream bit for bit, on both substrates.
+    #[test]
+    fn an_empty_draft_tree_is_the_dense_stream() {
+        use specee_draft::NoDraft;
+        fn same<M: LayeredLm>(tree_lm: M, dense_lm: M, prompt: &[TokenId], gen_len: usize) {
+            let config = SpecEeConfig::default();
+            let tree =
+                SpeculativeEngine::baseline(tree_lm, NoDraft, config).generate(prompt, gen_len);
+            let dense = DenseEngine::new(dense_lm).generate(prompt, gen_len);
+            assert_eq!(tree.tokens, dense.tokens);
+            assert_eq!(tree.exit_layers, dense.exit_layers);
+            assert_eq!(tree.ce_sum.to_bits(), dense.ce_sum.to_bits(), "ce_sum");
+            assert_eq!(
+                tree.rounds,
+                gen_len as u64 - 1,
+                "one round per decode token"
+            );
+        }
+        let mut rng = Pcg::seed(61);
+        for case in 0..8u64 {
+            let prompt: Vec<TokenId> = (0..1 + rng.below(6))
+                .map(|_| rng.below(96) as TokenId)
+                .collect();
+            let gen_len = 1 + rng.below(12);
+            same(tf(case), tf(case), &prompt, gen_len);
+            same(build_lm(case), build_lm(case), &prompt, gen_len);
+        }
     }
 
     #[test]

@@ -206,6 +206,37 @@ fn the_exit_scan_has_one_sweep() {
     }
 }
 
+/// A tree's round runs in one place too, core's lock-step `sweep_trees`
+/// finished by `verify_commit`, whatever drafted the tree and however many
+/// seats sweep: across the non-test source of the core and batch crates a
+/// tree layer is run, a tree's K/V committed and accepted tokens fed to the
+/// model in exactly one place; the batch crate runs no tree layer itself;
+/// and the single-stream self-draft body and the T3 knob stay gone.
+#[test]
+fn the_tree_round_has_one_sweep() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    rust_files(&root.join("crates/batch/src"), &mut files);
+    let code = non_test_code(&files);
+    for call in [
+        ".forward_layer_tree(",
+        ".commit_tree_kv(",
+        ".accept_tokens(",
+    ] {
+        assert_eq!(code.matches(call).count(), 1, "call sites of `{call}`");
+    }
+    let mut batch = Vec::new();
+    rust_files(&root.join("crates/batch/src"), &mut batch);
+    let batch = non_test_code(&batch);
+    for call in ["sweep_layer(", "forward_layer_tree("] {
+        assert!(!batch.contains(call), "the batch crate calls `{call}`");
+    }
+    for gone in ["generate_self_draft", "tree_early_exit"] {
+        assert!(!code.contains(gone), "`{gone}` is back");
+    }
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable directory") {
