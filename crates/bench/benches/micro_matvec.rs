@@ -28,8 +28,16 @@
 //!
 //! `exp` times `ops::exp_in_place` against the scalar `f32::exp` loop it
 //! replaced, in ns an element, at the widths the decoder calls it with.
+//!
+//! `tree_attention` times a tree layer's attention both ways, in ns a call
+//! of 7B(sim)'s heads (4 of 32): one `attention::attend` call per node over
+//! the committed rows and its chain, as the decoder ran it, against one
+//! `attention::attend_many` call for every node, on a [3, 2, 2] tree (22
+//! nodes) at 24 / 40 / 64 / 512 committed rows, then on a 40-row prompt
+//! span (40 calls against one).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use specee_tensor::attention::{attend, attend_many};
 use specee_tensor::{ops, BackendKind, Matrix, Pcg};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -115,6 +123,15 @@ fn min_ns(batch: u32, mut f: impl FnMut()) -> f64 {
         batches += 1;
     }
     best
+}
+
+/// Mean ns of one call of `f` over one batch of `batch` calls.
+fn batch_ns(batch: u32, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t.elapsed().as_nanos() as f64 / f64::from(batch)
 }
 
 fn model_shapes(_c: &mut Criterion) {
@@ -213,6 +230,93 @@ fn exp_rows(_c: &mut Criterion) {
     }
 }
 
+/// Committed rows a tree node sees: `solo_tree`'s range, and a long
+/// context.
+const TREE_SHARED: &[usize] = &[24, 40, 64, 512];
+
+/// One row of `tree_attention`: the nodes of `parents` (all of them
+/// queries) over `shared` committed rows, per-node calls against one call;
+/// printed, never asserted.
+fn attention_row(name: &str, parents: &[Option<usize>], shared: usize, rng: &mut Pcg) {
+    let (dim, head_dim) = (128, 32);
+    let n = parents.len();
+    let mut random = |rows: usize| {
+        let mut x = vec![0.0f32; rows * dim];
+        rng.fill_uniform(&mut x, 1.0);
+        x
+    };
+    let (qs, sk, sv, ok, ov) = (
+        random(n),
+        random(shared),
+        random(shared),
+        random(n),
+        random(n),
+    );
+    // Each node's blocks as the decoder handed them to `attend`: the
+    // committed rows, then its chain root → node, one block a row.
+    let visible: Vec<Vec<(&[f32], &[f32])>> = (0..n)
+        .map(|j| {
+            let mut chain = Vec::new();
+            let mut node = Some(j);
+            while let Some(i) = node {
+                chain.push((&ok[i * dim..][..dim], &ov[i * dim..][..dim]));
+                node = parents[i];
+            }
+            chain.push((&sk[..], &sv[..]));
+            chain.reverse();
+            chain
+        })
+        .collect();
+    let (mut scores, mut out) = (Vec::new(), vec![0.0f32; n * dim]);
+    // The two sides alternate batch by batch, so a slow spell of the host
+    // lands on both.
+    let (mut per_node, mut one) = (f64::INFINITY, f64::INFINITY);
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_millis(300) {
+        per_node = per_node.min(batch_ns(16, || {
+            out.fill(0.0);
+            let queries = qs.chunks_exact(dim).zip(&visible);
+            for ((q, blocks), o) in queries.zip(out.chunks_exact_mut(dim)) {
+                attend(q, head_dim, blocks, &mut scores, o);
+            }
+            black_box(&mut out);
+        }));
+        one = one.min(batch_ns(16, || {
+            out.fill(0.0);
+            let (s, o) = ((&sk[..], &sv[..]), (&ok[..], &ov[..]));
+            attend_many(&qs, head_dim, s, o, parents, &mut scores, &mut out);
+            black_box(&mut out);
+        }));
+    }
+    println!(
+        "{name:<40} {per_node:>9.0} ns/{n} calls {one:>9.0} ns/1 call  x{:.2}",
+        per_node / one
+    );
+}
+
+fn tree_attention(_c: &mut Criterion) {
+    let mut rng = Pcg::seed(37);
+    // [3, 2, 2] in breadth-first order: the root, 3, 6, 12.
+    let mut parents = vec![None];
+    let (mut level, mut start) = (1, 0);
+    for width in [3, 2, 2] {
+        for p in start..start + level {
+            parents.extend(std::iter::repeat_n(Some(p), width));
+        }
+        (start, level) = (start + level, level * width);
+    }
+    for &shared in TREE_SHARED {
+        attention_row(
+            &format!("tree_attention/[3,2,2]/{shared}"),
+            &parents,
+            shared,
+            &mut rng,
+        );
+    }
+    let span: Vec<Option<usize>> = (0..40).map(|i: usize| i.checked_sub(1)).collect();
+    attention_row("tree_attention/span40/0", &span, 0, &mut rng);
+}
+
 fn row(name: &str, ns: f64, n_in: usize) -> String {
     let per_input = ns / n_in as f64;
     format!("{name:<40} {ns:>9.0} ns/call {per_input:>9.0} ns/input")
@@ -222,5 +326,12 @@ fn report(name: &str, ns: f64, n_in: usize) {
     println!("{}", row(name, ns, n_in));
 }
 
-criterion_group!(benches, bench, model_shapes, streamed, exp_rows);
+criterion_group!(
+    benches,
+    bench,
+    model_shapes,
+    streamed,
+    exp_rows,
+    tree_attention
+);
 criterion_main!(benches);

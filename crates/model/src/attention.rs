@@ -2,7 +2,7 @@
 //! attention for speculative-decoding verification.
 
 use specee_metrics::Meter;
-use specee_tensor::attention::attend;
+use specee_tensor::attention::attend_many;
 use specee_tensor::BackendKind;
 
 use crate::config::ModelConfig;
@@ -80,8 +80,9 @@ pub fn attention_forward(
 /// Causal attention over the rows of `xs` (normalized hidden states packed
 /// row-major), dealt to `seats` in order: one weight pass each for the
 /// q/k/v and output projections of the whole batch, while each row is
-/// rotated to its own position, appends its K/V to its own seat's cache and
-/// attends over that cache up to itself — no sum mixes two rows, so every
+/// rotated to its own position and appends its K/V to its own seat's cache,
+/// and each row attends over that cache up to itself, in one
+/// [`attend_many`] call per seat — no sum mixes two rows, so every
 /// output, cache row and [`Meter`] record equals feeding the rows through
 /// [`attention_forward`] one at a time. Returns the outputs packed like
 /// `xs`.
@@ -110,21 +111,41 @@ pub(crate) fn attention_forward_rows(
     let vs = w.wv.matmul_with(backend, xs, n);
     let mut merged = vec![0.0f32; n * dim];
     let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
-    let mut rows = qs
-        .chunks_exact_mut(dim)
-        .zip(ks.chunks_exact_mut(dim))
-        .zip(vs.chunks_exact(dim))
-        .zip(merged.chunks_exact_mut(dim));
+    // A seat's rows are a causal span: each sees its cache, then the rows
+    // before it (`chain[i] = i - 1`, one prefix for every seat).
+    let (mut chain, mut r0) = (Vec::new(), 0);
     for seat in seats {
         let cache = &mut *seat.cache;
         assert_eq!(seat.base, cache.len(), "positions must be sequential");
-        for (((q, k), v), out) in rows.by_ref().take(seat.rows) {
+        let span = r0 * dim..(r0 + seat.rows) * dim;
+        let rows = qs[span.clone()]
+            .chunks_exact_mut(dim)
+            .zip(ks[span.clone()].chunks_exact_mut(dim))
+            .zip(vs[span.clone()].chunks_exact(dim));
+        for ((q, k), v) in rows {
             rope.rotate_qk(q, k, cache.len(), cfg.n_heads);
             cache.push(k, v);
-            let visible = [(cache.keys(), cache.values())];
-            attend(q, head_dim, &visible, &mut scores, out);
-            scale.record_attention(meter, cache.len());
         }
+        while chain.len() < seat.rows {
+            chain.push(chain.len().checked_sub(1));
+        }
+        let (keys, values, split) = (cache.keys(), cache.values(), seat.base * dim);
+        let shared = (&keys[..split], &values[..split]);
+        let own = (&keys[split..], &values[split..]);
+        let (q, out) = (&qs[span.clone()], &mut merged[span]);
+        attend_many(
+            q,
+            head_dim,
+            shared,
+            own,
+            &chain[..seat.rows],
+            &mut scores,
+            out,
+        );
+        for len in seat.base + 1..=cache.len() {
+            scale.record_attention(meter, len);
+        }
+        r0 += seat.rows;
     }
     w.wo.matmul_with(backend, &merged, n)
 }
@@ -182,11 +203,11 @@ pub fn attention_forward_tree(
 /// This is the kernel behind self-speculative drafting: the shallow draft
 /// pass grows the token tree level by level, and each level only pays for
 /// its frontier. The q/k/v and output projections take one weight pass
-/// each for all new nodes; attention itself is one [`attend`] call per
-/// node over the committed cache, then the ancestor chain root→node, at
-/// RoPE position `cache.len() + depth` — which depends on the node alone, so
-/// running a tree through repeated partial calls is bit-identical to one
-/// full sweep.
+/// each for all new nodes, and so does attention: one [`attend_many`] call
+/// in which each node sees the committed cache, then its ancestor chain
+/// root→node, at RoPE position `cache.len() + depth` — which depends on the
+/// node alone, so running a tree through repeated partial calls is
+/// bit-identical to one full sweep.
 ///
 /// # Panics
 ///
@@ -244,24 +265,29 @@ pub fn attention_forward_tree_partial(
         scratch.v.push(v.to_vec());
     }
 
+    // Every node sees the committed cache, then its ancestor chain root →
+    // node (`depths_from_parents` checked the topological order); the own
+    // rows are the new nodes' rows as rotated, after the drafted ones.
     let mut merged = vec![0.0f32; n * dim];
     let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
-    let mut kv_lens = Vec::with_capacity(n);
-    let mut visible = vec![(cache.keys(), cache.values())];
-    let nodes = qs.chunks_exact(dim).zip(merged.chunks_exact_mut(dim));
-    for (j, (q, out)) in nodes.enumerate() {
-        // The committed cache, then the ancestor chain root → node
-        // (`depths_from_parents` checked the topological order).
-        visible.truncate(1);
-        let mut cur = Some(first_new + j);
-        while let Some(node) = cur {
-            visible.push((scratch.k[node].as_slice(), scratch.v[node].as_slice()));
-            cur = parents[node];
-        }
-        visible[1..].reverse();
-        attend(q, head_dim, &visible, &mut scores, out);
-        kv_lens.push(base + visible.len() - 1);
-    }
+    let packed;
+    let own = if first_new == 0 {
+        (ks.as_slice(), vs.as_slice())
+    } else {
+        packed = (scratch.k.concat(), scratch.v.concat());
+        (packed.0.as_slice(), packed.1.as_slice())
+    };
+    let shared = (cache.keys(), cache.values());
+    attend_many(
+        &qs,
+        head_dim,
+        shared,
+        own,
+        parents,
+        &mut scores,
+        &mut merged,
+    );
+    let kv_lens: Vec<usize> = new_depths.iter().map(|depth| base + depth + 1).collect();
     scale.record_attention_tree(meter, &kv_lens);
     w.wo.matmul_with(backend, &merged, n)
 }
