@@ -6,8 +6,9 @@
 //! rows they all see (a sequence's committed cache) and the batch's own
 //! rows under a parent map — a tree's nodes, or a prompt span as the chain
 //! `parents[i] = i - 1` — each query seeing the shared rows, then its own
-//! chain root → itself. Below five queries it makes one [`attend`] call a
-//! query; from five on the queries are the lanes of one pass.
+//! chain root → itself. On x86-64, from four queries on, the queries are
+//! the lanes of one pass; fewer, and every query on other targets, make
+//! one [`attend`] call a query.
 //!
 //! Both are bit-identical to the scalar loop they replaced (kept as the
 //! oracle of this module's tests). For every head it scores each visible
@@ -33,17 +34,16 @@
 //!
 //! [`attend_many`]'s lanes: one query a lane — sixteen to a 512-bit
 //! register, eight to a 256-bit one (also an AVX-512 host's last group of
-//! eight or fewer, which then pays half the `exp`s), eight scalars on the
-//! portable path — so each shared row is read once per lane group, not
-//! once per query. A lane runs its query's own chain: the four `dot`
-//! accumulators in column order, `s0+s1+s2+s3`, the ragged columns, the
-//! scale; a maximum, shift, `exp`, row-order sum and division per lane;
-//! `o += w * v` in row order. A lane that does not see a row — a
-//! sibling's, a padding lane's — is masked out of the maximum, the sum and
-//! the value pass and zeroed before the `exp`, so it can change nothing
-//! and cannot send its register down `exp`'s scalar special path. The
-//! own rows a group sees are walked in index order, which is chain order
-//! for every query since a parent precedes its child.
+//! eight or fewer, which then pays half the `exp`s) — so each shared row is
+//! read once per lane group, not once per query. A lane runs its query's
+//! own chain: the four `dot` accumulators in column order, `s0+s1+s2+s3`,
+//! the ragged columns, the scale; a maximum, shift, `exp`, row-order sum
+//! and division per lane; `o += w * v` in row order. A lane that does not
+//! see a row — a sibling's, a padding lane's — is masked out of the
+//! maximum, the sum and the value pass and zeroed before the `exp`, so it
+//! can change nothing and cannot send its register down `exp`'s scalar
+//! special path. The own rows a group sees are walked in index order,
+//! which is chain order for every query since a parent precedes its child.
 
 use crate::backend::dot4_rows;
 use crate::matrix::dot;
@@ -206,12 +206,6 @@ fn attend_portable(
     attend_with(q, head_dim, blocks, scores, out, dots, accumulate_rows);
 }
 
-/// Fewest queries [`attend_many`] runs as lanes; fewer run one [`attend`]
-/// call each. On a Sapphire Rapids core, four queries as lanes took as long
-/// as four calls (40 and 512 shared rows, heads of 32); five took 0.75–0.9
-/// of the time.
-const LANE_CROSSOVER: usize = 5;
-
 /// Softmax attention of many queries that share their first rows: query
 /// `j` (row `j` of `qs`, `[m × dim]`) is own row `first + j`, where `first
 /// = parents.len() - m`, and sees every row of `shared`, then its ancestor
@@ -223,9 +217,9 @@ const LANE_CROSSOVER: usize = 5;
 /// `parents[i] = i - 1`. `scratch` is working space the caller reuses.
 ///
 /// Every output equals [`attend`] of the query over the blocks `[shared,
-/// chain…]`, bit for bit. From five queries on, they run as lanes of one
-/// pass (the module docs say why nothing moves); fewer run one [`attend`]
-/// call each.
+/// chain…]`, bit for bit. On x86-64, from four queries on, they run as
+/// lanes of one pass (the module docs say why nothing moves); fewer, and
+/// every query elsewhere, run one [`attend`] call each.
 ///
 /// # Panics
 ///
@@ -261,11 +255,8 @@ pub fn attend_many(
     for (i, p) in parents.iter().enumerate() {
         assert!(p.is_none_or(|p| p < i), "parents must precede children");
     }
-    if m < LANE_CROSSOVER {
-        return attend_each(qs, head_dim, shared, own, parents, scratch, out);
-    }
     #[cfg(target_arch = "x86_64")]
-    {
+    if m >= x86::LANE_CROSSOVER {
         // SAFETY (both calls): the feature is checked on the line above, and
         // the shapes were checked above.
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -275,12 +266,14 @@ pub fn attend_many(
             return unsafe { x86::many_avx(qs, head_dim, shared, own, parents, scratch, out) };
         }
     }
-    // SAFETY: the shapes were checked above.
-    unsafe { attend_lanes::<Scalar8>(qs, head_dim, shared, own, parents, scratch, out) }
+    attend_each(qs, head_dim, shared, own, parents, scratch, out)
 }
 
 /// [`attend_many`] one query at a time: one [`attend`] call over
 /// `shared`, then the query's chain, a run of consecutive rows per block.
+/// The blocks sit on the stack (a span's query has one run, a tree node at
+/// most one per level); a chain of more runs than that holds spills to a
+/// `Vec`.
 fn attend_each(
     qs: &[f32],
     head_dim: usize,
@@ -292,383 +285,39 @@ fn attend_each(
 ) {
     let dim = own.0.len() / parents.len();
     let first = parents.len() - qs.len() / dim;
-    let mut visible = vec![shared];
+    let (mut stack, mut heap) = ([shared; 8], Vec::new());
     let queries = qs.chunks_exact(dim).zip(out.chunks_exact_mut(dim));
     for (j, (q, out)) in queries.enumerate() {
         // The chain leaf → root in runs `start..end`, then reversed.
-        visible.truncate(1);
-        let (mut start, mut end) = (first + j, first + j + 1);
+        heap.clear();
+        let (mut blocks, mut start, mut end) = (1, first + j, first + j + 1);
         loop {
             match parents[start] {
                 Some(i) if i + 1 == start => start = i,
                 parent => {
                     let run = start * dim..end * dim;
-                    visible.push((&own.0[run.clone()], &own.1[run]));
+                    let run = (&own.0[run.clone()], &own.1[run]);
+                    if blocks < stack.len() {
+                        stack[blocks] = run;
+                    } else {
+                        if blocks == stack.len() {
+                            heap.extend_from_slice(&stack);
+                        }
+                        heap.push(run);
+                    }
+                    blocks += 1;
                     let Some(i) = parent else { break };
                     (start, end) = (i, i + 1);
                 }
             }
         }
+        let visible = if heap.is_empty() {
+            &mut stack[..blocks]
+        } else {
+            &mut heap[..]
+        };
         visible[1..].reverse();
-        attend(q, head_dim, &visible, scores, out);
-    }
-}
-
-/// One register of query lanes, as a path supplies it to [`attend_lanes`]:
-/// lane `l` of every value belongs to query `l` of a lane group. Each
-/// operation is the scalar one lane for lane, so a lane computes what one
-/// query's own loop computes.
-trait Lanes {
-    /// Queries a lane group holds.
-    const L: usize;
-    /// `L` lanes of `f32`.
-    type V: Copy;
-    /// A lane mask, from [`Lanes::mask`].
-    type M: Copy;
-    unsafe fn splat(x: f32) -> Self::V;
-    /// `L` lanes from `p..p + L`.
-    unsafe fn load(p: *const f32) -> Self::V;
-    unsafe fn store(p: *mut f32, v: Self::V);
-    /// `p[l * stride]` on each lane `l < lanes`, zero on the others.
-    unsafe fn gather(p: *const f32, stride: usize, lanes: usize) -> Self::V;
-    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn div(a: Self::V, b: Self::V) -> Self::V;
-    /// `f32::max(acc, x)`, NaN in `x` ignored as it ignores it.
-    unsafe fn max(acc: Self::V, x: Self::V) -> Self::V;
-    /// `v` where it is `> 0`, else 1 (which divides into a no-op).
-    unsafe fn positive_or_one(v: Self::V) -> Self::V;
-    /// The lanes whose bit is set in `bits`.
-    unsafe fn mask(bits: u32) -> Self::M;
-    /// `a` on the lanes of `m`, `b` elsewhere.
-    unsafe fn select(m: Self::M, a: Self::V, b: Self::V) -> Self::V;
-}
-
-/// The portable lanes: eight scalars, in whatever registers the compiler
-/// picks.
-struct Scalar8;
-
-impl Lanes for Scalar8 {
-    const L: usize = 8;
-    type V = [f32; 8];
-    type M = [bool; 8];
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> [f32; 8] {
-        [x; 8]
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> [f32; 8] {
-        p.cast::<[f32; 8]>().read_unaligned()
-    }
-    #[inline(always)]
-    unsafe fn store(p: *mut f32, v: [f32; 8]) {
-        p.cast::<[f32; 8]>().write_unaligned(v)
-    }
-    #[inline(always)]
-    unsafe fn gather(p: *const f32, stride: usize, lanes: usize) -> [f32; 8] {
-        core::array::from_fn(|l| if l < lanes { *p.add(l * stride) } else { 0.0 })
-    }
-    #[inline(always)]
-    unsafe fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        core::array::from_fn(|l| a[l] + b[l])
-    }
-    #[inline(always)]
-    unsafe fn sub(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        core::array::from_fn(|l| a[l] - b[l])
-    }
-    #[inline(always)]
-    unsafe fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        core::array::from_fn(|l| a[l] * b[l])
-    }
-    #[inline(always)]
-    unsafe fn div(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        core::array::from_fn(|l| a[l] / b[l])
-    }
-    #[inline(always)]
-    unsafe fn max(acc: [f32; 8], x: [f32; 8]) -> [f32; 8] {
-        core::array::from_fn(|l| acc[l].max(x[l]))
-    }
-    #[inline(always)]
-    unsafe fn positive_or_one(v: [f32; 8]) -> [f32; 8] {
-        v.map(|v| if v > 0.0 { v } else { 1.0 })
-    }
-    #[inline(always)]
-    unsafe fn mask(bits: u32) -> [bool; 8] {
-        core::array::from_fn(|l| bits >> l & 1 == 1)
-    }
-    #[inline(always)]
-    unsafe fn select(m: [bool; 8], a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        core::array::from_fn(|l| if m[l] { a[l] } else { b[l] })
-    }
-}
-
-/// A call of [`attend_many`] as its lane groups read it, with the scratch
-/// they reuse.
-struct Batch<'a> {
-    qs: &'a [f32],
-    hd: usize,
-    dim: usize,
-    shared: (&'a [f32], &'a [f32]),
-    own: (&'a [f32], &'a [f32]),
-    parents: &'a [Option<usize>],
-    /// The own row of query 0.
-    first: usize,
-    /// Per own row, the lanes of the group at hand that see it.
-    bits: Vec<u32>,
-    /// The own rows the group at hand sees, in index order.
-    seen: Vec<usize>,
-}
-
-impl<'a> Batch<'a> {
-    fn new(
-        qs: &'a [f32],
-        hd: usize,
-        shared: (&'a [f32], &'a [f32]),
-        own: (&'a [f32], &'a [f32]),
-        parents: &'a [Option<usize>],
-    ) -> Self {
-        let dim = own.0.len() / parents.len();
-        let first = parents.len() - qs.len() / dim;
-        let (bits, seen) = (Vec::new(), Vec::new());
-        Batch {
-            qs,
-            hd,
-            dim,
-            shared,
-            own,
-            parents,
-            first,
-            bits,
-            seen,
-        }
-    }
-
-    /// Queries in the batch.
-    fn queries(&self) -> usize {
-        self.qs.len() / self.dim
-    }
-}
-
-/// [`attend_many`] in lane groups of `P::L` queries, the last one padded.
-///
-/// # Safety
-///
-/// As [`attend_group`].
-#[inline(always)]
-unsafe fn attend_lanes<P: Lanes>(
-    qs: &[f32],
-    hd: usize,
-    shared: (&[f32], &[f32]),
-    own: (&[f32], &[f32]),
-    parents: &[Option<usize>],
-    work: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let mut batch = Batch::new(qs, hd, shared, own, parents);
-    for j0 in (0..batch.queries()).step_by(P::L) {
-        attend_group::<P>(&mut batch, j0, work, out);
-    }
-}
-
-/// The body every lane path shares: queries `j0..` of `batch`, up to
-/// `P::L` of them, as the lanes of one group. Their queries and output
-/// rows are transposed into lanes (column `c` of every query in one
-/// register), and each row the group sees — every shared row, then each
-/// own row some query of the group has on its chain, in index order, which
-/// is chain order for every query — is read once for the whole group:
-///
-/// - scores: per head, four lane accumulators filled in `matrix::dot`'s
-///   column order, `s0 + s1 + s2 + s3`, the ragged columns, `× 1/√hd`;
-/// - softmax: per head, the maximum over the lanes that see a row, minus
-///   it, the lanes that do not see it zeroed, one `exp_in_place`, a sum in
-///   row order over the lanes that see each row, a division where the sum
-///   is `> 0` ([`ops::softmax_inplace`]'s order);
-/// - values: `out += w * v` in row order, a lane left alone on a row its
-///   query does not see, column blocks of eight held in registers.
-///
-/// # Safety
-///
-/// The shapes [`attend_many`] asserts must hold, `j0` must be a query of
-/// the batch, and `P`'s instructions must be available.
-#[inline(always)]
-unsafe fn attend_group<P: Lanes>(
-    batch: &mut Batch<'_>,
-    j0: usize,
-    work: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let (l, hd, dim, first) = (P::L, batch.hd, batch.dim, batch.first);
-    let (shared, own) = (batch.shared, batch.own);
-    let heads = dim / hd;
-    let lanes = (batch.queries() - j0).min(l);
-    let n_shared = shared.0.len() / dim;
-    let scale = 1.0 / (hd as f32).sqrt();
-
-    // The own rows each lane sees: its chain, root → itself.
-    let (bits, seen) = (&mut batch.bits, &mut batch.seen);
-    bits.clear();
-    bits.resize(first + j0 + lanes, 0);
-    for lane in 0..lanes {
-        let mut node = Some(first + j0 + lane);
-        while let Some(i) = node {
-            bits[i] |= 1 << lane;
-            node = batch.parents[i];
-        }
-    }
-    seen.clear();
-    seen.extend((0..bits.len()).filter(|&i| bits[i] != 0));
-    let (bits, seen) = (bits.as_slice(), seen.as_slice());
-    let rows = n_shared + seen.len();
-
-    // Working space: queries and outputs `[dim × L]`, scores
-    // `[heads × rows × L]`; a padding lane's query and output are zero.
-    if work.len() < (2 * dim + heads * rows) * l {
-        work.resize((2 * dim + heads * rows) * l, 0.0);
-    }
-    let qt = work.as_mut_ptr();
-    let (ot, sc) = (qt.add(dim * l), qt.add(2 * dim * l));
-    let (q0, o0) = (
-        batch.qs.as_ptr().add(j0 * dim),
-        out.as_mut_ptr().add(j0 * dim),
-    );
-    for c in 0..dim {
-        P::store(qt.add(c * l), P::gather(q0.add(c), dim, lanes));
-        P::store(ot.add(c * l), P::gather(o0.add(c), dim, lanes));
-    }
-    let key = |r: usize| match r.checked_sub(n_shared) {
-        None => shared.0.as_ptr().add(r * dim),
-        Some(o) => own.0.as_ptr().add(seen[o] * dim),
-    };
-    let mask = |o: usize| P::mask(bits[seen[o]]);
-
-    // Scores, two rows at a time (eight independent sums, one load of the
-    // queries). In bounds: `rows` rows of `heads` heads of `hd` lanes.
-    for r in (0..rows).step_by(2) {
-        let pair = [key(r), key((r + 1).min(rows - 1))];
-        for h in 0..heads {
-            let q = qt.add(h * hd * l);
-            let k = pair.map(|k| k.add(h * hd));
-            let mut acc = [[P::splat(0.0); 4]; 2];
-            let tail = hd / 4 * 4;
-            for c in (0..tail).step_by(4) {
-                for t in 0..4 {
-                    let q = P::load(q.add((c + t) * l));
-                    for (acc, k) in acc.iter_mut().zip(k) {
-                        acc[t] = P::add(acc[t], P::mul(q, P::splat(*k.add(c + t))));
-                    }
-                }
-            }
-            for (i, (acc, k)) in acc.into_iter().zip(k).enumerate().take(rows - r) {
-                let mut s = P::add(P::add(P::add(acc[0], acc[1]), acc[2]), acc[3]);
-                for c in tail..hd {
-                    s = P::add(s, P::mul(P::load(q.add(c * l)), P::splat(*k.add(c))));
-                }
-                P::store(sc.add((h * rows + r + i) * l), P::mul(s, P::splat(scale)));
-            }
-        }
-    }
-
-    // Softmax: the maximum and the shift, one `exp` over every head, the
-    // sum and the division.
-    for h in 0..heads {
-        let s = sc.add(h * rows * l);
-        let mut max = P::splat(f32::NEG_INFINITY);
-        for r in 0..n_shared {
-            max = P::max(max, P::load(s.add(r * l)));
-        }
-        for o in 0..seen.len() {
-            let x = P::load(s.add((n_shared + o) * l));
-            max = P::select(mask(o), P::max(max, x), max);
-        }
-        for r in 0..n_shared {
-            let p = s.add(r * l);
-            P::store(p, P::sub(P::load(p), max));
-        }
-        for o in 0..seen.len() {
-            let p = s.add((n_shared + o) * l);
-            P::store(
-                p,
-                P::select(mask(o), P::sub(P::load(p), max), P::splat(0.0)),
-            );
-        }
-    }
-    ops::exp_in_place(core::slice::from_raw_parts_mut(sc, heads * rows * l));
-    for h in 0..heads {
-        let s = sc.add(h * rows * l);
-        let mut sum = P::splat(0.0);
-        for r in 0..n_shared {
-            sum = P::add(sum, P::load(s.add(r * l)));
-        }
-        for o in 0..seen.len() {
-            sum = P::select(
-                mask(o),
-                P::add(sum, P::load(s.add((n_shared + o) * l))),
-                sum,
-            );
-        }
-        let sum = P::positive_or_one(sum);
-        for r in 0..rows {
-            let p = s.add(r * l);
-            P::store(p, P::div(P::load(p), sum));
-        }
-    }
-
-    // Values, a head at a time in column blocks of eight.
-    let values = (shared.1, own.1, seen, bits);
-    for h in 0..heads {
-        let (w, mut c) = (sc.add(h * rows * l).cast_const(), h * hd);
-        while c + 8 <= (h + 1) * hd {
-            values_block::<P, 8>(values, dim, w, ot.add(c * l), c);
-            c += 8;
-        }
-        while c < (h + 1) * hd {
-            values_block::<P, 1>(values, dim, w, ot.add(c * l), c);
-            c += 1;
-        }
-    }
-    for lane in 0..lanes {
-        let row = o0.add(lane * dim);
-        for c in 0..dim {
-            *row.add(c) = *ot.add(c * l + lane);
-        }
-    }
-}
-
-/// Output columns `c..c + B` of a lane group, held in `B` registers across
-/// every row the group sees: `w` the head's weights `[rows × L]`, `o` the
-/// transposed output at column `c`, `values` the shared value rows, the
-/// own value rows, the own rows seen and every own row's lane bits.
-///
-/// # Safety
-///
-/// As [`attend_group`], with `c + B` inside a head.
-#[inline(always)]
-unsafe fn values_block<P: Lanes, const B: usize>(
-    (shared, own, seen, bits): (&[f32], &[f32], &[usize], &[u32]),
-    dim: usize,
-    w: *const f32,
-    o: *mut f32,
-    c: usize,
-) {
-    let l = P::L;
-    let n_shared = shared.len() / dim;
-    let mut acc: [P::V; B] = core::array::from_fn(|b| P::load(o.add(b * l)));
-    for r in 0..n_shared {
-        let (w, v) = (P::load(w.add(r * l)), shared.as_ptr().add(r * dim + c));
-        for (b, a) in acc.iter_mut().enumerate() {
-            *a = P::add(*a, P::mul(w, P::splat(*v.add(b))));
-        }
-    }
-    for (s, &i) in seen.iter().enumerate() {
-        let (w, mask) = (P::load(w.add((n_shared + s) * l)), P::mask(bits[i]));
-        let v = own.as_ptr().add(i * dim + c);
-        for (b, a) in acc.iter_mut().enumerate() {
-            *a = P::select(mask, P::add(*a, P::mul(w, P::splat(*v.add(b)))), *a);
-        }
-    }
-    for (b, a) in acc.into_iter().enumerate() {
-        P::store(o.add(b * l), a);
+        attend(q, head_dim, visible, scores, out);
     }
 }
 
@@ -677,9 +326,317 @@ unsafe fn values_block<P: Lanes, const B: usize>(
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{accumulate_rows, attend_group, attend_lanes, attend_with, heads, value_rows};
-    use super::{Batch, Lanes};
+    use super::{accumulate_rows, attend_with, heads, ops, value_rows};
     use crate::backend::x86::lane_sums;
+
+    /// Fewest queries [`super::attend_many`] runs as lanes; fewer run one
+    /// [`super::attend`] call each. Timed on a Xeon with AVX-512 (family 6,
+    /// model 207), heads of 32, 40 and 512 shared rows, star and chain
+    /// masks, each lane path against one `attend` call a query on the same
+    /// instruction set: at four queries the AVX-512 lanes took 0.88–0.91 of
+    /// the time at 40 rows and 1.00–1.03 at 512, the AVX lanes 0.86–0.89;
+    /// at three, every case took longer (1.05–1.33).
+    pub const LANE_CROSSOVER: usize = 4;
+
+    /// One register of query lanes, as a path supplies it to [`attend_lanes`]:
+    /// lane `l` of every value belongs to query `l` of a lane group. Each
+    /// operation is the scalar one lane for lane, so a lane computes what one
+    /// query's own loop computes.
+    trait Lanes {
+        /// Queries a lane group holds.
+        const L: usize;
+        /// `L` lanes of `f32`.
+        type V: Copy;
+        /// A lane mask, from [`Lanes::mask`].
+        type M: Copy;
+        unsafe fn splat(x: f32) -> Self::V;
+        /// `L` lanes from `p..p + L`.
+        unsafe fn load(p: *const f32) -> Self::V;
+        unsafe fn store(p: *mut f32, v: Self::V);
+        /// `p[l * stride]` on each lane `l < lanes`, zero on the others.
+        unsafe fn gather(p: *const f32, stride: usize, lanes: usize) -> Self::V;
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn div(a: Self::V, b: Self::V) -> Self::V;
+        /// `f32::max(acc, x)`, NaN in `x` ignored as it ignores it.
+        unsafe fn max(acc: Self::V, x: Self::V) -> Self::V;
+        /// `v` where it is `> 0`, else 1 (which divides into a no-op).
+        unsafe fn positive_or_one(v: Self::V) -> Self::V;
+        /// The lanes whose bit is set in `bits`.
+        unsafe fn mask(bits: u32) -> Self::M;
+        /// `a` on the lanes of `m`, `b` elsewhere.
+        unsafe fn select(m: Self::M, a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    /// A call of [`super::attend_many`] as its lane groups read it, with the scratch
+    /// they reuse.
+    struct Batch<'a> {
+        qs: &'a [f32],
+        hd: usize,
+        dim: usize,
+        shared: (&'a [f32], &'a [f32]),
+        own: (&'a [f32], &'a [f32]),
+        parents: &'a [Option<usize>],
+        /// The own row of query 0.
+        first: usize,
+        /// Per own row, the lanes of the group at hand that see it.
+        bits: Vec<u32>,
+        /// The own rows the group at hand sees, in index order.
+        seen: Vec<usize>,
+    }
+
+    impl<'a> Batch<'a> {
+        fn new(
+            qs: &'a [f32],
+            hd: usize,
+            shared: (&'a [f32], &'a [f32]),
+            own: (&'a [f32], &'a [f32]),
+            parents: &'a [Option<usize>],
+        ) -> Self {
+            let dim = own.0.len() / parents.len();
+            let first = parents.len() - qs.len() / dim;
+            let (bits, seen) = (Vec::new(), Vec::new());
+            Batch {
+                qs,
+                hd,
+                dim,
+                shared,
+                own,
+                parents,
+                first,
+                bits,
+                seen,
+            }
+        }
+
+        /// Queries in the batch.
+        fn queries(&self) -> usize {
+            self.qs.len() / self.dim
+        }
+    }
+
+    /// [`super::attend_many`] in lane groups of `P::L` queries, the last one padded.
+    ///
+    /// # Safety
+    ///
+    /// As [`attend_group`].
+    #[inline(always)]
+    unsafe fn attend_lanes<P: Lanes>(
+        qs: &[f32],
+        hd: usize,
+        shared: (&[f32], &[f32]),
+        own: (&[f32], &[f32]),
+        parents: &[Option<usize>],
+        work: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let mut batch = Batch::new(qs, hd, shared, own, parents);
+        for j0 in (0..batch.queries()).step_by(P::L) {
+            attend_group::<P>(&mut batch, j0, work, out);
+        }
+    }
+
+    /// The body every lane path shares: queries `j0..` of `batch`, up to
+    /// `P::L` of them, as the lanes of one group. Their queries and output
+    /// rows are transposed into lanes (column `c` of every query in one
+    /// register), and each row the group sees — every shared row, then each
+    /// own row some query of the group has on its chain, in index order, which
+    /// is chain order for every query — is read once for the whole group:
+    ///
+    /// - scores: per head, four lane accumulators filled in `matrix::dot`'s
+    ///   column order, `s0 + s1 + s2 + s3`, the ragged columns, `× 1/√hd`;
+    /// - softmax: per head, the maximum over the lanes that see a row, minus
+    ///   it, the lanes that do not see it zeroed, one `exp_in_place`, a sum in
+    ///   row order over the lanes that see each row, a division where the sum
+    ///   is `> 0` ([`ops::softmax_inplace`]'s order);
+    /// - values: `out += w * v` in row order, a lane left alone on a row its
+    ///   query does not see, column blocks of eight held in registers.
+    ///
+    /// # Safety
+    ///
+    /// The shapes [`super::attend_many`] asserts must hold, `j0` must be a query of
+    /// the batch, and `P`'s instructions must be available.
+    #[inline(always)]
+    unsafe fn attend_group<P: Lanes>(
+        batch: &mut Batch<'_>,
+        j0: usize,
+        work: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let (l, hd, dim, first) = (P::L, batch.hd, batch.dim, batch.first);
+        let (shared, own) = (batch.shared, batch.own);
+        let heads = dim / hd;
+        let lanes = (batch.queries() - j0).min(l);
+        let n_shared = shared.0.len() / dim;
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        // The own rows each lane sees: its chain, root → itself.
+        let (bits, seen) = (&mut batch.bits, &mut batch.seen);
+        bits.clear();
+        bits.resize(first + j0 + lanes, 0);
+        for lane in 0..lanes {
+            let mut node = Some(first + j0 + lane);
+            while let Some(i) = node {
+                bits[i] |= 1 << lane;
+                node = batch.parents[i];
+            }
+        }
+        seen.clear();
+        seen.extend((0..bits.len()).filter(|&i| bits[i] != 0));
+        let (bits, seen) = (bits.as_slice(), seen.as_slice());
+        let rows = n_shared + seen.len();
+
+        // Working space: queries and outputs `[dim × L]`, scores
+        // `[heads × rows × L]`; a padding lane's query and output are zero.
+        if work.len() < (2 * dim + heads * rows) * l {
+            work.resize((2 * dim + heads * rows) * l, 0.0);
+        }
+        let qt = work.as_mut_ptr();
+        let (ot, sc) = (qt.add(dim * l), qt.add(2 * dim * l));
+        let (q0, o0) = (
+            batch.qs.as_ptr().add(j0 * dim),
+            out.as_mut_ptr().add(j0 * dim),
+        );
+        for c in 0..dim {
+            P::store(qt.add(c * l), P::gather(q0.add(c), dim, lanes));
+            P::store(ot.add(c * l), P::gather(o0.add(c), dim, lanes));
+        }
+        let key = |r: usize| match r.checked_sub(n_shared) {
+            None => shared.0.as_ptr().add(r * dim),
+            Some(o) => own.0.as_ptr().add(seen[o] * dim),
+        };
+        let mask = |o: usize| P::mask(bits[seen[o]]);
+
+        // Scores, two rows at a time (eight independent sums, one load of the
+        // queries). In bounds: `rows` rows of `heads` heads of `hd` lanes.
+        for r in (0..rows).step_by(2) {
+            let pair = [key(r), key((r + 1).min(rows - 1))];
+            for h in 0..heads {
+                let q = qt.add(h * hd * l);
+                let k = pair.map(|k| k.add(h * hd));
+                let mut acc = [[P::splat(0.0); 4]; 2];
+                let tail = hd / 4 * 4;
+                for c in (0..tail).step_by(4) {
+                    for t in 0..4 {
+                        let q = P::load(q.add((c + t) * l));
+                        for (acc, k) in acc.iter_mut().zip(k) {
+                            acc[t] = P::add(acc[t], P::mul(q, P::splat(*k.add(c + t))));
+                        }
+                    }
+                }
+                for (i, (acc, k)) in acc.into_iter().zip(k).enumerate().take(rows - r) {
+                    let mut s = P::add(P::add(P::add(acc[0], acc[1]), acc[2]), acc[3]);
+                    for c in tail..hd {
+                        s = P::add(s, P::mul(P::load(q.add(c * l)), P::splat(*k.add(c))));
+                    }
+                    P::store(sc.add((h * rows + r + i) * l), P::mul(s, P::splat(scale)));
+                }
+            }
+        }
+
+        // Softmax: the maximum and the shift, one `exp` over every head, the
+        // sum and the division.
+        for h in 0..heads {
+            let s = sc.add(h * rows * l);
+            let mut max = P::splat(f32::NEG_INFINITY);
+            for r in 0..n_shared {
+                max = P::max(max, P::load(s.add(r * l)));
+            }
+            for o in 0..seen.len() {
+                let x = P::load(s.add((n_shared + o) * l));
+                max = P::select(mask(o), P::max(max, x), max);
+            }
+            for r in 0..n_shared {
+                let p = s.add(r * l);
+                P::store(p, P::sub(P::load(p), max));
+            }
+            for o in 0..seen.len() {
+                let p = s.add((n_shared + o) * l);
+                P::store(
+                    p,
+                    P::select(mask(o), P::sub(P::load(p), max), P::splat(0.0)),
+                );
+            }
+        }
+        ops::exp_in_place(core::slice::from_raw_parts_mut(sc, heads * rows * l));
+        for h in 0..heads {
+            let s = sc.add(h * rows * l);
+            let mut sum = P::splat(0.0);
+            for r in 0..n_shared {
+                sum = P::add(sum, P::load(s.add(r * l)));
+            }
+            for o in 0..seen.len() {
+                sum = P::select(
+                    mask(o),
+                    P::add(sum, P::load(s.add((n_shared + o) * l))),
+                    sum,
+                );
+            }
+            let sum = P::positive_or_one(sum);
+            for r in 0..rows {
+                let p = s.add(r * l);
+                P::store(p, P::div(P::load(p), sum));
+            }
+        }
+
+        // Values, a head at a time in column blocks of eight.
+        let values = (shared.1, own.1, seen, bits);
+        for h in 0..heads {
+            let (w, mut c) = (sc.add(h * rows * l).cast_const(), h * hd);
+            while c + 8 <= (h + 1) * hd {
+                values_block::<P, 8>(values, dim, w, ot.add(c * l), c);
+                c += 8;
+            }
+            while c < (h + 1) * hd {
+                values_block::<P, 1>(values, dim, w, ot.add(c * l), c);
+                c += 1;
+            }
+        }
+        for lane in 0..lanes {
+            let row = o0.add(lane * dim);
+            for c in 0..dim {
+                *row.add(c) = *ot.add(c * l + lane);
+            }
+        }
+    }
+
+    /// Output columns `c..c + B` of a lane group, held in `B` registers across
+    /// every row the group sees: `w` the head's weights `[rows × L]`, `o` the
+    /// transposed output at column `c`, `values` the shared value rows, the
+    /// own value rows, the own rows seen and every own row's lane bits.
+    ///
+    /// # Safety
+    ///
+    /// As [`attend_group`], with `c + B` inside a head.
+    #[inline(always)]
+    unsafe fn values_block<P: Lanes, const B: usize>(
+        (shared, own, seen, bits): (&[f32], &[f32], &[usize], &[u32]),
+        dim: usize,
+        w: *const f32,
+        o: *mut f32,
+        c: usize,
+    ) {
+        let l = P::L;
+        let n_shared = shared.len() / dim;
+        let mut acc: [P::V; B] = core::array::from_fn(|b| P::load(o.add(b * l)));
+        for r in 0..n_shared {
+            let (w, v) = (P::load(w.add(r * l)), shared.as_ptr().add(r * dim + c));
+            for (b, a) in acc.iter_mut().enumerate() {
+                *a = P::add(*a, P::mul(w, P::splat(*v.add(b))));
+            }
+        }
+        for (s, &i) in seen.iter().enumerate() {
+            let (w, mask) = (P::load(w.add((n_shared + s) * l)), P::mask(bits[i]));
+            let v = own.as_ptr().add(i * dim + c);
+            for (b, a) in acc.iter_mut().enumerate() {
+                *a = P::select(mask, P::add(*a, P::mul(w, P::splat(*v.add(b)))), *a);
+            }
+        }
+        for (b, a) in acc.into_iter().enumerate() {
+            P::store(o.add(b * l), a);
+        }
+    }
 
     /// Eight queries to a 256-bit register.
     struct Avx;
@@ -865,7 +822,10 @@ mod x86 {
         out: &mut [f32],
     ) {
         // A last group of eight queries or fewer takes eight lanes: half
-        // the `exp`s of sixteen, the same number of other instructions.
+        // the `exp`s of sixteen, the same number of other instructions. On
+        // a [3, 2, 2] tree (16 + 6 queries, heads of 32) this took 0.90–0.96
+        // of the time of two sixteen-lane groups at 24–64 shared rows and
+        // 0.84–0.86 at 512, ahead in 30 to 39 of 40 alternating batches.
         let mut batch = Batch::new(qs, hd, shared, own, parents);
         let (m, mut j0) = (batch.queries(), 0);
         while j0 + 8 < m {
@@ -1219,17 +1179,12 @@ mod tests {
     /// Every multi-query path this CPU can run, by name: one [`attend`] a
     /// query, each lane path whatever the query count, and the dispatch.
     fn many_paths() -> Vec<(&'static str, ManyPath)> {
-        // SAFETY (every lane path): `pin_every_many_path` passes shapes
-        // `attend_many` accepts, and each x86 path is pushed only when its
-        // feature is present.
-        let mut paths: Vec<(&'static str, ManyPath)> = vec![
-            ("one attend a query", attend_each),
-            ("portable lanes", |q, hd, s, o, p, w, out| unsafe {
-                attend_lanes::<Scalar8>(q, hd, s, o, p, w, out)
-            }),
-        ];
+        let mut paths: Vec<(&'static str, ManyPath)> = vec![("one attend a query", attend_each)];
         #[cfg(target_arch = "x86_64")]
         {
+            // SAFETY (both lane paths): `pin_every_many_path` passes shapes
+            // `attend_many` accepts, and each is pushed only when its
+            // feature is present.
             if std::arch::is_x86_feature_detected!("avx") {
                 paths.push(("avx lanes", |q, hd, s, o, p, w, out| unsafe {
                     x86::many_avx(q, hd, s, o, p, w, out)
@@ -1276,6 +1231,13 @@ mod tests {
 
     fn chain(n: usize) -> Vec<Option<usize>> {
         (0..n).map(|i| i.checked_sub(1)).collect()
+    }
+
+    /// Two interleaved chains, `parents[i] = i - 2`: a query's chain is
+    /// one run of rows per ancestor, more runs than `attend_each` holds on
+    /// the stack from row 14 on.
+    fn comb(n: usize) -> Vec<Option<usize>> {
+        (0..n).map(|i| i.checked_sub(2)).collect()
     }
 
     fn mask(name: &str, parents: Vec<Option<usize>>, first: usize) -> Mask {
@@ -1358,8 +1320,8 @@ mod tests {
     #[test]
     fn every_attend_path_bit_identical_to_the_oracle_on_query_batches() {
         // The draft trees ([3, 2, 2], whole and from a level on), stars,
-        // chains that start past their root, and causal spans of every
-        // length to 40, across the 8- and 16-lane groups.
+        // chains that start past their root, combs, and causal spans of
+        // every length to 40, across the 8- and 16-lane groups.
         let mut masks = vec![
             mask("[3,2,2] tree", tree(&[3, 2, 2]), 0),
             mask("[3,2,2] tree", tree(&[3, 2, 2]), 4),
@@ -1368,6 +1330,8 @@ mod tests {
             mask("star", star(17), 1),
             mask("chain", chain(12), 7),
             mask("chain", chain(33), 2),
+            mask("comb", comb(20), 0),
+            mask("comb", comb(20), 17),
         ];
         let long = masks.len();
         masks.extend((1..=40).map(|n| mask("causal span", chain(n), 0)));
@@ -1377,9 +1341,9 @@ mod tests {
                 for n_shared in (0..=17).chain([64, 513]) {
                     let some: &[usize] = match n_shared {
                         // Every span length once, at one shared count.
-                        5 => &[0, 1, 2, 3, 4, 5, 6],
-                        64 | 513 => &[0, 6, long + 39],
-                        _ => &[0, 3, 5, long, long + 2, long + 15, long + 23],
+                        5 => &[0, 1, 2, 3, 4, 5, 6, 7, 8],
+                        64 | 513 => &[0, 6, 7, long + 39],
+                        _ => &[0, 3, 5, 7, 8, long, long + 2, long + 15, long + 23],
                     };
                     for &i in some {
                         cases.push((head_dim, heads, n_shared, &masks[i]));
