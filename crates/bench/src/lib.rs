@@ -197,8 +197,10 @@ pub fn run_engine(
         let prompts = train_prompt_set(cfg, &collect_lm, seed);
         (collect_lm, prompts)
     };
+    // The paper's figures verify the paper's full [3, 2, 2] tree.
     let config = SpecEeConfig {
         predictor: trained.predictor,
+        tree_budget: None,
         ..SpecEeConfig::default()
     };
     let outputs: Vec<GenOutput> = match kind {
@@ -269,36 +271,6 @@ pub fn run_engine(
         stats: RunStats::aggregate(&outputs),
         outputs,
         avg_active_predictors: avg_active,
-    }
-}
-
-/// Runs the SpecEE speculative engine (T3) with an explicit configuration
-/// — ablations that sweep tree shape/budget/threshold use this instead of
-/// [`run_engine`]'s fixed defaults.
-pub fn run_speculative_with_config(
-    cfg: &ModelConfig,
-    profile: &DatasetProfile,
-    seed: u64,
-    trained: &Trained,
-    workload_reqs: &[Request],
-    config: &SpecEeConfig,
-) -> EngineRun {
-    assert!(!workload_reqs.is_empty(), "empty workload");
-    let lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
-    let draft = build_draft(&lm, cfg, seed);
-    let schedule = config.build_schedule(cfg.n_layers, Some(&trained.collection.exit_frequencies));
-    let mut engine = SpeculativeEngine::with_early_exit(
-        lm,
-        draft,
-        trained.bank.clone(),
-        schedule,
-        config.clone(),
-    );
-    let outputs = serve(workload_reqs, |p, n| engine.generate(p, n));
-    EngineRun {
-        stats: RunStats::aggregate(&outputs),
-        outputs,
-        avg_active_predictors: None,
     }
 }
 

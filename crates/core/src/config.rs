@@ -35,12 +35,45 @@ pub struct SpecEeConfig {
     pub skip_kv_policy: SkipKvPolicy,
     /// Draft tree shape for speculative decoding.
     pub tree_shape: TreeShape,
-    /// Optional EAGLE-2-style node budget: after drafting, the tree is
-    /// pruned to its `budget` highest joint-probability nodes
+    /// Optional EAGLE-2-style node budget on a *separate* draft's
+    /// proposal: after drafting, the tree is pruned to its `budget`
+    /// highest joint-probability nodes
     /// ([`specee_draft::TokenTree::prune_to_budget`]). `None` verifies the
-    /// full fixed-shape tree.
+    /// full fixed-shape tree. A self-draft ignores it: its
+    /// [`specee_draft::SelfDraftSpec`] shape is its own budget.
     pub tree_budget: Option<usize>,
 }
+
+/// The default node budget a separate draft's tree is pruned to before
+/// verification (`tree_budget: Some(TREE_BUDGET)`).
+///
+/// The paper verifies EAGLE's full [3, 2, 2] tree because on a GPU a
+/// layer's 22 inputs cost about what one does; an f32 CPU tile pays for
+/// every input. Rule: among the budgets whose A100-priced tok/s stays
+/// within 20 % of the full tree's, take the one with the highest measured
+/// wall tok/s. Accepted tokens per round amortise every per-round cost
+/// (a real draft forward is not free) and are what the A100 price
+/// rewards; wall time is what this host pays.
+///
+/// The sweep (`cargo bench -p specee-bench --bench ablation_tree_budget`:
+/// T3 on the benchmark's `solo_tree` model and request shape, 24 requests
+/// of 32 tokens, fastest of 5 passes, one Xeon core with AVX-512):
+///
+/// | budget | tokens/round | wall tok/s | priced tok/s |
+/// |---|---|---|---|
+/// | 1 | 1.68 | 918 | 61.7 |
+/// | 2 | 2.15 | 884 | 75.2 |
+/// | 3 | 2.36 | 889 | 82.0 |
+/// | **4** | **2.64** | **873** | **90.1** |
+/// | 5 | 2.74 | 730 | 93.3 |
+/// | 6 | 2.89 | 740 | 97.3 |
+/// | 8 | 2.99 | 529 | 99.3 |
+/// | 12 | 3.17 | 492 | 103.4 |
+/// | full (21) | 3.32 | 316 | 106.7 |
+///
+/// Budgets 1–3 fall below the priced floor (85.4); 4 is the fastest of
+/// the rest. Larger budgets buy tokens per round at wall cost.
+pub const TREE_BUDGET: usize = 4;
 
 impl Default for SpecEeConfig {
     fn default() -> Self {
@@ -52,7 +85,7 @@ impl Default for SpecEeConfig {
             neighborhood: 2,
             skip_kv_policy: SkipKvPolicy::ProjectExitHidden,
             tree_shape: TreeShape::eagle_default(),
-            tree_budget: None,
+            tree_budget: Some(TREE_BUDGET),
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Tree-based speculative decoding (EAGLE stand-in) with optional
 //! hyper-token early exiting (T3), or self-speculative rounds.
 //!
-//! Each round: the draft proposes a token tree; the target model runs the
-//! previous bonus token plus the whole tree through its layers with a tree
-//! attention mask; greedy verification walks the tree accepting the
+//! Each round: the draft proposes a token tree, pruned to the config's
+//! `tree_budget` most probable nodes (by default
+//! [`crate::config::TREE_BUDGET`]); the target model runs the previous
+//! bonus token plus the tree through its layers with a tree attention
+//! mask; greedy verification walks the tree accepting the
 //! longest matching path and produces the next bonus token. With a
 //! predictor bank (T3), scheduled predictors score every pending node per
 //! layer against its own candidate set, nodes *fire* sticky, and the whole
@@ -89,8 +91,9 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
     ///
     /// Panics if `prompt` is empty or `gen_len` is zero; with a self-draft
     /// source, also if its exit layer is not below the model depth, or with
-    /// T3 early exit or a tree budget: the shallow pass already plays the
-    /// exit predictors' role, and there is no separate proposal to prune.
+    /// T3 early exit: the shallow pass already plays the exit predictors'
+    /// role. A self-draft ignores `tree_budget`: there is no separate
+    /// proposal to prune, and its spec's shape is its own budget.
     pub fn generate(&mut self, prompt: &[TokenId], gen_len: usize) -> GenOutput {
         let self_spec = self.draft.self_spec().cloned();
         if let Some(spec) = &self_spec {
@@ -101,11 +104,6 @@ impl<M: LayeredLm, D: SpeculativeSource> SpeculativeEngine<M, D> {
                 self.bank.is_none(),
                 "self-draft does not compose with T3 tree early exit \
                  (the shallow pass already fills the predictors' role)"
-            );
-            assert!(
-                self.config.tree_budget.is_none(),
-                "self-draft does not compose with a tree budget: the tree is \
-                 grown inside the target, not pruned from a separate proposal"
             );
         }
         let spec_k = self.config.predictor.spec_k;
@@ -170,6 +168,7 @@ mod tests {
     use crate::output::agreement;
     use crate::predictor::PredictorConfig;
     use specee_draft::TreeShape;
+    use specee_metrics::Meter;
     use specee_model::ModelConfig;
     use specee_nn::TrainConfig;
     use specee_synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
@@ -385,17 +384,94 @@ mod tests {
         let _ = engine.generate(&[1, 2], 4);
     }
 
+    /// `tree_budget` bounds a separate draft's proposal; a self-draft's
+    /// spec shape is its own budget, so the default config decodes it
+    /// exactly as `tree_budget: None` does.
     #[test]
-    #[should_panic(expected = "tree budget")]
-    fn self_draft_rejects_tree_budget() {
+    fn self_draft_ignores_the_tree_budget() {
         use specee_draft::{SelfDraft, SelfDraftSpec};
-        let draft = SelfDraft::new(SelfDraftSpec::new(2, TreeShape::chain(2)));
-        let config = SpecEeConfig {
-            tree_budget: Some(4),
-            ..SpecEeConfig::default()
+        let prompt = vec![1u32, 2, 5];
+        let run = |config: SpecEeConfig| {
+            let draft = SelfDraft::new(SelfDraftSpec::new(5, TreeShape::eagle_default()));
+            SpeculativeEngine::baseline(tf(87), draft, config).generate(&prompt, 16)
         };
-        let mut engine = SpeculativeEngine::baseline(tf(87), draft, config);
-        let _ = engine.generate(&[1, 2], 4);
+        let default = SpecEeConfig::default();
+        assert!(default.tree_budget.is_some());
+        let full = run(SpecEeConfig {
+            tree_budget: None,
+            ..SpecEeConfig::default()
+        });
+        assert_eq!(format!("{:?}", run(default)), format!("{full:?}"));
+    }
+
+    /// Forwards to `inner` and counts, per drafted tree, the candidate
+    /// sets the engine asks for: one per node it verifies, the pending
+    /// token included.
+    struct CountingDraft<D> {
+        inner: D,
+        asked: Vec<usize>,
+    }
+
+    impl<D: SpeculativeSource> SpeculativeSource for CountingDraft<D> {
+        fn propose(&mut self, context: &[TokenId], k: usize, meter: &mut Meter) -> Vec<TokenId> {
+            self.inner.propose(context, k, meter)
+        }
+        fn propose_tree(
+            &mut self,
+            context: &[TokenId],
+            shape: &TreeShape,
+            meter: &mut Meter,
+        ) -> specee_draft::TokenTree {
+            self.asked.push(0);
+            self.inner.propose_tree(context, shape, meter)
+        }
+        fn cached_candidates(
+            &mut self,
+            context: &[TokenId],
+            k: usize,
+            meter: &mut Meter,
+        ) -> Vec<TokenId> {
+            *self.asked.last_mut().expect("a tree was drafted") += 1;
+            self.inner.cached_candidates(context, k, meter)
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+        fn modelled_bytes(&self) -> f64 {
+            self.inner.modelled_bytes()
+        }
+    }
+
+    /// The default config verifies `TREE_BUDGET` draft nodes a round,
+    /// not the 21 of the EAGLE shape it drafts; `None` verifies them all.
+    #[test]
+    fn a_default_round_verifies_at_most_the_tree_budget() {
+        let nodes_per_round = |tree_budget: Option<usize>| {
+            let lm = build_lm(59);
+            let inner = OracleDraft::new(*lm.language(), 0.9, &cfg(), 5);
+            let draft = CountingDraft {
+                inner,
+                asked: Vec::new(),
+            };
+            let config = SpecEeConfig {
+                tree_budget,
+                ..SpecEeConfig::default()
+            };
+            let mut engine = SpeculativeEngine::baseline(lm, draft, config);
+            let out = engine.generate(&[3, 1, 4], 16);
+            assert_eq!(out.rounds, engine.draft.asked.len() as u64);
+            // Less the pending token each round verifies behind the tree.
+            engine.draft.asked.iter().map(|n| n - 1).collect::<Vec<_>>()
+        };
+        let default = nodes_per_round(SpecEeConfig::default().tree_budget);
+        assert!(!default.is_empty());
+        assert!(
+            default.iter().all(|&n| n == crate::config::TREE_BUDGET),
+            "{default:?}"
+        );
+        let full = nodes_per_round(None);
+        let eagle = TreeShape::eagle_default().node_count();
+        assert!(full.iter().all(|&n| n == eagle), "{full:?}");
     }
 
     /// A draft that proposes nothing leaves a one-node tree, the pending

@@ -79,17 +79,19 @@ impl OracleDraft {
         self.hit_rate
     }
 
+    /// The top `k` of one ranking per context, whatever `k` is: a chain
+    /// (`k = 1`) sees the same top-1 a tree level does.
     fn propose_inner(&self, context: &[TokenId], k: usize) -> Vec<TokenId> {
         let mut rng = Pcg::seed(context_hash(context, self.seed));
-        let cands = self.language.candidates(context, k + 1);
+        let mut cands = self.language.candidates(context, k.max(1) + 1);
         if rng.chance(self.hit_rate) {
             // Truth lands at rank 0 most of the time, rank 1 otherwise —
             // real drafts are confident but not perfectly ordered.
-            let mut out: Vec<TokenId> = cands[..k].to_vec();
-            if k >= 2 && rng.chance(0.25) {
-                out.swap(0, 1);
+            if rng.chance(0.25) {
+                cands.swap(0, 1);
             }
-            out
+            cands.truncate(k);
+            cands
         } else {
             cands[1..=k].to_vec()
         }
@@ -215,6 +217,24 @@ mod tests {
         let tree = o.propose_tree(&[1, 2, 3], &TreeShape::new(vec![2, 2]), &mut meter);
         assert_eq!(tree.len(), 2 + 4);
         assert_eq!(tree.paths().len(), 4);
+    }
+
+    /// A proposal's ranking does not depend on how many candidates are
+    /// asked for: the top `k` are the first `k` of the top `k + 1`.
+    #[test]
+    fn a_smaller_proposal_is_a_prefix_of_a_larger_one() {
+        for hit in [0.0, 0.66, 0.9, 1.0] {
+            let o = oracle(hit);
+            for i in 0..300u32 {
+                let ctx = vec![i % 512, (i * 31) % 512, (i * 7 + 3) % 512];
+                for k in 0..6 {
+                    let small = o.propose_inner(&ctx, k);
+                    let large = o.propose_inner(&ctx, k + 1);
+                    assert_eq!(small.len(), k);
+                    assert_eq!(small[..], large[..k], "hit {hit} ctx {ctx:?} k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@ fn main() {
     let data = collect_training_data(&mut lm, &mut draft, &prompts, 4);
     let config = SpecEeConfig {
         tree_shape: TreeShape::eagle_default(),
+        // The paper's T3 verifies the full fixed-shape tree.
+        tree_budget: None,
         ..SpecEeConfig::default()
     };
     let mut bank = PredictorBank::new(cfg.n_layers, &config.predictor, &mut Pcg::seed(seed));

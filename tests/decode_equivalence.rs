@@ -202,8 +202,10 @@ fn families<M: LayeredLm + 'static>(wrap: impl Fn(SyntheticLm) -> M) -> Families
     let dllm = DLlmEngine::train(lm(), &router_samples, SEED);
     engines.push(("dllm", Box::new(dllm)));
 
+    // The full tree; `t3+budget@draftmodel` covers pruning.
     let tree_config = SpecEeConfig {
         tree_shape: TreeShape::new(vec![2, 2]),
+        tree_budget: None,
         ..config.clone()
     };
     let eagle = SpeculativeEngine::baseline(lm(), oracle(), tree_config.clone());
