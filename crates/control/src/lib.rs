@@ -62,7 +62,8 @@
 //! inside the worker's deterministic serving loop, so adaptation — and
 //! the coordinator's evidence gossip — rides the arrival-frontier
 //! protocol unchanged. The CLI exposes everything as
-//! `specee generate/serve --controller <policy>`.
+//! `specee generate/serve --controller <spec>`, a spec
+//! [`ControllerPolicy::parse`] reads (`[slo+]<policy>[:key=value,…]`).
 //!
 //! # Examples
 //!

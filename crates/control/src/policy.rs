@@ -1,4 +1,5 @@
-//! CLI/config-level controller selection.
+//! Controller selection: the policy configuration structs carry, and the
+//! one spec grammar (`[slo+]<policy>[:key=value,…]`) that parses into it.
 
 use specee_core::traffic::TrafficClass;
 
@@ -9,7 +10,8 @@ use crate::pid::{PidConfig, PidController};
 use crate::slo_adaptive::{SloAdaptive, SloAdaptiveConfig};
 
 /// A buildable controller choice: what rides in configuration structs
-/// (e.g. `ClusterConfig`) and what `--controller <policy>` parses into.
+/// (e.g. `ClusterConfig`) and what a `--controller` spec parses into
+/// ([`ControllerPolicy::parse`]).
 ///
 /// Each worker/engine builds its *own* controller from the policy
 /// ([`ControllerPolicy::build`] / [`ControllerPolicy::build_for_worker_class`])
@@ -79,18 +81,113 @@ impl ControllerPolicy {
         }
     }
 
-    /// Parses a CLI name (`static`, `pid`, `bandit`, or any of those
-    /// prefixed with `slo+`) into the policy with default configuration.
-    pub fn parse(name: &str) -> Option<ControllerPolicy> {
-        if let Some(inner) = name.strip_prefix("slo+") {
+    /// Parses a controller spec, `[slo+]<policy>[:key=value[,key=value]*]`:
+    /// a policy name (`static`, `pid`, `bandit`) with optional inline
+    /// knobs — e.g. `pid:target=0.05,kp=0.3` or
+    /// `bandit:floor=0.9,epoch=16,grid=0.2|0.5|1.0`. `slo+` wraps the
+    /// policy in the SLO burn-rate decorator; the knobs reach the inner
+    /// policy (the wrapper's bend range is [`SloAdaptiveConfig::default`]).
+    /// Every malformed spec yields an error naming the offending fragment
+    /// and the knobs the policy accepts.
+    pub fn parse(spec: &str) -> Result<ControllerPolicy, String> {
+        if let Some(inner) = spec.strip_prefix("slo+") {
+            if inner.starts_with("slo+") {
+                return Err(format!(
+                    "controller `{spec}` wraps slo+ in slo+ (slo+ takes static, pid or bandit)"
+                ));
+            }
             return ControllerPolicy::parse(inner).map(ControllerPolicy::slo_adaptive);
         }
-        match name {
-            "static" => Some(ControllerPolicy::Static),
-            "pid" => Some(ControllerPolicy::pid()),
-            "bandit" => Some(ControllerPolicy::bandit()),
-            _ => None,
+        let (name, knobs) = spec.split_once(':').unwrap_or((spec, ""));
+        let mut policy = match name {
+            "static" => ControllerPolicy::Static,
+            "pid" => ControllerPolicy::pid(),
+            "bandit" => ControllerPolicy::bandit(),
+            _ => {
+                return Err(format!(
+                    "unknown controller `{name}` (static, pid, bandit, or slo+ any of those)"
+                ))
+            }
+        };
+        if knobs.is_empty() {
+            if spec.contains(':') {
+                return Err(format!("controller spec `{spec}` has an empty knob list"));
+            }
+            return Ok(policy);
         }
+        for knob in knobs.split(',') {
+            let (key, value) = knob.split_once('=').ok_or_else(|| {
+                format!("controller knob `{knob}` is not key=value (in `{spec}`)")
+            })?;
+            let bad = |what: &str| format!("controller knob `{key}`: bad {what} `{value}`");
+            let num = || {
+                value
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| bad("number"))
+            };
+            match &mut policy {
+                ControllerPolicy::Pid(config) => match key {
+                    "target" => config.target_false_exit = num()?,
+                    "kp" => config.kp = num()?,
+                    "ki" => config.ki = num()?,
+                    "alpha" => config.ewma_alpha = num()?,
+                    "idle" => config.idle_decay = num()? as f32,
+                    "min" => config.min_threshold = num()? as f32,
+                    "max" => config.max_threshold = num()? as f32,
+                    _ => {
+                        return Err(format!(
+                            "unknown pid knob `{key}` \
+                             (target, kp, ki, alpha, idle, min, max)"
+                        ));
+                    }
+                },
+                ControllerPolicy::Bandit(config) => match key {
+                    "floor" => config.accuracy_floor = num()?,
+                    "epoch" => {
+                        config.epoch_tokens = value.parse().map_err(|_| bad("integer"))?;
+                        if config.epoch_tokens == 0 {
+                            return Err("bandit knob `epoch` must be at least 1".to_string());
+                        }
+                    }
+                    "discount" => config.discount = num()?,
+                    "evidence" => config.epoch_evidence = num()?,
+                    "gossip-evidence" => config.gossip_evidence = num()?,
+                    "reject-cost" => config.reject_cost_layers = num()?,
+                    "seed" => config.seed = value.parse().map_err(|_| bad("integer"))?,
+                    "grid" => {
+                        let arms: Result<Vec<f32>, String> = value
+                            .split('|')
+                            .map(|a| a.parse::<f32>().map_err(|_| bad("grid")))
+                            .collect();
+                        let arms = arms?;
+                        if arms.is_empty() || arms.iter().any(|a| !a.is_finite()) {
+                            return Err(bad("grid"));
+                        }
+                        config.grid = arms;
+                    }
+                    _ => {
+                        return Err(format!(
+                            "unknown bandit knob `{key}` (floor, epoch, discount, \
+                             evidence, gossip-evidence, reject-cost, seed, grid)"
+                        ));
+                    }
+                },
+                _ => return Err(format!("controller `static` takes no knobs (got `{knob}`)")),
+            }
+        }
+        // Cross-knob consistency: an inverted clamp range would otherwise
+        // panic inside `f32::clamp` when the controller is built.
+        if let ControllerPolicy::Pid(config) = &policy {
+            if config.min_threshold > config.max_threshold {
+                return Err(format!(
+                    "pid knobs min={} > max={} (the threshold clamp range is empty)",
+                    config.min_threshold, config.max_threshold
+                ));
+            }
+        }
+        Ok(policy)
     }
 
     /// Builds the controller for an engine with `n_predictors` predictor
@@ -192,13 +289,100 @@ mod tests {
     fn names_roundtrip_through_parse() {
         for policy in ControllerPolicy::all() {
             assert_eq!(
-                ControllerPolicy::parse(policy.name())
-                    .as_ref()
-                    .map(|p| p.name()),
-                Some(policy.name())
+                ControllerPolicy::parse(policy.name()).map(|p| p.name()),
+                Ok(policy.name())
             );
         }
-        assert_eq!(ControllerPolicy::parse("nonsense"), None);
+        assert!(ControllerPolicy::parse("nonsense").is_err());
+    }
+
+    fn parse(spec: &str) -> ControllerPolicy {
+        ControllerPolicy::parse(spec).expect("valid spec")
+    }
+
+    fn err(spec: &str) -> String {
+        ControllerPolicy::parse(spec).expect_err("invalid spec")
+    }
+
+    #[test]
+    fn name_only_specs_use_default_configs() {
+        assert_eq!(parse("static"), ControllerPolicy::Static);
+        assert_eq!(parse("pid"), ControllerPolicy::Pid(PidConfig::default()));
+        assert_eq!(
+            parse("bandit"),
+            ControllerPolicy::Bandit(BanditConfig::default())
+        );
+    }
+
+    #[test]
+    fn pid_knobs_override_defaults() {
+        let ControllerPolicy::Pid(config) =
+            parse("pid:target=0.05,kp=0.3,ki=0.01,alpha=0.5,idle=0.1,min=0.2,max=0.8")
+        else {
+            panic!("expected pid");
+        };
+        assert_eq!(config.target_false_exit, 0.05);
+        assert_eq!(config.kp, 0.3);
+        assert_eq!(config.ki, 0.01);
+        assert_eq!(config.ewma_alpha, 0.5);
+        assert_eq!(config.idle_decay, 0.1);
+        assert_eq!(config.min_threshold, 0.2);
+        assert_eq!(config.max_threshold, 0.8);
+        // Untouched knobs keep their defaults.
+        let ControllerPolicy::Pid(partial) = parse("pid:target=0.05") else {
+            panic!("expected pid");
+        };
+        assert_eq!(partial.target_false_exit, 0.05);
+        assert_eq!(partial.kp, PidConfig::default().kp);
+    }
+
+    #[test]
+    fn bandit_knobs_override_defaults() {
+        let ControllerPolicy::Bandit(config) = parse(
+            "bandit:floor=0.9,epoch=16,discount=0.99,evidence=3,gossip-evidence=1.5,\
+             reject-cost=4,seed=7,grid=0.2|0.5|1.0",
+        ) else {
+            panic!("expected bandit");
+        };
+        assert_eq!(config.accuracy_floor, 0.9);
+        assert_eq!(config.epoch_tokens, 16);
+        assert_eq!(config.discount, 0.99);
+        assert_eq!(config.epoch_evidence, 3.0);
+        assert_eq!(config.gossip_evidence, 1.5);
+        assert_eq!(config.reject_cost_layers, 4.0);
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.grid, vec![0.2, 0.5, 1.0]);
+    }
+
+    #[test]
+    fn slo_prefix_wraps_the_inner_policy_and_knobs_reach_it() {
+        let ControllerPolicy::SloAdaptive { inner, .. } = parse("slo+pid:target=0.05") else {
+            panic!("expected slo+pid");
+        };
+        let ControllerPolicy::Pid(config) = *inner else {
+            panic!("expected pid inner");
+        };
+        assert_eq!(config.target_false_exit, 0.05);
+        assert_eq!(parse("slo+static").name(), "slo+static");
+        assert!(err("slo+sgd").contains("unknown controller `sgd`"));
+    }
+
+    #[test]
+    fn malformed_specs_name_the_offense() {
+        assert!(err("sgd").contains("unknown controller `sgd`"));
+        assert!(err("pid:").contains("empty knob list"));
+        assert!(err("pid:target").contains("not key=value"));
+        assert!(err("pid:warp=1").contains("unknown pid knob `warp`"));
+        assert!(err("pid:target=fast").contains("bad number `fast`"));
+        assert!(err("bandit:epoch=0").contains("at least 1"));
+        assert!(err("pid:target=nan").contains("bad number `nan`"));
+        assert!(err("pid:min=0.8,max=0.2").contains("clamp range is empty"));
+        assert!(err("bandit:epoch=2.5").contains("bad integer"));
+        assert!(err("bandit:grid=0.2|x").contains("bad grid"));
+        assert!(err("bandit:altitude=9").contains("unknown bandit knob"));
+        assert!(err("static:target=0.1").contains("takes no knobs"));
+        assert!(err("slo+slo+pid").contains("`slo+slo+pid` wraps slo+ in slo+"));
+        assert!(err("slo+slo+static:x=1").contains("wraps slo+ in slo+"));
     }
 
     #[test]

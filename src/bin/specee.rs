@@ -7,7 +7,8 @@
 //! specee serve [OPTIONS]              # continuous-batching simulation
 //! ```
 //!
-//! Every run is deterministic for a fixed `--seed`.
+//! Every run is deterministic for a fixed `--seed`. Each flag is one row
+//! of [`FLAGS`]: the subcommands that take it, its default and its help.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -15,8 +16,10 @@ use std::process::ExitCode;
 use specee::batch::{Admission, BatchedEngine};
 use specee::cluster::{Cluster, ClusterConfig, ClusterRequest, RouterPolicy};
 use specee::control::{ControllerPolicy, ControllerSummary};
-use specee::core::collect::{collect_training_data, train_bank};
-use specee::core::engine::{DenseEngine, SpecEeEngine};
+use specee::core::collect::{
+    collect_training_data, train_bank, BankTrainingReport, CollectionReport,
+};
+use specee::core::engine::DenseEngine;
 use specee::core::predictor::PredictorBank;
 use specee::core::skip_layer::{calibrate_calm_threshold, CalmEngine};
 use specee::core::{agreement, GenOutput, ScheduleEngine, SpecEeConfig};
@@ -33,6 +36,64 @@ use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder
 use specee::tensor::rng::Pcg;
 use specee::tensor::BackendKind;
 
+/// What runs a subcommand on its parsed flags.
+type Run = fn(&Opts) -> Result<(), String>;
+
+/// The subcommands that take flags: `(name, what it does, what runs it)`.
+#[rustfmt::skip]
+const COMMANDS: [(&str, &str, Run); 3] = [
+    ("generate", "decode a prompt with a chosen engine",                       cmd_generate),
+    ("train",    "offline predictor pipeline: samples and predictor accuracy", cmd_train),
+    ("serve",    "continuous batching on the lock-step batched engine",        cmd_serve),
+];
+
+const ALL: &[&str] = &["generate", "train", "serve"];
+const GENERATE: &[&str] = &["generate"];
+const TRAIN: &[&str] = &["train"];
+const SERVE: &[&str] = &["serve"];
+const BOTH: &[&str] = &["generate", "serve"];
+
+/// One row of [`FLAGS`].
+type Flag = (
+    &'static str,
+    &'static [&'static str],
+    Option<&'static str>,
+    &'static str,
+);
+
+/// Every flag, in the order a subcommand lists them: `(name, the
+/// subcommands that take it, its default, its help line)`. [`parse_opts`]
+/// checks a command line against it and fills in the defaults (a flag
+/// without one is absent unless given); [`print_help`] prints it.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("model",        ALL,      Some("7b"),          "model preset: 7b, 13b, 70b or tiny"),
+    ("dataset",      ALL,      Some("QA"),          "dataset profile, one of those `specee info` lists"),
+    ("seed",         ALL,      Some("2025"),        "seed of every random draw"),
+    ("backend",      ALL,      Some("reference"),   "kernels: reference, blocked (bit-identical) or quant (i8)"),
+    ("tokens",       GENERATE, Some("24"),          "tokens to decode"),
+    ("engine",       GENERATE, Some("specee"),      "dense, specee or calm"),
+    ("batch",        SERVE,    Some("8"),           "batch cap (per worker in cluster mode)"),
+    ("requests",     SERVE,    Some("12"),          "requests to serve"),
+    ("rate",         SERVE,    Some("6"),           "Poisson arrival rate, requests per second"),
+    ("mode",         SERVE,    Some("live"),        "live (one lock-step batched engine) or cluster (worker threads)"),
+    ("workers",      SERVE,    Some("2"),           "cluster worker threads"),
+    ("router",       SERVE,    Some("round-robin"), "cluster routing: round-robin, shortest-queue or exit-aware"),
+    ("controller",   BOTH,     None,                "online exit thresholds: static|pid|bandit[:key=value,…]; slo+… on serve"),
+    ("draft",        GENERATE, None,                "self:exit=N,tree=AxBxC: the first N layers draft a token tree a round"),
+    ("slo",          SERVE,    None,                "objectives, e.g. p99_ttft=0.25,false_exit_rate=0.1; wraps --controller"),
+    ("pages",        SERVE,    Some("0"),           "cap on each engine's KV pages, 0 for none; parks residents under pressure"),
+    ("prefix-share", SERVE,    Some("off"),         "on: lease matching prompt-prefix pages copy-on-write"),
+    ("lanes",        SERVE,    Some("0"),           "priority lanes: request id mod N, lower first; 0 for one lane"),
+    ("out",          TRAIN,    None,                "write the trained predictor bank as JSON"),
+    ("trace-out",    BOTH,     None,                "write the event timeline as Chrome trace JSON (Perfetto)"),
+    ("metrics-out",  BOTH,     None,                "write counters, gauges and histograms as Prometheus text"),
+    ("trace-sample", BOTH,     Some("1"),           "keep a deterministic 1-in-N of each event kind"),
+];
+
+/// A subcommand's flags by name, defaults filled in.
+type Opts = HashMap<&'static str, String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -41,14 +102,14 @@ fn main() -> ExitCode {
     };
     let result = match command.as_str() {
         "info" => cmd_info(),
-        "generate" => cmd_generate(&args[1..]),
-        "train" => cmd_train(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
         }
-        other => Err(format!("unknown command `{other}` (try `specee help`)")),
+        other => match COMMANDS.iter().find(|(name, ..)| *name == other) {
+            Some((name, _, run)) => parse_opts(name, &args[1..]).and_then(|opts| run(&opts)),
+            None => Err(format!("unknown command `{other}` (try `specee help`)")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -59,108 +120,89 @@ fn main() -> ExitCode {
     }
 }
 
+/// The rows of [`FLAGS`] `command` takes.
+fn flags_of(command: &str) -> impl Iterator<Item = &'static Flag> + '_ {
+    FLAGS
+        .iter()
+        .filter(move |(_, on, ..)| on.contains(&command))
+}
+
 fn print_help() {
     println!(
         "specee — speculative early exiting for LLM inference (ISCA 2025 reproduction)\n\n\
          USAGE: specee <COMMAND> [OPTIONS]\n\n\
          COMMANDS:\n  \
            info       list model presets, dataset profiles and hardware targets\n  \
-           generate   decode a prompt (--model 7b|13b|70b --dataset NAME --tokens N\n             \
-                      --engine dense|specee|calm --seed N\n             \
-                      --backend reference|blocked|quant: CPU compute kernels for\n             \
-                      every projection mat-vec (blocked is bit-identical to the\n             \
-                      reference oracle on dense weights, quant runs an i8\n             \
-                      integer inner loop)\n             \
-                      --controller static|pid|bandit: run the specee engine at\n             \
-                      batch 1 with online exit-threshold control; policies take\n             \
-                      inline knobs, e.g. pid:target=0.05,kp=0.3 or\n             \
-                      bandit:floor=0.9,grid=0.2|0.5|1.0\n             \
-                      --draft self:exit=N,tree=AxBxC: self-speculative\n             \
-                      decoding — the target's own first N layers draft an\n             \
-                      AxBxC token tree per round, verified in one batched\n             \
-                      full-depth sweep; bit-identical greedy tokens with\n             \
-                      fewer full-depth passes)\n  \
-           train      offline predictor pipeline; prints the sample count and\n             \
-                      the mean predictor accuracy (--model, --dataset, --seed,\n             \
-                      --backend as above; --out FILE writes the trained bank\n             \
-                      as JSON)\n  \
-           serve      continuous batching (--batch N --requests N --rate R\n             \
-                      --mode live|cluster: live (the default) runs the lock-step\n             \
-                      batched engine and prices measured steps, cluster shards\n             \
-                      that over --workers N threads routed by\n             \
-                      --router round-robin|shortest-queue|exit-aware;\n             \
-                      --controller static|pid|bandit adapts exit thresholds\n             \
-                      online; paged-KV memory plane:\n             \
-                      --pages N caps each engine's physical KV pages and\n             \
-                      parks/resumes the lowest-priority resident under\n             \
-                      pressure (bit-identical outputs), --prefix-share on\n             \
-                      leases matching prompt-prefix pages copy-on-write,\n             \
-                      --lanes N assigns request id mod N as its priority\n             \
-                      lane, lower = higher priority)\n  \
-           help       this message\n\n\
-         OBSERVABILITY (generate with --engine specee, serve in either mode):\n  \
-           --trace-out FILE    write the run's event timeline as Chrome\n                       \
-                               trace-event JSON (open in Perfetto or\n                       \
-                               chrome://tracing; one lane per worker)\n  \
-           --metrics-out FILE  write counters/gauges/histograms as\n                       \
-                               Prometheus text exposition\n  \
-           --trace-sample N    keep a deterministic 1-in-N of each event\n                       \
-                               kind (default 1 = keep all); drops are\n                       \
-                               counted in specee_trace_dropped_events_total\n  \
-           Recording is a pure observer: traced runs decode bit-identically\n  \
-           to untraced runs.\n\n\
-         SLO PLANE (serve):\n  \
-           --slo SPEC          track objectives and bend exit thresholds\n                       \
-                               under burn pressure, e.g.\n                       \
-                               --slo p99_ttft=0.25,false_exit_rate=0.1;\n                       \
-                               wraps the chosen --controller (summaries\n                       \
-                               report e.g. `slo+bandit`), and SloFired /\n                       \
-                               SloCleared transitions land in the trace\n  \
-           --controller slo+pid|slo+bandit|slo+static  wrap explicitly\n                       \
-                               (requires --slo for the burn-rate tracker)"
+           help       this message"
+    );
+    for (command, about, _) in COMMANDS {
+        println!("\nspecee {command} [OPTIONS]  {about}");
+        for (name, _, default, help) in flags_of(command) {
+            let default = default
+                .map(|d| format!(" [default: {d}]"))
+                .unwrap_or_default();
+            println!("  {:<16}{help}{default}", format!("--{name}"));
+        }
+    }
+    println!(
+        "\nEvery run is deterministic for a fixed --seed, and recording is a pure\n\
+         observer: traced runs decode bit-identically to untraced runs."
     );
 }
 
-/// `--trace-out FILE` / `--metrics-out FILE` export destinations. Either
-/// flag switches the run into recorded mode (which is still bit-identical
-/// to the unrecorded run — recording never feeds back into the
-/// simulation).
-fn export_paths(opts: &HashMap<String, String>) -> (Option<String>, Option<String>) {
-    (
-        opts.get("trace-out").cloned(),
-        opts.get("metrics-out").cloned(),
-    )
+/// Parses `command`'s `--key value` options against [`FLAGS`] and fills in
+/// the defaults. Anything else on the command line — a flag `command` does
+/// not take (a typo, another subcommand's), a word that is neither a flag
+/// nor a flag's value — is a usage error naming the flags it does take.
+fn parse_opts(command: &str, args: &[String]) -> Result<Opts, String> {
+    let mut opts: Opts = flags_of(command)
+        .filter_map(|&(name, _, default, _)| Some((name, default?.to_string())))
+        .collect();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let flag = a
+            .strip_prefix("--")
+            .and_then(|key| flags_of(command).find(|(name, ..)| *name == key));
+        let Some(&(key, ..)) = flag else {
+            let what = if a.starts_with("--") {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            let takes: Vec<String> = flags_of(command)
+                .map(|(name, ..)| format!("--{name}"))
+                .collect();
+            return Err(format!(
+                "{what} `{a}`: `specee {command}` takes {}",
+                takes.join(", ")
+            ));
+        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("--{key} expects a value"))?;
+        opts.insert(key, value.clone());
+    }
+    Ok(opts)
 }
 
 /// `--trace-sample N`: keep a deterministic 1-in-N of each event kind
 /// (per-kind counters, so rare kinds are not starved by frequent ones).
 /// Drops are counted and exported as
 /// `specee_trace_dropped_events_total`. `1` keeps everything.
-fn parse_trace_sample(opts: &HashMap<String, String>) -> Result<u32, String> {
-    let n: u32 = parse_num(opts, "trace-sample", 1)?;
+fn parse_trace_sample(opts: &Opts) -> Result<u32, String> {
+    let n: u32 = parse_num(opts, "trace-sample")?;
     if n == 0 {
         return Err("--trace-sample must be at least 1 (N keeps 1-in-N events per kind)".into());
     }
     Ok(n)
 }
 
-/// `--slo SPEC`: comma-separated objectives, e.g.
-/// `p99_ttft=0.25,false_exit_rate=0.1`.
-fn parse_slo(opts: &HashMap<String, String>) -> Result<Option<SloSpec>, String> {
-    match opts.get("slo") {
-        None => Ok(None),
-        Some(spec) => SloSpec::parse(spec)
-            .map(Some)
-            .map_err(|e| format!("--slo: {e}")),
-    }
-}
-
 /// Writes the requested exports: the event timeline as Chrome trace-event
 /// JSON (open in Perfetto or `chrome://tracing`) and the metrics registry
 /// as Prometheus text exposition.
 fn write_exports(
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
+    trace_out: Option<&String>,
+    metrics_out: Option<&String>,
     events: &[Event],
     registry: &MetricsRegistry,
 ) -> Result<(), String> {
@@ -178,52 +220,6 @@ fn write_exports(
         println!("metrics: -> {path} (Prometheus text exposition)");
     }
     Ok(())
-}
-
-/// The flags every model-building subcommand takes ([`Pipeline::from_opts`]),
-/// then each subcommand's own (`generate` takes `--slo` only to explain why
-/// it is a `serve` flag).
-const PIPELINE_FLAGS: &str = "model dataset seed backend";
-const GENERATE_FLAGS: &str =
-    "tokens engine controller draft slo trace-out metrics-out trace-sample";
-const TRAIN_FLAGS: &str = "out";
-const SERVE_FLAGS: &str = "batch requests rate mode workers router controller slo pages \
-                           prefix-share lanes trace-out metrics-out trace-sample";
-
-/// Parses `command`'s `--key value` options. Anything else on the command
-/// line — a flag `command` does not take (a typo, another subcommand's), a
-/// word that is neither a flag nor a flag's value — is a usage error naming
-/// the flags it does take.
-fn parse_opts(
-    command: &str,
-    own_flags: &str,
-    args: &[String],
-) -> Result<HashMap<String, String>, String> {
-    let flags: Vec<&str> = PIPELINE_FLAGS
-        .split(' ')
-        .chain(own_flags.split(' '))
-        .collect();
-    let mut opts = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--").filter(|key| flags.contains(key)) else {
-            let what = if a.starts_with("--") {
-                "unknown flag"
-            } else {
-                "unexpected argument"
-            };
-            let takes: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
-            return Err(format!(
-                "{what} `{a}`: `specee {command}` takes {}",
-                takes.join(", ")
-            ));
-        };
-        let value = it
-            .next()
-            .ok_or_else(|| format!("--{key} expects a value"))?;
-        opts.insert(key.to_string(), value.clone());
-    }
-    Ok(opts)
 }
 
 fn model_by_name(name: &str) -> Result<ModelConfig, String> {
@@ -249,24 +245,19 @@ fn dataset_by_name(name: &str) -> Result<DatasetProfile, String> {
         })
 }
 
-/// `--key on|off` boolean flags (absent = off).
-fn parse_switch(opts: &HashMap<String, String>, key: &str) -> Result<bool, String> {
-    match opts.get(key).map(String::as_str) {
-        None | Some("off") => Ok(false),
-        Some("on") => Ok(true),
-        Some(v) => Err(format!("--{key}: expected on|off, got `{v}`")),
+/// `--key on|off` boolean flags.
+fn parse_switch(opts: &Opts, key: &str) -> Result<bool, String> {
+    match opts[key].as_str() {
+        "off" => Ok(false),
+        "on" => Ok(true),
+        v => Err(format!("--{key}: expected on|off, got `{v}`")),
     }
 }
 
-fn parse_num<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{key}: bad value `{v}`")),
-    }
+/// Parses flag `key`, which has a default in [`FLAGS`].
+fn parse_num<T: std::str::FromStr>(opts: &Opts, key: &str) -> Result<T, String> {
+    let v = &opts[key];
+    v.parse().map_err(|_| format!("--{key}: bad value `{v}`"))
 }
 
 #[derive(Clone)]
@@ -282,14 +273,13 @@ struct Pipeline {
 }
 
 impl Pipeline {
-    fn from_opts(opts: &HashMap<String, String>) -> Result<Self, String> {
-        let cfg = model_by_name(opts.get("model").map_or("7b", String::as_str))?;
-        let profile = dataset_by_name(opts.get("dataset").map_or("QA", String::as_str))?;
-        let seed = parse_num(opts, "seed", 2025u64)?;
-        let backend = match opts.get("backend") {
-            None => BackendKind::default(),
-            Some(v) => v.parse().map_err(|e| format!("--backend: {e}"))?,
-        };
+    fn from_opts(opts: &Opts) -> Result<Self, String> {
+        let cfg = model_by_name(&opts["model"])?;
+        let profile = dataset_by_name(&opts["dataset"])?;
+        let seed = parse_num(opts, "seed")?;
+        let backend = opts["backend"]
+            .parse()
+            .map_err(|e| format!("--backend: {e}"))?;
         let mut template = SyntheticLmBuilder::new(cfg.clone(), profile.clone())
             .seed(seed)
             .build();
@@ -327,7 +317,10 @@ impl Pipeline {
             .collect()
     }
 
-    fn trained_bank(&self) -> (PredictorBank, Vec<f64>) {
+    /// The offline pipeline every decoding subcommand runs and `train`
+    /// reports: collect exit samples over six prompts, then train the
+    /// predictor bank on them.
+    fn trained_bank(&self) -> (PredictorBank, CollectionReport, BankTrainingReport) {
         let mut lm = self.lm();
         let mut draft = self.draft();
         let prompts = self.prompts(6, 16);
@@ -338,7 +331,7 @@ impl Pipeline {
             &config.predictor,
             &mut Pcg::seed(self.seed),
         );
-        train_bank(
+        let report = train_bank(
             &mut bank,
             &data.samples,
             1.0,
@@ -349,7 +342,7 @@ impl Pipeline {
             },
             self.seed,
         );
-        (bank, data.exit_frequencies)
+        (bank, data, report)
     }
 }
 
@@ -391,26 +384,18 @@ fn cmd_info() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("generate", GENERATE_FLAGS, args)?;
-    let pipe = Pipeline::from_opts(&opts)?;
-    let tokens: usize = parse_num(&opts, "tokens", 24)?;
-    let engine_name = opts.get("engine").map_or("specee", String::as_str);
+fn cmd_generate(opts: &Opts) -> Result<(), String> {
+    let pipe = Pipeline::from_opts(opts)?;
+    let tokens: usize = parse_num(opts, "tokens")?;
+    let engine_name = opts["engine"].as_str();
     if !matches!(engine_name, "dense" | "specee" | "calm") {
         return Err(format!(
             "unknown engine `{engine_name}` (dense, specee, calm)"
         ));
     }
-    let controller = parse_controller(&opts)?;
+    let controller = parse_controller(opts)?;
     if controller.is_some() && engine_name != "specee" {
         return Err("--controller requires --engine specee".to_string());
-    }
-    if opts.contains_key("slo") {
-        return Err(
-            "--slo tracks burn rates over serve-tier request timing; generate \
-             decodes a single stream (use `serve --mode live|cluster --slo …`)"
-                .to_string(),
-        );
     }
     if matches!(controller, Some(ControllerPolicy::SloAdaptive { .. })) {
         return Err(
@@ -441,8 +426,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         spec.validate_for_depth(pipe.cfg.n_layers)
             .map_err(|e| format!("--draft: {e}"))?;
     }
-    let trace_sample = parse_trace_sample(&opts)?;
-    let (trace_out, metrics_out) = export_paths(&opts);
+    let trace_sample = parse_trace_sample(opts)?;
+    let (trace_out, metrics_out) = (opts.get("trace-out"), opts.get("metrics-out"));
     let observing = trace_out.is_some() || metrics_out.is_some();
     if observing && engine_name != "specee" {
         return Err(
@@ -463,74 +448,52 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 
     let language = pipe.template.language();
     let prompt = language.sample_sequence(5, 12, pipe.seed ^ 0x9e);
-    let mut controller_summary: Option<ControllerSummary> = None;
+    let n_layers = pipe.cfg.n_layers;
     let recorder = observing.then(|| Recorder::new().with_sample_every(trace_sample));
-    let (out, recorder): (GenOutput, Option<Recorder>) = match (engine_name, &self_draft) {
-        ("dense", _) => (DenseEngine::new(pipe.lm()).generate(&prompt, tokens), None),
-        ("specee", Some(spec)) => {
-            // Self-speculative drafting: the target's own shallow layers
-            // draft a token tree per round, verified in one batched
-            // full-depth sweep. Runs through the batch-1 BatchedEngine,
-            // whose lock-step self-draft path is structurally
-            // parity-identical to the single-stream SpeculativeEngine.
-            // The predictor bank is inert here (self-draft never consults
-            // exit predictors), so an untrained bank suffices.
-            let config = SpecEeConfig::default();
-            let bank = PredictorBank::new(
-                pipe.cfg.n_layers,
-                &config.predictor,
-                &mut Pcg::seed(pipe.seed ^ 0x5d),
-            );
-            let schedule = ScheduleEngine::all_layers(pipe.cfg.n_layers);
-            let mut engine = BatchedEngine::new(1, 16, pipe.cfg.n_layers, bank, schedule, config);
-            generate_batch1(
-                &mut engine,
-                recorder,
-                pipe.lm(),
-                SelfDraft::new(spec.clone()),
-                &prompt,
-                tokens,
-            )
-        }
-        ("specee", None) => {
-            let (bank, freqs) = pipe.trained_bank();
-            let config = SpecEeConfig::default();
-            let schedule = config.build_schedule(pipe.cfg.n_layers, Some(&freqs));
-            let draft = pipe.draft();
-            match controller {
-                None => {
-                    let mut engine = SpecEeEngine::new(pipe.lm(), draft, bank, schedule, config);
-                    engine.set_recorder(recorder);
-                    let out = engine.generate(&prompt, tokens);
-                    (out, engine.take_recorder())
-                }
-                Some(policy) => {
-                    // Controlled decoding runs the same ExitScan dataflow
-                    // through a batch-1 BatchedEngine (structurally
-                    // parity-identical to the single-stream engine), which
-                    // closes the threshold loop after every token.
-                    let n_predictors = bank.len();
-                    let base = config.predictor.threshold;
-                    let mut engine =
-                        BatchedEngine::new(1, 16, pipe.cfg.n_layers, bank, schedule, config);
-                    engine.set_controller(policy.build_classed(n_predictors, base));
-                    let run =
-                        generate_batch1(&mut engine, recorder, pipe.lm(), draft, &prompt, tokens);
-                    controller_summary = engine.controller_summary();
-                    run
-                }
-            }
-        }
+    let (out, recorder, controller_summary) = match (engine_name, &self_draft) {
+        ("dense", _) => (
+            DenseEngine::new(pipe.lm()).generate(&prompt, tokens),
+            None,
+            None,
+        ),
         ("calm", _) => {
             let mut calib = pipe.lm();
             let prompts = pipe.prompts(4, 12);
             let thr = calibrate_calm_threshold(&mut calib, &prompts);
-            (
-                CalmEngine::new(pipe.lm(), thr).generate(&prompt, tokens),
-                None,
+            let out = CalmEngine::new(pipe.lm(), thr).generate(&prompt, tokens);
+            (out, None, None)
+        }
+        // Self-speculative drafting: the target's own shallow layers draft
+        // a token tree per round, verified in one batched full-depth
+        // sweep. It never consults exit predictors or the layer schedule,
+        // so an untrained bank and every layer suffice.
+        (_, Some(spec)) => {
+            let config = SpecEeConfig::default();
+            let bank = PredictorBank::new(
+                n_layers,
+                &config.predictor,
+                &mut Pcg::seed(pipe.seed ^ 0x5d),
+            );
+            let seat = (bank, ScheduleEngine::all_layers(n_layers));
+            let draft = SelfDraft::new(spec.clone());
+            generate_batch1(&pipe, seat, None, draft, recorder, &prompt, tokens)
+        }
+        (_, None) => {
+            let (bank, data, _) = pipe.trained_bank();
+            let schedule =
+                SpecEeConfig::default().build_schedule(n_layers, Some(&data.exit_frequencies));
+            let seat = (bank, schedule);
+            let draft = pipe.draft();
+            generate_batch1(
+                &pipe,
+                seat,
+                controller.as_ref(),
+                draft,
+                recorder,
+                &prompt,
+                tokens,
             )
         }
-        _ => unreachable!("engine name validated above"),
     };
     let dropped = recorder.as_ref().map_or(0, |r| r.dropped_events());
     let events = recorder.map(|r| r.into_events()).unwrap_or_default();
@@ -546,11 +509,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     println!("backend       : {}", pipe.backend);
     println!("tokens        : {:?}", out.tokens);
     println!("exit layers   : {:?}", out.exit_layers);
-    println!(
-        "avg layers    : {:.2} / {}",
-        out.avg_layers(),
-        pipe.cfg.n_layers
-    );
+    println!("avg layers    : {:.2} / {n_layers}", out.avg_layers());
     println!(
         "agreement     : {:.1}% vs dense",
         agreement(&out.tokens, &dense.tokens) * 100.0
@@ -571,9 +530,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join("x");
         println!(
-            "self-draft    : exit {} of {} layers, tree {shape} | \
+            "self-draft    : exit {} of {n_layers} layers, tree {shape} | \
              {} shallow layer-runs, {} verify rounds",
-            spec.exit_layer, pipe.cfg.n_layers, out.self_draft_calls, out.rounds
+            spec.exit_layer, out.self_draft_calls, out.rounds
         );
     }
     if observing {
@@ -582,35 +541,41 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         fold_dropped_events(&mut registry, dropped);
         fold_meter(&mut registry, &out.meter);
         fold_roofline(&mut registry, &cost);
-        write_exports(
-            trace_out.as_deref(),
-            metrics_out.as_deref(),
-            &events,
-            &registry,
-        )?;
+        write_exports(trace_out, metrics_out, &events, &registry)?;
     }
     Ok(())
 }
 
-/// Decodes one prompt on a batch-1 [`BatchedEngine`] (`generate`'s
-/// `--controller` and `--draft self:` arms) and reports it in the
-/// single-stream shape, with the recorder handed back.
+/// Decodes one prompt on a batch-1 [`BatchedEngine`] seated with `bank`
+/// and `schedule`, closing the threshold loop after every token when a
+/// controller is given, and reports it in the single-stream shape with the
+/// recorder and the controller's summary handed back. Every
+/// `generate --engine specee` run is one of these.
 fn generate_batch1<D: SpeculativeSource>(
-    engine: &mut BatchedEngine<SyntheticLm, D>,
-    recorder: Option<Recorder>,
-    lm: SyntheticLm,
+    pipe: &Pipeline,
+    (bank, schedule): (PredictorBank, ScheduleEngine),
+    controller: Option<&ControllerPolicy>,
     draft: D,
+    recorder: Option<Recorder>,
     prompt: &[TokenId],
     tokens: usize,
-) -> (GenOutput, Option<Recorder>) {
+) -> (GenOutput, Option<Recorder>, Option<ControllerSummary>) {
+    let config = SpecEeConfig::default();
+    let base = config.predictor.threshold;
+    let n_predictors = bank.len();
+    let mut engine = BatchedEngine::new(1, 16, pipe.cfg.n_layers, bank, schedule, config);
+    if let Some(policy) = controller {
+        engine.set_controller(policy.build_classed(n_predictors, base));
+    }
     // A self-draft step is one verify round; the exit scan has none.
     let self_draft = draft.self_spec().is_some();
     engine.set_recorder(recorder);
-    let out = match engine.admit(0, lm, draft, prompt, tokens) {
+    let out = match engine.admit(0, pipe.lm(), draft, prompt, tokens) {
         Admission::Done(out) => out,
         Admission::Seated { .. } => {
             // No simulated clock at batch 1: each step is stamped with the
-            // tokens emitted before it, as `SpecEeEngine` stamps a token.
+            // tokens emitted before it, as the single-stream engine stamps
+            // a token.
             let mut emitted = 1;
             loop {
                 if let Some(rec) = engine.recorder_mut() {
@@ -635,120 +600,15 @@ fn generate_batch1<D: SpeculativeSource>(
         draft_calls: out.draft_calls,
         self_draft_calls: out.self_draft_calls,
     };
-    (out, engine.take_recorder())
+    (out, engine.take_recorder(), engine.controller_summary())
 }
 
-/// Parses `--controller <spec>` (absent means no controller).
-fn parse_controller(opts: &HashMap<String, String>) -> Result<Option<ControllerPolicy>, String> {
+/// `--controller SPEC` (absent means no controller).
+fn parse_controller(opts: &Opts) -> Result<Option<ControllerPolicy>, String> {
     match opts.get("controller") {
         None => Ok(None),
-        Some(spec) => parse_controller_spec(spec).map(Some),
+        Some(spec) => ControllerPolicy::parse(spec).map(Some),
     }
-}
-
-/// Parses a controller spec: a policy name with optional inline knobs,
-/// `<policy>[:key=value[,key=value]*]` — e.g. `pid:target=0.05,kp=0.3`
-/// or `bandit:floor=0.9,epoch=16,grid=0.2|0.5|1.0`. Every malformed
-/// spec yields an error naming the offending fragment and the knobs the
-/// policy accepts.
-fn parse_controller_spec(spec: &str) -> Result<ControllerPolicy, String> {
-    // `slo+<policy>[:knobs]` wraps the inner policy in the SLO-adaptive
-    // decorator; knobs apply to the inner policy (the wrapper's bend
-    // range is fixed by `SloAdaptiveConfig::default`).
-    if let Some(inner) = spec.strip_prefix("slo+") {
-        return parse_controller_spec(inner).map(ControllerPolicy::slo_adaptive);
-    }
-    let (name, knobs) = match spec.split_once(':') {
-        Some((name, rest)) => (name, rest),
-        None => (spec, ""),
-    };
-    let mut policy = ControllerPolicy::parse(name).ok_or_else(|| {
-        format!("unknown controller `{name}` (static, pid, bandit, or slo+ any of those)")
-    })?;
-    if knobs.is_empty() {
-        if spec.contains(':') {
-            return Err(format!("controller spec `{spec}` has an empty knob list"));
-        }
-        return Ok(policy);
-    }
-    for knob in knobs.split(',') {
-        let (key, value) = knob
-            .split_once('=')
-            .ok_or_else(|| format!("controller knob `{knob}` is not key=value (in `{spec}`)"))?;
-        let bad = |what: &str| format!("controller knob `{key}`: bad {what} `{value}`");
-        let num = || {
-            value
-                .parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite())
-                .ok_or_else(|| bad("number"))
-        };
-        match &mut policy {
-            ControllerPolicy::SloAdaptive { .. } => {
-                unreachable!("slo+ specs are unwrapped before knob parsing")
-            }
-            ControllerPolicy::Static => {
-                return Err(format!("controller `static` takes no knobs (got `{knob}`)"));
-            }
-            ControllerPolicy::Pid(config) => match key {
-                "target" => config.target_false_exit = num()?,
-                "kp" => config.kp = num()?,
-                "ki" => config.ki = num()?,
-                "alpha" => config.ewma_alpha = num()?,
-                "idle" => config.idle_decay = num()? as f32,
-                "min" => config.min_threshold = num()? as f32,
-                "max" => config.max_threshold = num()? as f32,
-                _ => {
-                    return Err(format!(
-                        "unknown pid knob `{key}` \
-                         (target, kp, ki, alpha, idle, min, max)"
-                    ));
-                }
-            },
-            ControllerPolicy::Bandit(config) => match key {
-                "floor" => config.accuracy_floor = num()?,
-                "epoch" => {
-                    config.epoch_tokens = value.parse().map_err(|_| bad("integer"))?;
-                    if config.epoch_tokens == 0 {
-                        return Err("bandit knob `epoch` must be at least 1".to_string());
-                    }
-                }
-                "discount" => config.discount = num()?,
-                "evidence" => config.epoch_evidence = num()?,
-                "gossip-evidence" => config.gossip_evidence = num()?,
-                "reject-cost" => config.reject_cost_layers = num()?,
-                "seed" => config.seed = value.parse().map_err(|_| bad("integer"))?,
-                "grid" => {
-                    let arms: Result<Vec<f32>, String> = value
-                        .split('|')
-                        .map(|a| a.parse::<f32>().map_err(|_| bad("grid")))
-                        .collect();
-                    let arms = arms?;
-                    if arms.is_empty() || arms.iter().any(|a| !a.is_finite()) {
-                        return Err(bad("grid"));
-                    }
-                    config.grid = arms;
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown bandit knob `{key}` (floor, epoch, discount, \
-                         evidence, gossip-evidence, reject-cost, seed, grid)"
-                    ));
-                }
-            },
-        }
-    }
-    // Cross-knob consistency: an inverted clamp range would otherwise
-    // panic inside `f32::clamp` when the controller is built.
-    if let ControllerPolicy::Pid(config) = &policy {
-        if config.min_threshold > config.max_threshold {
-            return Err(format!(
-                "pid knobs min={} > max={} (the threshold clamp range is empty)",
-                config.min_threshold, config.max_threshold
-            ));
-        }
-    }
-    Ok(policy)
 }
 
 /// Parses a `--draft` spec: a draft kind with inline knobs,
@@ -828,31 +688,14 @@ fn controller_line(summary: &ControllerSummary) -> String {
     )
 }
 
-fn cmd_train(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("train", TRAIN_FLAGS, args)?;
-    let pipe = Pipeline::from_opts(&opts)?;
-    let mut lm = pipe.lm();
-    let mut draft = pipe.draft();
-    let prompts = pipe.prompts(6, 16);
-    let data = collect_training_data(&mut lm, &mut draft, &prompts, 4);
+fn cmd_train(opts: &Opts) -> Result<(), String> {
+    let pipe = Pipeline::from_opts(opts)?;
+    let (bank, data, report) = pipe.trained_bank();
     println!(
         "collected {} samples over {} tokens; theoretical average exit {:.2} layers",
         data.samples.len(),
         data.tokens,
         data.theoretical_layers
-    );
-    let config = SpecEeConfig::default();
-    let mut bank = PredictorBank::new(
-        pipe.cfg.n_layers,
-        &config.predictor,
-        &mut Pcg::seed(pipe.seed),
-    );
-    let report = train_bank(
-        &mut bank,
-        &data.samples,
-        1.0,
-        &TrainConfig::default(),
-        pipe.seed,
     );
     println!(
         "mean predictor accuracy: {:.1}%",
@@ -860,7 +703,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     );
     if let Some(path) = opts.get("out") {
         let json = bank.to_json().map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("--out {path}: {e}"))?;
         println!("predictor bank written to {path}");
     }
     Ok(())
@@ -873,18 +716,17 @@ const PROMPT_LEN: usize = 12;
 const GEN_LEN: usize = 16;
 const PAGE_SIZE: usize = 16;
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("serve", SERVE_FLAGS, args)?;
-    let pipe = Pipeline::from_opts(&opts)?;
-    let batch: usize = parse_num(&opts, "batch", 8)?;
-    let n_requests: usize = parse_num(&opts, "requests", 12)?;
-    let rate: f64 = parse_num(&opts, "rate", 6.0)?;
-    let workers: usize = parse_num(&opts, "workers", 2)?;
-    let router_name = opts.get("router").map_or("round-robin", String::as_str);
+fn cmd_serve(opts: &Opts) -> Result<(), String> {
+    let pipe = Pipeline::from_opts(opts)?;
+    let batch: usize = parse_num(opts, "batch")?;
+    let n_requests: usize = parse_num(opts, "requests")?;
+    let rate: f64 = parse_num(opts, "rate")?;
+    let workers: usize = parse_num(opts, "workers")?;
+    let router_name = opts["router"].as_str();
     let router = RouterPolicy::parse(router_name).ok_or_else(|| {
         format!("unknown router `{router_name}` (round-robin, shortest-queue, exit-aware)")
     })?;
-    let mode = opts.get("mode").map_or("live", String::as_str);
+    let mode = opts["mode"].as_str();
     if !matches!(mode, "live" | "cluster") {
         return Err(format!("unknown mode `{mode}` (live, cluster)"));
     }
@@ -899,9 +741,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--rate: expected a positive arrival rate, got `{rate}`"
         ));
     }
-    let mut controller = parse_controller(&opts)?.unwrap_or(ControllerPolicy::Static);
-    let slo = parse_slo(&opts)?;
-    let trace_sample = parse_trace_sample(&opts)?;
+    let mut controller = parse_controller(opts)?.unwrap_or(ControllerPolicy::Static);
+    let slo = match opts.get("slo") {
+        None => None,
+        Some(spec) => Some(SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
+    };
+    let trace_sample = parse_trace_sample(opts)?;
     if slo.is_some() {
         // The SLO plane bends whatever controller was chosen: wrap it in
         // the pressure-driven decorator unless the spec already did.
@@ -915,9 +760,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .to_string(),
         );
     }
-    let lanes_n: usize = parse_num(&opts, "lanes", 0)?;
-    let pages: usize = parse_num(&opts, "pages", 0)?;
-    let prefix_share = parse_switch(&opts, "prefix-share")?;
+    let lanes_n: usize = parse_num(opts, "lanes")?;
+    let pages: usize = parse_num(opts, "pages")?;
+    let prefix_share = parse_switch(opts, "prefix-share")?;
     if lanes_n > u8::MAX as usize + 1 {
         return Err("--lanes: at most 256 priority lanes".to_string());
     }
@@ -940,7 +785,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             specee::core::Lane::DEFAULT
         }
     };
-    let (trace_out, metrics_out) = export_paths(&opts);
+    let (trace_out, metrics_out) = (opts.get("trace-out"), opts.get("metrics-out"));
     let observing = trace_out.is_some() || metrics_out.is_some();
     let mut events: Vec<Event> = Vec::new();
     let mut registry = MetricsRegistry::new();
@@ -966,7 +811,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let (bank, freqs) = pipe.trained_bank();
+    let (bank, data, _) = pipe.trained_bank();
+    let freqs = data.exit_frequencies;
     let config = SpecEeConfig::default();
     let schedule = config.build_schedule(pipe.cfg.n_layers, Some(&freqs));
     let specs: Vec<(Vec<TokenId>, usize)> = pipe.prompts(n_requests, GEN_LEN);
@@ -1204,12 +1050,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let speedup = s.throughput_tok_s / d.throughput_tok_s;
     println!("SpecEE : {}  ({speedup:.2}x, {mode})", row(&s));
     if observing {
-        write_exports(
-            trace_out.as_deref(),
-            metrics_out.as_deref(),
-            &events,
-            &registry,
-        )?;
+        write_exports(trace_out, metrics_out, &events, &registry)?;
     }
     Ok(())
 }
@@ -1217,94 +1058,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specee::control::{BanditConfig, PidConfig};
-
-    fn parse(spec: &str) -> ControllerPolicy {
-        parse_controller_spec(spec).expect("valid spec")
-    }
-
-    fn err(spec: &str) -> String {
-        parse_controller_spec(spec).expect_err("invalid spec")
-    }
-
-    #[test]
-    fn name_only_specs_use_default_configs() {
-        assert_eq!(parse("static"), ControllerPolicy::Static);
-        assert_eq!(parse("pid"), ControllerPolicy::Pid(PidConfig::default()));
-        assert_eq!(
-            parse("bandit"),
-            ControllerPolicy::Bandit(BanditConfig::default())
-        );
-    }
-
-    #[test]
-    fn pid_knobs_override_defaults() {
-        let ControllerPolicy::Pid(config) =
-            parse("pid:target=0.05,kp=0.3,ki=0.01,alpha=0.5,idle=0.1,min=0.2,max=0.8")
-        else {
-            panic!("expected pid");
-        };
-        assert_eq!(config.target_false_exit, 0.05);
-        assert_eq!(config.kp, 0.3);
-        assert_eq!(config.ki, 0.01);
-        assert_eq!(config.ewma_alpha, 0.5);
-        assert_eq!(config.idle_decay, 0.1);
-        assert_eq!(config.min_threshold, 0.2);
-        assert_eq!(config.max_threshold, 0.8);
-        // Untouched knobs keep their defaults.
-        let ControllerPolicy::Pid(partial) = parse("pid:target=0.05") else {
-            panic!("expected pid");
-        };
-        assert_eq!(partial.target_false_exit, 0.05);
-        assert_eq!(partial.kp, PidConfig::default().kp);
-    }
-
-    #[test]
-    fn bandit_knobs_override_defaults() {
-        let ControllerPolicy::Bandit(config) = parse(
-            "bandit:floor=0.9,epoch=16,discount=0.99,evidence=3,gossip-evidence=1.5,\
-             reject-cost=4,seed=7,grid=0.2|0.5|1.0",
-        ) else {
-            panic!("expected bandit");
-        };
-        assert_eq!(config.accuracy_floor, 0.9);
-        assert_eq!(config.epoch_tokens, 16);
-        assert_eq!(config.discount, 0.99);
-        assert_eq!(config.epoch_evidence, 3.0);
-        assert_eq!(config.gossip_evidence, 1.5);
-        assert_eq!(config.reject_cost_layers, 4.0);
-        assert_eq!(config.seed, 7);
-        assert_eq!(config.grid, vec![0.2, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn slo_prefix_wraps_the_inner_policy_and_knobs_reach_it() {
-        let ControllerPolicy::SloAdaptive { inner, .. } = parse("slo+pid:target=0.05") else {
-            panic!("expected slo+pid");
-        };
-        let ControllerPolicy::Pid(config) = *inner else {
-            panic!("expected pid inner");
-        };
-        assert_eq!(config.target_false_exit, 0.05);
-        assert_eq!(parse("slo+static").name(), "slo+static");
-        assert!(err("slo+sgd").contains("unknown controller `sgd`"));
-    }
-
-    #[test]
-    fn malformed_specs_name_the_offense() {
-        assert!(err("sgd").contains("unknown controller `sgd`"));
-        assert!(err("pid:").contains("empty knob list"));
-        assert!(err("pid:target").contains("not key=value"));
-        assert!(err("pid:warp=1").contains("unknown pid knob `warp`"));
-        assert!(err("pid:target=fast").contains("bad number `fast`"));
-        assert!(err("bandit:epoch=0").contains("at least 1"));
-        assert!(err("pid:target=nan").contains("bad number `nan`"));
-        assert!(err("pid:min=0.8,max=0.2").contains("clamp range is empty"));
-        assert!(err("bandit:epoch=2.5").contains("bad integer"));
-        assert!(err("bandit:grid=0.2|x").contains("bad grid"));
-        assert!(err("bandit:altitude=9").contains("unknown bandit knob"));
-        assert!(err("static:target=0.1").contains("takes no knobs"));
-    }
 
     fn draft(spec: &str) -> SelfDraftSpec {
         parse_draft_spec(spec).expect("valid draft spec")

@@ -121,21 +121,34 @@ fn tokenize_is_an_unknown_command() {
     }
 }
 
-/// `specee help` documents every flag a subcommand takes: each one its
-/// own usage error lists (`specee <cmd> --bogus x`) appears in the help
-/// text as a whole `--flag`.
+/// `specee help` documents every flag a subcommand takes in that
+/// subcommand's own section: each one its usage error lists
+/// (`specee <cmd> --bogus x`) appears as a whole `--flag` between the
+/// `specee <cmd> [OPTIONS]` heading and the next unindented line.
 #[test]
 fn help_names_every_flag_each_subcommand_takes() {
     let help = String::from_utf8(specee(&["help"]).stdout).expect("utf-8 help");
     let is_word = |c: char| c.is_ascii_alphanumeric() || c == '-';
-    let named = |flag: &str| {
-        help.match_indices(flag).any(|(at, _)| {
-            let before = help[..at].chars().next_back();
-            let after = help[at + flag.len()..].chars().next();
-            !before.is_some_and(is_word) && !after.is_some_and(is_word)
-        })
-    };
     for command in ["generate", "train", "serve"] {
+        let heading = format!("specee {command} [OPTIONS]");
+        let section: String = help
+            .lines()
+            .skip_while(|line| !line.starts_with(&heading))
+            .skip(1)
+            .take_while(|line| line.starts_with(' '))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert!(
+            !section.is_empty(),
+            "`specee help` has no {command} section"
+        );
+        let named = |flag: &str| {
+            section.match_indices(flag).any(|(at, _)| {
+                let before = section[..at].chars().next_back();
+                let after = section[at + flag.len()..].chars().next();
+                !before.is_some_and(is_word) && !after.is_some_and(is_word)
+            })
+        };
         let out = specee(&[command, "--bogus", "x"]);
         assert_eq!(out.status.code(), Some(1), "{command}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -150,10 +163,26 @@ fn help_names_every_flag_each_subcommand_takes() {
             assert!(flag.starts_with("--"), "{command}: {flag}");
             assert!(
                 named(flag),
-                "`specee help` never mentions {command}'s {flag}"
+                "`specee help` never mentions {command}'s {flag} in its section"
             );
         }
     }
+}
+
+/// A `train --out` path that cannot be written is a usage error naming
+/// the flag and the path, as `--trace-out` and `--metrics-out` are: exit
+/// code 1 and one `error: --out …` line.
+#[test]
+fn an_unwritable_train_out_names_the_flag() {
+    let path = "/nonexistent-dir/bank.json";
+    let out = specee(&["train", "--model", "tiny", "--out", path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: --out {path}: ")),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
 
 /// A command line the subcommand cannot take in full is refused, not
