@@ -1106,4 +1106,12 @@ mod tests {
         assert!(line.contains("0.525"));
         assert!(line.contains("8 fires (6 accept / 2 reject, false-exit 25%)"));
     }
+
+    /// `--backend`'s default is written out in [`FLAGS`] so `specee help`
+    /// can print it; it must stay the kernel crate's own default.
+    #[test]
+    fn the_backend_flag_defaults_to_the_kernel_default() {
+        let opts = parse_opts("generate", &[]).expect("no flags parse");
+        assert_eq!(opts["backend"].parse(), Ok(BackendKind::default()));
+    }
 }
