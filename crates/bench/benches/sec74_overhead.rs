@@ -33,6 +33,33 @@ fn main() {
     println!("memory (paper: ~0.9 GB draft, ~416 KB predictors for Llama2-7B)");
     println!("{t}");
 
+    // The offline pipeline itself, measured: the paper calls its training
+    // overhead negligible, so put a wall-clock number on it here (fastest
+    // of 3 runs of the pipeline above; every run trains the same bank).
+    let reps = 3;
+    let (mut collect_s, mut train_s) = (trained.collect_s, trained.train_s);
+    for _ in 1..reps {
+        let again = train_pipeline(&cfg, &ds, seed, paper_predictor());
+        assert_eq!(again.bank, trained.bank, "the pipeline is deterministic");
+        collect_s = collect_s.min(again.collect_s);
+        train_s = train_s.min(again.train_s);
+    }
+    let mut t = Table::new(vec!["offline step", "measured"]);
+    t.row(vec![
+        format!("collect ({TRAIN_PROMPTS} prompts x {TRAIN_GEN} tokens, dense probe)"),
+        format!("{:.0} ms", collect_s * 1e3),
+    ]);
+    t.row(vec![
+        format!("train ({} predictors)", trained.bank.len()),
+        format!("{:.0} ms", train_s * 1e3),
+    ]);
+    t.row(vec![
+        "samples".into(),
+        trained.collection.samples.len().to_string(),
+    ]);
+    println!("offline cost (§7.4.4, wall clock on this host, fastest of {reps})");
+    println!("{t}");
+
     let wl = workload(&cfg, &ds, request_count(), seed);
     let run = run_engine(
         EngineKind::SpecEeAr(SchedulingMode::TwoLevel),

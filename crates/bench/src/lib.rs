@@ -12,6 +12,8 @@
 
 #![deny(missing_docs)]
 
+use std::time::Instant;
+
 use specee_batch::BatchedEngine;
 use specee_core::baselines::{collect_adainfer_data, AdaInferEngine, RaeeEngine};
 use specee_core::collect::{collect_training_data, train_bank, CollectionReport};
@@ -90,6 +92,10 @@ pub struct Trained {
     pub collection: CollectionReport,
     /// Predictor architecture used.
     pub predictor: PredictorConfig,
+    /// Wall seconds the collection pass took.
+    pub collect_s: f64,
+    /// Wall seconds training the bank took.
+    pub train_s: f64,
 }
 
 /// Number of training prompts used by [`train_pipeline`].
@@ -107,8 +113,11 @@ pub fn train_pipeline(
     let mut lm = build_lm(cfg, profile, seed, ModelVariant::Dense);
     let mut draft = build_draft(&lm, cfg, seed);
     let prompts = train_prompt_set(cfg, &lm, seed);
+    let start = Instant::now();
     let collection = collect_training_data(&mut lm, &mut draft, &prompts, predictor.spec_k);
+    let collect_s = start.elapsed().as_secs_f64();
     let mut bank = PredictorBank::new(cfg.n_layers, &predictor, &mut Pcg::seed(seed ^ 0xb4));
+    let start = Instant::now();
     train_bank(
         &mut bank,
         &collection.samples,
@@ -124,6 +133,8 @@ pub fn train_pipeline(
         bank,
         collection,
         predictor,
+        collect_s,
+        train_s: start.elapsed().as_secs_f64(),
     }
 }
 

@@ -257,9 +257,12 @@ pub struct ProbedToken<'a> {
 /// The offline pass behind every collector: decodes each `(prompt,
 /// gen_len)` densely — all layers, greedy — and reads the full LM head
 /// after *every* layer, calling `visit` once per decode token (`gen_len -
-/// 1` per prompt; the first token comes out of the prefill). Metering is
-/// irrelevant offline and goes to a scratch meter. One token's states and
-/// logits are alive at a time.
+/// 1` per prompt; the first token comes out of the prefill). A token's
+/// head rows come from one [`LayeredLm::final_logits_batch`] over its
+/// layer states: one pass over the head, each row what
+/// [`LayeredLm::final_logits`] reads. Metering is irrelevant offline and
+/// goes to a scratch meter. One token's states and logits are alive at a
+/// time.
 ///
 /// # Panics
 ///
@@ -279,13 +282,13 @@ pub fn dense_probe<M: LayeredLm>(
         for i in 1..*gen_len {
             let pos = model.kv_len();
             let token = *ctx.last().expect("pending token");
-            let mut states = vec![model.begin_token(token, &mut meter)];
-            let mut fulls = Vec::with_capacity(n_layers);
+            let mut states = Vec::with_capacity(n_layers + 1);
+            states.push(model.begin_token(token, &mut meter));
             for layer in 0..n_layers {
                 let h = model.forward_layer(layer, &states[layer], pos, &mut meter);
-                fulls.push(model.final_logits(&h, &mut meter));
                 states.push(h);
             }
+            let fulls = model.final_logits_batch(&states[1..], &mut meter);
             let picks: Vec<TokenId> = fulls.iter().map(|full| pick(full)).collect();
             let probed = ProbedToken {
                 ctx: &ctx,

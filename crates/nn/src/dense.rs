@@ -45,6 +45,17 @@ impl Dense {
         &self.w
     }
 
+    /// Borrows the bias.
+    pub(crate) fn bias(&self) -> &[f32] {
+        &self.b
+    }
+
+    /// Mutably borrows the weights (row-major, `out × in`) and the bias,
+    /// for an optimizer that updates them in place.
+    pub(crate) fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.w.as_mut_slice(), &mut self.b)
+    }
+
     /// Forward pass for one sample.
     ///
     /// # Panics
@@ -75,7 +86,8 @@ impl Dense {
 
     /// Backward pass for one sample: given the upstream gradient `dy` and
     /// the input `x` that produced it, accumulates parameter gradients into
-    /// `grad` and returns the gradient with respect to `x`.
+    /// `grad` and returns the gradient with respect to `x`. Part of the
+    /// per-sample reference [`crate::BinaryTrainer::train`] is pinned to.
     ///
     /// # Panics
     ///
@@ -102,7 +114,10 @@ impl Dense {
     }
 
     /// Applies a parameter update `w -= step_w`, `b -= step_b` where the
-    /// steps are produced by an optimizer.
+    /// steps are produced by an optimizer (the reference [`Adam::step`]'s
+    /// last move).
+    ///
+    /// [`Adam::step`]: crate::Adam::step
     pub fn apply_step(&mut self, step_w: &Matrix, step_b: &[f32]) {
         self.w.add_scaled(step_w, -1.0);
         for (b, s) in self.b.iter_mut().zip(step_b.iter()) {

@@ -15,7 +15,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f32) -> f32 {
+    pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Relu => ops::relu(x),
             Activation::Tanh => x.tanh(),
@@ -23,7 +23,7 @@ impl Activation {
     }
 
     /// Derivative expressed in terms of the activation *output*.
-    fn derivative_from_output(self, y: f32) -> f32 {
+    pub(crate) fn derivative_from_output(self, y: f32) -> f32 {
         match self {
             Activation::Relu => {
                 if y > 0.0 {
@@ -83,6 +83,11 @@ impl Mlp {
         &mut self.layers
     }
 
+    /// The hidden-layer activation.
+    pub(crate) fn activation(&self) -> Activation {
+        self.activation
+    }
+
     /// Forward pass for one sample; the final layer is linear.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut h = x.to_vec();
@@ -116,7 +121,8 @@ impl Mlp {
     }
 
     /// Forward pass that keeps every intermediate activation (input of each
-    /// layer plus final output), for use by [`Mlp::backward`].
+    /// layer plus final output), for use by [`Mlp::backward`]. Part of the
+    /// per-sample reference [`crate::BinaryTrainer::train`] is pinned to.
     pub fn forward_trace(&self, x: &[f32]) -> Vec<Vec<f32>> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x.to_vec());

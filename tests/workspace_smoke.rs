@@ -428,6 +428,14 @@ const UNREFERENCED_PUB_ALLOWED: &[(&str, &str)] = &[
         "the one-call full sweep `partial_sweeps_are_bit_identical_to_one_full_sweep` compares partial calls against",
     ),
     (
+        "crates/nn/src/mlp.rs: forward_trace",
+        "reference the trainer-equivalence test compares against (the per-sample trainer's forward)",
+    ),
+    (
+        "crates/nn/src/mlp.rs: zero_grads",
+        "reference the trainer-equivalence test compares against (the per-sample trainer's gradient buffers)",
+    ),
+    (
         "crates/obs/src/sink.rs: with_budget",
         "the only way a test reaches the drop-newest cap below the 2^20 default (obs and serve unit tests)",
     ),
