@@ -35,7 +35,6 @@ use specee_draft::{NoDraft, SpeculativeSource};
 use specee_metrics::{report::fmt_x, FrameworkProfile, HardwareProfile, Table};
 use specee_serve::{BatcherConfig, ContinuousBatcher};
 use specee_synth::{Request, SyntheticLm};
-use specee_tensor::BackendKind;
 
 /// Serves `wl` closed-loop on `engine` — fill the free slots, step, repeat
 /// — with a stopwatch around the whole burst and around each step.
@@ -82,7 +81,6 @@ fn best_of_three<D: SpeculativeSource + Clone>(
     (0..3)
         .map(|_| {
             let mut engine = live_engine(cfg, trained, max_batch);
-            engine.set_backend(BackendKind::Blocked);
             measure_live(&mut engine, template, wl)
         })
         .max_by(|a, b| a.0.total_cmp(&b.0))

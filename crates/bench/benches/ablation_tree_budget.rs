@@ -22,10 +22,9 @@ use specee_core::{RunStats, SpecEeConfig};
 use specee_draft::TreeShape;
 use specee_metrics::report::{fmt_pct, fmt_x};
 use specee_metrics::{FrameworkProfile, HardwareProfile, Table};
-use specee_model::{LayeredLm, TokenId};
+use specee_model::TokenId;
 use specee_synth::DatasetProfile;
 use specee_tensor::rng::Pcg;
-use specee_tensor::BackendKind;
 
 /// Timed passes per budget, interleaved across budgets; the fastest
 /// counts (the decode is deterministic, only the host's noise differs).
@@ -42,8 +41,7 @@ fn main() {
     let seed = 2025;
     let ds = DatasetProfile::mt_bench();
     let trained = train_pipeline(&cfg, &ds, seed, paper_predictor());
-    let mut lm = build_lm(&cfg, &ds, seed, ModelVariant::Dense);
-    lm.set_backend(BackendKind::Blocked);
+    let lm = build_lm(&cfg, &ds, seed, ModelVariant::Dense);
     let draft = build_draft(&lm, &cfg, seed);
     let mut rng = Pcg::seed(seed ^ 0x7ee);
     let requests: Vec<Vec<TokenId>> = (0..24)

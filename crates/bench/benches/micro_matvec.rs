@@ -91,14 +91,6 @@ fn bench(c: &mut Criterion) {
                 });
             }
         }
-        // The transpose kernel only differs on the blocked backend (fused
-        // row-saxpy); sweep it at the same sizes for the two f32 backends.
-        for kind in [BackendKind::Reference, BackendKind::Blocked] {
-            let backend = kind.get();
-            c.bench_function(&format!("matvec_t/{kind}/{n}x{n}"), |b| {
-                b.iter(|| black_box(backend.matvec_t(black_box(&m), black_box(&x))))
-            });
-        }
     }
 }
 

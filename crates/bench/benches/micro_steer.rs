@@ -28,11 +28,9 @@ const TOKENS: usize = 96;
 const REPEATS: usize = 5;
 
 fn template() -> SyntheticLm {
-    let mut lm = SyntheticLmBuilder::new(ModelConfig::sim_llama2_7b(), DatasetProfile::mt_bench())
+    SyntheticLmBuilder::new(ModelConfig::sim_llama2_7b(), DatasetProfile::mt_bench())
         .seed(19)
-        .build();
-    lm.set_backend(BackendKind::Blocked);
-    lm
+        .build()
 }
 
 fn tokens(n: usize) -> Vec<TokenId> {

@@ -83,14 +83,6 @@ impl<M: LayeredLm, D: SpeculativeSource> SpecEeEngine<M, D> {
         &self.model
     }
 
-    /// Selects the model's compute backend (see
-    /// [`specee_tensor::BackendKind`]). With the blocked backend, dense
-    /// models produce bit-identical tokens and exit layers to the
-    /// reference backend; the scalar oracle stays the default.
-    pub fn set_backend(&mut self, backend: specee_tensor::BackendKind) {
-        self.model.set_backend(backend);
-    }
-
     /// The schedule engine (average-active statistics).
     pub fn schedule(&self) -> &ScheduleEngine {
         &self.schedule

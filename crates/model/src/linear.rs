@@ -64,18 +64,7 @@ impl LinearOp {
         }
     }
 
-    /// Mat-vec product.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        match self {
-            LinearOp::Dense(m) => m.matvec(x),
-            LinearOp::Quant(q) => q.matvec(x),
-            LinearOp::Awq(a) => a.matvec(x),
-        }
-    }
-
-    /// Mat-vec product through a compute backend. With
-    /// [`BackendKind::Reference`] this is bit-identical to
-    /// [`LinearOp::matvec`].
+    /// Mat-vec product through a compute backend.
     pub fn matvec_with(&self, backend: BackendKind, x: &[f32]) -> Vec<f32> {
         match self {
             LinearOp::Dense(m) => backend.get().matvec(m, x),
@@ -161,7 +150,9 @@ mod tests {
         let d = LinearOp::from(m.clone());
         let q = LinearOp::quantized(&m, QuantBits::Int8);
         let x: Vec<f32> = (0..64).map(|i| (i as f32).sin() * 0.1).collect();
-        for (a, b) in d.matvec(&x).iter().zip(q.matvec(&x).iter()) {
+        let dense = d.matvec_with(BackendKind::Reference, &x);
+        let quant = q.matvec_with(BackendKind::Reference, &x);
+        for (a, b) in dense.iter().zip(&quant) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
     }
@@ -238,7 +229,7 @@ mod tests {
         let m = Matrix::random(10, 32, 0.5, &mut rng);
         let q = LinearOp::quantized(&m, QuantBits::Int8);
         let x = vec![0.05; 32];
-        let full = q.matvec(&x);
+        let full = q.matvec_with(BackendKind::Reference, &x);
         let sel = q.matvec_rows(&[2, 9], &x);
         assert!((sel[0] - full[2]).abs() < 1e-6);
         assert!((sel[1] - full[9]).abs() < 1e-6);

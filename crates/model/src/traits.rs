@@ -33,10 +33,10 @@ pub trait LayeredLm {
     /// check [`LayeredLm::backend`] to see what is in effect.
     fn set_backend(&mut self, _backend: BackendKind) {}
 
-    /// The compute backend in effect ([`BackendKind::Reference`] unless
+    /// The compute backend in effect (the [`BackendKind`] default unless
     /// the implementation routes mat-vecs through a backend).
     fn backend(&self) -> BackendKind {
-        BackendKind::Reference
+        BackendKind::default()
     }
 
     /// Clears all sequence state (KV caches, context bookkeeping).

@@ -195,8 +195,8 @@ impl Transformer {
     }
 
     /// Selects the compute backend for every subsequent forward.
-    /// [`BackendKind::Reference`] (the default) is the scalar oracle;
-    /// [`BackendKind::Blocked`] is bit-identical on dense weights.
+    /// [`BackendKind::Blocked`] (the default) is bit-identical to the
+    /// [`BackendKind::Reference`] oracle on dense and pre-quantized weights.
     pub fn set_backend(&mut self, backend: BackendKind) {
         self.backend = backend;
     }

@@ -8,16 +8,15 @@
 //!
 //! * [`Reference`] — the original scalar loops of [`Matrix`] and
 //!   [`QuantizedMatrix`], kept verbatim. This is the *oracle*: the
-//!   conformance suite (`tests/conformance.rs`) pins every other backend
-//!   to it, bit-exactly where the f32 summation order is preserved and
-//!   within explicit error bounds where it is not.
-//! * [`Blocked`] — cache-blocked and unrolled with `chunks_exact` so the
-//!   autovectorizer can keep several independent accumulator chains in
-//!   flight. `matvec`/`matvec_into`/`matmul_into`/`gemm` reduce each
-//!   (row, input) dot in *exactly* the reference order (four lanes,
-//!   `s0+s1+s2+s3`, sequential tail), so they are bit-identical to
-//!   [`Reference`]; `matvec_t` and the quantized kernel re-associate
-//!   across rows/lanes and are only tolerance-equal.
+//!   conformance suite (`tests/conformance.rs`) and every parity suite pin
+//!   the other backends to it. No runtime path selects it.
+//! * [`Blocked`] — the runtime kernel and the [`BackendKind`] default.
+//!   Cache-blocked and unrolled with `chunks_exact` so the autovectorizer
+//!   can keep several independent accumulator chains in flight.
+//!   `matvec`/`matvec_into`/`matmul_into`/`gemm` reduce each (row, input)
+//!   dot in *exactly* the reference order (four lanes, `s0+s1+s2+s3`,
+//!   sequential tail), and `matvec_q` is the oracle's own loop, so every
+//!   op is bit-identical to [`Reference`].
 //! * [`QuantizedI8`] — i8 weights with per-group scales and an integer
 //!   (`i32`-accumulating) inner loop. On pre-quantized weights
 //!   ([`Backend::matvec_q_into`]) only the *activations* are quantized on
@@ -41,7 +40,6 @@
 //! ```
 
 use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -101,14 +99,6 @@ pub trait Backend: fmt::Debug + Send + Sync {
         }
     }
 
-    /// Computes `y = Mᵀ x` where `x.len() == m.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != m.rows()`, with the same message as
-    /// [`Matrix::matvec_t`].
-    fn matvec_t(&self, m: &Matrix, x: &[f32]) -> Vec<f32>;
-
     /// Batched grouped mat-vec (the hyper-token / tree-verification
     /// kernel): `out[g][i] = weight[groups[g][i]] · inputs[g]`.
     ///
@@ -118,13 +108,17 @@ pub trait Backend: fmt::Debug + Send + Sync {
     /// from `weight.cols()`, or a row index is out of bounds.
     fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>>;
 
-    /// Quantized mat-vec `y = Q x` over pre-quantized i8 weights.
+    /// Quantized mat-vec `y = Q x` over pre-quantized i8 weights. The
+    /// default body is the oracle's dequantizing loop,
+    /// [`QuantizedMatrix::matvec_into`].
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch with the same messages as
     /// [`QuantizedMatrix::matvec_into`].
-    fn matvec_q_into(&self, q: &QuantizedMatrix, x: &[f32], y: &mut [f32]);
+    fn matvec_q_into(&self, q: &QuantizedMatrix, x: &[f32], y: &mut [f32]) {
+        q.matvec_into(x, y);
+    }
 
     /// Quantized mat-vec, allocating the output.
     fn matvec_q(&self, q: &QuantizedMatrix, x: &[f32]) -> Vec<f32> {
@@ -134,18 +128,19 @@ pub trait Backend: fmt::Debug + Send + Sync {
     }
 }
 
-/// Copyable backend selector: what engine configs, CLIs and model structs
-/// store instead of a trait object.
+/// Copyable backend selector: what engine configs and model structs store
+/// instead of a trait object.
 ///
-/// The default is [`BackendKind::Reference`], so every existing
-/// construction path keeps its seed-era bit-exact numerics unless a
-/// caller opts into a faster backend.
+/// The default is [`BackendKind::Blocked`], the runtime kernel: it is
+/// bit-identical to the [`BackendKind::Reference`] oracle on every op, so
+/// a model built at the default computes the oracle's numbers at the
+/// kernel's speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum BackendKind {
     /// The scalar oracle ([`Reference`]).
-    #[default]
     Reference,
     /// Cache-blocked, unroll-friendly kernels ([`Blocked`]).
+    #[default]
     Blocked,
     /// i8-quantizing integer kernels ([`QuantizedI8`]).
     QuantizedI8,
@@ -168,32 +163,11 @@ impl BackendKind {
             BackendKind::QuantizedI8 => &QuantizedI8,
         }
     }
-
-    /// Whether f32 ops through this backend are exact (`false` means
-    /// outputs carry a bounded quantization error).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, BackendKind::QuantizedI8)
-    }
 }
 
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.get().name())
-    }
-}
-
-impl FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(BackendKind::Reference),
-            "blocked" => Ok(BackendKind::Blocked),
-            "quant" | "quantized" | "i8" => Ok(BackendKind::QuantizedI8),
-            other => Err(format!(
-                "unknown backend `{other}` (reference, blocked, quant)"
-            )),
-        }
     }
 }
 
@@ -215,10 +189,6 @@ impl Backend for Reference {
         m.matvec_into(x, y);
     }
 
-    fn matvec_t(&self, m: &Matrix, x: &[f32]) -> Vec<f32> {
-        m.matvec_t(x)
-    }
-
     fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         assert_eq!(groups.len(), inputs.len(), "group count mismatch");
         groups
@@ -238,10 +208,6 @@ impl Backend for Reference {
                     .collect()
             })
             .collect()
-    }
-
-    fn matvec_q_into(&self, q: &QuantizedMatrix, x: &[f32], y: &mut [f32]) {
-        q.matvec_into(x, y);
     }
 }
 
@@ -270,8 +236,8 @@ impl Backend for Reference {
 /// the row block two ahead (a decoder walks more weights per token than L2
 /// holds, and a tile's four row streams defeat the hardware prefetcher):
 /// that moves a cache line, never a sum. `gemm` (row subsets) stays a
-/// per-row dot in the same order. `matvec_t` re-associates across the row
-/// block (four saxpys fused per pass over `y`) and is only tolerance-equal.
+/// per-row dot in the same order, and `matvec_q` is the oracle's
+/// dequantizing loop (the trait's default body).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
@@ -601,39 +567,6 @@ impl Backend for Blocked {
         matmul_blocked(m, xs, n_in, ys);
     }
 
-    fn matvec_t(&self, m: &Matrix, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), m.rows(), "matvec_t input length");
-        let cols = m.cols();
-        let data = m.as_slice();
-        let mut y = vec![0.0f32; cols];
-        let blocks = m.rows() / ROW_BLOCK;
-        for b in 0..blocks {
-            let r = b * ROW_BLOCK;
-            let (x0, x1, x2, x3) = (x[r], x[r + 1], x[r + 2], x[r + 3]);
-            let r0 = &data[r * cols..(r + 1) * cols];
-            let r1 = &data[(r + 1) * cols..(r + 2) * cols];
-            let r2 = &data[(r + 2) * cols..(r + 3) * cols];
-            let r3 = &data[(r + 3) * cols..(r + 4) * cols];
-            let it = y
-                .iter_mut()
-                .zip(r0.iter())
-                .zip(r1.iter())
-                .zip(r2.iter())
-                .zip(r3.iter());
-            for ((((v, &w0), &w1), &w2), &w3) in it {
-                *v += w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3;
-            }
-        }
-        for r in blocks * ROW_BLOCK..m.rows() {
-            let xv = x[r];
-            let row = &data[r * cols..(r + 1) * cols];
-            for (v, &w) in y.iter_mut().zip(row.iter()) {
-                *v += w * xv;
-            }
-        }
-        y
-    }
-
     fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         assert_eq!(groups.len(), inputs.len(), "group count mismatch");
         groups
@@ -654,43 +587,6 @@ impl Backend for Blocked {
             })
             .collect()
     }
-
-    fn matvec_q_into(&self, q: &QuantizedMatrix, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), q.cols(), "quantized matvec input length");
-        assert_eq!(y.len(), q.rows(), "quantized matvec output length");
-        let gs = q.group_size();
-        let cols = q.cols();
-        let codes = q.codes();
-        let scales = q.scales();
-        let groups_per_row = cols / gs;
-        for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for g in 0..groups_per_row {
-                let base = r * cols + g * gs;
-                let wchunk = &codes[base..base + gs];
-                let xchunk = &x[g * gs..(g + 1) * gs];
-                // 4-lane unrolled dequantizing dot; the within-group
-                // reduction order differs from Reference, so conformance
-                // holds this kernel to a tolerance, not bit-equality.
-                let cw = wchunk.chunks_exact(4);
-                let cx = xchunk.chunks_exact(4);
-                let (rw, rx) = (cw.remainder(), cx.remainder());
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (pw, px) in cw.zip(cx) {
-                    s0 += f32::from(pw[0]) * px[0];
-                    s1 += f32::from(pw[1]) * px[1];
-                    s2 += f32::from(pw[2]) * px[2];
-                    s3 += f32::from(pw[3]) * px[3];
-                }
-                let mut gsum = s0 + s1 + s2 + s3;
-                for (&w, &xv) in rw.iter().zip(rx) {
-                    gsum += f32::from(w) * xv;
-                }
-                acc += gsum * scales[r * groups_per_row + g];
-            }
-            *out = acc;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -705,8 +601,7 @@ impl Backend for Blocked {
 /// the inner loop is pure integer MACs. On f32 operands the weights are
 /// additionally group-quantized per call ([`I8_GROUP`]-wide groups), so
 /// every f32 op is approximate with a per-instance computable bound (see
-/// [`quantize_i8`]). `matvec_t` quantizes weights only (activations stay
-/// f32), since its accumulation runs across rows, not within groups.
+/// [`quantize_i8`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QuantizedI8;
 
@@ -789,26 +684,6 @@ impl Backend for QuantizedI8 {
         }
     }
 
-    fn matvec_t(&self, m: &Matrix, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), m.rows(), "matvec_t input length");
-        let cols = m.cols();
-        let data = m.as_slice();
-        let mut y = vec![0.0f32; cols];
-        let mut scratch = vec![0i8; I8_GROUP.min(cols.max(1))];
-        for (r, &xv) in x.iter().enumerate() {
-            let row = &data[r * cols..(r + 1) * cols];
-            for (g, wvals) in row.chunks(I8_GROUP).enumerate() {
-                let codes = &mut scratch[..wvals.len()];
-                let sw = quantize_i8_into(wvals, codes);
-                let ys = &mut y[g * I8_GROUP..g * I8_GROUP + wvals.len()];
-                for (v, &c) in ys.iter_mut().zip(codes.iter()) {
-                    *v += f32::from(c) * sw * xv;
-                }
-            }
-        }
-        y
-    }
-
     fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         assert_eq!(groups.len(), inputs.len(), "group count mismatch");
         let cols = weight.cols();
@@ -861,21 +736,8 @@ mod tests {
     use crate::rng::Pcg;
 
     #[test]
-    fn kind_roundtrips_through_display_and_fromstr() {
-        for kind in BackendKind::ALL {
-            let name = kind.to_string();
-            assert_eq!(name.parse::<BackendKind>().unwrap(), kind);
-            assert_eq!(kind.get().name(), name);
-        }
-        assert!("metal".parse::<BackendKind>().is_err());
-    }
-
-    #[test]
-    fn default_kind_is_the_oracle() {
-        assert_eq!(BackendKind::default(), BackendKind::Reference);
-        assert!(BackendKind::Reference.is_exact());
-        assert!(BackendKind::Blocked.is_exact());
-        assert!(!BackendKind::QuantizedI8.is_exact());
+    fn default_kind_is_blocked() {
+        assert_eq!(BackendKind::default(), BackendKind::Blocked);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use specee::core::skip_layer::{calibrate_calm_threshold, CalmEngine};
 use specee::core::{agreement, GenOutput, ScheduleEngine, SpecEeConfig};
 use specee::draft::{NoDraft, SelfDraft, SelfDraftSpec, SpeculativeSource, TreeShape};
 use specee::metrics::{FrameworkProfile, HardwareProfile, Roofline};
-use specee::model::{LayeredLm, ModelConfig, TokenId};
+use specee::model::{ModelConfig, TokenId};
 use specee::nn::TrainConfig;
 use specee::obs::{
     chrome_trace_json, fold_dropped_events, fold_events, fold_meter, fold_roofline,
@@ -34,7 +34,6 @@ use specee::obs::{
 use specee::serve::{BatcherConfig, ContinuousBatcher, PoissonArrivals, ServeStats};
 use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::rng::Pcg;
-use specee::tensor::BackendKind;
 
 /// What runs a subcommand on its parsed flags.
 type Run = fn(&Opts) -> Result<(), String>;
@@ -70,7 +69,6 @@ const FLAGS: &[Flag] = &[
     ("model",        ALL,      Some("7b"),          "model preset: 7b, 13b, 70b or tiny"),
     ("dataset",      ALL,      Some("QA"),          "dataset profile, one of those `specee info` lists"),
     ("seed",         ALL,      Some("2025"),        "seed of every random draw"),
-    ("backend",      ALL,      Some("reference"),   "kernels: reference, blocked (bit-identical) or quant (i8)"),
     ("tokens",       GENERATE, Some("24"),          "tokens to decode"),
     ("engine",       GENERATE, Some("specee"),      "dense, specee or calm"),
     ("batch",        SERVE,    Some("8"),           "batch cap (per worker in cluster mode)"),
@@ -265,7 +263,6 @@ struct Pipeline {
     cfg: ModelConfig,
     profile: DatasetProfile,
     seed: u64,
-    backend: BackendKind,
     /// The model, built once per invocation and never stepped: every
     /// [`Pipeline::lm`] is a clone of it (fresh KV, script and noise
     /// stream; the one weight set shared).
@@ -277,18 +274,13 @@ impl Pipeline {
         let cfg = model_by_name(&opts["model"])?;
         let profile = dataset_by_name(&opts["dataset"])?;
         let seed = parse_num(opts, "seed")?;
-        let backend = opts["backend"]
-            .parse()
-            .map_err(|e| format!("--backend: {e}"))?;
-        let mut template = SyntheticLmBuilder::new(cfg.clone(), profile.clone())
+        let template = SyntheticLmBuilder::new(cfg.clone(), profile.clone())
             .seed(seed)
             .build();
-        template.set_backend(backend);
         Ok(Pipeline {
             cfg,
             profile,
             seed,
-            backend,
             template,
         })
     }
@@ -506,7 +498,6 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     .cost(&out.meter);
     println!("engine        : {engine_name} on {}", pipe.cfg.name);
     println!("dataset       : {}", pipe.profile.name);
-    println!("backend       : {}", pipe.backend);
     println!("tokens        : {:?}", out.tokens);
     println!("exit layers   : {:?}", out.exit_layers);
     println!("avg layers    : {:.2} / {n_layers}", out.avg_layers());
@@ -1105,13 +1096,5 @@ mod tests {
         assert!(line.contains("pid"));
         assert!(line.contains("0.525"));
         assert!(line.contains("8 fires (6 accept / 2 reject, false-exit 25%)"));
-    }
-
-    /// `--backend`'s default is written out in [`FLAGS`] so `specee help`
-    /// can print it; it must stay the kernel crate's own default.
-    #[test]
-    fn the_backend_flag_defaults_to_the_kernel_default() {
-        let opts = parse_opts("generate", &[]).expect("no flags parse");
-        assert_eq!(opts["backend"].parse(), Ok(BackendKind::default()));
     }
 }

@@ -24,7 +24,6 @@ const RUNS: &[&[&str]] = &[
     &["generate", "--controller", "pid:target=0.1,kp=0.3"],
     &["generate", "--controller", "static"],
     &["generate", "--draft", "self:exit=8,tree=2x2"],
-    &["generate", "--backend", "blocked"],
     &[
         "generate",
         "--trace-sample",

@@ -239,14 +239,15 @@ fn blocked_backend_preserves_tokens_and_exit_layers_exactly() {
         let schedule = p
             .config
             .build_schedule(test_cfg().n_layers, Some(&p.frequencies));
+        let mut lm = build_lm(p.seed, &p.profile);
+        lm.set_backend(backend);
         let mut engine = SpecEeEngine::new(
-            build_lm(p.seed, &p.profile),
+            lm,
             p.draft.clone(),
             p.trained_bank.clone(),
             schedule,
             p.config.clone(),
         );
-        engine.set_backend(backend);
         assert_eq!(engine.model().backend(), backend);
         let out = engine.generate(&prompt, 24);
         (out.tokens, out.exit_layers)

@@ -248,9 +248,10 @@ proptest! {
         let mut quantized_donor = donor.clone();
         quantized_donor.quantize(QuantBits::Int8);
         assert_refuses("donor quantized after cloning", template.clone(), &quantized_donor, shared)?;
-        let mut blocked = template.clone();
-        blocked.set_backend(BackendKind::Blocked);
-        assert_refuses("different backend", blocked, &donor, shared)?;
+        let mut other_backend = template.clone();
+        let other = BackendKind::ALL.into_iter().find(|&k| k != template.backend());
+        other_backend.set_backend(other.expect("three kinds"));
+        assert_refuses("different backend", other_backend, &donor, shared)?;
         let mut tapped = template.clone();
         tapped.start_calibration_tap();
         assert_refuses("armed tap", tapped, &donor, shared)?;

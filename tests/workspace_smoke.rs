@@ -237,6 +237,34 @@ fn the_tree_round_has_one_sweep() {
     }
 }
 
+/// `Blocked` is the only kernel the runtime picks; the `Reference` oracle
+/// is what the conformance and parity suites compare against. So outside
+/// `tensor/src/backend.rs`, which defines both, no product line (`src` and
+/// every `crates/*/src`, before each file's first `#[cfg(test)]`, comments
+/// and strings cut) names `BackendKind::Reference`.
+#[test]
+fn the_oracle_is_not_a_runtime_default() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = entry.expect("crates/ entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let kernels = root.join("crates/tensor/src/backend.rs");
+    assert!(files.contains(&kernels), "the walk found the kernel crate");
+    for path in files.iter().filter(|p| **p != kernels) {
+        let code = non_test_code(std::slice::from_ref(path));
+        assert!(
+            !code.contains("BackendKind::Reference"),
+            "{} picks the oracle",
+            path.display()
+        );
+    }
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable directory") {
