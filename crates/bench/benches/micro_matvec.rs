@@ -26,6 +26,17 @@
 //! the lock-step sweeps batch their seats — so the per-`N` column of `streamed`
 //! should not decrease from 4 to 8 inputs and ns/input should fall.
 //!
+//! `helper` times `Blocked`'s mat-mul with its row blocks split between
+//! the caller and the helper thread against the same mat-mul on the caller
+//! alone: a 128x128 projection, 384 and 512 rows of 128 (three and four
+//! projections' worth), the 128x256 FFN down, the 2048x128 LM head, at
+//! 1 / 5 / 8 / 22 inputs, each shape streamed over a 7B(sim) decoder's
+//! worth of bytes (14 MB, 32 matrices at least) as a decode walks its
+//! layers, so the weights come from L3 or DRAM. It prints the smallest
+//! matrix, in weights, from which the split wins at every input count of
+//! it and of every larger shape: the value `backend::SPLIT_MIN_WEIGHTS`
+//! commits.
+//!
 //! `exp` times `ops::exp_in_place` against the scalar `f32::exp` loop it
 //! replaced, in ns an element, at the widths the decoder calls it with.
 //!
@@ -38,7 +49,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specee_tensor::attention::{attend, attend_many};
-use specee_tensor::{ops, BackendKind, Matrix, Pcg};
+use specee_tensor::backend::SPLIT_MIN_WEIGHTS;
+use specee_tensor::{ops, BackendKind, Blocked, Matrix, Pcg};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -193,6 +205,80 @@ fn streamed(_c: &mut Criterion) {
     }
 }
 
+/// `(rows, cols)` the `helper` group times: a projection, three and four
+/// projections' rows, the FFN down projection, the LM head.
+const HELPER_SHAPES: &[(usize, usize)] =
+    &[(128, 128), (384, 128), (512, 128), (128, 256), (2048, 128)];
+/// A decode step, a default tree round, a full register tile, a full tree.
+const HELPER_INPUTS: &[usize] = &[1, 5, 8, 22];
+
+/// Bytes of a 7B(sim) decoder's projections (32 layers of seven): the
+/// `helper` group streams each shape over this much (and 32 matrices at
+/// least), so its weights come from L3 or DRAM as in a decode, never from
+/// a 2 MB L2 that 32 small matrices would fit.
+const DECODER_BYTES: usize = STREAMED_LAYERS * 7 * 128 * 128 * 4;
+
+/// One walk over `weights` with the split forced on or off, in ns a call.
+fn helper_walk(weights: &[Matrix], xs: &[f32], n_in: usize, ys: &mut [f32], split: bool) -> f64 {
+    let ns = batch_ns(1, || {
+        for m in weights {
+            Blocked.matmul_split_into(
+                black_box(m),
+                black_box(xs),
+                n_in,
+                black_box(&mut ys[..]),
+                split,
+            );
+        }
+    });
+    ns / weights.len() as f64
+}
+
+fn helper(_c: &mut Criterion) {
+    let mut rng = Pcg::seed(41);
+    // (weights, shape, whether the split won at every input count)
+    let mut shapes: Vec<(usize, String, bool)> = Vec::new();
+    for &(rows, cols) in HELPER_SHAPES {
+        let count = STREAMED_LAYERS.max(DECODER_BYTES / (rows * cols * 4));
+        let weights: Vec<Matrix> = (0..count)
+            .map(|_| Matrix::random(rows, cols, 0.5, &mut rng))
+            .collect();
+        let mut wins = true;
+        for &n_in in HELPER_INPUTS {
+            let mut xs = vec![0.0f32; n_in * cols];
+            rng.fill_uniform(&mut xs, 1.0);
+            let mut ys = vec![0.0f32; n_in * rows];
+            // The two sides alternate walk by walk, so a slow spell of the
+            // host lands on both; the fastest walk of each counts.
+            let (mut unsplit, mut split) = (f64::INFINITY, f64::INFINITY);
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_millis(150) {
+                unsplit = unsplit.min(helper_walk(&weights, &xs, n_in, &mut ys, false));
+                split = split.min(helper_walk(&weights, &xs, n_in, &mut ys, true));
+            }
+            wins &= split < unsplit;
+            let name = format!("helper/{rows}x{cols}x{n_in}");
+            println!(
+                "{name:<40} {unsplit:>9.0} ns/call unsplit {split:>9.0} ns/call split  x{:.2}",
+                unsplit / split
+            );
+        }
+        shapes.push((rows * cols, format!("{rows}x{cols}"), wins));
+    }
+    // The smallest shape from which the split wins on every larger one.
+    shapes.sort_by_key(|s| s.0);
+    let from = shapes.iter().rposition(|s| !s.2).map_or(0, |loss| loss + 1);
+    match shapes.get(from) {
+        Some((weights, shape, _)) => println!(
+            "helper: the split wins from {shape} ({weights} weights) on; \
+             SPLIT_MIN_WEIGHTS = {SPLIT_MIN_WEIGHTS}"
+        ),
+        None => {
+            println!("helper: the split wins nowhere here; SPLIT_MIN_WEIGHTS = {SPLIT_MIN_WEIGHTS}")
+        }
+    }
+}
+
 /// Widths the decoder runs `exp` over: one attention head's scores at 64
 /// cached rows, one SiLU gate row (FFN 256), one vocabulary-wide `nll`.
 const EXP_WIDTHS: &[usize] = &[64, 256, 2048];
@@ -323,6 +409,7 @@ criterion_group!(
     bench,
     model_shapes,
     streamed,
+    helper,
     exp_rows,
     tree_attention
 );

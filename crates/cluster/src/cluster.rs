@@ -268,7 +268,12 @@ where
             let (worker_tx, rx) = channel();
             let join = std::thread::Builder::new()
                 .name(format!("specee-cluster-worker-{id}"))
-                .spawn(move || worker.run(worker_rx, worker_tx))
+                .spawn(move || {
+                    // A worker keeps a core busy: the kernels' helper thread
+                    // stays off it (`specee_tensor::par`).
+                    let _busy = specee_tensor::par::Busy::new();
+                    worker.run(worker_rx, worker_tx)
+                })
                 .expect("spawn worker thread");
             workers.push(WorkerHandle {
                 tx,

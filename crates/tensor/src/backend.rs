@@ -16,7 +16,10 @@
 //!   `matvec`/`matvec_into`/`matmul_into`/`gemm` reduce each (row, input)
 //!   dot in *exactly* the reference order (four lanes, `s0+s1+s2+s3`,
 //!   sequential tail), and `matvec_q` is the oracle's own loop, so every
-//!   op is bit-identical to [`Reference`].
+//!   op is bit-identical to [`Reference`]. From [`SPLIT_MIN_WEIGHTS`] a
+//!   mat-mul's row blocks are split with one helper thread
+//!   ([`crate::par`]); each output is still written by one thread with
+//!   the same sums, so the split is bit-identical too.
 //! * [`QuantizedI8`] — i8 weights with per-group scales and an integer
 //!   (`i32`-accumulating) inner loop. On pre-quantized weights
 //!   ([`Backend::matvec_q_into`]) only the *activations* are quantized on
@@ -43,7 +46,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::{dot, Matrix};
+use crate::matrix::Matrix;
 use crate::quant::QuantizedMatrix;
 
 /// Group width used when [`QuantizedI8`] quantizes f32 operands on the
@@ -106,7 +109,30 @@ pub trait Backend: fmt::Debug + Send + Sync {
     ///
     /// Panics if `groups.len() != inputs.len()`, an input's length differs
     /// from `weight.cols()`, or a row index is out of bounds.
-    fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>>;
+    ///
+    /// The default body is one dot a row in the oracle's order (the
+    /// reference [`crate::matrix::dot`]'s reduction, without its bounds
+    /// checks).
+    fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        assert_eq!(groups.len(), inputs.len(), "group count mismatch");
+        groups
+            .iter()
+            .zip(inputs.iter())
+            .map(|(rows, x)| {
+                assert_eq!(x.len(), weight.cols(), "input dimension mismatch");
+                rows.iter()
+                    .map(|&r| {
+                        assert!(
+                            r < weight.rows(),
+                            "row {r} out of bounds ({})",
+                            weight.rows()
+                        );
+                        dot_blocked(weight.row(r), x)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
     /// Quantized mat-vec `y = Q x` over pre-quantized i8 weights. The
     /// default body is the oracle's dequantizing loop,
@@ -188,27 +214,6 @@ impl Backend for Reference {
     fn matvec_into(&self, m: &Matrix, x: &[f32], y: &mut [f32]) {
         m.matvec_into(x, y);
     }
-
-    fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        assert_eq!(groups.len(), inputs.len(), "group count mismatch");
-        groups
-            .iter()
-            .zip(inputs.iter())
-            .map(|(rows, x)| {
-                assert_eq!(x.len(), weight.cols(), "input dimension mismatch");
-                rows.iter()
-                    .map(|&r| {
-                        assert!(
-                            r < weight.rows(),
-                            "row {r} out of bounds ({})",
-                            weight.rows()
-                        );
-                        dot(weight.row(r), x)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -235,9 +240,12 @@ impl Backend for Reference {
 /// differently) — so each is bit-identical to it. The x86 tiles prefetch
 /// the row block two ahead (a decoder walks more weights per token than L2
 /// holds, and a tile's four row streams defeat the hardware prefetcher):
-/// that moves a cache line, never a sum. `gemm` (row subsets) stays a
-/// per-row dot in the same order, and `matvec_q` is the oracle's
-/// dequantizing loop (the trait's default body).
+/// that moves a cache line, never a sum. From [`SPLIT_MIN_WEIGHTS`] the
+/// caller computes the first half of the row blocks and the helper thread
+/// of [`crate::par`] the second with the ragged rows, at once: that moves
+/// which core writes an output, never how. `gemm` (row subsets) and
+/// `matvec_q` are the trait's default bodies: a per-row dot in the
+/// oracle's order, and the oracle's dequantizing loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
@@ -247,6 +255,7 @@ pub struct Blocked;
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
+    use super::Part;
     use crate::matrix::{dot, Matrix};
 
     /// Row blocks between the one a tile reduces and the one it prefetches
@@ -371,43 +380,55 @@ pub(crate) mod x86 {
         }
     }
 
-    /// The block walk: blocks of four rows, each walked over the inputs in
-    /// register tiles of up to `WIDTH` (a single input is the degenerate
-    /// tile — the mat-vec); remainder rows through the oracle's `dot`.
+    /// The block walk: row blocks `part.blocks` of four rows, each walked
+    /// over the inputs in register tiles of up to `WIDTH` (a single input is
+    /// the degenerate tile — the mat-vec); if `part.tail`, the remainder rows
+    /// through the oracle's `dot`.
     ///
     /// # Safety
     ///
-    /// `xs.len() == n_in * m.cols()`, `ys.len() == n_in * m.rows()`; `tile(n,
-    /// t)` sound whenever `t` is what [`Operands`] says for `n <= WIDTH` inputs.
+    /// `xs.len() == n_in * m.cols()`; `ys` writable for `n_in * m.rows()`
+    /// floats, of which no other thread touches the rows of `part`;
+    /// `part.blocks.end <= m.rows() / 4`; `tile(n, t)` sound whenever `t` is
+    /// what [`Operands`] says for `n <= WIDTH` inputs.
     #[inline(always)]
     unsafe fn matmul_tiled<const WIDTH: usize>(
         m: &Matrix,
         xs: &[f32],
         n_in: usize,
-        ys: &mut [f32],
+        ys: *mut f32,
+        part: Part,
         tile: impl Fn(usize, Operands),
     ) {
         let (rows, cols) = (m.rows(), m.cols());
         let data = m.as_slice();
         let block = |b: usize| data.get(b * 4 * cols..(b + 1) * 4 * cols);
-        for b in 0..rows / 4 {
+        let end = part.blocks.end;
+        for b in part.blocks {
             let w = block(b).expect("b < rows / 4").as_ptr();
-            // Only a block that lies inside the matrix is prefetched, and
-            // only by the first tile: later ones would find it in L1.
-            let mut ahead = block(b + LOOK_AHEAD).map_or(core::ptr::null(), <[f32]>::as_ptr);
+            // Only a block of this part is prefetched (so, one inside the
+            // matrix), and only by the first tile: later ones would find it
+            // in L1.
+            let mut ahead = if b + LOOK_AHEAD < end {
+                block(b + LOOK_AHEAD).map_or(core::ptr::null(), <[f32]>::as_ptr)
+            } else {
+                core::ptr::null()
+            };
             for n in (0..n_in).step_by(WIDTH) {
                 // `n < n_in` and `b * 4 + 4 <= rows`: both pointers are in
                 // bounds; the tile covers the `min(WIDTH, n_in - n)` inputs left.
                 let x = xs.as_ptr().add(n * cols);
-                let y = ys.as_mut_ptr().add(n * rows + b * 4);
+                let y = ys.add(n * rows + b * 4);
                 tile((n_in - n).min(WIDTH), (w, cols, x, y, rows, ahead));
                 ahead = core::ptr::null();
             }
         }
-        for r in rows / 4 * 4..rows {
-            let row = &data[r * cols..(r + 1) * cols];
-            for n in 0..n_in {
-                ys[n * rows + r] = dot(row, &xs[n * cols..(n + 1) * cols]);
+        if part.tail {
+            for r in rows / 4 * 4..rows {
+                let row = &data[r * cols..(r + 1) * cols];
+                for n in 0..n_in {
+                    *ys.add(n * rows + r) = dot(row, &xs[n * cols..(n + 1) * cols]);
+                }
             }
         }
     }
@@ -416,11 +437,11 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX is available and shapes already validated
-    /// (`xs.len() == n_in * m.cols()`, `ys.len() == n_in * m.rows()`).
+    /// Caller must ensure AVX is available and what [`matmul_tiled`] asks
+    /// of the operands.
     #[target_feature(enable = "avx")]
-    pub unsafe fn matmul_avx(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
-        matmul_tiled::<4>(m, xs, n_in, ys, |n, t| match n {
+    pub unsafe fn matmul_avx(m: &Matrix, xs: &[f32], n_in: usize, ys: *mut f32, part: Part) {
+        matmul_tiled::<4>(m, xs, n_in, ys, part, |n, t| match n {
             1 => tile_avx::<1>(t),
             2 => tile_avx::<2>(t),
             3 => tile_avx::<3>(t),
@@ -435,8 +456,8 @@ pub(crate) mod x86 {
     ///
     /// As [`matmul_avx`], with AVX-512F available.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_avx512(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
-        matmul_tiled::<8>(m, xs, n_in, ys, |n, t| match n {
+    pub unsafe fn matmul_avx512(m: &Matrix, xs: &[f32], n_in: usize, ys: *mut f32, part: Part) {
+        matmul_tiled::<8>(m, xs, n_in, ys, part, |n, t| match n {
             1 => tile_avx::<1>(t),
             2 => tile_avx512::<2>(t),
             3 => tile_avx512::<3>(t),
@@ -451,6 +472,33 @@ pub(crate) mod x86 {
 
 /// Rows processed per block by the blocked mat-vec.
 const ROW_BLOCK: usize = 4;
+
+/// The smallest matrix, in weights (`rows × cols`), whose mat-mul
+/// [`Blocked`] splits between the caller and the helper thread
+/// ([`crate::par`]), at any input count: a pass streams its weights from
+/// L3 or DRAM, so its size, not its inputs, says what the second core's
+/// bandwidth saves against what the hand-off costs. `micro_matvec`'s
+/// `helper` rows re-derive it (`cargo bench -p specee-bench --bench
+/// micro_matvec`).
+pub const SPLIT_MIN_WEIGHTS: usize = 16 * 1024;
+
+/// The rows of one mat-mul a thread computes: row blocks `blocks` (of
+/// [`ROW_BLOCK`] rows each) and, if `tail`, the rows past the last whole
+/// block.
+pub(crate) struct Part {
+    blocks: std::ops::Range<usize>,
+    tail: bool,
+}
+
+impl Part {
+    /// Every row of `m`.
+    fn whole(m: &Matrix) -> Self {
+        Part {
+            blocks: 0..m.rows() / ROW_BLOCK,
+            tail: true,
+        }
+    }
+}
 
 /// `chunks_exact` dot with the exact reduction tree of
 /// [`crate::matrix::dot`]: four lanes, `s0+s1+s2+s3`, sequential tail.
@@ -513,41 +561,131 @@ pub(crate) fn dot4_rows(r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32], x: &[f32
 /// is fetched once for the whole batch), remainder rows through
 /// [`dot_blocked`]. Bit-identical to [`Reference`] by the same
 /// reduction-order argument as the wide kernels.
-fn matmul_blocked_portable(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+///
+/// # Safety
+///
+/// As `x86::matmul_tiled`: `xs.len() == n_in * m.cols()`; `ys` writable for
+/// `n_in * m.rows()` floats, of which no other thread touches the rows of
+/// `part`; `part.blocks.end <= m.rows() / 4`.
+unsafe fn matmul_blocked_portable(m: &Matrix, xs: &[f32], n_in: usize, ys: *mut f32, part: Part) {
     let (rows, cols) = (m.rows(), m.cols());
     let data = m.as_slice();
-    let blocks = rows / ROW_BLOCK;
-    for b in 0..blocks {
+    for b in part.blocks {
         let r = b * ROW_BLOCK;
         let row = |k: usize| &data[(r + k) * cols..(r + k + 1) * cols];
         let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
         for n in 0..n_in {
             let out = dot4_rows(r0, r1, r2, r3, &xs[n * cols..(n + 1) * cols]);
-            ys[n * rows + r..n * rows + r + ROW_BLOCK].copy_from_slice(&out);
+            std::ptr::copy_nonoverlapping(out.as_ptr(), ys.add(n * rows + r), ROW_BLOCK);
         }
     }
-    for r in blocks * ROW_BLOCK..rows {
-        let row = &data[r * cols..(r + 1) * cols];
-        for n in 0..n_in {
-            ys[n * rows + r] = dot_blocked(row, &xs[n * cols..(n + 1) * cols]);
+    if part.tail {
+        for r in rows / ROW_BLOCK * ROW_BLOCK..rows {
+            let row = &data[r * cols..(r + 1) * cols];
+            for n in 0..n_in {
+                *ys.add(n * rows + r) = dot_blocked(row, &xs[n * cols..(n + 1) * cols]);
+            }
         }
     }
 }
 
-/// Dispatches a shape-checked mat-mul to the widest kernel available.
-fn matmul_blocked(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+/// A `Blocked` mat-mul path over one [`Part`] of the rows, with the
+/// contract of [`matmul_blocked_portable`].
+type Kernel = unsafe fn(&Matrix, &[f32], usize, *mut f32, Part);
+
+/// The widest kernel this CPU runs.
+fn widest_kernel() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY (both calls): the feature is checked on the line above;
-        // callers validated `xs.len()` and `ys.len()` against `n_in`.
+        // SAFETY (both): each path is returned only when its feature is
+        // present; the operands are the caller's to get right.
         if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe { x86::matmul_avx512(m, xs, n_in, ys) };
+            return |m, xs, n_in, ys, part| unsafe { x86::matmul_avx512(m, xs, n_in, ys, part) };
         }
         if std::arch::is_x86_feature_detected!("avx") {
-            return unsafe { x86::matmul_avx(m, xs, n_in, ys) };
+            return |m, xs, n_in, ys, part| unsafe { x86::matmul_avx(m, xs, n_in, ys, part) };
         }
     }
-    matmul_blocked_portable(m, xs, n_in, ys);
+    matmul_blocked_portable
+}
+
+/// The output of a mat-mul whose two halves two threads write.
+#[derive(Clone, Copy)]
+struct Out(*mut f32);
+
+// SAFETY: the halves of a split write disjoint rows of the output (see
+// `matmul_parts`), and the caller does not return before both are done.
+unsafe impl Sync for Out {}
+
+impl Out {
+    fn ptr(self) -> *mut f32 {
+        self.0
+    }
+}
+
+/// Dispatches a shape-checked mat-mul to the widest kernel available,
+/// split between the caller and the helper thread from [`SPLIT_MIN_WEIGHTS`]
+/// on.
+fn matmul_blocked(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32]) {
+    let split = m.rows() * m.cols() >= SPLIT_MIN_WEIGHTS;
+    matmul_parts(m, xs, n_in, ys, split);
+}
+
+/// The mat-mul whole on the caller, or, if `split` (and there are two row
+/// blocks to split), the first half of its row blocks on the caller and
+/// the second half with the ragged rows on the helper, through
+/// [`crate::par::halves`]. Each (row, input) output is written by one
+/// thread with the unsplit kernel's sums, so both ways are bit-identical.
+fn matmul_parts(m: &Matrix, xs: &[f32], n_in: usize, ys: &mut [f32], split: bool) {
+    debug_assert_eq!(xs.len(), n_in * m.cols());
+    debug_assert_eq!(ys.len(), n_in * m.rows());
+    let kernel = widest_kernel();
+    let out = Out(ys.as_mut_ptr());
+    // SAFETY: callers validated `xs.len()` and `ys.len()` against `n_in`,
+    // `ys` is borrowed for the whole call, and the parts below never
+    // overlap: rows `[0, 4 * mid)` against `[4 * mid, rows)`.
+    let run = |part: Part| unsafe { kernel(m, xs, n_in, out.ptr(), part) };
+    let blocks = m.rows() / ROW_BLOCK;
+    if !split || blocks < 2 {
+        return run(Part::whole(m));
+    }
+    let mid = blocks / 2;
+    crate::par::halves(
+        || {
+            run(Part {
+                blocks: 0..mid,
+                tail: false,
+            })
+        },
+        &|| {
+            run(Part {
+                blocks: mid..blocks,
+                tail: true,
+            })
+        },
+    );
+}
+
+impl Blocked {
+    /// [`Backend::matmul_into`] with the row-block split forced on or off,
+    /// whatever the size: what `micro_matvec`'s `helper` group times to
+    /// derive [`SPLIT_MIN_WEIGHTS`]. Bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// As [`Backend::matmul_into`].
+    pub fn matmul_split_into(
+        &self,
+        m: &Matrix,
+        xs: &[f32],
+        n_in: usize,
+        ys: &mut [f32],
+        split: bool,
+    ) {
+        assert_eq!(xs.len(), n_in * m.cols(), "matmul input length");
+        assert_eq!(ys.len(), n_in * m.rows(), "matmul output length");
+        matmul_parts(m, xs, n_in, ys, split);
+    }
 }
 
 impl Backend for Blocked {
@@ -565,27 +703,6 @@ impl Backend for Blocked {
         assert_eq!(xs.len(), n_in * m.cols(), "matmul input length");
         assert_eq!(ys.len(), n_in * m.rows(), "matmul output length");
         matmul_blocked(m, xs, n_in, ys);
-    }
-
-    fn gemm(&self, weight: &Matrix, groups: &[Vec<usize>], inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        assert_eq!(groups.len(), inputs.len(), "group count mismatch");
-        groups
-            .iter()
-            .zip(inputs.iter())
-            .map(|(rows, x)| {
-                assert_eq!(x.len(), weight.cols(), "input dimension mismatch");
-                rows.iter()
-                    .map(|&r| {
-                        assert!(
-                            r < weight.rows(),
-                            "row {r} out of bounds ({})",
-                            weight.rows()
-                        );
-                        dot_blocked(weight.row(r), x)
-                    })
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -788,19 +905,24 @@ mod tests {
     /// entry points only ever reach the widest; the tests below pin *each*
     /// to the oracle on its own.
     fn blocked_paths() -> Vec<(&'static str, Path)> {
-        let mut paths: Vec<(&'static str, Path)> = vec![("portable", matmul_blocked_portable)];
+        // SAFETY (all): the shape asserts run first; each x86 path is
+        // pushed only when its feature is present.
+        let mut paths: Vec<(&'static str, Path)> = vec![("portable", |m, xs, n_in, ys| {
+            assert_eq!((xs.len(), ys.len()), (n_in * m.cols(), n_in * m.rows()));
+            unsafe { matmul_blocked_portable(m, xs, n_in, ys.as_mut_ptr(), Part::whole(m)) }
+        })];
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY (both): pushed only when the feature is present; the
-            // callers size `xs` / `ys` to the shape.
             if std::arch::is_x86_feature_detected!("avx") {
-                paths.push(("avx", |m, xs, n_in, ys| unsafe {
-                    x86::matmul_avx(m, xs, n_in, ys)
+                paths.push(("avx", |m, xs, n_in, ys| {
+                    assert_eq!((xs.len(), ys.len()), (n_in * m.cols(), n_in * m.rows()));
+                    unsafe { x86::matmul_avx(m, xs, n_in, ys.as_mut_ptr(), Part::whole(m)) }
                 }));
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                paths.push(("avx512", |m, xs, n_in, ys| unsafe {
-                    x86::matmul_avx512(m, xs, n_in, ys)
+                paths.push(("avx512", |m, xs, n_in, ys| {
+                    assert_eq!((xs.len(), ys.len()), (n_in * m.cols(), n_in * m.rows()));
+                    unsafe { x86::matmul_avx512(m, xs, n_in, ys.as_mut_ptr(), Part::whole(m)) }
                 }));
             }
         }
@@ -857,6 +979,231 @@ mod tests {
     fn every_blocked_path_stays_inside_a_matrix_at_the_end_of_its_allocation() {
         let shapes: Vec<_> = (0..=17).map(|n_in| (13, 35, n_in)).collect();
         pin_every_blocked_path(13, &shapes);
+    }
+
+    /// The one `gemm` body (both exact backends run it) is the oracle's
+    /// per-row `dot`, bit for bit: rows in any order, repeated, ragged
+    /// widths.
+    #[test]
+    fn the_default_gemm_is_the_oracles_row_dot() {
+        let mut rng = Pcg::seed(19);
+        for cols in [0, 1, 3, 4, 7, 64, 131] {
+            let m = Matrix::random(9, cols, 1.0, &mut rng);
+            let groups = vec![vec![8, 0, 3], vec![], vec![5, 5, 1, 2, 4, 6, 7]];
+            let inputs: Vec<Vec<f32>> = (0..groups.len())
+                .map(|_| {
+                    let mut x = vec![0.0f32; cols];
+                    rng.fill_uniform(&mut x, 1.0);
+                    x
+                })
+                .collect();
+            let want: Vec<Vec<u32>> = groups
+                .iter()
+                .zip(&inputs)
+                .map(|(rows, x)| {
+                    m.matvec_rows(rows, x)
+                        .into_iter()
+                        .map(f32::to_bits)
+                        .collect()
+                })
+                .collect();
+            for backend in [&Reference as &dyn Backend, &Blocked] {
+                let got: Vec<Vec<u32>> = backend
+                    .gemm(&m, &groups, &inputs)
+                    .into_iter()
+                    .map(|row| row.into_iter().map(f32::to_bits).collect())
+                    .collect();
+                assert_eq!(got, want, "{} gemm, {cols} columns", backend.name());
+            }
+        }
+    }
+
+    /// `m` times the `n_in` inputs packed in `xs` by the oracle, one
+    /// mat-vec an input, as bits.
+    fn oracle_bits(m: &Matrix, xs: &[f32], n_in: usize) -> Vec<u32> {
+        let cols = m.cols();
+        (0..n_in)
+            .flat_map(|n| Reference.matvec(m, &xs[n * cols..(n + 1) * cols]))
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    /// `Blocked`'s mat-mul into a NaN-filled output, split or not, as bits.
+    fn blocked_bits(m: &Matrix, xs: &[f32], n_in: usize, split: bool) -> Vec<u32> {
+        let mut ys = vec![f32::NAN; n_in * m.rows()];
+        Blocked.matmul_split_into(m, xs, n_in, &mut ys, split);
+        ys.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// A random `rows × cols` matrix and `n_in` packed inputs.
+    fn operands(seed: u64, rows: usize, cols: usize, n_in: usize) -> (Matrix, Vec<f32>) {
+        let mut rng = Pcg::seed(seed);
+        let m = Matrix::random(rows, cols, 1.0, &mut rng);
+        let mut xs = vec![0.0f32; n_in * cols];
+        rng.fill_uniform(&mut xs, 1.0);
+        (m, xs)
+    }
+
+    /// The helper's state a split call meets.
+    #[derive(Debug, Clone, Copy)]
+    enum HelperState {
+        Free,
+        HeldByAnotherCaller,
+        Parked,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Split == unsplit == the oracle, bit for bit, whatever the rows
+        /// (ragged against 4 and 8 too), the inputs (1–22) and the helper's
+        /// state.
+        #[test]
+        fn the_split_matmul_is_the_unsplit_matmul_and_the_oracle_bit_for_bit(
+            seed in 0u64..10_000,
+            rows in 0usize..90,
+            cols in 0usize..70,
+            n_in in 1usize..23,
+            state in 0usize..3,
+        ) {
+            let _one = crate::par::probe::exclusive();
+            let (m, xs) = operands(seed, rows, cols, n_in);
+            let oracle = oracle_bits(&m, &xs, n_in);
+            let state = [HelperState::Free, HelperState::HeldByAnotherCaller, HelperState::Parked][state];
+            let held = match state {
+                HelperState::HeldByAnotherCaller => crate::par::probe::hold(),
+                HelperState::Parked => {
+                    crate::par::probe::wait_until_parked();
+                    None
+                }
+                HelperState::Free => None,
+            };
+            let split = blocked_bits(&m, &xs, n_in, true);
+            drop(held);
+            proptest::prop_assert_eq!(&split, &oracle, "split, {:?}, {}x{}x{}", state, rows, cols, n_in);
+            proptest::prop_assert_eq!(&blocked_bits(&m, &xs, n_in, false), &oracle);
+        }
+    }
+
+    /// The shapes the public entry points split: the threshold, one row
+    /// either side of a block, a decoder's projections and its LM head.
+    const SPLIT_SHAPES: &[(usize, usize)] =
+        &[(128, 128), (129, 128), (131, 256), (256, 128), (2048, 128)];
+
+    #[test]
+    fn the_split_public_entry_points_are_the_oracle_bit_for_bit() {
+        let _one = crate::par::probe::exclusive();
+        for (i, &(rows, cols)) in SPLIT_SHAPES.iter().enumerate() {
+            assert!(rows * cols >= SPLIT_MIN_WEIGHTS, "{rows}x{cols} is split");
+            for n_in in [1, 3, 5, 8, 22] {
+                let (m, xs) = operands(i as u64, rows, cols, n_in);
+                let mut ys = vec![f32::NAN; n_in * rows];
+                Blocked.matmul_into(&m, &xs, n_in, &mut ys);
+                let got: Vec<u32> = ys.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, oracle_bits(&m, &xs, n_in), "{rows}x{cols}x{n_in}");
+            }
+            let (m, x) = operands(i as u64, rows, cols, 1);
+            let got: Vec<u32> = Blocked
+                .matvec(&m, &x)
+                .into_iter()
+                .map(f32::to_bits)
+                .collect();
+            assert_eq!(got, oracle_bits(&m, &x, 1), "matvec {rows}x{cols}");
+        }
+    }
+
+    /// Four threads call the split kernel at once for about a second: one
+    /// owns the helper at a time, the others run both halves, and every
+    /// result is the oracle's.
+    #[test]
+    fn the_split_matmul_survives_four_callers_at_once() {
+        let cases: Vec<(Matrix, Vec<f32>, usize, Vec<u32>)> =
+            [(129, 128, 1), (131, 64, 5), (256, 128, 8), (67, 256, 3)]
+                .iter()
+                .enumerate()
+                .map(|(i, &(rows, cols, n_in))| {
+                    let (m, xs) = operands(100 + i as u64, rows, cols, n_in);
+                    let oracle = oracle_bits(&m, &xs, n_in);
+                    (m, xs, n_in, oracle)
+                })
+                .collect();
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let start = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (cases, calls) = (&cases, &calls);
+                scope.spawn(move || {
+                    let mut i = t;
+                    while start.elapsed() < std::time::Duration::from_secs(1) {
+                        let (m, xs, n_in, oracle) = &cases[i % cases.len()];
+                        let mut ys = vec![f32::NAN; n_in * m.rows()];
+                        Blocked.matmul_into(m, xs, *n_in, &mut ys);
+                        let got: Vec<u32> = ys.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(&got, oracle, "thread {t}, case {}", i % cases.len());
+                        calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        i += 1;
+                    }
+                });
+            }
+        });
+        println!("{} split calls on four threads", calls.into_inner());
+    }
+
+    /// Runs split calls (each checked against the oracle) until the helper
+    /// has taken a half or `limit` passes; true if it took one.
+    fn helper_takes_a_half_within(limit: std::time::Duration) -> bool {
+        let before = crate::par::probe::taken();
+        let (m, xs) = operands(7, 256, 128, 8);
+        let oracle = oracle_bits(&m, &xs, 8);
+        let start = std::time::Instant::now();
+        while start.elapsed() < limit {
+            assert_eq!(blocked_bits(&m, &xs, 8, true), oracle);
+            if crate::par::probe::taken() > before {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The parallel path cannot go dead unnoticed: on a host with two
+    /// cores, the helper takes halves.
+    #[test]
+    fn the_helper_takes_halves() {
+        let _one = crate::par::probe::exclusive();
+        let cores = crate::par::probe::cores();
+        if cores < 2 {
+            println!("one core: the helper is never spawned");
+            return;
+        }
+        assert!(
+            helper_takes_a_half_within(std::time::Duration::from_secs(5)),
+            "no split call reached the helper in 5 s on {cores} cores"
+        );
+    }
+
+    /// While every core is busy (one `Busy` guard a core), no half reaches
+    /// the helper; when the guards drop, halves reach it again.
+    #[test]
+    fn no_half_reaches_the_helper_while_every_core_is_busy() {
+        let _one = crate::par::probe::exclusive();
+        let cores = crate::par::probe::cores();
+        let guards: Vec<crate::par::Busy> = (0..cores).map(|_| crate::par::Busy::new()).collect();
+        // A half posted before the guards were counted is settled by the
+        // time its owner frees the slot: take the slot once.
+        while crate::par::probe::hold().is_none() {
+            std::thread::yield_now();
+        }
+        let before = crate::par::probe::taken();
+        assert!(!helper_takes_a_half_within(
+            std::time::Duration::from_millis(300)
+        ));
+        assert_eq!(crate::par::probe::taken(), before, "{cores} busy threads");
+        drop(guards);
+        if cores >= 2 {
+            assert!(helper_takes_a_half_within(std::time::Duration::from_secs(
+                5
+            )));
+        }
     }
 
     #[test]

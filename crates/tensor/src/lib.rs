@@ -29,6 +29,7 @@ pub mod backend;
 pub mod grouped;
 pub mod matrix;
 pub mod ops;
+pub mod par;
 pub mod quant;
 pub mod rng;
 
