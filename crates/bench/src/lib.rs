@@ -26,7 +26,7 @@ use specee_core::skip_layer::{
 use specee_core::{SchedulingMode, SpecEeConfig};
 use specee_draft::SpeculativeSource;
 use specee_metrics::{CostReport, FrameworkProfile, HardwareProfile, Meter, Roofline};
-use specee_model::{KvLayout, LayeredLm, ModelConfig, TokenId};
+use specee_model::{LayeredLm, ModelConfig, TokenId};
 use specee_nn::TrainConfig;
 use specee_serve::{PoissonArrivals, ServeRequest};
 use specee_synth::{
@@ -40,8 +40,6 @@ use specee_tensor::QuantBits;
 pub enum ModelVariant {
     /// Dense f16 weights, contiguous KV cache (HuggingFace-style).
     Dense,
-    /// Dense weights, paged KV cache (vllm-style).
-    Paged,
     /// AWQ int4-quantized weights.
     Quantized,
     /// PowerInfer-style sparse-activation FFN.
@@ -66,9 +64,6 @@ pub fn build_lm(
         .build();
     match variant {
         ModelVariant::Dense => {}
-        ModelVariant::Paged => lm
-            .inner_mut()
-            .set_kv_layout(KvLayout::Paged { page_size: 16 }),
         ModelVariant::Quantized => lm.inner_mut().quantize(QuantBits::Int8),
         ModelVariant::Sparse => {
             let mut rng = Pcg::seed(seed ^ 0x5fa);

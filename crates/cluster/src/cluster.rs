@@ -47,7 +47,8 @@ pub struct ClusterConfig {
     /// admission. When off (default), page exhaustion panics the worker
     /// as before.
     pub preemption: bool,
-    /// Per-worker admission policy (applied to each worker's own queue).
+    /// Per-worker admission policy: `Fcfs`, the only one, orders each
+    /// worker's own queue.
     pub admission: AdmissionPolicy,
     /// Per-worker capacity and pricing (`max_batch` is *per worker*).
     pub batcher: BatcherConfig,
@@ -262,18 +263,13 @@ where
                 config.batcher.framework.clone(),
             );
             let slo = config.slo.clone().map(SloTracker::new);
-            let worker = Worker::new(id, engine, cost, config.admission, slo, make_seq.clone());
+            let worker = Worker::new(id, engine, cost, slo, make_seq.clone());
             snapshots.push(worker.snapshot());
             let (tx, worker_rx) = channel();
             let (worker_tx, rx) = channel();
             let join = std::thread::Builder::new()
                 .name(format!("specee-cluster-worker-{id}"))
-                .spawn(move || {
-                    // A worker keeps a core busy: the kernels' helper thread
-                    // stays off it (`specee_tensor::par`).
-                    let _busy = specee_tensor::par::Busy::new();
-                    worker.run(worker_rx, worker_tx)
-                })
+                .spawn(move || worker.run(worker_rx, worker_tx))
                 .expect("spawn worker thread");
             workers.push(WorkerHandle {
                 tx,

@@ -33,7 +33,7 @@ use specee_model::LayeredLm;
 use specee_obs::{Event, SloTracker};
 use specee_serve::batcher::ServeReport;
 use specee_serve::cost::StepCostModel;
-use specee_serve::{AdmissionPolicy, ClassStats, ServeLoop};
+use specee_serve::{ClassStats, ServeLoop};
 
 use crate::request::ClusterRequest;
 use crate::router::WorkerSnapshot;
@@ -158,14 +158,13 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
         id: usize,
         engine: BatchedEngine<M, D>,
         cost: StepCostModel,
-        policy: AdmissionPolicy,
         slo: Option<SloTracker>,
         make_seq: SeqFactory<M, D>,
     ) -> Self {
         Worker {
             id,
             engine,
-            serving: ServeLoop::new(cost, policy, slo),
+            serving: ServeLoop::new(cost, slo),
             make_seq,
             assigned: 0,
             lost: Vec::new(),
@@ -247,8 +246,12 @@ impl<M: LayeredLm, D: SpeculativeSource> Worker<M, D> {
         }
     }
 
-    /// Advances the serving loop to the arrival frontier.
+    /// Advances the serving loop to the arrival frontier. The worker keeps
+    /// a core busy only while it advances, so the kernels' helper thread
+    /// (`specee_tensor::par`) stays off that core then and may use it
+    /// while this worker waits on its channel or has drained.
     fn advance(&mut self, frontier: f64) {
+        let _busy = specee_tensor::par::Busy::new();
         let make_seq = &self.make_seq;
         self.serving
             .advance(&mut self.engine, frontier, |req| make_seq(req));

@@ -205,48 +205,6 @@ fn one_worker_parity_with_simultaneous_arrivals() {
     assert_eq!(report.aggregate(), live.report);
 }
 
-/// Parity must also hold under the shortest-job-first admission policy
-/// (the worker reuses the exact pick the replay/live loops use).
-#[test]
-fn one_worker_parity_under_sjf_admission() {
-    let seed = 53;
-    let parts = trained(seed);
-    let mut spec_list = specs(6, 6);
-    for (i, s) in spec_list.iter_mut().enumerate() {
-        s.1 = if i % 2 == 0 { 10 } else { 4 };
-    }
-    let requests = PoissonArrivals::new(40.0, 9).requests(&spec_list);
-    let batcher =
-        ContinuousBatcher::with_policy(batcher_config(2), AdmissionPolicy::ShortestJobFirst);
-    let mut engine: BatchedEngine<SyntheticLm, OracleDraft> = BatchedEngine::new(
-        2,
-        16,
-        N_LAYERS,
-        parts.0.clone(),
-        parts.1.clone(),
-        parts.2.clone(),
-    );
-    let live = batcher.run_live(&requests, &mut engine, |r| seq_parts(seed, r.id));
-
-    let config = ClusterConfig {
-        admission: AdmissionPolicy::ShortestJobFirst,
-        ..cluster_config(1, 2)
-    };
-    let mut cluster: Cluster<SyntheticLm, OracleDraft> = Cluster::spawn(
-        &config,
-        RouterPolicy::RoundRobin.build(),
-        &parts.0,
-        &parts.1,
-        &parts.2,
-        factory(seed),
-    );
-    for req in &requests {
-        cluster.submit(ClusterRequest::new(req.clone()));
-    }
-    let report = cluster.drain();
-    assert_eq!(report.aggregate(), live.report);
-}
-
 /// More workers, same workload: everything completes, every sequence's
 /// tokens are what it decodes anywhere (batching and routing change
 /// timing, never values), and the parallel makespan shrinks.

@@ -26,9 +26,6 @@ pub struct BanditConfig {
     /// 0.4–0.8); a miscalibrated one fires dozens of times for one
     /// accept (rate under 0.2) — the floor sits between those regimes.
     pub accuracy_floor: f64,
-    /// Work charged per rejected fire, in executed-layer equivalents (a
-    /// failed verification still paid one full LM-head forward).
-    pub reject_cost_layers: f64,
     /// Per-epoch posterior discount toward the uniform prior, in
     /// `(0, 1]` — the standard nonstationary-bandit device: old evidence
     /// decays with a half-life of roughly `1 / (1 - discount)` epochs,
@@ -41,19 +38,23 @@ pub struct BanditConfig {
     /// single coin flip would leave Thompson sampling churning on noise
     /// long after the rewards have separated.
     pub epoch_evidence: f64,
-    /// Pseudo-observations one *full epoch worth* of absorbed remote
-    /// evidence (cross-worker gossip) contributes to the posterior of
-    /// the arm nearest the reporting worker's operating point. Windows
-    /// shorter than an epoch contribute proportionally less — gossip
-    /// arrives at every arrival frontier, so a flat per-window weight
-    /// would let dozens of 1–2-token windows (whose rewards are mostly
-    /// uninformative ~0.5 noise) swamp the well-measured local epochs.
-    /// Below `epoch_evidence` by default: remote traffic informs, local
-    /// traffic decides.
-    pub gossip_evidence: f64,
     /// Seed of the controller's private deterministic RNG.
     pub seed: u64,
 }
+
+/// Work charged per rejected fire, in executed-layer equivalents (a failed
+/// verification still paid one full LM-head forward).
+const REJECT_COST_LAYERS: f64 = 2.0;
+
+/// Pseudo-observations one *full epoch worth* of absorbed remote evidence
+/// (cross-worker gossip) contributes to the posterior of the arm nearest
+/// the reporting worker's operating point. Windows shorter than an epoch
+/// contribute proportionally less — gossip arrives at every arrival
+/// frontier, so a flat per-window weight would let dozens of 1–2-token
+/// windows (whose rewards are mostly uninformative ~0.5 noise) swamp the
+/// well-measured local epochs. Below the default `epoch_evidence`: remote
+/// traffic informs, local traffic decides.
+const GOSSIP_EVIDENCE: f64 = 2.0;
 
 impl Default for BanditConfig {
     fn default() -> Self {
@@ -64,10 +65,8 @@ impl Default for BanditConfig {
             grid: vec![0.2, 0.5, 0.8, 1.0],
             epoch_tokens: 8,
             accuracy_floor: 0.4,
-            reject_cost_layers: 2.0,
             discount: 0.95,
             epoch_evidence: 5.0,
-            gossip_evidence: 2.0,
             seed: 0x5eed,
         }
     }
@@ -178,7 +177,7 @@ impl BanditController {
         n_layers: usize,
     ) -> f64 {
         let full_work = tokens as f64 * n_layers as f64;
-        let spent = executed_layers as f64 + self.config.reject_cost_layers * rejects as f64;
+        let spent = executed_layers as f64 + REJECT_COST_LAYERS * rejects as f64;
         let saved = 1.0 - spent / full_work;
         let fires = accepts + rejects;
         let accept_rate = if fires > 0 {
@@ -279,7 +278,7 @@ impl Controller for BanditController {
         );
         let arm_idx = nearest_arm(&self.config.grid, evidence.mean_threshold as f32);
         let window = (evidence.tokens as f64 / self.config.epoch_tokens.max(1) as f64).min(1.0);
-        let e = self.config.gossip_evidence.max(0.0) * window;
+        let e = GOSSIP_EVIDENCE * window;
         let arm = &mut self.arms[arm_idx];
         arm.alpha += e * reward;
         arm.beta += e * (1.0 - reward);

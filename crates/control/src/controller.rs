@@ -24,17 +24,18 @@ use crate::classed::ClassEvidence;
 ///
 /// ```
 /// use specee_control::{Controller, ControllerPolicy};
-/// use specee_core::ExitFeedback;
+/// use specee_core::{ExitFeedback, TrafficClass};
 ///
 /// // A PID controller tracking a 20% false-exit rate over 8 predictor
-/// // layers, starting from the paper's 0.5 operating point.
-/// let mut ctl = ControllerPolicy::pid().build(8, 0.5);
+/// // layers, starting from the paper's 0.5 operating point (worker 0,
+/// // default class: what a solo engine runs).
+/// let mut ctl = ControllerPolicy::pid().build_for_worker_class(8, 0.5, 0, TrafficClass::DEFAULT);
 /// let before = ctl.threshold(3);
 /// // A burst of rejected fires at layer 3: the false-exit rate is above
 /// // target, so the controller raises that layer's threshold.
 /// for _ in 0..16 {
 ///     ctl.observe(&ExitFeedback {
-///         class: specee_core::TrafficClass::DEFAULT,
+///         class: TrafficClass::DEFAULT,
 ///         layer: 3,
 ///         score: 0.6,
 ///         threshold: before,

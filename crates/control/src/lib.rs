@@ -73,7 +73,9 @@
 //! use specee_core::{ExitFeedback, TrafficClass};
 //!
 //! let pcfg = PredictorConfig::default();
-//! let mut ctl = ControllerPolicy::pid().build(7, pcfg.threshold);
+//! // Worker 0, default class: what a solo engine runs.
+//! let mut ctl =
+//!     ControllerPolicy::pid().build_for_worker_class(7, pcfg.threshold, 0, TrafficClass::DEFAULT);
 //!
 //! // The serving loop feeds verify outcomes; a rejection-heavy stream
 //! // at layer 2 tightens the threshold that layer's scores fire at.
@@ -91,7 +93,8 @@
 //! assert_eq!(ctl.summary().rejects, 12);
 //!
 //! // The static policy names no threshold: scores fire at the bank's own.
-//! assert_eq!(ControllerPolicy::Static.build(7, 0.5).fires_at(2), None);
+//! let fixed = ControllerPolicy::Static.build_for_worker_class(7, 0.5, 0, TrafficClass::DEFAULT);
+//! assert_eq!(fixed.fires_at(2), None);
 //! ```
 
 #![deny(missing_docs)]
@@ -108,4 +111,4 @@ pub use classed::{ClassEvidence, ClassedController};
 pub use controller::{Controller, ControllerSummary, StaticController};
 pub use pid::{PidConfig, PidController};
 pub use policy::ControllerPolicy;
-pub use slo_adaptive::{SloAdaptive, SloAdaptiveConfig};
+pub use slo_adaptive::SloAdaptive;

@@ -7,15 +7,14 @@ use crate::bandit::{BanditConfig, BanditController};
 use crate::classed::ClassedController;
 use crate::controller::{Controller, StaticController};
 use crate::pid::{PidConfig, PidController};
-use crate::slo_adaptive::{SloAdaptive, SloAdaptiveConfig};
+use crate::slo_adaptive::SloAdaptive;
 
 /// A buildable controller choice: what rides in configuration structs
 /// (e.g. `ClusterConfig`) and what a `--controller` spec parses into
 /// ([`ControllerPolicy::parse`]).
 ///
 /// Each worker/engine builds its *own* controller from the policy
-/// ([`ControllerPolicy::build`] / [`ControllerPolicy::build_for_worker_class`])
-/// so controller state is never shared across threads — determinism
+/// ([`ControllerPolicy::build_for_worker_class`]) so controller state is never shared across threads — determinism
 /// comes from each instance consuming its own engine's feedback stream
 /// in program order.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,12 +27,7 @@ pub enum ControllerPolicy {
     Bandit(BanditConfig),
     /// Any policy wrapped in the SLO burn-rate decorator (what
     /// `--slo ...` turns the chosen policy into).
-    SloAdaptive {
-        /// The wrapped policy.
-        inner: Box<ControllerPolicy>,
-        /// Bend limits for the wrapper.
-        config: SloAdaptiveConfig,
-    },
+    SloAdaptive(Box<ControllerPolicy>),
 }
 
 impl ControllerPolicy {
@@ -57,13 +51,9 @@ impl ControllerPolicy {
         ]
     }
 
-    /// Wraps this policy in the SLO burn-rate decorator with default
-    /// bend limits.
+    /// Wraps this policy in the SLO burn-rate decorator.
     pub fn slo_adaptive(self) -> Self {
-        ControllerPolicy::SloAdaptive {
-            inner: Box::new(self),
-            config: SloAdaptiveConfig::default(),
-        }
+        ControllerPolicy::SloAdaptive(Box::new(self))
     }
 
     /// The policy's canonical CLI name.
@@ -72,7 +62,7 @@ impl ControllerPolicy {
             ControllerPolicy::Static => "static",
             ControllerPolicy::Pid(_) => "pid",
             ControllerPolicy::Bandit(_) => "bandit",
-            ControllerPolicy::SloAdaptive { inner, .. } => match inner.name() {
+            ControllerPolicy::SloAdaptive(inner) => match inner.name() {
                 "static" => "slo+static",
                 "pid" => "slo+pid",
                 "bandit" => "slo+bandit",
@@ -86,7 +76,7 @@ impl ControllerPolicy {
     /// knobs — e.g. `pid:target=0.05,kp=0.3` or
     /// `bandit:floor=0.9,epoch=16,grid=0.2|0.5|1.0`. `slo+` wraps the
     /// policy in the SLO burn-rate decorator; the knobs reach the inner
-    /// policy (the wrapper's bend range is [`SloAdaptiveConfig::default`]).
+    /// policy.
     /// Every malformed spec yields an error naming the offending fragment
     /// and the knobs the policy accepts.
     pub fn parse(spec: &str) -> Result<ControllerPolicy, String> {
@@ -153,8 +143,6 @@ impl ControllerPolicy {
                     }
                     "discount" => config.discount = num()?,
                     "evidence" => config.epoch_evidence = num()?,
-                    "gossip-evidence" => config.gossip_evidence = num()?,
-                    "reject-cost" => config.reject_cost_layers = num()?,
                     "seed" => config.seed = value.parse().map_err(|_| bad("integer"))?,
                     "grid" => {
                         let arms: Result<Vec<f32>, String> = value
@@ -170,7 +158,7 @@ impl ControllerPolicy {
                     _ => {
                         return Err(format!(
                             "unknown bandit knob `{key}` (floor, epoch, discount, \
-                             evidence, gossip-evidence, reject-cost, seed, grid)"
+                             evidence, seed, grid)"
                         ));
                     }
                 },
@@ -190,9 +178,22 @@ impl ControllerPolicy {
         Ok(policy)
     }
 
-    /// Builds the controller for an engine with `n_predictors` predictor
-    /// layers whose bank currently operates at `base_threshold`.
-    pub fn build(&self, n_predictors: usize, base_threshold: f32) -> Box<dyn Controller> {
+    /// Builds the controller cluster worker `worker` runs for traffic
+    /// class `class`, on an engine with `n_predictors` predictor layers
+    /// whose bank currently operates at `base_threshold`. The bandit
+    /// instance serving `(worker, class)` draws its own exploration
+    /// stream — reproducible for the pair, distinct across workers *and*
+    /// across the classes of one worker, so a cluster's workers explore
+    /// decorrelated but each deterministically. `(worker 0, default
+    /// class)` keeps the configured seed: what a solo engine builds, so a
+    /// solo engine and a one-worker cluster draw the same stream.
+    pub fn build_for_worker_class(
+        &self,
+        n_predictors: usize,
+        base_threshold: f32,
+        worker: usize,
+        class: TrafficClass,
+    ) -> Box<dyn Controller> {
         match self {
             ControllerPolicy::Static => {
                 Box::new(StaticController::new(n_predictors, base_threshold))
@@ -202,32 +203,6 @@ impl ControllerPolicy {
                 base_threshold,
                 config.clone(),
             )),
-            ControllerPolicy::Bandit(config) => {
-                Box::new(BanditController::new(base_threshold, config.clone()))
-            }
-            ControllerPolicy::SloAdaptive { inner, config } => Box::new(SloAdaptive::with_config(
-                inner.build(n_predictors, base_threshold),
-                config.clone(),
-            )),
-        }
-    }
-
-    /// [`ControllerPolicy::build`] with a seed derived per worker and per
-    /// traffic class: the bandit instance serving `(worker, class)`
-    /// draws its own exploration stream — reproducible for the pair,
-    /// distinct across workers *and* across the classes of one worker,
-    /// so a cluster's workers explore decorrelated but each
-    /// deterministically. `(worker 0, default class)` reproduces
-    /// [`ControllerPolicy::build`] — a solo engine and a one-worker
-    /// cluster draw the same exploration stream.
-    pub fn build_for_worker_class(
-        &self,
-        n_predictors: usize,
-        base_threshold: f32,
-        worker: usize,
-        class: TrafficClass,
-    ) -> Box<dyn Controller> {
-        match self {
             ControllerPolicy::Bandit(config) => {
                 let mut config = config.clone();
                 if worker != 0 {
@@ -252,18 +227,17 @@ impl ControllerPolicy {
             // The wrapper is stateless w.r.t. seeding: the inner policy
             // does the (worker, class) decorrelation, the wrapper rides
             // on top of whichever instance comes out.
-            ControllerPolicy::SloAdaptive { inner, config } => Box::new(SloAdaptive::with_config(
+            ControllerPolicy::SloAdaptive(inner) => Box::new(SloAdaptive::new(
                 inner.build_for_worker_class(n_predictors, base_threshold, worker, class),
-                config.clone(),
             )),
-            _ => self.build(n_predictors, base_threshold),
         }
     }
 
     /// Builds the traffic-class-keyed controller runtimes attach: one
-    /// full policy instance per observed class, lazily created (untagged traffic lands in the default
-    /// class and behaves exactly like [`ControllerPolicy::build`]'s
-    /// single instance).
+    /// full policy instance per observed class, lazily created (untagged
+    /// traffic lands in the default class and behaves exactly like the
+    /// single instance [`ControllerPolicy::build_for_worker_class`] builds
+    /// for worker 0).
     pub fn build_classed(&self, n_predictors: usize, base_threshold: f32) -> ClassedController {
         ClassedController::new(self.clone(), n_predictors, base_threshold)
     }
@@ -338,25 +312,22 @@ mod tests {
 
     #[test]
     fn bandit_knobs_override_defaults() {
-        let ControllerPolicy::Bandit(config) = parse(
-            "bandit:floor=0.9,epoch=16,discount=0.99,evidence=3,gossip-evidence=1.5,\
-             reject-cost=4,seed=7,grid=0.2|0.5|1.0",
-        ) else {
+        let ControllerPolicy::Bandit(config) =
+            parse("bandit:floor=0.9,epoch=16,discount=0.99,evidence=3,seed=7,grid=0.2|0.5|1.0")
+        else {
             panic!("expected bandit");
         };
         assert_eq!(config.accuracy_floor, 0.9);
         assert_eq!(config.epoch_tokens, 16);
         assert_eq!(config.discount, 0.99);
         assert_eq!(config.epoch_evidence, 3.0);
-        assert_eq!(config.gossip_evidence, 1.5);
-        assert_eq!(config.reject_cost_layers, 4.0);
         assert_eq!(config.seed, 7);
         assert_eq!(config.grid, vec![0.2, 0.5, 1.0]);
     }
 
     #[test]
     fn slo_prefix_wraps_the_inner_policy_and_knobs_reach_it() {
-        let ControllerPolicy::SloAdaptive { inner, .. } = parse("slo+pid:target=0.05") else {
+        let ControllerPolicy::SloAdaptive(inner) = parse("slo+pid:target=0.05") else {
             panic!("expected slo+pid");
         };
         let ControllerPolicy::Pid(config) = *inner else {
@@ -388,7 +359,8 @@ mod tests {
     #[test]
     fn build_matches_policy_name() {
         for policy in ControllerPolicy::all() {
-            assert_eq!(policy.build(8, 0.5).name(), policy.name());
+            let ctl = policy.build_for_worker_class(8, 0.5, 0, TrafficClass::DEFAULT);
+            assert_eq!(ctl.name(), policy.name());
         }
     }
 

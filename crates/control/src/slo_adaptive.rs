@@ -32,58 +32,31 @@ use specee_core::ExitFeedback;
 use crate::classed::ClassEvidence;
 use crate::controller::{Controller, ControllerSummary};
 
-/// How far [`SloAdaptive`] may bend the wrapped policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloAdaptiveConfig {
-    /// Aggressive threshold the operating point blends toward under
-    /// full positive (latency) pressure.
-    pub floor: f32,
-    /// Conservative threshold under full negative (false-exit)
-    /// pressure; `1.0` disables exits entirely.
-    pub ceil: f32,
-    /// Pressure multiplier before clamping to `[-1, 1]`; above 1 makes
-    /// the wrapper saturate on milder burns.
-    pub gain: f64,
-}
+/// Aggressive threshold the operating point blends toward under full
+/// positive (latency) pressure.
+const FLOOR: f32 = 0.2;
 
-impl Default for SloAdaptiveConfig {
-    fn default() -> Self {
-        SloAdaptiveConfig {
-            floor: 0.2,
-            ceil: 1.0,
-            gain: 1.0,
-        }
-    }
-}
+/// Conservative threshold under full negative (false-exit) pressure:
+/// `1.0` disables exits entirely.
+const CEIL: f32 = 1.0;
 
 /// A [`Controller`] decorator that tightens or relaxes the wrapped
 /// policy's operating point from SLO burn-rate pressure. See the module
 /// docs for the control direction.
 pub struct SloAdaptive {
     inner: Box<dyn Controller>,
-    config: SloAdaptiveConfig,
     /// Last pressure received, clamped to `[-1, 1]` (0 = pass-through).
     pressure: f64,
 }
 
 impl SloAdaptive {
-    /// Wraps `inner` with default bend limits.
+    /// Wraps `inner`, bending it between the 0.2 floor and the 1.0
+    /// ceiling.
     pub fn new(inner: Box<dyn Controller>) -> Self {
-        SloAdaptive::with_config(inner, SloAdaptiveConfig::default())
-    }
-
-    /// Wraps `inner` with explicit bend limits.
-    pub fn with_config(inner: Box<dyn Controller>, config: SloAdaptiveConfig) -> Self {
         SloAdaptive {
             inner,
-            config,
             pressure: 0.0,
         }
-    }
-
-    /// The effective (gained, clamped) pressure in `[-1, 1]`.
-    pub fn effective_pressure(&self) -> f64 {
-        (self.pressure * self.config.gain).clamp(-1.0, 1.0)
     }
 
     /// Blends a base threshold by the current pressure: toward the
@@ -92,12 +65,12 @@ impl SloAdaptive {
     /// *away* from safety (a base already below the floor stays put
     /// under positive pressure).
     fn bend(&self, base: f64) -> f64 {
-        let p = self.effective_pressure();
+        let p = self.pressure;
         if p > 0.0 {
-            let floor = f64::from(self.config.floor).min(base);
+            let floor = f64::from(FLOOR).min(base);
             base + (floor - base) * p
         } else if p < 0.0 {
-            let ceil = f64::from(self.config.ceil).max(base);
+            let ceil = f64::from(CEIL).max(base);
             base + (ceil - base) * (-p)
         } else {
             base
@@ -128,7 +101,7 @@ impl Controller for SloAdaptive {
     }
 
     fn fires_at(&self, layer: usize) -> Option<f32> {
-        if self.effective_pressure() == 0.0 {
+        if self.pressure == 0.0 {
             // Exact pass-through, including the static policy's `None` —
             // an idle wrapper is bit-invisible.
             self.inner.fires_at(layer)
@@ -158,6 +131,7 @@ mod tests {
     use super::*;
     use crate::controller::StaticController;
     use crate::ControllerPolicy;
+    use specee_core::TrafficClass;
 
     fn wrapped_static(base: f32) -> SloAdaptive {
         SloAdaptive::new(Box::new(StaticController::new(4, base)))
@@ -170,7 +144,8 @@ mod tests {
         // Static's "the bank's own" must survive the wrapper untouched.
         assert_eq!(ctl.fires_at(1), None);
         assert_eq!(ctl.summary().mean_threshold, 0.5);
-        let pid = SloAdaptive::new(ControllerPolicy::pid().build(4, 0.5));
+        let pid = ControllerPolicy::pid().build_for_worker_class(4, 0.5, 0, TrafficClass::DEFAULT);
+        let pid = SloAdaptive::new(pid);
         assert_eq!(pid.fires_at(1), Some(0.5));
     }
 
@@ -207,17 +182,15 @@ mod tests {
 
     #[test]
     fn pressure_and_gain_are_clamped() {
-        let mut ctl = SloAdaptive::with_config(
-            Box::new(StaticController::new(4, 0.6)),
-            SloAdaptiveConfig {
-                gain: 10.0,
-                ..SloAdaptiveConfig::default()
-            },
-        );
+        // The gain is 1: a pressure inside `[-1, 1]` passes as it is,
+        // one outside clamps to the nearer end.
+        let mut ctl = wrapped_static(0.6);
         ctl.set_slo_pressure(0.3);
-        assert_eq!(ctl.effective_pressure(), 1.0, "gain saturates");
+        assert_eq!(ctl.pressure, 0.3, "unit gain");
+        ctl.set_slo_pressure(99.0);
+        assert_eq!(ctl.pressure, 1.0, "pressure clamps");
         ctl.set_slo_pressure(-99.0);
-        assert_eq!(ctl.effective_pressure(), -1.0, "pressure clamps");
+        assert_eq!(ctl.pressure, -1.0, "pressure clamps");
     }
 
     #[test]
@@ -227,7 +200,8 @@ mod tests {
             (ControllerPolicy::pid(), "slo+pid"),
             (ControllerPolicy::bandit(), "slo+bandit"),
         ] {
-            let ctl = SloAdaptive::new(policy.build(4, 0.5));
+            let ctl = policy.build_for_worker_class(4, 0.5, 0, TrafficClass::DEFAULT);
+            let ctl = SloAdaptive::new(ctl);
             assert_eq!(ctl.name(), want);
             assert_eq!(ctl.summary().policy, want);
         }
@@ -237,7 +211,7 @@ mod tests {
     fn feedback_and_tokens_delegate_to_the_inner_policy() {
         let mut ctl = wrapped_static(0.5);
         ctl.observe(&ExitFeedback {
-            class: specee_core::TrafficClass::DEFAULT,
+            class: TrafficClass::DEFAULT,
             layer: 1,
             score: 0.7,
             threshold: 0.5,

@@ -12,8 +12,6 @@ use crate::scheduler::{OfflineScheduler, OnlineScheduler, ScheduleEngine};
 pub enum SchedulingMode {
     /// A predictor after every layer (T1 only).
     AllLayers,
-    /// Offline scheduling only.
-    OfflineOnly,
     /// Offline ∪ online (the full T2).
     TwoLevel,
 }
@@ -25,12 +23,6 @@ pub struct SpecEeConfig {
     pub predictor: PredictorConfig,
     /// Scheduling technique (T2).
     pub scheduling: SchedulingMode,
-    /// Number of layers the offline scheduler keeps.
-    pub offline_keep: usize,
-    /// Online circular-queue length N (paper: 5).
-    pub online_window: usize,
-    /// Online ±neighborhood (paper: 2).
-    pub neighborhood: usize,
     /// How skipped layers' KV is filled after an exit.
     pub skip_kv_policy: SkipKvPolicy,
     /// Draft tree shape for speculative decoding.
@@ -75,14 +67,20 @@ pub struct SpecEeConfig {
 /// the rest. Larger budgets buy tokens per round at wall cost.
 pub const TREE_BUDGET: usize = 4;
 
+/// Layers the offline scheduler keeps: the most frequent exit layers.
+const OFFLINE_KEEP: usize = 12;
+
+/// The online scheduler's circular-queue length N (paper: 5).
+const ONLINE_WINDOW: usize = 5;
+
+/// The online scheduler's ±neighbourhood around a recent exit (paper: 2).
+const NEIGHBORHOOD: usize = 2;
+
 impl Default for SpecEeConfig {
     fn default() -> Self {
         SpecEeConfig {
             predictor: PredictorConfig::default(),
             scheduling: SchedulingMode::TwoLevel,
-            offline_keep: 12,
-            online_window: 5,
-            neighborhood: 2,
             skip_kv_policy: SkipKvPolicy::ProjectExitHidden,
             tree_shape: TreeShape::eagle_default(),
             tree_budget: Some(TREE_BUDGET),
@@ -93,18 +91,16 @@ impl Default for SpecEeConfig {
 impl SpecEeConfig {
     /// Builds the schedule engine for `n_layers`, using collected exit
     /// frequencies for offline allocation when available (uniform keep-all
-    /// otherwise).
+    /// otherwise): 12 layers offline, a 5-token queue with a ±2 band online.
     pub fn build_schedule(&self, n_layers: usize, frequencies: Option<&[f64]>) -> ScheduleEngine {
-        let offline = || match frequencies {
-            Some(f) => OfflineScheduler::from_frequencies(f, self.offline_keep),
-            None => OfflineScheduler::keep_all(n_layers),
-        };
         match self.scheduling {
             SchedulingMode::AllLayers => ScheduleEngine::all_layers(n_layers),
-            SchedulingMode::OfflineOnly => ScheduleEngine::offline_only(offline()),
             SchedulingMode::TwoLevel => ScheduleEngine::two_level(
-                offline(),
-                OnlineScheduler::new(n_layers, self.online_window, self.neighborhood),
+                match frequencies {
+                    Some(f) => OfflineScheduler::from_frequencies(f, OFFLINE_KEEP),
+                    None => OfflineScheduler::keep_all(n_layers),
+                },
+                OnlineScheduler::new(n_layers, ONLINE_WINDOW, NEIGHBORHOOD),
             ),
         }
     }
@@ -119,8 +115,6 @@ mod tests {
         let cfg = SpecEeConfig::default();
         assert_eq!(cfg.predictor.spec_k, 4);
         assert_eq!(cfg.predictor.hidden_dim, 512);
-        assert_eq!(cfg.online_window, 5);
-        assert_eq!(cfg.neighborhood, 2);
         assert_eq!(cfg.scheduling, SchedulingMode::TwoLevel);
     }
 
@@ -133,13 +127,32 @@ mod tests {
         let s = cfg.build_schedule(32, Some(&freq));
         assert_eq!(s.current_active_count(), 32);
 
-        cfg.scheduling = SchedulingMode::OfflineOnly;
-        let s = cfg.build_schedule(32, Some(&freq));
-        assert_eq!(s.current_active_count(), 12);
-
         cfg.scheduling = SchedulingMode::TwoLevel;
         let s = cfg.build_schedule(32, Some(&freq));
         // cold start: online activates everything
         assert_eq!(s.current_active_count(), 32);
+    }
+
+    /// The default schedule is the paper's T2: the 12 most frequent exit
+    /// layers offline, a 5-token window with a ±2 band online — the same
+    /// engine as one built from those numbers, before and after a feed.
+    #[test]
+    fn the_default_schedule_is_the_papers_constants() {
+        let freq: Vec<f64> = (0..32).map(|i| ((i * 7) % 32) as f64).collect();
+        let mut built = SpecEeConfig::default().build_schedule(32, Some(&freq));
+        let mut want = ScheduleEngine::two_level(
+            OfflineScheduler::from_frequencies(&freq, 12),
+            OnlineScheduler::new(32, 5, 2),
+        );
+        assert_eq!(built, want);
+        for exit in [3, 30, 17, 17, 9, 24, 1] {
+            built.note_exit(exit);
+            want.note_exit(exit);
+            assert_eq!(built, want);
+        }
+        assert!(
+            built.current_active_count() < 32,
+            "the feed narrowed the set"
+        );
     }
 }

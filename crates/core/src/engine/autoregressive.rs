@@ -160,6 +160,7 @@ mod tests {
     use crate::engine::DenseEngine;
     use crate::output::agreement;
     use crate::predictor::PredictorConfig;
+    use crate::scheduler::{OfflineScheduler, OnlineScheduler};
     use specee_model::ModelConfig;
     use specee_nn::TrainConfig;
     use specee_synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
@@ -205,10 +206,16 @@ mod tests {
         let config = SpecEeConfig {
             predictor: pcfg,
             scheduling: mode,
-            offline_keep: 6,
             ..SpecEeConfig::default()
         };
-        let schedule = config.build_schedule(12, Some(&report.exit_frequencies));
+        // Half the 12 layers offline, so the two-level case prunes some.
+        let schedule = match mode {
+            SchedulingMode::AllLayers => ScheduleEngine::all_layers(12),
+            SchedulingMode::TwoLevel => ScheduleEngine::two_level(
+                OfflineScheduler::from_frequencies(&report.exit_frequencies, 6),
+                OnlineScheduler::new(12, 5, 2),
+            ),
+        };
         SpecEeEngine::new(build_lm(seed), draft, bank, schedule, config)
     }
 

@@ -33,15 +33,13 @@ pub enum OpKind {
     Draft,
     /// K/V projections used to fill the cache of skipped layers after exit.
     SkipKvFill,
-    /// Softmax/sampling and other post-processing.
-    Sampling,
     /// Anything else.
     Other,
 }
 
 impl OpKind {
     /// All kinds, in display order.
-    pub const ALL: [OpKind; 12] = [
+    pub const ALL: [OpKind; 11] = [
         OpKind::Embed,
         OpKind::Attention,
         OpKind::KvCache,
@@ -52,7 +50,6 @@ impl OpKind {
         OpKind::Predictor,
         OpKind::Draft,
         OpKind::SkipKvFill,
-        OpKind::Sampling,
         OpKind::Other,
     ];
 
@@ -87,7 +84,6 @@ impl fmt::Display for OpKind {
             OpKind::Predictor => "predictor",
             OpKind::Draft => "draft",
             OpKind::SkipKvFill => "skip-kv-fill",
-            OpKind::Sampling => "sampling",
             OpKind::Other => "other",
         };
         f.write_str(s)

@@ -1,5 +1,6 @@
-//! Per-layer key/value caches: contiguous (HuggingFace-style) and paged
-//! (vllm-style block allocator).
+//! Per-layer key/value caches: one contiguous (HuggingFace-style) buffer
+//! per layer. Paging is the batch tier's: [`crate::batch::PageLedger`]
+//! accounts a sequence's cache in pages.
 
 use serde::{Deserialize, Serialize};
 
@@ -9,12 +10,6 @@ pub enum KvLayout {
     /// One growing buffer per layer; capacity doubles on growth (the
     /// HuggingFace dynamic-cache behaviour).
     Contiguous,
-    /// Fixed-size pages of `page_size` token slots allocated on demand
-    /// (the vllm PagedAttention behaviour).
-    Paged {
-        /// Tokens per page.
-        page_size: usize,
-    },
 }
 
 /// How to fill the KV cache of layers that were skipped by an early exit.
@@ -42,34 +37,32 @@ pub enum SkipKvPolicy {
 /// ```
 /// use specee_model::kv::{KvCache, KvLayout};
 ///
-/// let mut cache = KvCache::new(8, KvLayout::Paged { page_size: 4 });
-/// cache.push(&[0.0; 8], &[1.0; 8]);
-/// assert_eq!(cache.len(), 1);
-/// assert_eq!(cache.allocated_tokens(), 4); // one page
+/// let mut cache = KvCache::new(8, KvLayout::Contiguous);
+/// for _ in 0..3 {
+///     cache.push(&[0.0; 8], &[1.0; 8]);
+/// }
+/// assert_eq!(cache.len(), 3);
+/// assert_eq!(cache.allocated_tokens(), 4); // capacity doubled to 4
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KvCache {
     kv_dim: usize,
-    layout: KvLayout,
     k: Vec<f32>,
     v: Vec<f32>,
     len: usize,
 }
 
 impl KvCache {
-    /// Creates an empty cache for rows of width `kv_dim`.
+    /// Creates an empty cache for rows of width `kv_dim`, laid out the
+    /// one way there is, [`KvLayout::Contiguous`].
     ///
     /// # Panics
     ///
-    /// Panics if `kv_dim` is zero, or a paged layout has zero page size.
-    pub fn new(kv_dim: usize, layout: KvLayout) -> Self {
+    /// Panics if `kv_dim` is zero.
+    pub fn new(kv_dim: usize, _layout: KvLayout) -> Self {
         assert!(kv_dim > 0, "kv_dim must be positive");
-        if let KvLayout::Paged { page_size } = layout {
-            assert!(page_size > 0, "page_size must be positive");
-        }
         KvCache {
             kv_dim,
-            layout,
             k: Vec::new(),
             v: Vec::new(),
             len: 0,
@@ -79,11 +72,6 @@ impl KvCache {
     /// Row width.
     pub fn kv_dim(&self) -> usize {
         self.kv_dim
-    }
-
-    /// Allocation layout.
-    pub fn layout(&self) -> KvLayout {
-        self.layout
     }
 
     /// Number of committed positions.
@@ -187,15 +175,14 @@ impl KvCache {
         self.truncate(0);
     }
 
-    /// Token slots *allocated* under the layout (≥ `len()`): contiguous
-    /// rounds to the geometric growth capacity, paged rounds up to whole
-    /// pages. This drives the memory-usage experiment (Fig. 17).
+    /// Token slots *allocated* (≥ `len()`): the geometric growth
+    /// capacity. This drives the memory-usage experiment (Fig. 17).
     pub fn allocated_tokens(&self) -> usize {
-        match self.layout {
-            // `0usize.next_power_of_two()` is 1; an empty cache holds nothing.
-            KvLayout::Contiguous if self.len == 0 => 0,
-            KvLayout::Contiguous => self.len.next_power_of_two().max(self.len),
-            KvLayout::Paged { page_size } => self.len.div_ceil(page_size) * page_size,
+        // `0usize.next_power_of_two()` is 1; an empty cache holds nothing.
+        if self.len == 0 {
+            0
+        } else {
+            self.len.next_power_of_two()
         }
     }
 }
@@ -242,18 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn paged_allocation_rounds_up() {
-        let mut c = KvCache::new(2, KvLayout::Paged { page_size: 16 });
-        assert_eq!(c.allocated_tokens(), 0);
-        c.push(&[0.0; 2], &[0.0; 2]);
-        assert_eq!(c.allocated_tokens(), 16);
-        for _ in 0..16 {
-            c.push(&[0.0; 2], &[0.0; 2]);
-        }
-        assert_eq!(c.allocated_tokens(), 32);
-    }
-
-    #[test]
     fn contiguous_allocation_grows_geometrically() {
         let mut c = KvCache::new(1, KvLayout::Contiguous);
         assert_eq!(c.allocated_tokens(), 0, "an empty cache holds no slot");
@@ -265,14 +240,13 @@ mod tests {
 
     #[test]
     fn extend_from_prefix_copies_the_leading_rows_only() {
-        let mut donor = KvCache::new(2, KvLayout::Paged { page_size: 2 });
+        let mut donor = KvCache::new(2, KvLayout::Contiguous);
         for i in 0..5 {
             donor.push(&[i as f32, 0.5], &[-(i as f32), 1.5]);
         }
         let mut c = KvCache::new(2, KvLayout::Contiguous);
         c.extend_from_prefix(&donor, 3);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.layout(), KvLayout::Contiguous, "the layout stays its own");
         for pos in 0..3 {
             assert_eq!(c.key(pos), donor.key(pos));
             assert_eq!(c.value(pos), donor.value(pos));

@@ -67,14 +67,9 @@ struct Shared {
 impl Transformer {
     /// Builds a transformer from explicit weights with a contiguous cache.
     pub fn new(config: ModelConfig, weights: ModelWeights) -> Self {
-        Self::with_layout(config, weights, KvLayout::Contiguous)
-    }
-
-    /// Builds a transformer with the given KV layout.
-    pub fn with_layout(config: ModelConfig, weights: ModelWeights, layout: KvLayout) -> Self {
         config.validate().expect("valid config");
         let caches = (0..config.n_layers)
-            .map(|_| KvCache::new(config.hidden_dim, layout))
+            .map(|_| KvCache::new(config.hidden_dim, KvLayout::Contiguous))
             .collect();
         let scale = OpScale::of(&config);
         let rope = RopeFreqs::new(config.head_dim(), config.rope_theta);
@@ -163,13 +158,6 @@ impl Transformer {
         if let LinearOp::Dense(m) = &weights.lm_head {
             weights.lm_head = LinearOp::awq_quantized(m, bits, &tap.head_in);
         }
-    }
-
-    /// Switches the KV layout (clears cached positions).
-    pub fn set_kv_layout(&mut self, layout: KvLayout) {
-        self.caches = (0..self.config.n_layers)
-            .map(|_| KvCache::new(self.config.hidden_dim, layout))
-            .collect();
     }
 
     /// Borrows layer `layer`'s KV cache (read-only; engine-tier tests use

@@ -5,34 +5,25 @@ use specee_tensor::{ops, rng::Pcg, BackendKind};
 
 use crate::dense::{Dense, DenseGrad};
 
-/// Hidden-layer activation function.
+/// Hidden-layer activation function (serialized with the network, so a
+/// saved bank names it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
     /// Rectified linear unit (the paper's choice, §4.3.2).
     Relu,
-    /// Hyperbolic tangent (kept for the design-space exploration).
-    Tanh,
 }
 
 impl Activation {
     pub(crate) fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => ops::relu(x),
-            Activation::Tanh => x.tanh(),
-        }
+        ops::relu(x)
     }
 
     /// Derivative expressed in terms of the activation *output*.
     pub(crate) fn derivative_from_output(self, y: f32) -> f32 {
-        match self {
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - y * y,
+        if y > 0.0 {
+            1.0
+        } else {
+            0.0
         }
     }
 }
@@ -211,7 +202,7 @@ mod tests {
     #[test]
     fn backward_matches_numeric_gradient() {
         let mut rng = Pcg::seed(3);
-        let mlp = Mlp::new(&[3, 5, 1], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&[3, 5, 1], Activation::Relu, &mut rng);
         let x = [0.2, -0.7, 0.5];
         let loss = |m: &Mlp| m.forward(&x)[0];
 

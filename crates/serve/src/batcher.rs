@@ -24,16 +24,13 @@ pub struct BatcherConfig {
     pub cost: CostDims,
 }
 
-/// How arrived requests are chosen when a slot frees.
+/// How arrived requests are chosen when a slot frees: within the best
+/// lane present, first come, first served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AdmissionPolicy {
-    /// First come, first served (the default; no starvation).
+    /// First come, first served (no starvation).
     #[default]
     Fcfs,
-    /// Shortest job first by requested decode length (ties toward the
-    /// lower engine id): lowers mean latency on mixed workloads, can
-    /// starve long requests under sustained load.
-    ShortestJobFirst,
 }
 
 /// Outcome of a served run.
@@ -58,19 +55,18 @@ impl ServeReport {
     }
 }
 
-/// A continuous batcher: the batch cap, the step cost model, the admission
-/// policy and an optional SLO specification of one served deployment.
+/// A continuous batcher: the batch cap, the step cost model and an
+/// optional SLO specification of one served deployment.
 ///
 /// [`run_live`](Self::run_live) serves a request list with them on a
-/// `specee_batch::BatchedEngine`: requests are admitted by policy as soon
-/// as a slot frees, prefill is priced as one batched forward per admission
+/// `specee_batch::BatchedEngine`: requests are admitted first come, first
+/// served as soon as a slot frees, prefill is priced as one batched forward per admission
 /// boundary, decode as synchronized steps in which every seated sequence
 /// emits one token.
 #[derive(Debug, Clone)]
 pub struct ContinuousBatcher {
     pub(crate) config: BatcherConfig,
     pub(crate) model: StepCostModel,
-    pub(crate) policy: AdmissionPolicy,
     pub(crate) slo: Option<SloSpec>,
 }
 
@@ -81,15 +77,6 @@ impl ContinuousBatcher {
     ///
     /// Panics if `max_batch` is zero.
     pub fn new(config: BatcherConfig) -> Self {
-        Self::with_policy(config, AdmissionPolicy::Fcfs)
-    }
-
-    /// Creates a batcher with an explicit admission policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn with_policy(config: BatcherConfig, policy: AdmissionPolicy) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
         let model = StepCostModel::new(
             config.cost,
@@ -99,7 +86,6 @@ impl ContinuousBatcher {
         ContinuousBatcher {
             config,
             model,
-            policy,
             slo: None,
         }
     }
@@ -267,41 +253,6 @@ mod tests {
             report.completions[0].first_token_s
         );
         assert_eq!(report.steps, 0);
-    }
-
-    #[test]
-    fn sjf_lowers_mean_latency_on_mixed_lengths() {
-        // One long job submitted ahead of many short ones, all arriving
-        // together; at cap 1 FCFS makes every short job wait behind it
-        // (no preemption — admission order is the only lever).
-        let mut requests = vec![ServeRequest {
-            id: 0,
-            prompt: vec![1, 2, 3],
-            gen_len: 64,
-            arrival_s: 0.0,
-        }];
-        for i in 1..6u64 {
-            requests.push(ServeRequest {
-                id: i,
-                prompt: vec![1, 2, 3],
-                gen_len: 4,
-                arrival_s: 0.0,
-            });
-        }
-        let fcfs = serve_dense(&ContinuousBatcher::new(config(1)), &requests);
-        let sjf = serve_dense(
-            &ContinuousBatcher::with_policy(config(1), AdmissionPolicy::ShortestJobFirst),
-            &requests,
-        );
-        assert!(
-            sjf.stats().mean_latency_s < fcfs.stats().mean_latency_s * 0.8,
-            "sjf {} vs fcfs {}",
-            sjf.stats().mean_latency_s,
-            fcfs.stats().mean_latency_s
-        );
-        // Same total work: makespan unchanged (work-conserving policies).
-        assert!((sjf.makespan_s - fcfs.makespan_s).abs() < 1e-9);
-        assert_eq!(sjf.completions.len(), 6);
     }
 
     #[test]

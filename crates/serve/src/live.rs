@@ -20,7 +20,7 @@ use specee_draft::SpeculativeSource;
 use specee_model::LayeredLm;
 use specee_obs::{EventKind, SloTracker};
 
-use crate::batcher::{AdmissionPolicy, ContinuousBatcher, ServeReport};
+use crate::batcher::{ContinuousBatcher, ServeReport};
 use crate::cost::{StepCostModel, StepSpec};
 use crate::request::{Completion, ServeRequest};
 
@@ -92,7 +92,6 @@ struct InFlight<R> {
 /// tracing never changes the pressure the controller sees.
 pub struct ServeLoop<R> {
     cost: StepCostModel,
-    policy: AdmissionPolicy,
     slo: Option<SloTracker>,
     now: f64,
     /// Submitted requests the clock has not reached yet, arrival order.
@@ -118,10 +117,9 @@ pub struct ServeLoop<R> {
 
 impl<R: AsRef<ServeRequest>> ServeLoop<R> {
     /// An idle loop at clock zero.
-    pub fn new(cost: StepCostModel, policy: AdmissionPolicy, slo: Option<SloTracker>) -> Self {
+    pub fn new(cost: StepCostModel, slo: Option<SloTracker>) -> Self {
         ServeLoop {
             cost,
-            policy,
             slo,
             now: 0.0,
             inbox: VecDeque::new(),
@@ -176,8 +174,8 @@ impl<R: AsRef<ServeRequest>> ServeLoop<R> {
     /// feeding the loop incrementally is boundary-for-boundary identical
     /// to submitting everything and advancing to infinity.
     ///
-    /// Each boundary admits lane-first (the best lane present wins, the
-    /// policy orders within it), every pick reserving its admission pages
+    /// Each boundary admits lane-first (the best lane present wins, first
+    /// come, first served within it), every pick reserving its admission pages
     /// out of a per-boundary budget so one boundary cannot overcommit the
     /// pool; a pick that does not fit may evict strictly lower-priority
     /// residents ([`BatchedEngine::make_room`], a no-op with preemption
@@ -213,18 +211,11 @@ impl<R: AsRef<ServeRequest>> ServeLoop<R> {
             let mut pages_left = engine.pool().available_pages();
             while !self.pending.is_empty() {
                 let best = self.pending.iter().map(|q| q.lane).min();
-                let mut lane_mates = self
+                let pick = self
                     .pending
                     .iter()
-                    .enumerate()
-                    .filter(|(_, q)| Some(q.lane) == best);
-                let picked = match self.policy {
-                    AdmissionPolicy::Fcfs => lane_mates.next(),
-                    AdmissionPolicy::ShortestJobFirst => {
-                        lane_mates.min_by_key(|(_, q)| (q.request.as_ref().gen_len, q.engine_id))
-                    }
-                };
-                let pick = picked.expect("pending non-empty").0;
+                    .position(|q| Some(q.lane) == best)
+                    .expect("pending non-empty");
                 let (req, lane) = (self.pending[pick].request.as_ref(), self.pending[pick].lane);
                 let need = if req.gen_len == 0 {
                     0
@@ -543,7 +534,7 @@ impl ContinuousBatcher {
     ///
     /// `make_seq` builds the per-sequence model and draft for a request at
     /// admission time (each engine slot owns its sequence's KV state).
-    /// Admission follows the batcher's policy; prefill is priced as one
+    /// Admission is first come, first served; prefill is priced as one
     /// batched forward at admission, decode steps are priced from the
     /// engine's measured [`specee_batch::BatchStep`]. Seating every
     /// sequence with `specee_draft::NoDraft` serves the dense reference.
@@ -623,7 +614,7 @@ impl ContinuousBatcher {
             "requests must be sorted by arrival"
         );
         let slo = self.slo.clone().map(SloTracker::new);
-        let mut serving = ServeLoop::new(self.model.clone(), self.policy, slo);
+        let mut serving = ServeLoop::new(self.model.clone(), slo);
         for (i, req) in requests.iter().enumerate() {
             let lane = lanes.get(i).copied().unwrap_or_default();
             serving.submit(req, lane, TrafficClass::DEFAULT, None, i as u64);
@@ -1345,49 +1336,39 @@ mod tests {
             engine.set_recorder(Some(Recorder::for_worker(0)));
             engine
         };
-        for policy in [AdmissionPolicy::Fcfs, AdmissionPolicy::ShortestJobFirst] {
-            let b = ContinuousBatcher::with_policy(
-                BatcherConfig {
-                    max_batch: 3,
-                    hardware: HardwareProfile::a100_80g(),
-                    framework: FrameworkProfile::vllm(),
-                    cost: cost_dims(),
-                },
-                policy,
-            );
-            let mut one_engine = engine();
-            let one = b.run_live_laned(&requests, &lanes, &mut one_engine, |r| seq_for(seed, r.id));
-            assert!(one_engine.preemptions() > 0, "the cap must force evictions");
+        let b = ContinuousBatcher::new(BatcherConfig {
+            max_batch: 3,
+            hardware: HardwareProfile::a100_80g(),
+            framework: FrameworkProfile::vllm(),
+            cost: cost_dims(),
+        });
+        let mut one_engine = engine();
+        let one = b.run_live_laned(&requests, &lanes, &mut one_engine, |r| seq_for(seed, r.id));
+        assert!(one_engine.preemptions() > 0, "the cap must force evictions");
 
-            let mut fed_engine = engine();
-            let mut serving: ServeLoop<&ServeRequest> =
-                ServeLoop::new(b.cost_model().clone(), policy, None);
-            let split = requests.len() / 2;
-            let frontier = requests[split].arrival_s;
-            for (i, req) in requests.iter().enumerate() {
-                if i == split {
-                    serving.advance(&mut fed_engine, frontier / 2.0, |r| seq_for(seed, r.id));
-                    assert!(serving.now() >= frontier / 2.0, "paused at the frontier");
-                    serving.advance(&mut fed_engine, frontier, |r| seq_for(seed, r.id));
-                }
-                serving.submit(req, lanes[i], TrafficClass::DEFAULT, None, i as u64);
+        let mut fed_engine = engine();
+        let mut serving: ServeLoop<&ServeRequest> = ServeLoop::new(b.cost_model().clone(), None);
+        let split = requests.len() / 2;
+        let frontier = requests[split].arrival_s;
+        for (i, req) in requests.iter().enumerate() {
+            if i == split {
+                serving.advance(&mut fed_engine, frontier / 2.0, |r| seq_for(seed, r.id));
+                assert!(serving.now() >= frontier / 2.0, "paused at the frontier");
+                serving.advance(&mut fed_engine, frontier, |r| seq_for(seed, r.id));
             }
-            serving.advance(&mut fed_engine, f64::INFINITY, |r| seq_for(seed, r.id));
-            assert!(serving.outstanding_ids().is_empty());
-            let fed = serving.into_report();
-
-            assert_eq!(one.report, fed.report, "{policy:?}");
-            assert_eq!(one.outputs, fed.outputs, "{policy:?}");
-            assert_eq!(one.report.completions.len(), requests.len());
-            let events = |e: &mut BatchedEngine<SyntheticLm, OracleDraft>| {
-                e.take_recorder().expect("recorder attached").into_events()
-            };
-            assert_eq!(
-                events(&mut one_engine),
-                events(&mut fed_engine),
-                "{policy:?}"
-            );
+            serving.submit(req, lanes[i], TrafficClass::DEFAULT, None, i as u64);
         }
+        serving.advance(&mut fed_engine, f64::INFINITY, |r| seq_for(seed, r.id));
+        assert!(serving.outstanding_ids().is_empty());
+        let fed = serving.into_report();
+
+        assert_eq!(one.report, fed.report);
+        assert_eq!(one.outputs, fed.outputs);
+        assert_eq!(one.report.completions.len(), requests.len());
+        let events = |e: &mut BatchedEngine<SyntheticLm, OracleDraft>| {
+            e.take_recorder().expect("recorder attached").into_events()
+        };
+        assert_eq!(events(&mut one_engine), events(&mut fed_engine));
     }
 
     #[test]
@@ -1409,7 +1390,7 @@ mod tests {
         let mut engine = live_engine(2, &parts);
         engine.set_page_capacity(Some(2));
         engine.set_preemption_enabled(true);
-        let mut serving = ServeLoop::new(batcher(2).cost_model().clone(), Default::default(), None);
+        let mut serving = ServeLoop::new(batcher(2).cost_model().clone(), None);
         let make = |r: &ServeRequest| {
             assert!(r.id <= 2, "request {} must never be admitted", r.id);
             seq_for(seed, r.id)
@@ -1475,7 +1456,7 @@ mod tests {
         let seed = 97;
         let parts = trained(seed);
         let mut engine = live_engine(3, &parts);
-        let mut serving = ServeLoop::new(batcher(3).cost_model().clone(), Default::default(), None);
+        let mut serving = ServeLoop::new(batcher(3).cost_model().clone(), None);
         for id in 0..4u64 {
             let request = ServeRequest {
                 id,

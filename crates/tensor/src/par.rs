@@ -316,7 +316,7 @@ pub(crate) mod probe {
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Halves the helper has run (what the tests read to see it work).so far.
+    /// Halves the helper has run so far (what the tests read to see it work).
     pub(crate) fn taken() -> u64 {
         DONE.taken.load(Relaxed)
     }

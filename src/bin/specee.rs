@@ -389,7 +389,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     if controller.is_some() && engine_name != "specee" {
         return Err("--controller requires --engine specee".to_string());
     }
-    if matches!(controller, Some(ControllerPolicy::SloAdaptive { .. })) {
+    if matches!(controller, Some(ControllerPolicy::SloAdaptive(_))) {
         return Err(
             "slo+ controllers bend thresholds from the serve-tier SLO tracker; \
              generate has no request timing (use `serve --mode live|cluster --slo …`)"
@@ -741,10 +741,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if slo.is_some() {
         // The SLO plane bends whatever controller was chosen: wrap it in
         // the pressure-driven decorator unless the spec already did.
-        if !matches!(controller, ControllerPolicy::SloAdaptive { .. }) {
+        if !matches!(controller, ControllerPolicy::SloAdaptive(_)) {
             controller = controller.slo_adaptive();
         }
-    } else if matches!(controller, ControllerPolicy::SloAdaptive { .. }) {
+    } else if matches!(controller, ControllerPolicy::SloAdaptive(_)) {
         return Err(
             "--controller slo+… bends thresholds from SLO burn pressure; pass \
              --slo to define the objectives (e.g. --slo p99_ttft=0.25)"

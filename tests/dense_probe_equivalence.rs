@@ -1,17 +1,15 @@
 //! `dense_probe` reads one token's head rows with one
 //! `final_logits_batch` over its layer states; every row must be the
 //! `final_logits` of that layer's state, bit for bit, on `Transformer`
-//! (f32 and int8 weights) and `SyntheticLm`, under every backend and both
-//! KV layouts. The collectors of SpecEE, AdaInfer, the router, CALM and
+//! (f32 and int8 weights) and `SyntheticLm`, under every backend. The
+//! collectors of SpecEE, AdaInfer, the router, CALM and
 //! RAEE all read these rows.
 
 use specee::core::engine::{dense_probe, ProbedToken};
 use specee::metrics::Meter;
-use specee::model::{KvLayout, LayeredLm, ModelConfig, TokenId, Transformer};
+use specee::model::{LayeredLm, ModelConfig, TokenId, Transformer};
 use specee::synth::{DatasetProfile, SyntheticLmBuilder};
 use specee::tensor::{BackendKind, Pcg, QuantBits};
-
-const LAYOUTS: [KvLayout; 2] = [KvLayout::Contiguous, KvLayout::Paged { page_size: 4 }];
 
 fn prompts() -> Vec<(Vec<TokenId>, usize)> {
     vec![
@@ -75,13 +73,10 @@ fn every_probed_row_is_the_layers_final_logits_on_a_transformer() {
         int8.quantize(QuantBits::Int8);
         for (weights, model) in [("f32", dense), ("int8", int8)] {
             for backend in BackendKind::ALL {
-                for layout in LAYOUTS {
-                    let mut model = model.clone();
-                    model.set_backend(backend);
-                    model.set_kv_layout(layout);
-                    let name = format!("ragged {ragged} {weights}/{backend}/{layout:?}");
-                    assert_eq!(check(&name, &mut model), TOKENS, "{name}");
-                }
+                let mut model = model.clone();
+                model.set_backend(backend);
+                let name = format!("ragged {ragged} {weights}/{backend}");
+                assert_eq!(check(&name, &mut model), TOKENS, "{name}");
             }
         }
     }
@@ -90,14 +85,11 @@ fn every_probed_row_is_the_layers_final_logits_on_a_transformer() {
 #[test]
 fn every_probed_row_is_the_layers_final_logits_on_a_synthetic_lm() {
     for backend in BackendKind::ALL {
-        for layout in LAYOUTS {
-            let mut lm = SyntheticLmBuilder::new(ModelConfig::tiny(), DatasetProfile::qa())
-                .seed(23)
-                .build();
-            lm.set_backend(backend);
-            lm.inner_mut().set_kv_layout(layout);
-            let name = format!("synthetic {backend}/{layout:?}");
-            assert_eq!(check(&name, &mut lm), TOKENS, "{name}");
-        }
+        let mut lm = SyntheticLmBuilder::new(ModelConfig::tiny(), DatasetProfile::qa())
+            .seed(23)
+            .build();
+        lm.set_backend(backend);
+        let name = format!("synthetic {backend}");
+        assert_eq!(check(&name, &mut lm), TOKENS, "{name}");
     }
 }

@@ -1,14 +1,14 @@
-//! Cross-crate invariants added with the second wave of substrates: paged
-//! vs contiguous KV equivalence, skip-layer KV alignment, AWQ-vs-RTN
-//! dominance, and engine determinism under randomized configurations.
+//! Cross-crate invariants added with the second wave of substrates:
+//! skip-layer KV alignment, AWQ-vs-RTN dominance, and engine determinism
+//! under randomized configurations.
 
 use proptest::prelude::*;
 use specee::core::collect::{collect_training_data, train_bank};
-use specee::core::engine::{DenseEngine, SpecEeEngine};
+use specee::core::engine::SpecEeEngine;
 use specee::core::predictor::{PredictorBank, PredictorConfig};
 use specee::core::skip_layer::{collect_router_data, MoDEngine};
 use specee::core::SpecEeConfig;
-use specee::model::{KvLayout, ModelConfig, TokenId};
+use specee::model::{ModelConfig, TokenId};
 use specee::nn::TrainConfig;
 use specee::synth::{DatasetProfile, OracleDraft, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::awq::{AwqCalibration, AwqMatrix};
@@ -31,36 +31,6 @@ fn build_lm(seed: u64) -> SyntheticLm {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// A paged KV cache is an allocator change, not a semantics change:
-    /// dense decoding must produce identical tokens to the contiguous
-    /// layout for any seed and page size.
-    #[test]
-    fn paged_kv_matches_contiguous(seed in 0u64..200, page in 1usize..24) {
-        let prompt = vec![1u32, 5, 9];
-        let contiguous = DenseEngine::new(build_lm(seed)).generate(&prompt, 10);
-        let mut paged_lm = build_lm(seed);
-        paged_lm.inner_mut().set_kv_layout(KvLayout::Paged { page_size: page });
-        let paged = DenseEngine::new(paged_lm).generate(&prompt, 10);
-        prop_assert_eq!(&contiguous.tokens, &paged.tokens);
-        prop_assert_eq!(contiguous.exit_layers, paged.exit_layers);
-    }
-
-    /// Paged allocation rounds up to whole pages but never loses tokens.
-    #[test]
-    fn paged_allocation_covers_committed_tokens(seed in 0u64..100, page in 1usize..16) {
-        use specee::model::LayeredLm;
-        let mut lm = build_lm(seed);
-        lm.inner_mut().set_kv_layout(KvLayout::Paged { page_size: page });
-        let mut engine = DenseEngine::new(lm);
-        let _ = engine.generate(&[2, 4], 8);
-        let committed = engine.model().kv_len();
-        let allocated = engine.model().allocated_kv_tokens();
-        // Slots are counted across all 8 layers; each layer holds the
-        // committed positions rounded up to whole pages.
-        prop_assert!(allocated >= committed * 8);
-        prop_assert!(allocated <= (committed + page) * 8);
-    }
 
     /// MoD keeps the KV cache aligned for any capacity: every decoded
     /// position is committed in every layer regardless of which blocks

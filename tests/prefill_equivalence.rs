@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use specee::metrics::Meter;
-use specee::model::{KvLayout, LayeredLm, ModelConfig, SkipKvPolicy, TokenId, Transformer, TreeKv};
+use specee::model::{LayeredLm, ModelConfig, SkipKvPolicy, TokenId, Transformer, TreeKv};
 use specee::synth::{DatasetProfile, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::{BackendKind, Pcg};
 
@@ -144,26 +144,23 @@ proptest! {
         let prompt = prompt_of(seed ^ 0x51, len, cfg.vocab_size);
         let warm_prompt = prompt_of(seed ^ 0xa7, warm, cfg.vocab_size);
         for backend in [BackendKind::Reference, BackendKind::Blocked, BackendKind::QuantizedI8] {
-            for layout in [KvLayout::Contiguous, KvLayout::Paged { page_size: 4 }] {
-                let mut model = weights.clone();
-                model.set_kv_layout(layout);
-                model.set_backend(backend);
-                let mut meter = Meter::new();
-                if !warm_prompt.is_empty() {
-                    model.prefill(&warm_prompt, &mut meter);
-                }
-                let mut layer_major = model.clone();
-                let mut token_major = TokenMajor(model);
-                let (mut meter_a, mut meter_b) = (meter.clone(), meter);
-
-                let ha = layer_major.prefill(&prompt, &mut meter_a);
-                let hb = token_major.prefill(&prompt, &mut meter_b);
-
-                prop_assert_eq!(ha, hb, "last hidden, {:?} {:?}", backend, layout);
-                prop_assert_eq!(layer_major.kv_len(), warm + len);
-                prop_assert_eq!(kv_rows(&layer_major), kv_rows(&token_major.0));
-                prop_assert_eq!(meter_a, meter_b);
+            let mut model = weights.clone();
+            model.set_backend(backend);
+            let mut meter = Meter::new();
+            if !warm_prompt.is_empty() {
+                model.prefill(&warm_prompt, &mut meter);
             }
+            let mut layer_major = model.clone();
+            let mut token_major = TokenMajor(model);
+            let (mut meter_a, mut meter_b) = (meter.clone(), meter);
+
+            let ha = layer_major.prefill(&prompt, &mut meter_a);
+            let hb = token_major.prefill(&prompt, &mut meter_b);
+
+            prop_assert_eq!(ha, hb, "last hidden, {:?}", backend);
+            prop_assert_eq!(layer_major.kv_len(), warm + len);
+            prop_assert_eq!(kv_rows(&layer_major), kv_rows(&token_major.0));
+            prop_assert_eq!(meter_a, meter_b);
         }
     }
 

@@ -16,7 +16,7 @@ use std::fmt::Debug;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use specee::metrics::Meter;
-use specee::model::{KvLayout, LayeredLm, ModelConfig, SkipKvPolicy, TokenId, Transformer};
+use specee::model::{LayeredLm, ModelConfig, SkipKvPolicy, TokenId, Transformer};
 use specee::synth::{DatasetProfile, SyntheticLm, SyntheticLmBuilder};
 use specee::tensor::{BackendKind, Pcg, QuantBits};
 
@@ -34,7 +34,7 @@ fn config(ragged: bool) -> ModelConfig {
     }
 }
 
-/// One set of weights in every format × backend × KV layout.
+/// One set of weights in every format × backend.
 fn variants(cfg: &ModelConfig, seed: u64) -> Vec<(String, Transformer)> {
     let dense = Transformer::random(cfg.clone(), &mut Pcg::seed(seed));
     let mut int8 = dense.clone();
@@ -42,12 +42,9 @@ fn variants(cfg: &ModelConfig, seed: u64) -> Vec<(String, Transformer)> {
     let mut out = Vec::new();
     for (weights, model) in [("dense", dense), ("int8", int8)] {
         for backend in BackendKind::ALL {
-            for layout in [KvLayout::Contiguous, KvLayout::Paged { page_size: 4 }] {
-                let mut model = model.clone();
-                model.set_backend(backend);
-                model.set_kv_layout(layout);
-                out.push((format!("{weights}/{backend}/{layout:?}"), model));
-            }
+            let mut model = model.clone();
+            model.set_backend(backend);
+            out.push((format!("{weights}/{backend}"), model));
         }
     }
     out
@@ -165,7 +162,7 @@ proptest! {
             let donor = donor_of(&template, &donor_prompt, &mut Pcg::seed(seed ^ 0x12));
             let mut whole = template.clone();
             let want = whole.prefill(&prompt, &mut Meter::new());
-            // Every split: inside a page, on a page boundary, 1, len - 1.
+            // Every split, 1 through len - 1.
             for split in 1..len {
                 let what = format!("{name} split {split}/{len}");
                 let mut adopter = template.clone();
@@ -174,7 +171,6 @@ proptest! {
                 let got = adopter.prefill(&prompt[split..], &mut Meter::new());
                 prop_assert_eq!(&got, &want, "{}: last hidden state", &what);
                 assert_same_kv(&adopter, &whole, &what)?;
-                prop_assert_eq!(adopter.cache(0).layout(), template.cache(0).layout());
 
                 if split > 1 {
                     continue;

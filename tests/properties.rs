@@ -82,22 +82,19 @@ proptest! {
     #[test]
     fn kv_cache_roundtrips_positions(
         rows in prop::collection::vec(finite_vec(4), 1..20),
-        page in 1usize..8,
     ) {
-        for layout in [KvLayout::Contiguous, KvLayout::Paged { page_size: page }] {
-            let mut c = KvCache::new(4, layout);
-            for r in &rows {
-                c.push(r, r);
-            }
-            prop_assert_eq!(c.len(), rows.len());
-            prop_assert!(c.allocated_tokens() >= c.len());
-            for (i, r) in rows.iter().enumerate() {
-                prop_assert_eq!(c.key(i), r.as_slice());
-            }
-            let keep = rows.len() / 2;
-            c.truncate(keep);
-            prop_assert_eq!(c.len(), keep);
+        let mut c = KvCache::new(4, KvLayout::Contiguous);
+        for r in &rows {
+            c.push(r, r);
         }
+        prop_assert_eq!(c.len(), rows.len());
+        prop_assert!(c.allocated_tokens() >= c.len());
+        for (i, r) in rows.iter().enumerate() {
+            prop_assert_eq!(c.key(i), r.as_slice());
+        }
+        let keep = rows.len() / 2;
+        c.truncate(keep);
+        prop_assert_eq!(c.len(), keep);
     }
 
     // ---------- meter ----------

@@ -555,3 +555,200 @@ fn every_pub_item_has_a_referrer() {
         "allow-list entries whose item is gone or has a caller now — drop them:\n{stale:#?}"
     );
 }
+
+/// The variants of every plain-`pub enum` in `code`, as `Enum::Variant`.
+fn pub_enum_variants(code: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (at, _) in code.match_indices("pub enum ") {
+        let tail = &code[at + "pub enum ".len()..];
+        let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let name: String = tail.chars().take_while(|&c| ident(c)).collect();
+        let body = &tail[tail.find('{').expect("an enum body") + 1..];
+        // Each variant's text outside brackets: `#[default] Fcfs` reads
+        // `# Fcfs`, `Paged { page_size: usize }` reads `Paged  `.
+        let (mut depth, mut entry) = (0usize, String::new());
+        for c in body.chars() {
+            match c {
+                '{' | '(' | '[' => depth += 1,
+                '}' if depth == 0 => break,
+                '}' | ')' | ']' => depth -= 1,
+                ',' if depth == 0 => entry.push('\n'),
+                c if depth == 0 => entry.push(c),
+                _ => {}
+            }
+        }
+        for variant in entry.lines() {
+            if let Some(v) = variant.split(|c: char| !ident(c)).find(|t| !t.is_empty()) {
+                out.push(format!("{name}::{v}"));
+            }
+        }
+    }
+    out
+}
+
+/// Whether `code` names `path` (`Enum::Variant`) as a whole path segment.
+fn names_path(code: &str, path: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+    code.match_indices(path).any(|(at, _)| {
+        !ident(code[..at].chars().next_back()) && !ident(code[at + path.len()..].chars().next())
+    })
+}
+
+/// The braced block that opens at the first `{` of `code`, braces included.
+fn block(code: &str) -> &str {
+    let open = code.find('{').expect("a braced block");
+    let mut depth = 0usize;
+    for (i, c) in code[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return &code[open..=open + i],
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    &code[open..]
+}
+
+/// The body of `Type::function` in `code`: `fn function` inside an
+/// inherent `impl Type` block; empty if there is none.
+fn builder_body<'a>(code: &'a str, builder: &str) -> &'a str {
+    let (ty, function) = builder.split_once("::").expect("`Type::function`");
+    let inherent = |header: &str| {
+        let words: Vec<&str> = header
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .collect();
+        !words.contains(&"for") && words.contains(&ty)
+    };
+    let starts = code.match_indices("impl").map(|(at, _)| &code[at..]);
+    for imp in starts.filter(|imp| inherent(&imp[..imp.find('{').unwrap_or(0)])) {
+        let body = block(imp);
+        let head = format!("fn {function}");
+        let found = body
+            .match_indices(&head)
+            .map(|(at, _)| &body[at..])
+            .find(|f| f[head.len()..].starts_with(['(', '<']));
+        if let Some(f) = found {
+            return block(f);
+        }
+    }
+    ""
+}
+
+/// Variants no other file's non-test code names, each with the function of
+/// its own file that constructs it and the reason it stays. The list may
+/// only shrink: an entry whose variant is gone, has gained a referrer, or
+/// whose function no longer names it fails the guard too.
+const UNNAMED_VARIANT_ALLOWED: &[(&str, &str, &str)] = &[
+    (
+        "crates/cluster/src/router.rs: RouterPolicy::ShortestQueue",
+        "RouterPolicy::parse",
+        "`--router shortest-queue` (or `jsq`) selects it",
+    ),
+    (
+        "crates/control/src/policy.rs: ControllerPolicy::Pid",
+        "ControllerPolicy::pid",
+        "every PID caller (CLI `pid` specs, the benchmark's `pid` runs) builds it through `pid()`",
+    ),
+    (
+        "crates/model/src/linear.rs: LinearOp::Awq",
+        "LinearOp::awq_quantized",
+        "AWQ-calibrated weights (`quantize_awq`, the `ablation_awq_calibration` bench)",
+    ),
+    (
+        "crates/model/src/linear.rs: LinearOp::Quant",
+        "LinearOp::quantized",
+        "round-to-nearest weights (`Transformer::quantize`, the benches' `ModelVariant::Quantized`)",
+    ),
+    (
+        "crates/obs/src/slo.rs: SloKind::FalseExitRate",
+        "SloObjective::parse",
+        "`--slo false_exit_rate=…` selects it",
+    ),
+    (
+        "crates/obs/src/slo.rs: SloKind::LatencyQuantile",
+        "SloObjective::parse",
+        "`--slo p99_ttft=…` selects it",
+    ),
+    (
+        "crates/tensor/src/quant.rs: QuantError::BadGroupSize",
+        "QuantizedMatrix::quantize",
+        "the error a group size that does not divide the columns returns",
+    ),
+];
+
+/// Every enum variant has a referrer. For each variant of a plain-`pub
+/// enum` before the first `#[cfg(test)]` of a product source file
+/// (`crates/*/src`, `src`), some other file's non-test code — product code
+/// before its own first `#[cfg(test)]`, a bench, an example or the
+/// benchmark adapter — must name it `Enum::Variant`, or it is listed above
+/// with the function of its own file that builds it. A variant only a test
+/// selects is an option nothing selects: delete it with the code that
+/// exists to serve it.
+#[test]
+fn every_enum_variant_has_a_referrer() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let scanned: Vec<(String, bool, String)> = files
+        .iter()
+        .filter_map(|path| {
+            let rel = path.strip_prefix(root).expect("under the root");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            let product = rel.starts_with("src/") || rel.split('/').nth(2) == Some("src");
+            let tests = rel.split('/').nth(2) == Some("tests");
+            (!tests).then(|| (rel, product, non_test_code(std::slice::from_ref(path))))
+        })
+        .collect();
+    assert!(scanned.len() > 100, "the walk found the workspace");
+
+    let mut unnamed = std::collections::BTreeMap::new();
+    for (at, (rel, product, code)) in scanned.iter().enumerate() {
+        if !product {
+            continue;
+        }
+        for variant in pub_enum_variants(code) {
+            let elsewhere = scanned
+                .iter()
+                .enumerate()
+                .any(|(other, (_, _, code))| other != at && names_path(code, &variant));
+            if !elsewhere {
+                unnamed.insert(format!("{rel}: {variant}"), code);
+            }
+        }
+    }
+
+    let mut allowed = std::collections::BTreeSet::new();
+    for &(item, builder, reason) in UNNAMED_VARIANT_ALLOWED {
+        assert!(
+            !reason.trim().is_empty(),
+            "`{item}` is allowed without a reason"
+        );
+        allowed.insert(item.to_string());
+        let Some(code) = unnamed.get(item) else {
+            continue; // stale, reported below
+        };
+        let variant = item.rsplit(' ').next().expect("Enum::Variant");
+        let short = format!("Self::{}", variant.rsplit("::").next().expect("a variant"));
+        let body = builder_body(code, builder);
+        assert!(
+            names_path(body, variant) || names_path(body, &short),
+            "`{item}` is allowed as built by `{builder}`, which does not name it"
+        );
+    }
+    let listed: std::collections::BTreeSet<String> = unnamed.keys().cloned().collect();
+    let unlisted: Vec<&String> = listed.difference(&allowed).collect();
+    let stale: Vec<&String> = allowed.difference(&listed).collect();
+    assert!(
+        unlisted.is_empty(),
+        "{} enum variants no other file's non-test code names — delete each (with \
+         the code and unit tests that only serve it), or allow it with the function \
+         that builds it and a reason:\n{unlisted:#?}",
+        unlisted.len()
+    );
+    assert!(
+        stale.is_empty(),
+        "allow-list entries whose variant is gone or has a referrer now — drop them:\n{stale:#?}"
+    );
+}
