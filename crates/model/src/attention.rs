@@ -39,13 +39,53 @@ fn packed_rows(xs: &[f32], dim: usize) -> usize {
     xs.len() / dim
 }
 
+/// The products of the `n` rows packed in `xs` through the stacked Q|K|V
+/// matrix `w.wqkv` — one weight pass — split into packed Q, K and V rows
+/// (`n × dim` each, unrotated).
+pub(crate) fn project_qkv(
+    w: &LayerWeights,
+    backend: BackendKind,
+    xs: &[f32],
+    n: usize,
+) -> [Vec<f32>; 3] {
+    let dim = w.wqkv.rows() / 3;
+    let qkv = w.wqkv.matmul_with(backend, xs, n);
+    let mut out = [(); 3].map(|_| Vec::with_capacity(n * dim));
+    for row in qkv.chunks_exact(3 * dim) {
+        for (part, third) in out.iter_mut().zip(row.chunks_exact(dim)) {
+            part.extend_from_slice(third);
+        }
+    }
+    out
+}
+
+/// Appends owed K/V rows (packed, keys unrotated) to `cache`: each key is
+/// rotated at the position it takes, the cache's length as it is pushed,
+/// which is the position whose exit hidden state it was projected from.
+pub(crate) fn push_owed(
+    cache: &mut KvCache,
+    rope: &RopeFreqs,
+    n_heads: usize,
+    ks: &mut [f32],
+    vs: &[f32],
+) {
+    let dim = cache.kv_dim();
+    for (k, v) in ks.chunks_exact_mut(dim).zip(vs.chunks_exact(dim)) {
+        rope.rotate(k, cache.len(), n_heads);
+        cache.push(k, v);
+    }
+}
+
 /// `rows` consecutive rows of a packed batch: positions `base..` of the
 /// sequence that owns `cache`. A prompt span is one seat of many rows; a
-/// decode group is one single-row seat per member.
+/// decode group is one single-row seat per member. Before them the seat's
+/// cache is owed the `owed` positions `cache.len()..base`, whose inputs
+/// ride the same Q|K|V pass (see [`attention_forward_rows`]).
 pub(crate) struct Seat<'a> {
     pub(crate) cache: &'a mut KvCache,
     pub(crate) base: usize,
     pub(crate) rows: usize,
+    pub(crate) owed: usize,
 }
 
 /// Single-token attention forward: projects q/k/v from the normalized
@@ -73,24 +113,32 @@ pub fn attention_forward(
         cache,
         base: pos,
         rows: packed_rows(x, cfg.hidden_dim),
+        owed: 0,
     }];
     attention_forward_rows(w, cfg, scale, backend, &rope, x, &mut seat, meter)
 }
 
 /// Causal attention over the rows of `xs` (normalized hidden states packed
 /// row-major), dealt to `seats` in order: one weight pass each for the
-/// q/k/v and output projections of the whole batch, while each row is
-/// rotated to its own position and appends its K/V to its own seat's cache,
-/// and each row attends over that cache up to itself, in one
-/// [`attend_many`] call per seat — no sum mixes two rows, so every
-/// output, cache row and [`Meter`] record equals feeding the rows through
+/// stacked Q|K|V and the output projections of the whole batch, while each
+/// row is rotated to its own position and appends its K/V to its own seat's
+/// cache, and each row attends over that cache up to itself, in one
+/// [`attend_many`] call per seat — no sum mixes two rows, so every output,
+/// cache row and [`Meter`] record equals feeding the rows through
 /// [`attention_forward`] one at a time. Returns the outputs packed like
-/// `xs`.
+/// the seats' rows.
+///
+/// The seats' owed rows follow their rows in `xs`, seat by seat: exit
+/// hidden states, normalized for this layer, of positions whose K/V an
+/// early exit left owed. They ride the Q|K|V pass as extra inputs: their Q
+/// is discarded, and their K/V rows are pushed, each key rotated at its
+/// own position, before the seat's own rows. They are not metered here —
+/// owing was.
 ///
 /// # Panics
 ///
-/// Panics if a seat's `base` is not its cache length, or the seats do not
-/// cover exactly the `hidden_dim`-wide rows of `xs`.
+/// Panics if a seat's `base` is not its cache length plus its owed rows, or
+/// the seats do not cover exactly the `hidden_dim`-wide rows of `xs`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attention_forward_rows(
     w: &LayerWeights,
@@ -103,20 +151,34 @@ pub(crate) fn attention_forward_rows(
     meter: &mut Meter,
 ) -> Vec<f32> {
     let dim = cfg.hidden_dim;
-    let n = packed_rows(xs, dim);
-    let seated: usize = seats.iter().map(|s| s.rows).sum();
-    assert_eq!(seated, n, "seats must cover every row");
-    let mut qs = w.wq.matmul_with(backend, xs, n);
-    let mut ks = w.wk.matmul_with(backend, xs, n);
-    let vs = w.wv.matmul_with(backend, xs, n);
+    let all = packed_rows(xs, dim);
+    let n: usize = seats.iter().map(|s| s.rows).sum();
+    let owed: usize = seats.iter().map(|s| s.owed).sum();
+    assert_eq!(n + owed, all, "seats must cover every row");
+    let [mut qs, mut ks, mut vs] = project_qkv(w, backend, xs, all);
+    let (mut owed_ks, owed_vs) = (ks.split_off(n * dim), vs.split_off(n * dim));
+    qs.truncate(n * dim);
     let mut merged = vec![0.0f32; n * dim];
     let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
     // A seat's rows are a causal span: each sees its cache, then the rows
     // before it (`chain[i] = i - 1`, one prefix for every seat).
-    let (mut chain, mut r0) = (Vec::new(), 0);
+    let (mut chain, mut r0, mut o0) = (Vec::new(), 0, 0);
     for seat in seats {
         let cache = &mut *seat.cache;
-        assert_eq!(seat.base, cache.len(), "positions must be sequential");
+        assert_eq!(
+            seat.base,
+            cache.len() + seat.owed,
+            "positions must be sequential"
+        );
+        let span = o0 * dim..(o0 + seat.owed) * dim;
+        push_owed(
+            cache,
+            rope,
+            cfg.n_heads,
+            &mut owed_ks[span.clone()],
+            &owed_vs[span],
+        );
+        o0 += seat.owed;
         let span = r0 * dim..(r0 + seat.rows) * dim;
         let rows = qs[span.clone()]
             .chunks_exact_mut(dim)
@@ -243,9 +305,7 @@ pub fn attention_forward_tree_partial(
     let base = cache.len();
     let depths = depths_from_parents(parents);
 
-    let mut qs = w.wq.matmul_with(backend, new_xs, n);
-    let mut ks = w.wk.matmul_with(backend, new_xs, n);
-    let vs = w.wv.matmul_with(backend, new_xs, n);
+    let [mut qs, mut ks, vs] = project_qkv(w, backend, new_xs, n);
     let rows = qs
         .chunks_exact_mut(dim)
         .zip(ks.chunks_exact_mut(dim))

@@ -3,8 +3,8 @@
 //! Real AWQ calibrates on the activations that actually flow into each
 //! weight matrix. [`ActivationTap`] is the forward-hook equivalent: while
 //! armed, the transformer records the RMS-normed inputs of the attention
-//! projections (`wq`/`wk`/`wv`), the FFN projections (`w_gate`/`w_up`) and
-//! the LM head. The output-side projections (`wo`, `w_down`) keep plain
+//! projections (`wqkv`), the FFN projections (`w_gate_up`) and the LM
+//! head. The output-side projections (`wo`, `w_down`) keep plain
 //! round-to-nearest: their inputs live inside the fused attention/FFN
 //! kernels, and in the AWQ deployment their scales cannot be folded into a
 //! preceding norm anyway.
@@ -23,9 +23,9 @@ pub const TAP_SAMPLE_CAP: usize = 256;
 /// Recorded per-site activations (`[layer][sample][channel]`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivationTap {
-    /// Inputs to `wq`/`wk`/`wv` (post attention-norm), per layer.
+    /// Inputs to `wqkv` (post attention-norm), per layer.
     pub attn_in: Vec<Vec<Vec<f32>>>,
-    /// Inputs to `w_gate`/`w_up` (post FFN-norm), per layer.
+    /// Inputs to `w_gate_up` (post FFN-norm), per layer.
     pub ffn_in: Vec<Vec<Vec<f32>>>,
     /// Inputs to the LM head (post final-norm).
     pub head_in: Vec<Vec<f32>>,
@@ -188,7 +188,7 @@ mod tests {
         assert!(mse < 1e-2, "int8 AWQ logits far from dense: mse {mse}");
         let quantized = awq.weights();
         for op in [
-            &quantized.layers[0].wq,
+            &quantized.layers[0].wqkv,
             &quantized.layers[0].wo,
             &quantized.lm_head,
         ] {

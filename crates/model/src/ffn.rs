@@ -54,14 +54,19 @@ impl FfnRouter {
 
 /// Dense gated FFN without metering over `n` inputs packed row-major in
 /// `xs`, outputs packed likewise (shared by the single-token, prompt-span
-/// and tree-batched paths, which meter differently). Each of the three
-/// projections is one weight pass for the whole batch on `backend`;
-/// [`BackendKind::Reference`] reproduces the historical scalar path
-/// bit-for-bit.
+/// and tree-batched paths, which meter differently). Two weight passes for
+/// the whole batch on `backend`: the stacked gate|up projection, then
+/// `w_down`; [`BackendKind::Reference`] reproduces the historical scalar
+/// path bit-for-bit.
 pub fn ffn_apply(w: &LayerWeights, backend: BackendKind, xs: &[f32], n: usize) -> Vec<f32> {
-    let mut act = w.w_gate.matmul_with(backend, xs, n);
-    let up = w.w_up.matmul_with(backend, xs, n);
-    ops::silu_mul_in_place(&mut act, &up);
+    let f = w.w_down.cols();
+    let mut gate_up = w.w_gate_up.matmul_with(backend, xs, n);
+    let mut act = Vec::with_capacity(n * f);
+    for row in gate_up.chunks_exact_mut(2 * f) {
+        let (gate, up) = row.split_at_mut(f);
+        ops::silu_mul_in_place(gate, up);
+        act.extend_from_slice(gate);
+    }
     w.w_down.matmul_with(backend, &act, n)
 }
 
@@ -96,19 +101,19 @@ pub fn ffn_apply_sparse(
         active_frac > 0.0 && active_frac <= 1.0,
         "active_frac must be in (0,1]"
     );
-    let (gate_m, up_m, down_m) = match (&w.w_gate, &w.w_up, &w.w_down) {
-        (LinearOp::Dense(g), LinearOp::Dense(u), LinearOp::Dense(d)) => (g, u, d),
+    let (gate_up, down_m) = match (&w.w_gate_up, &w.w_down) {
+        (LinearOp::Dense(gu), LinearOp::Dense(d)) => (gu, d),
         _ => panic!("sparse FFN requires dense weights"),
     };
-    let ffn_dim = gate_m.rows();
+    let ffn_dim = down_m.cols();
     let n_active = ((ffn_dim as f32 * active_frac).ceil() as usize).clamp(1, ffn_dim);
     let scores = router.scores(x);
     let active = ops::top_k(&scores, n_active);
 
     let mut out = vec![0.0f32; down_m.rows()];
     for &j in &active {
-        let g = specee_tensor::matrix::dot(gate_m.row(j), x);
-        let u = specee_tensor::matrix::dot(up_m.row(j), x);
+        let g = specee_tensor::matrix::dot(gate_up.row(j), x);
+        let u = specee_tensor::matrix::dot(gate_up.row(ffn_dim + j), x);
         let a = ops::silu(g) * u;
         // w_down column j, strided over rows.
         for (i, o) in out.iter_mut().enumerate() {

@@ -178,11 +178,16 @@ impl KvCache {
     /// Token slots *allocated* (≥ `len()`): the geometric growth
     /// capacity. This drives the memory-usage experiment (Fig. 17).
     pub fn allocated_tokens(&self) -> usize {
+        Self::allocated_for(self.len)
+    }
+
+    /// Token slots a cache of `len` positions allocates.
+    pub(crate) fn allocated_for(len: usize) -> usize {
         // `0usize.next_power_of_two()` is 1; an empty cache holds nothing.
-        if self.len == 0 {
+        if len == 0 {
             0
         } else {
-            self.len.next_power_of_two()
+            len.next_power_of_two()
         }
     }
 }

@@ -223,11 +223,11 @@ pub trait LayeredLm {
     /// the seats that exited): member `i` fills layers `first_skipped[i]..` for its own
     /// `positions[i]` from its exit hidden state `hs[i]`.
     ///
-    /// This default — member by member, one K/V weight stream per member
-    /// per skipped layer — is the reference: implementations whose members
-    /// share weights override it to stream each layer's `wk` / `wv` once
-    /// for every member that skips it, and must stay bit-identical to it
-    /// (every K/V row, every [`Meter`] total).
+    /// This default — member by member — is the reference: an
+    /// implementation that overrides it (to share a weight stream between
+    /// the members, say) must stay bit-identical to it (every K/V row,
+    /// every [`Meter`] total). `Transformer` keeps it: its
+    /// `fill_skipped_kv` owes the rows and reads no weights.
     fn fill_skipped_kv_group(
         group: &mut [&mut Self],
         first_skipped: &[usize],

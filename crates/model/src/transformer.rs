@@ -1,11 +1,13 @@
 //! The executable decoder-only transformer.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use specee_metrics::Meter;
 use specee_tensor::{ops, rng::Pcg, BackendKind, QuantBits};
 
-use crate::attention::{attention_forward_rows, attention_forward_tree_partial, Seat, TreeKv};
+use crate::attention::{
+    attention_forward_rows, attention_forward_tree_partial, project_qkv, push_owed, Seat, TreeKv,
+};
 use crate::calibration::ActivationTap;
 use crate::config::{ModelConfig, TokenId};
 use crate::ffn::{ffn_apply, ffn_apply_sparse, FfnMode, FfnRouter};
@@ -24,6 +26,16 @@ use crate::weights::ModelWeights;
 /// the same weight bytes. The mutators ([`Transformer::quantize`],
 /// [`Transformer::enable_sparse_ffn`], AWQ) are copy-on-write: they detach
 /// the instance they are called on and leave its siblings alone.
+///
+/// Under [`SkipKvPolicy::ProjectExitHidden`] an early exit does not
+/// compute the skipped layers' K/V: it records the rows as owed — position,
+/// first skipped layer, exit hidden state — and meters them as computed.
+/// The next Q|K|V pass over such a layer projects its owed rows as extra
+/// inputs, so they cost no weight pass of their own, and a row no later
+/// token reads is never projected. Every other
+/// reader of a layer's K/V settles that layer's owed rows first, and
+/// [`Transformer::cache`] shows them projected: nothing outside can tell
+/// an owed row from a computed one.
 ///
 /// # Examples
 ///
@@ -48,12 +60,29 @@ pub struct Transformer {
     config: ModelConfig,
     shared: Arc<Shared>,
     caches: Vec<KvCache>,
+    /// Positions whose skipped layers' K/V rows are owed, in position
+    /// order; a layer's owed rows are those it does not hold yet.
+    owed: Vec<Owed>,
+    /// Every layer's cache with its owed rows projected, built by the first
+    /// [`Transformer::cache`] call that meets an owed row; whatever changes
+    /// `caches` or `owed` takes it.
+    view: OnceLock<Vec<KvCache>>,
     ffn_mode: FfnMode,
     scale: OpScale,
     /// Compute backend every projection mat-vec dispatches through.
     backend: BackendKind,
     /// Armed during AWQ calibration runs; `None` on the hot path.
     tap: Option<ActivationTap>,
+}
+
+/// A position whose K/V rows in layers `first..` an early exit skipped,
+/// owed until a pass over each of those layers projects `h`, the exit
+/// hidden state, normalized for that layer.
+#[derive(Debug, Clone)]
+struct Owed {
+    pos: usize,
+    first: usize,
+    h: Vec<f32>,
 }
 
 /// What every clone of a [`Transformer`] shares.
@@ -81,6 +110,8 @@ impl Transformer {
                 rope,
             }),
             caches,
+            owed: Vec::new(),
+            view: OnceLock::new(),
             ffn_mode: FfnMode::Dense,
             scale,
             backend: BackendKind::default(),
@@ -134,19 +165,19 @@ impl Transformer {
     }
 
     /// Applies AWQ quantization from recorded activations: calibrated
-    /// channel scales for the norm-fed projections (`wq`/`wk`/`wv`,
-    /// `w_gate`/`w_up`, LM head), round-to-nearest for `wo`/`w_down`.
+    /// channel scales for the norm-fed projections (`wqkv`, `w_gate_up`,
+    /// LM head), round-to-nearest for `wo`/`w_down`. The search picks one α
+    /// per stacked operator: the projections inside one read the same
+    /// input, `attn_in` or `ffn_in`.
     pub(crate) fn apply_awq(&mut self, bits: QuantBits, tap: &ActivationTap) {
         let weights = &mut Arc::make_mut(&mut self.shared).weights;
         for (layer, w) in weights.layers.iter_mut().enumerate() {
-            for op in [&mut w.wq, &mut w.wk, &mut w.wv] {
+            for (op, inputs) in [
+                (&mut w.wqkv, &tap.attn_in[layer]),
+                (&mut w.w_gate_up, &tap.ffn_in[layer]),
+            ] {
                 if let LinearOp::Dense(m) = op {
-                    *op = LinearOp::awq_quantized(m, bits, &tap.attn_in[layer]);
-                }
-            }
-            for op in [&mut w.w_gate, &mut w.w_up] {
-                if let LinearOp::Dense(m) = op {
-                    *op = LinearOp::awq_quantized(m, bits, &tap.ffn_in[layer]);
+                    *op = LinearOp::awq_quantized(m, bits, inputs);
                 }
             }
             for op in [&mut w.wo, &mut w.w_down] {
@@ -160,10 +191,87 @@ impl Transformer {
         }
     }
 
-    /// Borrows layer `layer`'s KV cache (read-only; engine-tier tests use
-    /// this to check split-commit invariants row by row).
+    /// Layer `layer`'s KV cache as the decode reads it: the cache itself
+    /// when the layer owes nothing, else a copy with its owed rows
+    /// projected, what settling would push (kept until the next change;
+    /// the decode state stays as it is). Engine-tier tests use this to
+    /// check split-commit invariants row by row.
     pub fn cache(&self, layer: usize) -> &KvCache {
-        &self.caches[layer]
+        if self.owed_at(layer).next().is_none() {
+            return &self.caches[layer];
+        }
+        let view = self.view.get_or_init(|| {
+            let mut caches = self.caches.clone();
+            for (layer, cache) in caches.iter_mut().enumerate() {
+                let [mut ks, vs] = self.owed_kv(layer);
+                push_owed(cache, &self.shared.rope, self.config.n_heads, &mut ks, &vs);
+            }
+            caches
+        });
+        &view[layer]
+    }
+
+    /// The entries that owe layer `layer` a row, in position order: of
+    /// those past the rows its cache holds, the ones that skipped it.
+    fn owed_at(&self, layer: usize) -> impl Iterator<Item = &Owed> {
+        let held = self.caches[layer].len();
+        let past = self.owed.partition_point(|o| o.pos < held);
+        self.owed[past..].iter().filter(move |o| o.first <= layer)
+    }
+
+    /// Layer `layer`'s owed K and V rows, packed, keys unrotated: one pass
+    /// over the stacked Q|K|V matrix for all of them, keeping each
+    /// product's K and V rows (`wqkv` rows `dim..3·dim`) and dropping its Q.
+    fn owed_kv(&self, layer: usize) -> [Vec<f32>; 2] {
+        let w = &self.shared.weights.layers[layer];
+        let hs: Vec<&[f32]> = self.owed_at(layer).map(|o| o.h.as_slice()).collect();
+        let normed = pack_normed(&hs, &w.attn_norm);
+        let [_, ks, vs] = project_qkv(w, self.backend, &normed, hs.len());
+        [ks, vs]
+    }
+
+    /// Projects layer `layer`'s owed rows into its cache, for a reader
+    /// that is not a Q|K|V pass over the layer.
+    fn settle(&mut self, layer: usize) {
+        if self.owed_at(layer).next().is_none() {
+            return;
+        }
+        let [mut ks, vs] = self.owed_kv(layer);
+        self.view.take();
+        let cache = &mut self.caches[layer];
+        push_owed(cache, &self.shared.rope, self.config.n_heads, &mut ks, &vs);
+        self.drop_settled();
+    }
+
+    /// Forgets the entries every layer now holds.
+    fn drop_settled(&mut self) {
+        let held = self.caches.iter().map(KvCache::len).min().unwrap_or(0);
+        let settled = self.owed.partition_point(|o| o.pos < held);
+        self.view.take();
+        self.owed.drain(..settled);
+    }
+
+    /// Records the rows of layers `first..` at `pos` as owed, metered as
+    /// the eager fill meters them: one skip fill per layer.
+    fn owe(&mut self, first: usize, h: &[f32], pos: usize, meter: &mut Meter) {
+        let n_layers = self.config.n_layers;
+        if first >= n_layers {
+            return;
+        }
+        for layer in first..n_layers {
+            debug_assert_eq!(
+                self.caches[layer].len() + self.owed_at(layer).count(),
+                pos,
+                "skip-fill position"
+            );
+            self.scale.record_skip_kv_fill(meter);
+        }
+        self.view.take();
+        self.owed.push(Owed {
+            pos,
+            first,
+            h: h.to_vec(),
+        });
     }
 
     /// Borrows the weights.
@@ -228,14 +336,35 @@ impl Transformer {
         spans: impl IntoIterator<Item = (usize, usize)>,
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
+        assert!(
+            layer < members[0].config.n_layers,
+            "layer {layer} out of range"
+        );
+        for m in members.iter_mut() {
+            m.view.take();
+        }
+        // The members' owed rows ride the Q|K|V pass after the rows of `hs`.
+        let owed: Vec<usize> = members.iter().map(|m| m.owed_at(layer).count()).collect();
+        let normed = {
+            let owed_hs = members
+                .iter()
+                .flat_map(|m| m.owed_at(layer))
+                .map(|o| &o.h[..]);
+            let rows: Vec<&[f32]> = hs.iter().map(AsRef::as_ref).chain(owed_hs).collect();
+            pack_normed(&rows, &members[0].shared.weights.layers[layer].attn_norm)
+        };
         let (lead, rest) = members.split_first_mut().expect("at least one member");
-        assert!(layer < lead.config.n_layers, "layer {layer} out of range");
         let w = &lead.shared.weights.layers[layer];
-        let normed = pack_normed(hs, &w.attn_norm);
         let mut seats: Vec<Seat<'_>> = std::iter::once(&mut lead.caches[layer])
             .chain(rest.iter_mut().map(|m| &mut m.caches[layer]))
             .zip(spans)
-            .map(|(cache, (base, rows))| Seat { cache, base, rows })
+            .zip(&owed)
+            .map(|((cache, (base, rows)), &owed)| Seat {
+                cache,
+                base,
+                rows,
+                owed,
+            })
             .collect();
         let attn = attention_forward_rows(
             w,
@@ -261,9 +390,15 @@ impl Transformer {
         }
         if let Some(tap) = &mut lead.tap {
             let dim = lead.config.hidden_dim;
-            for (a, f) in normed.chunks_exact(dim).zip(normed2.chunks_exact(dim)) {
+            let attn_in = normed[..hs.len() * dim].chunks_exact(dim);
+            for (a, f) in attn_in.zip(normed2.chunks_exact(dim)) {
                 tap.record_attn(layer, a);
                 tap.record_ffn(layer, f);
+            }
+        }
+        for (m, &owed) in members.iter_mut().zip(&owed) {
+            if owed > 0 {
+                m.drop_settled();
             }
         }
         outs
@@ -419,9 +554,11 @@ impl LayeredLm for Transformer {
     }
 
     fn reset(&mut self) {
+        self.view.take();
         for c in &mut self.caches {
             c.clear();
         }
+        self.owed.clear();
     }
 
     fn begin_token(&mut self, token: TokenId, meter: &mut Meter) -> Vec<f32> {
@@ -480,12 +617,15 @@ impl LayeredLm for Transformer {
         // whatever the span — so under one weight set and one backend the
         // donor's rows are the rows a prefill here would write. An armed
         // tap would have recorded that prefill's activations.
+        // A donor that still owes a row of the prefix holds fewer than
+        // `tokens.len()` rows in that layer, and is refused.
         let same_rows = self.shares_weights_with(donor)
             && self.backend == donor.backend
             && self.tap.is_none()
-            && self.caches.iter().all(KvCache::is_empty)
+            && self.kv_len() == 0
             && donor.caches.iter().all(|c| c.len() >= tokens.len());
         if same_rows {
+            self.view.take();
             for (own, theirs) in self.caches.iter_mut().zip(&donor.caches) {
                 own.extend_from_prefix(theirs, tokens.len());
             }
@@ -510,6 +650,7 @@ impl LayeredLm for Transformer {
         parents: &[Option<usize>],
         meter: &mut Meter,
     ) -> (Vec<Vec<f32>>, TreeKv) {
+        self.settle(layer);
         let mut tree_kv = TreeKv::default();
         let outs = self.tree_layer(layer, hs, parents, 0, &mut tree_kv, meter);
         (outs, tree_kv)
@@ -539,10 +680,13 @@ impl LayeredLm for Transformer {
         scratch: &mut TreeKv,
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
+        self.settle(layer);
         self.tree_layer(layer, new_hs, parents, first_new, scratch, meter)
     }
 
     fn commit_tree_kv(&mut self, layer: usize, kv: &TreeKv, accepted: &[usize]) {
+        self.settle(layer);
+        self.view.take();
         let cache = &mut self.caches[layer];
         for &i in accepted {
             cache.push(&kv.k[i], &kv.v[i]);
@@ -554,6 +698,9 @@ impl LayeredLm for Transformer {
         // handled by `commit_tree_kv`.
     }
 
+    /// Eager, whatever the policy: the layer's owed rows are settled
+    /// first, then its row at `pos` is computed (the reference the owed
+    /// rows are tested against) or copied.
     fn fill_layer_kv(
         &mut self,
         layer: usize,
@@ -562,16 +709,19 @@ impl LayeredLm for Transformer {
         policy: SkipKvPolicy,
         meter: &mut Meter,
     ) {
+        self.settle(layer);
+        self.view.take();
         let w = &self.shared.weights.layers[layer];
         let cache = &mut self.caches[layer];
         debug_assert_eq!(cache.len(), pos, "skip-fill position");
         match policy {
             SkipKvPolicy::ProjectExitHidden => {
                 let normed = ops::rmsnorm(h, &w.attn_norm, 1e-5);
-                let mut k = w.wk.matvec_with(self.backend, &normed);
-                self.shared.rope.rotate(&mut k, pos, self.config.n_heads);
-                let v = w.wv.matvec_with(self.backend, &normed);
-                cache.push(&k, &v);
+                let mut qkv = w.wqkv.matvec_with(self.backend, &normed);
+                let dim = cache.kv_dim();
+                let (k, v) = qkv[dim..].split_at_mut(dim);
+                self.shared.rope.rotate(k, pos, self.config.n_heads);
+                cache.push(k, v);
                 self.scale.record_skip_kv_fill(meter);
             }
             SkipKvPolicy::ReuseLast => {
@@ -585,44 +735,24 @@ impl LayeredLm for Transformer {
         }
     }
 
-    fn fill_skipped_kv_group(
-        group: &mut [&mut Self],
-        first_skipped: &[usize],
-        hs: &[&[f32]],
-        positions: &[usize],
+    /// Under [`SkipKvPolicy::ProjectExitHidden`] the rows are owed, not
+    /// computed (see [`Transformer`]); the other policies copy or zero a
+    /// row per layer through [`LayeredLm::fill_layer_kv`]. The trait's
+    /// default [`LayeredLm::fill_skipped_kv_group`], member by member, is
+    /// then all a group needs: owing reads no weights.
+    fn fill_skipped_kv(
+        &mut self,
+        first_skipped: usize,
+        h: &[f32],
+        pos: usize,
         policy: SkipKvPolicy,
         meter: &mut Meter,
     ) {
-        // Only the projecting policy reads weights; the other two copy or
-        // zero a row per member whichever way they are called.
-        if policy != SkipKvPolicy::ProjectExitHidden || !Self::one_pass(group) || group.is_empty() {
-            for (i, m) in group.iter_mut().enumerate() {
-                m.fill_skipped_kv(first_skipped[i], hs[i], positions[i], policy, meter);
-            }
-            return;
+        if policy == SkipKvPolicy::ProjectExitHidden {
+            return self.owe(first_skipped, h, pos, meter);
         }
-        // Members in the order they left: a layer's skippers are a prefix.
-        // (`fill_layer_kv` is deliberately not routed through here: it is
-        // the reference this pass is tested against.)
-        let mut order: Vec<usize> = (0..group.len()).collect();
-        order.sort_by_key(|&i| first_skipped[i]);
-        let (shared, backend) = (Arc::clone(&group[0].shared), group[0].backend);
-        for layer in first_skipped[order[0]]..group[0].config.n_layers {
-            let skippers = &order[..order.partition_point(|&i| first_skipped[i] <= layer)];
-            let w = &shared.weights.layers[layer];
-            let rows: Vec<&[f32]> = skippers.iter().map(|&i| hs[i]).collect();
-            let normed = pack_normed(&rows, &w.attn_norm);
-            let mut ks = w.wk.matmul_with(backend, &normed, rows.len());
-            let vs = w.wv.matmul_with(backend, &normed, rows.len());
-            let kv_dim = w.wk.rows();
-            let kv = ks.chunks_exact_mut(kv_dim).zip(vs.chunks_exact(kv_dim));
-            for (&i, (k, v)) in skippers.iter().zip(kv) {
-                let m = &mut *group[i];
-                debug_assert_eq!(m.caches[layer].len(), positions[i], "skip-fill position");
-                shared.rope.rotate(k, positions[i], m.config.n_heads);
-                m.caches[layer].push(k, v);
-                m.scale.record_skip_kv_fill(meter);
-            }
+        for layer in first_skipped..self.config.n_layers {
+            self.fill_layer_kv(layer, h, pos, policy, meter);
         }
     }
 
@@ -686,17 +816,26 @@ impl LayeredLm for Transformer {
     }
 
     fn kv_len(&self) -> usize {
-        self.caches.first().map_or(0, KvCache::len)
+        let held = self.caches.first().map_or(0, KvCache::len);
+        self.owed.last().map_or(held, |o| held.max(o.pos + 1))
     }
 
     fn truncate_kv(&mut self, len: usize) {
+        self.view.take();
         for c in &mut self.caches {
             c.truncate(len);
         }
+        self.owed.retain(|o| o.pos < len);
     }
 
+    /// Counts owed rows as held: what the layers would allocate with them
+    /// projected.
     fn allocated_kv_tokens(&self) -> usize {
-        self.caches.iter().map(KvCache::allocated_tokens).sum()
+        (0..self.config.n_layers)
+            .map(|layer| {
+                KvCache::allocated_for(self.caches[layer].len() + self.owed_at(layer).count())
+            })
+            .sum()
     }
 
     fn modelled_weight_bytes(&self) -> f64 {
@@ -725,6 +864,8 @@ pub fn prefill<M: LayeredLm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use specee_tensor::ops::argmax;
 
     fn model() -> Transformer {
@@ -813,7 +954,7 @@ mod tests {
         }
         m.fill_skipped_kv(2, &h, 0, SkipKvPolicy::ProjectExitHidden, &mut meter);
         for layer in 0..4 {
-            assert_eq!(m.caches[layer].len(), 1, "layer {layer}");
+            assert_eq!(m.cache(layer).len(), 1, "layer {layer}");
         }
         // next token can now run all layers
         let mut h2 = m.begin_token(2, &mut meter);
@@ -830,7 +971,7 @@ mod tests {
         let h = m.begin_token(1, &mut meter);
         let h = m.forward_layer(0, &h, 0, &mut meter);
         m.fill_skipped_kv(1, &h, 0, SkipKvPolicy::ZeroFill, &mut meter);
-        assert_eq!(m.caches[3].key(0), vec![0.0; 32].as_slice());
+        assert_eq!(m.cache(3).key(0), vec![0.0; 32].as_slice());
     }
 
     #[test]
@@ -864,7 +1005,7 @@ mod tests {
         }
         assert_eq!(hs[0], h, "bit for bit");
         for layer in 0..4 {
-            assert_eq!(m.caches[layer], reference.caches[layer], "layer {layer}");
+            assert_eq!(m.cache(layer), reference.cache(layer), "layer {layer}");
         }
     }
 
@@ -954,7 +1095,7 @@ mod tests {
             }
         }
         for layer in 0..4 {
-            assert_eq!(m.caches[layer], reference.caches[layer], "layer {layer}");
+            assert_eq!(m.cache(layer), reference.cache(layer), "layer {layer}");
         }
     }
 
@@ -976,13 +1117,191 @@ mod tests {
 
         clone.quantize(QuantBits::Int8);
         assert!(!clone.shares_weights_with(&original));
-        assert!(matches!(clone.weights().layers[0].wq, LinearOp::Quant(_)));
+        assert!(matches!(clone.weights().layers[0].wqkv, LinearOp::Quant(_)));
         assert_eq!(original.weights(), &dense, "the original stays dense");
 
         let mut sparse = original.clone();
         sparse.enable_sparse_ffn(0.25, 4, &mut Pcg::seed(9));
         assert!(!sparse.shares_weights_with(&original));
         assert!(original.clone().shares_weights_with(&original));
+    }
+
+    #[test]
+    fn the_working_set_is_four_shared_matrices_a_layer() {
+        let cfg = ModelConfig::sim_llama2_7b();
+        let original = Transformer::random(cfg.clone(), &mut Pcg::seed(7));
+        let w = original.weights();
+        // 7B(sim): embedding and tied head 2048x128 each, 32 layers of
+        // q|k|v 384x128, o 128x128, gate|up 512x128, down 128x256 and two
+        // norms, one final norm; f32 throughout.
+        assert_eq!(w.bytes(), 23_101_952);
+        let layer = &w.layers[0];
+        let shapes = [&layer.wqkv, &layer.wo, &layer.w_gate_up, &layer.w_down]
+            .map(|op| (op.rows(), op.cols()));
+        assert_eq!(shapes, [(384, 128), (128, 128), (512, 128), (128, 256)]);
+        let clone = original.clone();
+        assert!(clone.shares_weights_with(&original));
+        for (a, b) in clone.weights().layers.iter().zip(&w.layers) {
+            assert!(std::ptr::eq(&a.wqkv, &b.wqkv) && std::ptr::eq(&a.w_gate_up, &b.w_gate_up));
+        }
+    }
+
+    /// A decode script run on a model that owes its skipped layers' rows
+    /// and on a clone that fills them eagerly through `fill_layer_kv`,
+    /// compared after every step: hidden states, every layer's cache as
+    /// `cache` shows it, lengths, allocation and the `Meter`.
+    fn owed_rows_match_the_eager_fill(seed: u64) -> Result<(), TestCaseError> {
+        const PEH: SkipKvPolicy = SkipKvPolicy::ProjectExitHidden;
+        let rng = &mut Pcg::seed(seed);
+        let cfg = match rng.below(2) {
+            0 => ModelConfig {
+                n_layers: 6,
+                ..ModelConfig::tiny()
+            },
+            _ => ModelConfig {
+                hidden_dim: 30,
+                n_heads: 3,
+                ffn_dim: 30,
+                n_layers: 5,
+                ..ModelConfig::tiny()
+            },
+        };
+        let n_layers = cfg.n_layers;
+        let mut template = Transformer::random(cfg.clone(), &mut Pcg::seed(seed));
+        if rng.below(3) == 0 {
+            template.quantize(QuantBits::Int8);
+        }
+        template.set_backend([BackendKind::Blocked, BackendKind::Reference][rng.below(2)]);
+        let (mut owing, mut eager) = (template.clone(), template.clone());
+        let (mut mo, mut me) = (Meter::new(), Meter::new());
+        let token = |rng: &mut Pcg| rng.below(cfg.vocab_size) as TokenId;
+        let bits = |hs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            hs.iter()
+                .map(|h| h.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let prompt: Vec<TokenId> = (0..1 + rng.below(5)).map(|_| token(rng)).collect();
+        owing.prefill(&prompt, &mut mo);
+        eager.prefill(&prompt, &mut me);
+        for step in 0..14 {
+            let pos = owing.kv_len();
+            let what = rng.below(10);
+            match what {
+                // One token, leaving after `depth` layers (or none), with
+                // now and then one mid-stack layer skipped eagerly.
+                0..=4 => {
+                    let (t, depth) = (token(rng), 1 + rng.below(n_layers));
+                    let skip = (rng.below(3) == 0).then(|| rng.below(depth));
+                    let mut outs = Vec::new();
+                    for (m, meter) in [(&mut owing, &mut mo), (&mut eager, &mut me)] {
+                        let mut h = m.begin_token(t, meter);
+                        for layer in 0..depth {
+                            if skip == Some(layer) {
+                                m.fill_layer_kv(layer, &h, pos, PEH, meter);
+                            } else {
+                                h = m.forward_layer(layer, &h, pos, meter);
+                            }
+                        }
+                        outs.push(h);
+                    }
+                    owing.fill_skipped_kv(depth, &outs[0], pos, PEH, &mut mo);
+                    for layer in depth..n_layers {
+                        eager.fill_layer_kv(layer, &outs[1], pos, PEH, &mut me);
+                    }
+                    prop_assert_eq!(bits(&outs[..1]), bits(&outs[1..]), "step {}: token", step);
+                    if depth == n_layers && skip.is_none() {
+                        prop_assert!(
+                            owing.owed.is_empty(),
+                            "step {}: a full sweep settles all",
+                            step
+                        );
+                    }
+                }
+                // A draft chain swept `depth` layers deep; its first
+                // `accept` nodes are committed, then filled from there.
+                5..=6 => {
+                    let tokens: Vec<TokenId> = (0..1 + rng.below(3)).map(|_| token(rng)).collect();
+                    let parents: Vec<Option<usize>> =
+                        (0..tokens.len()).map(|i| i.checked_sub(1)).collect();
+                    let depth = 1 + rng.below(n_layers);
+                    let accepted: Vec<usize> = (0..1 + rng.below(tokens.len())).collect();
+                    let mut outs = Vec::new();
+                    for (m, meter) in [(&mut owing, &mut mo), (&mut eager, &mut me)] {
+                        let mut hs = m.begin_tree(&tokens, &parents, meter);
+                        let mut kvs = Vec::new();
+                        for layer in 0..depth {
+                            let (out, kv) = m.forward_layer_tree(layer, &hs, &parents, meter);
+                            hs = out;
+                            kvs.push(kv);
+                        }
+                        for (layer, kv) in kvs.iter().enumerate() {
+                            m.commit_tree_kv(layer, kv, &accepted);
+                        }
+                        outs.push(hs);
+                    }
+                    for (ord, &i) in accepted.iter().enumerate() {
+                        owing.fill_skipped_kv(depth, &outs[0][i], pos + ord, PEH, &mut mo);
+                        for layer in depth..n_layers {
+                            eager.fill_layer_kv(layer, &outs[1][i], pos + ord, PEH, &mut me);
+                        }
+                    }
+                    prop_assert_eq!(bits(&outs[0]), bits(&outs[1]), "step {}: tree", step);
+                }
+                7 => {
+                    let len = rng.below(pos + 1);
+                    owing.truncate_kv(len);
+                    eager.truncate_kv(len);
+                }
+                // A fresh clone adopts a prefix: refused exactly when the
+                // donor still owes one of its rows.
+                8 if pos > 0 => {
+                    let len = 1 + rng.below(pos);
+                    let shared: Vec<TokenId> = (0..len).map(|_| token(rng)).collect();
+                    let (mut from_owing, mut from_eager) = (template.clone(), template.clone());
+                    let adopted = from_owing.adopt_prefix(&owing, &shared);
+                    prop_assert!(from_eager.adopt_prefix(&eager, &shared));
+                    let owes = owing.owed.iter().any(|o| o.pos < len);
+                    prop_assert_eq!(adopted, !owes, "step {}: adoption", step);
+                    if adopted {
+                        for layer in 0..n_layers {
+                            let (a, b) = (from_owing.cache(layer), from_eager.cache(layer));
+                            prop_assert_eq!(a, b, "step {}: adopted layer {}", step, layer);
+                        }
+                    }
+                }
+                8 => {}
+                _ => {
+                    owing.reset();
+                    eager.reset();
+                    owing.prefill(&prompt, &mut mo);
+                    eager.prefill(&prompt, &mut me);
+                }
+            }
+            prop_assert_eq!(owing.kv_len(), eager.kv_len(), "step {} ({})", step, what);
+            prop_assert_eq!(owing.allocated_kv_tokens(), eager.allocated_kv_tokens());
+            for layer in 0..n_layers {
+                prop_assert_eq!(owing.cache(layer).len(), owing.kv_len());
+                prop_assert_eq!(
+                    owing.cache(layer),
+                    eager.cache(layer),
+                    "step {} ({}): layer {}",
+                    step,
+                    what,
+                    layer
+                );
+            }
+            prop_assert_eq!(&mo, &me, "step {} ({}): meter", step, what);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn owed_rows_are_the_eager_fill_bit_for_bit(seed in 0u64..10_000) {
+            owed_rows_match_the_eager_fill(seed)?;
+        }
     }
 
     #[test]

@@ -7,67 +7,62 @@ use crate::config::ModelConfig;
 use crate::linear::LinearOp;
 
 /// Weights of one decoder layer (pre-norm Llama block).
+///
+/// The projections that read one input are stacked into one matrix, so a
+/// layer is four weight passes: `wqkv`, `wo`, `w_gate_up`, `w_down`. Each
+/// output row of a stacked matrix keeps its own sums, so its products are
+/// the separate projections' bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerWeights {
     /// RMSNorm gain before attention.
     pub attn_norm: Vec<f32>,
-    /// Query projection.
-    pub wq: LinearOp,
-    /// Key projection.
-    pub wk: LinearOp,
-    /// Value projection.
-    pub wv: LinearOp,
+    /// Query, key and value projections stacked (`3·hidden × hidden`):
+    /// rows `0..hidden` are Q, `hidden..2·hidden` K, `2·hidden..3·hidden` V.
+    pub wqkv: LinearOp,
     /// Output projection.
     pub wo: LinearOp,
     /// RMSNorm gain before the FFN.
     pub ffn_norm: Vec<f32>,
-    /// FFN gate projection.
-    pub w_gate: LinearOp,
-    /// FFN up projection.
-    pub w_up: LinearOp,
+    /// FFN gate and up projections stacked (`2·ffn × hidden`): rows
+    /// `0..ffn` are the gate, `ffn..2·ffn` up.
+    pub w_gate_up: LinearOp,
     /// FFN down projection.
     pub w_down: LinearOp,
 }
 
 impl LayerWeights {
-    /// Random-initialized layer (scaled for residual stability).
+    /// Random-initialized layer (scaled for residual stability). A
+    /// matrix is drawn row-major, so one draw of a stacked shape is its
+    /// parts drawn one after the other: the projections are q, k, v, o,
+    /// gate, up, down in that order.
     pub fn random(cfg: &ModelConfig, rng: &mut Pcg) -> Self {
         let h = cfg.hidden_dim;
         let f = cfg.ffn_dim;
         let scale = 1.0 / (h as f32).sqrt();
         LayerWeights {
             attn_norm: vec![1.0; h],
-            wq: Matrix::random(h, h, scale, rng).into(),
-            wk: Matrix::random(h, h, scale, rng).into(),
-            wv: Matrix::random(h, h, scale, rng).into(),
+            wqkv: Matrix::random(3 * h, h, scale, rng).into(),
             wo: Matrix::random(h, h, scale, rng).into(),
             ffn_norm: vec![1.0; h],
-            w_gate: Matrix::random(f, h, scale, rng).into(),
-            w_up: Matrix::random(f, h, scale, rng).into(),
+            w_gate_up: Matrix::random(2 * f, h, scale, rng).into(),
             w_down: Matrix::random(h, f, 1.0 / (f as f32).sqrt(), rng).into(),
         }
     }
 
     /// Total parameter payload bytes at executed precision.
     pub fn bytes(&self) -> usize {
-        self.wq.bytes()
-            + self.wk.bytes()
-            + self.wv.bytes()
+        self.wqkv.bytes()
             + self.wo.bytes()
-            + self.w_gate.bytes()
-            + self.w_up.bytes()
+            + self.w_gate_up.bytes()
             + self.w_down.bytes()
             + (self.attn_norm.len() + self.ffn_norm.len()) * 4
     }
 
     fn quantize_in_place(&mut self, bits: QuantBits) {
         for op in [
-            &mut self.wq,
-            &mut self.wk,
-            &mut self.wv,
+            &mut self.wqkv,
             &mut self.wo,
-            &mut self.w_gate,
-            &mut self.w_up,
+            &mut self.w_gate_up,
             &mut self.w_down,
         ] {
             if let LinearOp::Dense(m) = op {
@@ -134,6 +129,124 @@ impl ModelWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use specee_tensor::BackendKind;
+
+    /// `parts` stacked top to bottom into one matrix, rows in order.
+    fn stack(parts: &[Matrix]) -> Matrix {
+        let rows: Vec<&[f32]> = parts
+            .iter()
+            .flat_map(|m| (0..m.rows()).map(move |r| m.row(r)))
+            .collect();
+        Matrix::from_rows(&rows)
+    }
+
+    /// The seven projections `LayerWeights::random` draws, in its order,
+    /// each as its own matrix.
+    fn separate_draws(cfg: &ModelConfig, seed: u64) -> Vec<Matrix> {
+        let (h, f) = (cfg.hidden_dim, cfg.ffn_dim);
+        let rng = &mut Pcg::seed(seed);
+        let scale = 1.0 / (h as f32).sqrt();
+        let mut out: Vec<Matrix> = (0..4).map(|_| Matrix::random(h, h, scale, rng)).collect();
+        out.extend((0..2).map(|_| Matrix::random(f, h, scale, rng)));
+        out.push(Matrix::random(h, f, 1.0 / (f as f32).sqrt(), rng));
+        out
+    }
+
+    #[test]
+    fn the_stacked_projections_are_the_separate_draws() {
+        let cfg = ModelConfig::tiny();
+        let [q, k, v, o, gate, up, down] =
+            <[Matrix; 7]>::try_from(separate_draws(&cfg, 5)).unwrap();
+        let w = LayerWeights::random(&cfg, &mut Pcg::seed(5));
+        assert_eq!(w.wqkv, LinearOp::Dense(stack(&[q, k, v])));
+        assert_eq!(w.wo, LinearOp::Dense(o));
+        assert_eq!(w.w_gate_up, LinearOp::Dense(stack(&[gate, up])));
+        assert_eq!(w.w_down, LinearOp::Dense(down));
+    }
+
+    #[test]
+    fn a_stacked_quant_holds_each_projections_codes_and_scales() {
+        let cfg = ModelConfig::tiny();
+        let draws = separate_draws(&cfg, 6);
+        let mut w = LayerWeights::random(&cfg, &mut Pcg::seed(6));
+        let dense_bytes = w.bytes();
+        for bits in [QuantBits::Int8, QuantBits::Int4] {
+            let mut quant = w.clone();
+            quant.quantize_in_place(bits);
+            for (stacked, parts) in [
+                (&quant.wqkv, &draws[0..3]),
+                (&quant.w_gate_up, &draws[4..6]),
+            ] {
+                let LinearOp::Quant(stacked) = stacked else {
+                    panic!("{bits}: a stacked operator stayed dense");
+                };
+                let (mut codes, mut scales) = (Vec::new(), Vec::new());
+                for part in parts {
+                    let LinearOp::Quant(q) = LinearOp::quantized(part, bits) else {
+                        unreachable!()
+                    };
+                    codes.extend_from_slice(q.codes());
+                    scales.extend_from_slice(q.scales());
+                }
+                assert_eq!(stacked.codes(), codes.as_slice(), "{bits}");
+                assert_eq!(stacked.scales(), scales.as_slice(), "{bits}");
+            }
+            let separate: usize = draws
+                .iter()
+                .map(|m| LinearOp::quantized(m, bits).bytes())
+                .sum();
+            assert_eq!(quant.bytes(), separate + 2 * cfg.hidden_dim * 4, "{bits}");
+        }
+        w.quantize_in_place(QuantBits::Int8);
+        assert!(w.bytes() < dense_bytes / 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_stacked_pass_is_the_separate_passes_bit_for_bit(seed in 0u64..10_000) {
+            // Two or three parts (gate|up, q|k|v) of random heights over
+            // one random width — ragged, and past the helper thread's split
+            // size — on 1..=22 inputs, dense and per-row quantized.
+            let rng = &mut Pcg::seed(seed);
+            let cols = [1, 3, 8, 30, 32, 64, 96, 128][rng.below(8)];
+            let parts: Vec<Matrix> = (0..2 + rng.below(2))
+                .map(|_| Matrix::random(1 + rng.below(64), cols, 0.5, rng))
+                .collect();
+            let stacked = stack(&parts);
+            let n = 1 + rng.below(22);
+            let mut xs = vec![0.0f32; n * cols];
+            rng.fill_uniform(&mut xs, 1.0);
+            for quantized in [false, true] {
+                let op = |m: &Matrix| match quantized {
+                    false => LinearOp::from(m.clone()),
+                    true => LinearOp::quantized(m, QuantBits::Int8),
+                };
+                let whole = op(&stacked);
+                for backend in BackendKind::ALL {
+                    let ys = whole.matmul_with(backend, &xs, n);
+                    let mut row0 = 0;
+                    for (p, part) in parts.iter().enumerate() {
+                        let want = op(part).matmul_with(backend, &xs, n);
+                        let rows = part.rows();
+                        for i in 0..n {
+                            let got = &ys[i * stacked.rows() + row0..][..rows];
+                            let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            prop_assert_eq!(
+                                bits(got),
+                                bits(&want[i * rows..(i + 1) * rows]),
+                                "part {} input {} of {}, {}x{}, quantized {}, {}",
+                                p, i, n, rows, cols, quantized, backend
+                            );
+                        }
+                        row0 += rows;
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn random_weights_have_expected_shapes() {
@@ -143,8 +256,8 @@ mod tests {
         assert_eq!(w.embed.rows(), cfg.vocab_size);
         assert_eq!(w.embed.cols(), cfg.hidden_dim);
         assert_eq!(w.layers.len(), cfg.n_layers);
-        assert_eq!(w.layers[0].wq.rows(), cfg.hidden_dim);
-        assert_eq!(w.layers[0].w_gate.rows(), cfg.ffn_dim);
+        assert_eq!(w.layers[0].wqkv.rows(), 3 * cfg.hidden_dim);
+        assert_eq!(w.layers[0].w_gate_up.rows(), 2 * cfg.ffn_dim);
         assert_eq!(w.lm_head.rows(), cfg.vocab_size);
     }
 
@@ -179,6 +292,6 @@ mod tests {
         let dense_bytes = w.bytes();
         w.quantize(QuantBits::Int4);
         assert!(w.bytes() < dense_bytes / 2);
-        assert!(matches!(w.layers[0].wq, LinearOp::Quant(_)));
+        assert!(matches!(w.layers[0].wqkv, LinearOp::Quant(_)));
     }
 }

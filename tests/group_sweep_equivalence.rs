@@ -15,8 +15,9 @@
 //!
 //! The same holds for what an early exit costs once it is paid per weight
 //! pass: `final_logits_group` (one LM-head pass for the seats whose
-//! predictors fired at a layer) and `fill_skipped_kv_group` (one `wk` /
-//! `wv` pass per skipped layer for the seats that left) against their
+//! predictors fired at a layer) and `fill_skipped_kv_group` (the seats
+//! that left owe their skipped layers' rows to the next Q|K|V pass over
+//! each layer, or `cache` projects them) against their
 //! member-by-member defaults, and — at the engine tier — whole
 //! `BatchedEngine` runs on `SyntheticLm` seats against the same runs on
 //! seats that implement only `LayeredLm`'s required methods, so every
