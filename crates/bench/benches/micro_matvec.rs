@@ -11,14 +11,15 @@
 //! the dense product so the speed/accuracy trade is visible next to the
 //! timings.
 //!
-//! Two more groups time the decoder's real projection shapes (7B(sim):
-//! hidden 128, FFN 256) and answer different questions. `model_shapes`
-//! (1/2/4/8 inputs, each shape and a layer's seven together) multiplies
-//! *one* matrix over and over: a 128x128 f32 matrix is 64 KB against a
-//! 48 KB L1D, so it stays hot in L2 and the row says what the register
+//! Two more groups time the decoder's real weight passes (7B(sim): hidden
+//! 128, FFN 256; a layer makes four, each over one stacked matrix: q|k|v
+//! 384x128, `wo` 128x128, gate|up 512x128, down 128x256) and answer
+//! different questions. `model_shapes` (1/2/4/8 inputs, each pass and a
+//! layer's four together) multiplies *one* matrix over and over: at
+//! 64–256 KB of f32 it stays hot in L2 and the row says what the register
 //! tile costs when memory is not in the way. `streamed` walks what the
-//! engines walk — 32 layers of seven projections, 21 MB against a 4 MB
-//! L2, in layer order, so every weight comes from L3 or DRAM — at
+//! engines walk — 32 layers of four passes, 21 MB against a 4 MB L2, in
+//! layer order, so every weight comes from L3 or DRAM — at
 //! 1/2/4/5/6/7/8/22 inputs, and adds GMAC/s: that row is the one a decode
 //! step pays, and the one the row-block look-ahead prefetch exists for.
 //! On either, a tile loads each weight chunk once for all its inputs
@@ -28,11 +29,11 @@
 //!
 //! `helper` times `Blocked`'s mat-mul with its row blocks split between
 //! the caller and the helper thread against the same mat-mul on the caller
-//! alone: a 128x128 projection, 384 and 512 rows of 128 (three and four
-//! projections' worth), the 128x256 FFN down, the 2048x128 LM head, at
-//! 1 / 5 / 8 / 22 inputs, each shape streamed over a 7B(sim) decoder's
-//! worth of bytes (14 MB, 32 matrices at least) as a decode walks its
-//! layers, so the weights come from L3 or DRAM. It prints the smallest
+//! alone: a layer's four passes (`wo` 128x128, q|k|v 384x128, gate|up
+//! 512x128, down 128x256) and the 2048x128 LM head, at 1 / 5 / 8 / 22
+//! inputs, each shape streamed over a 7B(sim) decoder's worth of bytes
+//! (21 MB, 32 matrices at least) as a decode walks its layers, so the
+//! weights come from L3 or DRAM. It prints the smallest
 //! matrix, in weights, from which the split wins at every input count of
 //! it and of every larger shape: the value `backend::SPLIT_MIN_WEIGHTS`
 //! commits.
@@ -106,10 +107,9 @@ fn bench(c: &mut Criterion) {
     }
 }
 
-/// `(rows, cols)` of the decoder's projections: q/k/v/`wo`, gate/up, down.
-const MODEL_SHAPES: &[(usize, usize)] = &[(128, 128), (256, 128), (128, 256)];
-/// How many of each a layer holds.
-const PER_LAYER: &[usize] = &[4, 2, 1];
+/// `(rows, cols)` of a decoder layer's four weight passes, in the order it
+/// makes them: q|k|v, `wo`, gate|up, down.
+const MODEL_SHAPES: &[(usize, usize)] = &[(384, 128), (128, 128), (512, 128), (128, 256)];
 const MODEL_INPUTS: &[usize] = &[1, 2, 4, 8];
 
 /// Fastest observed call of `f`, in ns, over batches of `batch` calls:
@@ -144,7 +144,7 @@ fn model_shapes(_c: &mut Criterion) {
         let backend = kind.get();
         for &n_in in MODEL_INPUTS {
             let mut layer_ns = 0.0;
-            for (&(rows, cols), &count) in MODEL_SHAPES.iter().zip(PER_LAYER) {
+            for &(rows, cols) in MODEL_SHAPES {
                 let m = Matrix::random(rows, cols, 0.5, &mut rng);
                 let mut xs = vec![0.0f32; n_in * cols];
                 rng.fill_uniform(&mut xs, 1.0);
@@ -152,7 +152,7 @@ fn model_shapes(_c: &mut Criterion) {
                 let ns = min_ns(64, || {
                     backend.matmul_into(black_box(&m), black_box(&xs), n_in, black_box(&mut ys))
                 });
-                layer_ns += ns * count as f64;
+                layer_ns += ns;
                 report(
                     &format!("model_shape/{kind}/{rows}x{cols}x{n_in}"),
                     ns,
@@ -160,7 +160,7 @@ fn model_shapes(_c: &mut Criterion) {
                 );
             }
             report(
-                &format!("model_shape/{kind}/layer(4+2+1)x{n_in}"),
+                &format!("model_shape/{kind}/layer(4 passes)x{n_in}"),
                 layer_ns,
                 n_in,
             );
@@ -175,16 +175,15 @@ const STREAMED_INPUTS: &[usize] = &[1, 2, 4, 5, 6, 7, 8, 22];
 
 fn streamed(_c: &mut Criterion) {
     let mut rng = Pcg::seed(29);
-    let per_layer = MODEL_SHAPES.iter().zip(PER_LAYER);
-    let layer: Vec<(usize, usize)> = per_layer
-        .flat_map(|(&shape, &count)| std::iter::repeat_n(shape, count))
-        .collect();
     let weights: Vec<Matrix> = (0..STREAMED_LAYERS)
-        .flat_map(|_| layer.iter())
+        .flat_map(|_| MODEL_SHAPES)
         .map(|&(rows, cols)| Matrix::random(rows, cols, 0.5, &mut rng))
         .collect();
-    let layer_macs: usize = layer.iter().map(|&(rows, cols)| rows * cols).sum();
-    let dim = layer.iter().map(|&(rows, cols)| rows.max(cols)).max();
+    let layer_macs: usize = MODEL_SHAPES.iter().map(|&(rows, cols)| rows * cols).sum();
+    let dim = MODEL_SHAPES
+        .iter()
+        .map(|&(rows, cols)| rows.max(cols))
+        .max();
     let mut xs = vec![0.0f32; dim.unwrap() * STREAMED_INPUTS.iter().max().unwrap()];
     rng.fill_uniform(&mut xs, 1.0);
     let mut ys = vec![0.0f32; xs.len()];
@@ -198,25 +197,25 @@ fn streamed(_c: &mut Criterion) {
                 }
             });
             let ns = walk_ns / STREAMED_LAYERS as f64;
-            let name = format!("streamed/{kind}/layer(4+2+1)x{n_in}");
+            let name = format!("streamed/{kind}/layer(4 passes)x{n_in}");
             let gmacs = (layer_macs * n_in) as f64 / ns;
             println!("{} {gmacs:>6.2} GMAC/s", row(&name, ns, n_in));
         }
     }
 }
 
-/// `(rows, cols)` the `helper` group times: a projection, three and four
-/// projections' rows, the FFN down projection, the LM head.
+/// `(rows, cols)` the `helper` group times: a layer's four passes (`wo`,
+/// q|k|v, gate|up, down) and the LM head.
 const HELPER_SHAPES: &[(usize, usize)] =
     &[(128, 128), (384, 128), (512, 128), (128, 256), (2048, 128)];
 /// A decode step, a default tree round, a full register tile, a full tree.
 const HELPER_INPUTS: &[usize] = &[1, 5, 8, 22];
 
-/// Bytes of a 7B(sim) decoder's projections (32 layers of seven): the
-/// `helper` group streams each shape over this much (and 32 matrices at
-/// least), so its weights come from L3 or DRAM as in a decode, never from
-/// a 2 MB L2 that 32 small matrices would fit.
-const DECODER_BYTES: usize = STREAMED_LAYERS * 7 * 128 * 128 * 4;
+/// Bytes of a 7B(sim) decoder's layer weights (32 layers of
+/// [`MODEL_SHAPES`], f32): the `helper` group streams each shape over this
+/// much (and 32 matrices at least), so its weights come from L3 or DRAM as
+/// in a decode, never from a 2 MB L2 that 32 small matrices would fit.
+const DECODER_BYTES: usize = STREAMED_LAYERS * (384 + 128 + 512 + 256) * 128 * 4;
 
 /// One walk over `weights` with the split forced on or off, in ns a call.
 fn helper_walk(weights: &[Matrix], xs: &[f32], n_in: usize, ys: &mut [f32], split: bool) -> f64 {

@@ -379,8 +379,8 @@ mod tests {
         // for bit — committed, not recomputed (a recompute would attend
         // over a longer cache and produce different rows).
         for layer in 0..2 {
-            assert_eq!(m.cache(layer).key(base), pass.kvs[layer].k[0].as_slice());
-            assert_eq!(m.cache(layer).value(base), pass.kvs[layer].v[0].as_slice());
+            assert_eq!(m.cache(layer).key(base), pass.kvs[layer].key(0));
+            assert_eq!(m.cache(layer).value(base), pass.kvs[layer].value(0));
         }
     }
 

@@ -11,25 +11,50 @@ use crate::metering::OpScale;
 use crate::rope::{self, RopeFreqs};
 use crate::weights::LayerWeights;
 
-/// Per-node key/value rows produced by one tree-attention pass, kept aside
-/// until verification decides which path to commit.
+/// Per-node key/value rows produced by tree-attention passes, kept aside
+/// until verification decides which path to commit: one `kv_dim`-wide key
+/// (rotated at the node's position) and value row per node, packed in node
+/// order like a [`KvCache`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TreeKv {
-    /// One key row per tree node.
-    pub k: Vec<Vec<f32>>,
-    /// One value row per tree node.
-    pub v: Vec<Vec<f32>>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    len: usize,
 }
 
 impl TreeKv {
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
-        self.k.len()
+        self.len
     }
 
     /// Whether the scratch is empty.
     pub fn is_empty(&self) -> bool {
-        self.k.is_empty()
+        self.len == 0
+    }
+
+    /// Node `i`'s key row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn key(&self, i: usize) -> &[f32] {
+        self.row(&self.k, i)
+    }
+
+    /// Node `i`'s value row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn value(&self, i: usize) -> &[f32] {
+        self.row(&self.v, i)
+    }
+
+    fn row<'a>(&self, packed: &'a [f32], i: usize) -> &'a [f32] {
+        assert!(i < self.len, "node {i} >= {}", self.len);
+        let dim = packed.len() / self.len;
+        &packed[i * dim..(i + 1) * dim]
     }
 }
 
@@ -39,24 +64,31 @@ fn packed_rows(xs: &[f32], dim: usize) -> usize {
     xs.len() / dim
 }
 
-/// The products of the `n` rows packed in `xs` through the stacked Q|K|V
-/// matrix `w.wqkv` — one weight pass — split into packed Q, K and V rows
-/// (`n × dim` each, unrotated).
+/// One pass over the stacked Q|K|V matrix `w.wqkv` for the rows packed in
+/// `xs`: the first `n` rows' Q, K and V, then the other rows' K and V
+/// (`wqkv` rows `dim..3·dim`, their Q dropped), packed and unrotated.
 pub(crate) fn project_qkv(
     w: &LayerWeights,
     backend: BackendKind,
     xs: &[f32],
     n: usize,
-) -> [Vec<f32>; 3] {
+) -> ([Vec<f32>; 3], [Vec<f32>; 2]) {
     let dim = w.wqkv.rows() / 3;
-    let qkv = w.wqkv.matmul_with(backend, xs, n);
-    let mut out = [(); 3].map(|_| Vec::with_capacity(n * dim));
-    for row in qkv.chunks_exact(3 * dim) {
-        for (part, third) in out.iter_mut().zip(row.chunks_exact(dim)) {
+    let all = packed_rows(xs, w.wqkv.cols());
+    let qkv = w.wqkv.matmul_with(backend, xs, all);
+    let mut rows = [(); 3].map(|_| Vec::with_capacity(n * dim));
+    let mut owed = [(); 2].map(|_| Vec::with_capacity((all - n) * dim));
+    for (i, row) in qkv.chunks_exact(3 * dim).enumerate() {
+        let (parts, row) = if i < n {
+            (&mut rows[..], row)
+        } else {
+            (&mut owed[..], &row[dim..])
+        };
+        for (part, third) in parts.iter_mut().zip(row.chunks_exact(dim)) {
             part.extend_from_slice(third);
         }
     }
-    out
+    (rows, owed)
 }
 
 /// Appends owed K/V rows (packed, keys unrotated) to `cache`: each key is
@@ -155,9 +187,7 @@ pub(crate) fn attention_forward_rows(
     let n: usize = seats.iter().map(|s| s.rows).sum();
     let owed: usize = seats.iter().map(|s| s.owed).sum();
     assert_eq!(n + owed, all, "seats must cover every row");
-    let [mut qs, mut ks, mut vs] = project_qkv(w, backend, xs, all);
-    let (mut owed_ks, owed_vs) = (ks.split_off(n * dim), vs.split_off(n * dim));
-    qs.truncate(n * dim);
+    let ([mut qs, mut ks, vs], [mut owed_ks, owed_vs]) = project_qkv(w, backend, xs, n);
     let mut merged = vec![0.0f32; n * dim];
     let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
     // A seat's rows are a causal span: each sees its cache, then the rows
@@ -212,81 +242,44 @@ pub(crate) fn attention_forward_rows(
     w.wo.matmul_with(backend, &merged, n)
 }
 
-/// Tree-masked attention over a batch of draft nodes (normalized hidden
-/// states packed row-major in `xs`).
-///
-/// Each node attends to the committed cache plus its own ancestor chain
-/// within the batch (never to siblings) — the tree attention mask of
-/// speculative decoding. Node positions are `cache.len() + depth`.
-///
-/// Returns the packed per-node outputs and the scratch K/V rows; the
+/// Tree-masked attention over the nodes `first_new..` of a growing draft
+/// tree (normalized hidden states packed row-major at the front of `xs`),
+/// reading ancestor K/V rows from `scratch` (which must already hold rows
+/// for nodes `0..first_new`) and appending the new nodes' rows to it; the
 /// engine commits the accepted path's rows via [`KvCache::push`]
-/// afterwards. This is [`attention_forward_tree_partial`] with every node
-/// new.
+/// afterwards.
 ///
-/// # Panics
+/// Each node sees the committed cache, then its ancestor chain root→node
+/// (never its siblings) — the tree attention mask of speculative decoding
+/// — at RoPE position `cache.len() + depth`, which depends on the node
+/// alone, so running a tree through repeated calls (the self-speculative
+/// draft pass grows it level by level, each level paying only for its
+/// frontier) is bit-identical to one call with every node new. The
+/// stacked Q|K|V and the output projections take one weight pass each for
+/// all new nodes, and so does attention: one [`attend_many`] call.
 ///
-/// Panics if a parent index is not smaller than its child's index
-/// (nodes must be supplied in topological order).
-#[allow(clippy::too_many_arguments)]
-pub fn attention_forward_tree(
-    w: &LayerWeights,
-    cfg: &ModelConfig,
-    scale: &OpScale,
-    backend: BackendKind,
-    xs: &[f32],
-    parents: &[Option<usize>],
-    cache: &KvCache,
-    meter: &mut Meter,
-) -> (Vec<f32>, TreeKv) {
-    let mut tree_kv = TreeKv::default();
-    let outs = attention_forward_tree_partial(
-        w,
-        cfg,
-        scale,
-        backend,
-        &RopeFreqs::new(cfg.head_dim(), cfg.rope_theta),
-        xs,
-        parents,
-        0,
-        cache,
-        &mut tree_kv,
-        meter,
-    );
-    (outs, tree_kv)
-}
-
-/// Incremental tree-masked attention: runs only the nodes at indices
-/// `first_new..` of a growing draft tree (normalized hidden states packed
-/// row-major in `new_xs`), reading ancestor K/V rows from `scratch` (which
-/// must already hold rows for nodes `0..first_new`) and appending the new
-/// nodes' rows to it.
-///
-/// This is the kernel behind self-speculative drafting: the shallow draft
-/// pass grows the token tree level by level, and each level only pays for
-/// its frontier. The q/k/v and output projections take one weight pass
-/// each for all new nodes, and so does attention: one [`attend_many`] call
-/// in which each node sees the committed cache, then its ancestor chain
-/// root→node, at RoPE position `cache.len() + depth` — which depends on the
-/// node alone, so running a tree through repeated partial calls is
-/// bit-identical to one full sweep.
+/// The last `owed` rows of `xs` are owed rows of `cache` (see
+/// [`attention_forward_rows`]): they ride the same Q|K|V pass, their Q
+/// discarded, and their K/V rows are pushed into `cache` before the tree's
+/// base position is read. They are not metered here — owing was.
 ///
 /// # Panics
 ///
 /// Panics if `scratch` does not hold exactly `first_new` rows, if
-/// `parents` and `new_xs` do not cover the same new nodes, or if a parent
+/// `parents` and `xs` do not cover the same new nodes, or if a parent
 /// index does not precede its child.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_forward_tree_partial(
+pub(crate) fn attention_forward_tree_partial(
     w: &LayerWeights,
     cfg: &ModelConfig,
     scale: &OpScale,
     backend: BackendKind,
     rope: &RopeFreqs,
-    new_xs: &[f32],
+    xs: &[f32],
+    owed: usize,
     parents: &[Option<usize>],
     first_new: usize,
-    cache: &KvCache,
+    cache: &mut KvCache,
     scratch: &mut TreeKv,
     meter: &mut Meter,
 ) -> Vec<f32> {
@@ -296,20 +289,17 @@ pub fn attention_forward_tree_partial(
         "scratch must hold exactly the rows of the already-drafted nodes"
     );
     let dim = cfg.hidden_dim;
-    let n = packed_rows(new_xs, dim);
+    let n = packed_rows(xs, dim) - owed;
     assert_eq!(
         parents.len(),
         first_new + n,
         "parents must cover old and new nodes"
     );
+    let ([mut qs, mut ks, vs], [mut owed_ks, owed_vs]) = project_qkv(w, backend, xs, n);
+    push_owed(cache, rope, cfg.n_heads, &mut owed_ks, &owed_vs);
     let base = cache.len();
     let depths = depths_from_parents(parents);
 
-    let [mut qs, mut ks, vs] = project_qkv(w, backend, new_xs, n);
-    let rows = qs
-        .chunks_exact_mut(dim)
-        .zip(ks.chunks_exact_mut(dim))
-        .zip(vs.chunks_exact(dim));
     // A node's position is `base + depth`: one `(sin, cos)` table per depth.
     let new_depths = &depths[first_new..];
     let shallowest = new_depths.iter().copied().min().unwrap_or(0);
@@ -317,32 +307,26 @@ pub fn attention_forward_tree_partial(
     let tables: Vec<_> = (shallowest..=deepest)
         .map(|depth| rope.sin_cos_table(base + depth))
         .collect();
-    for (((q, k), v), depth) in rows.zip(new_depths) {
+    let rows = qs.chunks_exact_mut(dim).zip(ks.chunks_exact_mut(dim));
+    for ((q, k), depth) in rows.zip(new_depths) {
         let table = &tables[depth - shallowest];
         rope::rotate(q, table, cfg.n_heads);
         rope::rotate(k, table, cfg.n_heads);
-        scratch.k.push(k.to_vec());
-        scratch.v.push(v.to_vec());
     }
+    scratch.k.extend_from_slice(&ks);
+    scratch.v.extend_from_slice(&vs);
+    scratch.len += n;
 
     // Every node sees the committed cache, then its ancestor chain root →
     // node (`depths_from_parents` checked the topological order); the own
-    // rows are the new nodes' rows as rotated, after the drafted ones.
+    // rows are the scratch's, the new nodes' as rotated after the drafted.
     let mut merged = vec![0.0f32; n * dim];
     let (head_dim, mut scores) = (cfg.head_dim(), Vec::new());
-    let packed;
-    let own = if first_new == 0 {
-        (ks.as_slice(), vs.as_slice())
-    } else {
-        packed = (scratch.k.concat(), scratch.v.concat());
-        (packed.0.as_slice(), packed.1.as_slice())
-    };
-    let shared = (cache.keys(), cache.values());
     attend_many(
         &qs,
         head_dim,
-        shared,
-        own,
+        (cache.keys(), cache.values()),
+        (&scratch.k, &scratch.v),
         parents,
         &mut scores,
         &mut merged,
@@ -373,6 +357,38 @@ mod tests {
     use super::*;
     use crate::kv::KvLayout;
     use specee_tensor::rng::Pcg;
+
+    /// Every node of a tree new in one call on a cache that owes nothing:
+    /// the full sweep the partial calls are compared against.
+    #[allow(clippy::too_many_arguments)]
+    fn attention_forward_tree(
+        w: &LayerWeights,
+        cfg: &ModelConfig,
+        scale: &OpScale,
+        backend: BackendKind,
+        xs: &[f32],
+        parents: &[Option<usize>],
+        cache: &KvCache,
+        meter: &mut Meter,
+    ) -> (Vec<f32>, TreeKv) {
+        let rope = RopeFreqs::new(cfg.head_dim(), cfg.rope_theta);
+        let (mut cache, mut tree_kv) = (cache.clone(), TreeKv::default());
+        let outs = attention_forward_tree_partial(
+            w,
+            cfg,
+            scale,
+            backend,
+            &rope,
+            xs,
+            0,
+            parents,
+            0,
+            &mut cache,
+            &mut tree_kv,
+            meter,
+        );
+        (outs, tree_kv)
+    }
 
     fn setup() -> (ModelConfig, LayerWeights, OpScale) {
         let cfg = ModelConfig::tiny();
@@ -486,8 +502,8 @@ mod tests {
         );
         assert_eq!(tree_out, seq_out, "bit for bit");
         // The scratch K/V equals what the sequential pass committed.
-        assert_eq!(tree_kv.k[0], cache.key(2));
-        assert_eq!(tree_kv.v[0], cache.value(2));
+        assert_eq!(tree_kv.key(0), cache.key(2));
+        assert_eq!(tree_kv.value(0), cache.value(2));
     }
 
     #[test]
@@ -589,9 +605,10 @@ mod tests {
                 BackendKind::Reference,
                 &RopeFreqs::new(cfg.head_dim(), cfg.rope_theta),
                 &xs[first_new..first_new + count].concat(),
+                0,
                 &parents[..first_new + count],
                 first_new,
-                &cache,
+                &mut cache,
                 &mut scratch,
                 &mut meter,
             );

@@ -1,6 +1,7 @@
 //! The executable decoder-only transformer.
 
-use std::sync::{Arc, OnceLock};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use specee_metrics::Meter;
 use specee_tensor::{ops, rng::Pcg, BackendKind, QuantBits};
@@ -30,12 +31,13 @@ use crate::weights::ModelWeights;
 /// Under [`SkipKvPolicy::ProjectExitHidden`] an early exit does not
 /// compute the skipped layers' K/V: it records the rows as owed — position,
 /// first skipped layer, exit hidden state — and meters them as computed.
-/// The next Q|K|V pass over such a layer projects its owed rows as extra
-/// inputs, so they cost no weight pass of their own, and a row no later
-/// token reads is never projected. Every other
-/// reader of a layer's K/V settles that layer's owed rows first, and
-/// [`Transformer::cache`] shows them projected: nothing outside can tell
-/// an owed row from a computed one.
+/// The next Q|K|V pass over such a layer — a decode or group step, a
+/// prefill span, a tree pass — projects its owed rows as extra inputs, so
+/// they cost no weight pass of their own, and a row no later token reads
+/// is never projected. Only the eager [`LayeredLm::fill_layer_kv`], the
+/// reference, projects them on its own, and [`Transformer::cache`] shows
+/// them projected: nothing outside can tell an owed row from a computed
+/// one.
 ///
 /// # Examples
 ///
@@ -63,10 +65,6 @@ pub struct Transformer {
     /// Positions whose skipped layers' K/V rows are owed, in position
     /// order; a layer's owed rows are those it does not hold yet.
     owed: Vec<Owed>,
-    /// Every layer's cache with its owed rows projected, built by the first
-    /// [`Transformer::cache`] call that meets an owed row; whatever changes
-    /// `caches` or `owed` takes it.
-    view: OnceLock<Vec<KvCache>>,
     ffn_mode: FfnMode,
     scale: OpScale,
     /// Compute backend every projection mat-vec dispatches through.
@@ -111,7 +109,6 @@ impl Transformer {
             }),
             caches,
             owed: Vec::new(),
-            view: OnceLock::new(),
             ffn_mode: FfnMode::Dense,
             scale,
             backend: BackendKind::default(),
@@ -192,23 +189,22 @@ impl Transformer {
     }
 
     /// Layer `layer`'s KV cache as the decode reads it: the cache itself
-    /// when the layer owes nothing, else a copy with its owed rows
-    /// projected, what settling would push (kept until the next change;
-    /// the decode state stays as it is). Engine-tier tests use this to
-    /// check split-commit invariants row by row.
-    pub fn cache(&self, layer: usize) -> &KvCache {
-        if self.owed_at(layer).next().is_none() {
-            return &self.caches[layer];
+    /// when the layer owes nothing, else a copy of it with its owed rows
+    /// projected (the decode state stays as it is). Engine-tier tests use
+    /// this to check split-commit invariants row by row.
+    pub fn cache(&self, layer: usize) -> Cow<'_, KvCache> {
+        let mut cache = Cow::Borrowed(&self.caches[layer]);
+        if self.owed_at(layer).next().is_some() {
+            let [mut ks, vs] = self.owed_kv(layer);
+            push_owed(
+                cache.to_mut(),
+                &self.shared.rope,
+                self.config.n_heads,
+                &mut ks,
+                &vs,
+            );
         }
-        let view = self.view.get_or_init(|| {
-            let mut caches = self.caches.clone();
-            for (layer, cache) in caches.iter_mut().enumerate() {
-                let [mut ks, vs] = self.owed_kv(layer);
-                push_owed(cache, &self.shared.rope, self.config.n_heads, &mut ks, &vs);
-            }
-            caches
-        });
-        &view[layer]
+        cache
     }
 
     /// The entries that owe layer `layer` a row, in position order: of
@@ -219,35 +215,37 @@ impl Transformer {
         self.owed[past..].iter().filter(move |o| o.first <= layer)
     }
 
-    /// Layer `layer`'s owed K and V rows, packed, keys unrotated: one pass
-    /// over the stacked Q|K|V matrix for all of them, keeping each
-    /// product's K and V rows (`wqkv` rows `dim..3·dim`) and dropping its Q.
-    fn owed_kv(&self, layer: usize) -> [Vec<f32>; 2] {
-        let w = &self.shared.weights.layers[layer];
-        let hs: Vec<&[f32]> = self.owed_at(layer).map(|o| o.h.as_slice()).collect();
-        let normed = pack_normed(&hs, &w.attn_norm);
-        let [_, ks, vs] = project_qkv(w, self.backend, &normed, hs.len());
-        [ks, vs]
+    /// The inputs of a Q|K|V pass over layer `layer`: the rows `hs`, then
+    /// the owed rows of each of `members` in turn, normalized for the layer
+    /// and packed; and how many rows each member owes.
+    fn qkv_inputs<'a, H: AsRef<[f32]>>(
+        members: impl IntoIterator<Item = &'a Self>,
+        layer: usize,
+        hs: &'a [H],
+    ) -> (Vec<f32>, Vec<usize>) {
+        let mut rows: Vec<&[f32]> = hs.iter().map(AsRef::as_ref).collect();
+        let (mut owed, mut gain) = (Vec::new(), &[][..]);
+        for m in members {
+            let before = rows.len();
+            rows.extend(m.owed_at(layer).map(|o| &o.h[..]));
+            owed.push(rows.len() - before);
+            gain = &m.shared.weights.layers[layer].attn_norm;
+        }
+        (pack_normed(&rows, gain), owed)
     }
 
-    /// Projects layer `layer`'s owed rows into its cache, for a reader
-    /// that is not a Q|K|V pass over the layer.
-    fn settle(&mut self, layer: usize) {
-        if self.owed_at(layer).next().is_none() {
-            return;
-        }
-        let [mut ks, vs] = self.owed_kv(layer);
-        self.view.take();
-        let cache = &mut self.caches[layer];
-        push_owed(cache, &self.shared.rope, self.config.n_heads, &mut ks, &vs);
-        self.drop_settled();
+    /// Layer `layer`'s owed K and V rows, packed, keys unrotated: one pass
+    /// over the stacked Q|K|V matrix for all of them, Q dropped.
+    fn owed_kv(&self, layer: usize) -> [Vec<f32>; 2] {
+        let (normed, _) = Self::qkv_inputs([self], layer, &[] as &[&[f32]]);
+        let w = &self.shared.weights.layers[layer];
+        project_qkv(w, self.backend, &normed, 0).1
     }
 
     /// Forgets the entries every layer now holds.
     fn drop_settled(&mut self) {
         let held = self.caches.iter().map(KvCache::len).min().unwrap_or(0);
         let settled = self.owed.partition_point(|o| o.pos < held);
-        self.view.take();
         self.owed.drain(..settled);
     }
 
@@ -266,7 +264,6 @@ impl Transformer {
             );
             self.scale.record_skip_kv_fill(meter);
         }
-        self.view.take();
         self.owed.push(Owed {
             pos,
             first,
@@ -340,19 +337,8 @@ impl Transformer {
             layer < members[0].config.n_layers,
             "layer {layer} out of range"
         );
-        for m in members.iter_mut() {
-            m.view.take();
-        }
         // The members' owed rows ride the Q|K|V pass after the rows of `hs`.
-        let owed: Vec<usize> = members.iter().map(|m| m.owed_at(layer).count()).collect();
-        let normed = {
-            let owed_hs = members
-                .iter()
-                .flat_map(|m| m.owed_at(layer))
-                .map(|o| &o.h[..]);
-            let rows: Vec<&[f32]> = hs.iter().map(AsRef::as_ref).chain(owed_hs).collect();
-            pack_normed(&rows, &members[0].shared.weights.layers[layer].attn_norm)
-        };
+        let (normed, owed) = Self::qkv_inputs(members.iter().map(|m| &**m), layer, hs);
         let (lead, rest) = members.split_first_mut().expect("at least one member");
         let w = &lead.shared.weights.layers[layer];
         let mut seats: Vec<Seat<'_>> = std::iter::once(&mut lead.caches[layer])
@@ -401,52 +387,6 @@ impl Transformer {
                 m.drop_settled();
             }
         }
-        outs
-    }
-
-    /// Runs decoder layer `layer` over the nodes `first_new..` of a draft
-    /// tree (all of them when `first_new` is 0 and `scratch` empty).
-    fn tree_layer(
-        &self,
-        layer: usize,
-        new_hs: &[Vec<f32>],
-        parents: &[Option<usize>],
-        first_new: usize,
-        scratch: &mut TreeKv,
-        meter: &mut Meter,
-    ) -> Vec<Vec<f32>> {
-        assert!(layer < self.config.n_layers, "layer {layer} out of range");
-        let w = &self.shared.weights.layers[layer];
-        let normed = pack_normed(new_hs, &w.attn_norm);
-        let attn = attention_forward_tree_partial(
-            w,
-            &self.config,
-            &self.scale,
-            self.backend,
-            &self.shared.rope,
-            &normed,
-            parents,
-            first_new,
-            &self.caches[layer],
-            scratch,
-            meter,
-        );
-        let (outs, _) = self.residual_ffn(layer, new_hs, &attn);
-        // Batched metering: the FFN/norm weights are read once per layer
-        // regardless of how many tree nodes flow through.
-        match self.ffn_mode {
-            FfnMode::Dense => self.scale.record_ffn_tree(meter, new_hs.len()),
-            FfnMode::Sparse {
-                active_frac,
-                router_rank,
-            } => self.scale.record_ffn_sparse_tree(
-                meter,
-                new_hs.len(),
-                active_frac as f64,
-                router_rank,
-            ),
-        }
-        self.scale.record_norms_tree(meter, new_hs.len());
         outs
     }
 
@@ -554,7 +494,6 @@ impl LayeredLm for Transformer {
     }
 
     fn reset(&mut self) {
-        self.view.take();
         for c in &mut self.caches {
             c.clear();
         }
@@ -625,7 +564,6 @@ impl LayeredLm for Transformer {
             && self.kv_len() == 0
             && donor.caches.iter().all(|c| c.len() >= tokens.len());
         if same_rows {
-            self.view.take();
             for (own, theirs) in self.caches.iter_mut().zip(&donor.caches) {
                 own.extend_from_prefix(theirs, tokens.len());
             }
@@ -650,9 +588,8 @@ impl LayeredLm for Transformer {
         parents: &[Option<usize>],
         meter: &mut Meter,
     ) -> (Vec<Vec<f32>>, TreeKv) {
-        self.settle(layer);
         let mut tree_kv = TreeKv::default();
-        let outs = self.tree_layer(layer, hs, parents, 0, &mut tree_kv, meter);
+        let outs = self.forward_layer_tree_partial(layer, hs, parents, 0, &mut tree_kv, meter);
         (outs, tree_kv)
     }
 
@@ -680,16 +617,56 @@ impl LayeredLm for Transformer {
         scratch: &mut TreeKv,
         meter: &mut Meter,
     ) -> Vec<Vec<f32>> {
-        self.settle(layer);
-        self.tree_layer(layer, new_hs, parents, first_new, scratch, meter)
+        assert!(layer < self.config.n_layers, "layer {layer} out of range");
+        // The layer's owed rows ride its Q|K|V pass, pushed before the
+        // tree's base position is read.
+        let (normed, owed) = Self::qkv_inputs([&*self], layer, new_hs);
+        let attn = attention_forward_tree_partial(
+            &self.shared.weights.layers[layer],
+            &self.config,
+            &self.scale,
+            self.backend,
+            &self.shared.rope,
+            &normed,
+            owed[0],
+            parents,
+            first_new,
+            &mut self.caches[layer],
+            scratch,
+            meter,
+        );
+        if owed[0] > 0 {
+            self.drop_settled();
+        }
+        let (outs, _) = self.residual_ffn(layer, new_hs, &attn);
+        // Batched metering: the FFN/norm weights are read once per layer
+        // regardless of how many tree nodes flow through.
+        match self.ffn_mode {
+            FfnMode::Dense => self.scale.record_ffn_tree(meter, new_hs.len()),
+            FfnMode::Sparse {
+                active_frac,
+                router_rank,
+            } => self.scale.record_ffn_sparse_tree(
+                meter,
+                new_hs.len(),
+                active_frac as f64,
+                router_rank,
+            ),
+        }
+        self.scale.record_norms_tree(meter, new_hs.len());
+        outs
     }
 
+    /// The round's tree pass over `layer` took its owed rows, and nothing
+    /// owes a row between a tree pass and its commit.
     fn commit_tree_kv(&mut self, layer: usize, kv: &TreeKv, accepted: &[usize]) {
-        self.settle(layer);
-        self.view.take();
+        assert!(
+            self.owed_at(layer).next().is_none(),
+            "layer {layer} owes rows its tree pass did not take"
+        );
         let cache = &mut self.caches[layer];
         for &i in accepted {
-            cache.push(&kv.k[i], &kv.v[i]);
+            cache.push(kv.key(i), kv.value(i));
         }
     }
 
@@ -698,9 +675,9 @@ impl LayeredLm for Transformer {
         // handled by `commit_tree_kv`.
     }
 
-    /// Eager, whatever the policy: the layer's owed rows are settled
-    /// first, then its row at `pos` is computed (the reference the owed
-    /// rows are tested against) or copied.
+    /// Eager, whatever the policy: the layer's owed rows are projected
+    /// first, with a `wqkv` pass of their own, then its row at `pos` is
+    /// computed (the reference the owed rows are tested against) or copied.
     fn fill_layer_kv(
         &mut self,
         layer: usize,
@@ -709,8 +686,12 @@ impl LayeredLm for Transformer {
         policy: SkipKvPolicy,
         meter: &mut Meter,
     ) {
-        self.settle(layer);
-        self.view.take();
+        if self.owed_at(layer).next().is_some() {
+            let [mut ks, vs] = self.owed_kv(layer);
+            let cache = &mut self.caches[layer];
+            push_owed(cache, &self.shared.rope, self.config.n_heads, &mut ks, &vs);
+            self.drop_settled();
+        }
         let w = &self.shared.weights.layers[layer];
         let cache = &mut self.caches[layer];
         debug_assert_eq!(cache.len(), pos, "skip-fill position");
@@ -821,7 +802,6 @@ impl LayeredLm for Transformer {
     }
 
     fn truncate_kv(&mut self, len: usize) {
-        self.view.take();
         for c in &mut self.caches {
             c.truncate(len);
         }
@@ -1217,29 +1197,58 @@ mod tests {
                         );
                     }
                 }
-                // A draft chain swept `depth` layers deep; its first
-                // `accept` nodes are committed, then filled from there.
+                // A draft tree swept `depth` layers deep: whole (5), or (6)
+                // grown level by level through its first `split` layers as
+                // the self-draft pass grows one — `begin_tree` and partial
+                // calls at `first_new` 0, then `extend_tree` and partial
+                // calls past it — and swept whole through the rest. Then
+                // one root-to-node path is committed and filled from there.
                 5..=6 => {
-                    let tokens: Vec<TokenId> = (0..1 + rng.below(3)).map(|_| token(rng)).collect();
+                    let n = 1 + rng.below(4);
+                    let tokens: Vec<TokenId> = (0..n).map(|_| token(rng)).collect();
                     let parents: Vec<Option<usize>> =
-                        (0..tokens.len()).map(|i| i.checked_sub(1)).collect();
+                        (0..n).map(|i| (i > 0).then(|| rng.below(i))).collect();
                     let depth = 1 + rng.below(n_layers);
-                    let accepted: Vec<usize> = (0..1 + rng.below(tokens.len())).collect();
+                    let (mut cuts, split) = match what {
+                        5 => (vec![0, n], 0),
+                        _ => (vec![0, 1], 1 + rng.below(depth)),
+                    };
+                    while let Some(&end) = cuts.last().filter(|&&end| end < n) {
+                        cuts.push(end + 1 + rng.below(n - end));
+                    }
+                    let mut path = vec![rng.below(n)];
+                    while let Some(p) = parents[path[path.len() - 1]] {
+                        path.push(p);
+                    }
+                    path.reverse();
                     let mut outs = Vec::new();
                     for (m, meter) in [(&mut owing, &mut mo), (&mut eager, &mut me)] {
-                        let mut hs = m.begin_tree(&tokens, &parents, meter);
-                        let mut kvs = Vec::new();
-                        for layer in 0..depth {
+                        let (mut hs, mut kvs) = (Vec::new(), vec![TreeKv::default(); split]);
+                        for level in cuts.windows(2) {
+                            let (first_new, end) = (level[0], level[1]);
+                            let (new_tokens, tree) = (&tokens[first_new..end], &parents[..end]);
+                            let mut new_hs = match first_new {
+                                0 => m.begin_tree(new_tokens, tree, meter),
+                                _ => m.extend_tree(new_tokens, tree, first_new, meter),
+                            };
+                            for (layer, kv) in kvs.iter_mut().enumerate() {
+                                new_hs = m.forward_layer_tree_partial(
+                                    layer, &new_hs, tree, first_new, kv, meter,
+                                );
+                            }
+                            hs.extend(new_hs);
+                        }
+                        for layer in split..depth {
                             let (out, kv) = m.forward_layer_tree(layer, &hs, &parents, meter);
                             hs = out;
                             kvs.push(kv);
                         }
                         for (layer, kv) in kvs.iter().enumerate() {
-                            m.commit_tree_kv(layer, kv, &accepted);
+                            m.commit_tree_kv(layer, kv, &path);
                         }
                         outs.push(hs);
                     }
-                    for (ord, &i) in accepted.iter().enumerate() {
+                    for (ord, &i) in path.iter().enumerate() {
                         owing.fill_skipped_kv(depth, &outs[0][i], pos + ord, PEH, &mut mo);
                         for layer in depth..n_layers {
                             eager.fill_layer_kv(layer, &outs[1][i], pos + ord, PEH, &mut me);

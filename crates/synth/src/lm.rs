@@ -421,8 +421,11 @@ impl LayeredLm for SyntheticLm {
                 self.scripts.push(self.tree_scripts[i].clone());
             }
         }
-        let rows = self.inner.cache(layer).len();
-        debug_assert_eq!(rows, self.scripts.len(), "layer 0 commits first");
+        debug_assert_eq!(
+            self.inner.cache(layer).len(),
+            self.scripts.len(),
+            "layer 0 commits first"
+        );
     }
 
     fn accept_tokens(&mut self, tokens: &[TokenId]) {

@@ -156,8 +156,9 @@ proptest! {
                 }
                 prop_assert_eq!(&hs[i], &h, "{}: hidden of node {}", &name, i);
                 for (layer, kv) in kvs.iter().enumerate() {
-                    prop_assert_eq!(&kv.k[i][..], seq.cache(layer).key(pos), "{}: key {} layer {}", &name, i, layer);
-                    prop_assert_eq!(&kv.v[i][..], seq.cache(layer).value(pos), "{}: value {} layer {}", &name, i, layer);
+                    let cache = seq.cache(layer);
+                    prop_assert_eq!(kv.key(i), cache.key(pos), "{}: key {} layer {}", &name, i, layer);
+                    prop_assert_eq!(kv.value(i), cache.value(pos), "{}: value {} layer {}", &name, i, layer);
                 }
                 decoded.push(seq);
             }

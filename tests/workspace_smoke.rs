@@ -237,6 +237,61 @@ fn the_tree_round_has_one_sweep() {
     }
 }
 
+/// Owed K/V rows have one consumer, the layer's next Q|K|V pass, beside
+/// the eager `fill_layer_kv` reference: across the non-test source of the
+/// model crate, only the two passes (`attention_forward_rows` for decode,
+/// group and prompt rows, `attention_forward_tree_partial` for tree nodes)
+/// and `fill_layer_kv` push owed rows into a cache — `Transformer::cache`,
+/// which borrows the model, pushes them onto a copy — and nothing else runs
+/// the stacked `wqkv` projection for them. A new caller is a second pass
+/// for owed rows grown back, as `settle` was.
+#[test]
+fn owed_rows_are_projected_only_by_a_qkv_pass_or_the_eager_fill() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/model/src"), &mut files);
+    let code = non_test_code(&files);
+    let passes = ["attention_forward_rows", "attention_forward_tree_partial"];
+    for (call, want) in [
+        (
+            "push_owed(",
+            [&passes[..], &["cache", "fill_layer_kv"]].concat(),
+        ),
+        ("owed_kv(", vec!["cache", "fill_layer_kv"]),
+        ("project_qkv(", [&passes[..], &["owed_kv"]].concat()),
+    ] {
+        let want = want.into_iter().map(String::from).collect();
+        assert_eq!(callers(&code, call), want, "callers of `{call}`");
+    }
+    assert!(code.contains("pub fn cache(&self, layer: usize)"));
+    assert!(!code.contains("fn settle("), "`settle` is back");
+}
+
+/// The functions of `code` that call `call`: for each call site, the
+/// nearest `fn` defined before it. A definition is not a call.
+fn callers(code: &str, call: &str) -> std::collections::BTreeSet<String> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut found = std::collections::BTreeSet::new();
+    for (at, _) in code.match_indices(call) {
+        let before = &code[..at];
+        if before.ends_with("fn ") || before.ends_with(ident) {
+            continue;
+        }
+        let (def, _) = before
+            .match_indices("fn ")
+            .filter(|(i, _)| !before[..*i].ends_with(ident))
+            .last()
+            .expect("a call inside a function");
+        found.insert(
+            before[def + 3..]
+                .chars()
+                .take_while(|&c| ident(c))
+                .collect(),
+        );
+    }
+    found
+}
+
 /// `Blocked` is the only kernel the runtime picks; the `Reference` oracle
 /// is what the conformance and parity suites compare against. So outside
 /// `tensor/src/backend.rs`, which defines both, no product line (`src` and
@@ -451,10 +506,6 @@ fn names(code: &str) -> Names {
 /// each with the reason it stays. The list may only shrink: an entry whose
 /// item is gone, or has gained a caller, fails the guard too.
 const UNREFERENCED_PUB_ALLOWED: &[(&str, &str)] = &[
-    (
-        "crates/model/src/attention.rs: attention_forward_tree",
-        "the one-call full sweep `partial_sweeps_are_bit_identical_to_one_full_sweep` compares partial calls against",
-    ),
     (
         "crates/nn/src/mlp.rs: forward_trace",
         "reference the trainer-equivalence test compares against (the per-sample trainer's forward)",
